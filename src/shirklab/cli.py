@@ -29,14 +29,15 @@ from .equilibrium import (
 from .model import (
     AgentStrategy,
     ModelParams,
-    agent_payoff,
     validate_params,
 )
 from .simulation import (
+    SENIORITY,
     SENIORITY_SCENARIO,
     SimConfig,
     StrategyProfile,
     VARIABLE_COMPENSATION,
+    expected_strategy_payoffs,
     monte_carlo,
     policy_experiment,
 )
@@ -253,7 +254,7 @@ def _profile_and_targets(parser, params: ModelParams, cfg: SimConfig, gamma: flo
     targets = {
         "output": target_output,
         "welfare": target_output - effort_cost,
-        f"payoff_{strategy.label}": agent_payoff(strategy, gamma, params, cfg.compensation),
+        f"payoff_{strategy.label}": expected_strategy_payoffs(cfg, profile, gamma)[strategy.label],
     }
     return profile, strategy, targets
 
@@ -272,6 +273,9 @@ def cmd_simulate(parser: configparser.ConfigParser, args) -> int:
             gamma = float(gamma_raw)
         except ValueError as exc:
             raise ConfigError("[simulation] gamma must be a number or 'equilibrium'") from exc
+    if cfg.punishment_mode == SENIORITY:
+        # seniority firing ignores the rate, and the fire draws are taken either way
+        gamma = 0.0
     profile, strategy, targets = _profile_and_targets(parser, params, cfg, gamma)
     result = monte_carlo(cfg, profile, gamma, curve, threads=args.threads)
     print(result.summary())
@@ -347,12 +351,10 @@ def cmd_experiment(parser: configparser.ConfigParser, args) -> int:
     _require_admissible_or_report(params)
     curve = _curve(parser)
     cfg = _sim_config(parser, params, args.seed)
-    variable = policy_experiment(cfg, VARIABLE_COMPENSATION, curve, threads=args.threads, tol=_tol(parser))
-    seniority = policy_experiment(cfg, SENIORITY_SCENARIO, curve, threads=args.threads, tol=_tol(parser))
-    print(f"technology reach h = {_fmt(cfg.h)}")
-    print(variable.scenarios[0].summary())
-    print(variable.scenarios[1].summary())
-    print(seniority.scenarios[1].summary())
+    report = policy_experiment(
+        cfg, (VARIABLE_COMPENSATION, SENIORITY_SCENARIO), curve, threads=args.threads, tol=_tol(parser)
+    )
+    print(report.summary())
     return OK
 
 

@@ -22,11 +22,12 @@ quality, signals, and the firing rule, including the seniority selector.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +62,8 @@ _N_STRATEGIES = len(ALL_STRATEGIES)
 _EFFORT_TABLE = np.array([s.exerts_effort for s in ALL_STRATEGIES])
 # adoption rule per strategy: 0 never, 1 always, 2 follow signal, 3 contrarian
 _USE_RULE = np.array([0, 1, 2, 1, 0, 3], dtype=np.int8)
+# adoption per strategy given the signal reading: _USE_TABLE[signal_good, code]
+_USE_TABLE = np.array([(_USE_RULE == 1) | (_USE_RULE == 3), (_USE_RULE == 1) | (_USE_RULE == 2)])
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,13 @@ class SeniorityOrder:
 
     def __post_init__(self) -> None:
         ranks = np.asarray(self.rank, dtype=np.int64)
-        if sorted(ranks.tolist()) != list(range(len(ranks))):
+        if ranks.ndim != 1:
+            raise ContractViolationError("seniority ranks must form a permutation")
+        # n ranks in [0, n) that cover every value are a permutation
+        in_range = (ranks >= 0) & (ranks < len(ranks))
+        seen = np.zeros(len(ranks), dtype=bool)
+        seen[ranks[in_range]] = True
+        if not (in_range.all() and seen.all()):
             raise ContractViolationError("seniority ranks must form a permutation")
         object.__setattr__(self, "rank", ranks)
 
@@ -229,18 +238,10 @@ class EpisodeOutcome:
 
 def _adoption(codes: np.ndarray, signal_good: np.ndarray | bool) -> np.ndarray:
     """Vectorized adoption choice given strategy codes and signal readings."""
-    rule = _USE_RULE[codes]
-    use = rule == 1
-    follow = rule == 2
-    contrarian = rule == 3
     if np.isscalar(signal_good):
-        if signal_good:
-            use = use | follow
-        else:
-            use = use | contrarian
-    else:
-        use = use | (follow & signal_good) | (contrarian & ~signal_good)
-    return use
+        return _USE_TABLE[int(signal_good)][codes]
+    rule = _USE_RULE[codes]
+    return (rule == 1) | ((rule == 2) & signal_good) | ((rule == 3) & ~signal_good)
 
 
 def run_episode(
@@ -508,89 +509,139 @@ def _expected_wage(code: int, p: ModelParams, compensation: str) -> float:
     return p.pi * expected_good + (1.0 - p.pi) * expected_bad
 
 
-def _deviation_payoff_matrix(
+def _access_ranks(cfg: SimConfig, seniority: SeniorityOrder | None) -> np.ndarray:
+    """Seniority ranks of the access agents (identity order by default)."""
+    order = seniority or SeniorityOrder.identity(cfg.n_agents)
+    return order.rank[: cfg.access_count]
+
+
+@functools.lru_cache(maxsize=32)
+def _common_signal_rows(p: ModelParams, compensation: str) -> np.ndarray:
+    """Seniority deviation payoffs under common signals, one row per fired pattern.
+
+    A deviator who fails in a bad state is fired iff no more senior agent
+    fails there too.  Row ``2 * f_right + f_wrong`` holds the payoffs of an
+    agent who would be fired (flag 1) or spared (flag 0) on failing in the
+    bad state with a right or a wrong signal.  The four (quality,
+    signal-error) states are summed in a fixed order, so every agent's
+    payoffs are bit-identical to a per-agent expectation.  Read-only
+    because it is shared between calls.
+    """
+    rows = np.zeros((4, _N_STRATEGIES))
+    fired_if = {False: np.array([0, 0, 1, 1], dtype=bool), True: np.array([0, 1, 0, 1], dtype=bool)}
+    effort_cost = np.where(_EFFORT_TABLE, p.c, 0.0)
+    for good in (True, False):
+        for wrong in (False, True):
+            prob = (p.pi if good else 1.0 - p.pi) * (p.eps if wrong else 1.0 - p.eps)
+            if prob == 0.0:
+                continue
+            signal_good = good != wrong
+            produced_value = (1.0 + p.g) if good else 0.0
+            for code in range(_N_STRATEGIES):
+                use_dev = bool(_USE_TABLE[int(signal_good), code])
+                produced = produced_value if use_dev else 1.0
+                wage = (p.w if use_dev else 0.0) if compensation == PROSPECTIVE else produced
+                base = wage - effort_cost[code] + p.v_c
+                if use_dev and not good:
+                    # the deviator fails and loses v_c when most senior
+                    rows[:, code] += prob * (base - p.v_c * fired_if[wrong])
+                else:
+                    rows[:, code] += prob * base
+    rows.flags.writeable = False
+    return rows
+
+
+def _common_signal_row_of_agent(codes: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Each access agent's row of ``_common_signal_rows`` given the others' codes.
+
+    With one shared signal the failing set in a bad state is fixed by the
+    profile, and a deviator who fails there is fired iff its rank is at
+    most that of the most senior current failure: a failing agent is fired
+    only if it is that failure itself, a non-failing one only if it would
+    be more senior.  Holds with no failure too (the bound is then +inf).
+    """
+    row = np.zeros(len(codes), dtype=np.intp)
+    for bit, wrong in ((2, False), (1, True)):
+        # in the bad state the signal reads good exactly when it is wrong
+        failing = _adoption(codes, wrong)
+        if failing.any():
+            row += bit * (ranks <= ranks[failing].min())
+        else:
+            row += bit
+    return row
+
+
+def _deviation_payoff_table(
     cfg: SimConfig,
-    profile: StrategyProfile,
+    codes: np.ndarray,
     policy_gamma: float,
-    seniority: SeniorityOrder | None,
-) -> np.ndarray:
+    ranks: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Expected payoff of every (access agent, strategy) pair, others fixed.
+
+    ``codes`` and ``ranks`` are the access agents' strategy codes and
+    seniority ranks.  Returns ``(rows, row_of_agent)``: access agent i's
+    payoffs are ``rows[row_of_agent[i]]``.  There is one row under
+    ``uniform_random`` firing, at most four under seniority firing with
+    common signals, and one per agent with independent signals.
 
     Analytic expectations over quality, signals, and the firing rule; no
     sampling, so deviation gains carry no Monte Carlo noise.
     """
     p = cfg.params
-    m = cfg.access_count
-    matrix = np.empty((m, _N_STRATEGIES))
-    if m == 0:
-        return matrix
-
+    m = len(codes)
     if cfg.punishment_mode == UNIFORM_RANDOM:
         # firing is independent across agents, so payoffs decouple
         row = np.array(
             [agent_payoff(s, policy_gamma, p, cfg.compensation) for s in ALL_STRATEGIES]
         )
-        matrix[:] = row
-        return matrix
-
-    order = seniority or SeniorityOrder.identity(cfg.n_agents)
-    ranks = order.rank[:m]
-    codes = profile.codes[:m]
-    effort_cost = np.where(_EFFORT_TABLE, p.c, 0.0)
-
+        return row[None, :], np.zeros(m, dtype=np.intp)
     if cfg.signal_correlation == COMMON:
-        # enumerate the four (quality, signal-error) states exactly
-        matrix[:] = 0.0
-        for good in (True, False):
-            for wrong in (False, True):
-                prob = (p.pi if good else 1.0 - p.pi) * (p.eps if wrong else 1.0 - p.eps)
-                if prob == 0.0:
-                    continue
-                signal_good = good != wrong
-                use_now = _adoption(codes, signal_good)
-                failing = use_now & (not good)
-                failing_ranks = ranks[failing]
-                if failing_ranks.size == 0:
-                    min1, min2 = math.inf, math.inf
-                elif failing_ranks.size == 1:
-                    min1, min2 = float(failing_ranks[0]), math.inf
-                else:
-                    two = np.partition(failing_ranks, 1)[:2]
-                    min1, min2 = float(two.min()), float(two.max())
-                # most senior OTHER failure, from each agent's point of view
-                min_other = np.where(failing & (ranks == min1), min2, min1)
-                produced_value = (1.0 + p.g) if good else 0.0
-                for s in ALL_STRATEGIES:
-                    code = int(s)
-                    rule = _USE_RULE[code]
-                    use_dev = bool(
-                        rule == 1 or (rule == 2 and signal_good) or (rule == 3 and not signal_good)
-                    )
-                    produced = produced_value if use_dev else 1.0
-                    wage = (p.w if use_dev else 0.0) if cfg.compensation == PROSPECTIVE else produced
-                    base = wage - effort_cost[code] + p.v_c
-                    if use_dev and not good:
-                        # the deviator fails and loses v_c when most senior
-                        fired = ranks < min_other
-                        matrix[:, code] += prob * (base - p.v_c * fired)
-                    else:
-                        matrix[:, code] += prob * base
-        return matrix
+        return _common_signal_rows(p, cfg.compensation), _common_signal_row_of_agent(codes, ranks)
 
     # independent signals: failures are independent across agents given a
     # bad technology, so the chance no more-senior agent fails is a
     # prefix product over seniority ranks
-    pfail_bad = np.array([_use_prob_given_quality(int(c), False, p) for c in codes])
+    use_bad = np.array([_use_prob_given_quality(code, False, p) for code in range(_N_STRATEGIES)])
     by_rank = np.argsort(ranks, kind="stable")
-    survive = 1.0 - pfail_bad[by_rank]
+    survive = 1.0 - use_bad[codes][by_rank]
     prefix = np.ones(m)
     prefix[by_rank[1:]] = np.cumprod(survive[:-1])
-    for s in ALL_STRATEGIES:
-        code = int(s)
-        fired_prob = (1.0 - p.pi) * _use_prob_given_quality(code, False, p) * prefix
+    effort_cost = np.where(_EFFORT_TABLE, p.c, 0.0)
+    rows = np.empty((m, _N_STRATEGIES))
+    for code in range(_N_STRATEGIES):
+        fired_prob = (1.0 - p.pi) * use_bad[code] * prefix
         wage = _expected_wage(code, p, cfg.compensation)
-        matrix[:, code] = wage - effort_cost[code] + p.v_c * (1.0 - fired_prob)
-    return matrix
+        rows[:, code] = wage - effort_cost[code] + p.v_c * (1.0 - fired_prob)
+    return rows, np.arange(m)
+
+
+def expected_strategy_payoffs(
+    cfg: SimConfig,
+    profile: StrategyProfile,
+    policy_gamma: float,
+    seniority: SeniorityOrder | None = None,
+) -> dict[str, float]:
+    """Exact expected payoff of each strategy played in ``profile``.
+
+    Each access agent's payoff is its own-strategy entry of the deviation
+    table, averaged over the agents playing that strategy: the exact
+    counterpart of ``SimResult.per_strategy_payoff``.  Under uniform
+    random firing this is ``agent_payoff`` itself.
+    """
+    codes = profile.codes[: cfg.access_count]
+    rows, row_of_agent = _deviation_payoff_table(
+        cfg, codes, policy_gamma, _access_ranks(cfg, seniority)
+    )
+    players = np.bincount(codes, minlength=_N_STRATEGIES)
+    payoffs: dict[str, float] = {}
+    for code in np.flatnonzero(players):
+        per_row = np.bincount(row_of_agent[codes == code], minlength=len(rows))
+        used = np.flatnonzero(per_row)
+        payoffs[AgentStrategy(int(code)).label] = float(
+            np.sum(rows[used, code] * (per_row[used] / players[code]))
+        )
+    return payoffs
 
 
 @dataclass(frozen=True)
@@ -624,47 +675,60 @@ def nash_check(
         )
     if not 0.0 <= policy_gamma <= 1.0:
         raise ValueError(f"policy_gamma must lie in [0, 1], got {policy_gamma}")
-    matrix = _deviation_payoff_matrix(cfg, profile, policy_gamma, seniority)
-    deviations: list[Deviation] = []
     codes = profile.codes[: cfg.access_count]
-    for pos in range(cfg.access_count):
-        current = int(codes[pos])
-        best = int(np.argmax(matrix[pos]))
-        gain = float(matrix[pos, best] - matrix[pos, current])
-        if gain > tol:
-            deviations.append(
-                Deviation(
-                    agent=pos,
-                    current=AgentStrategy(current),
-                    better=AgentStrategy(best),
-                    gain=gain,
-                )
-            )
-    return deviations
+    rows, row_of_agent = _deviation_payoff_table(
+        cfg, codes, policy_gamma, _access_ranks(cfg, seniority)
+    )
+    best = rows.argmax(1)[row_of_agent]
+    gain = (rows.max(1)[:, None] - rows)[row_of_agent, codes]
+    return [
+        Deviation(
+            agent=int(pos),
+            current=AgentStrategy(int(codes[pos])),
+            better=AgentStrategy(int(best[pos])),
+            gain=float(gain[pos]),
+        )
+        for pos in np.flatnonzero(gain > tol)
+    ]
 
 
 @dataclass(frozen=True)
 class BestResponseTrace:
-    """Synchronous best-response iteration record.
+    """Synchronous best-response iteration record, stored as per-round diffs.
 
-    ``profiles[0]`` is the initial profile and each later entry is the
-    profile after a round that changed somebody; ``changed[k]`` lists the
-    access agents who switched in round k+1.  ``converged`` is False only
-    if the round cap was hit, which is reported rather than raised so a
-    failing dynamic can be inspected as a counterexample.
+    ``initial`` is the starting profile; in round k+1 the access agents
+    ``changed[k]`` switched to the strategy codes ``switched_to[k]``.
+    ``profiles`` rebuilds the profile after every round on demand
+    (``profiles[0]`` is the initial one), so the record itself takes
+    O(n + switches) memory.  ``converged`` is False only if the round cap
+    was hit, which is reported rather than raised so a failing dynamic can
+    be inspected as a counterexample.
     """
 
-    profiles: list[StrategyProfile]
+    initial: StrategyProfile
     changed: list[list[int]]
+    switched_to: list[np.ndarray]
     converged: bool
 
     @property
     def rounds(self) -> int:
-        return len(self.profiles) - 1
+        return len(self.changed)
+
+    def _replay(self) -> Iterator[np.ndarray]:
+        codes = self.initial.codes.copy()
+        yield codes
+        for positions, new_codes in zip(self.changed, self.switched_to):
+            codes[positions] = new_codes
+            yield codes
+
+    @property
+    def profiles(self) -> list[StrategyProfile]:
+        return [StrategyProfile(codes.copy()) for codes in self._replay()]
 
     @property
     def final(self) -> StrategyProfile:
-        return self.profiles[-1]
+        *_, codes = self._replay()
+        return StrategyProfile(codes)
 
 
 def iterated_best_response(
@@ -680,32 +744,34 @@ def iterated_best_response(
     member of any would-be shirking group prefers effort, flipping one
     agent per round until everyone with access researches.  Agents keep
     their current strategy when it remains among the best responses.
+
+    Each round reads the exact deviation table: with common signals a
+    deviator who fails in a bad state is fired iff its rank is at most
+    ``min1``, the rank of the most senior current failure there, so every
+    agent's payoffs are one of four rows and a round costs O(n) vectorized
+    work.  The trace keeps the initial profile and each round's switched
+    positions with their new codes.
     """
     if len(initial) != cfg.n_agents:
         raise ContractViolationError(
             f"profile length {len(initial)} does not match n_agents {cfg.n_agents}"
         )
     cap = 10 * cfg.n_agents if max_rounds is None else max_rounds
-    profiles = [initial]
+    ranks = _access_ranks(cfg, seniority)
+    codes = initial.codes[: cfg.access_count].copy()
     changed: list[list[int]] = []
-    current = initial
+    switched_to: list[np.ndarray] = []
     for _ in range(cap):
-        matrix = _deviation_payoff_matrix(cfg, current, 0.0, seniority)
-        codes = current.codes.copy()
-        switched: list[int] = []
-        for pos in range(cfg.access_count):
-            row = matrix[pos]
-            best_value = float(row.max())
-            if row[codes[pos]] >= best_value - tol:
-                continue
-            codes[pos] = int(np.argmax(row))
-            switched.append(pos)
-        if not switched:
-            return BestResponseTrace(profiles, changed, True)
-        current = StrategyProfile(codes)
-        profiles.append(current)
-        changed.append(switched)
-    return BestResponseTrace(profiles, changed, False)
+        rows, row_of_agent = _deviation_payoff_table(cfg, codes, 0.0, ranks)
+        unhappy = rows < rows.max(1)[:, None] - tol
+        switched = np.flatnonzero(unhappy[row_of_agent, codes])
+        if not switched.size:
+            return BestResponseTrace(initial, changed, switched_to, True)
+        new_codes = rows.argmax(1)[row_of_agent[switched]].astype(np.int8)
+        codes[switched] = new_codes
+        changed.append(switched.tolist())
+        switched_to.append(new_codes)
+    return BestResponseTrace(initial, changed, switched_to, False)
 
 
 BASELINE = "baseline"
@@ -792,13 +858,13 @@ def _scenario_run(
 
 def policy_experiment(
     cfg: SimConfig,
-    scenario: str,
+    treatments: str | Sequence[str],
     curve: ReplacementCostCurve,
     seniority: SeniorityOrder | None = None,
     threads: int = 1,
     tol: float = 1e-10,
 ) -> ExperimentReport:
-    """Compare the baseline policy against one treatment at matched seeds.
+    """Compare the baseline policy against one or more treatments at matched seeds.
 
     baseline -- prospective pay, random firing at the solved threshold
         policy rate for ``cfg.h``; the equilibrium profile is effort when
@@ -809,11 +875,16 @@ def policy_experiment(
         equilibrium profile is found by best-response unraveling from
         universal blind adoption.
 
-    All arms share the root seed, so arms with the same strategy profile
-    see identical production paths.
+    The baseline arm runs once and comes first; the treatments follow in
+    the order given (``baseline`` among them adds nothing).  All arms
+    share the root seed, so arms with the same strategy profile see
+    identical production paths.
     """
-    if scenario not in (BASELINE, VARIABLE_COMPENSATION, SENIORITY_SCENARIO):
-        raise ValueError(f"unknown scenario {scenario!r}")
+    if isinstance(treatments, str):
+        treatments = (treatments,)
+    for treatment in treatments:
+        if treatment not in (BASELINE, VARIABLE_COMPENSATION, SENIORITY_SCENARIO):
+            raise ValueError(f"unknown scenario {treatment!r}")
     require_admissible(cfg.params)
     sol = solve_threshold(cfg.params, curve, tol=tol)
     base_gamma = policy(cfg.h, sol)
@@ -826,28 +897,29 @@ def policy_experiment(
         _scenario_run(base_cfg, BASELINE, base_gamma, base_profile, curve, seniority, threads)
     ]
 
-    if scenario == VARIABLE_COMPENSATION:
-        treat_cfg = dc_replace(cfg, compensation=REALIZED, punishment_mode=UNIFORM_RANDOM)
-        profile = StrategyProfile.symmetric(AgentStrategy.EFFORT_FOLLOW_SIGNAL, cfg.n_agents)
-        scenarios.append(
-            _scenario_run(treat_cfg, VARIABLE_COMPENSATION, 0.0, profile, curve, seniority, threads)
-        )
-    elif scenario == SENIORITY_SCENARIO:
-        treat_cfg = dc_replace(cfg, compensation=PROSPECTIVE, punishment_mode=SENIORITY)
-        start = StrategyProfile.symmetric(AgentStrategy.SHIRK_USE, cfg.n_agents)
-        trace = iterated_best_response(treat_cfg, start, seniority)
-        scenarios.append(
-            _scenario_run(
-                treat_cfg,
-                SENIORITY_SCENARIO,
-                0.0,
-                trace.final,
-                curve,
-                seniority,
-                threads,
-                unraveling_rounds=trace.rounds,
+    for treatment in treatments:
+        if treatment == VARIABLE_COMPENSATION:
+            treat_cfg = dc_replace(cfg, compensation=REALIZED, punishment_mode=UNIFORM_RANDOM)
+            profile = StrategyProfile.symmetric(AgentStrategy.EFFORT_FOLLOW_SIGNAL, cfg.n_agents)
+            scenarios.append(
+                _scenario_run(treat_cfg, VARIABLE_COMPENSATION, 0.0, profile, curve, seniority, threads)
             )
-        )
+        elif treatment == SENIORITY_SCENARIO:
+            treat_cfg = dc_replace(cfg, compensation=PROSPECTIVE, punishment_mode=SENIORITY)
+            start = StrategyProfile.symmetric(AgentStrategy.SHIRK_USE, cfg.n_agents)
+            trace = iterated_best_response(treat_cfg, start, seniority)
+            scenarios.append(
+                _scenario_run(
+                    treat_cfg,
+                    SENIORITY_SCENARIO,
+                    0.0,
+                    trace.final,
+                    curve,
+                    seniority,
+                    threads,
+                    unraveling_rounds=trace.rounds,
+                )
+            )
 
     return ExperimentReport(h=cfg.h, scenarios=tuple(scenarios))
 

@@ -1,0 +1,247 @@
+"""The table-based Nash check and unraveling against a per-agent reference.
+
+The reference below is the original per-agent implementation, with the
+package's private helpers copied in so it depends on nothing it checks: it
+builds the full (access agents x strategies) deviation matrix with the
+(min1, min2) seniority bookkeeping and loops over every agent in Python.
+The package works on a small table of distinct payoff rows instead; these
+tests hold it to exact equality with the reference on random profiles,
+seniority orders and parameters.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import REFERENCE_POINTS
+from shirklab import (
+    ALL_STRATEGIES,
+    AgentStrategy,
+    ModelParams,
+    SeniorityOrder,
+    SimConfig,
+    StrategyProfile,
+    agent_payoff,
+    iterated_best_response,
+    nash_check,
+)
+
+_N_STRATEGIES = len(ALL_STRATEGIES)
+_EFFORT_TABLE = np.array([s.exerts_effort for s in ALL_STRATEGIES])
+# adoption rule per strategy: 0 never, 1 always, 2 follow signal, 3 contrarian
+_USE_RULE = np.array([0, 1, 2, 1, 0, 3], dtype=np.int8)
+
+
+def _adoption(codes, signal_good):
+    rule = _USE_RULE[codes]
+    use = rule == 1
+    follow = rule == 2
+    contrarian = rule == 3
+    if signal_good:
+        return use | follow
+    return use | contrarian
+
+
+def _use_prob_given_quality(code, good, p):
+    signal_good_prob = (1.0 - p.eps) if good else p.eps
+    rule = _USE_RULE[code]
+    if rule == 0:
+        return 0.0
+    if rule == 1:
+        return 1.0
+    if rule == 2:
+        return signal_good_prob
+    return 1.0 - signal_good_prob
+
+
+def _expected_wage(code, p, compensation):
+    use_good = _use_prob_given_quality(code, True, p)
+    use_bad = _use_prob_given_quality(code, False, p)
+    if compensation == "prospective":
+        return p.w * (p.pi * use_good + (1.0 - p.pi) * use_bad)
+    expected_good = use_good * (1.0 + p.g) + (1.0 - use_good)
+    expected_bad = 1.0 - use_bad
+    return p.pi * expected_good + (1.0 - p.pi) * expected_bad
+
+
+def reference_matrix(cfg, profile, policy_gamma, seniority):
+    p = cfg.params
+    m = cfg.access_count
+    matrix = np.empty((m, _N_STRATEGIES))
+    if m == 0:
+        return matrix
+
+    if cfg.punishment_mode == "uniform_random":
+        row = np.array(
+            [agent_payoff(s, policy_gamma, p, cfg.compensation) for s in ALL_STRATEGIES]
+        )
+        matrix[:] = row
+        return matrix
+
+    order = seniority or SeniorityOrder.identity(cfg.n_agents)
+    ranks = order.rank[:m]
+    codes = profile.codes[:m]
+    effort_cost = np.where(_EFFORT_TABLE, p.c, 0.0)
+
+    if cfg.signal_correlation == "common":
+        matrix[:] = 0.0
+        for good in (True, False):
+            for wrong in (False, True):
+                prob = (p.pi if good else 1.0 - p.pi) * (p.eps if wrong else 1.0 - p.eps)
+                if prob == 0.0:
+                    continue
+                signal_good = good != wrong
+                use_now = _adoption(codes, signal_good)
+                failing = use_now & (not good)
+                failing_ranks = ranks[failing]
+                if failing_ranks.size == 0:
+                    min1, min2 = math.inf, math.inf
+                elif failing_ranks.size == 1:
+                    min1, min2 = float(failing_ranks[0]), math.inf
+                else:
+                    two = np.partition(failing_ranks, 1)[:2]
+                    min1, min2 = float(two.min()), float(two.max())
+                min_other = np.where(failing & (ranks == min1), min2, min1)
+                produced_value = (1.0 + p.g) if good else 0.0
+                for s in ALL_STRATEGIES:
+                    code = int(s)
+                    rule = _USE_RULE[code]
+                    use_dev = bool(
+                        rule == 1 or (rule == 2 and signal_good) or (rule == 3 and not signal_good)
+                    )
+                    produced = produced_value if use_dev else 1.0
+                    wage = (p.w if use_dev else 0.0) if cfg.compensation == "prospective" else produced
+                    base = wage - effort_cost[code] + p.v_c
+                    if use_dev and not good:
+                        fired = ranks < min_other
+                        matrix[:, code] += prob * (base - p.v_c * fired)
+                    else:
+                        matrix[:, code] += prob * base
+        return matrix
+
+    pfail_bad = np.array([_use_prob_given_quality(int(c), False, p) for c in codes])
+    by_rank = np.argsort(ranks, kind="stable")
+    survive = 1.0 - pfail_bad[by_rank]
+    prefix = np.ones(m)
+    prefix[by_rank[1:]] = np.cumprod(survive[:-1])
+    for s in ALL_STRATEGIES:
+        code = int(s)
+        fired_prob = (1.0 - p.pi) * _use_prob_given_quality(code, False, p) * prefix
+        wage = _expected_wage(code, p, cfg.compensation)
+        matrix[:, code] = wage - effort_cost[code] + p.v_c * (1.0 - fired_prob)
+    return matrix
+
+
+def reference_nash_check(cfg, profile, policy_gamma, seniority=None, tol=1e-12):
+    matrix = reference_matrix(cfg, profile, policy_gamma, seniority)
+    deviations = []
+    codes = profile.codes[: cfg.access_count]
+    for pos in range(cfg.access_count):
+        current = int(codes[pos])
+        best = int(np.argmax(matrix[pos]))
+        gain = float(matrix[pos, best] - matrix[pos, current])
+        if gain > tol:
+            deviations.append((pos, AgentStrategy(current), AgentStrategy(best), gain))
+    return deviations
+
+
+def reference_best_response(cfg, initial, seniority=None, max_rounds=None, tol=1e-12):
+    """Returns (profiles, changed, converged) of the synchronous iteration."""
+    cap = 10 * cfg.n_agents if max_rounds is None else max_rounds
+    profiles = [initial]
+    changed = []
+    current = initial
+    for _ in range(cap):
+        matrix = reference_matrix(cfg, current, 0.0, seniority)
+        codes = current.codes.copy()
+        switched = []
+        for pos in range(cfg.access_count):
+            row = matrix[pos]
+            best_value = float(row.max())
+            if row[codes[pos]] >= best_value - tol:
+                continue
+            codes[pos] = int(np.argmax(row))
+            switched.append(pos)
+        if not switched:
+            return profiles, changed, True
+        current = StrategyProfile(codes)
+        profiles.append(current)
+        changed.append(switched)
+    return profiles, changed, False
+
+
+#: Parameter points: the reference scenarios (one has eps = 0) plus an eps = 0 copy of P0.
+PARAMS = REFERENCE_POINTS + (ModelParams(pi=0.9, eps=0.0, g=0.5, c=0.01, w=0.05, v_c=1.0),)
+
+
+def _random_case(rng, signal, compensation, punishment, h):
+    n = int(rng.integers(1, 41))
+    cfg = SimConfig(
+        params=PARAMS[int(rng.integers(len(PARAMS)))],
+        n_agents=n,
+        n_trials=1,
+        seed=0,
+        h=h,
+        signal_correlation=signal,
+        compensation=compensation,
+        punishment_mode=punishment,
+    )
+    kind = int(rng.integers(3))
+    if kind == 0:
+        codes = rng.integers(0, _N_STRATEGIES, size=n)
+    else:
+        # mostly one strategy, so seniority races and unraveling show up
+        codes = np.full(n, int(AgentStrategy.SHIRK_USE) if kind == 1 else int(rng.integers(_N_STRATEGIES)))
+        flips = rng.random(n) < 0.2
+        codes[flips] = rng.integers(0, _N_STRATEGIES, size=int(flips.sum()))
+    seniority = None if rng.random() < 0.3 else SeniorityOrder.from_permutation(rng.permutation(n))
+    return cfg, StrategyProfile(codes), seniority
+
+
+MODES = [
+    (signal, compensation, punishment, h)
+    for signal in ("common", "independent")
+    for compensation in ("prospective", "realized")
+    for punishment in ("uniform_random", "seniority")
+    for h in (0.0, 0.5, 1.0)
+]
+
+
+@pytest.mark.parametrize("signal,compensation,punishment,h", MODES)
+def test_nash_check_matches_the_reference(signal, compensation, punishment, h):
+    rng = np.random.default_rng([7, len(signal), len(compensation), len(punishment), int(10 * h)])
+    for _ in range(12):
+        cfg, profile, seniority = _random_case(rng, signal, compensation, punishment, h)
+        gamma = float(rng.choice([0.0, 1.0, rng.random()]))
+        got = [
+            (d.agent, d.current, d.better, d.gain)
+            for d in nash_check(cfg, profile, gamma, seniority=seniority)
+        ]
+        assert got == reference_nash_check(cfg, profile, gamma, seniority)
+
+
+@pytest.mark.parametrize("signal,compensation,punishment,h", MODES)
+def test_iterated_best_response_matches_the_reference(signal, compensation, punishment, h):
+    rng = np.random.default_rng([11, len(signal), len(compensation), len(punishment), int(10 * h)])
+    for _ in range(8):
+        cfg, profile, seniority = _random_case(rng, signal, compensation, punishment, h)
+        trace = iterated_best_response(cfg, profile, seniority)
+        profiles, changed, converged = reference_best_response(cfg, profile, seniority)
+        assert trace.changed == changed
+        assert trace.converged == converged
+        assert trace.rounds == len(changed)
+        assert trace.profiles == profiles
+        assert trace.final == profiles[-1]
+
+
+def test_round_cap_matches_the_reference():
+    p = PARAMS[0]
+    cfg = SimConfig(params=p, n_agents=30, n_trials=1, seed=0, h=1.0, punishment_mode="seniority")
+    order = SeniorityOrder.from_permutation(np.random.default_rng(3).permutation(30))
+    start = StrategyProfile.symmetric(AgentStrategy.SHIRK_USE, 30)
+    trace = iterated_best_response(cfg, start, order, max_rounds=7)
+    profiles, changed, converged = reference_best_response(cfg, start, order, max_rounds=7)
+    assert not trace.converged and not converged
+    assert trace.changed == changed
+    assert trace.profiles == profiles

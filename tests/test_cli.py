@@ -1,8 +1,12 @@
 """Command-line behavior: happy paths, exit codes, determinism."""
 
+from pathlib import Path
+
 import pytest
 
 from shirklab.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 BASE_CONFIG = """
 [model]
@@ -99,6 +103,35 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "payoff[shirk_use]" in out
 
+    @pytest.mark.parametrize("signal", ["common", "independent"])
+    def test_seniority_firing_prints_gamma_0_and_its_own_payoff_target(self, tmp_path, capsys, signal):
+        path = tmp_path / "seniority.ini"
+        path.write_text(
+            BASE_CONFIG.replace(
+                "seed = 9",
+                f"seed = 9\nprofile = shirk\ngamma = 0.3\npunishment_mode = seniority\nsignal_correlation = {signal}",
+            )
+        )
+        assert main(["simulate", "--config", str(path), "--threads", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "agents 300  trials 200  seed 9  gamma 0\n" in out
+        # 150 blind adopters fail together when the technology is bad and one is fired
+        assert "vs target 1.04933333333\n" in out
+        assert "[pass] payoff_shirk_use" in out
+        assert "FAIL" not in out
+
+    def test_seniority_gamma_does_not_change_the_draws(self, tmp_path, capsys):
+        outputs = []
+        for gamma in ("0.0", "0.7"):
+            path = tmp_path / f"g{gamma}.ini"
+            path.write_text(
+                BASE_CONFIG.replace("seed = 9", f"seed = 9\npunishment_mode = seniority\ngamma = {gamma}")
+            )
+            assert main(["simulate", "--config", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "[pass] payoff_effort_follow_signal" in outputs[0]
+
 
 class TestSweep:
     def test_writes_csv_to_the_destination(self, config_path, tmp_path, capsys):
@@ -145,6 +178,12 @@ class TestExperiment:
         assert "scenario variable_compensation" in out
         assert "scenario seniority" in out
         assert "unraveled to effort" in out
+
+    def test_golden_stdout_past_the_threshold(self, capsys):
+        # 400 agents, 300 trials at h = 0.5 > h_tilde: 200 unraveling rounds
+        assert main(["experiment", "--config", str(DATA / "experiment_golden.ini")]) == 0
+        out = capsys.readouterr().out
+        assert out.encode() == (DATA / "experiment_golden.out").read_bytes()
 
 
 class TestConfigErrors:

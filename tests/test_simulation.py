@@ -26,7 +26,7 @@ from shirklab import (
     policy_experiment,
     run_episode,
 )
-from shirklab.simulation import deviations_summary, deviations_to_rows
+from shirklab.simulation import deviations_summary, deviations_to_rows, expected_strategy_payoffs
 
 EFS = AgentStrategy.EFFORT_FOLLOW_SIGNAL
 SU = AgentStrategy.SHIRK_USE
@@ -133,6 +133,22 @@ class TestRunEpisode:
         outcomes = episode.agent_outcomes()
         assert len(outcomes) == 20
         assert all(not o.used and o.produced == 1.0 for o in outcomes[10:])
+
+
+class TestSeniorityOrder:
+    def test_permutations_are_accepted(self):
+        order = SeniorityOrder.from_permutation([2, 0, 3, 1])
+        assert order.rank.tolist() == [1, 3, 0, 2]
+        assert SeniorityOrder.identity(0).rank.size == 0
+
+    @pytest.mark.parametrize(
+        "ranks",
+        [[0, 1, 1], [0, 0, 0], [0, 1, 3], [1, 2, 3], [-1, 0, 1], [0, -2, 2], [[0, 1], [1, 0]]],
+        ids=["duplicate", "all-equal", "gap", "shifted", "negative", "negative-gap", "two-dimensional"],
+    )
+    def test_non_permutations_are_rejected(self, ranks):
+        with pytest.raises(ContractViolationError, match="permutation"):
+            SeniorityOrder(np.array(ranks))
 
 
 class TestMonteCarlo:
@@ -269,6 +285,18 @@ class TestNashCheck:
             deviations = nash_check(cfg, profile, 0.0, linear_curve)
             assert [d.agent for d in deviations] == [0]
 
+    def test_expected_strategy_payoffs_match_the_closed_forms(self, p0):
+        cfg = make_cfg(p0, n_agents=100, h=0.5)
+        profile = StrategyProfile.symmetric(EFS, cfg.n_agents)
+        gb = gamma_bar(p0)
+        assert expected_strategy_payoffs(cfg, profile, gb) == {EFS.label: agent_payoff(EFS, gb, p0)}
+        m = cfg.access_count
+        for signal in ("common", "independent"):
+            seniority = make_cfg(p0, n_agents=100, h=0.5, punishment_mode="seniority", signal_correlation=signal)
+            shirkers = StrategyProfile.symmetric(SU, seniority.n_agents)
+            payoff = expected_strategy_payoffs(seniority, shirkers, 0.0)[SU.label]
+            assert payoff == pytest.approx(p0.w + p0.v_c * (1.0 - (1.0 - p0.pi) / m), rel=1e-12)
+
     def test_report_serialization(self, p0, linear_curve):
         cfg = make_cfg(p0, n_agents=20)
         profile = StrategyProfile.symmetric(EFS, cfg.n_agents)
@@ -302,6 +330,21 @@ class TestIteratedBestResponse:
         assert trace.converged
         assert trace.rounds == 0
         assert len(trace.profiles) == 1
+
+    def test_trace_stores_diffs_and_rebuilds_profiles(self, p0):
+        cfg = SimConfig(params=p0, n_agents=8, n_trials=1, seed=0, h=0.5, punishment_mode="seniority")
+        start = StrategyProfile.symmetric(SU, 8)
+        trace = iterated_best_response(cfg, start)
+        assert trace.initial == start
+        assert trace.changed == [[0], [1], [2], [3]]
+        assert [codes.tolist() for codes in trace.switched_to] == [[int(EFS)]] * 4
+        profiles = trace.profiles
+        assert len(profiles) == trace.rounds + 1 == 5
+        for k, profile in enumerate(profiles):
+            expected = [int(EFS)] * k + [int(SU)] * (8 - k)
+            assert profile.codes.tolist() == expected
+        assert trace.final == profiles[-1]
+        assert start.codes.tolist() == [int(SU)] * 8
 
     def test_round_cap_reports_nonconvergence(self, p0):
         cfg = SimConfig(params=p0, n_agents=10, n_trials=1, seed=0, h=1.0, punishment_mode="seniority")
@@ -342,6 +385,16 @@ class TestPolicyExperiment:
         assert len(outputs) == 1
         assert variable.scenarios[0].gamma == pytest.approx(gamma_bar(p0))
         assert variable.scenarios[0].profile_label == EFS.label
+
+    def test_one_call_runs_the_baseline_once_then_each_treatment(self, p0, linear_curve):
+        cfg = make_cfg(p0, n_agents=200, n_trials=100, seed=8, h=0.5)
+        both = policy_experiment(cfg, ("variable_compensation", "seniority"), linear_curve)
+        assert [s.name for s in both.scenarios] == ["baseline", "variable_compensation", "seniority"]
+        variable = policy_experiment(cfg, "variable_compensation", linear_curve)
+        seniority = policy_experiment(cfg, "seniority", linear_curve)
+        assert both.scenarios == variable.scenarios + seniority.scenarios[1:]
+        with pytest.raises(ValueError):
+            policy_experiment(cfg, ("seniority", "bribery"), linear_curve)
 
     def test_unknown_scenario_rejected(self, p0, linear_curve):
         cfg = make_cfg(p0, n_agents=10, n_trials=2)
