@@ -39,7 +39,6 @@ from .equilibrium import (
     policy,
     principal_value,
     punish_feasible,
-    replacement_cost,
     solve_threshold,
     verify_equilibrium,
     welfare_loss,

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 
 from .errors import InadmissibleParamsError, InvalidCurveError, InvalidParamsError
 from .equilibrium import (
     EFFORT,
+    SHIRK,
     ReplacementCostCurve,
     expected_output,
     policy,
@@ -29,19 +31,25 @@ from .equilibrium import (
 from .model import (
     AgentStrategy,
     ModelParams,
+    PROSPECTIVE,
+    REALIZED,
+    _fmt,
     validate_params,
 )
 from .simulation import (
+    COMMON,
+    INDEPENDENT,
     SENIORITY,
     SENIORITY_SCENARIO,
     SimConfig,
     StrategyProfile,
+    UNIFORM_RANDOM,
     VARIABLE_COMPENSATION,
     expected_strategy_payoffs,
     monte_carlo,
     policy_experiment,
 )
-from .sweeps import SweepSpec, emit_csv, make_grid, sweep_h, sweep_param
+from .sweeps import SWEEPABLE_PARAMETERS, SweepSpec, emit_csv, make_grid, sweep_h, sweep_param
 
 OK = 0
 CONFIG_ERROR = 2
@@ -77,10 +85,10 @@ _DEFAULTS = {
     "n_agents": 10000,
     "n_trials": 10000,
     "seed": 0,
-    "signal_correlation": "common",
-    "compensation": "prospective",
-    "punishment_mode": "uniform_random",
-    "profile": "effort",
+    "signal_correlation": COMMON,
+    "compensation": PROSPECTIVE,
+    "punishment_mode": UNIFORM_RANDOM,
+    "profile": EFFORT,
     "gamma": "equilibrium",
     "tol": 1e-10,
 }
@@ -88,10 +96,6 @@ _DEFAULTS = {
 
 class ConfigError(Exception):
     """Malformed or incomplete run configuration."""
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _load_config(path: str) -> configparser.ConfigParser:
@@ -126,7 +130,7 @@ def _get_float(parser: configparser.ConfigParser, section: str, key: str, defaul
 
 def _get_int(parser: configparser.ConfigParser, section: str, key: str, default=None) -> int:
     value = _get_float(parser, section, key, default)
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise ConfigError(f"[{section}] {key} must be an integer, got {value}")
     return int(value)
 
@@ -164,6 +168,8 @@ def _curve(parser: configparser.ConfigParser) -> ReplacementCostCurve:
             return ReplacementCostCurve.from_file(section["file"])
         except OSError as exc:
             raise ConfigError(f"cannot read curve file: {exc}") from exc
+        except InvalidCurveError as exc:
+            raise ConfigError(f"invalid curve: {exc}") from exc
     family = _get_choice(parser, "curve", "family", ("linear", "power", "constant"))
     try:
         if family == "linear":
@@ -194,15 +200,15 @@ def _sim_config(parser: configparser.ConfigParser, params: ModelParams, seed_ove
             h=_get_float(parser, "simulation", "h"),
             signal_correlation=_get_choice(
                 parser, "simulation", "signal_correlation",
-                ("common", "independent"), _DEFAULTS["signal_correlation"],
+                (COMMON, INDEPENDENT), _DEFAULTS["signal_correlation"],
             ),
             compensation=_get_choice(
                 parser, "simulation", "compensation",
-                ("prospective", "realized"), _DEFAULTS["compensation"],
+                (PROSPECTIVE, REALIZED), _DEFAULTS["compensation"],
             ),
             punishment_mode=_get_choice(
                 parser, "simulation", "punishment_mode",
-                ("uniform_random", "seniority"), _DEFAULTS["punishment_mode"],
+                (UNIFORM_RANDOM, SENIORITY), _DEFAULTS["punishment_mode"],
             ),
         )
     except InvalidParamsError as exc:
@@ -243,14 +249,11 @@ def cmd_solve(parser: configparser.ConfigParser, args) -> int:
 
 
 def _profile_and_targets(parser, params: ModelParams, cfg: SimConfig, gamma: float):
-    choice = _get_choice(parser, "simulation", "profile", ("effort", "shirk"), _DEFAULTS["profile"])
-    strategy = (
-        AgentStrategy.EFFORT_FOLLOW_SIGNAL if choice == "effort" else AgentStrategy.SHIRK_USE
-    )
+    regime = _get_choice(parser, "simulation", "profile", (EFFORT, SHIRK), _DEFAULTS["profile"])
+    strategy = AgentStrategy.EFFORT_FOLLOW_SIGNAL if regime == EFFORT else AgentStrategy.SHIRK_USE
     profile = StrategyProfile.symmetric(strategy, cfg.n_agents)
-    regime = EFFORT if choice == "effort" else "shirk"
     target_output = expected_output(cfg.h, regime, params)
-    effort_cost = params.c * cfg.h if choice == "effort" else 0.0
+    effort_cost = params.c * cfg.h if regime == EFFORT else 0.0
     targets = {
         "output": target_output,
         "welfare": target_output - effort_cost,
@@ -312,9 +315,7 @@ def cmd_sweep(parser: configparser.ConfigParser, args) -> int:
     curve = _curve(parser)
     if not parser.has_section("sweep"):
         raise ConfigError("missing required section [sweep]")
-    parameter = _get_choice(
-        parser, "sweep", "parameter", ("h", "pi", "eps", "g", "c", "w", "v_c", "curve_scale")
-    )
+    parameter = _get_choice(parser, "sweep", "parameter", SWEEPABLE_PARAMETERS)
     if not parser.has_option("sweep", "grid"):
         raise ConfigError("missing required key 'grid' in section [sweep]")
     grid = _parse_grid(parser.get("sweep", "grid"))

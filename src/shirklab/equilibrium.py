@@ -27,6 +27,7 @@ from .errors import InvalidCurveError
 from .model import (
     AgentStrategy,
     ModelParams,
+    _fmt,
     agent_payoff,
     gamma_bar,
     require_admissible,
@@ -39,7 +40,7 @@ EFFORT = "effort"
 SHIRK = "shirk"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplacementCostCurve:
     """Least-cost replacement function induced by a cost schedule.
 
@@ -114,7 +115,10 @@ class ReplacementCostCurve:
         Each row is one replacement candidate of equal measure; the first
         column carries the original labels and must lie in [0, 1].
         """
-        data = np.loadtxt(path, ndmin=2)
+        try:
+            data = np.loadtxt(path, ndmin=2)
+        except ValueError as exc:
+            raise InvalidCurveError(f"{path}: not a numeric table: {exc}") from exc
         if data.shape[1] != 2:
             raise InvalidCurveError(f"{path}: expected two columns (z, cost), got {data.shape[1]}")
         z, costs = data[:, 0], data[:, 1]
@@ -145,10 +149,6 @@ class ReplacementCostCurve:
     def marginal_cost_at_zero(self) -> float:
         """One-sided derivative r'(0): the cheapest available replacement."""
         return float(self.values[0])
-
-    def total_cost(self) -> float:
-        """r(1): cost of replacing the entire workforce."""
-        return float(self._cumulative()[-1])
 
     def scaled(self, factor: float) -> "ReplacementCostCurve":
         """Uniformly scale every per-replacement cost."""
@@ -200,11 +200,6 @@ def _check_nonnegative(raw: np.ndarray, grid: np.ndarray | None) -> None:
         raise InvalidCurveError(f"cost schedule is negative{where}")
 
 
-def replacement_cost(curve: ReplacementCostCurve, x: float) -> float:
-    """Least total cost of replacing a measure ``x`` of workers."""
-    return curve.cost(x)
-
-
 def credibility_slope(p: ModelParams) -> float:
     """Slope of the punishment-worthwhile condition in the technology reach.
 
@@ -254,14 +249,6 @@ class EquilibriumSolution:
     boundary_punish: bool
     degenerate_credibility: bool
     tol: float
-
-    @property
-    def policy_params(self) -> dict[str, float | bool]:
-        return {
-            "gamma_bar": self.gamma_bar,
-            "h_tilde": self.h_tilde,
-            "boundary_punish": self.boundary_punish,
-        }
 
 
 def solve_threshold(
@@ -450,7 +437,7 @@ def verify_equilibrium(
         VerificationCheck(
             "indifference_at_gamma_bar",
             abs(gap) <= payoff_tol,
-            f"payoff gap {gap:.6g} at gamma={sol.gamma_bar:.12g}",
+            f"payoff gap {gap:.6g} at gamma={_fmt(sol.gamma_bar)}",
         )
     )
 
@@ -462,7 +449,7 @@ def verify_equilibrium(
         h = sol.h_tilde * u
         if not punish_feasible(h, p, curve):
             below_ok = False
-            below_witness = f"infeasible at h={h:.12g} < h_tilde={sol.h_tilde:.12g}"
+            below_witness = f"infeasible at h={_fmt(h)} < h_tilde={_fmt(sol.h_tilde)}"
             break
     checks.append(
         VerificationCheck(
@@ -479,7 +466,7 @@ def verify_equilibrium(
             h = sol.h_tilde + (1.0 - sol.h_tilde) * u
             if punish_feasible(h, p, curve):
                 above_ok = False
-                above_witness = f"feasible at h={h:.12g} > h_tilde={sol.h_tilde:.12g}"
+                above_witness = f"feasible at h={_fmt(h)} > h_tilde={_fmt(sol.h_tilde)}"
                 break
     checks.append(
         VerificationCheck(
@@ -495,12 +482,12 @@ def verify_equilibrium(
         h_low = sol.h_tilde * u
         if policy(h_low, sol) != sol.gamma_bar:
             shape_ok = False
-            shape_witness = f"policy({h_low:.12g}) != gamma_bar below threshold"
+            shape_witness = f"policy({_fmt(h_low)}) != gamma_bar below threshold"
             break
         h_high = sol.h_tilde + (1.0 - sol.h_tilde) * u
         if h_high > sol.h_tilde and policy(h_high, sol) != 0.0:
             shape_ok = False
-            shape_witness = f"policy({h_high:.12g}) != 0 above threshold"
+            shape_witness = f"policy({_fmt(h_high)}) != 0 above threshold"
             break
     boundary_expected = sol.gamma_bar if sol.boundary_punish else 0.0
     if shape_ok and policy(sol.h_tilde, sol) != boundary_expected:

@@ -9,7 +9,8 @@ the technology.  Users are paid a wage premium ``w`` before production is
 observed, and workers who are not fired keep a continuation value ``v_c``.
 
 This module holds the parameter container with its admissibility checks,
-the per-worker production function, expected production and expected
+the strategy table that gives each pure strategy its meaning, the
+per-worker production function, expected production and expected
 payoff for each pure strategy, the minimal punishment (firing) rate that
 makes research effort incentive-compatible, and the brute-force best
 response over the full strategy set.
@@ -34,6 +35,11 @@ Compensation = Literal["prospective", "realized"]
 
 #: Absolute tolerance used to treat two strategy payoffs as tied.
 PAYOFF_TIE_TOL = 1e-12
+
+
+def _fmt(x: float) -> str:
+    """The package's one number format: 12 significant digits."""
+    return f"{x:.12g}"
 
 
 @dataclass(frozen=True)
@@ -110,20 +116,24 @@ class AgentStrategy(IntEnum):
 
     @property
     def exerts_effort(self) -> bool:
-        return self in _EFFORT_STRATEGIES
+        return STRATEGY_TABLE[self][0]
 
     @property
     def label(self) -> str:
         return self.name.lower()
 
 
-_EFFORT_STRATEGIES = frozenset(
-    {
-        AgentStrategy.EFFORT_FOLLOW_SIGNAL,
-        AgentStrategy.EFFORT_ALWAYS_USE,
-        AgentStrategy.EFFORT_NEVER_USE,
-        AgentStrategy.EFFORT_CONTRARIAN,
-    }
+#: The meaning of each strategy, one row per ``AgentStrategy`` code:
+#: (exerts effort, adopts on a good reading, adopts on a bad reading).
+#: Shirkers see no reading, so their two adoption entries agree.  Every
+#: closed form below and the simulation's arrays are derived from it.
+STRATEGY_TABLE: tuple[tuple[bool, bool, bool], ...] = (
+    (False, False, False),  # SHIRK_NO_USE
+    (False, True, True),  # SHIRK_USE
+    (True, True, False),  # EFFORT_FOLLOW_SIGNAL
+    (True, True, True),  # EFFORT_ALWAYS_USE
+    (True, False, False),  # EFFORT_NEVER_USE
+    (True, False, True),  # EFFORT_CONTRARIAN
 )
 
 ALL_STRATEGIES: tuple[AgentStrategy, ...] = tuple(AgentStrategy)
@@ -218,53 +228,53 @@ def production(available: bool, used: bool, quality: Quality, p: ModelParams) ->
     raise InvalidParamsError(f"quality must be 'good' or 'bad', got {quality!r}")
 
 
-def use_probability(strategy: AgentStrategy, p: ModelParams) -> float:
-    """Unconditional probability the strategy adopts the technology."""
-    s = p.signal_good_prob()
-    if strategy == AgentStrategy.SHIRK_NO_USE or strategy == AgentStrategy.EFFORT_NEVER_USE:
-        return 0.0
-    if strategy == AgentStrategy.SHIRK_USE or strategy == AgentStrategy.EFFORT_ALWAYS_USE:
+def _adoption_probability(strategy: AgentStrategy, good_reading: float) -> float:
+    """Probability the strategy adopts when the reading is good w.p. ``good_reading``."""
+    _, on_good, on_bad = STRATEGY_TABLE[strategy]
+    if on_good and on_bad:
         return 1.0
-    if strategy == AgentStrategy.EFFORT_FOLLOW_SIGNAL:
-        return s
-    if strategy == AgentStrategy.EFFORT_CONTRARIAN:
-        return 1.0 - s
-    raise InvalidParamsError(f"unknown strategy {strategy!r}")
-
-
-def failure_probability(strategy: AgentStrategy, p: ModelParams) -> float:
-    """Probability of zero production: the technology is used and bad."""
-    if strategy in (AgentStrategy.SHIRK_USE, AgentStrategy.EFFORT_ALWAYS_USE):
-        return 1.0 - p.pi
-    if strategy == AgentStrategy.EFFORT_FOLLOW_SIGNAL:
-        # bad technology and a wrong (good-reading) signal
-        return (1.0 - p.pi) * p.eps
-    if strategy == AgentStrategy.EFFORT_CONTRARIAN:
-        # bad technology and a correct (bad-reading) signal, which the
-        # contrarian perversely treats as a reason to adopt
-        return (1.0 - p.pi) * (1.0 - p.eps)
+    if on_good:
+        return good_reading
+    if on_bad:
+        return 1.0 - good_reading
     return 0.0
 
 
+def use_probability(strategy: AgentStrategy, p: ModelParams) -> float:
+    """Unconditional probability the strategy adopts the technology."""
+    return _adoption_probability(strategy, p.signal_good_prob())
+
+
+def failure_probability(strategy: AgentStrategy, p: ModelParams) -> float:
+    """Probability of zero production: the technology is used and bad.
+
+    A bad technology reads good exactly when the signal is wrong.
+    """
+    return (1.0 - p.pi) * _adoption_probability(strategy, p.eps)
+
+
 def expected_production(strategy: AgentStrategy, p: ModelParams) -> float:
-    """Expected output of one worker with access, excluding the effort cost."""
-    if strategy == AgentStrategy.SHIRK_NO_USE or strategy == AgentStrategy.EFFORT_NEVER_USE:
-        return 1.0
-    if strategy == AgentStrategy.SHIRK_USE or strategy == AgentStrategy.EFFORT_ALWAYS_USE:
-        return p.pi * (1.0 + p.g)
-    if strategy == AgentStrategy.EFFORT_FOLLOW_SIGNAL:
-        return (
-            p.pi * p.eps
-            + (1.0 - p.pi) * (1.0 - p.eps)
-            + p.pi * (1.0 - p.eps) * (1.0 + p.g)
+    """Expected output of one worker with access, excluding the effort cost.
+
+    Sums probability times output over the (quality, reading) states the
+    strategy tells apart, the unused states first and each group in state
+    order, so the sum reproduces the hand-written closed forms bit for bit.
+    """
+    _, on_good, on_bad = STRATEGY_TABLE[strategy]
+    if on_good == on_bad:
+        # adoption ignores the reading, so only the quality matters
+        states = ((p.pi, True, on_good), (1.0 - p.pi, False, on_good))
+    else:
+        states = (
+            (p.pi * (1.0 - p.eps), True, on_good),
+            (p.pi * p.eps, True, on_bad),
+            ((1.0 - p.pi) * (1.0 - p.eps), False, on_bad),
+            ((1.0 - p.pi) * p.eps, False, on_good),
         )
-    if strategy == AgentStrategy.EFFORT_CONTRARIAN:
-        return (
-            p.pi * (1.0 - p.eps)
-            + (1.0 - p.pi) * p.eps
-            + p.pi * p.eps * (1.0 + p.g)
-        )
-    raise InvalidParamsError(f"unknown strategy {strategy!r}")
+    total = 0.0
+    for prob, good, used in sorted(states, key=lambda state: state[2]):
+        total += prob * (((1.0 + p.g) if good else 0.0) if used else 1.0)
+    return total
 
 
 def gamma_bar(p: ModelParams) -> float:

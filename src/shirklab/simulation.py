@@ -49,6 +49,9 @@ from .model import (
     ModelParams,
     PROSPECTIVE,
     REALIZED,
+    STRATEGY_TABLE,
+    _adoption_probability,
+    _fmt,
     agent_payoff,
     require_admissible,
 )
@@ -59,11 +62,10 @@ UNIFORM_RANDOM = "uniform_random"
 SENIORITY = "seniority"
 
 _N_STRATEGIES = len(ALL_STRATEGIES)
-_EFFORT_TABLE = np.array([s.exerts_effort for s in ALL_STRATEGIES])
-# adoption rule per strategy: 0 never, 1 always, 2 follow signal, 3 contrarian
-_USE_RULE = np.array([0, 1, 2, 1, 0, 3], dtype=np.int8)
-# adoption per strategy given the signal reading: _USE_TABLE[signal_good, code]
-_USE_TABLE = np.array([(_USE_RULE == 1) | (_USE_RULE == 3), (_USE_RULE == 1) | (_USE_RULE == 2)])
+# the strategy table as arrays: effort per code, and adoption per
+# (reading, code) with reading 1 good and 0 bad
+_EFFORT, _ADOPTS_ON_GOOD, _ADOPTS_ON_BAD = np.array(STRATEGY_TABLE).T
+_ADOPTS = np.array([_ADOPTS_ON_BAD, _ADOPTS_ON_GOOD])
 
 
 @dataclass(frozen=True)
@@ -136,16 +138,8 @@ class StrategyProfile:
         ]
         return f"StrategyProfile({', '.join(parts)})"
 
-    def strategy_of(self, agent: int) -> AgentStrategy:
-        return AgentStrategy(int(self.codes[agent]))
 
-    def with_strategy(self, agent: int, strategy: AgentStrategy) -> "StrategyProfile":
-        codes = self.codes.copy()
-        codes[agent] = int(strategy)
-        return StrategyProfile(codes)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeniorityOrder:
     """A commonly known strict ordering used to single out one failure.
 
@@ -187,7 +181,7 @@ class SeniorityOrder:
         return int(failing[np.argmin(self.rank[failing])])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpisodeOutcome:
     """One realized play: per-access-agent arrays plus per-unit aggregates.
 
@@ -236,14 +230,6 @@ class EpisodeOutcome:
         return outcomes
 
 
-def _adoption(codes: np.ndarray, signal_good: np.ndarray | bool) -> np.ndarray:
-    """Vectorized adoption choice given strategy codes and signal readings."""
-    if np.isscalar(signal_good):
-        return _USE_TABLE[int(signal_good)][codes]
-    rule = _USE_RULE[codes]
-    return (rule == 1) | ((rule == 2) & signal_good) | ((rule == 3) & ~signal_good)
-
-
 def run_episode(
     cfg: SimConfig,
     profile: StrategyProfile,
@@ -271,16 +257,16 @@ def run_episode(
     codes = profile.codes[:m]
 
     good = bool(rng.random() < p.pi)
+    # the reading is good (1) when the signal is right about a good
+    # technology or wrong about a bad one
     if cfg.signal_correlation == COMMON:
-        wrong = bool(rng.random() < p.eps)
-        signal_good: np.ndarray | bool = good != wrong
+        reading: np.ndarray | int = int(good != (rng.random() < p.eps))
     else:
-        wrong_draws = rng.random(m) < p.eps
-        signal_good = np.where(wrong_draws, not good, good)
+        reading = (good != (rng.random(m) < p.eps)).astype(np.intp)
     fire_draws = rng.random(m)
 
-    effort = _EFFORT_TABLE[codes]
-    use = _adoption(codes, signal_good)
+    effort = _EFFORT[codes]
+    use = _ADOPTS[reading, codes]
     produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
     failed = use & (not good)
 
@@ -367,25 +353,6 @@ class SimResult:
             stat = self.per_strategy_payoff[label]
             lines.append(f"payoff[{label}]  {_fmt(stat.mean)} +- {_fmt(stat.se)}")
         return "\n".join(lines)
-
-    def to_csv_rows(self) -> list[list[str]]:
-        rows = [["metric", "mean", "se"]]
-        for name, stat in (
-            ("output", self.output),
-            ("wages", self.wages),
-            ("replacement_cost", self.replacement_cost),
-            ("welfare", self.welfare),
-        ):
-            rows.append([name, _fmt(stat.mean), _fmt(stat.se)])
-        rows.append(["failure_frequency", _fmt(self.failure_frequency), ""])
-        for label in sorted(self.per_strategy_payoff):
-            stat = self.per_strategy_payoff[label]
-            rows.append([f"payoff_{label}", _fmt(stat.mean), _fmt(stat.se)])
-        return rows
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -487,26 +454,19 @@ def monte_carlo(
 # -- exact deviation payoffs ---------------------------------------------
 
 
-def _use_prob_given_quality(code: int, good: bool, p: ModelParams) -> float:
-    signal_good_prob = (1.0 - p.eps) if good else p.eps
-    rule = _USE_RULE[code]
-    if rule == 0:
-        return 0.0
-    if rule == 1:
-        return 1.0
-    if rule == 2:
-        return signal_good_prob
-    return 1.0 - signal_good_prob
+def _adoption_given_quality(p: ModelParams, good: bool) -> np.ndarray:
+    """Each strategy's adoption probability given the technology's quality."""
+    good_reading = (1.0 - p.eps) if good else p.eps
+    return np.array([_adoption_probability(s, good_reading) for s in ALL_STRATEGIES])
 
 
-def _expected_wage(code: int, p: ModelParams, compensation: str) -> float:
-    use_good = _use_prob_given_quality(code, True, p)
-    use_bad = _use_prob_given_quality(code, False, p)
+def _expected_wages(p: ModelParams, compensation: str) -> np.ndarray:
+    """Each strategy's expected wage, conditioning adoption on the quality."""
+    use_good = _adoption_given_quality(p, True)
+    use_bad = _adoption_given_quality(p, False)
     if compensation == PROSPECTIVE:
         return p.w * (p.pi * use_good + (1.0 - p.pi) * use_bad)
-    expected_good = use_good * (1.0 + p.g) + (1.0 - use_good)
-    expected_bad = 1.0 - use_bad
-    return p.pi * expected_good + (1.0 - p.pi) * expected_bad
+    return p.pi * (use_good * (1.0 + p.g) + (1.0 - use_good)) + (1.0 - p.pi) * (1.0 - use_bad)
 
 
 def _access_ranks(cfg: SimConfig, seniority: SeniorityOrder | None) -> np.ndarray:
@@ -529,24 +489,19 @@ def _common_signal_rows(p: ModelParams, compensation: str) -> np.ndarray:
     """
     rows = np.zeros((4, _N_STRATEGIES))
     fired_if = {False: np.array([0, 0, 1, 1], dtype=bool), True: np.array([0, 1, 0, 1], dtype=bool)}
-    effort_cost = np.where(_EFFORT_TABLE, p.c, 0.0)
+    effort_cost = np.where(_EFFORT, p.c, 0.0)
     for good in (True, False):
         for wrong in (False, True):
             prob = (p.pi if good else 1.0 - p.pi) * (p.eps if wrong else 1.0 - p.eps)
             if prob == 0.0:
                 continue
-            signal_good = good != wrong
-            produced_value = (1.0 + p.g) if good else 0.0
-            for code in range(_N_STRATEGIES):
-                use_dev = bool(_USE_TABLE[int(signal_good), code])
-                produced = produced_value if use_dev else 1.0
-                wage = (p.w if use_dev else 0.0) if compensation == PROSPECTIVE else produced
-                base = wage - effort_cost[code] + p.v_c
-                if use_dev and not good:
-                    # the deviator fails and loses v_c when most senior
-                    rows[:, code] += prob * (base - p.v_c * fired_if[wrong])
-                else:
-                    rows[:, code] += prob * base
+            use = _ADOPTS[int(good != wrong)]
+            produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
+            wage = np.where(use, p.w, 0.0) if compensation == PROSPECTIVE else produced
+            base = wage - effort_cost + p.v_c
+            # a deviator who fails (uses a bad technology) loses v_c when most senior
+            fired = (use & (not good))[None, :] & fired_if[wrong][:, None]
+            rows += prob * (base - p.v_c * fired)
     rows.flags.writeable = False
     return rows
 
@@ -563,7 +518,7 @@ def _common_signal_row_of_agent(codes: np.ndarray, ranks: np.ndarray) -> np.ndar
     row = np.zeros(len(codes), dtype=np.intp)
     for bit, wrong in ((2, False), (1, True)):
         # in the bad state the signal reads good exactly when it is wrong
-        failing = _adoption(codes, wrong)
+        failing = _ADOPTS[int(wrong)][codes]
         if failing.any():
             row += bit * (ranks <= ranks[failing].min())
         else:
@@ -602,18 +557,14 @@ def _deviation_payoff_table(
     # independent signals: failures are independent across agents given a
     # bad technology, so the chance no more-senior agent fails is a
     # prefix product over seniority ranks
-    use_bad = np.array([_use_prob_given_quality(code, False, p) for code in range(_N_STRATEGIES)])
+    use_bad = _adoption_given_quality(p, False)
     by_rank = np.argsort(ranks, kind="stable")
     survive = 1.0 - use_bad[codes][by_rank]
     prefix = np.ones(m)
     prefix[by_rank[1:]] = np.cumprod(survive[:-1])
-    effort_cost = np.where(_EFFORT_TABLE, p.c, 0.0)
-    rows = np.empty((m, _N_STRATEGIES))
-    for code in range(_N_STRATEGIES):
-        fired_prob = (1.0 - p.pi) * use_bad[code] * prefix
-        wage = _expected_wage(code, p, cfg.compensation)
-        rows[:, code] = wage - effort_cost[code] + p.v_c * (1.0 - fired_prob)
-    return rows, np.arange(m)
+    fired_prob = ((1.0 - p.pi) * use_bad)[None, :] * prefix[:, None]
+    base = _expected_wages(p, cfg.compensation) - np.where(_EFFORT, p.c, 0.0)
+    return base + p.v_c * (1.0 - fired_prob), np.arange(m)
 
 
 def expected_strategy_payoffs(
@@ -841,7 +792,7 @@ def _scenario_run(
         label = "mixed"
         regime = SHIRK
     target_output = expected_output(cfg.h, regime, cfg.params)
-    effort_share = float(_EFFORT_TABLE[access_codes].sum()) / cfg.n_agents if cfg.access_count else 0.0
+    effort_share = float(_EFFORT[access_codes].sum()) / cfg.n_agents if cfg.access_count else 0.0
     target_welfare = target_output - cfg.params.c * effort_share
     return ScenarioResult(
         name=name,
@@ -927,23 +878,11 @@ def policy_experiment(
 # -- report serialization --------------------------------------------------
 
 
-def write_sim_result_csv(result: SimResult, destination: str) -> None:
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
-        for row in result.to_csv_rows():
-            handle.write(",".join(row) + "\n")
-
-
 def deviations_to_rows(deviations: Iterable[Deviation]) -> list[list[str]]:
     rows = [["agent", "current", "better", "gain"]]
     for d in deviations:
         rows.append([str(d.agent), d.current.label, d.better.label, _fmt(d.gain)])
     return rows
-
-
-def write_deviations_csv(deviations: Iterable[Deviation], destination: str) -> None:
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
-        for row in deviations_to_rows(deviations):
-            handle.write(",".join(row) + "\n")
 
 
 def deviations_summary(deviations: Sequence[Deviation]) -> str:

@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass, replace as dc_replace
 
-from .errors import InvalidParamsError
+from .errors import InvalidCurveError, InvalidParamsError
 from .equilibrium import (
     EFFORT,
     SHIRK,
@@ -26,7 +26,7 @@ from .equilibrium import (
     policy,
     solve_threshold,
 )
-from .model import ModelParams, validate_params
+from .model import ModelParams, _fmt, validate_params
 
 SWEEPABLE_PARAMETERS = ("h", "pi", "eps", "g", "c", "w", "v_c", "curve_scale")
 
@@ -95,7 +95,8 @@ def sweep_param(spec: SweepSpec) -> Table:
 
     Inadmissible grid points are emitted with ``admissible=False`` and
     the name of the violated condition; their equilibrium columns are
-    left empty.
+    left empty.  Points outside a parameter's range, or a negative
+    curve scale, are flagged the same way with the error message.
     """
     if spec.parameter == "h":
         raise ValueError("use sweep_h for grids over the technology reach")
@@ -103,7 +104,7 @@ def sweep_param(spec: SweepSpec) -> Table:
     for value in spec.grid:
         try:
             params, curve = _apply_value(spec, value)
-        except InvalidParamsError as exc:
+        except (InvalidParamsError, InvalidCurveError) as exc:
             rows.append((value, None, None, False, None, str(exc)))
             continue
         report = validate_params(params)
@@ -127,7 +128,7 @@ def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.12g}"
+        return _fmt(value)
     return str(value)
 
 

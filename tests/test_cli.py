@@ -223,6 +223,40 @@ class TestConfigErrors:
         path.write_text(BASE_CONFIG.replace("family = linear", "family = linear\nfile = q.txt"))
         assert main(["solve", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [("0.5 1.0\n1.5 2.0\n", "z values must lie in [0, 1]"), ("0.5 cheap\n", "not a numeric table")],
+        ids=["z-out-of-range", "non-numeric"],
+    )
+    def test_bad_curve_file_exits_2(self, tmp_path, capsys, rows, message):
+        curve = tmp_path / "q.txt"
+        curve.write_text(rows)
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("family = linear", f"file = {curve}").replace("scale = 1000\n", ""))
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_integer_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "t.ini"
+        path.write_text(BASE_CONFIG.replace("n_trials = 200", f"n_trials = {value}"))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "n_trials must be an integer" in capsys.readouterr().err
+
+    def test_negative_curve_scale_point_is_flagged_in_its_row(self, tmp_path, capsys):
+        path = tmp_path / "s.ini"
+        path.write_text(
+            BASE_CONFIG.replace("parameter = h", "parameter = curve_scale").replace(
+                "grid = 0.0:1.0:0.05", "grid = -1.0, 1.0"
+            )
+        )
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        negative, positive = out.read_text().splitlines()[1:]
+        assert negative.startswith("-1,,,false,,") and "nonnegative" in negative
+        assert positive.startswith("1,0.211111111111,")
+
     def test_simulation_requires_h(self, tmp_path, capsys):
         path = tmp_path / "h.ini"
         path.write_text(BASE_CONFIG.replace("h = 0.5\n", ""))

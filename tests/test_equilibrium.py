@@ -19,7 +19,6 @@ from shirklab import (
     policy,
     principal_value,
     punish_feasible,
-    replacement_cost,
     solve_threshold,
     verify_equilibrium,
     welfare_loss,
@@ -77,6 +76,12 @@ class TestReplacementCostCurve:
         path = tmp_path / "costs.txt"
         path.write_text("0.0 3.0 9.9\n0.5 1.0 9.9\n")
         with pytest.raises(InvalidCurveError):
+            ReplacementCostCurve.from_file(str(path))
+
+    def test_file_with_non_numeric_cells_is_rejected(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_text("0.1 2.0\n0.2 cheap\n")
+        with pytest.raises(InvalidCurveError, match="not a numeric table"):
             ReplacementCostCurve.from_file(str(path))
 
     def test_tampered_curve_fails_validation(self, linear_curve):
@@ -328,8 +333,3 @@ class TestVerifyEquilibrium:
         report = verify_equilibrium(corrupted, p0, linear_curve)
         failed = {check.name for check in report.failures()}
         assert "indifference_at_gamma_bar" in failed
-
-
-def test_replacement_cost_free_function_delegates():
-    curve = ReplacementCostCurve.linear(1000.0)
-    assert replacement_cost(curve, 0.1) == curve.cost(0.1)

@@ -151,6 +151,20 @@ class TestSeniorityOrder:
             SeniorityOrder(np.array(ranks))
 
 
+def test_array_holding_records_compare_by_identity(p0, linear_curve):
+    # field-wise == would compare ndarrays and raise; hash would fail on them
+    cfg = make_cfg(p0, n_agents=20)
+    profile = StrategyProfile.symmetric(AgentStrategy.SHIRK_USE, 20)
+    for make in (
+        lambda: ReplacementCostCurve.linear(1000.0),
+        lambda: SeniorityOrder.identity(20),
+        lambda: run_episode(cfg, profile, 0.5, linear_curve, np.random.default_rng(3)),
+    ):
+        first, second = make(), make()
+        assert first == first and first != second
+        assert hash(first) == hash(first) and len({first, second}) == 2
+
+
 class TestMonteCarlo:
     def test_determinism_and_thread_independence(self, p0, linear_curve):
         cfg = make_cfg(p0, n_agents=300, n_trials=150)

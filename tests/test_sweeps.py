@@ -129,6 +129,13 @@ class TestSweepParam:
         assert table.rows[1][3] is False
         assert "eps" in table.rows[1][-1]
 
+    def test_negative_curve_scale_is_flagged_not_raised(self, p0, linear_curve):
+        spec = SweepSpec(parameter="curve_scale", grid=(-1.0, 1.0), params=p0, curve=linear_curve)
+        table = sweep_param(spec)
+        assert table.rows[0][3] is False
+        assert "nonnegative" in table.rows[0][-1]
+        assert table.rows[1][3] is True
+
     def test_unknown_parameter_rejected(self, p0, linear_curve):
         with pytest.raises(ValueError):
             SweepSpec(parameter="zeta", grid=(0.1,), params=p0, curve=linear_curve)
