@@ -6,7 +6,8 @@ reproducible: a command is a pure function of the config file and the
 seed, and reruns produce byte-identical output.
 
 Subcommands: solve, simulate, sweep, experiment.
-Flags: --config PATH, --seed INT, --out PATH, --threads INT.
+Flags: --config PATH, --seed INT, --out PATH; --threads INT is accepted and
+has no effect.
 Exit codes: 0 ok, 2 config error, 3 inadmissible parameters, 4 I/O error.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import os
 import sys
 
 from .errors import InadmissibleParamsError, InvalidCurveError, InvalidParamsError
@@ -276,11 +276,13 @@ def cmd_simulate(parser: configparser.ConfigParser, args) -> int:
             gamma = float(gamma_raw)
         except ValueError as exc:
             raise ConfigError("[simulation] gamma must be a number or 'equilibrium'") from exc
+        if not 0.0 <= gamma <= 1.0:
+            raise ConfigError(f"[simulation] gamma must lie in [0, 1], got {gamma_raw}")
     if cfg.punishment_mode == SENIORITY:
-        # seniority firing ignores the rate, and the fire draws are taken either way
+        # seniority firing ignores the rate and draws no fire uniforms
         gamma = 0.0
     profile, strategy, targets = _profile_and_targets(parser, params, cfg, gamma)
-    result = monte_carlo(cfg, profile, gamma, curve, threads=args.threads)
+    result = monte_carlo(cfg, profile, gamma, curve)
     print(result.summary())
     print("closed-form comparison (pass = within 3 standard errors):")
     comparisons = [
@@ -319,6 +321,8 @@ def cmd_sweep(parser: configparser.ConfigParser, args) -> int:
     if not parser.has_option("sweep", "grid"):
         raise ConfigError("missing required key 'grid' in section [sweep]")
     grid = _parse_grid(parser.get("sweep", "grid"))
+    if parameter == "h" and not all(0.0 <= h <= 1.0 for h in grid):
+        raise ConfigError("[sweep] every h grid point must lie in [0, 1]")
     spec = SweepSpec(parameter=parameter, grid=grid, params=params, curve=curve, tol=_tol(parser))
     if parameter == "h":
         _require_admissible_or_report(params)
@@ -338,8 +342,9 @@ def _parse_grid(raw: str) -> tuple[float, ...]:
             parts = [float(x) for x in raw.split(":")]
             if len(parts) != 3:
                 raise ValueError("expected start:stop:step")
-            return make_grid(*parts)
-        values = tuple(float(x) for x in raw.split(",") if x.strip())
+            values = make_grid(*parts)
+        else:
+            values = tuple(float(x) for x in raw.split(",") if x.strip())
         if not values:
             raise ValueError("empty grid")
         return values
@@ -353,7 +358,7 @@ def cmd_experiment(parser: configparser.ConfigParser, args) -> int:
     curve = _curve(parser)
     cfg = _sim_config(parser, params, args.seed)
     report = policy_experiment(
-        cfg, (VARIABLE_COMPENSATION, SENIORITY_SCENARIO), curve, threads=args.threads, tol=_tol(parser)
+        cfg, (VARIABLE_COMPENSATION, SENIORITY_SCENARIO), curve, tol=_tol(parser)
     )
     print(report.summary())
     return OK
@@ -376,8 +381,8 @@ def main(argv: list[str] | None = None) -> int:
         command.add_argument("--seed", type=int, default=None, help="override the configured seed")
         command.add_argument("--out", default=None, help="output path for file-writing commands")
         command.add_argument(
-            "--threads", type=int, default=os.cpu_count() or 1,
-            help="worker threads for Monte Carlo trials (results are thread-count independent)",
+            "--threads", type=int, default=1,
+            help="accepted so existing command lines keep working; has no effect",
         )
 
     args = top.parse_args(argv)

@@ -152,6 +152,8 @@ class ReplacementCostCurve:
 
     def scaled(self, factor: float) -> "ReplacementCostCurve":
         """Uniformly scale every per-replacement cost."""
+        if not math.isfinite(factor):
+            raise InvalidCurveError("scale factor must be finite")
         if factor < 0.0:
             raise InvalidCurveError("scale factor must be nonnegative")
         return dc_replace(

@@ -10,11 +10,16 @@ continuation value.
 Episode randomness comes from a single generator per trial with a fixed
 draw order: one uniform for quality, then the signal-error draws (one
 shared uniform under common correlation, one per access agent under
-independent), then one firing uniform per access agent.  Firing uniforms
-are consumed even when the punishment mode ignores them so matched
-scenarios see identical production paths.  Trials use counter-derived
-substreams of the root seed, so results are reproducible bit-for-bit and
-independent of execution order.
+independent), then one firing uniform per access agent.  Draws that
+cannot change the trial are left off the end of its stream: the firing
+uniforms are drawn only under random firing at a rate strictly between 0
+and 1 when some agent fails, and the signal draws only when a strategy
+reads its signal or firing uniforms follow them.  Every draw that is
+taken sits where it always did, so matched scenarios still see identical
+production paths.  Trials use counter-derived substreams of the root
+seed, so results are reproducible bit-for-bit and independent of
+execution order.  A trial whose outcome depends only on the quality and
+one shared reading is accounted once per such state and reused.
 
 Nash checks never sample: deviation payoffs are exact expectations over
 quality, signals, and the firing rule, including the seniority selector.
@@ -25,7 +30,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from typing import Iterable, Iterator, Sequence
 
@@ -230,6 +234,134 @@ class EpisodeOutcome:
         return outcomes
 
 
+class _EpisodeKernel:
+    """The one-shot timeline for a fixed profile, firing rate, curve and order.
+
+    ``draw`` takes one trial's uniforms from ``rng`` in the contract order
+    (quality, signals, fire uniforms) and skips the trailing draws that
+    cannot change the outcome; ``account`` plays the timeline on them.
+    ``rng`` needs only ``random()`` and ``random(size)``.
+    """
+
+    def __init__(
+        self,
+        cfg: SimConfig,
+        profile: StrategyProfile,
+        policy_gamma: float,
+        curve: ReplacementCostCurve,
+        seniority: SeniorityOrder | None,
+    ):
+        if len(profile) != cfg.n_agents:
+            raise ContractViolationError(
+                f"profile length {len(profile)} does not match n_agents {cfg.n_agents}"
+            )
+        if not 0.0 <= policy_gamma <= 1.0:
+            raise ValueError(f"policy_gamma must lie in [0, 1], got {policy_gamma}")
+        self.cfg = cfg
+        self.policy_gamma = policy_gamma
+        self.curve = curve
+        self.codes = profile.codes[: cfg.access_count]
+        self.effort = _EFFORT[self.codes]
+        # adoption per (shared reading, access agent), and whether anyone adopts
+        self.use_by_reading = _ADOPTS[:, self.codes]
+        self.anyone_adopts = self.use_by_reading.any(axis=1)
+        self.reads_signal = bool((self.use_by_reading[0] != self.use_by_reading[1]).any())
+        # a fire uniform can change who is fired only at a rate strictly inside (0, 1)
+        self.random_firing = cfg.punishment_mode == UNIFORM_RANDOM and 0.0 < policy_gamma < 1.0
+        self.ranks = _access_ranks(cfg, seniority) if cfg.punishment_mode == SENIORITY else None
+        self._costs: dict[int, float] = {}
+
+    def draw(self, rng) -> tuple[tuple | None, bool, np.ndarray, np.ndarray | None]:
+        """One trial's draws as ``(key, good, use, fire_draws)``.
+
+        ``key`` is ``(good, reading)`` when the outcome depends on nothing
+        else (no fire uniform drawn, and the readings are one shared value
+        or read by nobody), so equal keys give equal outcomes; otherwise
+        it is None.  The signal uniforms are drawn when a strategy reads
+        them or when fire uniforms follow them in the stream.
+        """
+        p = self.cfg.params
+        m = len(self.codes)
+        common = self.cfg.signal_correlation == COMMON
+        good = bool(rng.random() < p.pi)
+        # the reading is good (1) when the signal is right about a good
+        # technology or wrong about a bad one
+        reading: int | None = None
+        if not self.reads_signal:
+            use = self.use_by_reading[0]
+            fails = not good and bool(self.anyone_adopts[0])
+        elif common:
+            reading = int(good != (rng.random() < p.eps))
+            use = self.use_by_reading[reading]
+            fails = not good and bool(self.anyone_adopts[reading])
+        else:
+            readings = (good != (rng.random(m) < p.eps)).astype(np.intp)
+            use = _ADOPTS[readings, self.codes]
+            fails = not good and bool(use.any())
+        if not (fails and self.random_firing):
+            key = (good, reading) if common or not self.reads_signal else None
+            return key, good, use, None
+        if not self.reads_signal:
+            # discard the signal uniforms that precede the fire uniforms
+            rng.random() if common else rng.random(m)
+        return None, good, use, rng.random(m)
+
+    def account(self, good: bool, use: np.ndarray, fire_draws: np.ndarray | None) -> EpisodeOutcome:
+        """Play the timeline on one trial's draws and account for every agent."""
+        cfg = self.cfg
+        p = cfg.params
+        n = cfg.n_agents
+        m = len(self.codes)
+        produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
+        failed = use & (not good)
+
+        if cfg.punishment_mode == SENIORITY:
+            fired = np.zeros(m, dtype=bool)
+            if failed.any():
+                failing = np.flatnonzero(failed)
+                fired[failing[np.argmin(self.ranks[failing])]] = True
+        elif fire_draws is None:
+            # no failure, or a rate of 0 or 1 that fires none or all of them
+            fired = failed & (self.policy_gamma == 1.0)
+        else:
+            fired = failed & (fire_draws < self.policy_gamma)
+
+        if cfg.compensation == PROSPECTIVE:
+            wage = np.where(use, p.w, 0.0)
+            inert_wages = 0.0
+        else:
+            wage = produced.copy()
+            inert_wages = float(n - m)
+
+        payoffs = wage - p.c * self.effort + p.v_c * (~fired)
+        fired_count = int(fired.sum())
+        cost = self._costs.get(fired_count)
+        if cost is None:
+            cost = self._costs[fired_count] = self.curve.cost(fired_count / n)
+
+        output = ((n - m) + float(produced.sum())) / n
+        wages = (float(wage.sum()) + inert_wages) / n
+        effort_cost = p.c * float(self.effort.sum()) / n
+        return EpisodeOutcome(
+            quality=GOOD if good else BAD,
+            used=use,
+            exerted_effort=self.effort,
+            produced=produced,
+            wage_paid=wage,
+            fired=fired,
+            output=output,
+            wages=wages,
+            effort_cost=effort_cost,
+            welfare=output - effort_cost,
+            replacement_cost=cost,
+            fired_count=fired_count,
+            failure_event=bool(failed.any()),
+            payoff_sum_by_strategy=np.bincount(self.codes, weights=payoffs, minlength=_N_STRATEGIES),
+            count_by_strategy=np.bincount(self.codes, minlength=_N_STRATEGIES),
+            n_agents=n,
+        )
+
+
 def run_episode(
     cfg: SimConfig,
     profile: StrategyProfile,
@@ -243,71 +375,12 @@ def run_episode(
     Under ``uniform_random`` punishment each failing agent is fired
     independently with probability ``policy_gamma``; under ``seniority``
     the selector's choice from the failing set is fired with certainty
-    and ``policy_gamma`` is ignored.
+    and ``policy_gamma`` is ignored.  ``rng`` is read in the module's
+    draw order, and draws that cannot change the outcome are not taken.
     """
-    if len(profile) != cfg.n_agents:
-        raise ContractViolationError(
-            f"profile length {len(profile)} does not match n_agents {cfg.n_agents}"
-        )
-    if not 0.0 <= policy_gamma <= 1.0:
-        raise ValueError(f"policy_gamma must lie in [0, 1], got {policy_gamma}")
-    p = cfg.params
-    n = cfg.n_agents
-    m = cfg.access_count
-    codes = profile.codes[:m]
-
-    good = bool(rng.random() < p.pi)
-    # the reading is good (1) when the signal is right about a good
-    # technology or wrong about a bad one
-    if cfg.signal_correlation == COMMON:
-        reading: np.ndarray | int = int(good != (rng.random() < p.eps))
-    else:
-        reading = (good != (rng.random(m) < p.eps)).astype(np.intp)
-    fire_draws = rng.random(m)
-
-    effort = _EFFORT[codes]
-    use = _ADOPTS[reading, codes]
-    produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
-    failed = use & (not good)
-
-    fired = np.zeros(m, dtype=bool)
-    if cfg.punishment_mode == UNIFORM_RANDOM:
-        fired = failed & (fire_draws < policy_gamma)
-    elif failed.any():
-        chosen = (seniority or SeniorityOrder.identity(n)).selector(np.flatnonzero(failed))
-        fired[chosen] = True
-
-    if cfg.compensation == PROSPECTIVE:
-        wage = np.where(use, p.w, 0.0)
-        inert_wages = 0.0
-    else:
-        wage = produced.copy()
-        inert_wages = float(n - m)
-
-    payoffs = wage - p.c * effort + p.v_c * (~fired)
-    fired_count = int(fired.sum())
-
-    output = ((n - m) + float(produced.sum())) / n
-    wages = (float(wage.sum()) + inert_wages) / n
-    effort_cost = p.c * float(effort.sum()) / n
-    return EpisodeOutcome(
-        quality=GOOD if good else BAD,
-        used=use,
-        exerted_effort=effort,
-        produced=produced,
-        wage_paid=wage,
-        fired=fired,
-        output=output,
-        wages=wages,
-        effort_cost=effort_cost,
-        welfare=output - effort_cost,
-        replacement_cost=curve.cost(fired_count / n),
-        fired_count=fired_count,
-        failure_event=bool(failed.any()),
-        payoff_sum_by_strategy=np.bincount(codes, weights=payoffs, minlength=_N_STRATEGIES),
-        count_by_strategy=np.bincount(codes, minlength=_N_STRATEGIES),
-        n_agents=n,
-    )
+    kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve, seniority)
+    _, good, use, fire_draws = kernel.draw(rng)
+    return kernel.account(good, use, fire_draws)
 
 
 @dataclass(frozen=True)
@@ -372,15 +445,16 @@ def monte_carlo(
     policy_gamma: float,
     curve: ReplacementCostCurve,
     seniority: SeniorityOrder | None = None,
-    threads: int = 1,
     trace_path: str | None = None,
 ) -> SimResult:
-    """Average ``run_episode`` over ``cfg.n_trials`` substreams.
+    """Average the episode over ``cfg.n_trials`` substreams.
 
-    Trials are independent and may run on several threads; per-trial
-    statistics land in preallocated slots and are reduced in trial order,
-    so the result is identical for any thread count.
+    Trial t plays on its own substream ``_trial_rng(cfg.seed, t)``, so the
+    result does not depend on the order trials run in.  A trial whose
+    outcome depends only on (quality, shared reading) is accounted once
+    per such state and reused.
     """
+    kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve, seniority)
     trials = cfg.n_trials
     outputs = np.empty(trials)
     wages = np.empty(trials)
@@ -390,29 +464,25 @@ def monte_carlo(
     qualities = np.empty(trials, dtype=object) if trace_path else None
     fired_counts = np.empty(trials, dtype=np.int64) if trace_path else None
     payoff_sums = np.empty((trials, _N_STRATEGIES))
-    counts = np.bincount(profile.codes[: cfg.access_count], minlength=_N_STRATEGIES)
+    counts = np.bincount(kernel.codes, minlength=_N_STRATEGIES)
 
-    def run_block(area: range) -> None:
-        for t in area:
-            episode = run_episode(cfg, profile, policy_gamma, curve, _trial_rng(cfg.seed, t), seniority)
-            outputs[t] = episode.output
-            wages[t] = episode.wages
-            repl[t] = episode.replacement_cost
-            welfare[t] = episode.welfare
-            failures[t] = episode.failure_event
-            payoff_sums[t] = episode.payoff_sum_by_strategy
-            if qualities is not None:
-                qualities[t] = episode.quality
-                fired_counts[t] = episode.fired_count
-
-    threads = max(1, threads)
-    if threads == 1:
-        run_block(range(trials))
-    else:
-        chunk = (trials + threads - 1) // threads
-        blocks = [range(start, min(start + chunk, trials)) for start in range(0, trials, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, blocks))
+    seen: dict[tuple, EpisodeOutcome] = {}
+    for t in range(trials):
+        key, good, use, fire_draws = kernel.draw(_trial_rng(cfg.seed, t))
+        episode = seen.get(key) if key is not None else None
+        if episode is None:
+            episode = kernel.account(good, use, fire_draws)
+            if key is not None:
+                seen[key] = episode
+        outputs[t] = episode.output
+        wages[t] = episode.wages
+        repl[t] = episode.replacement_cost
+        welfare[t] = episode.welfare
+        failures[t] = episode.failure_event
+        payoff_sums[t] = episode.payoff_sum_by_strategy
+        if qualities is not None:
+            qualities[t] = episode.quality
+            fired_counts[t] = episode.fired_count
 
     per_strategy: dict[str, MeanSE] = {}
     for code in range(_N_STRATEGIES):
@@ -779,11 +849,10 @@ def _scenario_run(
     profile: StrategyProfile,
     curve: ReplacementCostCurve,
     seniority: SeniorityOrder | None,
-    threads: int,
     unraveling_rounds: int | None = None,
 ) -> ScenarioResult:
     deviations = nash_check(cfg, profile, gamma, curve, seniority)
-    sim = monte_carlo(cfg, profile, gamma, curve, seniority, threads=threads)
+    sim = monte_carlo(cfg, profile, gamma, curve, seniority)
     access_codes = profile.codes[: cfg.access_count]
     if cfg.access_count and np.all(access_codes == access_codes[0]):
         label = AgentStrategy(int(access_codes[0])).label
@@ -812,7 +881,6 @@ def policy_experiment(
     treatments: str | Sequence[str],
     curve: ReplacementCostCurve,
     seniority: SeniorityOrder | None = None,
-    threads: int = 1,
     tol: float = 1e-10,
 ) -> ExperimentReport:
     """Compare the baseline policy against one or more treatments at matched seeds.
@@ -845,7 +913,7 @@ def policy_experiment(
     )
     base_profile = StrategyProfile.symmetric(base_strategy, cfg.n_agents)
     scenarios = [
-        _scenario_run(base_cfg, BASELINE, base_gamma, base_profile, curve, seniority, threads)
+        _scenario_run(base_cfg, BASELINE, base_gamma, base_profile, curve, seniority)
     ]
 
     for treatment in treatments:
@@ -853,7 +921,7 @@ def policy_experiment(
             treat_cfg = dc_replace(cfg, compensation=REALIZED, punishment_mode=UNIFORM_RANDOM)
             profile = StrategyProfile.symmetric(AgentStrategy.EFFORT_FOLLOW_SIGNAL, cfg.n_agents)
             scenarios.append(
-                _scenario_run(treat_cfg, VARIABLE_COMPENSATION, 0.0, profile, curve, seniority, threads)
+                _scenario_run(treat_cfg, VARIABLE_COMPENSATION, 0.0, profile, curve, seniority)
             )
         elif treatment == SENIORITY_SCENARIO:
             treat_cfg = dc_replace(cfg, compensation=PROSPECTIVE, punishment_mode=SENIORITY)
@@ -867,7 +935,6 @@ def policy_experiment(
                     trace.final,
                     curve,
                     seniority,
-                    threads,
                     unraveling_rounds=trace.rounds,
                 )
             )

@@ -188,9 +188,22 @@ def csv_to_table(source) -> Table:
     return Table(header, tuple(rows))
 
 
+#: Most points a ``start:stop:step`` grid may hold, checked before it is built.
+MAX_GRID_POINTS = 10**7
+
+
 def make_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """Inclusive arithmetic grid with endpoint-safe rounding."""
+    """Inclusive arithmetic grid with endpoint-safe rounding.
+
+    Raises ``ValueError`` for a non-finite bound or step, a step that is
+    not positive, or more than ``MAX_GRID_POINTS`` points.
+    """
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError("start, stop and step must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_GRID_POINTS:
+        raise ValueError(f"grid would have more than {MAX_GRID_POINTS} points")
+    count = int(math.floor(span)) + 1
     return tuple(start + i * step for i in range(count))

@@ -133,6 +133,15 @@ class TestSimulate:
         assert "[pass] payoff_effort_follow_signal" in outputs[0]
 
 
+    @pytest.mark.parametrize("value", ["2", "-0.1", "nan", "inf"])
+    def test_gamma_outside_the_unit_interval_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "g.ini"
+        path.write_text(BASE_CONFIG.replace("seed = 9", f"seed = 9\ngamma = {value}"))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: [simulation] gamma must lie in [0, 1], got {value}\n"
+
+
 class TestSweep:
     def test_writes_csv_to_the_destination(self, config_path, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
@@ -167,6 +176,33 @@ class TestSweep:
         path.write_text(BASE_CONFIG.replace("grid = 0.0:1.0:0.05", "grid = banana"))
         out_path = tmp_path / "never.csv"
         assert main(["sweep", "--config", str(path), "--out", str(out_path)]) == 2
+        assert not out_path.exists()
+
+
+    @pytest.mark.parametrize(
+        "parameter, grid, message",
+        [
+            ("h", "0:inf:1", "must be finite"),
+            ("h", "nan:1:0.1", "must be finite"),
+            ("pi", "0.1:0.9:inf", "must be finite"),
+            ("pi", "0:1:5e-324", "more than 10000000 points"),
+            ("h", "1:0:0.1", "empty grid"),
+            ("h", "-0.1, 0.5", "every h grid point must lie in [0, 1]"),
+            ("h", "0.5, 1.5", "every h grid point must lie in [0, 1]"),
+            ("h", "nan", "every h grid point must lie in [0, 1]"),
+        ],
+    )
+    def test_bad_grid_exits_2_without_writing(self, tmp_path, capsys, parameter, grid, message):
+        path = tmp_path / "grid.ini"
+        path.write_text(
+            BASE_CONFIG.replace("parameter = h", f"parameter = {parameter}").replace(
+                "grid = 0.0:1.0:0.05", f"grid = {grid}"
+            )
+        )
+        out_path = tmp_path / "never.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
         assert not out_path.exists()
 
 

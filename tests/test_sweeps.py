@@ -1,6 +1,7 @@
 """Comparative-statics tables and their CSV contract."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from shirklab import (
     sweep_h,
     sweep_param,
 )
+from shirklab import sweeps
 from shirklab.sweeps import Table
 
 
@@ -136,6 +138,12 @@ class TestSweepParam:
         assert "nonnegative" in table.rows[0][-1]
         assert table.rows[1][3] is True
 
+    def test_non_finite_curve_scale_is_flagged_not_raised(self, p0, linear_curve):
+        spec = SweepSpec(parameter="curve_scale", grid=(math.nan, math.inf, 1.0), params=p0, curve=linear_curve)
+        table = sweep_param(spec)
+        assert table.column("admissible") == [False, False, True]
+        assert table.column("reason")[:2] == ["scale factor must be finite"] * 2
+
     def test_unknown_parameter_rejected(self, p0, linear_curve):
         with pytest.raises(ValueError):
             SweepSpec(parameter="zeta", grid=(0.1,), params=p0, curve=linear_curve)
@@ -216,3 +224,20 @@ def test_make_grid_is_inclusive():
     assert grid[-1] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         make_grid(0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "start, stop, step",
+    [(0.0, math.inf, 1.0), (math.nan, 1.0, 0.1), (0.0, 1.0, math.inf), (0.0, 1.0, 5e-324)],
+    ids=["inf-stop", "nan-start", "inf-step", "inf-span"],
+)
+def test_make_grid_rejects_non_finite_input(start, stop, step):
+    with pytest.raises(ValueError):
+        make_grid(start, stop, step)
+
+
+def test_make_grid_caps_the_point_count_before_building(monkeypatch):
+    monkeypatch.setattr(sweeps, "MAX_GRID_POINTS", 10)
+    assert len(make_grid(0.0, 9.0, 1.0)) == 10
+    with pytest.raises(ValueError, match="more than 10 points"):
+        make_grid(0.0, 10.0, 1.0)
