@@ -3,20 +3,19 @@ technology adoption under the threat of group shirking."""
 
 from .errors import (
     ContractViolationError,
+    ConvergenceError,
     InadmissibleParamsError,
     InvalidCurveError,
     InvalidParamsError,
 )
 from .model import (
     ALL_STRATEGIES,
-    AgentOutcome,
     AgentStrategy,
     BAD,
     GOOD,
     ModelParams,
     PROSPECTIVE,
     REALIZED,
-    TechnologyState,
     ValidationReport,
     agent_payoff,
     best_response,
@@ -63,6 +62,6 @@ from .simulation import (
     policy_experiment,
     run_episode,
 )
-from .sweeps import SweepSpec, Table, csv_to_table, emit_csv, emit_plot_data, make_grid, sweep_h, sweep_param
+from .sweeps import SweepSpec, Table, csv_to_table, emit_csv, make_grid, sweep_h, sweep_param
 
 __version__ = "0.1.0"

@@ -18,8 +18,12 @@ import configparser
 import math
 import sys
 
-from .errors import InadmissibleParamsError, InvalidCurveError, InvalidParamsError
+import numpy as np
+
+from .errors import ConvergenceError, InadmissibleParamsError, InvalidCurveError, InvalidParamsError
 from .equilibrium import (
+    DEFAULT_RESOLUTION,
+    DEFAULT_TOL,
     EFFORT,
     SHIRK,
     ReplacementCostCurve,
@@ -90,7 +94,6 @@ _DEFAULTS = {
     "punishment_mode": UNIFORM_RANDOM,
     "profile": EFFORT,
     "gamma": "equilibrium",
-    "tol": 1e-10,
 }
 
 
@@ -160,7 +163,7 @@ def _curve(parser: configparser.ConfigParser) -> ReplacementCostCurve:
     if not parser.has_section("curve"):
         raise ConfigError("missing required section [curve]")
     section = parser["curve"]
-    resolution = _get_int(parser, "curve", "resolution", 100_000)
+    resolution = _get_int(parser, "curve", "resolution", DEFAULT_RESOLUTION)
     if "file" in section:
         if "family" in section:
             raise ConfigError("[curve] declares both 'family' and 'file'")
@@ -216,7 +219,10 @@ def _sim_config(parser: configparser.ConfigParser, params: ModelParams, seed_ove
 
 
 def _tol(parser: configparser.ConfigParser) -> float:
-    return _get_float(parser, "solver", "tol", _DEFAULTS["tol"]) if parser.has_section("solver") else _DEFAULTS["tol"]
+    tol = _get_float(parser, "solver", "tol", DEFAULT_TOL)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"[solver] tol must be finite and positive, got {tol}")
+    return tol
 
 
 def _require_admissible_or_report(params: ModelParams) -> None:
@@ -254,12 +260,11 @@ def _profile_and_targets(parser, params: ModelParams, cfg: SimConfig, gamma: flo
     profile = StrategyProfile.symmetric(strategy, cfg.n_agents)
     target_output = expected_output(cfg.h, regime, params)
     effort_cost = params.c * cfg.h if regime == EFFORT else 0.0
-    targets = {
-        "output": target_output,
-        "welfare": target_output - effort_cost,
-        f"payoff_{strategy.label}": expected_strategy_payoffs(cfg, profile, gamma)[strategy.label],
-    }
-    return profile, strategy, targets
+    targets = {"output": target_output, "welfare": target_output - effort_cost}
+    # no payoff target when no agent has access, as no one plays the strategy
+    for label, payoff in expected_strategy_payoffs(cfg, profile, gamma).items():
+        targets[f"payoff_{label}"] = payoff
+    return profile, targets
 
 
 def cmd_simulate(parser: configparser.ConfigParser, args) -> int:
@@ -281,20 +286,15 @@ def cmd_simulate(parser: configparser.ConfigParser, args) -> int:
     if cfg.punishment_mode == SENIORITY:
         # seniority firing ignores the rate and draws no fire uniforms
         gamma = 0.0
-    profile, strategy, targets = _profile_and_targets(parser, params, cfg, gamma)
+    profile, targets = _profile_and_targets(parser, params, cfg, gamma)
     result = monte_carlo(cfg, profile, gamma, curve)
     print(result.summary())
     print("closed-form comparison (pass = within 3 standard errors):")
-    comparisons = [
-        ("output", result.output, targets["output"]),
-        ("welfare", result.welfare, targets["welfare"]),
-        (
-            f"payoff_{strategy.label}",
-            result.per_strategy_payoff[strategy.label],
-            targets[f"payoff_{strategy.label}"],
-        ),
-    ]
-    for name, stat, target in comparisons:
+    simulated = {"output": result.output, "welfare": result.welfare}
+    for label, stat in result.per_strategy_payoff.items():
+        simulated[f"payoff_{label}"] = stat
+    for name, target in targets.items():
+        stat = simulated[name]
         gap = abs(stat.mean - target)
         status = "pass" if gap <= 3.0 * stat.se or gap == 0.0 else "FAIL"
         print(
@@ -394,16 +394,21 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         parser = _load_config(args.config)
-        return handlers[args.command](parser, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+        # an overflowing or invalid float operation means the config's values
+        # are too extreme to compute with: say so instead of printing inf or nan
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return handlers[args.command](parser, args)
+    except (ConfigError, ConvergenceError) as exc:
+        code, message = CONFIG_ERROR, f"config error: {exc}"
+    except FloatingPointError as exc:
+        code, message = CONFIG_ERROR, f"config error: values too extreme to compute with: {exc}"
     except InadmissibleParamsError as exc:
-        print(str(exc), file=sys.stderr)
-        return INADMISSIBLE
+        code, message = INADMISSIBLE, str(exc)
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return IO_ERROR
+        code, message = IO_ERROR, f"i/o error: {exc}"
+    # one stderr line per failure, even when the exception text has several
+    print("; ".join(line.strip() for line in message.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

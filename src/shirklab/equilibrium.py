@@ -18,12 +18,13 @@ regimes, and provides the closed-form output and welfare comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+import warnings
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import InvalidCurveError
+from .errors import ConvergenceError, InvalidCurveError
 from .model import (
     AgentStrategy,
     ModelParams,
@@ -35,6 +36,13 @@ from .model import (
 
 #: Default number of evaluation nodes for closed-form schedules.
 DEFAULT_RESOLUTION = 100_000
+#: Most evaluation nodes a closed-form schedule may have, checked before the
+#: grid is built.
+MAX_RESOLUTION = 10**7
+#: Default bisection tolerance of ``solve_threshold``.
+DEFAULT_TOL = 1e-10
+#: Most bisections ``solve_threshold`` takes before it gives up.
+MAX_BISECTIONS = 200
 
 EFFORT = "effort"
 SHIRK = "shirk"
@@ -54,13 +62,22 @@ class ReplacementCostCurve:
 
     values: np.ndarray
     kind: str
-    description: str = "schedule"
+    # r(j / n) at every segment boundary j = 0..n, read by ``cost``
+    _cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("nodes", "steps"):
             raise InvalidCurveError(f"unknown curve kind {self.kind!r}")
         if len(self.values) < (2 if self.kind == "nodes" else 1):
             raise InvalidCurveError("schedule needs at least one cost sample")
+        if self.kind == "steps":
+            n = len(self.values)
+            cumulative = np.concatenate(([0.0], np.cumsum(self.values) / n))
+        else:
+            n = len(self.values) - 1
+            segment = (self.values[:-1] + self.values[1:]) / (2.0 * n)
+            cumulative = np.concatenate(([0.0], np.cumsum(segment)))
+        object.__setattr__(self, "_cumulative", cumulative)
 
     # -- constructors ---------------------------------------------------
 
@@ -69,30 +86,32 @@ class ReplacementCostCurve:
         cls,
         q: Callable[[np.ndarray], np.ndarray],
         resolution: int = DEFAULT_RESOLUTION,
-        description: str = "custom function",
     ) -> "ReplacementCostCurve":
-        """Build from a closed-form schedule q(z) evaluated on [0, 1]."""
+        """Build from a closed-form schedule q(z) evaluated on [0, 1].
+
+        ``resolution`` must lie in [2, ``MAX_RESOLUTION``].
+        """
         if resolution < 2:
             raise InvalidCurveError("resolution must be at least 2")
+        if resolution > MAX_RESOLUTION:
+            raise InvalidCurveError(f"resolution must be at most {MAX_RESOLUTION}")
         grid = np.linspace(0.0, 1.0, resolution + 1)
         raw = np.asarray(q(grid), dtype=float)
         if raw.shape != grid.shape:
             raw = np.broadcast_to(raw, grid.shape).astype(float)
         _check_nonnegative(raw, grid)
-        return cls(values=np.sort(raw), kind="nodes", description=description)
+        return cls(values=np.sort(raw), kind="nodes")
 
     @classmethod
-    def from_samples(
-        cls, costs: Iterable[float], description: str = "sampled costs"
-    ) -> "ReplacementCostCurve":
+    def from_samples(cls, costs: Iterable[float]) -> "ReplacementCostCurve":
         """Build from a finite sample of per-replacement costs."""
         raw = np.asarray(list(costs), dtype=float)
         _check_nonnegative(raw, None)
-        return cls(values=np.sort(raw), kind="steps", description=description)
+        return cls(values=np.sort(raw), kind="steps")
 
     @classmethod
     def linear(cls, scale: float = 1.0, resolution: int = DEFAULT_RESOLUTION) -> "ReplacementCostCurve":
-        return cls.from_function(lambda z: scale * z, resolution, f"linear scale={scale:g}")
+        return cls.from_function(lambda z: scale * z, resolution)
 
     @classmethod
     def power(
@@ -100,13 +119,11 @@ class ReplacementCostCurve:
     ) -> "ReplacementCostCurve":
         if exponent < 0:
             raise InvalidCurveError("exponent must be nonnegative")
-        return cls.from_function(
-            lambda z: scale * z**exponent, resolution, f"power scale={scale:g} exponent={exponent:g}"
-        )
+        return cls.from_function(lambda z: scale * z**exponent, resolution)
 
     @classmethod
     def constant(cls, level: float = 1.0, resolution: int = DEFAULT_RESOLUTION) -> "ReplacementCostCurve":
-        return cls.from_function(lambda z: np.full_like(z, float(level)), resolution, f"constant level={level:g}")
+        return cls.from_function(lambda z: np.full_like(z, float(level)), resolution)
 
     @classmethod
     def from_file(cls, path: str) -> "ReplacementCostCurve":
@@ -116,15 +133,20 @@ class ReplacementCostCurve:
         column carries the original labels and must lie in [0, 1].
         """
         try:
-            data = np.loadtxt(path, ndmin=2)
+            with warnings.catch_warnings():
+                # an empty file is reported below, not as a loadtxt warning
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(path, ndmin=2)
         except ValueError as exc:
             raise InvalidCurveError(f"{path}: not a numeric table: {exc}") from exc
+        if data.size == 0:
+            raise InvalidCurveError(f"{path}: no cost samples")
         if data.shape[1] != 2:
             raise InvalidCurveError(f"{path}: expected two columns (z, cost), got {data.shape[1]}")
         z, costs = data[:, 0], data[:, 1]
         if np.any(z < 0.0) or np.any(z > 1.0):
             raise InvalidCurveError(f"{path}: z values must lie in [0, 1]")
-        return cls.from_samples(costs, description=f"file {path}")
+        return cls.from_samples(costs)
 
     # -- operations -----------------------------------------------------
 
@@ -132,7 +154,7 @@ class ReplacementCostCurve:
         """Least total cost r(x) of replacing a measure x of workers."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"replacement measure must lie in [0, 1], got {x}")
-        cumulative = self._cumulative()
+        cumulative = self._cumulative
         n = len(self.values) if self.kind == "steps" else len(self.values) - 1
         position = x * n
         j = min(int(position), n - 1)
@@ -156,11 +178,7 @@ class ReplacementCostCurve:
             raise InvalidCurveError("scale factor must be finite")
         if factor < 0.0:
             raise InvalidCurveError("scale factor must be nonnegative")
-        return dc_replace(
-            self,
-            values=self.values * factor,
-            description=f"{self.description} x{factor:g}",
-        )
+        return ReplacementCostCurve(self.values * factor, self.kind)
 
     def validate(self, tol: float = 1e-9) -> None:
         """Check the structural invariants; raise ``InvalidCurveError`` if broken.
@@ -175,22 +193,6 @@ class ReplacementCostCurve:
             raise InvalidCurveError("cost schedule contains negative costs")
         if np.any(np.diff(values) < -tol):
             raise InvalidCurveError("cost schedule is not sorted ascending; induced r(x) would not be convex")
-
-    def _cumulative(self) -> np.ndarray:
-        cached = getattr(self, "_cumulative_cache", None)
-        if cached is None or len(cached) != self._expected_cumulative_len():
-            if self.kind == "steps":
-                n = len(self.values)
-                cached = np.concatenate(([0.0], np.cumsum(self.values) / n))
-            else:
-                n = len(self.values) - 1
-                segment = (self.values[:-1] + self.values[1:]) / (2.0 * n)
-                cached = np.concatenate(([0.0], np.cumsum(segment)))
-            object.__setattr__(self, "_cumulative_cache", cached)
-        return cached
-
-    def _expected_cumulative_len(self) -> int:
-        return len(self.values) + 1 if self.kind == "steps" else len(self.values)
 
 
 def _check_nonnegative(raw: np.ndarray, grid: np.ndarray | None) -> None:
@@ -256,8 +258,7 @@ class EquilibriumSolution:
 def solve_threshold(
     p: ModelParams,
     curve: ReplacementCostCurve,
-    tol: float = 1e-10,
-    max_iterations: int = 200,
+    tol: float = DEFAULT_TOL,
 ) -> EquilibriumSolution:
     """Find the largest technology reach at which punishment stays credible.
 
@@ -266,10 +267,14 @@ def solve_threshold(
     feasibility predicate converges to its supremum.  The returned
     h_tilde is the last point confirmed feasible, within ``tol`` of the
     true boundary and clamped to 1 when the condition holds everywhere.
+
+    ``tol`` must be finite and positive.  Raises ``ConvergenceError`` when
+    ``MAX_BISECTIONS`` bisections leave the bracket wider than ``tol``, as
+    they do for a ``tol`` below the float spacing at the boundary.
     """
     require_admissible(p)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     curve.validate()
     gb = gamma_bar(p)
     marginal = curve.marginal_cost_at_zero
@@ -293,7 +298,7 @@ def solve_threshold(
         h_tilde = 1.0
     else:
         feasible, infeasible = 0.0, 1.0
-        for _ in range(max_iterations):
+        for _ in range(MAX_BISECTIONS):
             if infeasible - feasible <= tol:
                 break
             mid = 0.5 * (feasible + infeasible)
@@ -301,6 +306,11 @@ def solve_threshold(
                 feasible = mid
             else:
                 infeasible = mid
+        if infeasible - feasible > tol:
+            raise ConvergenceError(
+                f"bisection bracket [{_fmt(feasible)}, {_fmt(infeasible)}] is still wider"
+                f" than tol {tol:g} after {MAX_BISECTIONS} bisections"
+            )
         h_tilde = feasible
 
     return EquilibriumSolution(
@@ -330,7 +340,6 @@ def principal_value(
     punish: bool,
     p: ModelParams,
     curve: ReplacementCostCurve,
-    wage_accounting: str = "full_reach",
 ) -> float:
     """Expected value to the principal of each policy regime at reach ``h``.
 
@@ -339,25 +348,21 @@ def principal_value(
     in the failure state replaces a fraction gamma_bar of the failed
     workers.  Without punishment all workers with access adopt blindly.
 
-    The default accounting charges the wage premium on the whole measure
-    ``h`` in both regimes, mirroring the closed-form comparison in which
-    the wage bill cancels.  ``wage_accounting="wage_on_use"`` instead
-    charges the premium only on expected adopters under effort.
+    The wage premium is charged on the whole measure ``h`` in both
+    regimes, mirroring the closed-form comparison in which the wage bill
+    cancels.
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError(f"h must lie in [0, 1], got {h}")
-    if wage_accounting not in ("full_reach", "wage_on_use"):
-        raise ValueError(f"unknown wage accounting {wage_accounting!r}")
     if not punish:
         return (1.0 - h) + h * (p.pi * (1.0 + p.g) - p.w)
-    wage_measure = h * p.signal_good_prob() if wage_accounting == "wage_on_use" else h
     expected_replacements = (1.0 - p.pi) * p.eps * curve.cost(gamma_bar(p) * h)
     effort_output = (
         p.pi * (1.0 - p.eps) * (1.0 + p.g)
         + p.pi * p.eps
         + (1.0 - p.pi) * (1.0 - p.eps)
     )
-    return (1.0 - h) + h * effort_output - expected_replacements - p.w * wage_measure
+    return (1.0 - h) + h * effort_output - expected_replacements - p.w * h
 
 
 def expected_output(h: float, regime: str, p: ModelParams) -> float:

@@ -15,3 +15,7 @@ class InvalidCurveError(ValueError):
 
 class ContractViolationError(ValueError):
     """An operation was called with inputs that break its preconditions."""
+
+
+class ConvergenceError(ArithmeticError):
+    """A numerical routine hit its iteration cap before reaching its tolerance."""

@@ -84,20 +84,6 @@ class ModelParams:
         return self.pi * (1.0 - self.eps) + (1.0 - self.pi) * self.eps
 
 
-@dataclass(frozen=True)
-class TechnologyState:
-    """Realized technology environment: reach ``h`` and latent quality."""
-
-    h: float
-    quality: Quality
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.h <= 1.0:
-            raise InvalidParamsError(f"h must lie in [0, 1], got {self.h}")
-        if self.quality not in (GOOD, BAD):
-            raise InvalidParamsError(f"quality must be 'good' or 'bad', got {self.quality!r}")
-
-
 class AgentStrategy(IntEnum):
     """Pure strategies over (effort, adoption) for a worker with access.
 
@@ -140,17 +126,6 @@ ALL_STRATEGIES: tuple[AgentStrategy, ...] = tuple(AgentStrategy)
 
 
 @dataclass(frozen=True)
-class AgentOutcome:
-    """Realized outcome for one worker in one play of the game."""
-
-    used: bool
-    exerted_effort: bool
-    produced: float
-    wage_paid: float
-    fired: bool
-
-
-@dataclass(frozen=True)
 class CheckResult:
     """One named admissibility check with its slack (positive = satisfied)."""
 
@@ -171,10 +146,6 @@ class ValidationReport:
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(check for check in self.checks if not check.passed)
-
-    def records(self) -> list[tuple[str, bool, float]]:
-        """Flat (name, passed, slack) records, e.g. for CSV export."""
-        return [(check.name, check.passed, check.slack) for check in self.checks]
 
 
 def validate_params(p: ModelParams) -> ValidationReport:

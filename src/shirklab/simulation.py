@@ -31,12 +31,13 @@ import functools
 import json
 import math
 from dataclasses import dataclass, replace as dc_replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ContractViolationError, InvalidParamsError
 from .equilibrium import (
+    DEFAULT_TOL,
     EFFORT,
     SHIRK,
     ReplacementCostCurve,
@@ -46,7 +47,6 @@ from .equilibrium import (
 )
 from .model import (
     ALL_STRATEGIES,
-    AgentOutcome,
     AgentStrategy,
     BAD,
     GOOD,
@@ -64,6 +64,12 @@ COMMON = "common"
 INDEPENDENT = "independent"
 UNIFORM_RANDOM = "uniform_random"
 SENIORITY = "seniority"
+
+#: Size caps of a run, checked before any array is built.  A profile holds
+#: one byte per agent (eight more for a seniority order) and Monte Carlo
+#: keeps about 81 bytes per trial.
+MAX_AGENTS = 10**7
+MAX_TRIALS = 10**6
 
 _N_STRATEGIES = len(ALL_STRATEGIES)
 # the strategy table as arrays: effort per code, and adoption per
@@ -86,10 +92,10 @@ class SimConfig:
     punishment_mode: str = UNIFORM_RANDOM
 
     def __post_init__(self) -> None:
-        if self.n_agents < 1:
-            raise InvalidParamsError(f"n_agents must be >= 1, got {self.n_agents}")
-        if self.n_trials < 1:
-            raise InvalidParamsError(f"n_trials must be >= 1, got {self.n_trials}")
+        if not 1 <= self.n_agents <= MAX_AGENTS:
+            raise InvalidParamsError(f"n_agents must lie in [1, {MAX_AGENTS}], got {self.n_agents}")
+        if not 1 <= self.n_trials <= MAX_TRIALS:
+            raise InvalidParamsError(f"n_trials must lie in [1, {MAX_TRIALS}], got {self.n_trials}")
         if not 0 <= self.seed < 2**64:
             raise InvalidParamsError("seed must be a nonnegative 64-bit integer")
         if not 0.0 <= self.h <= 1.0:
@@ -209,29 +215,15 @@ class EpisodeOutcome:
     fired_count: int
     failure_event: bool
     payoff_sum_by_strategy: np.ndarray
-    count_by_strategy: np.ndarray
-    n_agents: int
 
-    @property
-    def access_count(self) -> int:
-        return len(self.used)
 
-    def agent_outcomes(self, compensation: str = PROSPECTIVE) -> list[AgentOutcome]:
-        """Materialize per-agent outcomes for the whole workforce."""
-        outcomes = [
-            AgentOutcome(
-                used=bool(self.used[i]),
-                exerted_effort=bool(self.exerted_effort[i]),
-                produced=float(self.produced[i]),
-                wage_paid=float(self.wage_paid[i]),
-                fired=bool(self.fired[i]),
-            )
-            for i in range(self.access_count)
-        ]
-        inert_wage = 1.0 if compensation == REALIZED else 0.0
-        inert = AgentOutcome(False, False, 1.0, inert_wage, False)
-        outcomes.extend([inert] * (self.n_agents - self.access_count))
-        return outcomes
+def _check_inputs(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float = 0.0) -> None:
+    if len(profile) != cfg.n_agents:
+        raise ContractViolationError(
+            f"profile length {len(profile)} does not match n_agents {cfg.n_agents}"
+        )
+    if not 0.0 <= policy_gamma <= 1.0:
+        raise ValueError(f"policy_gamma must lie in [0, 1], got {policy_gamma}")
 
 
 class _EpisodeKernel:
@@ -251,12 +243,7 @@ class _EpisodeKernel:
         curve: ReplacementCostCurve,
         seniority: SeniorityOrder | None,
     ):
-        if len(profile) != cfg.n_agents:
-            raise ContractViolationError(
-                f"profile length {len(profile)} does not match n_agents {cfg.n_agents}"
-            )
-        if not 0.0 <= policy_gamma <= 1.0:
-            raise ValueError(f"policy_gamma must lie in [0, 1], got {policy_gamma}")
+        _check_inputs(cfg, profile, policy_gamma)
         self.cfg = cfg
         self.policy_gamma = policy_gamma
         self.curve = curve
@@ -268,7 +255,9 @@ class _EpisodeKernel:
         self.reads_signal = bool((self.use_by_reading[0] != self.use_by_reading[1]).any())
         # a fire uniform can change who is fired only at a rate strictly inside (0, 1)
         self.random_firing = cfg.punishment_mode == UNIFORM_RANDOM and 0.0 < policy_gamma < 1.0
-        self.ranks = _access_ranks(cfg, seniority) if cfg.punishment_mode == SENIORITY else None
+        self.seniority = None
+        if cfg.punishment_mode == SENIORITY:
+            self.seniority = seniority or SeniorityOrder.identity(cfg.n_agents)
         self._costs: dict[int, float] = {}
 
     def draw(self, rng) -> tuple[tuple | None, bool, np.ndarray, np.ndarray | None]:
@@ -315,11 +304,10 @@ class _EpisodeKernel:
         produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
         failed = use & (not good)
 
-        if cfg.punishment_mode == SENIORITY:
+        if self.seniority is not None:
             fired = np.zeros(m, dtype=bool)
             if failed.any():
-                failing = np.flatnonzero(failed)
-                fired[failing[np.argmin(self.ranks[failing])]] = True
+                fired[self.seniority.selector(np.flatnonzero(failed))] = True
         elif fire_draws is None:
             # no failure, or a rate of 0 or 1 that fires none or all of them
             fired = failed & (self.policy_gamma == 1.0)
@@ -357,8 +345,6 @@ class _EpisodeKernel:
             fired_count=fired_count,
             failure_event=bool(failed.any()),
             payoff_sum_by_strategy=np.bincount(self.codes, weights=payoffs, minlength=_N_STRATEGIES),
-            count_by_strategy=np.bincount(self.codes, minlength=_N_STRATEGIES),
-            n_agents=n,
         )
 
 
@@ -690,12 +676,7 @@ def nash_check(
     does not enter worker payoffs and is accepted only for interface
     symmetry with the episode runner.
     """
-    if len(profile) != cfg.n_agents:
-        raise ContractViolationError(
-            f"profile length {len(profile)} does not match n_agents {cfg.n_agents}"
-        )
-    if not 0.0 <= policy_gamma <= 1.0:
-        raise ValueError(f"policy_gamma must lie in [0, 1], got {policy_gamma}")
+    _check_inputs(cfg, profile, policy_gamma)
     codes = profile.codes[: cfg.access_count]
     rows, row_of_agent = _deviation_payoff_table(
         cfg, codes, policy_gamma, _access_ranks(cfg, seniority)
@@ -773,10 +754,7 @@ def iterated_best_response(
     work.  The trace keeps the initial profile and each round's switched
     positions with their new codes.
     """
-    if len(initial) != cfg.n_agents:
-        raise ContractViolationError(
-            f"profile length {len(initial)} does not match n_agents {cfg.n_agents}"
-        )
+    _check_inputs(cfg, initial)
     cap = 10 * cfg.n_agents if max_rounds is None else max_rounds
     ranks = _access_ranks(cfg, seniority)
     codes = initial.codes[: cfg.access_count].copy()
@@ -881,7 +859,7 @@ def policy_experiment(
     treatments: str | Sequence[str],
     curve: ReplacementCostCurve,
     seniority: SeniorityOrder | None = None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> ExperimentReport:
     """Compare the baseline policy against one or more treatments at matched seeds.
 
@@ -941,25 +919,3 @@ def policy_experiment(
 
     return ExperimentReport(h=cfg.h, scenarios=tuple(scenarios))
 
-
-# -- report serialization --------------------------------------------------
-
-
-def deviations_to_rows(deviations: Iterable[Deviation]) -> list[list[str]]:
-    rows = [["agent", "current", "better", "gain"]]
-    for d in deviations:
-        rows.append([str(d.agent), d.current.label, d.better.label, _fmt(d.gain)])
-    return rows
-
-
-def deviations_summary(deviations: Sequence[Deviation]) -> str:
-    if not deviations:
-        return "no profitable deviations: profile is a Nash equilibrium"
-    lines = [f"{len(deviations)} profitable deviations"]
-    for d in deviations[:10]:
-        lines.append(
-            f"  agent {d.agent}: {d.current.label} -> {d.better.label} gains {_fmt(d.gain)}"
-        )
-    if len(deviations) > 10:
-        lines.append(f"  ... and {len(deviations) - 10} more")
-    return "\n".join(lines)

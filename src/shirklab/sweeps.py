@@ -17,11 +17,11 @@ from dataclasses import dataclass, replace as dc_replace
 
 from .errors import InvalidCurveError, InvalidParamsError
 from .equilibrium import (
+    DEFAULT_TOL,
     EFFORT,
     SHIRK,
     ReplacementCostCurve,
     expected_output,
-    gamma_bar,
     output_drop,
     policy,
     solve_threshold,
@@ -39,7 +39,7 @@ class SweepSpec:
     grid: tuple[float, ...]
     params: ModelParams
     curve: ReplacementCostCurve
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         if self.parameter not in SWEEPABLE_PARAMETERS:
@@ -112,10 +112,9 @@ def sweep_param(spec: SweepSpec) -> Table:
             reason = ", ".join(check.name for check in report.failures())
             rows.append((value, None, None, False, None, reason))
             continue
-        gb = gamma_bar(params)
         sol = solve_threshold(params, curve, tol=spec.tol)
         drop = output_drop(sol.h_tilde, params)
-        rows.append((value, gb, sol.h_tilde, True, drop, ""))
+        rows.append((value, sol.gamma_bar, sol.h_tilde, True, drop, ""))
     return Table(
         ("value", "gamma_bar", "h_tilde", "admissible", "drop_at_h_tilde", "reason"),
         tuple(rows),
@@ -152,14 +151,6 @@ def _write_csv(table: Table, handle) -> None:
     writer.writerow(table.columns)
     for row in table.rows:
         writer.writerow([_format_cell(cell) for cell in row])
-
-
-def emit_plot_data(table: Table, x: str, y: str, destination) -> None:
-    """Write a two-column x/y extract for external plotting tools."""
-    xs = table.column(x)
-    ys = table.column(y)
-    pairs = Table((x, y), tuple(zip(xs, ys)))
-    emit_csv(pairs, destination)
 
 
 def csv_to_table(source) -> Table:

@@ -142,6 +142,15 @@ class TestSimulate:
         assert err == f"config error: [simulation] gamma must lie in [0, 1], got {value}\n"
 
 
+    def test_no_access_agents_prints_no_payoff_line(self, tmp_path, capsys):
+        path = tmp_path / "h0.ini"
+        path.write_text(BASE_CONFIG.replace("h = 0.5", "h = 0.0"))
+        assert main(["simulate", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "[pass] output: simulated 1 +- 0 vs target 1" in out
+        assert "payoff" not in out
+
+
 class TestSweep:
     def test_writes_csv_to_the_destination(self, config_path, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
@@ -298,3 +307,65 @@ class TestConfigErrors:
         path.write_text(BASE_CONFIG.replace("h = 0.5\n", ""))
         assert main(["simulate", "--config", str(path)]) == 2
         assert "'h'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    def test_tol_that_is_not_finite_and_positive_exits_2(self, tmp_path, capsys, command, value):
+        path = tmp_path / "tol.ini"
+        path.write_text(BASE_CONFIG + f"\n[solver]\ntol = {value}\n")
+        out = tmp_path / "tol.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: [solver] tol must be finite and positive, got {float(value)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "sweep", "experiment"])
+    def test_tol_below_the_float_spacing_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "tol.ini"
+        path.write_text(BASE_CONFIG + "\n[solver]\ntol = 1e-20\n")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "tol.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bisection bracket [0.201939058")
+        assert err.endswith("still wider than tol 1e-20 after 200 bisections\n")
+
+    @pytest.mark.parametrize(
+        "command, old, new, message",
+        [
+            ("simulate", "n_agents = 300", "n_agents = 1e19", "n_agents must lie in [1, 10000000]"),
+            ("experiment", "n_agents = 300", "n_agents = 1e300", "n_agents must lie in [1, 10000000]"),
+            ("simulate", "n_trials = 200", "n_trials = 1e300", "n_trials must lie in [1, 1000000]"),
+            ("solve", "scale = 1000", "resolution = 1e300", "resolution must be at most 10000000"),
+        ],
+        ids=["agents-1e19", "agents-1e300", "trials-1e300", "resolution-1e300"],
+    )
+    def test_sizes_above_the_caps_exit_2(self, tmp_path, capsys, command, old, new, message):
+        path = tmp_path / "big.ini"
+        path.write_text(BASE_CONFIG.replace(old, new))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_multi_line_parse_error_prints_one_line(self, tmp_path, capsys):
+        path = tmp_path / "p.ini"
+        path.write_text(BASE_CONFIG + "orphan line\n")
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config parse error in ") and err.count("\n") == 1
+
+    def test_float_overflow_exits_2_without_warnings(self, tmp_path, capsys, recwarn):
+        path = tmp_path / "big.ini"
+        path.write_text(BASE_CONFIG.replace("v_c = 1.0", "v_c = 1e308"))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: values too extreme to compute with: ") and err.count("\n") == 1
+        assert not recwarn.list
+
+    def test_empty_curve_file_exits_2_without_warnings(self, tmp_path, capsys, recwarn):
+        curve = tmp_path / "q.txt"
+        curve.write_text("")
+        path = tmp_path / "c.ini"
+        path.write_text(BASE_CONFIG.replace("family = linear", f"file = {curve}").replace("scale = 1000\n", ""))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: invalid curve: {curve}: no cost samples\n"
+        assert not recwarn.list

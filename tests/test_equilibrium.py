@@ -6,6 +6,7 @@ import pytest
 from conftest import draw_curve, draw_params
 from shirklab import (
     AgentStrategy,
+    ConvergenceError,
     EquilibriumSolution,
     InadmissibleParamsError,
     InvalidCurveError,
@@ -55,6 +56,15 @@ class TestReplacementCostCurve:
         with pytest.raises(ValueError):
             linear_curve.cost(1.01)
 
+    def test_resolution_above_the_cap_is_rejected_before_any_evaluation(self):
+        def q(z):
+            raise AssertionError("schedule evaluated")
+
+        with pytest.raises(InvalidCurveError, match="at most 10000000"):
+            ReplacementCostCurve.from_function(q, resolution=10**7 + 1)
+        with pytest.raises(InvalidCurveError, match="at most 10000000"):
+            ReplacementCostCurve.linear(1.0, resolution=10**300)
+
     def test_negative_schedule_is_rejected(self):
         with pytest.raises(InvalidCurveError):
             ReplacementCostCurve.from_function(lambda z: z - 0.5, resolution=100)
@@ -85,9 +95,7 @@ class TestReplacementCostCurve:
             ReplacementCostCurve.from_file(str(path))
 
     def test_tampered_curve_fails_validation(self, linear_curve):
-        broken = ReplacementCostCurve(
-            values=linear_curve.values[::-1].copy(), kind="nodes", description="tampered"
-        )
+        broken = ReplacementCostCurve(values=linear_curve.values[::-1].copy(), kind="nodes")
         with pytest.raises(InvalidCurveError):
             broken.validate()
 
@@ -164,15 +172,26 @@ class TestSolveThreshold:
             solve_threshold(p, linear_curve)
 
     def test_tampered_curve_raises(self, p0, linear_curve):
-        broken = ReplacementCostCurve(
-            values=linear_curve.values[::-1].copy(), kind="nodes", description="tampered"
-        )
+        broken = ReplacementCostCurve(values=linear_curve.values[::-1].copy(), kind="nodes")
         with pytest.raises(InvalidCurveError):
             solve_threshold(p0, broken)
 
     def test_bad_tolerance_raises(self, p0, linear_curve):
         with pytest.raises(ValueError):
             solve_threshold(p0, linear_curve, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_raises(self, p0, linear_curve, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            solve_threshold(p0, linear_curve, tol=tol)
+
+    def test_tolerance_below_the_float_spacing_raises_instead_of_returning(self, p0, linear_curve):
+        # near h_tilde ~ 0.2 floats are ~3e-17 apart, so the bracket stalls
+        with pytest.raises(ConvergenceError, match="after 200 bisections"):
+            solve_threshold(p0, linear_curve, tol=1e-20)
+        # a boundary near zero has denser floats, so the same tol converges
+        pricey = ReplacementCostCurve.constant(100.0)
+        assert solve_threshold(p0, pricey, tol=1e-20).h_tilde <= 1e-20
 
     def test_interval_structure_for_random_pairs(self):
         rng = np.random.default_rng(6060)
@@ -252,14 +271,6 @@ class TestPrincipalValue:
             sol.h_tilde, False, p0, linear_curve
         )
         assert abs(diff) <= 1e-8
-
-    def test_wage_on_use_accounting_charges_fewer_wages(self, p0, linear_curve):
-        default = principal_value(0.2, True, p0, linear_curve)
-        on_use = principal_value(0.2, True, p0, linear_curve, wage_accounting="wage_on_use")
-        assert on_use > default
-        assert on_use - default == pytest.approx(
-            0.2 * (1.0 - p0.signal_good_prob()) * p0.w, rel=1e-12
-        )
 
 
 class TestOutputAndWelfare:

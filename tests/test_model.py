@@ -14,7 +14,6 @@ from shirklab import (
     InadmissibleParamsError,
     InvalidParamsError,
     ModelParams,
-    TechnologyState,
     agent_payoff,
     best_response,
     expected_production,
@@ -89,9 +88,8 @@ class TestValidateParams:
         assert gamma_bar(p) == pytest.approx(1.0, abs=1e-12)
 
     def test_records_are_flat_tuples(self, p0):
-        records = validate_params(p0).records()
-        assert all(len(r) == 3 for r in records)
-        assert {r[0] for r in records} == {
+        checks = validate_params(p0).checks
+        assert {check.name for check in checks} == {
             "growth_window_low",
             "growth_window_high",
             "research_efficiency",
@@ -108,19 +106,6 @@ class TestValidateParams:
         kwargs[field] = value
         with pytest.raises(InvalidParamsError, match=field):
             ModelParams(**kwargs)
-
-
-class TestTechnologyState:
-    def test_valid_state(self):
-        state = TechnologyState(h=0.4, quality="good")
-        assert state.h == 0.4
-        assert state.quality == "good"
-
-    def test_reach_and_quality_are_validated(self):
-        with pytest.raises(InvalidParamsError):
-            TechnologyState(h=1.2, quality="good")
-        with pytest.raises(InvalidParamsError):
-            TechnologyState(h=0.5, quality="excellent")
 
 
 # -- production -------------------------------------------------------------

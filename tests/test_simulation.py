@@ -11,6 +11,7 @@ from conftest import REFERENCE_POINTS, draw_params
 from shirklab import (
     AgentStrategy,
     ContractViolationError,
+    InvalidParamsError,
     ModelParams,
     ReplacementCostCurve,
     SeniorityOrder,
@@ -26,7 +27,7 @@ from shirklab import (
     policy_experiment,
     run_episode,
 )
-from shirklab.simulation import deviations_summary, deviations_to_rows, expected_strategy_payoffs
+from shirklab.simulation import expected_strategy_payoffs
 
 EFS = AgentStrategy.EFFORT_FOLLOW_SIGNAL
 SU = AgentStrategy.SHIRK_USE
@@ -52,6 +53,18 @@ def make_cfg(p, **overrides):
     defaults = dict(n_agents=1000, n_trials=200, seed=5, h=0.5)
     defaults.update(overrides)
     return SimConfig(params=p, **defaults)
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize(
+        "field, cap, above",
+        [("n_agents", 10**7, 10**7 + 1), ("n_agents", 10**7, 10**300), ("n_trials", 10**6, 10**6 + 1)],
+        ids=["agents-cap+1", "agents-1e300", "trials-cap+1"],
+    )
+    def test_sizes_above_the_caps_are_rejected(self, p0, field, cap, above):
+        with pytest.raises(InvalidParamsError, match=f"{field} must lie in \\[1, {cap}\\]"):
+            make_cfg(p0, **{field: above})
+        assert getattr(make_cfg(p0, **{field: cap}), field) == cap
 
 
 class TestRunEpisode:
@@ -125,14 +138,6 @@ class TestRunEpisode:
         profile = StrategyProfile.symmetric(EFS, 9)
         with pytest.raises(ContractViolationError):
             run_episode(cfg, profile, 0.0, linear_curve, np.random.default_rng(0))
-
-    def test_agent_outcomes_materialize_for_the_whole_workforce(self, p0, linear_curve):
-        cfg = make_cfg(p0, n_agents=20, h=0.5)
-        profile = StrategyProfile.symmetric(EFS, cfg.n_agents)
-        episode = run_episode(cfg, profile, 0.2, linear_curve, np.random.default_rng(1))
-        outcomes = episode.agent_outcomes()
-        assert len(outcomes) == 20
-        assert all(not o.used and o.produced == 1.0 for o in outcomes[10:])
 
 
 class TestSeniorityOrder:
@@ -337,17 +342,6 @@ class TestNashCheck:
             shirkers = StrategyProfile.symmetric(SU, seniority.n_agents)
             payoff = expected_strategy_payoffs(seniority, shirkers, 0.0)[SU.label]
             assert payoff == pytest.approx(p0.w + p0.v_c * (1.0 - (1.0 - p0.pi) / m), rel=1e-12)
-
-    def test_report_serialization(self, p0, linear_curve):
-        cfg = make_cfg(p0, n_agents=20)
-        profile = StrategyProfile.symmetric(EFS, cfg.n_agents)
-        deviations = nash_check(cfg, profile, 0.0, linear_curve)
-        rows = deviations_to_rows(deviations)
-        assert rows[0] == ["agent", "current", "better", "gain"]
-        assert len(rows) == len(deviations) + 1
-        text = deviations_summary(deviations)
-        assert "profitable deviations" in text
-        assert deviations_summary([]).startswith("no profitable deviations")
 
 
 class TestIteratedBestResponse:

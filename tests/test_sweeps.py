@@ -1,6 +1,5 @@
 """Comparative-statics tables and their CSV contract."""
 
-import io
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from shirklab import (
     SweepSpec,
     csv_to_table,
     emit_csv,
-    emit_plot_data,
     gamma_bar,
     make_grid,
     output_drop,
@@ -190,14 +188,6 @@ class TestEmitCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "value,gamma_bar,h_tilde,admissible,drop_at_h_tilde,reason"
         assert lines[2].startswith("0.05,,,false,,research_efficiency")
-
-    def test_plot_data_extract(self, h_spec):
-        table = sweep_h(h_spec)
-        buffer = io.StringIO()
-        emit_plot_data(table, "h", "output", buffer)
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "h,output"
-        assert len(lines) == len(table.rows) + 1
 
     def test_random_param_tables_round_trip(self, linear_curve, tmp_path):
         rng = np.random.default_rng(2718)
