@@ -6,8 +6,7 @@ reproducible: a command is a pure function of the config file and the
 seed, and reruns produce byte-identical output.
 
 Subcommands: solve, simulate, sweep, experiment.
-Flags: --config PATH, --seed INT, --out PATH; --threads INT is accepted and
-has no effect.
+Flags: --config PATH, --seed INT, --out PATH.
 Exit codes: 0 ok, 2 config error, 3 inadmissible parameters, 4 I/O error.
 """
 
@@ -27,29 +26,19 @@ from .equilibrium import (
     EFFORT,
     SHIRK,
     ReplacementCostCurve,
-    expected_output,
     policy,
     solve_threshold,
     verify_equilibrium,
 )
-from .model import (
-    AgentStrategy,
-    ModelParams,
-    PROSPECTIVE,
-    REALIZED,
-    _fmt,
-    validate_params,
-)
+from .model import AgentStrategy, ModelParams, PROSPECTIVE, REALIZED, _fmt, require_admissible
 from .simulation import (
     COMMON,
     INDEPENDENT,
     SENIORITY,
-    SENIORITY_SCENARIO,
     SimConfig,
     StrategyProfile,
     UNIFORM_RANDOM,
-    VARIABLE_COMPENSATION,
-    expected_strategy_payoffs,
+    closed_form_targets,
     monte_carlo,
     policy_experiment,
 )
@@ -225,18 +214,9 @@ def _tol(parser: configparser.ConfigParser) -> float:
     return tol
 
 
-def _require_admissible_or_report(params: ModelParams) -> None:
-    report = validate_params(params)
-    if not report.admissible:
-        failures = "; ".join(
-            f"{check.name} (slack {_fmt(check.slack)})" for check in report.failures()
-        )
-        raise InadmissibleParamsError(f"inadmissible parameters: {failures}")
-
-
 def cmd_solve(parser: configparser.ConfigParser, args) -> int:
     params = _model_params(parser)
-    _require_admissible_or_report(params)
+    require_admissible(params)
     curve = _curve(parser)
     sol = solve_threshold(params, curve, tol=_tol(parser))
     print(f"minimal punishment rate gamma_bar = {_fmt(sol.gamma_bar)}")
@@ -254,22 +234,9 @@ def cmd_solve(parser: configparser.ConfigParser, args) -> int:
     return OK
 
 
-def _profile_and_targets(parser, params: ModelParams, cfg: SimConfig, gamma: float):
-    regime = _get_choice(parser, "simulation", "profile", (EFFORT, SHIRK), _DEFAULTS["profile"])
-    strategy = AgentStrategy.EFFORT_FOLLOW_SIGNAL if regime == EFFORT else AgentStrategy.SHIRK_USE
-    profile = StrategyProfile.symmetric(strategy, cfg.n_agents)
-    target_output = expected_output(cfg.h, regime, params)
-    effort_cost = params.c * cfg.h if regime == EFFORT else 0.0
-    targets = {"output": target_output, "welfare": target_output - effort_cost}
-    # no payoff target when no agent has access, as no one plays the strategy
-    for label, payoff in expected_strategy_payoffs(cfg, profile, gamma).items():
-        targets[f"payoff_{label}"] = payoff
-    return profile, targets
-
-
 def cmd_simulate(parser: configparser.ConfigParser, args) -> int:
     params = _model_params(parser)
-    _require_admissible_or_report(params)
+    require_admissible(params)
     curve = _curve(parser)
     cfg = _sim_config(parser, params, args.seed)
     gamma_raw = parser.get("simulation", "gamma", fallback=_DEFAULTS["gamma"]).strip()
@@ -286,7 +253,11 @@ def cmd_simulate(parser: configparser.ConfigParser, args) -> int:
     if cfg.punishment_mode == SENIORITY:
         # seniority firing ignores the rate and draws no fire uniforms
         gamma = 0.0
-    profile, targets = _profile_and_targets(parser, params, cfg, gamma)
+    regime = _get_choice(parser, "simulation", "profile", (EFFORT, SHIRK), _DEFAULTS["profile"])
+    strategy = AgentStrategy.EFFORT_FOLLOW_SIGNAL if regime == EFFORT else AgentStrategy.SHIRK_USE
+    profile = StrategyProfile.symmetric(strategy, cfg.n_agents)
+    # no payoff target when no agent has access, as no one plays the strategy
+    targets = closed_form_targets(cfg, profile, gamma)
     result = monte_carlo(cfg, profile, gamma, curve)
     print(result.summary())
     print("closed-form comparison (pass = within 3 standard errors):")
@@ -325,7 +296,7 @@ def cmd_sweep(parser: configparser.ConfigParser, args) -> int:
         raise ConfigError("[sweep] every h grid point must lie in [0, 1]")
     spec = SweepSpec(parameter=parameter, grid=grid, params=params, curve=curve, tol=_tol(parser))
     if parameter == "h":
-        _require_admissible_or_report(params)
+        require_admissible(params)
         table = sweep_h(spec)
     else:
         table = sweep_param(spec)
@@ -354,13 +325,10 @@ def _parse_grid(raw: str) -> tuple[float, ...]:
 
 def cmd_experiment(parser: configparser.ConfigParser, args) -> int:
     params = _model_params(parser)
-    _require_admissible_or_report(params)
+    require_admissible(params)
     curve = _curve(parser)
     cfg = _sim_config(parser, params, args.seed)
-    report = policy_experiment(
-        cfg, (VARIABLE_COMPENSATION, SENIORITY_SCENARIO), curve, tol=_tol(parser)
-    )
-    print(report.summary())
+    print(policy_experiment(cfg, curve, tol=_tol(parser)).summary())
     return OK
 
 
@@ -380,10 +348,6 @@ def main(argv: list[str] | None = None) -> int:
         command.add_argument("--config", required=True, help="path to the INI run configuration")
         command.add_argument("--seed", type=int, default=None, help="override the configured seed")
         command.add_argument("--out", default=None, help="output path for file-writing commands")
-        command.add_argument(
-            "--threads", type=int, default=1,
-            help="accepted so existing command lines keep working; has no effect",
-        )
 
     args = top.parse_args(argv)
     handlers = {

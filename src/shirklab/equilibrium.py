@@ -43,6 +43,12 @@ MAX_RESOLUTION = 10**7
 DEFAULT_TOL = 1e-10
 #: Most bisections ``solve_threshold`` takes before it gives up.
 MAX_BISECTIONS = 200
+#: Largest descent between neighbouring stored costs that still counts as sorted.
+SORT_TOL = 1e-9
+#: Reaches ``verify_equilibrium`` samples on each side of the threshold.
+VERIFY_SAMPLES = 9
+#: Largest payoff gap ``verify_equilibrium`` accepts as indifference at gamma_bar.
+VERIFY_PAYOFF_TOL = 1e-9
 
 EFFORT = "effort"
 SHIRK = "shirk"
@@ -178,9 +184,15 @@ class ReplacementCostCurve:
             raise InvalidCurveError("scale factor must be finite")
         if factor < 0.0:
             raise InvalidCurveError("scale factor must be nonnegative")
+        # the largest sum the constructor forms: two neighbouring nodes, or
+        # every cost of a finite sample; checked in Python floats, which
+        # overflow to inf where a numpy product would raise
+        terms = 2 if self.kind == "nodes" else len(self.values)
+        if not math.isfinite(terms * factor * float(self.values[-1])):
+            raise InvalidCurveError("scale factor too large: the scaled costs overflow")
         return ReplacementCostCurve(self.values * factor, self.kind)
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Check the structural invariants; raise ``InvalidCurveError`` if broken.
 
         The induced r is convex exactly when the stored costs are sorted
@@ -191,7 +203,7 @@ class ReplacementCostCurve:
             raise InvalidCurveError("cost schedule contains non-finite values")
         if np.any(values < 0.0):
             raise InvalidCurveError("cost schedule contains negative costs")
-        if np.any(np.diff(values) < -tol):
+        if np.any(np.diff(values) < -SORT_TOL):
             raise InvalidCurveError("cost schedule is not sorted ascending; induced r(x) would not be convex")
 
 
@@ -422,8 +434,6 @@ def verify_equilibrium(
     sol: EquilibriumSolution,
     p: ModelParams,
     curve: ReplacementCostCurve,
-    samples: int = 9,
-    payoff_tol: float = 1e-9,
 ) -> VerificationReport:
     """Independently re-check a solved equilibrium.
 
@@ -443,12 +453,12 @@ def verify_equilibrium(
     checks.append(
         VerificationCheck(
             "indifference_at_gamma_bar",
-            abs(gap) <= payoff_tol,
+            abs(gap) <= VERIFY_PAYOFF_TOL,
             f"payoff gap {gap:.6g} at gamma={_fmt(sol.gamma_bar)}",
         )
     )
 
-    fractions = [(i + 1) / (samples + 1) for i in range(samples)]
+    fractions = [(i + 1) / (VERIFY_SAMPLES + 1) for i in range(VERIFY_SAMPLES)]
 
     below_witness = ""
     below_ok = True
@@ -462,7 +472,7 @@ def verify_equilibrium(
         VerificationCheck(
             "feasible_below_threshold",
             below_ok,
-            below_witness or f"{samples} samples in (0, h_tilde) feasible",
+            below_witness or f"{VERIFY_SAMPLES} samples in (0, h_tilde) feasible",
         )
     )
 

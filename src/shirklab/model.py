@@ -33,7 +33,8 @@ PROSPECTIVE = "prospective"
 REALIZED = "realized"
 Compensation = Literal["prospective", "realized"]
 
-#: Absolute tolerance used to treat two strategy payoffs as tied.
+#: Absolute tolerance used to treat two strategy payoffs as tied, by best
+#: responses, the Nash check and best-response unraveling alike.
 PAYOFF_TIE_TOL = 1e-12
 
 
@@ -180,10 +181,11 @@ def is_admissible(p: ModelParams) -> bool:
 
 
 def require_admissible(p: ModelParams) -> None:
+    """Raise ``InadmissibleParamsError`` naming each failing check with its slack."""
     report = validate_params(p)
     if not report.admissible:
-        names = ", ".join(check.name for check in report.failures())
-        raise InadmissibleParamsError(f"parameters violate admissibility: {names}")
+        failures = "; ".join(f"{check.name} (slack {_fmt(check.slack)})" for check in report.failures())
+        raise InadmissibleParamsError(f"inadmissible parameters: {failures}")
 
 
 def production(available: bool, used: bool, quality: Quality, p: ModelParams) -> float:
@@ -295,13 +297,12 @@ def best_response(
     gamma: float,
     p: ModelParams,
     comp: Compensation = PROSPECTIVE,
-    tol: float = PAYOFF_TIE_TOL,
 ) -> set[AgentStrategy]:
-    """All payoff-maximizing strategies, ties within ``tol`` included.
+    """All payoff-maximizing strategies, ties within ``PAYOFF_TIE_TOL`` included.
 
     The tie at the minimal punishment rate is meaningful (it defines that
     rate), so ties are returned as a set rather than broken arbitrarily.
     """
     payoffs = {s: agent_payoff(s, gamma, p, comp) for s in ALL_STRATEGIES}
     best = max(payoffs.values())
-    return {s for s, value in payoffs.items() if value >= best - tol}
+    return {s for s, value in payoffs.items() if value >= best - PAYOFF_TIE_TOL}

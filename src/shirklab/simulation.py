@@ -51,13 +51,13 @@ from .model import (
     BAD,
     GOOD,
     ModelParams,
+    PAYOFF_TIE_TOL,
     PROSPECTIVE,
     REALIZED,
     STRATEGY_TABLE,
     _adoption_probability,
     _fmt,
     agent_payoff,
-    require_admissible,
 )
 
 COMMON = "common"
@@ -651,6 +651,27 @@ def expected_strategy_payoffs(
     return payoffs
 
 
+def closed_form_targets(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float) -> dict[str, float]:
+    """The exact values a Monte Carlo run of ``profile`` is checked against.
+
+    Output and welfare come from the closed forms at the realized reach
+    ``access_count / n_agents``, in the effort regime when every access
+    agent researches and follows the signal and the blind-adoption regime
+    otherwise; welfare nets out the effort cost of the agents who research.
+    Each strategy played then gets its exact expected payoff, as
+    ``payoff_<label>``, under the identity seniority order.
+    """
+    p = cfg.params
+    codes = profile.codes[: cfg.access_count]
+    effort = bool(codes.size) and bool(np.all(codes == AgentStrategy.EFFORT_FOLLOW_SIGNAL))
+    output = expected_output(cfg.access_count / cfg.n_agents, EFFORT if effort else SHIRK, p)
+    effort_share = float(_EFFORT[codes].sum()) / cfg.n_agents
+    targets = {"output": output, "welfare": output - p.c * effort_share}
+    for label, payoff in expected_strategy_payoffs(cfg, profile, policy_gamma).items():
+        targets[f"payoff_{label}"] = payoff
+    return targets
+
+
 @dataclass(frozen=True)
 class Deviation:
     """A profitable unilateral deviation found by the Nash check."""
@@ -665,16 +686,12 @@ def nash_check(
     cfg: SimConfig,
     profile: StrategyProfile,
     policy_gamma: float,
-    curve: ReplacementCostCurve | None = None,
     seniority: SeniorityOrder | None = None,
-    tol: float = 1e-12,
 ) -> list[Deviation]:
     """List every profitable unilateral deviation; empty means Nash.
 
-    Payoffs are exact expectations, so a gain above ``tol`` is a real
-    deviation rather than sampling noise.  The replacement-cost curve
-    does not enter worker payoffs and is accepted only for interface
-    symmetry with the episode runner.
+    Payoffs are exact expectations, so a gain above ``PAYOFF_TIE_TOL`` is
+    a real deviation rather than sampling noise.
     """
     _check_inputs(cfg, profile, policy_gamma)
     codes = profile.codes[: cfg.access_count]
@@ -690,7 +707,7 @@ def nash_check(
             better=AgentStrategy(int(best[pos])),
             gain=float(gain[pos]),
         )
-        for pos in np.flatnonzero(gain > tol)
+        for pos in np.flatnonzero(gain > PAYOFF_TIE_TOL)
     ]
 
 
@@ -738,7 +755,6 @@ def iterated_best_response(
     initial: StrategyProfile,
     seniority: SeniorityOrder | None = None,
     max_rounds: int | None = None,
-    tol: float = 1e-12,
 ) -> BestResponseTrace:
     """Iterate synchronous best responses until a fixed point.
 
@@ -762,7 +778,7 @@ def iterated_best_response(
     switched_to: list[np.ndarray] = []
     for _ in range(cap):
         rows, row_of_agent = _deviation_payoff_table(cfg, codes, 0.0, ranks)
-        unhappy = rows < rows.max(1)[:, None] - tol
+        unhappy = rows < rows.max(1)[:, None] - PAYOFF_TIE_TOL
         switched = np.flatnonzero(unhappy[row_of_agent, codes])
         if not switched.size:
             return BestResponseTrace(initial, changed, switched_to, True)
@@ -826,21 +842,16 @@ def _scenario_run(
     gamma: float,
     profile: StrategyProfile,
     curve: ReplacementCostCurve,
-    seniority: SeniorityOrder | None,
     unraveling_rounds: int | None = None,
 ) -> ScenarioResult:
-    deviations = nash_check(cfg, profile, gamma, curve, seniority)
-    sim = monte_carlo(cfg, profile, gamma, curve, seniority)
+    deviations = nash_check(cfg, profile, gamma)
+    sim = monte_carlo(cfg, profile, gamma, curve)
+    targets = closed_form_targets(cfg, profile, gamma)
     access_codes = profile.codes[: cfg.access_count]
     if cfg.access_count and np.all(access_codes == access_codes[0]):
         label = AgentStrategy(int(access_codes[0])).label
-        regime = EFFORT if AgentStrategy(int(access_codes[0])) == AgentStrategy.EFFORT_FOLLOW_SIGNAL else SHIRK
     else:
         label = "mixed"
-        regime = SHIRK
-    target_output = expected_output(cfg.h, regime, cfg.params)
-    effort_share = float(_EFFORT[access_codes].sum()) / cfg.n_agents if cfg.access_count else 0.0
-    target_welfare = target_output - cfg.params.c * effort_share
     return ScenarioResult(
         name=name,
         gamma=gamma,
@@ -848,41 +859,34 @@ def _scenario_run(
         equilibrium_confirmed=not deviations,
         deviation_count=len(deviations),
         result=sim,
-        target_output=target_output,
-        target_welfare=target_welfare,
+        target_output=targets["output"],
+        target_welfare=targets["welfare"],
         unraveling_rounds=unraveling_rounds,
     )
 
 
 def policy_experiment(
     cfg: SimConfig,
-    treatments: str | Sequence[str],
     curve: ReplacementCostCurve,
-    seniority: SeniorityOrder | None = None,
     tol: float = DEFAULT_TOL,
 ) -> ExperimentReport:
-    """Compare the baseline policy against one or more treatments at matched seeds.
+    """Compare the baseline policy against both treatments at matched seeds.
+
+    The arms run in this order:
 
     baseline -- prospective pay, random firing at the solved threshold
         policy rate for ``cfg.h``; the equilibrium profile is effort when
         punishment is credible there, blind adoption otherwise.
     variable_compensation -- workers are paid realized production and the
         principal never fires; effort should be an equilibrium on its own.
-    seniority -- prospective pay with the seniority selector; the
+    seniority -- prospective pay with the identity seniority selector; the
         equilibrium profile is found by best-response unraveling from
         universal blind adoption.
 
-    The baseline arm runs once and comes first; the treatments follow in
-    the order given (``baseline`` among them adds nothing).  All arms
-    share the root seed, so arms with the same strategy profile see
-    identical production paths.
+    All arms share the root seed, so arms with the same strategy profile
+    see identical production paths.  ``solve_threshold`` checks that the
+    parameters are admissible.
     """
-    if isinstance(treatments, str):
-        treatments = (treatments,)
-    for treatment in treatments:
-        if treatment not in (BASELINE, VARIABLE_COMPENSATION, SENIORITY_SCENARIO):
-            raise ValueError(f"unknown scenario {treatment!r}")
-    require_admissible(cfg.params)
     sol = solve_threshold(cfg.params, curve, tol=tol)
     base_gamma = policy(cfg.h, sol)
     base_cfg = dc_replace(cfg, compensation=PROSPECTIVE, punishment_mode=UNIFORM_RANDOM)
@@ -890,32 +894,17 @@ def policy_experiment(
         AgentStrategy.EFFORT_FOLLOW_SIGNAL if base_gamma > 0.0 else AgentStrategy.SHIRK_USE
     )
     base_profile = StrategyProfile.symmetric(base_strategy, cfg.n_agents)
-    scenarios = [
-        _scenario_run(base_cfg, BASELINE, base_gamma, base_profile, curve, seniority)
-    ]
-
-    for treatment in treatments:
-        if treatment == VARIABLE_COMPENSATION:
-            treat_cfg = dc_replace(cfg, compensation=REALIZED, punishment_mode=UNIFORM_RANDOM)
-            profile = StrategyProfile.symmetric(AgentStrategy.EFFORT_FOLLOW_SIGNAL, cfg.n_agents)
-            scenarios.append(
-                _scenario_run(treat_cfg, VARIABLE_COMPENSATION, 0.0, profile, curve, seniority)
-            )
-        elif treatment == SENIORITY_SCENARIO:
-            treat_cfg = dc_replace(cfg, compensation=PROSPECTIVE, punishment_mode=SENIORITY)
-            start = StrategyProfile.symmetric(AgentStrategy.SHIRK_USE, cfg.n_agents)
-            trace = iterated_best_response(treat_cfg, start, seniority)
-            scenarios.append(
-                _scenario_run(
-                    treat_cfg,
-                    SENIORITY_SCENARIO,
-                    0.0,
-                    trace.final,
-                    curve,
-                    seniority,
-                    unraveling_rounds=trace.rounds,
-                )
-            )
-
-    return ExperimentReport(h=cfg.h, scenarios=tuple(scenarios))
-
+    variable_cfg = dc_replace(cfg, compensation=REALIZED, punishment_mode=UNIFORM_RANDOM)
+    effort = StrategyProfile.symmetric(AgentStrategy.EFFORT_FOLLOW_SIGNAL, cfg.n_agents)
+    seniority_cfg = dc_replace(cfg, compensation=PROSPECTIVE, punishment_mode=SENIORITY)
+    trace = iterated_best_response(
+        seniority_cfg, StrategyProfile.symmetric(AgentStrategy.SHIRK_USE, cfg.n_agents)
+    )
+    scenarios = (
+        _scenario_run(base_cfg, BASELINE, base_gamma, base_profile, curve),
+        _scenario_run(variable_cfg, VARIABLE_COMPENSATION, 0.0, effort, curve),
+        _scenario_run(
+            seniority_cfg, SENIORITY_SCENARIO, 0.0, trace.final, curve, unraveling_rounds=trace.rounds
+        ),
+    )
+    return ExperimentReport(h=cfg.h, scenarios=scenarios)

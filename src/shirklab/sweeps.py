@@ -11,7 +11,6 @@ admissibility boundary stay informative.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, replace as dc_replace
 
@@ -131,51 +130,39 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit_csv(table: Table, destination) -> None:
-    """Write the table with a header row, 12 significant digits per number.
+def emit_csv(table: Table, path: str) -> None:
+    """Write the table to ``path`` with a header row, 12 significant digits per number.
 
-    ``destination`` may be a path or a writable text stream.  An empty
-    table is an error, raised before anything is opened or written.
+    An empty table is an error, raised before the file is opened.
     """
     if not table.rows:
         raise ValueError("refusing to write an empty table")
-    if hasattr(destination, "write"):
-        _write_csv(table, destination)
-        return
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
-        _write_csv(table, handle)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(table.columns)
+        for row in table.rows:
+            writer.writerow([_format_cell(cell) for cell in row])
 
 
-def _write_csv(table: Table, handle) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_format_cell(cell) for cell in row])
-
-
-def csv_to_table(source) -> Table:
+def csv_to_table(path: str) -> Table:
     """Parse a table written by ``emit_csv``; numeric cells become floats."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
     rows = []
-    for raw in reader:
-        row = []
-        for cell in raw:
-            if cell == "":
-                row.append(None)
-            elif cell in ("true", "false"):
-                row.append(cell == "true")
-            else:
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    row.append(cell)
-        rows.append(tuple(row))
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = tuple(next(reader))
+        for raw in reader:
+            row = []
+            for cell in raw:
+                if cell == "":
+                    row.append(None)
+                elif cell in ("true", "false"):
+                    row.append(cell == "true")
+                else:
+                    try:
+                        row.append(float(cell))
+                    except ValueError:
+                        row.append(cell)
+            rows.append(tuple(row))
     return Table(header, tuple(rows))
 
 

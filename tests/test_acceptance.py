@@ -174,15 +174,14 @@ def test_criterion_5_threshold_interval_structure():
 
 def test_criterion_6_nash_verification():
     """Deviation analysis at 1e-12 gain tolerance for the three key profiles."""
-    curve = ReplacementCostCurve.linear(1000.0)
     cfg = SimConfig(params=P0, n_agents=200, n_trials=1, seed=0, h=0.5)
     gb = gamma_bar(P0)
     all_shirk = StrategyProfile.symmetric(SU, cfg.n_agents)
     all_effort = StrategyProfile.symmetric(EFS, cfg.n_agents)
 
-    shirk_devs = nash_check(cfg, all_shirk, 0.0, curve, tol=1e-12)
-    effort_devs = nash_check(cfg, all_effort, min(1.0, gb * 1.01), curve, tol=1e-12)
-    broken_devs = nash_check(cfg, all_effort, 0.0, curve, tol=1e-12)
+    shirk_devs = nash_check(cfg, all_shirk, 0.0)
+    effort_devs = nash_check(cfg, all_effort, min(1.0, gb * 1.01))
+    broken_devs = nash_check(cfg, all_effort, 0.0)
 
     checks = {
         "all-shirk at gamma 0 is Nash": shirk_devs == [],

@@ -67,7 +67,7 @@ class TestSolve:
 
 class TestSimulate:
     def test_reports_pass_against_closed_forms(self, config_path, capsys):
-        assert main(["simulate", "--config", config_path, "--threads", "1"]) == 0
+        assert main(["simulate", "--config", config_path]) == 0
         out = capsys.readouterr().out
         assert "output/agent" in out
         assert "[pass] output" in out
@@ -79,13 +79,6 @@ class TestSimulate:
         main(["simulate", "--config", config_path])
         second = capsys.readouterr().out
         assert first == second
-
-    def test_thread_count_does_not_change_the_answer(self, config_path, capsys):
-        main(["simulate", "--config", config_path, "--threads", "1"])
-        single = capsys.readouterr().out
-        main(["simulate", "--config", config_path, "--threads", "4"])
-        threaded = capsys.readouterr().out
-        assert single == threaded
 
     def test_seed_override_changes_the_draws(self, config_path, capsys):
         main(["simulate", "--config", config_path, "--seed", "1"])
@@ -112,7 +105,7 @@ class TestSimulate:
                 f"seed = 9\nprofile = shirk\ngamma = 0.3\npunishment_mode = seniority\nsignal_correlation = {signal}",
             )
         )
-        assert main(["simulate", "--config", str(path), "--threads", "1"]) == 0
+        assert main(["simulate", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "agents 300  trials 200  seed 9  gamma 0\n" in out
         # 150 blind adopters fail together when the technology is bad and one is fired
@@ -141,6 +134,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == f"config error: [simulation] gamma must lie in [0, 1], got {value}\n"
 
+
+    def test_targets_are_taken_at_the_realized_reach(self, tmp_path, capsys):
+        # round(0.25 * 10) = 3 workers have access, so the reach is 0.3, not 0.25
+        path = tmp_path / "m3.ini"
+        path.write_text(BASE_CONFIG.replace("n_agents = 300", "n_agents = 10").replace("h = 0.5", "h = 0.25"))
+        assert main(["simulate", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "[pass] output: simulated 1.12225 +- 0.00412885270058 vs target 1.1185\n" in out
+        assert "[pass] welfare: simulated 1.11925 +- 0.00412885270058 vs target 1.1155\n" in out
+        assert "FAIL" not in out
 
     def test_no_access_agents_prints_no_payoff_line(self, tmp_path, capsys):
         path = tmp_path / "h0.ini"
@@ -224,6 +227,16 @@ class TestExperiment:
         assert "scenario seniority" in out
         assert "unraveled to effort" in out
 
+    def test_targets_are_taken_at_the_realized_reach(self, tmp_path, capsys):
+        # 3 of 10 workers have access: blind adoption at reach 0.3 yields 1.105
+        path = tmp_path / "m3.ini"
+        path.write_text(BASE_CONFIG.replace("n_agents = 300", "n_agents = 10").replace("h = 0.5", "h = 0.25"))
+        assert main(["experiment", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "scenario baseline: profile shirk_use at gamma 0 (equilibrium)\n" in out
+        assert "  output/agent  1.10725 +- 0.00935345514319  target 1.105\n" in out
+        assert out.count("target 1.1185\n") == 2 and out.count("target 1.1155\n") == 2
+
     def test_golden_stdout_past_the_threshold(self, capsys):
         # 400 agents, 300 trials at h = 0.5 > h_tilde: 200 unraveling rounds
         assert main(["experiment", "--config", str(DATA / "experiment_golden.ini")]) == 0
@@ -301,6 +314,22 @@ class TestConfigErrors:
         negative, positive = out.read_text().splitlines()[1:]
         assert negative.startswith("-1,,,false,,") and "nonnegative" in negative
         assert positive.startswith("1,0.211111111111,")
+
+    @pytest.mark.parametrize("grid, flagged", [("1, 1e10", "10000000000"), ("1, 1.7e8", "170000000")])
+    def test_overflowing_curve_scale_point_is_flagged_in_its_row(self, tmp_path, capsys, grid, flagged):
+        # 1e10 * 1e300 overflows the costs; 1.7e8 * 1e300 overflows a neighbour sum
+        path = tmp_path / "s.ini"
+        path.write_text(
+            BASE_CONFIG.replace("scale = 1000", "scale = 1e300")
+            .replace("parameter = h", "parameter = curve_scale")
+            .replace("grid = 0.0:1.0:0.05", f"grid = {grid}")
+        )
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        first, second = out.read_text().splitlines()[1:]
+        assert first.startswith("1,0.211111111111,") and first.endswith(",true,0,")
+        assert second == f"{flagged},,,false,,scale factor too large: the scaled costs overflow"
 
     def test_simulation_requires_h(self, tmp_path, capsys):
         path = tmp_path / "h.ini"

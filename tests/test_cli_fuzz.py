@@ -102,10 +102,11 @@ GRIDS = _mostly(
             lambda t: f"{t[0]}:{float(t[0]) + float(t[2]) * (t[1] - 1)}:{t[2]}"
         ),
     ),
-    # malformed grids, and ranges far above the point cap
+    # malformed grids, ranges far above the point cap, and curve scales
+    # that overflow a 1e300 curve
     st.sampled_from(
         ("", "nan", "0, inf", "0:1:1e-9", "0:1e300:1", "0:1:0", "1:0:0.1", "0:1", "0:1:-0.1", "a:b:c",
-         "0:inf:1")
+         "0:inf:1", "1, 1e10", "1, 1.7e8")
     ),
 )
 

@@ -75,6 +75,18 @@ class TestReplacementCostCurve:
         doubled = linear_curve.scaled(2.0)
         assert doubled.cost(0.1) == pytest.approx(10.0, abs=1e-12)
 
+    def test_scale_that_overflows_a_constructor_sum_is_rejected(self):
+        # the largest sums built from the costs: two neighbouring nodes, or
+        # the total of a finite sample
+        nodes = ReplacementCostCurve.linear(1e300, resolution=10)
+        sample = ReplacementCostCurve.from_samples([1e300] * 4)
+        with np.errstate(all="raise"):
+            assert nodes.scaled(8e7).cost(1.0) == pytest.approx(4e307)
+            assert sample.scaled(4e7).cost(1.0) == pytest.approx(4e307)
+            for curve, factor in ((nodes, 1.7e8), (sample, 5e7)):
+                with pytest.raises(InvalidCurveError, match="overflow"):
+                    curve.scaled(factor)
+
     def test_file_loading_round_trip(self, tmp_path):
         path = tmp_path / "costs.txt"
         path.write_text("0.0 3.0\n0.5 1.0\n1.0 2.0\n")

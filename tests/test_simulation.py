@@ -276,26 +276,26 @@ class TestMonteCarlo:
 
 
 class TestNashCheck:
-    def test_blind_adoption_without_punishment_is_nash(self, p0, linear_curve):
+    def test_blind_adoption_without_punishment_is_nash(self, p0):
         cfg = make_cfg(p0, n_agents=200)
         profile = StrategyProfile.symmetric(SU, cfg.n_agents)
-        assert nash_check(cfg, profile, 0.0, linear_curve) == []
+        assert nash_check(cfg, profile, 0.0) == []
 
-    def test_research_above_the_threshold_rate_is_nash(self, p0, linear_curve):
+    def test_research_above_the_threshold_rate_is_nash(self, p0):
         cfg = make_cfg(p0, n_agents=200)
         profile = StrategyProfile.symmetric(EFS, cfg.n_agents)
-        assert nash_check(cfg, profile, gamma_bar(p0) * 1.01, linear_curve) == []
+        assert nash_check(cfg, profile, gamma_bar(p0) * 1.01) == []
 
-    def test_research_without_punishment_unravels_for_every_access_agent(self, p0, linear_curve):
+    def test_research_without_punishment_unravels_for_every_access_agent(self, p0):
         cfg = make_cfg(p0, n_agents=200)
         profile = StrategyProfile.symmetric(EFS, cfg.n_agents)
-        deviations = nash_check(cfg, profile, 0.0, linear_curve)
+        deviations = nash_check(cfg, profile, 0.0)
         assert len(deviations) == cfg.access_count
         assert all(d.better == SU for d in deviations)
         expected_gain = agent_payoff(SU, 0.0, p0) - agent_payoff(EFS, 0.0, p0)
         assert all(d.gain == pytest.approx(expected_gain, rel=1e-12) for d in deviations)
 
-    def test_consistency_with_single_agent_best_response(self, linear_curve):
+    def test_consistency_with_single_agent_best_response(self):
         rng = np.random.default_rng(314)
         for _ in range(40):
             p = draw_params(rng)
@@ -304,31 +304,31 @@ class TestNashCheck:
             for gamma in (0.0, gb * 0.5, min(1.0, gb * 1.05), min(1.0, gb * 2.0)):
                 for strategy in AgentStrategy:
                     profile = StrategyProfile.symmetric(strategy, cfg.n_agents)
-                    deviations = nash_check(cfg, profile, gamma, linear_curve)
+                    deviations = nash_check(cfg, profile, gamma)
                     if strategy in best_response(gamma, p):
                         assert deviations == []
                     else:
                         assert len(deviations) == cfg.n_agents
 
-    def test_seniority_mode_research_profile_is_nash(self, p0, linear_curve):
+    def test_seniority_mode_research_profile_is_nash(self, p0):
         cfg = make_cfg(p0, n_agents=50, h=1.0, punishment_mode="seniority")
         profile = StrategyProfile.symmetric(EFS, cfg.n_agents)
-        assert nash_check(cfg, profile, 0.0, linear_curve) == []
+        assert nash_check(cfg, profile, 0.0) == []
 
-    def test_seniority_shields_everyone_but_the_most_senior_shirker(self, p0, linear_curve):
+    def test_seniority_shields_everyone_but_the_most_senior_shirker(self, p0):
         cfg = make_cfg(p0, n_agents=30, h=1.0, punishment_mode="seniority")
         profile = StrategyProfile.symmetric(SU, cfg.n_agents)
-        deviations = nash_check(cfg, profile, 0.0, linear_curve)
+        deviations = nash_check(cfg, profile, 0.0)
         assert [d.agent for d in deviations] == [0]
         assert deviations[0].better == EFS
 
-    def test_independent_signals_seniority_matches_common_on_the_top_agent(self, p0, linear_curve):
+    def test_independent_signals_seniority_matches_common_on_the_top_agent(self, p0):
         for mode in ("common", "independent"):
             cfg = make_cfg(
                 p0, n_agents=30, h=1.0, punishment_mode="seniority", signal_correlation=mode
             )
             profile = StrategyProfile.symmetric(SU, cfg.n_agents)
-            deviations = nash_check(cfg, profile, 0.0, linear_curve)
+            deviations = nash_check(cfg, profile, 0.0)
             assert [d.agent for d in deviations] == [0]
 
     def test_expected_strategy_payoffs_match_the_closed_forms(self, p0):
@@ -391,8 +391,7 @@ class TestIteratedBestResponse:
 class TestPolicyExperiment:
     def test_above_threshold_treatments_restore_effort(self, p0, linear_curve):
         cfg = make_cfg(p0, n_agents=400, n_trials=600, seed=21, h=0.5)
-        variable = policy_experiment(cfg, "variable_compensation", linear_curve)
-        baseline, treatment = variable.scenarios
+        baseline, treatment, unraveled = policy_experiment(cfg, linear_curve).scenarios
         assert baseline.profile_label == SU.label
         assert baseline.gamma == 0.0
         assert baseline.equilibrium_confirmed
@@ -401,8 +400,6 @@ class TestPolicyExperiment:
         assert treatment.equilibrium_confirmed
         assert treatment.target_output == pytest.approx(1.1975)
 
-        seniority = policy_experiment(cfg, "seniority", linear_curve)
-        unraveled = seniority.scenarios[1]
         assert unraveled.profile_label == EFS.label
         assert unraveled.equilibrium_confirmed
         assert unraveled.unraveling_rounds == cfg.access_count
@@ -410,28 +407,13 @@ class TestPolicyExperiment:
 
     def test_below_threshold_all_scenarios_share_the_effort_path(self, p0, linear_curve):
         cfg = make_cfg(p0, n_agents=400, n_trials=300, seed=33, h=0.1)
-        variable = policy_experiment(cfg, "variable_compensation", linear_curve)
-        seniority = policy_experiment(cfg, "seniority", linear_curve)
-        outputs = {
-            variable.scenarios[0].result.output.mean,
-            variable.scenarios[1].result.output.mean,
-            seniority.scenarios[1].result.output.mean,
-        }
+        report = policy_experiment(cfg, linear_curve)
+        outputs = {scenario.result.output.mean for scenario in report.scenarios}
         assert len(outputs) == 1
-        assert variable.scenarios[0].gamma == pytest.approx(gamma_bar(p0))
-        assert variable.scenarios[0].profile_label == EFS.label
+        assert report.scenarios[0].gamma == pytest.approx(gamma_bar(p0))
+        assert report.scenarios[0].profile_label == EFS.label
 
     def test_one_call_runs_the_baseline_once_then_each_treatment(self, p0, linear_curve):
         cfg = make_cfg(p0, n_agents=200, n_trials=100, seed=8, h=0.5)
-        both = policy_experiment(cfg, ("variable_compensation", "seniority"), linear_curve)
-        assert [s.name for s in both.scenarios] == ["baseline", "variable_compensation", "seniority"]
-        variable = policy_experiment(cfg, "variable_compensation", linear_curve)
-        seniority = policy_experiment(cfg, "seniority", linear_curve)
-        assert both.scenarios == variable.scenarios + seniority.scenarios[1:]
-        with pytest.raises(ValueError):
-            policy_experiment(cfg, ("seniority", "bribery"), linear_curve)
-
-    def test_unknown_scenario_rejected(self, p0, linear_curve):
-        cfg = make_cfg(p0, n_agents=10, n_trials=2)
-        with pytest.raises(ValueError):
-            policy_experiment(cfg, "bribery", linear_curve)
+        report = policy_experiment(cfg, linear_curve)
+        assert [s.name for s in report.scenarios] == ["baseline", "variable_compensation", "seniority"]
