@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -64,26 +64,50 @@ class ReplacementCostCurve:
         finite sample each cost carries measure 1/len(values) and r(x) is
         the exact prefix sum.
     kind -- "nodes" (closed-form schedule) or "steps" (finite sample).
+    upto -- largest measure ``cost`` answers for; the integral is built
+        only that far.
+
+    The structural check runs once, here; a broken schedule still
+    constructs, and ``validate`` raises what the check found.
     """
 
     values: np.ndarray
     kind: str
-    # r(j / n) at every segment boundary j = 0..n, read by ``cost``
+    upto: float = 1.0
+    # set only by ``scaled``: the costs are a valid, exactly ascending
+    # curve's times a nonnegative factor, so the check's outcome is known
+    _scaled_from_ascending: InitVar[bool] = False
+    # r(j / n) at segment boundaries j = 0..m, read by ``cost``; m stops
+    # one segment past ``upto``
     _cumulative: np.ndarray = field(init=False, repr=False)
+    # what ``validate`` raises (None for a valid curve), and whether the
+    # costs are exactly ascending
+    _verdict: InvalidCurveError | None = field(init=False, repr=False)
+    _ascending: bool = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _scaled_from_ascending: bool) -> None:
         if self.kind not in ("nodes", "steps"):
             raise InvalidCurveError(f"unknown curve kind {self.kind!r}")
         if len(self.values) < (2 if self.kind == "nodes" else 1):
             raise InvalidCurveError("schedule needs at least one cost sample")
+        if not self.upto >= 0.0:
+            raise InvalidCurveError(f"upto must be nonnegative, got {self.upto}")
+        n = self._segments
+        # np.cumsum adds in sequence, so this prefix equals the full sum's
+        m = n if self.upto >= 1.0 else min(int(self.upto * n) + 1, n)
         if self.kind == "steps":
-            n = len(self.values)
-            cumulative = np.concatenate(([0.0], np.cumsum(self.values) / n))
+            cumulative = np.concatenate(([0.0], np.cumsum(self.values[:m]) / n))
         else:
-            n = len(self.values) - 1
-            segment = (self.values[:-1] + self.values[1:]) / (2.0 * n)
+            segment = (self.values[:m] + self.values[1 : m + 1]) / (2.0 * n)
             cumulative = np.concatenate(([0.0], np.cumsum(segment)))
         object.__setattr__(self, "_cumulative", cumulative)
+        verdict, ascending = (None, True) if _scaled_from_ascending else _check_costs(self.values)
+        object.__setattr__(self, "_verdict", verdict)
+        object.__setattr__(self, "_ascending", ascending)
+
+    @property
+    def _segments(self) -> int:
+        return len(self.values) if self.kind == "steps" else len(self.values) - 1
 
     # -- constructors ---------------------------------------------------
 
@@ -160,8 +184,10 @@ class ReplacementCostCurve:
         """Least total cost r(x) of replacing a measure x of workers."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"replacement measure must lie in [0, 1], got {x}")
+        if x > self.upto:
+            raise ValueError(f"this curve is built for measures up to {self.upto}, got {x}")
         cumulative = self._cumulative
-        n = len(self.values) if self.kind == "steps" else len(self.values) - 1
+        n = self._segments
         position = x * n
         j = min(int(position), n - 1)
         t = x - j / n
@@ -178,8 +204,13 @@ class ReplacementCostCurve:
         """One-sided derivative r'(0): the cheapest available replacement."""
         return float(self.values[0])
 
-    def scaled(self, factor: float) -> "ReplacementCostCurve":
-        """Uniformly scale every per-replacement cost."""
+    def scaled(self, factor: float, upto: float = 1.0) -> "ReplacementCostCurve":
+        """Uniformly scale every per-replacement cost; the copy's ``cost`` answers up to ``upto``.
+
+        Scaling a valid, exactly ascending curve by a nonnegative factor
+        keeps it so, since rounding is monotone and the overflow check
+        below keeps it finite; such a copy skips the structural check.
+        """
         if not math.isfinite(factor):
             raise InvalidCurveError("scale factor must be finite")
         if factor < 0.0:
@@ -190,21 +221,30 @@ class ReplacementCostCurve:
         terms = 2 if self.kind == "nodes" else len(self.values)
         if not math.isfinite(terms * factor * float(self.values[-1])):
             raise InvalidCurveError("scale factor too large: the scaled costs overflow")
-        return ReplacementCostCurve(self.values * factor, self.kind)
+        known = self._verdict is None and self._ascending
+        return ReplacementCostCurve(self.values * factor, self.kind, upto, _scaled_from_ascending=known)
 
     def validate(self) -> None:
-        """Check the structural invariants; raise ``InvalidCurveError`` if broken.
+        """Raise the ``InvalidCurveError`` the construction-time check found, if any.
 
         The induced r is convex exactly when the stored costs are sorted
         ascending, so a violation means the construction was tampered with.
         """
-        values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise InvalidCurveError("cost schedule contains non-finite values")
-        if np.any(values < 0.0):
-            raise InvalidCurveError("cost schedule contains negative costs")
-        if np.any(np.diff(values) < -SORT_TOL):
-            raise InvalidCurveError("cost schedule is not sorted ascending; induced r(x) would not be convex")
+        if self._verdict is not None:
+            raise self._verdict
+
+
+def _check_costs(values: np.ndarray) -> tuple[InvalidCurveError | None, bool]:
+    """Structural check of stored costs: the error it finds, and whether they are exactly ascending."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        return InvalidCurveError("cost schedule contains non-finite values"), False
+    if np.any(values < 0.0):
+        return InvalidCurveError("cost schedule contains negative costs"), False
+    lowest = float(np.diff(values).min(initial=0.0))
+    if lowest < -SORT_TOL:
+        return InvalidCurveError("cost schedule is not sorted ascending; induced r(x) would not be convex"), False
+    return None, lowest >= 0.0
 
 
 def _check_nonnegative(raw: np.ndarray, grid: np.ndarray | None) -> None:
@@ -245,7 +285,12 @@ def punish_feasible(
         # failures never happen by mistake, so the threat costs nothing
         return True
     rate = gamma_bar(p) if gamma is None else gamma
-    return credibility_slope(p) * h >= curve.cost(rate * h)
+    return _credible(h, credibility_slope(p), rate, curve)
+
+
+def _credible(h: float, slope: float, rate: float, curve: ReplacementCostCurve) -> bool:
+    """The credibility condition: the deterred shirking pays the replacement bill."""
+    return slope * h >= curve.cost(rate * h)
 
 
 @dataclass(frozen=True)
@@ -265,6 +310,10 @@ class EquilibriumSolution:
     boundary_punish: bool
     degenerate_credibility: bool
     tol: float
+    #: bisections the solve took, and its final (feasible, infeasible)
+    #: bracket; (1, 1) when no bisection was needed
+    bisections: int = 0
+    bracket: tuple[float, float] = (1.0, 1.0)
 
 
 def solve_threshold(
@@ -306,33 +355,34 @@ def solve_threshold(
     threshold_ratio = math.inf if gb == 0.0 else slope / gb
     nonempty = threshold_ratio > marginal
 
-    if punish_feasible(1.0, p, curve, gamma=gb):
-        h_tilde = 1.0
+    bisections = 0
+    if _credible(1.0, slope, gb, curve):
+        feasible = infeasible = 1.0
     else:
         feasible, infeasible = 0.0, 1.0
-        for _ in range(MAX_BISECTIONS):
-            if infeasible - feasible <= tol:
-                break
+        while infeasible - feasible > tol and bisections < MAX_BISECTIONS:
             mid = 0.5 * (feasible + infeasible)
-            if punish_feasible(mid, p, curve, gamma=gb):
+            if _credible(mid, slope, gb, curve):
                 feasible = mid
             else:
                 infeasible = mid
+            bisections += 1
         if infeasible - feasible > tol:
             raise ConvergenceError(
                 f"bisection bracket [{_fmt(feasible)}, {_fmt(infeasible)}] is still wider"
                 f" than tol {tol:g} after {MAX_BISECTIONS} bisections"
             )
-        h_tilde = feasible
 
     return EquilibriumSolution(
         gamma_bar=gb,
-        h_tilde=h_tilde,
+        h_tilde=feasible,
         feasible_set_nonempty=nonempty,
         marginal_cost_at_zero=marginal,
-        boundary_punish=punish_feasible(h_tilde, p, curve, gamma=gb),
+        boundary_punish=_credible(feasible, slope, gb, curve),
         degenerate_credibility=False,
         tol=tol,
+        bisections=bisections,
+        bracket=(feasible, infeasible),
     )
 
 

@@ -38,9 +38,12 @@ Compensation = Literal["prospective", "realized"]
 PAYOFF_TIE_TOL = 1e-12
 
 
+#: The package's one number format: 12 significant digits.
+NUMBER_FORMAT = ".12g"
+
+
 def _fmt(x: float) -> str:
-    """The package's one number format: 12 significant digits."""
-    return f"{x:.12g}"
+    return format(x, NUMBER_FORMAT)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ admissibility boundary stay informative.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace as dc_replace
+from itertools import chain
 
 from .errors import InvalidCurveError, InvalidParamsError
 from .equilibrium import (
@@ -25,7 +27,7 @@ from .equilibrium import (
     policy,
     solve_threshold,
 )
-from .model import ModelParams, _fmt, validate_params
+from .model import NUMBER_FORMAT, ModelParams, _fmt, gamma_bar, is_admissible, validate_params
 
 SWEEPABLE_PARAMETERS = ("h", "pi", "eps", "g", "c", "w", "v_c", "curve_scale")
 
@@ -83,9 +85,9 @@ def sweep_h(spec: SweepSpec) -> Table:
     return Table(("h", "regime", "gamma_star", "output", "welfare", "boundary"), tuple(rows))
 
 
-def _apply_value(spec: SweepSpec, value: float) -> tuple[ModelParams, ReplacementCostCurve]:
+def _apply_value(spec: SweepSpec, value: float, upto: float) -> tuple[ModelParams, ReplacementCostCurve]:
     if spec.parameter == "curve_scale":
-        return spec.params, spec.curve.scaled(value)
+        return spec.params, spec.curve.scaled(value, upto)
     return dc_replace(spec.params, **{spec.parameter: value}), spec.curve
 
 
@@ -99,10 +101,13 @@ def sweep_param(spec: SweepSpec) -> Table:
     """
     if spec.parameter == "h":
         raise ValueError("use sweep_h for grids over the technology reach")
+    # a solve reads r(gamma_bar * h) with h <= 1 only, so a scaled curve is
+    # built that far; an inadmissible point is never solved
+    upto = gamma_bar(spec.params) if is_admissible(spec.params) else 0.0
     rows = []
     for value in spec.grid:
         try:
-            params, curve = _apply_value(spec, value)
+            params, curve = _apply_value(spec, value, upto)
         except (InvalidParamsError, InvalidCurveError) as exc:
             rows.append((value, None, None, False, None, str(exc)))
             continue
@@ -120,28 +125,57 @@ def sweep_param(spec: SweepSpec) -> Table:
     )
 
 
-def _format_cell(value) -> str:
+#: Rows formatted and written at a time, which bounds the text held in memory.
+CSV_CHUNK_ROWS = 4096
+# characters csv.writer may quote a field for, with its default dialect
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def _cell_text(value) -> str:
+    """A cell as ``emit_csv`` writes it, quoted by csv.writer where needed."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return _fmt(value)
-    return str(value)
+    text = str(value)
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text])
+    return buffer.getvalue()[:-1]
 
 
 def emit_csv(table: Table, path: str) -> None:
     """Write the table to ``path`` with a header row, 12 significant digits per number.
 
-    An empty table is an error, raised before the file is opened.
+    Rows are written ``CSV_CHUNK_ROWS`` at a time.  Within a chunk, a
+    column of plain floats goes to the number format directly and every
+    other column through ``_cell_text``, so one %-template formats the
+    whole chunk.  An empty table is an error, raised before the file is
+    opened.
     """
     if not table.rows:
         raise ValueError("refusing to write an empty table")
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([_format_cell(cell) for cell in row])
+        csv.writer(handle, lineterminator="\n").writerow(table.columns)
+        for start in range(0, len(table.rows), CSV_CHUNK_ROWS):
+            chunk = table.rows[start : start + CSV_CHUNK_ROWS]
+            columns, specs = [], []
+            for column in zip(*chunk):
+                if set(map(type, column)) == {float}:
+                    columns.append(column)
+                    specs.append("%" + NUMBER_FORMAT)
+                else:
+                    columns.append(tuple(map(_cell_text, column)))
+                    specs.append("%s")
+            if specs == ["%s"]:
+                # csv.writer quotes a row's lone empty field, so that it
+                # does not read back as a blank line
+                columns[0] = tuple(text or '""' for text in columns[0])
+            template = ",".join(specs) + "\n"
+            handle.write((template * len(chunk)) % tuple(chain.from_iterable(zip(*columns))))
 
 
 def csv_to_table(path: str) -> Table:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_curve, draw_params
 from shirklab import (
@@ -121,6 +123,82 @@ class TestReplacementCostCurve:
             assert second_differences.min() >= -1e-9
 
 
+def _fresh_check(curve):
+    """What ``validate`` raises for a curve built anew from the same costs, and its ascending flag."""
+    fresh = ReplacementCostCurve(curve.values.copy(), curve.kind)
+    try:
+        fresh.validate()
+    except InvalidCurveError as exc:
+        return str(exc), fresh._ascending
+    return None, fresh._ascending
+
+
+def _stored_check(curve):
+    try:
+        curve.validate()
+    except InvalidCurveError as exc:
+        return str(exc), curve._ascending
+    return None, curve._ascending
+
+
+PREFIX_PARENTS = {
+    "nodes": ReplacementCostCurve.power(3.0, 2.5, resolution=1000),
+    "steps": ReplacementCostCurve.from_samples(np.random.default_rng(31).exponential(2.0, size=613)),
+}
+FACTORS = st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0, 1e-6))
+
+
+class TestPrefixScaledCurve:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(PREFIX_PARENTS)),
+        factor=FACTORS,
+        upto=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0, 0.211111111111])),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_prefix_cost_equals_the_full_build_exactly(self, kind, factor, upto, fractions):
+        parent = PREFIX_PARENTS[kind]
+        prefix, full = parent.scaled(factor, upto), parent.scaled(factor)
+        for x in [upto, 0.0] + [upto * u for u in fractions]:
+            assert prefix.cost(x) == full.cost(x)
+
+    @pytest.mark.parametrize("kind", sorted(PREFIX_PARENTS))
+    def test_cost_above_the_bound_raises(self, kind):
+        prefix = PREFIX_PARENTS[kind].scaled(2.0, 0.3)
+        with pytest.raises(ValueError, match="up to 0.3"):
+            prefix.cost(np.nextafter(0.3, 1.0))
+        with pytest.raises(ValueError):
+            prefix.cost(1.0)
+
+    def test_negative_or_nan_bound_is_rejected(self):
+        for upto in (-0.1, float("nan")):
+            with pytest.raises(InvalidCurveError, match="upto"):
+                PREFIX_PARENTS["nodes"].scaled(1.0, upto)
+
+    @pytest.mark.parametrize("factor", [0.0, 1e-300, 0.37, 3.0, 1e6])
+    @pytest.mark.parametrize("kind", sorted(PREFIX_PARENTS))
+    def test_stored_check_of_a_scaled_valid_curve_equals_a_fresh_one(self, kind, factor):
+        child = PREFIX_PARENTS[kind].scaled(factor, 0.4)
+        assert _stored_check(child) == _fresh_check(child) == (None, True)
+
+    @pytest.mark.parametrize("factor", [0.0, 0.37, 3.0])
+    def test_stored_check_of_a_scaled_tampered_curve_equals_a_fresh_one(self, linear_curve, factor):
+        broken = ReplacementCostCurve(values=linear_curve.values[::-1].copy(), kind="nodes")
+        child = broken.scaled(factor, 0.4)
+        assert _stored_check(child) == _fresh_check(child)
+        if factor > 0.0:
+            with pytest.raises(InvalidCurveError, match="not sorted"):
+                child.validate()
+
+    def test_descent_within_the_sort_tolerance_is_checked_again(self):
+        values = np.array([0.0, 1.0, 1.0 - 1e-12, 2.0])
+        wobbly = ReplacementCostCurve(values, "steps")
+        assert _stored_check(wobbly) == (None, False)
+        for factor in (0.5, 3e3):
+            child = wobbly.scaled(factor, 0.5)
+            assert _stored_check(child) == _fresh_check(child)
+
+
 class TestPunishFeasible:
     def test_reference_points(self, p0, linear_curve):
         # slope of the feasibility condition at P0 is 4.5 per unit reach
@@ -204,6 +282,21 @@ class TestSolveThreshold:
         # a boundary near zero has denser floats, so the same tol converges
         pricey = ReplacementCostCurve.constant(100.0)
         assert solve_threshold(p0, pricey, tol=1e-20).h_tilde <= 1e-20
+
+    def test_bisection_diagnostics_on_the_golden_solves(self, p0, linear_curve):
+        # solve_scale1000: 34 halvings take the unit bracket below 1e-10
+        sol = solve_threshold(p0, linear_curve)
+        assert sol.h_tilde == pytest.approx(0.201939058141, abs=1e-12)
+        assert sol.bisections == 34
+        feasible, infeasible = sol.bracket
+        assert feasible == sol.h_tilde
+        assert 0.0 < infeasible - feasible <= sol.tol
+        assert not punish_feasible(infeasible, p0, linear_curve)
+        # solve_scale100 and solve_eps0: credible everywhere, no bisection
+        eps0 = ModelParams(pi=0.85, eps=0.0, g=0.8, c=0.05, w=0.1, v_c=2.0)
+        for p, curve in ((p0, ReplacementCostCurve.linear(100.0)), (eps0, linear_curve)):
+            sol = solve_threshold(p, curve)
+            assert (sol.h_tilde, sol.bisections, sol.bracket) == (1.0, 0, (1.0, 1.0))
 
     def test_interval_structure_for_random_pairs(self):
         rng = np.random.default_rng(6060)

@@ -1,12 +1,18 @@
 """Comparative-statics tables and their CSV contract."""
 
+import csv
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_params
 from shirklab import (
+    InvalidCurveError,
     ReplacementCostCurve,
     SweepSpec,
     csv_to_table,
@@ -19,6 +25,7 @@ from shirklab import (
     sweep_param,
 )
 from shirklab import sweeps
+from shirklab.model import _fmt
 from shirklab.sweeps import Table
 
 
@@ -205,6 +212,86 @@ class TestEmitCsv:
                 for cell, parsed_cell in zip(row, parsed_row):
                     if isinstance(cell, float):
                         assert parsed_cell == pytest.approx(cell, rel=1e-11, abs=1e-15)
+
+
+def _reference_csv(table: Table) -> bytes:
+    """The writer ``emit_csv`` replaced: csv.writer with one call per cell."""
+
+    def cell_text(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return _fmt(value)
+        return str(value)
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow([cell_text(cell) for cell in row])
+    return buffer.getvalue().encode("utf-8")
+
+
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308)
+CELLS = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.booleans(),
+    st.none(),
+    st.text(alphabet=st.sampled_from([",", '"', "\n", "\r", "a", " ", "%", "\u00e9"]), max_size=6),
+    st.integers(),
+)
+
+
+@st.composite
+def tables(draw):
+    width = draw(st.integers(1, 4))
+    columns = tuple(draw(st.lists(st.text(alphabet="ab,\"", max_size=3), min_size=width, max_size=width)))
+    # a column keeps one kind of cell in some tables, so all-float columns
+    # and the per-cell path both meet the chunk boundaries
+    uniform = draw(st.booleans())
+    kinds = [draw(st.sampled_from(["float", "any"])) for _ in range(width)]
+    floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    row = st.tuples(*[floats if uniform and kind == "float" else CELLS for kind in kinds])
+    return Table(columns, tuple(draw(st.lists(row, min_size=1, max_size=25))))
+
+
+class TestEmitCsvMatchesCsvWriter:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=tables(), chunk=st.integers(1, 9))
+    def test_random_tables_are_byte_identical(self, table, chunk, tmp_path):
+        path = tmp_path / "t.csv"
+        with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
+            emit_csv(table, str(path))
+        assert path.read_bytes() == _reference_csv(table)
+
+    @pytest.mark.parametrize("cell", ["", None])
+    def test_lone_empty_cell_is_quoted(self, cell, tmp_path):
+        table = Table(("only",), (("x",), (cell,), (1.5,)))
+        path = tmp_path / "t.csv"
+        emit_csv(table, str(path))
+        assert path.read_bytes() == _reference_csv(table) == b'only\nx\n""\n1.5\n'
+
+
+class TestCurveScaleSweepOnPrefixCurves:
+    def test_sample_curve_rows_equal_full_scaled_solves(self, p0):
+        rng = np.random.default_rng(909)
+        curve = ReplacementCostCurve.from_samples(rng.uniform(0.0, 50.0, size=777))
+        grid = (0.0, 0.3, 1.0, 2.5, 7.0, 40.0, -1.0, 1e306)
+        table = sweep_param(SweepSpec(parameter="curve_scale", grid=grid, params=p0, curve=curve))
+        expected = []
+        for factor in grid:
+            try:
+                scaled = curve.scaled(factor)
+            except InvalidCurveError as exc:
+                expected.append((factor, None, None, False, None, str(exc)))
+                continue
+            sol = solve_threshold(p0, scaled)
+            expected.append((factor, sol.gamma_bar, sol.h_tilde, True, output_drop(sol.h_tilde, p0), ""))
+        assert table.rows == tuple(expected)
+        assert any(0.0 < h < 1.0 for h in table.column("h_tilde") if h is not None)
 
 
 def test_make_grid_is_inclusive():
