@@ -6,7 +6,7 @@ reproducible: a command is a pure function of the config file and the
 seed, and reruns produce byte-identical output.
 
 Subcommands: solve, simulate, sweep, experiment.
-Flags: --config PATH, --seed INT, --out PATH.
+Flags: --config PATH, --seed INT, --out PATH, and for simulate --trace PATH.
 Exit codes: 0 ok, 2 config error, 3 inadmissible parameters, 4 I/O error.
 """
 
@@ -121,6 +121,12 @@ def _get_float(parser: configparser.ConfigParser, section: str, key: str, defaul
 
 
 def _get_int(parser: configparser.ConfigParser, section: str, key: str, default=None) -> int:
+    if parser.has_option(section, key):
+        # an integer literal is read exactly; through a float, a seed above 2**53 would round
+        try:
+            return int(parser.get(section, key))
+        except ValueError:
+            pass
     value = _get_float(parser, section, key, default)
     if not math.isfinite(value) or value != int(value):
         raise ConfigError(f"[{section}] {key} must be an integer, got {value}")
@@ -258,7 +264,7 @@ def cmd_simulate(parser: configparser.ConfigParser, args) -> int:
     profile = StrategyProfile.symmetric(strategy, cfg.n_agents)
     # no payoff target when no agent has access, as no one plays the strategy
     targets = closed_form_targets(cfg, profile, gamma)
-    result = monte_carlo(cfg, profile, gamma, curve)
+    result = monte_carlo(cfg, profile, gamma, curve, trace_path=args.trace)
     print(result.summary())
     print("closed-form comparison (pass = within 3 standard errors):")
     simulated = {"output": result.output, "welfare": result.welfare}
@@ -348,6 +354,8 @@ def main(argv: list[str] | None = None) -> int:
         command.add_argument("--config", required=True, help="path to the INI run configuration")
         command.add_argument("--seed", type=int, default=None, help="override the configured seed")
         command.add_argument("--out", default=None, help="output path for file-writing commands")
+        if name == "simulate":
+            command.add_argument("--trace", default=None, help="write one JSON line per trial to this path")
 
     args = top.parse_args(argv)
     handlers = {

@@ -18,8 +18,16 @@ reads its signal or firing uniforms follow them.  Every draw that is
 taken sits where it always did, so matched scenarios still see identical
 production paths.  Trials use counter-derived substreams of the root
 seed, so results are reproducible bit-for-bit and independent of
-execution order.  A trial whose outcome depends only on the quality and
-one shared reading is accounted once per such state and reused.
+execution order.
+
+Monte Carlo does not build a generator for most trials: it replays the
+first one or two uniforms of every substream (the quality, and the shared
+reading under common signals) with numpy array arithmetic, bit for bit,
+and accounts each distinct (quality, reading) state once.  Only a trial
+that draws fire uniforms, and every trial of a profile that reads
+independent signals, builds its real generator.  Each run checks the
+replay against the real generator at its first and last trial and, on a
+mismatch, gives every trial its generator.
 
 Nash checks never sample: deviation payoffs are exact expectations over
 quality, signals, and the firing rule, including the seniority selector.
@@ -67,7 +75,8 @@ SENIORITY = "seniority"
 
 #: Size caps of a run, checked before any array is built.  A profile holds
 #: one byte per agent (eight more for a seniority order) and Monte Carlo
-#: keeps about 81 bytes per trial.
+#: keeps about 20 bytes per trial, about 120 for a trial that builds its
+#: own generator.
 MAX_AGENTS = 10**7
 MAX_TRIALS = 10**6
 
@@ -232,7 +241,11 @@ class _EpisodeKernel:
     ``draw`` takes one trial's uniforms from ``rng`` in the contract order
     (quality, signals, fire uniforms) and skips the trailing draws that
     cannot change the outcome; ``account`` plays the timeline on them.
-    ``rng`` needs only ``random()`` and ``random(size)``.
+    ``rng`` needs only ``random()`` and ``random(size)``.  A trial whose
+    outcome depends on nothing but its state, the code ``2 * good +
+    reading`` (reading 0 when no strategy reads the signal), is played by
+    ``account_state``; ``replay_states`` finds every trial's state from
+    its replayed uniforms.
     """
 
     def __init__(
@@ -260,14 +273,15 @@ class _EpisodeKernel:
             self.seniority = seniority or SeniorityOrder.identity(cfg.n_agents)
         self._costs: dict[int, float] = {}
 
-    def draw(self, rng) -> tuple[tuple | None, bool, np.ndarray, np.ndarray | None]:
-        """One trial's draws as ``(key, good, use, fire_draws)``.
+    def draw(self, rng) -> tuple[int | None, bool, np.ndarray, np.ndarray | None]:
+        """One trial's draws as ``(state, good, use, fire_draws)``.
 
-        ``key`` is ``(good, reading)`` when the outcome depends on nothing
-        else (no fire uniform drawn, and the readings are one shared value
-        or read by nobody), so equal keys give equal outcomes; otherwise
-        it is None.  The signal uniforms are drawn when a strategy reads
-        them or when fire uniforms follow them in the stream.
+        ``state`` is the trial's state code when the outcome depends on
+        nothing else (no fire uniform drawn, and the readings are one
+        shared value or read by nobody), so equal states give equal
+        outcomes; otherwise it is None.  The signal uniforms are drawn
+        when a strategy reads them or when fire uniforms follow them in
+        the stream.
         """
         p = self.cfg.params
         m = len(self.codes)
@@ -288,12 +302,45 @@ class _EpisodeKernel:
             use = _ADOPTS[readings, self.codes]
             fails = not good and bool(use.any())
         if not (fails and self.random_firing):
-            key = (good, reading) if common or not self.reads_signal else None
-            return key, good, use, None
+            state = 2 * good + (reading or 0) if common or not self.reads_signal else None
+            return state, good, use, None
         if not self.reads_signal:
             # discard the signal uniforms that precede the fire uniforms
             rng.random() if common else rng.random(m)
         return None, good, use, rng.random(m)
+
+    def replay_states(self, seed: int, trials: int) -> np.ndarray:
+        """Each trial's state code, found from its replayed uniforms.
+
+        A trial that needs its generator gets -1: one that draws fire
+        uniforms, and every trial of a profile that reads independent
+        signals, which is never replayed.  The replay is checked against
+        ``_trial_rng`` at the first and the last trial; on a mismatch
+        every trial gets -1.
+        """
+        states = np.full(trials, -1, dtype=np.int8)
+        if self.reads_signal and self.cfg.signal_correlation == INDEPENDENT:
+            return states
+        n_draws = 2 if self.reads_signal else 1
+        ends = np.array([0, trials - 1])
+        numpy_draws = np.array([_trial_rng(seed, int(t)).random(n_draws) for t in ends]).T
+        if not np.array_equal(_replay_uniforms(seed, ends, n_draws), numpy_draws):
+            return states
+        p = self.cfg.params
+        for first in range(0, trials, REPLAY_BLOCK):
+            uniforms = _replay_uniforms(seed, np.arange(first, min(first + REPLAY_BLOCK, trials)), n_draws)
+            good = uniforms[0] < p.pi
+            block = 2 * good.astype(np.int8)
+            if self.reads_signal:
+                block += good != (uniforms[1] < p.eps)
+            if self.random_firing:
+                block[~good & self.anyone_adopts[block & 1]] = -1
+            states[first : first + len(block)] = block
+        return states
+
+    def account_state(self, state: int) -> EpisodeOutcome:
+        """Play a trial whose outcome its state code fixes."""
+        return self.account(state >= 2, self.use_by_reading[state & 1], None)
 
     def account(self, good: bool, use: np.ndarray, fire_draws: np.ndarray | None) -> EpisodeOutcome:
         """Play the timeline on one trial's draws and account for every agent."""
@@ -414,8 +461,125 @@ class SimResult:
         return "\n".join(lines)
 
 
+# -- trial substreams ------------------------------------------------------
+
+#: Trials whose uniforms are replayed at once.  The replay's temporaries
+#: then take a few hundred kilobytes, whatever ``n_trials`` is.
+REPLAY_BLOCK = 2048
+
+_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier as 32-bit limbs, least significant first
+_PCG_MULT = tuple((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & _MASK32 for k in range(4))
+
+
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """Trial ``trial``'s generator: the substream of ``seed`` spawned at that index."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+
+
+# The helpers below take Python ints or uint32/uint64 arrays.  Python ints
+# never wrap and uint arrays wrap silently, so no numpy scalar (whose
+# overflow warns, and raises under the CLI's errstate) is ever formed.
+
+
+def _hashmix(value, hash_const: int, mult: int):
+    """SeedSequence's hash of one 32-bit word, with the next hash constant."""
+    value = value ^ hash_const
+    hash_const = (hash_const * mult) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words."""
+    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """The pool of ``SeedSequence(seed, spawn_key=(t,))`` before ``t`` is mixed in.
+
+    Returns the four pool words and the hash constant of the last pass,
+    which mixes the spawn word ``t`` into every pool word.
+    """
+    pool: list[int] = []
+    hash_const = _INIT_A
+    # the seed's 32-bit words, zero-padded to the pool size because a spawn key follows
+    for word in (seed & _MASK32, seed >> 32, 0, 0):
+        value, hash_const = _hashmix(word, hash_const, _MULT_A)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    return pool, hash_const
+
+
+def _lcg_step(state: list[np.ndarray], inc: list[np.ndarray]) -> list[np.ndarray]:
+    """``state * multiplier + inc`` mod 2**128 on 32-bit limbs held in uint64."""
+    out = []
+    carry = 0
+    for k in range(4):
+        acc = inc[k] + carry
+        high = 0
+        for i in range(k + 1):
+            product = state[i] * _PCG_MULT[k - i]
+            acc = acc + (product & _MASK32)
+            if k < 3:
+                high = high + (product >> 32)
+        out.append(acc & _MASK32)
+        # the high halves and the overflow carry into the next limb
+        carry = high + (acc >> 32)
+    return out
+
+
+def _replay_uniforms(seed: int, trials: np.ndarray, n_draws: int) -> np.ndarray:
+    """The first ``n_draws`` uniforms of ``_trial_rng(seed, t)`` for every ``t`` in ``trials``.
+
+    Row k holds draw k of each trial.  NumPy's documented algorithms are
+    replayed on arrays: SeedSequence, whose pool depends on the seed alone
+    until a last pass mixes in the trial index, then ``generate_state``'s
+    eight words, the PCG64 seeding steps and one XSL-RR output per draw,
+    the 128-bit LCG done on 32-bit limbs.  A trial index must fit one
+    32-bit word, as every index below ``MAX_TRIALS`` does.
+    """
+    pool_words, hash_const = _seed_pool(seed)
+    t = np.asarray(trials, dtype=np.uint32)
+    pool = []
+    for word in pool_words:
+        value, hash_const = _hashmix(t, hash_const, _MULT_A)
+        pool.append(_mix(word, value))
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value, hash_const = _hashmix(pool[i % 4], hash_const, _MULT_B)
+        words.append(value.astype(np.uint64))
+    # little-endian uint64 pairs: seed (high, low) then increment (high, low)
+    initial = [words[2], words[3], words[0], words[1]]
+    seq = [words[6], words[7], words[4], words[5]]
+    inc = [((seq[k] << 1) | ((seq[k - 1] >> 31) if k else 1)) & _MASK32 for k in range(4)]
+    # seeding: state = inc, then state += initial, then one step
+    state = []
+    carry = 0
+    for k in range(4):
+        acc = inc[k] + initial[k] + carry
+        state.append(acc & _MASK32)
+        carry = acc >> 32
+    state = _lcg_step(state, inc)
+    uniforms = np.empty((n_draws, len(t)))
+    for row in uniforms:
+        state = _lcg_step(state, inc)
+        # XSL-RR: xor the 64-bit halves, rotate right by the top six bits
+        x = ((state[3] << 32) | state[2]) ^ ((state[1] << 32) | state[0])
+        rot = state[3] >> 26
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        row[:] = (x >> 11) * (1.0 / 9007199254740992.0)
+    return uniforms
 
 
 def _mean_se(values: np.ndarray) -> MeanSE:
@@ -436,69 +600,78 @@ def monte_carlo(
     """Average the episode over ``cfg.n_trials`` substreams.
 
     Trial t plays on its own substream ``_trial_rng(cfg.seed, t)``, so the
-    result does not depend on the order trials run in.  A trial whose
-    outcome depends only on (quality, shared reading) is accounted once
-    per such state and reused.
+    result does not depend on the order trials run in.  The uniforms that
+    fix each trial's (quality, shared reading) state are replayed in
+    blocks of ``REPLAY_BLOCK`` trials without building a generator, and
+    each distinct state is accounted once.  Only a trial that draws fire
+    uniforms, and every trial of a profile that reads independent
+    signals, builds its generator and plays alone.  The per-trial arrays
+    and the trace are filled by indexing the accounted outcomes.
     """
     kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve, seniority)
     trials = cfg.n_trials
-    outputs = np.empty(trials)
-    wages = np.empty(trials)
-    repl = np.empty(trials)
-    welfare = np.empty(trials)
-    failures = np.empty(trials, dtype=bool)
-    qualities = np.empty(trials, dtype=object) if trace_path else None
-    fired_counts = np.empty(trials, dtype=np.int64) if trace_path else None
-    payoff_sums = np.empty((trials, _N_STRATEGIES))
-    counts = np.bincount(kernel.codes, minlength=_N_STRATEGIES)
+    which = kernel.replay_states(cfg.seed, trials).astype(np.intp)
+    lone = np.flatnonzero(which < 0)
+    # trial t reports row which[t]: row s < 4 holds state s, row 4 + i trial lone[i] played alone
+    rows = 4 + len(lone)
+    table = {
+        "output": np.zeros(rows),
+        "wages": np.zeros(rows),
+        "replacement_cost": np.zeros(rows),
+        "welfare": np.zeros(rows),
+        "failure_event": np.zeros(rows, dtype=bool),
+        "payoff_sum_by_strategy": np.zeros((rows, _N_STRATEGIES)),
+    }
+    if trace_path:
+        table["quality"] = np.full(rows, BAD, dtype=object)
+        table["fired_count"] = np.zeros(rows, dtype=np.int64)
 
-    seen: dict[tuple, EpisodeOutcome] = {}
-    for t in range(trials):
-        key, good, use, fire_draws = kernel.draw(_trial_rng(cfg.seed, t))
-        episode = seen.get(key) if key is not None else None
-        if episode is None:
-            episode = kernel.account(good, use, fire_draws)
-            if key is not None:
-                seen[key] = episode
-        outputs[t] = episode.output
-        wages[t] = episode.wages
-        repl[t] = episode.replacement_cost
-        welfare[t] = episode.welfare
-        failures[t] = episode.failure_event
-        payoff_sums[t] = episode.payoff_sum_by_strategy
-        if qualities is not None:
-            qualities[t] = episode.quality
-            fired_counts[t] = episode.fired_count
+    def fill(row: int, episode: EpisodeOutcome) -> None:
+        for name, column in table.items():
+            column[row] = getattr(episode, name)
+
+    for i, t in enumerate(lone):
+        state, good, use, fire_draws = kernel.draw(_trial_rng(cfg.seed, int(t)))
+        if state is None:
+            which[t] = 4 + i
+            fill(4 + i, kernel.account(good, use, fire_draws))
+        else:
+            which[t] = state
+    for state in range(4):
+        if (which == state).any():
+            fill(state, kernel.account_state(state))
+
+    def per_trial(name: str) -> np.ndarray:
+        return table[name][which]
 
     per_strategy: dict[str, MeanSE] = {}
-    for code in range(_N_STRATEGIES):
-        if counts[code] > 0:
-            per_strategy[AgentStrategy(code).label] = _mean_se(payoff_sums[:, code] / counts[code])
+    counts = np.bincount(kernel.codes, minlength=_N_STRATEGIES)
+    for code in np.flatnonzero(counts).tolist():
+        payoffs = table["payoff_sum_by_strategy"][which, code]
+        per_strategy[AgentStrategy(code).label] = _mean_se(payoffs / counts[code])
 
     if trace_path:
+        quality, output, welfare, fired, failure = (
+            table[name].tolist() for name in ("quality", "output", "welfare", "fired_count", "failure_event")
+        )
         with open(trace_path, "w", encoding="utf-8") as handle:
-            for t in range(trials):
-                handle.write(
-                    json.dumps(
-                        {
-                            "trial": t,
-                            "quality": qualities[t],
-                            "output": outputs[t],
-                            "welfare": welfare[t],
-                            "fired": int(fired_counts[t]),
-                            "failure": bool(failures[t]),
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            for t, row in enumerate(which.tolist()):
+                record = {
+                    "trial": t,
+                    "quality": quality[row],
+                    "output": output[row],
+                    "welfare": welfare[row],
+                    "fired": fired[row],
+                    "failure": failure[row],
+                }
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
 
     return SimResult(
-        output=_mean_se(outputs),
-        wages=_mean_se(wages),
-        replacement_cost=_mean_se(repl),
-        welfare=_mean_se(welfare),
-        failure_frequency=float(failures.mean()),
+        output=_mean_se(per_trial("output")),
+        wages=_mean_se(per_trial("wages")),
+        replacement_cost=_mean_se(per_trial("replacement_cost")),
+        welfare=_mean_se(per_trial("welfare")),
+        failure_frequency=float(per_trial("failure_event").mean()),
         per_strategy_payoff=per_strategy,
         n_agents=cfg.n_agents,
         n_trials=trials,

@@ -145,6 +145,39 @@ class TestSimulate:
         assert "[pass] welfare: simulated 1.11925 +- 0.00412885270058 vs target 1.1155\n" in out
         assert "FAIL" not in out
 
+    def test_trace_leaves_stdout_unchanged_and_writes_one_line_per_trial(self, config_path, tmp_path, capsys):
+        assert main(["simulate", "--config", config_path]) == 0
+        plain = capsys.readouterr().out
+        trace = tmp_path / "trace.jsonl"
+        assert main(["simulate", "--config", config_path, "--trace", str(trace)]) == 0
+        assert capsys.readouterr().out == plain
+        lines = trace.read_text().splitlines()
+        assert len(lines) == 200
+        assert lines[0].startswith('{"failure": ')
+
+    def test_unwritable_trace_path_exits_4_with_one_stderr_line(self, config_path, tmp_path, capsys):
+        trace = tmp_path / "missing" / "trace.jsonl"
+        assert main(["simulate", "--config", config_path, "--trace", str(trace)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_only_simulate_takes_a_trace(self, config_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", config_path, "--trace", "t.jsonl"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
+    def test_a_seed_above_2_53_is_read_exactly(self, tmp_path, capsys, seed):
+        path = tmp_path / "big_seed.ini"
+        path.write_text(BASE_CONFIG.replace("seed = 9", f"seed = {seed}"))
+        assert main(["simulate", "--config", str(path)]) == 0
+        from_config = capsys.readouterr().out
+        assert f"  seed {seed}  " in from_config
+        assert main(["simulate", "--config", str(path), "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == from_config
+
     def test_no_access_agents_prints_no_payoff_line(self, tmp_path, capsys):
         path = tmp_path / "h0.ini"
         path.write_text(BASE_CONFIG.replace("h = 0.5", "h = 0.0"))

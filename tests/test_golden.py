@@ -19,7 +19,7 @@ CASES = sorted(path.stem for path in GOLDEN.glob("*.ini"))
 
 
 def test_every_golden_config_has_its_expected_output():
-    assert len(CASES) == 25
+    assert len(CASES) == 27
     for name in CASES:
         suffix = ".csv" if name.startswith("sweep_") else ".out"
         assert (GOLDEN / f"{name}{suffix}").is_file(), name

@@ -3,11 +3,14 @@
 The reference below is the original engine, copied in verbatim apart
 from the thread pool: every trial takes all of its uniforms (quality, the
 signal draws, then one fire uniform per access agent) and plays a full
-episode.  The package draws only what can change a trial and reuses the
-outcome of a repeated (quality, reading) state; these tests hold it to
-exact equality with the reference, trace files included.
+episode.  The package draws only what can change a trial, replays the
+first uniforms of each substream with array arithmetic instead of
+building its generator, and reuses the outcome of a repeated (quality,
+reading) state; these tests hold it to exact equality with the
+reference, trace files included, and the replay to numpy's generator.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -27,8 +30,10 @@ from shirklab import (
     monte_carlo,
     run_episode,
 )
+from shirklab import simulation
+from shirklab.cli import main
 from shirklab.model import STRATEGY_TABLE
-from shirklab.simulation import MeanSE, SimResult
+from shirklab.simulation import MAX_TRIALS, REPLAY_BLOCK, MeanSE, SimResult
 
 _N_STRATEGIES = len(ALL_STRATEGIES)
 _EFFORT, _ADOPTS_ON_GOOD, _ADOPTS_ON_BAD = np.array(STRATEGY_TABLE).T
@@ -202,9 +207,31 @@ def test_grid_covers_every_mode_combination():
     assert len(GRID) == 288
 
 
-@pytest.mark.parametrize("index", range(len(GRID)))
-def test_monte_carlo_and_trace_match_the_reference(index, tmp_path):
+# The grid's seeds are single 32-bit words; these seeds take two.
+TWO_WORD_SEEDS = (2**32, 2**64 - 1)
+TWO_WORD_INDICES = [
+    index
+    for index, (_, _, pay, h, gamma, _) in enumerate(GRID)
+    if pay == "prospective" and h == 1.0 and gamma == 0.2
+]
+REFERENCE_CASES = [pytest.param(index, None, id=str(index)) for index in range(len(GRID))] + [
+    pytest.param(index, seed, id=f"{index}-seed{seed}")
+    for seed in TWO_WORD_SEEDS
+    for index in TWO_WORD_INDICES
+]
+
+
+def test_two_word_seeds_cover_every_signal_firing_and_profile():
+    assert {GRID[index][:2] + GRID[index][5:] for index in TWO_WORD_INDICES} == set(
+        itertools.product(("common", "independent"), ("uniform_random", "seniority"), PROFILES)
+    )
+
+
+@pytest.mark.parametrize("index, seed", REFERENCE_CASES)
+def test_monte_carlo_and_trace_match_the_reference(index, seed, tmp_path):
     cfg, profile, gamma, curve, seniority = _case(index)
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=seed)
     got = monte_carlo(cfg, profile, gamma, curve, seniority, trace_path=str(tmp_path / "got.jsonl"))
     want = reference_monte_carlo(cfg, profile, gamma, curve, seniority, trace_path=str(tmp_path / "want.jsonl"))
     assert got == want
@@ -253,3 +280,94 @@ def test_mixed_profiles_at_the_memo_edges(params, signal, firing, gamma, tmp_pat
         want = reference_monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "want.jsonl"))
         assert got == want
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+# -- the replayed substreams ----------------------------------------------
+
+REPLAY_SEEDS = (0, 1, 23, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1)
+REPLAY_TRIALS = (0, 1, REPLAY_BLOCK - 1, REPLAY_BLOCK, 65535, 65536, MAX_TRIALS - 1)
+
+
+@pytest.mark.parametrize("seed", REPLAY_SEEDS)
+def test_replay_equals_numpys_generator_bit_for_bit(seed):
+    with np.errstate(all="raise"):
+        got = simulation._replay_uniforms(seed, np.array(REPLAY_TRIALS), 3)
+        want = np.array([_trial_rng(seed, t).random(3) for t in REPLAY_TRIALS]).T
+    assert got.tobytes() == want.tobytes()
+
+
+def _counted_trial_rng(monkeypatch):
+    """Count the generators ``monte_carlo`` builds."""
+    built = []
+    original = simulation._trial_rng
+
+    def trial_rng(seed, trial):
+        built.append(trial)
+        return original(seed, trial)
+
+    monkeypatch.setattr(simulation, "_trial_rng", trial_rng)
+    return built
+
+
+def _firing_case(signal, kind):
+    cfg = SimConfig(
+        params=NOISY,
+        n_agents=N_AGENTS,
+        n_trials=REPLAY_BLOCK + 100,
+        seed=2**32 + 5,
+        h=0.6,
+        signal_correlation=signal,
+    )
+    profile = _profile(kind, np.random.default_rng(5), N_AGENTS)
+    return cfg, profile, 0.4, ReplacementCostCurve.linear(1000.0, resolution=500)
+
+
+@pytest.mark.parametrize("signal", ["common", "independent"])
+@pytest.mark.parametrize("kind", ["effort", "shirk"])
+def test_only_trials_that_draw_fire_uniforms_build_a_generator(signal, kind, monkeypatch, tmp_path):
+    cfg, profile, gamma, curve = _firing_case(signal, kind)
+    want = reference_monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "want.jsonl"))
+    built = _counted_trial_rng(monkeypatch)
+    assert monte_carlo(cfg, profile, gamma, curve) == want
+    if signal == "independent" and kind == "effort":
+        # every trial reads its own signals, so none is replayed
+        assert len(built) == cfg.n_trials
+    else:
+        # a failure at a rate inside (0, 1) draws fire uniforms; the other
+        # generators are the two that check the replay
+        lines = (tmp_path / "want.jsonl").read_text().splitlines()
+        failures = sum(json.loads(line)["failure"] for line in lines)
+        assert 0 < failures < cfg.n_trials
+        assert len(built) == 2 + failures
+
+
+@pytest.mark.parametrize("signal", ["common", "independent"])
+@pytest.mark.parametrize("kind", ["effort", "shirk", "mixed"])
+def test_a_replay_mismatch_routes_every_trial_through_its_generator(signal, kind, monkeypatch, tmp_path):
+    cfg, profile, gamma, curve = _firing_case(signal, kind)
+    replay = simulation._replay_uniforms
+    monkeypatch.setattr(simulation, "_replay_uniforms", lambda *args: 1.0 - replay(*args))
+    built = _counted_trial_rng(monkeypatch)
+    got = monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "got.jsonl"))
+    want = reference_monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "want.jsonl"))
+    assert got == want
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    assert sorted(set(built)) == list(range(cfg.n_trials))
+
+
+def test_the_cli_trace_matches_the_reference(tmp_path, capsys):
+    params = REFERENCE_POINTS[0]
+    cfg = SimConfig(params=params, n_agents=200, n_trials=REPLAY_BLOCK + 50, seed=2**64 - 1, h=0.5)
+    lines = ["[model]"]
+    lines += [f"{name} = {getattr(params, name)!r}" for name in ("pi", "eps", "g", "c", "w", "v_c")]
+    lines += ["[curve]", "family = linear", "scale = 100", "resolution = 500"]
+    lines += ["[simulation]", "n_agents = 200", f"n_trials = {cfg.n_trials}", "h = 0.5", f"seed = {cfg.seed}"]
+    lines += ["profile = shirk", "gamma = 0.35"]
+    ini = tmp_path / "run.ini"
+    ini.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--config", str(ini), "--trace", str(tmp_path / "got.jsonl")]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    profile = StrategyProfile.symmetric(AgentStrategy.SHIRK_USE, cfg.n_agents)
+    curve = ReplacementCostCurve.linear(100.0, resolution=500)
+    reference_monte_carlo(cfg, profile, 0.35, curve, trace_path=str(tmp_path / "want.jsonl"))
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
