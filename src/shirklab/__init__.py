@@ -23,7 +23,6 @@ from .model import (
     failure_probability,
     gamma_bar,
     is_admissible,
-    production,
     use_probability,
     validate_params,
 )
@@ -62,6 +61,6 @@ from .simulation import (
     policy_experiment,
     run_episode,
 )
-from .sweeps import SweepSpec, Table, csv_to_table, emit_csv, make_grid, sweep_h, sweep_param
+from .sweeps import Table, csv_to_table, emit_csv, make_grid, sweep_h, sweep_param
 
 __version__ = "0.1.0"

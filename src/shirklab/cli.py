@@ -7,7 +7,7 @@ seed, and reruns produce byte-identical output.
 
 Subcommands: solve, simulate, sweep, experiment.
 Flags: --config PATH, --seed INT, --out PATH, and for simulate --trace PATH.
-Exit codes: 0 ok, 2 config error, 3 inadmissible parameters, 4 I/O error.
+Exit codes: 0 ok, 2 config or usage error, 3 inadmissible parameters, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .simulation import (
     monte_carlo,
     policy_experiment,
 )
-from .sweeps import SWEEPABLE_PARAMETERS, SweepSpec, emit_csv, make_grid, sweep_h, sweep_param
+from .sweeps import SWEEPABLE_PARAMETERS, emit_csv, make_grid, sweep_h, sweep_param
 
 OK = 0
 CONFIG_ERROR = 2
@@ -88,6 +88,17 @@ _DEFAULTS = {
 
 class ConfigError(Exception):
     """Malformed or incomplete run configuration."""
+
+
+class UsageError(Exception):
+    """A command line the argument parser rejects."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that raises ``UsageError`` instead of printing usage and exiting."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _load_config(path: str) -> configparser.ConfigParser:
@@ -300,12 +311,11 @@ def cmd_sweep(parser: configparser.ConfigParser, args) -> int:
     grid = _parse_grid(parser.get("sweep", "grid"))
     if parameter == "h" and not all(0.0 <= h <= 1.0 for h in grid):
         raise ConfigError("[sweep] every h grid point must lie in [0, 1]")
-    spec = SweepSpec(parameter=parameter, grid=grid, params=params, curve=curve, tol=_tol(parser))
+    tol = _tol(parser)
     if parameter == "h":
-        require_admissible(params)
-        table = sweep_h(spec)
+        table = sweep_h(params, curve, grid, tol)
     else:
-        table = sweep_param(spec)
+        table = sweep_param(parameter, params, curve, grid, tol)
     destination = _destination(parser, args)
     emit_csv(table, destination)
     print(f"wrote {len(table.rows)} rows to {destination}")
@@ -339,7 +349,7 @@ def cmd_experiment(parser: configparser.ConfigParser, args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="shirklab",
         description="Solve and simulate the technology-adoption effort game.",
     )
@@ -357,7 +367,6 @@ def main(argv: list[str] | None = None) -> int:
         if name == "simulate":
             command.add_argument("--trace", default=None, help="write one JSON line per trial to this path")
 
-    args = top.parse_args(argv)
     handlers = {
         "solve": cmd_solve,
         "simulate": cmd_simulate,
@@ -365,11 +374,14 @@ def main(argv: list[str] | None = None) -> int:
         "experiment": cmd_experiment,
     }
     try:
+        args = top.parse_args(argv)
         parser = _load_config(args.config)
         # an overflowing or invalid float operation means the config's values
         # are too extreme to compute with: say so instead of printing inf or nan
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return handlers[args.command](parser, args)
+    except UsageError as exc:
+        code, message = CONFIG_ERROR, f"usage error: {exc}"
     except (ConfigError, ConvergenceError) as exc:
         code, message = CONFIG_ERROR, f"config error: {exc}"
     except FloatingPointError as exc:

@@ -43,8 +43,6 @@ MAX_RESOLUTION = 10**7
 DEFAULT_TOL = 1e-10
 #: Most bisections ``solve_threshold`` takes before it gives up.
 MAX_BISECTIONS = 200
-#: Largest descent between neighbouring stored costs that still counts as sorted.
-SORT_TOL = 1e-9
 #: Reaches ``verify_equilibrium`` samples on each side of the threshold.
 VERIFY_SAMPLES = 9
 #: Largest payoff gap ``verify_equilibrium`` accepts as indifference at gamma_bar.
@@ -74,18 +72,16 @@ class ReplacementCostCurve:
     values: np.ndarray
     kind: str
     upto: float = 1.0
-    # set only by ``scaled``: the costs are a valid, exactly ascending
-    # curve's times a nonnegative factor, so the check's outcome is known
-    _scaled_from_ascending: InitVar[bool] = False
+    # set only by ``scaled``: the costs are a valid curve's times a
+    # nonnegative factor, so the check's outcome is known
+    _scaled_from_valid: InitVar[bool] = False
     # r(j / n) at segment boundaries j = 0..m, read by ``cost``; m stops
     # one segment past ``upto``
     _cumulative: np.ndarray = field(init=False, repr=False)
-    # what ``validate`` raises (None for a valid curve), and whether the
-    # costs are exactly ascending
+    # what ``validate`` raises, None for a valid curve
     _verdict: InvalidCurveError | None = field(init=False, repr=False)
-    _ascending: bool = field(init=False, repr=False)
 
-    def __post_init__(self, _scaled_from_ascending: bool) -> None:
+    def __post_init__(self, _scaled_from_valid: bool) -> None:
         if self.kind not in ("nodes", "steps"):
             raise InvalidCurveError(f"unknown curve kind {self.kind!r}")
         if len(self.values) < (2 if self.kind == "nodes" else 1):
@@ -101,9 +97,7 @@ class ReplacementCostCurve:
             segment = (self.values[:m] + self.values[1 : m + 1]) / (2.0 * n)
             cumulative = np.concatenate(([0.0], np.cumsum(segment)))
         object.__setattr__(self, "_cumulative", cumulative)
-        verdict, ascending = (None, True) if _scaled_from_ascending else _check_costs(self.values)
-        object.__setattr__(self, "_verdict", verdict)
-        object.__setattr__(self, "_ascending", ascending)
+        object.__setattr__(self, "_verdict", None if _scaled_from_valid else _check_costs(self.values))
 
     @property
     def _segments(self) -> int:
@@ -207,9 +201,9 @@ class ReplacementCostCurve:
     def scaled(self, factor: float, upto: float = 1.0) -> "ReplacementCostCurve":
         """Uniformly scale every per-replacement cost; the copy's ``cost`` answers up to ``upto``.
 
-        Scaling a valid, exactly ascending curve by a nonnegative factor
-        keeps it so, since rounding is monotone and the overflow check
-        below keeps it finite; such a copy skips the structural check.
+        Scaling a valid curve by a nonnegative factor keeps it valid, since
+        rounding is monotone and the overflow check below keeps it finite;
+        such a copy skips the structural check.
         """
         if not math.isfinite(factor):
             raise InvalidCurveError("scale factor must be finite")
@@ -221,30 +215,31 @@ class ReplacementCostCurve:
         terms = 2 if self.kind == "nodes" else len(self.values)
         if not math.isfinite(terms * factor * float(self.values[-1])):
             raise InvalidCurveError("scale factor too large: the scaled costs overflow")
-        known = self._verdict is None and self._ascending
-        return ReplacementCostCurve(self.values * factor, self.kind, upto, _scaled_from_ascending=known)
+        valid = self._verdict is None
+        return ReplacementCostCurve(self.values * factor, self.kind, upto, _scaled_from_valid=valid)
 
     def validate(self) -> None:
         """Raise the ``InvalidCurveError`` the construction-time check found, if any.
 
-        The induced r is convex exactly when the stored costs are sorted
-        ascending, so a violation means the construction was tampered with.
+        A curve is valid when its stored costs are finite, nonnegative and
+        ascending: the induced r is convex exactly when they are sorted, and
+        every builder sorts, so a violation means the construction was
+        tampered with.
         """
         if self._verdict is not None:
             raise self._verdict
 
 
-def _check_costs(values: np.ndarray) -> tuple[InvalidCurveError | None, bool]:
-    """Structural check of stored costs: the error it finds, and whether they are exactly ascending."""
+def _check_costs(values: np.ndarray) -> InvalidCurveError | None:
+    """Structural check of stored costs: the error it finds, None for a valid curve."""
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
-        return InvalidCurveError("cost schedule contains non-finite values"), False
+        return InvalidCurveError("cost schedule contains non-finite values")
     if np.any(values < 0.0):
-        return InvalidCurveError("cost schedule contains negative costs"), False
-    lowest = float(np.diff(values).min(initial=0.0))
-    if lowest < -SORT_TOL:
-        return InvalidCurveError("cost schedule is not sorted ascending; induced r(x) would not be convex"), False
-    return None, lowest >= 0.0
+        return InvalidCurveError("cost schedule contains negative costs")
+    if np.any(values[1:] < values[:-1]):
+        return InvalidCurveError("cost schedule is not sorted ascending; induced r(x) would not be convex")
+    return None
 
 
 def _check_nonnegative(raw: np.ndarray, grid: np.ndarray | None) -> None:
@@ -272,20 +267,14 @@ def credibility_slope(p: ModelParams) -> float:
     return gain / ((1.0 - p.pi) * p.eps)
 
 
-def punish_feasible(
-    h: float,
-    p: ModelParams,
-    curve: ReplacementCostCurve,
-    gamma: float | None = None,
-) -> bool:
-    """Whether committing to punish failures at reach ``h`` pays for itself."""
+def punish_feasible(h: float, p: ModelParams, curve: ReplacementCostCurve) -> bool:
+    """Whether committing to punish failures at rate gamma_bar and reach ``h`` pays for itself."""
     if not 0.0 <= h <= 1.0:
         raise ValueError(f"h must lie in [0, 1], got {h}")
     if p.eps == 0.0:
         # failures never happen by mistake, so the threat costs nothing
         return True
-    rate = gamma_bar(p) if gamma is None else gamma
-    return _credible(h, credibility_slope(p), rate, curve)
+    return _credible(h, credibility_slope(p), gamma_bar(p), curve)
 
 
 def _credible(h: float, slope: float, rate: float, curve: ReplacementCostCurve) -> bool:
@@ -412,19 +401,12 @@ def principal_value(
 
     The wage premium is charged on the whole measure ``h`` in both
     regimes, mirroring the closed-form comparison in which the wage bill
-    cancels.
+    cancels.  The output is ``expected_output`` of the regime.
     """
-    if not 0.0 <= h <= 1.0:
-        raise ValueError(f"h must lie in [0, 1], got {h}")
     if not punish:
-        return (1.0 - h) + h * (p.pi * (1.0 + p.g) - p.w)
-    expected_replacements = (1.0 - p.pi) * p.eps * curve.cost(gamma_bar(p) * h)
-    effort_output = (
-        p.pi * (1.0 - p.eps) * (1.0 + p.g)
-        + p.pi * p.eps
-        + (1.0 - p.pi) * (1.0 - p.eps)
-    )
-    return (1.0 - h) + h * effort_output - expected_replacements - p.w * h
+        return expected_output(h, SHIRK, p) - p.w * h
+    output = expected_output(h, EFFORT, p)
+    return output - (1.0 - p.pi) * p.eps * curve.cost(gamma_bar(p) * h) - p.w * h
 
 
 def expected_output(h: float, regime: str, p: ModelParams) -> float:

@@ -9,11 +9,10 @@ the technology.  Users are paid a wage premium ``w`` before production is
 observed, and workers who are not fired keep a continuation value ``v_c``.
 
 This module holds the parameter container with its admissibility checks,
-the strategy table that gives each pure strategy its meaning, the
-per-worker production function, expected production and expected
-payoff for each pure strategy, the minimal punishment (firing) rate that
-makes research effort incentive-compatible, and the brute-force best
-response over the full strategy set.
+the strategy table that gives each pure strategy its meaning, expected
+production and expected payoff for each pure strategy, the minimal
+punishment (firing) rate that makes research effort incentive-compatible,
+and the brute-force best response over the full strategy set.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Literal
 
-from .errors import ContractViolationError, InadmissibleParamsError, InvalidParamsError
+from .errors import InadmissibleParamsError, InvalidParamsError
 
 GOOD = "good"
 BAD = "bad"
-Quality = Literal["good", "bad"]
 
 PROSPECTIVE = "prospective"
 REALIZED = "realized"
@@ -189,19 +187,6 @@ def require_admissible(p: ModelParams) -> None:
     if not report.admissible:
         failures = "; ".join(f"{check.name} (slack {_fmt(check.slack)})" for check in report.failures())
         raise InadmissibleParamsError(f"inadmissible parameters: {failures}")
-
-
-def production(available: bool, used: bool, quality: Quality, p: ModelParams) -> float:
-    """Per-worker production: 1 if unused, 0 if used and bad, 1+g if used and good."""
-    if used and not available:
-        raise ContractViolationError("technology used without access")
-    if not used:
-        return 1.0
-    if quality == GOOD:
-        return 1.0 + p.g
-    if quality == BAD:
-        return 0.0
-    raise InvalidParamsError(f"quality must be 'good' or 'bad', got {quality!r}")
 
 
 def _adoption_probability(strategy: AgentStrategy, good_reading: float) -> float:

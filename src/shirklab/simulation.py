@@ -10,12 +10,11 @@ continuation value.
 Episode randomness comes from a single generator per trial with a fixed
 draw order: one uniform for quality, then the signal-error draws (one
 shared uniform under common correlation, one per access agent under
-independent), then one firing uniform per access agent.  Draws that
-cannot change the trial are left off the end of its stream: the firing
-uniforms are drawn only under random firing at a rate strictly between 0
-and 1 when some agent fails, and the signal draws only when a strategy
-reads its signal or firing uniforms follow them.  Every draw that is
-taken sits where it always did, so matched scenarios still see identical
+independent), then one firing uniform per access agent.  The quality and
+signal draws are always taken; the firing uniforms are drawn only under
+random firing at a rate strictly between 0 and 1 when some agent fails,
+the only case in which they can change who is fired.  Every draw sits at
+a fixed place in the stream, so matched scenarios see identical
 production paths.  Trials use counter-derived substreams of the root
 seed, so results are reproducible bit-for-bit and independent of
 execution order.
@@ -23,11 +22,12 @@ execution order.
 Monte Carlo does not build a generator for most trials: it replays the
 first one or two uniforms of every substream (the quality, and the shared
 reading under common signals) with numpy array arithmetic, bit for bit,
-and accounts each distinct (quality, reading) state once.  Only a trial
-that draws fire uniforms, and every trial of a profile that reads
-independent signals, builds its real generator.  Each run checks the
-replay against the real generator at its first and last trial and, on a
-mismatch, gives every trial its generator.
+codes each trial's (quality, reading) state from them and accounts each
+distinct state once.  Only a trial that draws fire uniforms, and every
+trial of a profile that reads independent signals, builds its real
+generator and plays alone.  Each run checks the replay against the real
+generator at its first and last trial and, on a mismatch, codes the
+states from every trial's real generator instead.
 
 Nash checks never sample: deviation payoffs are exact expectations over
 quality, signals, and the firing rule, including the seniority selector.
@@ -239,13 +239,12 @@ class _EpisodeKernel:
     """The one-shot timeline for a fixed profile, firing rate, curve and order.
 
     ``draw`` takes one trial's uniforms from ``rng`` in the contract order
-    (quality, signals, fire uniforms) and skips the trailing draws that
-    cannot change the outcome; ``account`` plays the timeline on them.
-    ``rng`` needs only ``random()`` and ``random(size)``.  A trial whose
-    outcome depends on nothing but its state, the code ``2 * good +
-    reading`` (reading 0 when no strategy reads the signal), is played by
-    ``account_state``; ``replay_states`` finds every trial's state from
-    its replayed uniforms.
+    (quality, signals, fire uniforms when they can change who is fired);
+    ``account`` plays the timeline on them.  ``rng`` needs only
+    ``random()`` and ``random(size)``.  ``replay_states`` codes each
+    trial whose outcome depends on nothing but its quality and shared
+    reading as ``2 * good + reading`` (reading 0 when no strategy reads
+    the signal), so equal codes give equal outcomes.
     """
 
     def __init__(
@@ -271,64 +270,46 @@ class _EpisodeKernel:
         self.seniority = None
         if cfg.punishment_mode == SENIORITY:
             self.seniority = seniority or SeniorityOrder.identity(cfg.n_agents)
-        self._costs: dict[int, float] = {}
 
-    def draw(self, rng) -> tuple[int | None, bool, np.ndarray, np.ndarray | None]:
-        """One trial's draws as ``(state, good, use, fire_draws)``.
-
-        ``state`` is the trial's state code when the outcome depends on
-        nothing else (no fire uniform drawn, and the readings are one
-        shared value or read by nobody), so equal states give equal
-        outcomes; otherwise it is None.  The signal uniforms are drawn
-        when a strategy reads them or when fire uniforms follow them in
-        the stream.
-        """
+    def draw(self, rng) -> tuple[bool, np.ndarray, np.ndarray | None]:
+        """One trial's draws as ``(good, use, fire_draws)``; ``fire_draws`` is None when not drawn."""
         p = self.cfg.params
         m = len(self.codes)
-        common = self.cfg.signal_correlation == COMMON
         good = bool(rng.random() < p.pi)
         # the reading is good (1) when the signal is right about a good
         # technology or wrong about a bad one
-        reading: int | None = None
-        if not self.reads_signal:
-            use = self.use_by_reading[0]
-            fails = not good and bool(self.anyone_adopts[0])
-        elif common:
-            reading = int(good != (rng.random() < p.eps))
-            use = self.use_by_reading[reading]
-            fails = not good and bool(self.anyone_adopts[reading])
-        else:
+        if self.cfg.signal_correlation == COMMON:
+            use = self.use_by_reading[int(good != (rng.random() < p.eps))]
+        elif self.reads_signal:
             readings = (good != (rng.random(m) < p.eps)).astype(np.intp)
             use = _ADOPTS[readings, self.codes]
-            fails = not good and bool(use.any())
-        if not (fails and self.random_firing):
-            state = 2 * good + (reading or 0) if common or not self.reads_signal else None
-            return state, good, use, None
-        if not self.reads_signal:
-            # discard the signal uniforms that precede the fire uniforms
-            rng.random() if common else rng.random(m)
-        return None, good, use, rng.random(m)
+        else:
+            # no one reads these signals, so no reading is formed from them
+            rng.random(m)
+            use = self.use_by_reading[0]
+        fails = not good and bool(use.any())
+        return good, use, rng.random(m) if fails and self.random_firing else None
 
     def replay_states(self, seed: int, trials: int) -> np.ndarray:
-        """Each trial's state code, found from its replayed uniforms.
+        """Each trial's state code, found from the first uniforms of its substream.
 
         A trial that needs its generator gets -1: one that draws fire
         uniforms, and every trial of a profile that reads independent
-        signals, which is never replayed.  The replay is checked against
-        ``_trial_rng`` at the first and the last trial; on a mismatch
-        every trial gets -1.
+        signals, which is never coded.  The uniforms are replayed when
+        the replay matches ``_trial_rng`` at the first and the last
+        trial, and are taken from every trial's generator otherwise.
         """
         states = np.full(trials, -1, dtype=np.int8)
         if self.reads_signal and self.cfg.signal_correlation == INDEPENDENT:
             return states
         n_draws = 2 if self.reads_signal else 1
         ends = np.array([0, trials - 1])
-        numpy_draws = np.array([_trial_rng(seed, int(t)).random(n_draws) for t in ends]).T
-        if not np.array_equal(_replay_uniforms(seed, ends, n_draws), numpy_draws):
-            return states
+        uniforms_of = _replay_uniforms
+        if not np.array_equal(uniforms_of(seed, ends, n_draws), _generator_uniforms(seed, ends, n_draws)):
+            uniforms_of = _generator_uniforms
         p = self.cfg.params
         for first in range(0, trials, REPLAY_BLOCK):
-            uniforms = _replay_uniforms(seed, np.arange(first, min(first + REPLAY_BLOCK, trials)), n_draws)
+            uniforms = uniforms_of(seed, np.arange(first, min(first + REPLAY_BLOCK, trials)), n_draws)
             good = uniforms[0] < p.pi
             block = 2 * good.astype(np.int8)
             if self.reads_signal:
@@ -337,10 +318,6 @@ class _EpisodeKernel:
                 block[~good & self.anyone_adopts[block & 1]] = -1
             states[first : first + len(block)] = block
         return states
-
-    def account_state(self, state: int) -> EpisodeOutcome:
-        """Play a trial whose outcome its state code fixes."""
-        return self.account(state >= 2, self.use_by_reading[state & 1], None)
 
     def account(self, good: bool, use: np.ndarray, fire_draws: np.ndarray | None) -> EpisodeOutcome:
         """Play the timeline on one trial's draws and account for every agent."""
@@ -370,10 +347,6 @@ class _EpisodeKernel:
 
         payoffs = wage - p.c * self.effort + p.v_c * (~fired)
         fired_count = int(fired.sum())
-        cost = self._costs.get(fired_count)
-        if cost is None:
-            cost = self._costs[fired_count] = self.curve.cost(fired_count / n)
-
         output = ((n - m) + float(produced.sum())) / n
         wages = (float(wage.sum()) + inert_wages) / n
         effort_cost = p.c * float(self.effort.sum()) / n
@@ -388,7 +361,7 @@ class _EpisodeKernel:
             wages=wages,
             effort_cost=effort_cost,
             welfare=output - effort_cost,
-            replacement_cost=cost,
+            replacement_cost=self.curve.cost(fired_count / n),
             fired_count=fired_count,
             failure_event=bool(failed.any()),
             payoff_sum_by_strategy=np.bincount(self.codes, weights=payoffs, minlength=_N_STRATEGIES),
@@ -409,11 +382,11 @@ def run_episode(
     independently with probability ``policy_gamma``; under ``seniority``
     the selector's choice from the failing set is fired with certainty
     and ``policy_gamma`` is ignored.  ``rng`` is read in the module's
-    draw order, and draws that cannot change the outcome are not taken.
+    draw order: the quality and signal draws always, the fire uniforms
+    only when they can change who is fired.
     """
     kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve, seniority)
-    _, good, use, fire_draws = kernel.draw(rng)
-    return kernel.account(good, use, fire_draws)
+    return kernel.account(*kernel.draw(rng))
 
 
 @dataclass(frozen=True)
@@ -479,6 +452,11 @@ _PCG_MULT = tuple((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & _MASK32 for
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Trial ``trial``'s generator: the substream of ``seed`` spawned at that index."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+
+
+def _generator_uniforms(seed: int, trials: np.ndarray, n_draws: int) -> np.ndarray:
+    """``_replay_uniforms``'s answer taken from each trial's generator."""
+    return np.array([_trial_rng(seed, int(t)).random(n_draws) for t in trials]).T
 
 
 # The helpers below take Python ints or uint32/uint64 arrays.  Python ints
@@ -605,7 +583,7 @@ def monte_carlo(
     blocks of ``REPLAY_BLOCK`` trials without building a generator, and
     each distinct state is accounted once.  Only a trial that draws fire
     uniforms, and every trial of a profile that reads independent
-    signals, builds its generator and plays alone.  The per-trial arrays
+    signals, plays alone on its generator.  The per-trial arrays
     and the trace are filled by indexing the accounted outcomes.
     """
     kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve, seniority)
@@ -630,16 +608,12 @@ def monte_carlo(
         for name, column in table.items():
             column[row] = getattr(episode, name)
 
-    for i, t in enumerate(lone):
-        state, good, use, fire_draws = kernel.draw(_trial_rng(cfg.seed, int(t)))
-        if state is None:
-            which[t] = 4 + i
-            fill(4 + i, kernel.account(good, use, fire_draws))
-        else:
-            which[t] = state
+    for i, t in enumerate(lone.tolist()):
+        which[t] = 4 + i
+        fill(4 + i, kernel.account(*kernel.draw(_trial_rng(cfg.seed, t))))
     for state in range(4):
         if (which == state).any():
-            fill(state, kernel.account_state(state))
+            fill(state, kernel.account(state >= 2, kernel.use_by_reading[state & 1], None))
 
     def per_trial(name: str) -> np.ndarray:
         return table[name][which]
@@ -1021,7 +995,9 @@ def _scenario_run(
     sim = monte_carlo(cfg, profile, gamma, curve)
     targets = closed_form_targets(cfg, profile, gamma)
     access_codes = profile.codes[: cfg.access_count]
-    if cfg.access_count and np.all(access_codes == access_codes[0]):
+    if not cfg.access_count:
+        label = "none"
+    elif np.all(access_codes == access_codes[0]):
         label = AgentStrategy(int(access_codes[0])).label
     else:
         label = "mixed"

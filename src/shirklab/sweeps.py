@@ -15,6 +15,7 @@ import io
 import math
 from dataclasses import dataclass, replace as dc_replace
 from itertools import chain
+from typing import Iterable
 
 from .errors import InvalidCurveError, InvalidParamsError
 from .equilibrium import (
@@ -33,24 +34,6 @@ SWEEPABLE_PARAMETERS = ("h", "pi", "eps", "g", "c", "w", "v_c", "curve_scale")
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """One-dimensional grid sweep specification."""
-
-    parameter: str
-    grid: tuple[float, ...]
-    params: ModelParams
-    curve: ReplacementCostCurve
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self) -> None:
-        if self.parameter not in SWEEPABLE_PARAMETERS:
-            raise ValueError(
-                f"unknown sweep parameter {self.parameter!r}; expected one of {SWEEPABLE_PARAMETERS}"
-            )
-        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
-
-
-@dataclass(frozen=True)
 class Table:
     """A small column-ordered result table."""
 
@@ -62,8 +45,13 @@ class Table:
         return [row[idx] for row in self.rows]
 
 
-def sweep_h(spec: SweepSpec) -> Table:
-    """Sweep the technology reach at fixed parameters.
+def sweep_h(
+    params: ModelParams,
+    curve: ReplacementCostCurve,
+    grid: Iterable[float],
+    tol: float = DEFAULT_TOL,
+) -> Table:
+    """Sweep the technology reach over ``grid`` at fixed parameters.
 
     Each row reports the operative regime (effort below the credibility
     threshold, shirk above), the firing policy, expected output, and
@@ -71,53 +59,57 @@ def sweep_h(spec: SweepSpec) -> Table:
     boundary flag; following the solved policy they report the
     punishment regime when punishing at the boundary stays credible.
     """
-    if spec.parameter != "h":
-        raise ValueError(f"sweep_h needs parameter 'h', got {spec.parameter!r}")
-    sol = solve_threshold(spec.params, spec.curve, tol=spec.tol)
+    sol = solve_threshold(params, curve, tol=tol)
     rows = []
-    for h in spec.grid:
+    for h in map(float, grid):
         gamma_star = policy(h, sol)
         regime = EFFORT if gamma_star > 0.0 else SHIRK
-        output = expected_output(h, regime, spec.params)
-        welfare = output - spec.params.c * h if regime == EFFORT else output
-        boundary = abs(h - sol.h_tilde) <= spec.tol
+        output = expected_output(h, regime, params)
+        welfare = output - params.c * h if regime == EFFORT else output
+        boundary = abs(h - sol.h_tilde) <= tol
         rows.append((h, regime, gamma_star, output, welfare, boundary))
     return Table(("h", "regime", "gamma_star", "output", "welfare", "boundary"), tuple(rows))
 
 
-def _apply_value(spec: SweepSpec, value: float, upto: float) -> tuple[ModelParams, ReplacementCostCurve]:
-    if spec.parameter == "curve_scale":
-        return spec.params, spec.curve.scaled(value, upto)
-    return dc_replace(spec.params, **{spec.parameter: value}), spec.curve
+def sweep_param(
+    parameter: str,
+    params: ModelParams,
+    curve: ReplacementCostCurve,
+    grid: Iterable[float],
+    tol: float = DEFAULT_TOL,
+) -> Table:
+    """Recompute the equilibrium objects along a grid of one parameter.
 
-
-def sweep_param(spec: SweepSpec) -> Table:
-    """Recompute the equilibrium objects along a parameter grid.
-
+    ``parameter`` is one of ``SWEEPABLE_PARAMETERS`` other than ``h``.
     Inadmissible grid points are emitted with ``admissible=False`` and
     the name of the violated condition; their equilibrium columns are
     left empty.  Points outside a parameter's range, or a negative
     curve scale, are flagged the same way with the error message.
     """
-    if spec.parameter == "h":
+    if parameter not in SWEEPABLE_PARAMETERS:
+        raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEPABLE_PARAMETERS}")
+    if parameter == "h":
         raise ValueError("use sweep_h for grids over the technology reach")
     # a solve reads r(gamma_bar * h) with h <= 1 only, so a scaled curve is
     # built that far; an inadmissible point is never solved
-    upto = gamma_bar(spec.params) if is_admissible(spec.params) else 0.0
+    upto = gamma_bar(params) if is_admissible(params) else 0.0
     rows = []
-    for value in spec.grid:
+    for value in map(float, grid):
         try:
-            params, curve = _apply_value(spec, value, upto)
+            if parameter == "curve_scale":
+                point_params, point_curve = params, curve.scaled(value, upto)
+            else:
+                point_params, point_curve = dc_replace(params, **{parameter: value}), curve
         except (InvalidParamsError, InvalidCurveError) as exc:
             rows.append((value, None, None, False, None, str(exc)))
             continue
-        report = validate_params(params)
+        report = validate_params(point_params)
         if not report.admissible:
             reason = ", ".join(check.name for check in report.failures())
             rows.append((value, None, None, False, None, reason))
             continue
-        sol = solve_threshold(params, curve, tol=spec.tol)
-        drop = output_drop(sol.h_tilde, params)
+        sol = solve_threshold(point_params, point_curve, tol=tol)
+        drop = output_drop(sol.h_tilde, point_params)
         rows.append((value, sol.gamma_bar, sol.h_tilde, True, drop, ""))
     return Table(
         ("value", "gamma_bar", "h_tilde", "admissible", "drop_at_h_tilde", "reason"),

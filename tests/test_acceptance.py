@@ -33,7 +33,7 @@ from shirklab import (
     solve_threshold,
     sweep_h,
 )
-from shirklab.sweeps import SweepSpec, make_grid
+from shirklab.sweeps import make_grid
 
 EFS = AgentStrategy.EFFORT_FOLLOW_SIGNAL
 SU = AgentStrategy.SHIRK_USE
@@ -161,9 +161,7 @@ def test_criterion_5_threshold_interval_structure():
                 above = sol.h_tilde + (1.0 - sol.h_tilde) * u
                 if punish_feasible(above, p, curve):
                     violations.append((trial, "above", above))
-        table = sweep_h(
-            SweepSpec(parameter="h", grid=make_grid(0.0, 1.0, 0.1), params=p, curve=curve)
-        )
+        table = sweep_h(p, curve, make_grid(0.0, 1.0, 0.1))
         regimes = table.column("regime")
         switches = sum(1 for i in range(1, len(regimes)) if regimes[i] != regimes[i - 1])
         if switches > 1:
@@ -197,9 +195,7 @@ def test_criterion_7_output_discontinuity():
     curve = ReplacementCostCurve.linear(1000.0)
     sol = solve_threshold(P0, curve)
     step = 0.005
-    table = sweep_h(
-        SweepSpec(parameter="h", grid=make_grid(0.0, 1.0, step), params=P0, curve=curve)
-    )
+    table = sweep_h(P0, curve, make_grid(0.0, 1.0, step))
     outputs = table.column("output")
     grid = table.column("h")
     drops = [i for i in range(1, len(outputs)) if outputs[i] < outputs[i - 1]]

@@ -164,9 +164,10 @@ class TestSimulate:
         assert captured.err.count("\n") == 1
 
     def test_only_simulate_takes_a_trace(self, config_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--config", config_path, "--trace", "t.jsonl"])
-        assert exc.value.code == 2
+        assert main(["solve", "--config", config_path, "--trace", "t.jsonl"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: shirklab: unrecognized arguments: --trace t.jsonl\n"
 
     @pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
     def test_a_seed_above_2_53_is_read_exactly(self, tmp_path, capsys, seed):
@@ -270,11 +271,50 @@ class TestExperiment:
         assert "  output/agent  1.10725 +- 0.00935345514319  target 1.105\n" in out
         assert out.count("target 1.1185\n") == 2 and out.count("target 1.1155\n") == 2
 
+    def test_no_access_agents_are_labelled_none(self, tmp_path, capsys):
+        # h * n_agents < 0.5 gives no worker access, so no arm has a mixed profile
+        path = tmp_path / "h0.ini"
+        path.write_text(BASE_CONFIG.replace("h = 0.5", "h = 0.0"))
+        assert main(["experiment", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count(": profile none at gamma ") == 3
+        assert "mixed" not in out
+
     def test_golden_stdout_past_the_threshold(self, capsys):
         # 400 agents, 300 trials at h = 0.5 > h_tilde: 200 unraveling rounds
         assert main(["experiment", "--config", str(DATA / "experiment_golden.ini")]) == 0
         out = capsys.readouterr().out
         assert out.encode() == (DATA / "experiment_golden.out").read_bytes()
+
+
+class TestUsageErrors:
+    """A command line the parser rejects returns 2 with one stderr line, and raises nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["simulate"], "shirklab simulate: the following arguments are required: --config"),
+            (
+                ["simulate", "--config", "x", "--seed", "abc"],
+                "shirklab simulate: argument --seed: invalid int value: 'abc'",
+            ),
+            ([], "shirklab: the following arguments are required: command"),
+        ],
+        ids=["missing-config", "bad-seed", "no-subcommand"],
+    )
+    def test_argv_error_prints_one_line(self, capsys, argv, err):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {err}\n"
+
+    def test_unknown_subcommand_prints_one_line(self, capsys):
+        assert main(["bogus", "--config", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the listing of the choices is worded differently across Python versions
+        assert captured.err.startswith("usage error: shirklab: argument command: invalid choice: 'bogus'")
+        assert captured.err.count("\n") == 1
 
 
 class TestConfigErrors:

@@ -124,21 +124,16 @@ class TestReplacementCostCurve:
 
 
 def _fresh_check(curve):
-    """What ``validate`` raises for a curve built anew from the same costs, and its ascending flag."""
-    fresh = ReplacementCostCurve(curve.values.copy(), curve.kind)
-    try:
-        fresh.validate()
-    except InvalidCurveError as exc:
-        return str(exc), fresh._ascending
-    return None, fresh._ascending
+    """What ``validate`` raises for a curve built anew from the same costs."""
+    return _stored_check(ReplacementCostCurve(curve.values.copy(), curve.kind))
 
 
 def _stored_check(curve):
     try:
         curve.validate()
     except InvalidCurveError as exc:
-        return str(exc), curve._ascending
-    return None, curve._ascending
+        return str(exc)
+    return None
 
 
 PREFIX_PARENTS = {
@@ -179,7 +174,8 @@ class TestPrefixScaledCurve:
     @pytest.mark.parametrize("kind", sorted(PREFIX_PARENTS))
     def test_stored_check_of_a_scaled_valid_curve_equals_a_fresh_one(self, kind, factor):
         child = PREFIX_PARENTS[kind].scaled(factor, 0.4)
-        assert _stored_check(child) == _fresh_check(child) == (None, True)
+        assert _stored_check(child) is None
+        assert _fresh_check(child) is None
 
     @pytest.mark.parametrize("factor", [0.0, 0.37, 3.0])
     def test_stored_check_of_a_scaled_tampered_curve_equals_a_fresh_one(self, linear_curve, factor):
@@ -190,13 +186,16 @@ class TestPrefixScaledCurve:
             with pytest.raises(InvalidCurveError, match="not sorted"):
                 child.validate()
 
-    def test_descent_within_the_sort_tolerance_is_checked_again(self):
+    def test_a_tiny_descent_is_rejected_and_scaled_copies_are_checked_afresh(self):
         values = np.array([0.0, 1.0, 1.0 - 1e-12, 2.0])
         wobbly = ReplacementCostCurve(values, "steps")
-        assert _stored_check(wobbly) == (None, False)
+        assert "not sorted" in _stored_check(wobbly)
         for factor in (0.5, 3e3):
             child = wobbly.scaled(factor, 0.5)
+            assert "not sorted" in _stored_check(child)
             assert _stored_check(child) == _fresh_check(child)
+        # all costs scaled to zero are sorted again, and the copy says so
+        assert _stored_check(wobbly.scaled(0.0, 0.5)) is None
 
 
 class TestPunishFeasible:

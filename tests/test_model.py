@@ -1,4 +1,4 @@
-"""Model-core contracts: validation, production, payoffs, best responses."""
+"""Model-core contracts: validation, expected production, payoffs, best responses."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import draw_params
 from shirklab import (
     AgentStrategy,
-    ContractViolationError,
     InadmissibleParamsError,
     InvalidParamsError,
     ModelParams,
@@ -18,7 +17,6 @@ from shirklab import (
     best_response,
     expected_production,
     gamma_bar,
-    production,
     validate_params,
 )
 
@@ -106,25 +104,6 @@ class TestValidateParams:
         kwargs[field] = value
         with pytest.raises(InvalidParamsError, match=field):
             ModelParams(**kwargs)
-
-
-# -- production -------------------------------------------------------------
-
-
-class TestProduction:
-    def test_not_used_yields_one(self, p0):
-        assert production(False, False, "good", p0) == 1.0
-        assert production(True, False, "bad", p0) == 1.0
-
-    def test_used_and_bad_yields_zero(self, p0):
-        assert production(True, True, "bad", p0) == 0.0
-
-    def test_used_and_good_yields_one_plus_g(self, p0):
-        assert production(True, True, "good", p0) == 1.5
-
-    def test_use_without_access_is_a_contract_violation(self, p0):
-        with pytest.raises(ContractViolationError):
-            production(False, True, "good", p0)
 
 
 # -- expected production -----------------------------------------------------

@@ -49,6 +49,23 @@ class QueueRNG:
         return self.fallback.random(size)
 
 
+class ScriptedRNG:
+    """Scripted uniforms that record the size of every draw (None for a scalar).
+
+    The first scalar is the quality draw; every later draw, the signal
+    draws included, returns ``later`` (as an array when a size is asked for).
+    """
+
+    def __init__(self, quality, later):
+        self.quality, self.later = quality, later
+        self.sizes = []
+
+    def random(self, size=None):
+        value = self.quality if not self.sizes else self.later
+        self.sizes.append(size)
+        return value if size is None else np.full(size, value)
+
+
 def make_cfg(p, **overrides):
     defaults = dict(n_agents=1000, n_trials=200, seed=5, h=0.5)
     defaults.update(overrides)
@@ -132,6 +149,33 @@ class TestRunEpisode:
         assert episode.quality == "bad"
         assert episode.fired_count == 1
         assert episode.fired[39]  # most senior under the reversed order
+
+    # quality 0.5 is good and 0.95 bad at pi = 0.9; a signal draw of 0.05 is
+    # wrong and one of 0.5 right at eps = 0.1
+    @pytest.mark.parametrize("signal", ["common", "independent"])
+    @pytest.mark.parametrize("strategy", [EFS, SU], ids=["reads", "blind"])
+    @pytest.mark.parametrize(
+        "quality, later", [(0.5, 0.05), (0.95, 0.05), (0.95, 0.5)], ids=["good", "bad-wrong", "bad-right"]
+    )
+    @pytest.mark.parametrize(
+        "gamma, firing",
+        [(0.4, "uniform_random"), (0.0, "uniform_random"), (1.0, "uniform_random"), (0.4, "seniority")],
+    )
+    def test_draw_sizes_follow_the_contract(
+        self, p0, linear_curve, signal, strategy, quality, later, gamma, firing
+    ):
+        cfg = make_cfg(p0, n_agents=40, signal_correlation=signal, punishment_mode=firing)
+        m = cfg.access_count
+        rng = ScriptedRNG(quality, later)
+        profile = StrategyProfile.symmetric(strategy, cfg.n_agents)
+        episode = run_episode(cfg, profile, gamma, linear_curve, rng)
+        # the quality and the signal draw(s) always; m fire uniforms only on
+        # a failure under random firing at a rate inside (0, 1)
+        fails = quality == 0.95 and (strategy == SU or later == 0.05)
+        fire = fails and firing == "uniform_random" and 0.0 < gamma < 1.0
+        signal_size = None if signal == "common" else m
+        assert rng.sizes == [None, signal_size] + ([m] if fire else [])
+        assert episode.failure_event == fails
 
     def test_profile_length_mismatch_is_a_contract_violation(self, p0, linear_curve):
         cfg = make_cfg(p0, n_agents=10)

@@ -14,7 +14,6 @@ from conftest import draw_params
 from shirklab import (
     InvalidCurveError,
     ReplacementCostCurve,
-    SweepSpec,
     csv_to_table,
     emit_csv,
     gamma_bar,
@@ -30,13 +29,13 @@ from shirklab.sweeps import Table
 
 
 @pytest.fixture
-def h_spec(p0, linear_curve):
-    return SweepSpec(parameter="h", grid=make_grid(0.0, 1.0, 0.05), params=p0, curve=linear_curve)
+def h_table(p0, linear_curve):
+    return sweep_h(p0, linear_curve, make_grid(0.0, 1.0, 0.05))
 
 
 class TestSweepH:
-    def test_single_regime_switch_between_grid_neighbours(self, h_spec, p0, linear_curve):
-        table = sweep_h(h_spec)
+    def test_single_regime_switch_between_grid_neighbours(self, h_table, p0, linear_curve):
+        table = h_table
         regimes = table.column("regime")
         switches = [i for i in range(1, len(regimes)) if regimes[i] != regimes[i - 1]]
         assert len(switches) == 1
@@ -47,16 +46,16 @@ class TestSweepH:
         assert grid[switches[0] - 1] == pytest.approx(0.20)
         assert grid[switches[0]] == pytest.approx(0.25)
 
-    def test_zero_reach_row_is_first_best(self, h_spec, p0):
-        table = sweep_h(h_spec)
+    def test_zero_reach_row_is_first_best(self, h_table, p0):
+        table = h_table
         h, regime, gamma_star, output, welfare, boundary = table.rows[0]
         assert h == 0.0
         assert regime == "effort"
         assert gamma_star == pytest.approx(gamma_bar(p0))
         assert output == 1.0
 
-    def test_output_columns_are_affine_with_the_expected_slopes(self, h_spec, p0):
-        table = sweep_h(h_spec)
+    def test_output_columns_are_affine_with_the_expected_slopes(self, h_table, p0):
+        table = h_table
         effort_slope = (1.0 + p0.pi * p0.g) * (1.0 - p0.eps) + p0.pi * p0.eps - 1.0
         shirk_slope = p0.pi * (1.0 + p0.g) - 1.0
         for (h1, regime1, _, out1, _, _), (h2, regime2, _, out2, _, _) in zip(
@@ -67,10 +66,7 @@ class TestSweepH:
                 assert (out2 - out1) / (h2 - h1) == pytest.approx(slope, rel=1e-9)
 
     def test_downward_jump_on_a_fine_grid_brackets_the_threshold(self, p0, linear_curve):
-        spec = SweepSpec(
-            parameter="h", grid=make_grid(0.0, 1.0, 0.005), params=p0, curve=linear_curve
-        )
-        table = sweep_h(spec)
+        table = sweep_h(p0, linear_curve, make_grid(0.0, 1.0, 0.005))
         outputs = table.column("output")
         grid = table.column("h")
         drops = [i for i in range(1, len(outputs)) if outputs[i] < outputs[i - 1]]
@@ -78,29 +74,19 @@ class TestSweepH:
         h_tilde = solve_threshold(p0, linear_curve).h_tilde
         assert abs(grid[drops[0]] - h_tilde) <= 0.005 + 1e-12
 
-    def test_welfare_subtracts_effort_cost_only_under_effort(self, h_spec, p0):
-        table = sweep_h(h_spec)
+    def test_welfare_subtracts_effort_cost_only_under_effort(self, h_table, p0):
+        table = h_table
         for h, regime, _, output, welfare, _ in table.rows:
             if regime == "effort":
                 assert welfare == pytest.approx(output - p0.c * h, abs=1e-15)
             else:
                 assert welfare == output
 
-    def test_requires_the_h_parameter(self, p0, linear_curve):
-        spec = SweepSpec(parameter="c", grid=(0.0, 0.01), params=p0, curve=linear_curve)
-        with pytest.raises(ValueError):
-            sweep_h(spec)
 
 
 class TestSweepParam:
     def test_effort_cost_sweep_flags_the_inadmissible_point(self, p0, linear_curve):
-        spec = SweepSpec(
-            parameter="c",
-            grid=(0.0, 0.01, 0.02, 0.03, 0.04, 0.05),
-            params=p0,
-            curve=linear_curve,
-        )
-        table = sweep_param(spec)
+        table = sweep_param("c", p0, linear_curve, (0.0, 0.01, 0.02, 0.03, 0.04, 0.05))
         admissible = table.column("admissible")
         assert admissible == [True, True, True, True, True, False]
         assert table.rows[-1][-1] == "research_efficiency"
@@ -111,8 +97,7 @@ class TestSweepParam:
 
     def test_continuation_value_sweep_scales_gamma_bar_inversely(self, p0, linear_curve):
         grid = (1.0, 2.0, 4.0)
-        spec = SweepSpec(parameter="v_c", grid=grid, params=p0, curve=linear_curve)
-        table = sweep_param(spec)
+        table = sweep_param("v_c", p0, linear_curve, grid)
         gammas = table.column("gamma_bar")
         assert gammas[0] == pytest.approx(2 * gammas[1], rel=1e-12)
         assert gammas[1] == pytest.approx(2 * gammas[2], rel=1e-12)
@@ -120,43 +105,43 @@ class TestSweepParam:
         assert h_tildes == sorted(h_tildes)
 
     def test_curve_scale_sweep_shrinks_the_threshold(self, p0, linear_curve):
-        spec = SweepSpec(
-            parameter="curve_scale", grid=(0.5, 1.0, 2.0, 4.0), params=p0, curve=linear_curve
-        )
-        table = sweep_param(spec)
+        table = sweep_param("curve_scale", p0, linear_curve, (0.5, 1.0, 2.0, 4.0))
         h_tildes = table.column("h_tilde")
         assert all(a >= b - 1e-9 for a, b in zip(h_tildes, h_tildes[1:]))
         # with a linear schedule the threshold is inversely proportional to scale
         assert h_tildes[0] == pytest.approx(2 * h_tildes[1], rel=1e-6)
 
     def test_out_of_range_grid_point_is_flagged_not_raised(self, p0, linear_curve):
-        spec = SweepSpec(parameter="eps", grid=(0.1, 0.6), params=p0, curve=linear_curve)
-        table = sweep_param(spec)
+        table = sweep_param("eps", p0, linear_curve, (0.1, 0.6))
         assert table.rows[0][3] is True
         assert table.rows[1][3] is False
         assert "eps" in table.rows[1][-1]
 
     def test_negative_curve_scale_is_flagged_not_raised(self, p0, linear_curve):
-        spec = SweepSpec(parameter="curve_scale", grid=(-1.0, 1.0), params=p0, curve=linear_curve)
-        table = sweep_param(spec)
+        table = sweep_param("curve_scale", p0, linear_curve, (-1.0, 1.0))
         assert table.rows[0][3] is False
         assert "nonnegative" in table.rows[0][-1]
         assert table.rows[1][3] is True
 
     def test_non_finite_curve_scale_is_flagged_not_raised(self, p0, linear_curve):
-        spec = SweepSpec(parameter="curve_scale", grid=(math.nan, math.inf, 1.0), params=p0, curve=linear_curve)
-        table = sweep_param(spec)
+        table = sweep_param("curve_scale", p0, linear_curve, (math.nan, math.inf, 1.0))
         assert table.column("admissible") == [False, False, True]
         assert table.column("reason")[:2] == ["scale factor must be finite"] * 2
 
     def test_unknown_parameter_rejected(self, p0, linear_curve):
-        with pytest.raises(ValueError):
-            SweepSpec(parameter="zeta", grid=(0.1,), params=p0, curve=linear_curve)
+        with pytest.raises(ValueError, match="unknown sweep parameter 'zeta'"):
+            sweep_param("zeta", p0, linear_curve, (0.1,))
+        with pytest.raises(ValueError, match="use sweep_h"):
+            sweep_param("h", p0, linear_curve, (0.1,))
+
+    def test_grid_points_are_read_as_floats(self, p0, linear_curve):
+        assert sweep_param("w", p0, linear_curve, (0, 1)).column("value") == [0.0, 1.0]
+        assert all(type(h) is float for h in sweep_h(p0, linear_curve, (0, 1)).column("h"))
 
 
 class TestEmitCsv:
-    def test_header_and_significant_digits(self, h_spec, tmp_path):
-        table = sweep_h(h_spec)
+    def test_header_and_significant_digits(self, h_table, tmp_path):
+        table = h_table
         path = tmp_path / "sweep.csv"
         emit_csv(table, str(path))
         lines = path.read_text().splitlines()
@@ -164,8 +149,8 @@ class TestEmitCsv:
         assert len(lines) == len(table.rows) + 1
         assert "0.211111111111" in lines[2]
 
-    def test_round_trip_preserves_twelve_significant_digits(self, h_spec, tmp_path):
-        table = sweep_h(h_spec)
+    def test_round_trip_preserves_twelve_significant_digits(self, h_table, tmp_path):
+        table = h_table
         path = tmp_path / "sweep.csv"
         emit_csv(table, str(path))
         parsed = csv_to_table(str(path))
@@ -183,15 +168,14 @@ class TestEmitCsv:
             emit_csv(Table(columns=("a",), rows=()), str(path))
         assert not path.exists()
 
-    def test_unwritable_destination_raises_io_error(self, h_spec, tmp_path):
-        table = sweep_h(h_spec)
+    def test_unwritable_destination_raises_io_error(self, h_table, tmp_path):
+        table = h_table
         with pytest.raises(OSError):
             emit_csv(table, str(tmp_path / "missing" / "out.csv"))
 
     def test_inadmissible_rows_serialize_with_reason(self, p0, linear_curve, tmp_path):
-        spec = SweepSpec(parameter="c", grid=(0.01, 0.05), params=p0, curve=linear_curve)
         path = tmp_path / "c.csv"
-        emit_csv(sweep_param(spec), str(path))
+        emit_csv(sweep_param("c", p0, linear_curve, (0.01, 0.05)), str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "value,gamma_bar,h_tilde,admissible,drop_at_h_tilde,reason"
         assert lines[2].startswith("0.05,,,false,,research_efficiency")
@@ -201,10 +185,7 @@ class TestEmitCsv:
         curve = ReplacementCostCurve.linear(50.0, resolution=2000)
         for i in range(5):
             p = draw_params(rng)
-            spec = SweepSpec(
-                parameter="w", grid=tuple(np.linspace(0.0, 0.4, 7)), params=p, curve=curve
-            )
-            table = sweep_param(spec)
+            table = sweep_param("w", p, curve, tuple(np.linspace(0.0, 0.4, 7)))
             path = tmp_path / f"t{i}.csv"
             emit_csv(table, str(path))
             parsed = csv_to_table(str(path))
@@ -280,7 +261,7 @@ class TestCurveScaleSweepOnPrefixCurves:
         rng = np.random.default_rng(909)
         curve = ReplacementCostCurve.from_samples(rng.uniform(0.0, 50.0, size=777))
         grid = (0.0, 0.3, 1.0, 2.5, 7.0, 40.0, -1.0, 1e306)
-        table = sweep_param(SweepSpec(parameter="curve_scale", grid=grid, params=p0, curve=curve))
+        table = sweep_param("curve_scale", p0, curve, grid)
         expected = []
         for factor in grid:
             try:
