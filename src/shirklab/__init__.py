@@ -49,7 +49,6 @@ from .simulation import (
     INDEPENDENT,
     SENIORITY,
     SENIORITY_SCENARIO,
-    SeniorityOrder,
     SimConfig,
     SimResult,
     StrategyProfile,

@@ -29,8 +29,12 @@ generator and plays alone.  Each run checks the replay against the real
 generator at its first and last trial and, on a mismatch, codes the
 states from every trial's real generator instead.
 
+Seniority is agent order: under seniority firing the lowest-indexed
+failing agent is fired.  Workers differ only in the strategy they play, so
+any other commonly known order is the same game on a relabelled profile.
+
 Nash checks never sample: deviation payoffs are exact expectations over
-quality, signals, and the firing rule, including the seniority selector.
+quality, signals, and the firing rule, including the seniority pick.
 """
 
 from __future__ import annotations
@@ -74,9 +78,8 @@ UNIFORM_RANDOM = "uniform_random"
 SENIORITY = "seniority"
 
 #: Size caps of a run, checked before any array is built.  A profile holds
-#: one byte per agent (eight more for a seniority order) and Monte Carlo
-#: keeps about 20 bytes per trial, about 120 for a trial that builds its
-#: own generator.
+#: one byte per agent and Monte Carlo keeps about 20 bytes per trial, about
+#: 120 for a trial that builds its own generator.
 MAX_AGENTS = 10**7
 MAX_TRIALS = 10**6
 
@@ -128,10 +131,15 @@ class StrategyProfile:
     __slots__ = ("codes",)
 
     def __init__(self, codes: Sequence[int] | np.ndarray):
-        array = np.asarray(codes, dtype=np.int8)
-        if array.ndim != 1:
+        values = np.asarray(codes)
+        if values.ndim != 1:
             raise ContractViolationError("strategy profile must be one-dimensional")
-        if array.size and (array.min() < 0 or array.max() >= _N_STRATEGIES):
+        # the range is checked before the int8 cast and integrality after it, so
+        # no bad code is wrapped (257 to 1) or truncated (1.7 to 1) into a valid one
+        array = None
+        if not values.size or (values.min() >= 0 and values.max() < _N_STRATEGIES):
+            array = values.astype(np.int8, copy=False)
+        if array is None or not np.array_equal(array, values):
             raise ContractViolationError("strategy profile contains unknown strategy codes")
         self.codes = array
 
@@ -156,48 +164,6 @@ class StrategyProfile:
             if counts[i]
         ]
         return f"StrategyProfile({', '.join(parts)})"
-
-
-@dataclass(frozen=True, eq=False)
-class SeniorityOrder:
-    """A commonly known strict ordering used to single out one failure.
-
-    ``rank[i]`` is agent i's seniority rank (0 is most senior).  The
-    selector maps any nonempty failing set to its most senior member, so
-    the selected agent always belongs to the set.
-    """
-
-    rank: np.ndarray
-
-    def __post_init__(self) -> None:
-        ranks = np.asarray(self.rank, dtype=np.int64)
-        if ranks.ndim != 1:
-            raise ContractViolationError("seniority ranks must form a permutation")
-        # n ranks in [0, n) that cover every value are a permutation
-        in_range = (ranks >= 0) & (ranks < len(ranks))
-        seen = np.zeros(len(ranks), dtype=bool)
-        seen[ranks[in_range]] = True
-        if not (in_range.all() and seen.all()):
-            raise ContractViolationError("seniority ranks must form a permutation")
-        object.__setattr__(self, "rank", ranks)
-
-    @classmethod
-    def identity(cls, n_agents: int) -> "SeniorityOrder":
-        return cls(np.arange(n_agents))
-
-    @classmethod
-    def from_permutation(cls, most_senior_first: Sequence[int]) -> "SeniorityOrder":
-        """Build from a listing of agent indices, most senior first."""
-        perm = np.asarray(most_senior_first, dtype=np.int64)
-        rank = np.empty_like(perm)
-        rank[perm] = np.arange(len(perm))
-        return cls(rank)
-
-    def selector(self, failing: Sequence[int] | np.ndarray) -> int:
-        failing = np.asarray(failing, dtype=np.int64)
-        if failing.size == 0:
-            raise ContractViolationError("selector requires a nonempty failing set")
-        return int(failing[np.argmin(self.rank[failing])])
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,17 +192,19 @@ class EpisodeOutcome:
     payoff_sum_by_strategy: np.ndarray
 
 
-def _check_inputs(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float = 0.0) -> None:
+def _access_codes(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float = 0.0) -> np.ndarray:
+    """The strategy codes of the access agents, after checking the profile length and the rate."""
     if len(profile) != cfg.n_agents:
         raise ContractViolationError(
             f"profile length {len(profile)} does not match n_agents {cfg.n_agents}"
         )
     if not 0.0 <= policy_gamma <= 1.0:
         raise ValueError(f"policy_gamma must lie in [0, 1], got {policy_gamma}")
+    return profile.codes[: cfg.access_count]
 
 
 class _EpisodeKernel:
-    """The one-shot timeline for a fixed profile, firing rate, curve and order.
+    """The one-shot timeline for a fixed profile, firing rate and curve.
 
     ``draw`` takes one trial's uniforms from ``rng`` in the contract order
     (quality, signals, fire uniforms when they can change who is fired);
@@ -253,13 +221,11 @@ class _EpisodeKernel:
         profile: StrategyProfile,
         policy_gamma: float,
         curve: ReplacementCostCurve,
-        seniority: SeniorityOrder | None,
     ):
-        _check_inputs(cfg, profile, policy_gamma)
         self.cfg = cfg
         self.policy_gamma = policy_gamma
         self.curve = curve
-        self.codes = profile.codes[: cfg.access_count]
+        self.codes = _access_codes(cfg, profile, policy_gamma)
         self.effort = _EFFORT[self.codes]
         # adoption per (shared reading, access agent), and whether anyone adopts
         self.use_by_reading = _ADOPTS[:, self.codes]
@@ -267,9 +233,6 @@ class _EpisodeKernel:
         self.reads_signal = bool((self.use_by_reading[0] != self.use_by_reading[1]).any())
         # a fire uniform can change who is fired only at a rate strictly inside (0, 1)
         self.random_firing = cfg.punishment_mode == UNIFORM_RANDOM and 0.0 < policy_gamma < 1.0
-        self.seniority = None
-        if cfg.punishment_mode == SENIORITY:
-            self.seniority = seniority or SeniorityOrder.identity(cfg.n_agents)
 
     def draw(self, rng) -> tuple[bool, np.ndarray, np.ndarray | None]:
         """One trial's draws as ``(good, use, fire_draws)``; ``fire_draws`` is None when not drawn."""
@@ -328,10 +291,10 @@ class _EpisodeKernel:
         produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
         failed = use & (not good)
 
-        if self.seniority is not None:
+        if cfg.punishment_mode == SENIORITY:
             fired = np.zeros(m, dtype=bool)
             if failed.any():
-                fired[self.seniority.selector(np.flatnonzero(failed))] = True
+                fired[failed.argmax()] = True
         elif fire_draws is None:
             # no failure, or a rate of 0 or 1 that fires none or all of them
             fired = failed & (self.policy_gamma == 1.0)
@@ -374,18 +337,17 @@ def run_episode(
     policy_gamma: float,
     curve: ReplacementCostCurve,
     rng: np.random.Generator,
-    seniority: SeniorityOrder | None = None,
 ) -> EpisodeOutcome:
     """Play the timeline once and account for every agent.
 
     Under ``uniform_random`` punishment each failing agent is fired
     independently with probability ``policy_gamma``; under ``seniority``
-    the selector's choice from the failing set is fired with certainty
-    and ``policy_gamma`` is ignored.  ``rng`` is read in the module's
+    the lowest-indexed failing agent is fired with certainty and
+    ``policy_gamma`` is ignored.  ``rng`` is read in the module's
     draw order: the quality and signal draws always, the fire uniforms
     only when they can change who is fired.
     """
-    kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve, seniority)
+    kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve)
     return kernel.account(*kernel.draw(rng))
 
 
@@ -572,7 +534,6 @@ def monte_carlo(
     profile: StrategyProfile,
     policy_gamma: float,
     curve: ReplacementCostCurve,
-    seniority: SeniorityOrder | None = None,
     trace_path: str | None = None,
 ) -> SimResult:
     """Average the episode over ``cfg.n_trials`` substreams.
@@ -586,7 +547,7 @@ def monte_carlo(
     signals, plays alone on its generator.  The per-trial arrays
     and the trace are filled by indexing the accounted outcomes.
     """
-    kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve, seniority)
+    kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve)
     trials = cfg.n_trials
     which = kernel.replay_states(cfg.seed, trials).astype(np.intp)
     lone = np.flatnonzero(which < 0)
@@ -672,17 +633,11 @@ def _expected_wages(p: ModelParams, compensation: str) -> np.ndarray:
     return p.pi * (use_good * (1.0 + p.g) + (1.0 - use_good)) + (1.0 - p.pi) * (1.0 - use_bad)
 
 
-def _access_ranks(cfg: SimConfig, seniority: SeniorityOrder | None) -> np.ndarray:
-    """Seniority ranks of the access agents (identity order by default)."""
-    order = seniority or SeniorityOrder.identity(cfg.n_agents)
-    return order.rank[: cfg.access_count]
-
-
 @functools.lru_cache(maxsize=32)
 def _common_signal_rows(p: ModelParams, compensation: str) -> np.ndarray:
     """Seniority deviation payoffs under common signals, one row per fired pattern.
 
-    A deviator who fails in a bad state is fired iff no more senior agent
+    A deviator who fails in a bad state is fired iff no lower-indexed agent
     fails there too.  Row ``2 * f_right + f_wrong`` holds the payoffs of an
     agent who would be fired (flag 1) or spared (flag 0) on failing in the
     bad state with a right or a wrong signal.  The four (quality,
@@ -702,30 +657,29 @@ def _common_signal_rows(p: ModelParams, compensation: str) -> np.ndarray:
             produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
             wage = np.where(use, p.w, 0.0) if compensation == PROSPECTIVE else produced
             base = wage - effort_cost + p.v_c
-            # a deviator who fails (uses a bad technology) loses v_c when most senior
+            # a deviator who fails (uses a bad technology) loses v_c when first in line
             fired = (use & (not good))[None, :] & fired_if[wrong][:, None]
             rows += prob * (base - p.v_c * fired)
     rows.flags.writeable = False
     return rows
 
 
-def _common_signal_row_of_agent(codes: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+def _common_signal_row_of_agent(codes: np.ndarray) -> np.ndarray:
     """Each access agent's row of ``_common_signal_rows`` given the others' codes.
 
     With one shared signal the failing set in a bad state is fixed by the
-    profile, and a deviator who fails there is fired iff its rank is at
-    most that of the most senior current failure: a failing agent is fired
-    only if it is that failure itself, a non-failing one only if it would
-    be more senior.  Holds with no failure too (the bound is then +inf).
+    profile, and a deviator who fails there is fired iff its index is at
+    most that of the first current failure: a failing agent is fired only
+    if it is that failure itself, a non-failing one only if it comes
+    before it.  Holds with no failure too (the bound is then ``m``).
     """
-    row = np.zeros(len(codes), dtype=np.intp)
+    m = len(codes)
+    row = np.zeros(m, dtype=np.intp)
     for bit, wrong in ((2, False), (1, True)):
         # in the bad state the signal reads good exactly when it is wrong
         failing = _ADOPTS[int(wrong)][codes]
-        if failing.any():
-            row += bit * (ranks <= ranks[failing].min())
-        else:
-            row += bit
+        first = failing.argmax() if failing.any() else m
+        row += bit * (np.arange(m) <= first)
     return row
 
 
@@ -733,15 +687,14 @@ def _deviation_payoff_table(
     cfg: SimConfig,
     codes: np.ndarray,
     policy_gamma: float,
-    ranks: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected payoff of every (access agent, strategy) pair, others fixed.
 
-    ``codes`` and ``ranks`` are the access agents' strategy codes and
-    seniority ranks.  Returns ``(rows, row_of_agent)``: access agent i's
-    payoffs are ``rows[row_of_agent[i]]``.  There is one row under
-    ``uniform_random`` firing, at most four under seniority firing with
-    common signals, and one per agent with independent signals.
+    ``codes`` are the access agents' strategy codes.  Returns ``(rows,
+    row_of_agent)``: access agent i's payoffs are ``rows[row_of_agent[i]]``.
+    There is one row under ``uniform_random`` firing, at most four under
+    seniority firing with common signals, and one per agent with
+    independent signals.
 
     Analytic expectations over quality, signals, and the firing rule; no
     sampling, so deviation gains carry no Monte Carlo noise.
@@ -755,16 +708,14 @@ def _deviation_payoff_table(
         )
         return row[None, :], np.zeros(m, dtype=np.intp)
     if cfg.signal_correlation == COMMON:
-        return _common_signal_rows(p, cfg.compensation), _common_signal_row_of_agent(codes, ranks)
+        return _common_signal_rows(p, cfg.compensation), _common_signal_row_of_agent(codes)
 
     # independent signals: failures are independent across agents given a
-    # bad technology, so the chance no more-senior agent fails is a
-    # prefix product over seniority ranks
+    # bad technology, so the chance no lower-indexed agent fails is a
+    # prefix product
     use_bad = _adoption_given_quality(p, False)
-    by_rank = np.argsort(ranks, kind="stable")
-    survive = 1.0 - use_bad[codes][by_rank]
     prefix = np.ones(m)
-    prefix[by_rank[1:]] = np.cumprod(survive[:-1])
+    prefix[1:] = np.cumprod(1.0 - use_bad[codes[:-1]])
     fired_prob = ((1.0 - p.pi) * use_bad)[None, :] * prefix[:, None]
     base = _expected_wages(p, cfg.compensation) - np.where(_EFFORT, p.c, 0.0)
     return base + p.v_c * (1.0 - fired_prob), np.arange(m)
@@ -774,7 +725,6 @@ def expected_strategy_payoffs(
     cfg: SimConfig,
     profile: StrategyProfile,
     policy_gamma: float,
-    seniority: SeniorityOrder | None = None,
 ) -> dict[str, float]:
     """Exact expected payoff of each strategy played in ``profile``.
 
@@ -783,10 +733,8 @@ def expected_strategy_payoffs(
     counterpart of ``SimResult.per_strategy_payoff``.  Under uniform
     random firing this is ``agent_payoff`` itself.
     """
-    codes = profile.codes[: cfg.access_count]
-    rows, row_of_agent = _deviation_payoff_table(
-        cfg, codes, policy_gamma, _access_ranks(cfg, seniority)
-    )
+    codes = _access_codes(cfg, profile, policy_gamma)
+    rows, row_of_agent = _deviation_payoff_table(cfg, codes, policy_gamma)
     players = np.bincount(codes, minlength=_N_STRATEGIES)
     payoffs: dict[str, float] = {}
     for code in np.flatnonzero(players):
@@ -806,10 +754,10 @@ def closed_form_targets(cfg: SimConfig, profile: StrategyProfile, policy_gamma: 
     agent researches and follows the signal and the blind-adoption regime
     otherwise; welfare nets out the effort cost of the agents who research.
     Each strategy played then gets its exact expected payoff, as
-    ``payoff_<label>``, under the identity seniority order.
+    ``payoff_<label>``.
     """
     p = cfg.params
-    codes = profile.codes[: cfg.access_count]
+    codes = _access_codes(cfg, profile, policy_gamma)
     effort = bool(codes.size) and bool(np.all(codes == AgentStrategy.EFFORT_FOLLOW_SIGNAL))
     output = expected_output(cfg.access_count / cfg.n_agents, EFFORT if effort else SHIRK, p)
     effort_share = float(_EFFORT[codes].sum()) / cfg.n_agents
@@ -833,18 +781,14 @@ def nash_check(
     cfg: SimConfig,
     profile: StrategyProfile,
     policy_gamma: float,
-    seniority: SeniorityOrder | None = None,
 ) -> list[Deviation]:
     """List every profitable unilateral deviation; empty means Nash.
 
     Payoffs are exact expectations, so a gain above ``PAYOFF_TIE_TOL`` is
     a real deviation rather than sampling noise.
     """
-    _check_inputs(cfg, profile, policy_gamma)
-    codes = profile.codes[: cfg.access_count]
-    rows, row_of_agent = _deviation_payoff_table(
-        cfg, codes, policy_gamma, _access_ranks(cfg, seniority)
-    )
+    codes = _access_codes(cfg, profile, policy_gamma)
+    rows, row_of_agent = _deviation_payoff_table(cfg, codes, policy_gamma)
     best = rows.argmax(1)[row_of_agent]
     gain = (rows.max(1)[:, None] - rows)[row_of_agent, codes]
     return [
@@ -900,31 +844,29 @@ class BestResponseTrace:
 def iterated_best_response(
     cfg: SimConfig,
     initial: StrategyProfile,
-    seniority: SeniorityOrder | None = None,
     max_rounds: int | None = None,
 ) -> BestResponseTrace:
     """Iterate synchronous best responses until a fixed point.
 
-    Intended for the seniority punishment mode, where the most senior
+    Intended for the seniority punishment mode, where the lowest-indexed
     member of any would-be shirking group prefers effort, flipping one
-    agent per round until everyone with access researches.  Agents keep
-    their current strategy when it remains among the best responses.
+    agent per round, in index order, until everyone with access
+    researches.  Agents keep their current strategy when it remains among
+    the best responses.
 
     Each round reads the exact deviation table: with common signals a
-    deviator who fails in a bad state is fired iff its rank is at most
-    ``min1``, the rank of the most senior current failure there, so every
-    agent's payoffs are one of four rows and a round costs O(n) vectorized
-    work.  The trace keeps the initial profile and each round's switched
-    positions with their new codes.
+    deviator who fails in a bad state is fired iff its index is at most
+    that of the first current failure there, so every agent's payoffs are
+    one of four rows and a round costs O(n) vectorized work.  The trace
+    keeps the initial profile and each round's switched positions with
+    their new codes.
     """
-    _check_inputs(cfg, initial)
+    codes = _access_codes(cfg, initial).copy()
     cap = 10 * cfg.n_agents if max_rounds is None else max_rounds
-    ranks = _access_ranks(cfg, seniority)
-    codes = initial.codes[: cfg.access_count].copy()
     changed: list[list[int]] = []
     switched_to: list[np.ndarray] = []
     for _ in range(cap):
-        rows, row_of_agent = _deviation_payoff_table(cfg, codes, 0.0, ranks)
+        rows, row_of_agent = _deviation_payoff_table(cfg, codes, 0.0)
         unhappy = rows < rows.max(1)[:, None] - PAYOFF_TIE_TOL
         switched = np.flatnonzero(unhappy[row_of_agent, codes])
         if not switched.size:
@@ -994,7 +936,7 @@ def _scenario_run(
     deviations = nash_check(cfg, profile, gamma)
     sim = monte_carlo(cfg, profile, gamma, curve)
     targets = closed_form_targets(cfg, profile, gamma)
-    access_codes = profile.codes[: cfg.access_count]
+    access_codes = _access_codes(cfg, profile, gamma)
     if not cfg.access_count:
         label = "none"
     elif np.all(access_codes == access_codes[0]):
@@ -1028,7 +970,7 @@ def policy_experiment(
         punishment is credible there, blind adoption otherwise.
     variable_compensation -- workers are paid realized production and the
         principal never fires; effort should be an equilibrium on its own.
-    seniority -- prospective pay with the identity seniority selector; the
+    seniority -- prospective pay, firing the lowest-indexed failure; the
         equilibrium profile is found by best-response unraveling from
         universal blind adoption.
 

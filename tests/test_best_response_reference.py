@@ -4,9 +4,11 @@ The reference below is the original per-agent implementation, with the
 package's private helpers copied in so it depends on nothing it checks: it
 builds the full (access agents x strategies) deviation matrix with the
 (min1, min2) seniority bookkeeping and loops over every agent in Python.
-The package works on a small table of distinct payoff rows instead; these
-tests hold it to exact equality with the reference on random profiles,
-seniority orders and parameters.
+It still takes any seniority order, as an array of ranks (0 is most
+senior).  The package fires by agent index, which is the same game on a
+relabelled profile: these tests sort the access agents by rank, run the
+package, map its agent indices back and hold the result to exact equality
+with the reference on random profiles, orders and parameters.
 """
 
 import math
@@ -19,7 +21,6 @@ from shirklab import (
     ALL_STRATEGIES,
     AgentStrategy,
     ModelParams,
-    SeniorityOrder,
     SimConfig,
     StrategyProfile,
     agent_payoff,
@@ -65,7 +66,7 @@ def _expected_wage(code, p, compensation):
     return p.pi * expected_good + (1.0 - p.pi) * expected_bad
 
 
-def reference_matrix(cfg, profile, policy_gamma, seniority):
+def reference_matrix(cfg, profile, policy_gamma, ranks):
     p = cfg.params
     m = cfg.access_count
     matrix = np.empty((m, _N_STRATEGIES))
@@ -79,8 +80,7 @@ def reference_matrix(cfg, profile, policy_gamma, seniority):
         matrix[:] = row
         return matrix
 
-    order = seniority or SeniorityOrder.identity(cfg.n_agents)
-    ranks = order.rank[:m]
+    ranks = np.arange(m) if ranks is None else ranks[:m]
     codes = profile.codes[:m]
     effort_cost = np.where(_EFFORT_TABLE, p.c, 0.0)
 
@@ -133,8 +133,8 @@ def reference_matrix(cfg, profile, policy_gamma, seniority):
     return matrix
 
 
-def reference_nash_check(cfg, profile, policy_gamma, seniority=None, tol=1e-12):
-    matrix = reference_matrix(cfg, profile, policy_gamma, seniority)
+def reference_nash_check(cfg, profile, policy_gamma, ranks=None, tol=1e-12):
+    matrix = reference_matrix(cfg, profile, policy_gamma, ranks)
     deviations = []
     codes = profile.codes[: cfg.access_count]
     for pos in range(cfg.access_count):
@@ -146,14 +146,14 @@ def reference_nash_check(cfg, profile, policy_gamma, seniority=None, tol=1e-12):
     return deviations
 
 
-def reference_best_response(cfg, initial, seniority=None, max_rounds=None, tol=1e-12):
+def reference_best_response(cfg, initial, ranks=None, max_rounds=None, tol=1e-12):
     """Returns (profiles, changed, converged) of the synchronous iteration."""
     cap = 10 * cfg.n_agents if max_rounds is None else max_rounds
     profiles = [initial]
     changed = []
     current = initial
     for _ in range(cap):
-        matrix = reference_matrix(cfg, current, 0.0, seniority)
+        matrix = reference_matrix(cfg, current, 0.0, ranks)
         codes = current.codes.copy()
         switched = []
         for pos in range(cfg.access_count):
@@ -195,8 +195,32 @@ def _random_case(rng, signal, compensation, punishment, h):
         codes = np.full(n, int(AgentStrategy.SHIRK_USE) if kind == 1 else int(rng.integers(_N_STRATEGIES)))
         flips = rng.random(n) < 0.2
         codes[flips] = rng.integers(0, _N_STRATEGIES, size=int(flips.sum()))
-    seniority = None if rng.random() < 0.3 else SeniorityOrder.from_permutation(rng.permutation(n))
-    return cfg, StrategyProfile(codes), seniority
+    ranks = None if rng.random() < 0.3 else rng.permutation(n)
+    return cfg, StrategyProfile(codes), ranks
+
+
+def _by_rank(cfg, ranks):
+    """Access agent ``order[j]`` is the package's agent j: the access agents sorted by rank."""
+    m = cfg.access_count
+    return np.arange(m) if ranks is None else np.argsort(ranks[:m])
+
+
+def _relabelled(profile, order):
+    codes = profile.codes.copy()
+    codes[: len(order)] = profile.codes[order]
+    return StrategyProfile(codes)
+
+
+def _labelled_back(profile, order):
+    codes = profile.codes.copy()
+    codes[order] = profile.codes[: len(order)]
+    return StrategyProfile(codes)
+
+
+def _trace_in_agent_labels(trace, order):
+    """The package trace's changed agents and profiles, in the reference's agent labels."""
+    changed = [sorted(int(order[j]) for j in switched) for switched in trace.changed]
+    return changed, [_labelled_back(profile, order) for profile in trace.profiles]
 
 
 MODES = [
@@ -212,36 +236,37 @@ MODES = [
 def test_nash_check_matches_the_reference(signal, compensation, punishment, h):
     rng = np.random.default_rng([7, len(signal), len(compensation), len(punishment), int(10 * h)])
     for _ in range(12):
-        cfg, profile, seniority = _random_case(rng, signal, compensation, punishment, h)
+        cfg, profile, ranks = _random_case(rng, signal, compensation, punishment, h)
         gamma = float(rng.choice([0.0, 1.0, rng.random()]))
-        got = [
-            (d.agent, d.current, d.better, d.gain)
-            for d in nash_check(cfg, profile, gamma, seniority=seniority)
-        ]
-        assert got == reference_nash_check(cfg, profile, gamma, seniority)
+        order = _by_rank(cfg, ranks)
+        got = sorted(
+            (int(order[d.agent]), d.current, d.better, d.gain)
+            for d in nash_check(cfg, _relabelled(profile, order), gamma)
+        )
+        assert got == reference_nash_check(cfg, profile, gamma, ranks)
 
 
 @pytest.mark.parametrize("signal,compensation,punishment,h", MODES)
 def test_iterated_best_response_matches_the_reference(signal, compensation, punishment, h):
     rng = np.random.default_rng([11, len(signal), len(compensation), len(punishment), int(10 * h)])
     for _ in range(8):
-        cfg, profile, seniority = _random_case(rng, signal, compensation, punishment, h)
-        trace = iterated_best_response(cfg, profile, seniority)
-        profiles, changed, converged = reference_best_response(cfg, profile, seniority)
-        assert trace.changed == changed
+        cfg, profile, ranks = _random_case(rng, signal, compensation, punishment, h)
+        order = _by_rank(cfg, ranks)
+        trace = iterated_best_response(cfg, _relabelled(profile, order))
+        profiles, changed, converged = reference_best_response(cfg, profile, ranks)
+        assert _trace_in_agent_labels(trace, order) == (changed, profiles)
         assert trace.converged == converged
         assert trace.rounds == len(changed)
-        assert trace.profiles == profiles
-        assert trace.final == profiles[-1]
+        assert _labelled_back(trace.final, order) == profiles[-1]
 
 
 def test_round_cap_matches_the_reference():
     p = PARAMS[0]
     cfg = SimConfig(params=p, n_agents=30, n_trials=1, seed=0, h=1.0, punishment_mode="seniority")
-    order = SeniorityOrder.from_permutation(np.random.default_rng(3).permutation(30))
+    ranks = np.random.default_rng(3).permutation(30)
+    order = _by_rank(cfg, ranks)
     start = StrategyProfile.symmetric(AgentStrategy.SHIRK_USE, 30)
-    trace = iterated_best_response(cfg, start, order, max_rounds=7)
-    profiles, changed, converged = reference_best_response(cfg, start, order, max_rounds=7)
+    trace = iterated_best_response(cfg, _relabelled(start, order), max_rounds=7)
+    profiles, changed, converged = reference_best_response(cfg, start, ranks, max_rounds=7)
     assert not trace.converged and not converged
-    assert trace.changed == changed
-    assert trace.profiles == profiles
+    assert _trace_in_agent_labels(trace, order) == (changed, profiles)

@@ -1,5 +1,7 @@
 """Command-line behavior: happy paths, exit codes, determinism."""
 
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -471,3 +473,20 @@ class TestConfigErrors:
         assert main(["solve", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: invalid curve: {curve}: no cost samples\n"
         assert not recwarn.list
+
+
+def test_every_name_the_benchmark_traces_still_exists():
+    # the benchmark's tracer wraps these by name; loading its module installs nothing
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", Path(__file__).parent.parent / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, names in spans.FUNCTIONS.items():
+        module = importlib.import_module(f"shirklab.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    curve = importlib.import_module("shirklab.equilibrium").ReplacementCostCurve
+    for name in spans.CURVE_BUILDERS + ("validate",):
+        # read from the class itself, as the tracer does
+        assert name in vars(curve), name

@@ -1,13 +1,14 @@
 """The Monte Carlo engine against the plain per-trial loop it replaced.
 
 The reference below is the original engine, copied in verbatim apart
-from the thread pool: every trial takes all of its uniforms (quality, the
-signal draws, then one fire uniform per access agent) and plays a full
-episode.  The package draws only what can change a trial, replays the
-first uniforms of each substream with array arithmetic instead of
-building its generator, and reuses the outcome of a repeated (quality,
-reading) state; these tests hold it to exact equality with the
-reference, trace files included, and the replay to numpy's generator.
+from the thread pool and the seniority order, which is now agent order:
+every trial takes all of its uniforms (quality, the signal draws, then one
+fire uniform per access agent) and plays a full episode.  The package
+draws only what can change a trial, replays the first uniforms of each
+substream with array arithmetic instead of building its generator, and
+reuses the outcome of a repeated (quality, reading) state; these tests
+hold it to exact equality with the reference, trace files included, and
+the replay to numpy's generator.
 """
 
 import dataclasses
@@ -24,7 +25,6 @@ from shirklab import (
     AgentStrategy,
     ModelParams,
     ReplacementCostCurve,
-    SeniorityOrder,
     SimConfig,
     StrategyProfile,
     monte_carlo,
@@ -40,7 +40,7 @@ _EFFORT, _ADOPTS_ON_GOOD, _ADOPTS_ON_BAD = np.array(STRATEGY_TABLE).T
 _ADOPTS = np.array([_ADOPTS_ON_BAD, _ADOPTS_ON_GOOD])
 
 
-def reference_episode(cfg, profile, policy_gamma, curve, rng, seniority=None):
+def reference_episode(cfg, profile, policy_gamma, curve, rng):
     """Aggregates of one episode, every draw taken, as the old engine did."""
     p = cfg.params
     n = cfg.n_agents
@@ -63,8 +63,8 @@ def reference_episode(cfg, profile, policy_gamma, curve, rng, seniority=None):
     if cfg.punishment_mode == "uniform_random":
         fired = failed & (fire_draws < policy_gamma)
     elif failed.any():
-        chosen = (seniority or SeniorityOrder.identity(n)).selector(np.flatnonzero(failed))
-        fired[chosen] = True
+        # seniority: the lowest failing index
+        fired[np.flatnonzero(failed)[0]] = True
 
     if cfg.compensation == "prospective":
         wage = np.where(use, p.w, 0.0)
@@ -108,7 +108,7 @@ def _mean_se(values):
     return MeanSE(mean, float(values.std(ddof=1) / math.sqrt(len(values))))
 
 
-def reference_monte_carlo(cfg, profile, policy_gamma, curve, seniority=None, trace_path=None):
+def reference_monte_carlo(cfg, profile, policy_gamma, curve, trace_path=None):
     trials = cfg.n_trials
     outputs = np.empty(trials)
     wages = np.empty(trials)
@@ -120,7 +120,7 @@ def reference_monte_carlo(cfg, profile, policy_gamma, curve, seniority=None, tra
     payoff_sums = np.empty((trials, _N_STRATEGIES))
     counts = np.bincount(profile.codes[: cfg.access_count], minlength=_N_STRATEGIES)
     for t in range(trials):
-        episode = reference_episode(cfg, profile, policy_gamma, curve, _trial_rng(cfg.seed, t), seniority)
+        episode = reference_episode(cfg, profile, policy_gamma, curve, _trial_rng(cfg.seed, t))
         outputs[t] = episode["output"]
         wages[t] = episode["wages"]
         repl[t] = episode["replacement_cost"]
@@ -185,7 +185,7 @@ def _profile(kind, rng, n_agents):
 
 
 def _case(index):
-    """Config, profile, rate, curve and seniority order of grid point ``index``."""
+    """Config, profile, rate and curve of grid point ``index``."""
     signal, firing, pay, h, gamma, kind = GRID[index]
     rng = np.random.default_rng(index)
     cfg = SimConfig(
@@ -198,9 +198,8 @@ def _case(index):
         compensation=pay,
         punishment_mode=firing,
     )
-    seniority = SeniorityOrder.from_permutation(rng.permutation(N_AGENTS)) if index % 2 else None
     curve = ReplacementCostCurve.linear(1000.0, resolution=500)
-    return cfg, _profile(kind, rng, N_AGENTS), gamma, curve, seniority
+    return cfg, _profile(kind, rng, N_AGENTS), gamma, curve
 
 
 def test_grid_covers_every_mode_combination():
@@ -229,21 +228,21 @@ def test_two_word_seeds_cover_every_signal_firing_and_profile():
 
 @pytest.mark.parametrize("index, seed", REFERENCE_CASES)
 def test_monte_carlo_and_trace_match_the_reference(index, seed, tmp_path):
-    cfg, profile, gamma, curve, seniority = _case(index)
+    cfg, profile, gamma, curve = _case(index)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
-    got = monte_carlo(cfg, profile, gamma, curve, seniority, trace_path=str(tmp_path / "got.jsonl"))
-    want = reference_monte_carlo(cfg, profile, gamma, curve, seniority, trace_path=str(tmp_path / "want.jsonl"))
+    got = monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "got.jsonl"))
+    want = reference_monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "want.jsonl"))
     assert got == want
     assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("index", range(0, len(GRID), 5))
 def test_run_episode_matches_the_reference_on_every_field(index):
-    cfg, profile, gamma, curve, seniority = _case(index)
+    cfg, profile, gamma, curve = _case(index)
     for seed in range(12):
-        got = run_episode(cfg, profile, gamma, curve, np.random.default_rng(seed), seniority)
-        want = reference_episode(cfg, profile, gamma, curve, np.random.default_rng(seed), seniority)
+        got = run_episode(cfg, profile, gamma, curve, np.random.default_rng(seed))
+        want = reference_episode(cfg, profile, gamma, curve, np.random.default_rng(seed))
         for name, value in want.items():
             if isinstance(value, np.ndarray):
                 assert np.array_equal(getattr(got, name), value), name

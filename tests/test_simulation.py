@@ -14,7 +14,6 @@ from shirklab import (
     InvalidParamsError,
     ModelParams,
     ReplacementCostCurve,
-    SeniorityOrder,
     SimConfig,
     StrategyProfile,
     agent_payoff,
@@ -27,7 +26,7 @@ from shirklab import (
     policy_experiment,
     run_episode,
 )
-from shirklab.simulation import expected_strategy_payoffs
+from shirklab.simulation import closed_form_targets, expected_strategy_payoffs
 
 EFS = AgentStrategy.EFFORT_FOLLOW_SIGNAL
 SU = AgentStrategy.SHIRK_USE
@@ -82,6 +81,21 @@ class TestSimConfig:
         with pytest.raises(InvalidParamsError, match=f"{field} must lie in \\[1, {cap}\\]"):
             make_cfg(p0, **{field: above})
         assert getattr(make_cfg(p0, **{field: cap}), field) == cap
+
+
+class TestStrategyProfile:
+    @pytest.mark.parametrize(
+        "codes",
+        [[257, 2], [1.7, 2.2], [-255], [6], [float("nan")]],
+        ids=["wraps", "fraction", "negative", "six", "nan"],
+    )
+    def test_bad_codes_are_rejected_before_the_cast(self, codes):
+        with pytest.raises(ContractViolationError, match="unknown strategy codes"):
+            StrategyProfile(np.array(codes))
+
+    def test_integral_codes_of_any_dtype_are_kept(self):
+        assert StrategyProfile(np.array([1.0, 5.0])).codes.tolist() == [1, 5]
+        assert StrategyProfile([SNU, EFS]).codes.dtype == np.int8
 
 
 class TestRunEpisode:
@@ -143,12 +157,13 @@ class TestRunEpisode:
 
     def test_seniority_mode_fires_exactly_the_selector(self, p0, linear_curve):
         cfg = make_cfg(p0, n_agents=40, h=1.0, punishment_mode="seniority")
-        profile = StrategyProfile.symmetric(SU, cfg.n_agents)
-        order = SeniorityOrder.from_permutation(list(range(39, -1, -1)))
-        episode = run_episode(cfg, profile, 0.0, linear_curve, QueueRNG([0.99, 0.5]), order)
+        # a right signal about a bad technology: only the blind adopters use it
+        profile = StrategyProfile(np.tile([SNU, EFS, SNU, SU, EFS, SU, SU, SNU], 5))
+        episode = run_episode(cfg, profile, 0.0, linear_curve, QueueRNG([0.99, 0.5]))
         assert episode.quality == "bad"
-        assert episode.fired_count == 1
-        assert episode.fired[39]  # most senior under the reversed order
+        assert np.flatnonzero(episode.used).tolist() == np.flatnonzero(profile.codes == SU).tolist()
+        # the lowest-indexed user is fired, and no one else
+        assert np.flatnonzero(episode.fired).tolist() == [3]
 
     # quality 0.5 is good and 0.95 bad at pi = 0.9; a signal draw of 0.05 is
     # wrong and one of 0.5 right at eps = 0.1
@@ -184,29 +199,12 @@ class TestRunEpisode:
             run_episode(cfg, profile, 0.0, linear_curve, np.random.default_rng(0))
 
 
-class TestSeniorityOrder:
-    def test_permutations_are_accepted(self):
-        order = SeniorityOrder.from_permutation([2, 0, 3, 1])
-        assert order.rank.tolist() == [1, 3, 0, 2]
-        assert SeniorityOrder.identity(0).rank.size == 0
-
-    @pytest.mark.parametrize(
-        "ranks",
-        [[0, 1, 1], [0, 0, 0], [0, 1, 3], [1, 2, 3], [-1, 0, 1], [0, -2, 2], [[0, 1], [1, 0]]],
-        ids=["duplicate", "all-equal", "gap", "shifted", "negative", "negative-gap", "two-dimensional"],
-    )
-    def test_non_permutations_are_rejected(self, ranks):
-        with pytest.raises(ContractViolationError, match="permutation"):
-            SeniorityOrder(np.array(ranks))
-
-
 def test_array_holding_records_compare_by_identity(p0, linear_curve):
     # field-wise == would compare ndarrays and raise; hash would fail on them
     cfg = make_cfg(p0, n_agents=20)
     profile = StrategyProfile.symmetric(AgentStrategy.SHIRK_USE, 20)
     for make in (
         lambda: ReplacementCostCurve.linear(1000.0),
-        lambda: SeniorityOrder.identity(20),
         lambda: run_episode(cfg, profile, 0.5, linear_curve, np.random.default_rng(3)),
     ):
         first, second = make(), make()
@@ -278,14 +276,13 @@ class TestMonteCarlo:
                 punishment_mode=firing,
             )
             gamma = min(1.0, 1.1 * gamma_bar(p)) if firing == "uniform_random" else 0.0
-            order = SeniorityOrder.from_permutation(np.random.default_rng(index).permutation(cfg.n_agents))
             for strategy, regime in ((EFS, "effort"), (SU, "shirk")):
                 profile = StrategyProfile.symmetric(strategy, cfg.n_agents)
-                result = monte_carlo(cfg, profile, gamma, linear_curve, order)
+                result = monte_carlo(cfg, profile, gamma, linear_curve)
                 target = expected_output(cfg.h, regime, p)
                 assert abs(result.output.mean - target) <= max(3 * result.output.se, 1e-12)
                 payoff = result.per_strategy_payoff[strategy.label]
-                target = expected_strategy_payoffs(cfg, profile, gamma, order)[strategy.label]
+                target = expected_strategy_payoffs(cfg, profile, gamma)[strategy.label]
                 assert abs(payoff.mean - target) <= max(3 * payoff.se, 1e-12)
 
     def test_signal_correlation_preserves_means_but_not_variance(self, p0, linear_curve):
@@ -386,6 +383,19 @@ class TestNashCheck:
             shirkers = StrategyProfile.symmetric(SU, seniority.n_agents)
             payoff = expected_strategy_payoffs(seniority, shirkers, 0.0)[SU.label]
             assert payoff == pytest.approx(p0.w + p0.v_c * (1.0 - (1.0 - p0.pi) / m), rel=1e-12)
+
+    @pytest.mark.parametrize("targets", [expected_strategy_payoffs, closed_form_targets])
+    @pytest.mark.parametrize(
+        "signal, firing",
+        [("common", "uniform_random"), ("common", "seniority"), ("independent", "seniority")],
+    )
+    def test_payoff_targets_check_their_inputs(self, p0, targets, signal, firing):
+        cfg = make_cfg(p0, n_agents=10, h=0.5, signal_correlation=signal, punishment_mode=firing)
+        for n_agents in (3, 40):
+            with pytest.raises(ContractViolationError, match="profile length"):
+                targets(cfg, StrategyProfile.symmetric(SU, n_agents), 0.0)
+        with pytest.raises(ValueError, match="policy_gamma"):
+            targets(cfg, StrategyProfile.symmetric(SU, 10), 7.0)
 
 
 class TestIteratedBestResponse:
