@@ -5,8 +5,11 @@ within named sections) so that every invocation is auditable and
 reproducible: a command is a pure function of the config file and the
 seed, and reruns produce byte-identical output.
 
-Subcommands: solve, simulate, sweep, experiment.
-Flags: --config PATH, --seed INT, --out PATH, and for simulate --trace PATH.
+Subcommands and the flags each takes besides --config PATH:
+  solve       none
+  simulate    --seed INT, --trace PATH
+  sweep       --out PATH
+  experiment  --seed INT
 Exit codes: 0 ok, 2 config or usage error, 3 inadmissible parameters, 4 I/O error.
 """
 
@@ -30,18 +33,8 @@ from .equilibrium import (
     solve_threshold,
     verify_equilibrium,
 )
-from .model import AgentStrategy, ModelParams, PROSPECTIVE, REALIZED, _fmt, require_admissible
-from .simulation import (
-    COMMON,
-    INDEPENDENT,
-    SENIORITY,
-    SimConfig,
-    StrategyProfile,
-    UNIFORM_RANDOM,
-    closed_form_targets,
-    monte_carlo,
-    policy_experiment,
-)
+from .model import AgentStrategy, ModelParams, _fmt, require_admissible
+from .simulation import SENIORITY, SimConfig, StrategyProfile, closed_form_targets, monte_carlo, policy_experiment
 from .sweeps import SWEEPABLE_PARAMETERS, emit_csv, make_grid, sweep_h, sweep_param
 
 OK = 0
@@ -49,40 +42,36 @@ CONFIG_ERROR = 2
 INADMISSIBLE = 3
 IO_ERROR = 4
 
-_MODEL_KEYS = {"pi", "eps", "g", "c", "w", "v_c"}
-_CURVE_KEYS = {"family", "file", "scale", "exponent", "level", "resolution"}
-_SIMULATION_KEYS = {
-    "n_agents",
-    "n_trials",
-    "h",
-    "seed",
-    "signal_correlation",
-    "compensation",
-    "punishment_mode",
-    "profile",
-    "gamma",
-}
-_SWEEP_KEYS = {"parameter", "grid"}
-_SOLVER_KEYS = {"tol"}
-_OUTPUT_KEYS = {"destination"}
-_KNOWN_SECTIONS = {
-    "model": _MODEL_KEYS,
-    "curve": _CURVE_KEYS,
-    "simulation": _SIMULATION_KEYS,
-    "sweep": _SWEEP_KEYS,
-    "solver": _SOLVER_KEYS,
-    "output": _OUTPUT_KEYS,
-}
+#: Marks a key that has no default.
+_REQUIRED = object()
 
-_DEFAULTS = {
-    "n_agents": 10000,
-    "n_trials": 10000,
-    "seed": 0,
-    "signal_correlation": COMMON,
-    "compensation": PROSPECTIVE,
-    "punishment_mode": UNIFORM_RANDOM,
-    "profile": EFFORT,
-    "gamma": "equilibrium",
+#: Every section and key a config may hold, with the key's default.  A key
+#: whose default is None is optional and its absence is left to the code
+#: that reads it: ``SimConfig`` owns the defaults of the three modes.
+_SCHEMA = {
+    "model": dict.fromkeys(("pi", "eps", "g", "c", "w", "v_c"), _REQUIRED),
+    "curve": {
+        "family": _REQUIRED,
+        "file": None,
+        "scale": 1.0,
+        "exponent": 2.0,
+        "level": 1.0,
+        "resolution": DEFAULT_RESOLUTION,
+    },
+    "simulation": {
+        "n_agents": 10000,
+        "n_trials": 10000,
+        "h": _REQUIRED,
+        "seed": 0,
+        "signal_correlation": None,
+        "compensation": None,
+        "punishment_mode": None,
+        "profile": EFFORT,
+        "gamma": "equilibrium",
+    },
+    "sweep": {"parameter": _REQUIRED, "grid": _REQUIRED},
+    "solver": {"tol": DEFAULT_TOL},
+    "output": {"destination": None},
 }
 
 
@@ -102,7 +91,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _load_config(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True)
+    # values are literal: with interpolation, a '%' in one would raise when it is read
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True, interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -111,54 +101,57 @@ def _load_config(path: str) -> configparser.ConfigParser:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     for section in parser.sections():
-        if section not in _KNOWN_SECTIONS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in _KNOWN_SECTIONS[section]:
+            if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
     return parser
 
 
-def _get_float(parser: configparser.ConfigParser, section: str, key: str, default=None) -> float:
-    if not parser.has_option(section, key):
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required key '{key}' in section [{section}]")
-    raw = parser.get(section, key)
+def _get(parser: configparser.ConfigParser, section: str, key: str):
+    """The key's text as configured, else its default from ``_SCHEMA``.
+
+    A required key that is left out raises, naming its section instead when
+    the whole section is missing.
+    """
+    if parser.has_option(section, key):
+        return parser.get(section, key)
+    default = _SCHEMA[section][key]
+    if default is _REQUIRED:
+        missing = f"key '{key}' in section [{section}]" if parser.has_section(section) else f"section [{section}]"
+        raise ConfigError(f"missing required {missing}")
+    return default
+
+
+def _get_float(parser: configparser.ConfigParser, section: str, key: str) -> float:
+    raw = _get(parser, section, key)
     try:
         return float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
 
 
-def _get_int(parser: configparser.ConfigParser, section: str, key: str, default=None) -> int:
-    if parser.has_option(section, key):
+def _get_int(parser: configparser.ConfigParser, section: str, key: str) -> int:
+    try:
         # an integer literal is read exactly; through a float, a seed above 2**53 would round
-        try:
-            return int(parser.get(section, key))
-        except ValueError:
-            pass
-    value = _get_float(parser, section, key, default)
+        return int(_get(parser, section, key))
+    except ValueError:
+        value = _get_float(parser, section, key)
     if not math.isfinite(value) or value != int(value):
         raise ConfigError(f"[{section}] {key} must be an integer, got {value}")
     return int(value)
 
 
-def _get_choice(parser, section: str, key: str, choices: tuple[str, ...], default=None) -> str:
-    if not parser.has_option(section, key):
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required key '{key}' in section [{section}]")
-    value = parser.get(section, key).strip()
+def _get_choice(parser: configparser.ConfigParser, section: str, key: str, choices: tuple[str, ...]) -> str:
+    value = _get(parser, section, key)
     if value not in choices:
         raise ConfigError(f"[{section}] {key} must be one of {choices}, got {value!r}")
     return value
 
 
 def _model_params(parser: configparser.ConfigParser) -> ModelParams:
-    if not parser.has_section("model"):
-        raise ConfigError("missing required section [model]")
-    kwargs = {key: _get_float(parser, "model", key) for key in sorted(_MODEL_KEYS)}
+    kwargs = {key: _get_float(parser, "model", key) for key in sorted(_SCHEMA["model"])}
     try:
         return ModelParams(**kwargs)
     except InvalidParamsError as exc:
@@ -166,15 +159,12 @@ def _model_params(parser: configparser.ConfigParser) -> ModelParams:
 
 
 def _curve(parser: configparser.ConfigParser) -> ReplacementCostCurve:
-    if not parser.has_section("curve"):
-        raise ConfigError("missing required section [curve]")
-    section = parser["curve"]
-    resolution = _get_int(parser, "curve", "resolution", DEFAULT_RESOLUTION)
-    if "file" in section:
-        if "family" in section:
+    resolution = _get_int(parser, "curve", "resolution")
+    if parser.has_option("curve", "file"):
+        if parser.has_option("curve", "family"):
             raise ConfigError("[curve] declares both 'family' and 'file'")
         try:
-            return ReplacementCostCurve.from_file(section["file"])
+            return ReplacementCostCurve.from_file(parser.get("curve", "file"))
         except OSError as exc:
             raise ConfigError(f"cannot read curve file: {exc}") from exc
         except InvalidCurveError as exc:
@@ -182,50 +172,40 @@ def _curve(parser: configparser.ConfigParser) -> ReplacementCostCurve:
     family = _get_choice(parser, "curve", "family", ("linear", "power", "constant"))
     try:
         if family == "linear":
-            return ReplacementCostCurve.linear(_get_float(parser, "curve", "scale", 1.0), resolution)
+            return ReplacementCostCurve.linear(_get_float(parser, "curve", "scale"), resolution)
         if family == "power":
-            return ReplacementCostCurve.power(
-                _get_float(parser, "curve", "scale", 1.0),
-                _get_float(parser, "curve", "exponent", 2.0),
-                resolution,
-            )
-        return ReplacementCostCurve.constant(_get_float(parser, "curve", "level", 1.0), resolution)
+            scale, exponent = _get_float(parser, "curve", "scale"), _get_float(parser, "curve", "exponent")
+            return ReplacementCostCurve.power(scale, exponent, resolution)
+        return ReplacementCostCurve.constant(_get_float(parser, "curve", "level"), resolution)
     except InvalidCurveError as exc:
         raise ConfigError(f"invalid curve: {exc}") from exc
 
 
 def _sim_config(parser: configparser.ConfigParser, params: ModelParams, seed_override: int | None) -> SimConfig:
-    if not parser.has_section("simulation"):
-        raise ConfigError("missing required section [simulation]")
-    seed = _get_int(parser, "simulation", "seed", _DEFAULTS["seed"])
+    seed = _get_int(parser, "simulation", "seed")
     if seed_override is not None:
         seed = seed_override
+    # SimConfig checks the modes and owns the defaults of those left out
+    modes = {
+        key: parser.get("simulation", key)
+        for key in ("signal_correlation", "compensation", "punishment_mode")
+        if parser.has_option("simulation", key)
+    }
     try:
         return SimConfig(
             params=params,
-            n_agents=_get_int(parser, "simulation", "n_agents", _DEFAULTS["n_agents"]),
-            n_trials=_get_int(parser, "simulation", "n_trials", _DEFAULTS["n_trials"]),
+            n_agents=_get_int(parser, "simulation", "n_agents"),
+            n_trials=_get_int(parser, "simulation", "n_trials"),
             seed=seed,
             h=_get_float(parser, "simulation", "h"),
-            signal_correlation=_get_choice(
-                parser, "simulation", "signal_correlation",
-                (COMMON, INDEPENDENT), _DEFAULTS["signal_correlation"],
-            ),
-            compensation=_get_choice(
-                parser, "simulation", "compensation",
-                (PROSPECTIVE, REALIZED), _DEFAULTS["compensation"],
-            ),
-            punishment_mode=_get_choice(
-                parser, "simulation", "punishment_mode",
-                (UNIFORM_RANDOM, SENIORITY), _DEFAULTS["punishment_mode"],
-            ),
+            **modes,
         )
     except InvalidParamsError as exc:
         raise ConfigError(f"invalid simulation settings: {exc}") from exc
 
 
 def _tol(parser: configparser.ConfigParser) -> float:
-    tol = _get_float(parser, "solver", "tol", DEFAULT_TOL)
+    tol = _get_float(parser, "solver", "tol")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"[solver] tol must be finite and positive, got {tol}")
     return tol
@@ -256,7 +236,7 @@ def cmd_simulate(parser: configparser.ConfigParser, args) -> int:
     require_admissible(params)
     curve = _curve(parser)
     cfg = _sim_config(parser, params, args.seed)
-    gamma_raw = parser.get("simulation", "gamma", fallback=_DEFAULTS["gamma"]).strip()
+    gamma_raw = _get(parser, "simulation", "gamma")
     if gamma_raw == "equilibrium":
         sol = solve_threshold(params, curve, tol=_tol(parser))
         gamma = policy(cfg.h, sol)
@@ -270,7 +250,7 @@ def cmd_simulate(parser: configparser.ConfigParser, args) -> int:
     if cfg.punishment_mode == SENIORITY:
         # seniority firing ignores the rate and draws no fire uniforms
         gamma = 0.0
-    regime = _get_choice(parser, "simulation", "profile", (EFFORT, SHIRK), _DEFAULTS["profile"])
+    regime = _get_choice(parser, "simulation", "profile", (EFFORT, SHIRK))
     strategy = AgentStrategy.EFFORT_FOLLOW_SIGNAL if regime == EFFORT else AgentStrategy.SHIRK_USE
     profile = StrategyProfile.symmetric(strategy, cfg.n_agents)
     # no payoff target when no agent has access, as no one plays the strategy
@@ -292,23 +272,11 @@ def cmd_simulate(parser: configparser.ConfigParser, args) -> int:
     return OK
 
 
-def _destination(parser: configparser.ConfigParser, args) -> str:
-    if args.out:
-        return args.out
-    if parser.has_option("output", "destination"):
-        return parser.get("output", "destination")
-    raise ConfigError("no output destination: pass --out or set [output] destination")
-
-
 def cmd_sweep(parser: configparser.ConfigParser, args) -> int:
     params = _model_params(parser)
     curve = _curve(parser)
-    if not parser.has_section("sweep"):
-        raise ConfigError("missing required section [sweep]")
     parameter = _get_choice(parser, "sweep", "parameter", SWEEPABLE_PARAMETERS)
-    if not parser.has_option("sweep", "grid"):
-        raise ConfigError("missing required key 'grid' in section [sweep]")
-    grid = _parse_grid(parser.get("sweep", "grid"))
+    grid = _parse_grid(_get(parser, "sweep", "grid"))
     if parameter == "h" and not all(0.0 <= h <= 1.0 for h in grid):
         raise ConfigError("[sweep] every h grid point must lie in [0, 1]")
     tol = _tol(parser)
@@ -316,7 +284,9 @@ def cmd_sweep(parser: configparser.ConfigParser, args) -> int:
         table = sweep_h(params, curve, grid, tol)
     else:
         table = sweep_param(parameter, params, curve, grid, tol)
-    destination = _destination(parser, args)
+    destination = args.out or _get(parser, "output", "destination")
+    if destination is None:
+        raise ConfigError("no output destination: pass --out or set [output] destination")
     emit_csv(table, destination)
     print(f"wrote {len(table.rows)} rows to {destination}")
     return OK
@@ -348,38 +318,41 @@ def cmd_experiment(parser: configparser.ConfigParser, args) -> int:
     return OK
 
 
+#: Every flag a subcommand may take besides --config.
+_FLAGS = {
+    "--seed": {"type": int, "help": "override the configured seed"},
+    "--trace": {"help": "write one JSON line per trial to this path"},
+    "--out": {"help": "CSV path; overrides [output] destination"},
+}
+
+#: Each subcommand's handler, help text and the flags it reads.
+_COMMANDS = {
+    "solve": (cmd_solve, "solve the punishment threshold and verify the equilibrium", ()),
+    "simulate": (cmd_simulate, "Monte Carlo run checked against the closed forms", ("--seed", "--trace")),
+    "sweep": (cmd_sweep, "comparative statics written as CSV", ("--out",)),
+    "experiment": (cmd_experiment, "compare compensation and punishment mechanisms", ("--seed",)),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     top = _ArgumentParser(
         prog="shirklab",
         description="Solve and simulate the technology-adoption effort game.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "solve the punishment threshold and verify the equilibrium"),
-        ("simulate", "Monte Carlo run checked against the closed forms"),
-        ("sweep", "comparative statics written as CSV"),
-        ("experiment", "compare compensation and punishment mechanisms"),
-    ):
+    for name, (handler, help_text, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
         command.add_argument("--config", required=True, help="path to the INI run configuration")
-        command.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        command.add_argument("--out", default=None, help="output path for file-writing commands")
-        if name == "simulate":
-            command.add_argument("--trace", default=None, help="write one JSON line per trial to this path")
-
-    handlers = {
-        "solve": cmd_solve,
-        "simulate": cmd_simulate,
-        "sweep": cmd_sweep,
-        "experiment": cmd_experiment,
-    }
+        for flag in flags:
+            command.add_argument(flag, **_FLAGS[flag])
     try:
         args = top.parse_args(argv)
         parser = _load_config(args.config)
         # an overflowing or invalid float operation means the config's values
         # are too extreme to compute with: say so instead of printing inf or nan
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return handlers[args.command](parser, args)
+            return args.handler(parser, args)
     except UsageError as exc:
         code, message = CONFIG_ERROR, f"usage error: {exc}"
     except (ConfigError, ConvergenceError) as exc:

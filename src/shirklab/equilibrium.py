@@ -65,21 +65,19 @@ class ReplacementCostCurve:
     upto -- largest measure ``cost`` answers for; the integral is built
         only that far.
 
-    The structural check runs once, here; a broken schedule still
-    constructs, and ``validate`` raises what the check found.
+    Construction runs ``validate``, so a broken schedule never becomes a
+    curve; a copy from ``scaled`` skips it, as its parent passed.
     """
 
     values: np.ndarray
     kind: str
     upto: float = 1.0
     # set only by ``scaled``: the costs are a valid curve's times a
-    # nonnegative factor, so the check's outcome is known
+    # nonnegative factor, so they pass the check
     _scaled_from_valid: InitVar[bool] = False
     # r(j / n) at segment boundaries j = 0..m, read by ``cost``; m stops
     # one segment past ``upto``
     _cumulative: np.ndarray = field(init=False, repr=False)
-    # what ``validate`` raises, None for a valid curve
-    _verdict: InvalidCurveError | None = field(init=False, repr=False)
 
     def __post_init__(self, _scaled_from_valid: bool) -> None:
         if self.kind not in ("nodes", "steps"):
@@ -88,6 +86,8 @@ class ReplacementCostCurve:
             raise InvalidCurveError("schedule needs at least one cost sample")
         if not self.upto >= 0.0:
             raise InvalidCurveError(f"upto must be nonnegative, got {self.upto}")
+        if not _scaled_from_valid:
+            self.validate()
         n = self._segments
         # np.cumsum adds in sequence, so this prefix equals the full sum's
         m = n if self.upto >= 1.0 else min(int(self.upto * n) + 1, n)
@@ -97,7 +97,6 @@ class ReplacementCostCurve:
             segment = (self.values[:m] + self.values[1 : m + 1]) / (2.0 * n)
             cumulative = np.concatenate(([0.0], np.cumsum(segment)))
         object.__setattr__(self, "_cumulative", cumulative)
-        object.__setattr__(self, "_verdict", None if _scaled_from_valid else _check_costs(self.values))
 
     @property
     def _segments(self) -> int:
@@ -203,7 +202,7 @@ class ReplacementCostCurve:
 
         Scaling a valid curve by a nonnegative factor keeps it valid, since
         rounding is monotone and the overflow check below keeps it finite;
-        such a copy skips the structural check.
+        the copy skips the structural check.
         """
         if not math.isfinite(factor):
             raise InvalidCurveError("scale factor must be finite")
@@ -215,31 +214,21 @@ class ReplacementCostCurve:
         terms = 2 if self.kind == "nodes" else len(self.values)
         if not math.isfinite(terms * factor * float(self.values[-1])):
             raise InvalidCurveError("scale factor too large: the scaled costs overflow")
-        valid = self._verdict is None
-        return ReplacementCostCurve(self.values * factor, self.kind, upto, _scaled_from_valid=valid)
+        return ReplacementCostCurve(self.values * factor, self.kind, upto, _scaled_from_valid=True)
 
     def validate(self) -> None:
-        """Raise the ``InvalidCurveError`` the construction-time check found, if any.
+        """Raise ``InvalidCurveError`` unless the stored costs are finite, nonnegative and ascending.
 
-        A curve is valid when its stored costs are finite, nonnegative and
-        ascending: the induced r is convex exactly when they are sorted, and
-        every builder sorts, so a violation means the construction was
-        tampered with.
+        The induced r is convex exactly when the costs are sorted, and every
+        builder sorts, so a violation means the costs were passed in by hand.
         """
-        if self._verdict is not None:
-            raise self._verdict
-
-
-def _check_costs(values: np.ndarray) -> InvalidCurveError | None:
-    """Structural check of stored costs: the error it finds, None for a valid curve."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        return InvalidCurveError("cost schedule contains non-finite values")
-    if np.any(values < 0.0):
-        return InvalidCurveError("cost schedule contains negative costs")
-    if np.any(values[1:] < values[:-1]):
-        return InvalidCurveError("cost schedule is not sorted ascending; induced r(x) would not be convex")
-    return None
+        values = np.asarray(self.values, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise InvalidCurveError("cost schedule contains non-finite values")
+        if np.any(values < 0.0):
+            raise InvalidCurveError("cost schedule contains negative costs")
+        if np.any(values[1:] < values[:-1]):
+            raise InvalidCurveError("cost schedule is not sorted ascending; induced r(x) would not be convex")
 
 
 def _check_nonnegative(raw: np.ndarray, grid: np.ndarray | None) -> None:
@@ -271,15 +260,16 @@ def punish_feasible(h: float, p: ModelParams, curve: ReplacementCostCurve) -> bo
     """Whether committing to punish failures at rate gamma_bar and reach ``h`` pays for itself."""
     if not 0.0 <= h <= 1.0:
         raise ValueError(f"h must lie in [0, 1], got {h}")
-    if p.eps == 0.0:
-        # failures never happen by mistake, so the threat costs nothing
-        return True
     return _credible(h, credibility_slope(p), gamma_bar(p), curve)
 
 
 def _credible(h: float, slope: float, rate: float, curve: ReplacementCostCurve) -> bool:
-    """The credibility condition: the deterred shirking pays the replacement bill."""
-    return slope * h >= curve.cost(rate * h)
+    """The credibility condition: the deterred shirking pays the replacement bill.
+
+    Both sides are zero at h = 0, where the infinite slope of eps = 0 would
+    form inf * 0; for h > 0 that slope makes every finite bill credible.
+    """
+    return h == 0.0 or slope * h >= curve.cost(rate * h)
 
 
 @dataclass(frozen=True)
@@ -325,21 +315,8 @@ def solve_threshold(
     require_admissible(p)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    curve.validate()
     gb = gamma_bar(p)
     marginal = curve.marginal_cost_at_zero
-
-    if p.eps == 0.0:
-        return EquilibriumSolution(
-            gamma_bar=gb,
-            h_tilde=1.0,
-            feasible_set_nonempty=True,
-            marginal_cost_at_zero=marginal,
-            boundary_punish=True,
-            degenerate_credibility=True,
-            tol=tol,
-        )
-
     slope = credibility_slope(p)
     threshold_ratio = math.inf if gb == 0.0 else slope / gb
     nonempty = threshold_ratio > marginal
@@ -368,7 +345,7 @@ def solve_threshold(
         feasible_set_nonempty=nonempty,
         marginal_cost_at_zero=marginal,
         boundary_punish=_credible(feasible, slope, gb, curve),
-        degenerate_credibility=False,
+        degenerate_credibility=p.eps == 0.0,
         tol=tol,
         bisections=bisections,
         bracket=(feasible, infeasible),

@@ -112,12 +112,14 @@ class SimConfig:
             raise InvalidParamsError("seed must be a nonnegative 64-bit integer")
         if not 0.0 <= self.h <= 1.0:
             raise InvalidParamsError(f"h must lie in [0, 1], got {self.h}")
-        if self.signal_correlation not in (COMMON, INDEPENDENT):
-            raise InvalidParamsError(f"unknown signal correlation {self.signal_correlation!r}")
-        if self.compensation not in (PROSPECTIVE, REALIZED):
-            raise InvalidParamsError(f"unknown compensation mode {self.compensation!r}")
-        if self.punishment_mode not in (UNIFORM_RANDOM, SENIORITY):
-            raise InvalidParamsError(f"unknown punishment mode {self.punishment_mode!r}")
+        for name, choices in (
+            ("signal_correlation", (COMMON, INDEPENDENT)),
+            ("compensation", (PROSPECTIVE, REALIZED)),
+            ("punishment_mode", (UNIFORM_RANDOM, SENIORITY)),
+        ):
+            value = getattr(self, name)
+            if value not in choices:
+                raise InvalidParamsError(f"{name} must be one of {choices}, got {value!r}")
 
     @property
     def access_count(self) -> int:

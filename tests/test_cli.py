@@ -165,11 +165,6 @@ class TestSimulate:
         assert captured.err.startswith("i/o error: ")
         assert captured.err.count("\n") == 1
 
-    def test_only_simulate_takes_a_trace(self, config_path, capsys):
-        assert main(["solve", "--config", config_path, "--trace", "t.jsonl"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "usage error: shirklab: unrecognized arguments: --trace t.jsonl\n"
 
     @pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
     def test_a_seed_above_2_53_is_read_exactly(self, tmp_path, capsys, seed):
@@ -310,6 +305,25 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"usage error: {err}\n"
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("solve", "--seed", "1"),
+            ("solve", "--out", "x.csv"),
+            ("solve", "--trace", "t.jsonl"),
+            ("simulate", "--out", "x.csv"),
+            ("sweep", "--seed", "1"),
+            ("sweep", "--trace", "t.jsonl"),
+            ("experiment", "--out", "x.csv"),
+            ("experiment", "--trace", "t.jsonl"),
+        ],
+    )
+    def test_a_flag_the_subcommand_does_not_read_is_rejected(self, config_path, capsys, command, flag, value):
+        assert main([command, "--config", config_path, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: shirklab: unrecognized arguments: {flag} {value}\n"
+
     def test_unknown_subcommand_prints_one_line(self, capsys):
         assert main(["bogus", "--config", "x"]) == 2
         captured = capsys.readouterr()
@@ -341,10 +355,12 @@ class TestConfigErrors:
         assert main(["solve", "--config", str(path)]) == 2
         assert "[model]" in capsys.readouterr().err
 
-    def test_non_numeric_value(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["often", "0.9%", "%(eps)s"])
+    def test_non_numeric_value(self, tmp_path, capsys, value):
         path = tmp_path / "n.ini"
-        path.write_text(BASE_CONFIG.replace("pi = 0.9", "pi = often"))
+        path.write_text(BASE_CONFIG.replace("pi = 0.9", f"pi = {value}"))
         assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: [model] pi = {value!r} is not a number\n"
 
     def test_malformed_ini_syntax(self, tmp_path, capsys):
         path = tmp_path / "s.ini"
@@ -406,6 +422,22 @@ class TestConfigErrors:
         assert first.startswith("1,0.211111111111,") and first.endswith(",true,0,")
         assert second == f"{flagged},,,false,,scale factor too large: the scaled costs overflow"
 
+    @pytest.mark.parametrize(
+        "key, choices",
+        [
+            ("signal_correlation", "('common', 'independent')"),
+            ("compensation", "('prospective', 'realized')"),
+            ("punishment_mode", "('uniform_random', 'seniority')"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    def test_a_bad_mode_exits_2_naming_the_legal_values(self, tmp_path, capsys, command, key, choices):
+        path = tmp_path / "mode.ini"
+        path.write_text(BASE_CONFIG.replace("seed = 9", f"seed = 9\n{key} = x"))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: invalid simulation settings: {key} must be one of {choices}, got 'x'\n"
+
     def test_simulation_requires_h(self, tmp_path, capsys):
         path = tmp_path / "h.ini"
         path.write_text(BASE_CONFIG.replace("h = 0.5\n", ""))
@@ -418,7 +450,7 @@ class TestConfigErrors:
         path = tmp_path / "tol.ini"
         path.write_text(BASE_CONFIG + f"\n[solver]\ntol = {value}\n")
         out = tmp_path / "tol.csv"
-        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert main([command, "--config", str(path)] + (["--out", str(out)] if command == "sweep" else [])) == 2
         err = capsys.readouterr().err
         assert err == f"config error: [solver] tol must be finite and positive, got {float(value)}\n"
         assert not out.exists()
@@ -427,7 +459,8 @@ class TestConfigErrors:
     def test_tol_below_the_float_spacing_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "tol.ini"
         path.write_text(BASE_CONFIG + "\n[solver]\ntol = 1e-20\n")
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "tol.csv")]) == 2
+        out = ["--out", str(tmp_path / "tol.csv")] if command == "sweep" else []
+        assert main([command, "--config", str(path)] + out) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: bisection bracket [0.201939058")
         assert err.endswith("still wider than tol 1e-20 after 200 bisections\n")

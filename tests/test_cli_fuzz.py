@@ -172,7 +172,8 @@ def check_run(run, use_out):
         out = Path(tmp) / "out.csv"
         config = Path(tmp) / "run.ini"
         config.write_text(text.replace("{curve_file}", str(curve_path)).replace("{out}", str(out)))
-        argv = [command, "--config", str(config)] + (["--out", str(out)] if use_out else [])
+        # only sweep takes --out; passed elsewhere it would stop the run before the config is read
+        argv = [command, "--config", str(config)] + (["--out", str(out)] if use_out and command == "sweep" else [])
         stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

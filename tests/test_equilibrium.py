@@ -109,9 +109,8 @@ class TestReplacementCostCurve:
             ReplacementCostCurve.from_file(str(path))
 
     def test_tampered_curve_fails_validation(self, linear_curve):
-        broken = ReplacementCostCurve(values=linear_curve.values[::-1].copy(), kind="nodes")
-        with pytest.raises(InvalidCurveError):
-            broken.validate()
+        with pytest.raises(InvalidCurveError, match="not sorted"):
+            ReplacementCostCurve(values=linear_curve.values[::-1].copy(), kind="nodes")
 
     def test_convexity_of_random_schedules(self):
         rng = np.random.default_rng(4040)
@@ -121,19 +120,6 @@ class TestReplacementCostCurve:
             values = np.array([curve.cost(float(x)) for x in grid])
             second_differences = np.diff(values, 2)
             assert second_differences.min() >= -1e-9
-
-
-def _fresh_check(curve):
-    """What ``validate`` raises for a curve built anew from the same costs."""
-    return _stored_check(ReplacementCostCurve(curve.values.copy(), curve.kind))
-
-
-def _stored_check(curve):
-    try:
-        curve.validate()
-    except InvalidCurveError as exc:
-        return str(exc)
-    return None
 
 
 PREFIX_PARENTS = {
@@ -172,30 +158,13 @@ class TestPrefixScaledCurve:
 
     @pytest.mark.parametrize("factor", [0.0, 1e-300, 0.37, 3.0, 1e6])
     @pytest.mark.parametrize("kind", sorted(PREFIX_PARENTS))
-    def test_stored_check_of_a_scaled_valid_curve_equals_a_fresh_one(self, kind, factor):
-        child = PREFIX_PARENTS[kind].scaled(factor, 0.4)
-        assert _stored_check(child) is None
-        assert _fresh_check(child) is None
+    def test_a_scaled_copy_of_a_valid_curve_passes_the_check(self, kind, factor):
+        # the copy skips the check when it is built, so the check must hold of it
+        PREFIX_PARENTS[kind].scaled(factor, 0.4).validate()
 
-    @pytest.mark.parametrize("factor", [0.0, 0.37, 3.0])
-    def test_stored_check_of_a_scaled_tampered_curve_equals_a_fresh_one(self, linear_curve, factor):
-        broken = ReplacementCostCurve(values=linear_curve.values[::-1].copy(), kind="nodes")
-        child = broken.scaled(factor, 0.4)
-        assert _stored_check(child) == _fresh_check(child)
-        if factor > 0.0:
-            with pytest.raises(InvalidCurveError, match="not sorted"):
-                child.validate()
-
-    def test_a_tiny_descent_is_rejected_and_scaled_copies_are_checked_afresh(self):
-        values = np.array([0.0, 1.0, 1.0 - 1e-12, 2.0])
-        wobbly = ReplacementCostCurve(values, "steps")
-        assert "not sorted" in _stored_check(wobbly)
-        for factor in (0.5, 3e3):
-            child = wobbly.scaled(factor, 0.5)
-            assert "not sorted" in _stored_check(child)
-            assert _stored_check(child) == _fresh_check(child)
-        # all costs scaled to zero are sorted again, and the copy says so
-        assert _stored_check(wobbly.scaled(0.0, 0.5)) is None
+    def test_a_tiny_descent_is_rejected(self):
+        with pytest.raises(InvalidCurveError, match="not sorted"):
+            ReplacementCostCurve(np.array([0.0, 1.0, 1.0 - 1e-12, 2.0]), "steps")
 
 
 class TestPunishFeasible:
@@ -213,8 +182,9 @@ class TestPunishFeasible:
 
     def test_perfect_signal_makes_punishment_costless(self, linear_curve):
         p = ModelParams(pi=0.85, eps=0.0, g=0.8, c=0.05, w=0.1, v_c=2.0)
-        for h in (0.0, 0.3, 1.0):
-            assert punish_feasible(h, p, linear_curve)
+        for curve in (linear_curve, ReplacementCostCurve.linear(1e9)):
+            for h in (0.0, 0.3, 1.0):
+                assert punish_feasible(h, p, curve)
 
     def test_reach_outside_unit_interval_raises(self, p0, linear_curve):
         with pytest.raises(ValueError):
@@ -260,10 +230,9 @@ class TestSolveThreshold:
         with pytest.raises(InadmissibleParamsError):
             solve_threshold(p, linear_curve)
 
-    def test_tampered_curve_raises(self, p0, linear_curve):
-        broken = ReplacementCostCurve(values=linear_curve.values[::-1].copy(), kind="nodes")
+    def test_tampered_curve_raises(self, linear_curve):
         with pytest.raises(InvalidCurveError):
-            solve_threshold(p0, broken)
+            ReplacementCostCurve(values=linear_curve.values[::-1].copy(), kind="nodes")
 
     def test_bad_tolerance_raises(self, p0, linear_curve):
         with pytest.raises(ValueError):
