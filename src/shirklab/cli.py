@@ -3,7 +3,11 @@
 Runs are driven by a flat INI-style configuration file (``key = value``
 within named sections) so that every invocation is auditable and
 reproducible: a command is a pure function of the config file and the
-seed, and reruns produce byte-identical output.
+seed, and reruns produce byte-identical output.  Every configured value is
+parsed when the file is loaded, whichever subcommand runs, so a malformed
+value exits 2 even in a key that subcommand never reads.  Besides the
+ranges of ``gamma`` and ``tol``, the range rules stay with the code that owns
+them: curve costs, sizes and the simulation modes.
 
 Subcommands and the flags each takes besides --config PATH:
   solve       none
@@ -42,38 +46,6 @@ CONFIG_ERROR = 2
 INADMISSIBLE = 3
 IO_ERROR = 4
 
-#: Marks a key that has no default.
-_REQUIRED = object()
-
-#: Every section and key a config may hold, with the key's default.  A key
-#: whose default is None is optional and its absence is left to the code
-#: that reads it: ``SimConfig`` owns the defaults of the three modes.
-_SCHEMA = {
-    "model": dict.fromkeys(("pi", "eps", "g", "c", "w", "v_c"), _REQUIRED),
-    "curve": {
-        "family": _REQUIRED,
-        "file": None,
-        "scale": 1.0,
-        "exponent": 2.0,
-        "level": 1.0,
-        "resolution": DEFAULT_RESOLUTION,
-    },
-    "simulation": {
-        "n_agents": 10000,
-        "n_trials": 10000,
-        "h": _REQUIRED,
-        "seed": 0,
-        "signal_correlation": None,
-        "compensation": None,
-        "punishment_mode": None,
-        "profile": EFFORT,
-        "gamma": "equilibrium",
-    },
-    "sweep": {"parameter": _REQUIRED, "grid": _REQUIRED},
-    "solver": {"tol": DEFAULT_TOL},
-    "output": {"destination": None},
-}
-
 
 class ConfigError(Exception):
     """Malformed or incomplete run configuration."""
@@ -90,7 +62,110 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _load_config(path: str) -> configparser.ConfigParser:
+def _number(raw: str, name: str) -> float:
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{name} = {raw!r} is not a number") from exc
+
+
+def _integer(raw: str, name: str) -> int:
+    try:
+        # an integer literal is read exactly; through a float, a seed above 2**53 would round
+        return int(raw)
+    except ValueError:
+        value = _number(raw, name)
+    if not math.isfinite(value) or value != int(value):
+        raise ConfigError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
+def _choice(*choices: str):
+    def read(raw: str, name: str) -> str:
+        if raw not in choices:
+            raise ConfigError(f"{name} must be one of {choices}, got {raw!r}")
+        return raw
+
+    return read
+
+
+def _text(raw: str, name: str) -> str:
+    return raw
+
+
+def _gamma(raw: str, name: str) -> float | str:
+    if raw == "equilibrium":
+        return raw
+    try:
+        gamma = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{name} must be a number or 'equilibrium'") from exc
+    if not 0.0 <= gamma <= 1.0:
+        raise ConfigError(f"{name} must lie in [0, 1], got {raw}")
+    return gamma
+
+
+def _tol(raw: str, name: str) -> float:
+    tol = _number(raw, name)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"{name} must be finite and positive, got {tol}")
+    return tol
+
+
+def _grid(raw: str, name: str) -> tuple[float, ...]:
+    try:
+        if ":" in raw:
+            parts = [float(x) for x in raw.split(":")]
+            if len(parts) != 3:
+                raise ValueError("expected start:stop:step")
+            values = make_grid(*parts)
+        else:
+            values = tuple(float(x) for x in raw.split(",") if x.strip())
+        if not values:
+            raise ValueError("empty grid")
+        return values
+    except ValueError as exc:
+        raise ConfigError(f"{name} {raw!r}: {exc}") from exc
+
+
+#: Marks a key that has no default.
+_REQUIRED = object()
+
+#: Every section and key a config may hold, as (reader, default).  The
+#: reader parses the configured text, whichever subcommand runs; a default
+#: of None leaves the key's absence to the code that reads it: ``SimConfig``
+#: owns the defaults of the three modes.
+_SCHEMA = {
+    "model": dict.fromkeys(("pi", "eps", "g", "c", "w", "v_c"), (_number, _REQUIRED)),
+    "curve": {
+        "family": (_choice("linear", "power", "constant"), _REQUIRED),
+        "file": (_text, None),
+        "scale": (_number, 1.0),
+        "exponent": (_number, 2.0),
+        "level": (_number, 1.0),
+        "resolution": (_integer, DEFAULT_RESOLUTION),
+    },
+    "simulation": {
+        "n_agents": (_integer, 10000),
+        "n_trials": (_integer, 10000),
+        "h": (_number, _REQUIRED),
+        "seed": (_integer, 0),
+        "signal_correlation": (_text, None),
+        "compensation": (_text, None),
+        "punishment_mode": (_text, None),
+        "profile": (_choice(EFFORT, SHIRK), EFFORT),
+        "gamma": (_gamma, "equilibrium"),
+    },
+    "sweep": {"parameter": (_choice(*SWEEPABLE_PARAMETERS), _REQUIRED), "grid": (_grid, _REQUIRED)},
+    "solver": {"tol": (_tol, DEFAULT_TOL)},
+    "output": {"destination": (_text, None)},
+}
+
+#: Each configured section's keys, parsed by their ``_SCHEMA`` readers.
+Config = dict[str, dict[str, object]]
+
+
+def _load_config(path: str) -> Config:
     # values are literal: with interpolation, a '%' in one would raise when it is read
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True, interpolation=None)
     try:
@@ -106,122 +181,92 @@ def _load_config(path: str) -> configparser.ConfigParser:
         for key in parser[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-    return parser
+    return {
+        section: {
+            key: _SCHEMA[section][key][0](raw, f"[{section}] {key}") for key, raw in parser[section].items()
+        }
+        for section in parser.sections()
+    }
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str):
-    """The key's text as configured, else its default from ``_SCHEMA``.
+def _get(config: Config, section: str, key: str):
+    """The key's configured value, else its default from ``_SCHEMA``.
 
     A required key that is left out raises, naming its section instead when
     the whole section is missing.
     """
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    default = _SCHEMA[section][key]
+    if key in config.get(section, {}):
+        return config[section][key]
+    default = _SCHEMA[section][key][1]
     if default is _REQUIRED:
-        missing = f"key '{key}' in section [{section}]" if parser.has_section(section) else f"section [{section}]"
+        missing = f"key '{key}' in section [{section}]" if section in config else f"section [{section}]"
         raise ConfigError(f"missing required {missing}")
     return default
 
 
-def _get_float(parser: configparser.ConfigParser, section: str, key: str) -> float:
-    raw = _get(parser, section, key)
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-
-
-def _get_int(parser: configparser.ConfigParser, section: str, key: str) -> int:
-    try:
-        # an integer literal is read exactly; through a float, a seed above 2**53 would round
-        return int(_get(parser, section, key))
-    except ValueError:
-        value = _get_float(parser, section, key)
-    if not math.isfinite(value) or value != int(value):
-        raise ConfigError(f"[{section}] {key} must be an integer, got {value}")
-    return int(value)
-
-
-def _get_choice(parser: configparser.ConfigParser, section: str, key: str, choices: tuple[str, ...]) -> str:
-    value = _get(parser, section, key)
-    if value not in choices:
-        raise ConfigError(f"[{section}] {key} must be one of {choices}, got {value!r}")
-    return value
-
-
-def _model_params(parser: configparser.ConfigParser) -> ModelParams:
-    kwargs = {key: _get_float(parser, "model", key) for key in sorted(_SCHEMA["model"])}
+def _model_params(config: Config) -> ModelParams:
+    kwargs = {key: _get(config, "model", key) for key in sorted(_SCHEMA["model"])}
     try:
         return ModelParams(**kwargs)
     except InvalidParamsError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
 
 
-def _curve(parser: configparser.ConfigParser) -> ReplacementCostCurve:
-    resolution = _get_int(parser, "curve", "resolution")
-    if parser.has_option("curve", "file"):
-        if parser.has_option("curve", "family"):
+def _curve(config: Config) -> ReplacementCostCurve:
+    resolution = _get(config, "curve", "resolution")
+    path = _get(config, "curve", "file")
+    if path is not None:
+        if "family" in config["curve"]:
             raise ConfigError("[curve] declares both 'family' and 'file'")
         try:
-            return ReplacementCostCurve.from_file(parser.get("curve", "file"))
+            return ReplacementCostCurve.from_file(path)
         except OSError as exc:
             raise ConfigError(f"cannot read curve file: {exc}") from exc
         except InvalidCurveError as exc:
             raise ConfigError(f"invalid curve: {exc}") from exc
-    family = _get_choice(parser, "curve", "family", ("linear", "power", "constant"))
+    family = _get(config, "curve", "family")
     try:
         if family == "linear":
-            return ReplacementCostCurve.linear(_get_float(parser, "curve", "scale"), resolution)
+            return ReplacementCostCurve.linear(_get(config, "curve", "scale"), resolution)
         if family == "power":
-            scale, exponent = _get_float(parser, "curve", "scale"), _get_float(parser, "curve", "exponent")
+            scale, exponent = _get(config, "curve", "scale"), _get(config, "curve", "exponent")
             return ReplacementCostCurve.power(scale, exponent, resolution)
-        return ReplacementCostCurve.constant(_get_float(parser, "curve", "level"), resolution)
+        return ReplacementCostCurve.constant(_get(config, "curve", "level"), resolution)
     except InvalidCurveError as exc:
         raise ConfigError(f"invalid curve: {exc}") from exc
 
 
-def _sim_config(parser: configparser.ConfigParser, params: ModelParams, seed_override: int | None) -> SimConfig:
-    seed = _get_int(parser, "simulation", "seed")
+def _sim_config(config: Config, params: ModelParams, seed_override: int | None) -> SimConfig:
+    seed = _get(config, "simulation", "seed")
     if seed_override is not None:
         seed = seed_override
     # SimConfig checks the modes and owns the defaults of those left out
-    modes = {
-        key: parser.get("simulation", key)
-        for key in ("signal_correlation", "compensation", "punishment_mode")
-        if parser.has_option("simulation", key)
-    }
+    modes = ("signal_correlation", "compensation", "punishment_mode")
+    configured = {key: value for key, value in config.get("simulation", {}).items() if key in modes}
     try:
         return SimConfig(
             params=params,
-            n_agents=_get_int(parser, "simulation", "n_agents"),
-            n_trials=_get_int(parser, "simulation", "n_trials"),
+            n_agents=_get(config, "simulation", "n_agents"),
+            n_trials=_get(config, "simulation", "n_trials"),
             seed=seed,
-            h=_get_float(parser, "simulation", "h"),
-            **modes,
+            h=_get(config, "simulation", "h"),
+            **configured,
         )
     except InvalidParamsError as exc:
         raise ConfigError(f"invalid simulation settings: {exc}") from exc
 
 
-def _tol(parser: configparser.ConfigParser) -> float:
-    tol = _get_float(parser, "solver", "tol")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"[solver] tol must be finite and positive, got {tol}")
-    return tol
-
-
-def cmd_solve(parser: configparser.ConfigParser, args) -> int:
-    params = _model_params(parser)
+def cmd_solve(config: Config, args) -> int:
+    params = _model_params(config)
     require_admissible(params)
-    curve = _curve(parser)
-    sol = solve_threshold(params, curve, tol=_tol(parser))
+    curve = _curve(config)
+    sol = solve_threshold(params, curve, tol=_get(config, "solver", "tol"))
     print(f"minimal punishment rate gamma_bar = {_fmt(sol.gamma_bar)}")
     print(f"credibility threshold h_tilde     = {_fmt(sol.h_tilde)}")
     print(f"feasible set nonempty             = {str(sol.feasible_set_nonempty).lower()}")
     print(f"marginal replacement cost at zero = {_fmt(sol.marginal_cost_at_zero)}")
-    print(f"punish at the boundary h_tilde    = {str(sol.boundary_punish).lower()}")
-    if sol.degenerate_credibility:
+    print(f"punish at the boundary h_tilde    = {str(policy(sol.h_tilde, sol) == sol.gamma_bar).lower()}")
+    if params.eps == 0.0:
         print("note: eps = 0, failures never happen by mistake, punishment is always credible")
     report = verify_equilibrium(sol, params, curve)
     print("verification:")
@@ -231,26 +276,19 @@ def cmd_solve(parser: configparser.ConfigParser, args) -> int:
     return OK
 
 
-def cmd_simulate(parser: configparser.ConfigParser, args) -> int:
-    params = _model_params(parser)
+def cmd_simulate(config: Config, args) -> int:
+    params = _model_params(config)
     require_admissible(params)
-    curve = _curve(parser)
-    cfg = _sim_config(parser, params, args.seed)
-    gamma_raw = _get(parser, "simulation", "gamma")
-    if gamma_raw == "equilibrium":
-        sol = solve_threshold(params, curve, tol=_tol(parser))
+    curve = _curve(config)
+    cfg = _sim_config(config, params, args.seed)
+    gamma = _get(config, "simulation", "gamma")
+    if gamma == "equilibrium":
+        sol = solve_threshold(params, curve, tol=_get(config, "solver", "tol"))
         gamma = policy(cfg.h, sol)
-    else:
-        try:
-            gamma = float(gamma_raw)
-        except ValueError as exc:
-            raise ConfigError("[simulation] gamma must be a number or 'equilibrium'") from exc
-        if not 0.0 <= gamma <= 1.0:
-            raise ConfigError(f"[simulation] gamma must lie in [0, 1], got {gamma_raw}")
     if cfg.punishment_mode == SENIORITY:
         # seniority firing ignores the rate and draws no fire uniforms
         gamma = 0.0
-    regime = _get_choice(parser, "simulation", "profile", (EFFORT, SHIRK))
+    regime = _get(config, "simulation", "profile")
     strategy = AgentStrategy.EFFORT_FOLLOW_SIGNAL if regime == EFFORT else AgentStrategy.SHIRK_USE
     profile = StrategyProfile.symmetric(strategy, cfg.n_agents)
     # no payoff target when no agent has access, as no one plays the strategy
@@ -272,19 +310,19 @@ def cmd_simulate(parser: configparser.ConfigParser, args) -> int:
     return OK
 
 
-def cmd_sweep(parser: configparser.ConfigParser, args) -> int:
-    params = _model_params(parser)
-    curve = _curve(parser)
-    parameter = _get_choice(parser, "sweep", "parameter", SWEEPABLE_PARAMETERS)
-    grid = _parse_grid(_get(parser, "sweep", "grid"))
+def cmd_sweep(config: Config, args) -> int:
+    params = _model_params(config)
+    curve = _curve(config)
+    parameter = _get(config, "sweep", "parameter")
+    grid = _get(config, "sweep", "grid")
     if parameter == "h" and not all(0.0 <= h <= 1.0 for h in grid):
         raise ConfigError("[sweep] every h grid point must lie in [0, 1]")
-    tol = _tol(parser)
+    tol = _get(config, "solver", "tol")
     if parameter == "h":
         table = sweep_h(params, curve, grid, tol)
     else:
         table = sweep_param(parameter, params, curve, grid, tol)
-    destination = args.out or _get(parser, "output", "destination")
+    destination = args.out or _get(config, "output", "destination")
     if destination is None:
         raise ConfigError("no output destination: pass --out or set [output] destination")
     emit_csv(table, destination)
@@ -292,29 +330,12 @@ def cmd_sweep(parser: configparser.ConfigParser, args) -> int:
     return OK
 
 
-def _parse_grid(raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    try:
-        if ":" in raw:
-            parts = [float(x) for x in raw.split(":")]
-            if len(parts) != 3:
-                raise ValueError("expected start:stop:step")
-            values = make_grid(*parts)
-        else:
-            values = tuple(float(x) for x in raw.split(",") if x.strip())
-        if not values:
-            raise ValueError("empty grid")
-        return values
-    except ValueError as exc:
-        raise ConfigError(f"[sweep] grid {raw!r}: {exc}") from exc
-
-
-def cmd_experiment(parser: configparser.ConfigParser, args) -> int:
-    params = _model_params(parser)
+def cmd_experiment(config: Config, args) -> int:
+    params = _model_params(config)
     require_admissible(params)
-    curve = _curve(parser)
-    cfg = _sim_config(parser, params, args.seed)
-    print(policy_experiment(cfg, curve, tol=_tol(parser)).summary())
+    curve = _curve(config)
+    cfg = _sim_config(config, params, args.seed)
+    print(policy_experiment(cfg, curve, tol=_get(config, "solver", "tol")).summary())
     return OK
 
 
@@ -348,11 +369,11 @@ def main(argv: list[str] | None = None) -> int:
             command.add_argument(flag, **_FLAGS[flag])
     try:
         args = top.parse_args(argv)
-        parser = _load_config(args.config)
+        config = _load_config(args.config)
         # an overflowing or invalid float operation means the config's values
         # are too extreme to compute with: say so instead of printing inf or nan
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.handler(parser, args)
+            return args.handler(config, args)
     except UsageError as exc:
         code, message = CONFIG_ERROR, f"usage error: {exc}"
     except (ConfigError, ConvergenceError) as exc:

@@ -167,7 +167,7 @@ class ReplacementCostCurve:
         if data.shape[1] != 2:
             raise InvalidCurveError(f"{path}: expected two columns (z, cost), got {data.shape[1]}")
         z, costs = data[:, 0], data[:, 1]
-        if np.any(z < 0.0) or np.any(z > 1.0):
+        if not np.all((z >= 0.0) & (z <= 1.0)):
             raise InvalidCurveError(f"{path}: z values must lie in [0, 1]")
         return cls.from_samples(costs)
 
@@ -276,18 +276,15 @@ def _credible(h: float, slope: float, rate: float, curve: ReplacementCostCurve) 
 class EquilibriumSolution:
     """Solved effort-equilibrium objects.
 
-    The policy rule is the threshold pair (gamma_bar, h_tilde) plus the
-    boundary decision: punish at rate gamma_bar below the threshold, do
-    not punish above it, and at exactly h_tilde punish only if that is
-    still credible there (``boundary_punish``).
+    The policy rule is the threshold pair (gamma_bar, h_tilde): punish at
+    rate gamma_bar on the closed interval [0, h_tilde], whose end the solve
+    confirmed credible, and do not punish above it.
     """
 
     gamma_bar: float
     h_tilde: float
     feasible_set_nonempty: bool
     marginal_cost_at_zero: float
-    boundary_punish: bool
-    degenerate_credibility: bool
     tol: float
     #: bisections the solve took, and its final (feasible, infeasible)
     #: bracket; (1, 1) when no bisection was needed
@@ -344,8 +341,6 @@ def solve_threshold(
         h_tilde=feasible,
         feasible_set_nonempty=nonempty,
         marginal_cost_at_zero=marginal,
-        boundary_punish=_credible(feasible, slope, gb, curve),
-        degenerate_credibility=p.eps == 0.0,
         tol=tol,
         bisections=bisections,
         bracket=(feasible, infeasible),
@@ -353,14 +348,10 @@ def solve_threshold(
 
 
 def policy(h: float, sol: EquilibriumSolution) -> float:
-    """The threshold firing policy: gamma_bar below h_tilde, zero above."""
+    """The threshold firing policy: gamma_bar on [0, h_tilde], zero above."""
     if not 0.0 <= h <= 1.0:
         raise ValueError(f"h must lie in [0, 1], got {h}")
-    if h < sol.h_tilde:
-        return sol.gamma_bar
-    if h > sol.h_tilde:
-        return 0.0
-    return sol.gamma_bar if sol.boundary_punish else 0.0
+    return sol.gamma_bar if h <= sol.h_tilde else 0.0
 
 
 def principal_value(
@@ -468,57 +459,27 @@ def verify_equilibrium(
     )
 
     fractions = [(i + 1) / (VERIFY_SAMPLES + 1) for i in range(VERIFY_SAMPLES)]
-
-    below_witness = ""
-    below_ok = True
-    for u in fractions:
-        h = sol.h_tilde * u
-        if not punish_feasible(h, p, curve):
-            below_ok = False
-            below_witness = f"infeasible at h={_fmt(h)} < h_tilde={_fmt(sol.h_tilde)}"
-            break
+    below = [sol.h_tilde * u for u in fractions]
+    # the samples strictly above h_tilde: none at h_tilde = 1, where eps = 0 puts it
+    above = [h for h in (sol.h_tilde + (1.0 - sol.h_tilde) * u for u in fractions) if h > sol.h_tilde]
+    threshold = _fmt(sol.h_tilde)
+    infeasible = [
+        f"infeasible at h={_fmt(h)} < h_tilde={threshold}" for h in below if not punish_feasible(h, p, curve)
+    ]
     checks.append(
-        VerificationCheck(
-            "feasible_below_threshold",
-            below_ok,
-            below_witness or f"{VERIFY_SAMPLES} samples in (0, h_tilde) feasible",
-        )
+        _check("feasible_below_threshold", infeasible, f"{VERIFY_SAMPLES} samples in (0, h_tilde) feasible")
     )
-
-    above_witness = ""
-    above_ok = True
-    if sol.h_tilde < 1.0 and not sol.degenerate_credibility:
-        for u in fractions:
-            h = sol.h_tilde + (1.0 - sol.h_tilde) * u
-            if punish_feasible(h, p, curve):
-                above_ok = False
-                above_witness = f"feasible at h={_fmt(h)} > h_tilde={_fmt(sol.h_tilde)}"
-                break
-    checks.append(
-        VerificationCheck(
-            "infeasible_above_threshold",
-            above_ok,
-            above_witness or "no feasible point above h_tilde",
-        )
-    )
-
-    shape_ok = True
-    shape_witness = "threshold rule holds on sampled reaches"
-    for u in fractions:
-        h_low = sol.h_tilde * u
-        if policy(h_low, sol) != sol.gamma_bar:
-            shape_ok = False
-            shape_witness = f"policy({_fmt(h_low)}) != gamma_bar below threshold"
-            break
-        h_high = sol.h_tilde + (1.0 - sol.h_tilde) * u
-        if h_high > sol.h_tilde and policy(h_high, sol) != 0.0:
-            shape_ok = False
-            shape_witness = f"policy({_fmt(h_high)}) != 0 above threshold"
-            break
-    boundary_expected = sol.gamma_bar if sol.boundary_punish else 0.0
-    if shape_ok and policy(sol.h_tilde, sol) != boundary_expected:
-        shape_ok = False
-        shape_witness = "policy at h_tilde contradicts boundary_punish"
-    checks.append(VerificationCheck("threshold_policy_shape", shape_ok, shape_witness))
+    feasible = [f"feasible at h={_fmt(h)} > h_tilde={threshold}" for h in above if punish_feasible(h, p, curve)]
+    checks.append(_check("infeasible_above_threshold", feasible, "no feasible point above h_tilde"))
+    shape = [f"policy({_fmt(h)}) != gamma_bar below threshold" for h in below if policy(h, sol) != sol.gamma_bar]
+    shape += [f"policy({_fmt(h)}) != 0 above threshold" for h in above if policy(h, sol) != 0.0]
+    if policy(sol.h_tilde, sol) != sol.gamma_bar:
+        shape.append("policy(h_tilde) != gamma_bar at the threshold")
+    checks.append(_check("threshold_policy_shape", shape, "threshold rule holds on sampled reaches"))
 
     return VerificationReport(tuple(checks))
+
+
+def _check(name: str, failures: list[str], passed: str) -> VerificationCheck:
+    """A check that passes when no sample failed; its witness is the first failure."""
+    return VerificationCheck(name, not failures, failures[0] if failures else passed)

@@ -180,7 +180,6 @@ class EpisodeOutcome:
 
     quality: str
     used: np.ndarray
-    exerted_effort: np.ndarray
     produced: np.ndarray
     wage_paid: np.ndarray
     fired: np.ndarray
@@ -318,7 +317,6 @@ class _EpisodeKernel:
         return EpisodeOutcome(
             quality=GOOD if good else BAD,
             used=use,
-            exerted_effort=self.effort,
             produced=produced,
             wage_paid=wage,
             fired=fired,
@@ -892,7 +890,6 @@ class ScenarioResult:
     name: str
     gamma: float
     profile_label: str
-    equilibrium_confirmed: bool
     deviation_count: int
     result: SimResult
     target_output: float
@@ -900,7 +897,7 @@ class ScenarioResult:
     unraveling_rounds: int | None = None
 
     def summary(self) -> str:
-        status = "equilibrium" if self.equilibrium_confirmed else f"{self.deviation_count} deviations"
+        status = "equilibrium" if self.deviation_count == 0 else f"{self.deviation_count} deviations"
         lines = [
             f"scenario {self.name}: profile {self.profile_label} at gamma {_fmt(self.gamma)} ({status})",
             f"  output/agent  {_fmt(self.result.output.mean)} +- {_fmt(self.result.output.se)}"
@@ -949,7 +946,6 @@ def _scenario_run(
         name=name,
         gamma=gamma,
         profile_label=label,
-        equilibrium_confirmed=not deviations,
         deviation_count=len(deviations),
         result=sim,
         target_output=targets["output"],

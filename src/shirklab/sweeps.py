@@ -56,8 +56,9 @@ def sweep_h(
     Each row reports the operative regime (effort below the credibility
     threshold, shirk above), the firing policy, expected output, and
     welfare.  Rows within the solver tolerance of the threshold carry a
-    boundary flag; following the solved policy they report the
-    punishment regime when punishing at the boundary stays credible.
+    boundary flag.  The credible interval [0, h_tilde] is closed, as the
+    solve returns the last reach it confirmed credible, so a row at
+    h_tilde itself reports the punishment regime.
     """
     sol = solve_threshold(params, curve, tol=tol)
     rows = []

@@ -362,6 +362,40 @@ class TestConfigErrors:
         assert main(["solve", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: [model] pi = {value!r} is not a number\n"
 
+    @pytest.mark.parametrize(
+        "command, old, new, err",
+        [
+            ("solve", "scale = 1000", "scale = 1000\nexponent = abc", "[curve] exponent = 'abc' is not a number"),
+            ("solve", "scale = 1000", "scale = 1000\nlevel = abc", "[curve] level = 'abc' is not a number"),
+            (
+                "experiment",
+                "seed = 9",
+                "seed = 9\nprofile = mixed",
+                "[simulation] profile must be one of ('effort', 'shirk'), got 'mixed'",
+            ),
+            (
+                "experiment",
+                "seed = 9",
+                "seed = 9\ngamma = banana",
+                "[simulation] gamma must be a number or 'equilibrium'",
+            ),
+            (
+                "simulate",
+                "seed = 9",
+                "seed = 9\ngamma = 0.2\n[solver]\ntol = abc",
+                "[solver] tol = 'abc' is not a number",
+            ),
+        ],
+        ids=["solve-exponent", "solve-level", "experiment-profile", "experiment-gamma", "simulate-tol"],
+    )
+    def test_a_bad_value_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, old, new, err):
+        # family = linear reads no exponent or level, experiment no profile or
+        # gamma, and a numeric gamma needs no solve and so no tol
+        path = tmp_path / "unread.ini"
+        path.write_text(BASE_CONFIG.replace(old, new))
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {err}\n"
+
     def test_malformed_ini_syntax(self, tmp_path, capsys):
         path = tmp_path / "s.ini"
         path.write_text("pi = 0.9 no section header\n")
@@ -374,8 +408,12 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "rows, message",
-        [("0.5 1.0\n1.5 2.0\n", "z values must lie in [0, 1]"), ("0.5 cheap\n", "not a numeric table")],
-        ids=["z-out-of-range", "non-numeric"],
+        [
+            ("0.5 1.0\n1.5 2.0\n", "z values must lie in [0, 1]"),
+            ("nan 1.0\n", "z values must lie in [0, 1]"),
+            ("0.5 cheap\n", "not a numeric table"),
+        ],
+        ids=["z-out-of-range", "z-nan", "non-numeric"],
     )
     def test_bad_curve_file_exits_2(self, tmp_path, capsys, rows, message):
         curve = tmp_path / "q.txt"

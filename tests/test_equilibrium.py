@@ -1,8 +1,10 @@
 """Replacement-cost curves, threshold solving, and closed-form comparisons."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_curve, draw_params
@@ -18,6 +20,7 @@ from shirklab import (
     expected_output,
     expected_production,
     gamma_bar,
+    is_admissible,
     output_drop,
     policy,
     principal_value,
@@ -201,14 +204,12 @@ class TestSolveThreshold:
         assert sol.gamma_bar == pytest.approx(gb, abs=1e-15)
         assert sol.h_tilde == pytest.approx(expected, abs=1e-9)
         assert sol.feasible_set_nonempty
-        assert sol.boundary_punish
         assert sol.marginal_cost_at_zero == 0.0
 
     def test_cheap_curve_clamps_to_one(self, p0):
         cheap = ReplacementCostCurve.linear(1.0)
         sol = solve_threshold(p0, cheap)
         assert sol.h_tilde == 1.0
-        assert sol.boundary_punish
 
     def test_expensive_constant_curve_has_empty_interior(self, p0):
         pricey = ReplacementCostCurve.constant(100.0)
@@ -222,7 +223,6 @@ class TestSolveThreshold:
         p = ModelParams(pi=0.85, eps=0.0, g=0.8, c=0.05, w=0.1, v_c=2.0)
         sol = solve_threshold(p, ReplacementCostCurve.constant(1e9))
         assert sol.h_tilde == 1.0
-        assert sol.degenerate_credibility
         assert sol.feasible_set_nonempty
 
     def test_inadmissible_params_raise(self, linear_curve):
@@ -278,6 +278,34 @@ class TestSolveThreshold:
                     above = sol.h_tilde + (1.0 - sol.h_tilde) * u
                     assert not punish_feasible(above, p, curve)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(("drawn", "linear", "power")),
+        edge=st.sampled_from(("none", "eps0", "costless")),
+    )
+    def test_h_tilde_closes_the_credible_interval(self, seed, family, edge):
+        rng = np.random.default_rng(seed)
+        p = draw_params(rng)
+        if edge == "eps0":
+            # the slope is infinite, so every reach is credible
+            p = dataclasses.replace(p, eps=0.0)
+        elif edge == "costless":
+            # c = w = 0 makes gamma_bar = 0, so punishing replaces no one
+            p = dataclasses.replace(p, c=0.0, w=0.0)
+        assume(is_admissible(p))
+        scale = 10.0 ** rng.uniform(-2.0, 4.0)
+        if family == "drawn":
+            curve = draw_curve(rng, resolution=500)
+        elif family == "linear":
+            curve = ReplacementCostCurve.linear(scale, resolution=500)
+        else:
+            curve = ReplacementCostCurve.power(scale, rng.uniform(0.0, 5.0), resolution=500)
+        sol = solve_threshold(p, curve)
+        assert punish_feasible(sol.h_tilde, p, curve)
+        assert policy(sol.h_tilde, sol) == sol.gamma_bar
+        assert verify_equilibrium(sol, p, curve).all_passed
+
     def test_threshold_shrinks_as_replacement_costs_scale_up(self):
         rng = np.random.default_rng(7070)
         for _ in range(40):
@@ -299,18 +327,6 @@ class TestPolicy:
         assert policy(0.9, sol) == 0.0
         # the crossing satisfies the feasibility condition with equality
         assert policy(sol.h_tilde, sol) == gb
-
-    def test_boundary_without_credibility_returns_zero(self):
-        sol = EquilibriumSolution(
-            gamma_bar=0.2,
-            h_tilde=0.4,
-            feasible_set_nonempty=True,
-            marginal_cost_at_zero=0.0,
-            boundary_punish=False,
-            degenerate_credibility=False,
-            tol=1e-10,
-        )
-        assert policy(0.4, sol) == 0.0
 
 
 class TestPrincipalValue:
@@ -393,8 +409,6 @@ class TestVerifyEquilibrium:
             h_tilde=sol.h_tilde + 0.05,
             feasible_set_nonempty=sol.feasible_set_nonempty,
             marginal_cost_at_zero=sol.marginal_cost_at_zero,
-            boundary_punish=sol.boundary_punish,
-            degenerate_credibility=sol.degenerate_credibility,
             tol=sol.tol,
         )
         report = verify_equilibrium(corrupted, p0, linear_curve)
@@ -410,8 +424,6 @@ class TestVerifyEquilibrium:
             h_tilde=sol.h_tilde,
             feasible_set_nonempty=sol.feasible_set_nonempty,
             marginal_cost_at_zero=sol.marginal_cost_at_zero,
-            boundary_punish=sol.boundary_punish,
-            degenerate_credibility=sol.degenerate_credibility,
             tol=sol.tol,
         )
         report = verify_equilibrium(corrupted, p0, linear_curve)

@@ -82,7 +82,6 @@ def reference_episode(cfg, profile, policy_gamma, curve, rng):
     return {
         "quality": "good" if good else "bad",
         "used": use,
-        "exerted_effort": effort,
         "produced": produced,
         "wage_paid": wage,
         "fired": fired,

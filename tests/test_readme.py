@@ -32,7 +32,7 @@ def test_the_defaults_sentence_lists_every_default():
     expected = {
         key: str(default)
         for keys in cli._SCHEMA.values()
-        for key, default in keys.items()
+        for key, (_reader, default) in keys.items()
         if default is not None and default is not cli._REQUIRED
     }
     # the modes' defaults are SimConfig's

@@ -448,14 +448,14 @@ class TestPolicyExperiment:
         baseline, treatment, unraveled = policy_experiment(cfg, linear_curve).scenarios
         assert baseline.profile_label == SU.label
         assert baseline.gamma == 0.0
-        assert baseline.equilibrium_confirmed
+        assert baseline.deviation_count == 0
         assert baseline.target_output == pytest.approx(1.175)
         assert treatment.profile_label == EFS.label
-        assert treatment.equilibrium_confirmed
+        assert treatment.deviation_count == 0
         assert treatment.target_output == pytest.approx(1.1975)
 
         assert unraveled.profile_label == EFS.label
-        assert unraveled.equilibrium_confirmed
+        assert unraveled.deviation_count == 0
         assert unraveled.unraveling_rounds == cfg.access_count
         assert unraveled.result.replacement_cost.mean > 0.0
 
