@@ -3,7 +3,6 @@ technology adoption under the threat of group shirking."""
 
 from .errors import (
     ContractViolationError,
-    ConvergenceError,
     InadmissibleParamsError,
     InvalidCurveError,
     InvalidParamsError,

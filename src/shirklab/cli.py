@@ -2,18 +2,20 @@
 
 Runs are driven by a flat INI-style configuration file (``key = value``
 within named sections) so that every invocation is auditable and
-reproducible: a command is a pure function of the config file and the
-seed, and reruns produce byte-identical output.  Every configured value is
-parsed when the file is loaded, whichever subcommand runs, so a malformed
-value exits 2 even in a key that subcommand never reads.  Besides the
-ranges of ``gamma`` and ``tol``, the range rules stay with the code that owns
-them: curve costs, sizes and the simulation modes.
+reproducible: the file fixes every number a command computes, the seed
+included, so a command is a pure function of it and reruns produce
+byte-identical output.  The command line names only where output goes.
+Every configured value is parsed when the file is loaded, whichever
+subcommand runs, so a malformed value exits 2 even in a key that
+subcommand never reads; a grid is checked then but built only by sweep.
+Besides the ranges of ``gamma`` and the grid, the range rules stay with
+the code that owns them: curve costs, sizes and the simulation modes.
 
 Subcommands and the flags each takes besides --config PATH:
   solve       none
-  simulate    --seed INT, --trace PATH
-  sweep       --out PATH
-  experiment  --seed INT
+  simulate    --trace PATH
+  sweep       --out PATH (required)
+  experiment  none
 Exit codes: 0 ok, 2 config or usage error, 3 inadmissible parameters, 4 I/O error.
 """
 
@@ -21,15 +23,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, InadmissibleParamsError, InvalidCurveError, InvalidParamsError
+from .errors import InadmissibleParamsError, InvalidCurveError, InvalidParamsError
 from .equilibrium import (
     DEFAULT_RESOLUTION,
-    DEFAULT_TOL,
     EFFORT,
     SHIRK,
     ReplacementCostCurve,
@@ -39,7 +42,7 @@ from .equilibrium import (
 )
 from .model import AgentStrategy, ModelParams, _fmt, require_admissible
 from .simulation import SENIORITY, SimConfig, StrategyProfile, closed_form_targets, monte_carlo, policy_experiment
-from .sweeps import SWEEPABLE_PARAMETERS, emit_csv, make_grid, sweep_h, sweep_param
+from .sweeps import SWEEPABLE_PARAMETERS, emit_csv, grid_size, make_grid, sweep_h, sweep_param
 
 OK = 0
 CONFIG_ERROR = 2
@@ -105,25 +108,20 @@ def _gamma(raw: str, name: str) -> float | str:
     return gamma
 
 
-def _tol(raw: str, name: str) -> float:
-    tol = _number(raw, name)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"{name} must be finite and positive, got {tol}")
-    return tol
-
-
-def _grid(raw: str, name: str) -> tuple[float, ...]:
+def _grid(raw: str, name: str) -> Callable[[], tuple[float, ...]]:
+    """A checked grid's builder: a start:stop:step range is built only when called."""
     try:
         if ":" in raw:
             parts = [float(x) for x in raw.split(":")]
             if len(parts) != 3:
                 raise ValueError("expected start:stop:step")
-            values = make_grid(*parts)
-        else:
-            values = tuple(float(x) for x in raw.split(",") if x.strip())
+            if not grid_size(*parts):
+                raise ValueError("empty grid")
+            return functools.partial(make_grid, *parts)
+        values = tuple(float(x) for x in raw.split(",") if x.strip())
         if not values:
             raise ValueError("empty grid")
-        return values
+        return lambda: values
     except ValueError as exc:
         raise ConfigError(f"{name} {raw!r}: {exc}") from exc
 
@@ -157,8 +155,6 @@ _SCHEMA = {
         "gamma": (_gamma, "equilibrium"),
     },
     "sweep": {"parameter": (_choice(*SWEEPABLE_PARAMETERS), _REQUIRED), "grid": (_grid, _REQUIRED)},
-    "solver": {"tol": (_tol, DEFAULT_TOL)},
-    "output": {"destination": (_text, None)},
 }
 
 #: Each configured section's keys, parsed by their ``_SCHEMA`` readers.
@@ -236,10 +232,7 @@ def _curve(config: Config) -> ReplacementCostCurve:
         raise ConfigError(f"invalid curve: {exc}") from exc
 
 
-def _sim_config(config: Config, params: ModelParams, seed_override: int | None) -> SimConfig:
-    seed = _get(config, "simulation", "seed")
-    if seed_override is not None:
-        seed = seed_override
+def _sim_config(config: Config, params: ModelParams) -> SimConfig:
     # SimConfig checks the modes and owns the defaults of those left out
     modes = ("signal_correlation", "compensation", "punishment_mode")
     configured = {key: value for key, value in config.get("simulation", {}).items() if key in modes}
@@ -248,7 +241,7 @@ def _sim_config(config: Config, params: ModelParams, seed_override: int | None) 
             params=params,
             n_agents=_get(config, "simulation", "n_agents"),
             n_trials=_get(config, "simulation", "n_trials"),
-            seed=seed,
+            seed=_get(config, "simulation", "seed"),
             h=_get(config, "simulation", "h"),
             **configured,
         )
@@ -260,7 +253,7 @@ def cmd_solve(config: Config, args) -> int:
     params = _model_params(config)
     require_admissible(params)
     curve = _curve(config)
-    sol = solve_threshold(params, curve, tol=_get(config, "solver", "tol"))
+    sol = solve_threshold(params, curve)
     print(f"minimal punishment rate gamma_bar = {_fmt(sol.gamma_bar)}")
     print(f"credibility threshold h_tilde     = {_fmt(sol.h_tilde)}")
     print(f"feasible set nonempty             = {str(sol.feasible_set_nonempty).lower()}")
@@ -280,10 +273,10 @@ def cmd_simulate(config: Config, args) -> int:
     params = _model_params(config)
     require_admissible(params)
     curve = _curve(config)
-    cfg = _sim_config(config, params, args.seed)
+    cfg = _sim_config(config, params)
     gamma = _get(config, "simulation", "gamma")
     if gamma == "equilibrium":
-        sol = solve_threshold(params, curve, tol=_get(config, "solver", "tol"))
+        sol = solve_threshold(params, curve)
         gamma = policy(cfg.h, sol)
     if cfg.punishment_mode == SENIORITY:
         # seniority firing ignores the rate and draws no fire uniforms
@@ -314,19 +307,15 @@ def cmd_sweep(config: Config, args) -> int:
     params = _model_params(config)
     curve = _curve(config)
     parameter = _get(config, "sweep", "parameter")
-    grid = _get(config, "sweep", "grid")
+    grid = _get(config, "sweep", "grid")()
     if parameter == "h" and not all(0.0 <= h <= 1.0 for h in grid):
         raise ConfigError("[sweep] every h grid point must lie in [0, 1]")
-    tol = _get(config, "solver", "tol")
     if parameter == "h":
-        table = sweep_h(params, curve, grid, tol)
+        table = sweep_h(params, curve, grid)
     else:
-        table = sweep_param(parameter, params, curve, grid, tol)
-    destination = args.out or _get(config, "output", "destination")
-    if destination is None:
-        raise ConfigError("no output destination: pass --out or set [output] destination")
-    emit_csv(table, destination)
-    print(f"wrote {len(table.rows)} rows to {destination}")
+        table = sweep_param(parameter, params, curve, grid)
+    emit_csv(table, args.out)
+    print(f"wrote {len(table.rows)} rows to {args.out}")
     return OK
 
 
@@ -334,24 +323,22 @@ def cmd_experiment(config: Config, args) -> int:
     params = _model_params(config)
     require_admissible(params)
     curve = _curve(config)
-    cfg = _sim_config(config, params, args.seed)
-    print(policy_experiment(cfg, curve, tol=_get(config, "solver", "tol")).summary())
+    print(policy_experiment(_sim_config(config, params), curve).summary())
     return OK
 
 
-#: Every flag a subcommand may take besides --config.
+#: Every flag a subcommand may take besides --config: each names where output goes.
 _FLAGS = {
-    "--seed": {"type": int, "help": "override the configured seed"},
     "--trace": {"help": "write one JSON line per trial to this path"},
-    "--out": {"help": "CSV path; overrides [output] destination"},
+    "--out": {"required": True, "help": "CSV path"},
 }
 
 #: Each subcommand's handler, help text and the flags it reads.
 _COMMANDS = {
     "solve": (cmd_solve, "solve the punishment threshold and verify the equilibrium", ()),
-    "simulate": (cmd_simulate, "Monte Carlo run checked against the closed forms", ("--seed", "--trace")),
+    "simulate": (cmd_simulate, "Monte Carlo run checked against the closed forms", ("--trace",)),
     "sweep": (cmd_sweep, "comparative statics written as CSV", ("--out",)),
-    "experiment": (cmd_experiment, "compare compensation and punishment mechanisms", ("--seed",)),
+    "experiment": (cmd_experiment, "compare compensation and punishment mechanisms", ()),
 }
 
 
@@ -376,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
             return args.handler(config, args)
     except UsageError as exc:
         code, message = CONFIG_ERROR, f"usage error: {exc}"
-    except (ConfigError, ConvergenceError) as exc:
+    except ConfigError as exc:
         code, message = CONFIG_ERROR, f"config error: {exc}"
     except FloatingPointError as exc:
         code, message = CONFIG_ERROR, f"config error: values too extreme to compute with: {exc}"

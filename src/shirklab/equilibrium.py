@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidCurveError
+from .errors import InvalidCurveError
 from .model import (
     AgentStrategy,
     ModelParams,
@@ -39,10 +39,8 @@ DEFAULT_RESOLUTION = 100_000
 #: Most evaluation nodes a closed-form schedule may have, checked before the
 #: grid is built.
 MAX_RESOLUTION = 10**7
-#: Default bisection tolerance of ``solve_threshold``.
-DEFAULT_TOL = 1e-10
-#: Most bisections ``solve_threshold`` takes before it gives up.
-MAX_BISECTIONS = 200
+#: Bracket width at which ``solve_threshold`` stops bisecting.
+TOL = 1e-10
 #: Reaches ``verify_equilibrium`` samples on each side of the threshold.
 VERIFY_SAMPLES = 9
 #: Largest payoff gap ``verify_equilibrium`` accepts as indifference at gamma_bar.
@@ -285,33 +283,24 @@ class EquilibriumSolution:
     h_tilde: float
     feasible_set_nonempty: bool
     marginal_cost_at_zero: float
-    tol: float
     #: bisections the solve took, and its final (feasible, infeasible)
     #: bracket; (1, 1) when no bisection was needed
     bisections: int = 0
     bracket: tuple[float, float] = (1.0, 1.0)
 
 
-def solve_threshold(
-    p: ModelParams,
-    curve: ReplacementCostCurve,
-    tol: float = DEFAULT_TOL,
-) -> EquilibriumSolution:
+def solve_threshold(p: ModelParams, curve: ReplacementCostCurve) -> EquilibriumSolution:
     """Find the largest technology reach at which punishment stays credible.
 
     The feasible set is an interval [0, h_tilde] (linear benefit versus
     convex cost, both zero at the origin), so bisection on the
     feasibility predicate converges to its supremum.  The returned
-    h_tilde is the last point confirmed feasible, within ``tol`` of the
-    true boundary and clamped to 1 when the condition holds everywhere.
-
-    ``tol`` must be finite and positive.  Raises ``ConvergenceError`` when
-    ``MAX_BISECTIONS`` bisections leave the bracket wider than ``tol``, as
-    they do for a ``tol`` below the float spacing at the boundary.
+    h_tilde is the last point confirmed feasible, and 1 when the
+    condition holds everywhere.  Every midpoint is dyadic, so the
+    bisection takes exactly 34 steps to a bracket of width 2^-34, the
+    first below ``TOL``.
     """
     require_admissible(p)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
     gb = gamma_bar(p)
     marginal = curve.marginal_cost_at_zero
     slope = credibility_slope(p)
@@ -323,25 +312,19 @@ def solve_threshold(
         feasible = infeasible = 1.0
     else:
         feasible, infeasible = 0.0, 1.0
-        while infeasible - feasible > tol and bisections < MAX_BISECTIONS:
+        while infeasible - feasible > TOL:
             mid = 0.5 * (feasible + infeasible)
             if _credible(mid, slope, gb, curve):
                 feasible = mid
             else:
                 infeasible = mid
             bisections += 1
-        if infeasible - feasible > tol:
-            raise ConvergenceError(
-                f"bisection bracket [{_fmt(feasible)}, {_fmt(infeasible)}] is still wider"
-                f" than tol {tol:g} after {MAX_BISECTIONS} bisections"
-            )
 
     return EquilibriumSolution(
         gamma_bar=gb,
         h_tilde=feasible,
         feasible_set_nonempty=nonempty,
         marginal_cost_at_zero=marginal,
-        tol=tol,
         bisections=bisections,
         bracket=(feasible, infeasible),
     )
@@ -440,7 +423,8 @@ def verify_equilibrium(
     (a) at the solution's firing rate, researching and blind adoption
         give the same expected payoff (the rate's defining property);
     (b) punishing is credible at sampled reaches below the threshold and
-        not credible above it;
+        not credible above the solve's infeasible end, which lies within
+        ``TOL`` of the threshold;
     (c) the policy has the threshold shape.
 
     Failures are reported with witnesses, never raised.
@@ -460,8 +444,10 @@ def verify_equilibrium(
 
     fractions = [(i + 1) / (VERIFY_SAMPLES + 1) for i in range(VERIFY_SAMPLES)]
     below = [sol.h_tilde * u for u in fractions]
-    # the samples strictly above h_tilde: none at h_tilde = 1, where eps = 0 puts it
-    above = [h for h in (sol.h_tilde + (1.0 - sol.h_tilde) * u for u in fractions) if h > sol.h_tilde]
+    # above samples start at the solve's infeasible end: between it and
+    # h_tilde the bracket is unresolved; none remain when it is (1, 1)
+    infeasible_end = sol.bracket[1]
+    above = [h for h in (infeasible_end + (1.0 - infeasible_end) * u for u in fractions) if h > sol.h_tilde]
     threshold = _fmt(sol.h_tilde)
     infeasible = [
         f"infeasible at h={_fmt(h)} < h_tilde={threshold}" for h in below if not punish_feasible(h, p, curve)
@@ -470,6 +456,8 @@ def verify_equilibrium(
         _check("feasible_below_threshold", infeasible, f"{VERIFY_SAMPLES} samples in (0, h_tilde) feasible")
     )
     feasible = [f"feasible at h={_fmt(h)} > h_tilde={threshold}" for h in above if punish_feasible(h, p, curve)]
+    if infeasible_end - sol.h_tilde > TOL:
+        feasible.append(f"unresolved from h_tilde={threshold} to h={_fmt(infeasible_end)}")
     checks.append(_check("infeasible_above_threshold", feasible, "no feasible point above h_tilde"))
     shape = [f"policy({_fmt(h)}) != gamma_bar below threshold" for h in below if policy(h, sol) != sol.gamma_bar]
     shape += [f"policy({_fmt(h)}) != 0 above threshold" for h in above if policy(h, sol) != 0.0]

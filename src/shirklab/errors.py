@@ -15,7 +15,3 @@ class InvalidCurveError(ValueError):
 
 class ContractViolationError(ValueError):
     """An operation was called with inputs that break its preconditions."""
-
-
-class ConvergenceError(ArithmeticError):
-    """A numerical routine hit its iteration cap before reaching its tolerance."""

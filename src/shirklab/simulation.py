@@ -49,7 +49,6 @@ import numpy as np
 
 from .errors import ContractViolationError, InvalidParamsError
 from .equilibrium import (
-    DEFAULT_TOL,
     EFFORT,
     SHIRK,
     ReplacementCostCurve,
@@ -954,11 +953,7 @@ def _scenario_run(
     )
 
 
-def policy_experiment(
-    cfg: SimConfig,
-    curve: ReplacementCostCurve,
-    tol: float = DEFAULT_TOL,
-) -> ExperimentReport:
+def policy_experiment(cfg: SimConfig, curve: ReplacementCostCurve) -> ExperimentReport:
     """Compare the baseline policy against both treatments at matched seeds.
 
     The arms run in this order:
@@ -976,7 +971,7 @@ def policy_experiment(
     see identical production paths.  ``solve_threshold`` checks that the
     parameters are admissible.
     """
-    sol = solve_threshold(cfg.params, curve, tol=tol)
+    sol = solve_threshold(cfg.params, curve)
     base_gamma = policy(cfg.h, sol)
     base_cfg = dc_replace(cfg, compensation=PROSPECTIVE, punishment_mode=UNIFORM_RANDOM)
     base_strategy = (

@@ -19,9 +19,9 @@ from typing import Iterable
 
 from .errors import InvalidCurveError, InvalidParamsError
 from .equilibrium import (
-    DEFAULT_TOL,
     EFFORT,
     SHIRK,
+    TOL,
     ReplacementCostCurve,
     expected_output,
     output_drop,
@@ -45,40 +45,29 @@ class Table:
         return [row[idx] for row in self.rows]
 
 
-def sweep_h(
-    params: ModelParams,
-    curve: ReplacementCostCurve,
-    grid: Iterable[float],
-    tol: float = DEFAULT_TOL,
-) -> Table:
+def sweep_h(params: ModelParams, curve: ReplacementCostCurve, grid: Iterable[float]) -> Table:
     """Sweep the technology reach over ``grid`` at fixed parameters.
 
     Each row reports the operative regime (effort below the credibility
     threshold, shirk above), the firing policy, expected output, and
-    welfare.  Rows within the solver tolerance of the threshold carry a
+    welfare.  Rows within the solver's ``TOL`` of the threshold carry a
     boundary flag.  The credible interval [0, h_tilde] is closed, as the
     solve returns the last reach it confirmed credible, so a row at
     h_tilde itself reports the punishment regime.
     """
-    sol = solve_threshold(params, curve, tol=tol)
+    sol = solve_threshold(params, curve)
     rows = []
     for h in map(float, grid):
         gamma_star = policy(h, sol)
         regime = EFFORT if gamma_star > 0.0 else SHIRK
         output = expected_output(h, regime, params)
         welfare = output - params.c * h if regime == EFFORT else output
-        boundary = abs(h - sol.h_tilde) <= tol
+        boundary = abs(h - sol.h_tilde) <= TOL
         rows.append((h, regime, gamma_star, output, welfare, boundary))
     return Table(("h", "regime", "gamma_star", "output", "welfare", "boundary"), tuple(rows))
 
 
-def sweep_param(
-    parameter: str,
-    params: ModelParams,
-    curve: ReplacementCostCurve,
-    grid: Iterable[float],
-    tol: float = DEFAULT_TOL,
-) -> Table:
+def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve, grid: Iterable[float]) -> Table:
     """Recompute the equilibrium objects along a grid of one parameter.
 
     ``parameter`` is one of ``SWEEPABLE_PARAMETERS`` other than ``h``.
@@ -109,7 +98,7 @@ def sweep_param(
             reason = ", ".join(check.name for check in report.failures())
             rows.append((value, None, None, False, None, reason))
             continue
-        sol = solve_threshold(point_params, point_curve, tol=tol)
+        sol = solve_threshold(point_params, point_curve)
         drop = output_drop(sol.h_tilde, point_params)
         rows.append((value, sol.gamma_bar, sol.h_tilde, True, drop, ""))
     return Table(
@@ -197,8 +186,8 @@ def csv_to_table(path: str) -> Table:
 MAX_GRID_POINTS = 10**7
 
 
-def make_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """Inclusive arithmetic grid with endpoint-safe rounding.
+def grid_size(start: float, stop: float, step: float) -> int:
+    """Number of points ``make_grid`` builds from these bounds, zero when ``stop < start``.
 
     Raises ``ValueError`` for a non-finite bound or step, a step that is
     not positive, or more than ``MAX_GRID_POINTS`` points.
@@ -210,5 +199,9 @@ def make_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     span = (stop - start) / step + 1e-9
     if span >= MAX_GRID_POINTS:
         raise ValueError(f"grid would have more than {MAX_GRID_POINTS} points")
-    count = int(math.floor(span)) + 1
-    return tuple(start + i * step for i in range(count))
+    return max(int(math.floor(span)) + 1, 0)
+
+
+def make_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
+    """Inclusive arithmetic grid with endpoint-safe rounding; ``grid_size`` checks the bounds."""
+    return tuple(start + i * step for i in range(grid_size(start, stop, step)))

@@ -117,8 +117,6 @@ SWEEP = st.fixed_dictionaries(
     }
 )
 
-SOLVER = _mostly(st.none(), st.one_of(_number(1e-12, 1e-3), st.sampled_from(WILD_NUMBERS + ("1e-20",))))
-
 
 def _section(name, values):
     lines = [f"[{name}]"]
@@ -141,11 +139,6 @@ def run_configs(draw):
         sections.append(_section("simulation", draw(SIMULATION)))
     if command == "sweep" or draw(st.booleans()):
         sections.append(_section("sweep", draw(SWEEP)))
-    tol = draw(SOLVER)
-    if tol is not None:
-        sections.append(_section("solver", {"tol": tol}))
-    if draw(st.booleans()):
-        sections.append(_section("output", {"destination": "{out}"}))
     # a duplicate section, an unknown one, or a line that is not INI
     odd = st.sampled_from(("[model]\npi = 0.9\n", "[extra]\nk = 1\n", "orphan line\n"))
     extra = draw(_mostly(st.just(""), odd))
@@ -171,7 +164,7 @@ def check_run(run, use_out):
             curve_path.write_text(curve_file)
         out = Path(tmp) / "out.csv"
         config = Path(tmp) / "run.ini"
-        config.write_text(text.replace("{curve_file}", str(curve_path)).replace("{out}", str(out)))
+        config.write_text(text.replace("{curve_file}", str(curve_path)))
         # only sweep takes --out; passed elsewhere it would stop the run before the config is read
         argv = [command, "--config", str(config)] + (["--out", str(out)] if use_out and command == "sweep" else [])
         stdout, stderr = io.StringIO(), io.StringIO()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import draw_curve, draw_params
 from shirklab import (
     AgentStrategy,
-    ConvergenceError,
     EquilibriumSolution,
     InadmissibleParamsError,
     InvalidCurveError,
@@ -29,6 +28,7 @@ from shirklab import (
     verify_equilibrium,
     welfare_loss,
 )
+from shirklab.equilibrium import TOL
 
 
 class TestReplacementCostCurve:
@@ -216,7 +216,7 @@ class TestSolveThreshold:
         sol = solve_threshold(p0, pricey)
         # cheapest replacement (100) exceeds slope/gamma_bar ~ 21.3
         assert not sol.feasible_set_nonempty
-        assert sol.h_tilde <= 2.0 * sol.tol
+        assert sol.h_tilde <= 2.0 * TOL
         assert sol.marginal_cost_at_zero == pytest.approx(100.0)
 
     def test_perfect_signal_short_circuits(self):
@@ -234,23 +234,6 @@ class TestSolveThreshold:
         with pytest.raises(InvalidCurveError):
             ReplacementCostCurve(values=linear_curve.values[::-1].copy(), kind="nodes")
 
-    def test_bad_tolerance_raises(self, p0, linear_curve):
-        with pytest.raises(ValueError):
-            solve_threshold(p0, linear_curve, tol=0.0)
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
-    def test_non_finite_tolerance_raises(self, p0, linear_curve, tol):
-        with pytest.raises(ValueError, match="finite and positive"):
-            solve_threshold(p0, linear_curve, tol=tol)
-
-    def test_tolerance_below_the_float_spacing_raises_instead_of_returning(self, p0, linear_curve):
-        # near h_tilde ~ 0.2 floats are ~3e-17 apart, so the bracket stalls
-        with pytest.raises(ConvergenceError, match="after 200 bisections"):
-            solve_threshold(p0, linear_curve, tol=1e-20)
-        # a boundary near zero has denser floats, so the same tol converges
-        pricey = ReplacementCostCurve.constant(100.0)
-        assert solve_threshold(p0, pricey, tol=1e-20).h_tilde <= 1e-20
-
     def test_bisection_diagnostics_on_the_golden_solves(self, p0, linear_curve):
         # solve_scale1000: 34 halvings take the unit bracket below 1e-10
         sol = solve_threshold(p0, linear_curve)
@@ -258,7 +241,7 @@ class TestSolveThreshold:
         assert sol.bisections == 34
         feasible, infeasible = sol.bracket
         assert feasible == sol.h_tilde
-        assert 0.0 < infeasible - feasible <= sol.tol
+        assert 0.0 < infeasible - feasible <= TOL
         assert not punish_feasible(infeasible, p0, linear_curve)
         # solve_scale100 and solve_eps0: credible everywhere, no bisection
         eps0 = ModelParams(pi=0.85, eps=0.0, g=0.8, c=0.05, w=0.1, v_c=2.0)
@@ -317,6 +300,49 @@ class TestSolveThreshold:
                 if previous is not None:
                     assert h_tilde <= previous + 1e-9
                 previous = h_tilde
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(("drawn", "linear", "power")),
+        edge=st.sampled_from(("none", "eps0", "steep", "near_one")),
+    )
+    def test_every_bisection_takes_34_steps_to_a_dyadic_bracket(self, seed, family, edge):
+        # each midpoint is dyadic, so after k steps the bracket is exactly
+        # 2^-k wide, and 2^-34 is the first such width at most TOL
+        rng = np.random.default_rng(seed)
+        p = draw_params(rng)
+        if edge == "eps0":
+            p = dataclasses.replace(p, eps=0.0)
+            assume(is_admissible(p))
+        if family == "drawn":
+            curve = draw_curve(rng, resolution=500)
+        elif family == "linear":
+            curve = ReplacementCostCurve.linear(10.0 ** rng.uniform(-2.0, 4.0), resolution=500)
+        else:
+            scale, exponent = 10.0 ** rng.uniform(-2.0, 4.0), rng.uniform(0.5, 5.0)
+            curve = ReplacementCostCurve.power(scale, exponent, resolution=500)
+        if edge in ("steep", "near_one"):
+            # rescale the curve so that the credibility condition binds at the boundary
+            gap = 10.0 ** rng.uniform(-14.0, -10.5) if edge == "steep" else 10.0 ** rng.uniform(-13.0, -10.0)
+            boundary = gap if edge == "steep" else 1.0 - gap
+            cost = curve.cost(gamma_bar(p) * boundary)
+            assume(cost > 0.0)
+            curve = curve.scaled(credibility_slope(p) * boundary / cost)
+        sol = solve_threshold(p, curve)
+        if edge in ("steep", "near_one"):
+            assert sol.bisections
+        if sol.bisections:
+            assert sol.bisections == 34
+            assert sol.bracket[1] - sol.bracket[0] == 2.0**-34
+            assert sol.bracket[0] == sol.h_tilde
+        else:
+            assert (sol.bisections, sol.bracket) == (0, (1.0, 1.0))
+        if edge == "eps0":
+            assert sol.bisections == 0
+        if edge == "steep" and family == "linear":
+            # the boundary lies below the smallest midpoint, 2^-34
+            assert sol.bracket == (0.0, 2.0**-34)
 
 
 class TestPolicy:
@@ -402,6 +428,16 @@ class TestVerifyEquilibrium:
         report = verify_equilibrium(sol, p0, linear_curve)
         assert report.all_passed
 
+    def test_a_boundary_within_tol_of_one_passes(self, p0):
+        # the bracket (h_tilde, 1) is narrower than TOL, and a reach inside
+        # it may still test credible, so no sample is taken there
+        scale = 2.0 * credibility_slope(p0) / (gamma_bar(p0) ** 2 * (1.0 - 5e-11))
+        curve = ReplacementCostCurve.linear(scale)
+        sol = solve_threshold(p0, curve)
+        assert sol.bracket == (sol.h_tilde, 1.0) and sol.h_tilde == 0.9999999999417923
+        report = verify_equilibrium(sol, p0, curve)
+        assert report.all_passed, report.failures()
+
     def test_inflated_threshold_fails_the_interval_check(self, p0, linear_curve):
         sol = solve_threshold(p0, linear_curve)
         corrupted = EquilibriumSolution(
@@ -409,13 +445,21 @@ class TestVerifyEquilibrium:
             h_tilde=sol.h_tilde + 0.05,
             feasible_set_nonempty=sol.feasible_set_nonempty,
             marginal_cost_at_zero=sol.marginal_cost_at_zero,
-            tol=sol.tol,
         )
         report = verify_equilibrium(corrupted, p0, linear_curve)
         failed = {check.name for check in report.failures()}
         assert "feasible_below_threshold" in failed
         witness = next(c.witness for c in report.failures() if c.name == "feasible_below_threshold")
         assert "h=" in witness
+
+    @pytest.mark.parametrize("bracket", [None, (1.0, 1.0)])
+    def test_deflated_threshold_fails_the_interval_check(self, p0, linear_curve, bracket):
+        sol = solve_threshold(p0, linear_curve)
+        corrupted = dataclasses.replace(sol, h_tilde=0.1, bracket=bracket or sol.bracket)
+        report = verify_equilibrium(corrupted, p0, linear_curve)
+        assert [check.name for check in report.failures()] == ["infeasible_above_threshold"]
+        witness = report.failures()[0].witness
+        assert witness == f"unresolved from h_tilde=0.1 to h={corrupted.bracket[1]:.12g}"
 
     def test_perturbed_gamma_fails_the_indifference_check(self, p0, linear_curve):
         sol = solve_threshold(p0, linear_curve)
@@ -424,7 +468,6 @@ class TestVerifyEquilibrium:
             h_tilde=sol.h_tilde,
             feasible_set_nonempty=sol.feasible_set_nonempty,
             marginal_cost_at_zero=sol.marginal_cost_at_zero,
-            tol=sol.tol,
         )
         report = verify_equilibrium(corrupted, p0, linear_curve)
         failed = {check.name for check in report.failures()}

@@ -299,3 +299,13 @@ def test_make_grid_caps_the_point_count_before_building(monkeypatch):
     assert len(make_grid(0.0, 9.0, 1.0)) == 10
     with pytest.raises(ValueError, match="more than 10 points"):
         make_grid(0.0, 10.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "start, stop, step, size",
+    [(0.0, 1.0, 0.05, 21), (0.5, 0.5, 0.1, 1), (1.0, 0.95, 0.1, 0), (1.0, 0.0, 0.1, 0)],
+    ids=["inclusive", "one-point", "stop-just-below-start", "stop-far-below-start"],
+)
+def test_grid_size_counts_the_points_without_building_them(start, stop, step, size):
+    # the config check reads only the count, so a reversed range must give 0, never a negative
+    assert sweeps.grid_size(start, stop, step) == size == len(make_grid(start, stop, step))
