@@ -26,7 +26,7 @@ import configparser
 import functools
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def _gamma(raw: str, name: str) -> float | str:
     return gamma
 
 
-def _grid(raw: str, name: str) -> Callable[[], tuple[float, ...]]:
+def _grid(raw: str, name: str) -> Callable[[], Sequence[float]]:
     """A checked grid's builder: a start:stop:step range is built only when called."""
     try:
         if ":" in raw:
@@ -307,15 +307,15 @@ def cmd_sweep(config: Config, args) -> int:
     params = _model_params(config)
     curve = _curve(config)
     parameter = _get(config, "sweep", "parameter")
-    grid = _get(config, "sweep", "grid")()
-    if parameter == "h" and not all(0.0 <= h <= 1.0 for h in grid):
+    grid = np.asarray(_get(config, "sweep", "grid")(), dtype=float)
+    if parameter == "h" and not np.all((0.0 <= grid) & (grid <= 1.0)):
         raise ConfigError("[sweep] every h grid point must lie in [0, 1]")
     if parameter == "h":
         table = sweep_h(params, curve, grid)
     else:
         table = sweep_param(parameter, params, curve, grid)
     emit_csv(table, args.out)
-    print(f"wrote {len(table.rows)} rows to {args.out}")
+    print(f"wrote {len(table)} rows to {args.out}")
     return OK
 
 

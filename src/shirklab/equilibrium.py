@@ -17,10 +17,11 @@ regimes, and provides the closed-form output and welfare comparisons.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +42,10 @@ DEFAULT_RESOLUTION = 100_000
 MAX_RESOLUTION = 10**7
 #: Bracket width at which ``solve_threshold`` stops bisecting.
 TOL = 1e-10
+#: Bytes of boundary sums one block of scaled curves holds in
+#: ``solve_thresholds``: about 2 MB, 12 rows of the 21114 sums a
+#: 10^5-segment curve needs up to gamma_bar = 0.2111.
+SCALED_BLOCK_BYTES = 2**21
 #: Reaches ``verify_equilibrium`` samples on each side of the threshold.
 VERIFY_SAMPLES = 9
 #: Largest payoff gap ``verify_equilibrium`` accepts as indifference at gamma_bar.
@@ -60,8 +65,6 @@ class ReplacementCostCurve:
         finite sample each cost carries measure 1/len(values) and r(x) is
         the exact prefix sum.
     kind -- "nodes" (closed-form schedule) or "steps" (finite sample).
-    upto -- largest measure ``cost`` answers for; the integral is built
-        only that far.
 
     Construction runs ``validate``, so a broken schedule never becomes a
     curve; a copy from ``scaled`` skips it, as its parent passed.
@@ -69,12 +72,10 @@ class ReplacementCostCurve:
 
     values: np.ndarray
     kind: str
-    upto: float = 1.0
     # set only by ``scaled``: the costs are a valid curve's times a
     # nonnegative factor, so they pass the check
     _scaled_from_valid: InitVar[bool] = False
-    # r(j / n) at segment boundaries j = 0..m, read by ``cost``; m stops
-    # one segment past ``upto``
+    # r(j / n) at segment boundaries j = 0..n, read by ``cost``
     _cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, _scaled_from_valid: bool) -> None:
@@ -82,23 +83,41 @@ class ReplacementCostCurve:
             raise InvalidCurveError(f"unknown curve kind {self.kind!r}")
         if len(self.values) < (2 if self.kind == "nodes" else 1):
             raise InvalidCurveError("schedule needs at least one cost sample")
-        if not self.upto >= 0.0:
-            raise InvalidCurveError(f"upto must be nonnegative, got {self.upto}")
         if not _scaled_from_valid:
             self.validate()
-        n = self._segments
-        # np.cumsum adds in sequence, so this prefix equals the full sum's
-        m = n if self.upto >= 1.0 else min(int(self.upto * n) + 1, n)
-        if self.kind == "steps":
-            cumulative = np.concatenate(([0.0], np.cumsum(self.values[:m]) / n))
-        else:
-            segment = (self.values[:m] + self.values[1 : m + 1]) / (2.0 * n)
-            cumulative = np.concatenate(([0.0], np.cumsum(segment)))
-        object.__setattr__(self, "_cumulative", cumulative)
+        cumulative = np.empty((1, self._segments + 1))
+        self._cumulate(np.ones(1), cumulative)
+        object.__setattr__(self, "_cumulative", cumulative[0])
 
     @property
     def _segments(self) -> int:
         return len(self.values) if self.kind == "steps" else len(self.values) - 1
+
+    def _cumulate(self, factors: np.ndarray, out: np.ndarray) -> None:
+        """Fill row i of ``out`` with r(j / n), j = 0..m, of the curve scaled by ``factors[i]``.
+
+        m + 1 is the width of ``out``, so a row holds the prefix of the
+        boundaries that measures up to m / n read.  Each cost is
+        ``values * factor``, the float a scaled copy stores, and np.cumsum
+        adds each row in sequence, so a row equals the prefix of the
+        scaled copy's own sums.
+        """
+        n = self._segments
+        m = out.shape[1] - 1
+        sums = out[:, 1:]
+        if self.kind == "steps":
+            np.multiply(self.values[:m], factors[:, None], out=sums)
+            np.cumsum(sums, axis=1, out=sums)
+            sums /= n
+        else:
+            np.multiply(self.values[: m + 1], factors[:, None], out=out)
+            for row in out:
+                # each segment's two nodes; row by row, so the copy numpy
+                # makes of the overlapping operand is one row long
+                row[1:] += row[:-1]
+            sums /= 2.0 * n
+            np.cumsum(sums, axis=1, out=sums)
+        out[:, 0] = 0.0
 
     # -- constructors ---------------------------------------------------
 
@@ -171,48 +190,67 @@ class ReplacementCostCurve:
 
     # -- operations -----------------------------------------------------
 
-    def cost(self, x: float) -> float:
-        """Least total cost r(x) of replacing a measure x of workers."""
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"replacement measure must lie in [0, 1], got {x}")
-        if x > self.upto:
-            raise ValueError(f"this curve is built for measures up to {self.upto}, got {x}")
-        cumulative = self._cumulative
+    def cost(self, x):
+        """Least total cost r(x) of replacing a measure x of workers; x is a float or an array."""
+        measures = np.asarray(x, dtype=float)
+        _require_unit(measures, "replacement measure")
+        cost = self._cost(measures, self._cumulative)
+        return cost if isinstance(x, np.ndarray) else float(cost)
+
+    def _cost(self, x: np.ndarray, cumulative: np.ndarray, factor=1.0):
+        """r(x) of the curve scaled by ``factor``, from its boundary sums ``cumulative``.
+
+        ``cumulative`` holds one curve's sums, or one row of sums per
+        measure in ``x`` with ``factor`` one per row.  ``values[j] * factor``
+        is the float a scaled copy stores, so this is the scaled copy's r
+        without building it.  The int64 cast truncates as ``int`` does.
+        """
         n = self._segments
-        position = x * n
-        j = min(int(position), n - 1)
+        j = np.minimum((x * n).astype(np.int64), n - 1)
+        at_j = cumulative[j] if cumulative.ndim == 1 else cumulative[np.arange(len(x)), j]
         t = x - j / n
+        y0 = self.values[j] * factor
         if self.kind == "steps":
             # integrate the ascending step function: slope is the j-th cost
-            return float(cumulative[j] + self.values[j] * t)
+            return at_j + y0 * t
         # integrate the piecewise-linear interpolant of the sorted nodes
-        y0 = self.values[j]
-        y1 = self.values[j + 1]
-        return float(cumulative[j] + y0 * t + (y1 - y0) * t * t * n / 2.0)
+        y1 = self.values[j + 1] * factor
+        return at_j + y0 * t + (y1 - y0) * t * t * n / 2.0
+
+    def _boundaries_to(self, upto: float) -> int:
+        """Segments whose sums r at measures up to ``upto`` read: one past the segment of ``upto``."""
+        n = self._segments
+        return n if upto >= 1.0 else min(int(upto * n) + 1, n)
 
     @property
     def marginal_cost_at_zero(self) -> float:
         """One-sided derivative r'(0): the cheapest available replacement."""
         return float(self.values[0])
 
-    def scaled(self, factor: float, upto: float = 1.0) -> "ReplacementCostCurve":
-        """Uniformly scale every per-replacement cost; the copy's ``cost`` answers up to ``upto``.
+    def check_scale(self, factor: float) -> None:
+        """Raise ``InvalidCurveError`` unless scaling every cost by ``factor`` keeps the curve valid.
 
-        Scaling a valid curve by a nonnegative factor keeps it valid, since
-        rounding is monotone and the overflow check below keeps it finite;
-        the copy skips the structural check.
+        A nonnegative factor keeps the costs ascending, since rounding is
+        monotone; the factor must also keep every sum the constructor
+        forms finite: two neighbouring nodes, or every cost of a finite
+        sample.  That is checked in Python floats, which overflow to inf
+        where a numpy product would raise.
         """
         if not math.isfinite(factor):
             raise InvalidCurveError("scale factor must be finite")
         if factor < 0.0:
             raise InvalidCurveError("scale factor must be nonnegative")
-        # the largest sum the constructor forms: two neighbouring nodes, or
-        # every cost of a finite sample; checked in Python floats, which
-        # overflow to inf where a numpy product would raise
         terms = 2 if self.kind == "nodes" else len(self.values)
         if not math.isfinite(terms * factor * float(self.values[-1])):
             raise InvalidCurveError("scale factor too large: the scaled costs overflow")
-        return ReplacementCostCurve(self.values * factor, self.kind, upto, _scaled_from_valid=True)
+
+    def scaled(self, factor: float) -> "ReplacementCostCurve":
+        """A copy with every per-replacement cost times ``factor``; ``check_scale`` checks it.
+
+        The copy skips the structural check, which its parent passed.
+        """
+        self.check_scale(factor)
+        return ReplacementCostCurve(self.values * factor, self.kind, _scaled_from_valid=True)
 
     def validate(self) -> None:
         """Raise ``InvalidCurveError`` unless the stored costs are finite, nonnegative and ascending.
@@ -255,19 +293,26 @@ def credibility_slope(p: ModelParams) -> float:
 
 
 def punish_feasible(h: float, p: ModelParams, curve: ReplacementCostCurve) -> bool:
-    """Whether committing to punish failures at rate gamma_bar and reach ``h`` pays for itself."""
-    if not 0.0 <= h <= 1.0:
-        raise ValueError(f"h must lie in [0, 1], got {h}")
-    return _credible(h, credibility_slope(p), gamma_bar(p), curve)
-
-
-def _credible(h: float, slope: float, rate: float, curve: ReplacementCostCurve) -> bool:
-    """The credibility condition: the deterred shirking pays the replacement bill.
+    """Whether committing to punish failures at rate gamma_bar and reach ``h`` pays for itself.
 
     Both sides are zero at h = 0, where the infinite slope of eps = 0 would
     form inf * 0; for h > 0 that slope makes every finite bill credible.
     """
-    return h == 0.0 or slope * h >= curve.cost(rate * h)
+    _require_unit(h, "h")
+    return h == 0.0 or _credible(h, credibility_slope(p), gamma_bar(p), curve.cost)
+
+
+def _credible(h, slope, rate, cost: Callable):
+    """The credibility condition at reaches h > 0, of floats or arrays: the deterred shirking pays the replacement bill."""
+    return slope * h >= cost(rate * h)
+
+
+def _require_unit(x, name: str) -> None:
+    """Raise ``ValueError`` naming the first value of ``x`` outside [0, 1]; ``x`` is a float or an array."""
+    values = np.asarray(x, dtype=float)
+    inside = (0.0 <= values) & (values <= 1.0)
+    if not inside.all():
+        raise ValueError(f"{name} must lie in [0, 1], got {values[~inside][0]}")
 
 
 @dataclass(frozen=True)
@@ -296,45 +341,99 @@ def solve_threshold(p: ModelParams, curve: ReplacementCostCurve) -> EquilibriumS
     convex cost, both zero at the origin), so bisection on the
     feasibility predicate converges to its supremum.  The returned
     h_tilde is the last point confirmed feasible, and 1 when the
-    condition holds everywhere.  Every midpoint is dyadic, so the
-    bisection takes exactly 34 steps to a bracket of width 2^-34, the
-    first below ``TOL``.
+    condition holds everywhere.  This is ``solve_thresholds`` run on the
+    one point.
     """
-    require_admissible(p)
-    gb = gamma_bar(p)
-    marginal = curve.marginal_cost_at_zero
-    slope = credibility_slope(p)
-    threshold_ratio = math.inf if gb == 0.0 else slope / gb
-    nonempty = threshold_ratio > marginal
+    return solve_thresholds([p], curve)[0]
 
-    bisections = 0
-    if _credible(1.0, slope, gb, curve):
-        feasible = infeasible = 1.0
+
+def solve_thresholds(
+    points: Sequence[ModelParams],
+    curve: ReplacementCostCurve,
+    scales: Sequence[float] | None = None,
+) -> list[EquilibriumSolution]:
+    """Solve every point's threshold in one batched bisection.
+
+    Point i is solved against ``curve``, or, given ``scales``, against the
+    curve with every cost times ``scales[i]``, which must pass
+    ``check_scale``.  Scaled curves are never built: their boundary sums
+    are filled block by block into one buffer of about
+    ``SCALED_BLOCK_BYTES``, and a block's points bisect together.  Every
+    point bisects as a one-point solve does, so the batch changes no bit:
+    every midpoint is dyadic, and each point takes exactly 34 steps to a
+    bracket of width 2^-34, the first below ``TOL``, unless it is
+    credible at h = 1.
+    """
+    rate = np.array([gamma_bar(p) for p in points], dtype=float)
+    slope = np.array([credibility_slope(p) for p in points], dtype=float)
+    if scales is None:
+        # the bisection reads only measures gamma_bar * h in [0, 1]
+        cost = functools.partial(curve._cost, cumulative=curve._cumulative)
+        feasible, infeasible, bisections = _bisect(slope, rate, cost)
+        marginal = [curve.marginal_cost_at_zero] * len(points)
     else:
-        feasible, infeasible = 0.0, 1.0
-        while infeasible - feasible > TOL:
-            mid = 0.5 * (feasible + infeasible)
-            if _credible(mid, slope, gb, curve):
-                feasible = mid
-            else:
-                infeasible = mid
-            bisections += 1
+        factors = np.array(scales, dtype=float)
+        if len(factors) != len(points):
+            raise ValueError(f"{len(factors)} scales for {len(points)} points")
+        for factor in factors.tolist():
+            curve.check_scale(factor)
+        marginal = (curve.values[0] * factors).tolist()
+        feasible, infeasible = np.empty_like(rate), np.empty_like(rate)
+        bisections = np.empty(len(rate), dtype=int)
+        # a solve reads r(gamma_bar * h) with h <= 1, so the sums stop there
+        width = curve._boundaries_to(float(rate.max(initial=0.0))) + 1
+        rows = max(min(SCALED_BLOCK_BYTES // (8 * width), len(rate)), 1)
+        buffer = np.empty((rows, width))
+        for start in range(0, len(rate), rows):
+            block = slice(start, start + rows)
+            cumulative = buffer[: len(factors[block])]
+            curve._cumulate(factors[block], cumulative)
+            cost = functools.partial(curve._cost, cumulative=cumulative, factor=factors[block])
+            feasible[block], infeasible[block], bisections[block] = _bisect(slope[block], rate[block], cost)
+    return [
+        EquilibriumSolution(
+            gamma_bar=gb,
+            h_tilde=low,
+            # Python floats: a slope / gamma_bar past the float range is inf, not an error
+            feasible_set_nonempty=(math.inf if gb == 0.0 else s / gb) > cheapest,
+            marginal_cost_at_zero=cheapest,
+            bisections=steps,
+            bracket=(low, high),
+        )
+        for gb, s, cheapest, low, high, steps in zip(
+            rate.tolist(), slope.tolist(), marginal, feasible.tolist(), infeasible.tolist(), bisections.tolist()
+        )
+    ]
 
-    return EquilibriumSolution(
-        gamma_bar=gb,
-        h_tilde=feasible,
-        feasible_set_nonempty=nonempty,
-        marginal_cost_at_zero=marginal,
-        bisections=bisections,
-        bracket=(feasible, infeasible),
-    )
+
+def _bisect(slope: np.ndarray, rate: np.ndarray, cost: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bisect the credibility condition on [0, 1] for every point at once.
+
+    ``cost`` maps an array of measures, one per point, to each point's r.
+    Returns the final (feasible, infeasible) bracket ends and the
+    bisection count per point.  A point credible at h = 1 keeps the
+    bracket (1, 1): its midpoint is 1 again, so the steps leave it be and
+    do not count.
+    """
+    feasible = np.where(_credible(1.0, slope, rate, cost), 1.0, 0.0)
+    infeasible = np.ones_like(feasible)
+    bisections = np.zeros(len(feasible), dtype=int)
+    while True:
+        open_ = infeasible - feasible > TOL
+        if not open_.any():
+            return feasible, infeasible, bisections
+        mid = 0.5 * (feasible + infeasible)
+        credible = _credible(mid, slope, rate, cost)
+        feasible = np.where(credible, mid, feasible)
+        infeasible = np.where(credible, infeasible, mid)
+        bisections += open_
 
 
-def policy(h: float, sol: EquilibriumSolution) -> float:
-    """The threshold firing policy: gamma_bar on [0, h_tilde], zero above."""
-    if not 0.0 <= h <= 1.0:
-        raise ValueError(f"h must lie in [0, 1], got {h}")
-    return sol.gamma_bar if h <= sol.h_tilde else 0.0
+def policy(h, sol: EquilibriumSolution):
+    """The threshold firing policy: gamma_bar on [0, h_tilde], zero above; ``h`` is a float or an array."""
+    _require_unit(h, "h")
+    # gamma_bar times True is gamma_bar, and times False is 0.0
+    return sol.gamma_bar * (h <= sol.h_tilde)
 
 
 def principal_value(
@@ -360,15 +459,16 @@ def principal_value(
     return output - (1.0 - p.pi) * p.eps * curve.cost(gamma_bar(p) * h) - p.w * h
 
 
-def expected_output(h: float, regime: str, p: ModelParams) -> float:
+def expected_output(h, regime: str, p: ModelParams):
     """Expected aggregate output per unit mass of workers at reach ``h``.
 
     effort -- everyone with access researches and follows the signal
         (the first-best adoption pattern).
     shirk  -- everyone with access adopts without researching.
+
+    ``h`` is a float or an array of reaches.
     """
-    if not 0.0 <= h <= 1.0:
-        raise ValueError(f"h must lie in [0, 1], got {h}")
+    _require_unit(h, "h")
     if regime == EFFORT:
         return (1.0 - h) + h * ((1.0 + p.pi * p.g) * (1.0 - p.eps) + p.pi * p.eps)
     if regime == SHIRK:
@@ -376,10 +476,9 @@ def expected_output(h: float, regime: str, p: ModelParams) -> float:
     raise ValueError(f"regime must be 'effort' or 'shirk', got {regime!r}")
 
 
-def output_drop(h: float, p: ModelParams) -> float:
-    """Output lost when reach ``h`` of workers shirk instead of researching."""
-    if not 0.0 <= h <= 1.0:
-        raise ValueError(f"h must lie in [0, 1], got {h}")
+def output_drop(h, p: ModelParams):
+    """Output lost when reach ``h`` of workers shirk instead of researching; ``h`` is a float or an array."""
+    _require_unit(h, "h")
     return h * ((1.0 - p.eps) * (1.0 - p.pi) - p.pi * p.g * p.eps)
 
 

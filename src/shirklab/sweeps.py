@@ -14,8 +14,9 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace as dc_replace
-from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 from .errors import InvalidCurveError, InvalidParamsError
 from .equilibrium import (
@@ -27,22 +28,55 @@ from .equilibrium import (
     output_drop,
     policy,
     solve_threshold,
+    solve_thresholds,
 )
-from .model import NUMBER_FORMAT, ModelParams, _fmt, gamma_bar, is_admissible, validate_params
+from .model import NUMBER_FORMAT, ModelParams, _fmt, validate_params
 
 SWEEPABLE_PARAMETERS = ("h", "pi", "eps", "g", "c", "w", "v_c", "curve_scale")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table:
-    """A small column-ordered result table."""
+    """A result table stored column by column.
+
+    columns -- the column names.
+    data -- one sequence of cells per column, all of one length: a float
+        array for a column of numbers, else an array, tuple or list of
+        cells (float, bool, int, str or None).
+
+    ``column`` and ``rows`` give the cells as Python objects; ``rows``
+    builds one tuple per row, so ``len`` is the cheap row count.  Tables
+    compare by identity, as their arrays have no single truth value.
+    """
 
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    data: tuple
+
+    def __post_init__(self) -> None:
+        if len(self.data) != len(self.columns):
+            raise ValueError(f"{len(self.columns)} column names for {len(self.data)} columns")
+        if len(set(map(len, self.data))) > 1:
+            raise ValueError("columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.data[0]) if self.data else 0
 
     def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
+        return _cells(self.data[self.columns.index(name)])
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*map(_cells, self.data)))
+
+
+def _cells(values) -> list:
+    """A column's cells as Python objects."""
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
+def _floats(grid: Iterable[float]) -> np.ndarray:
+    """The grid points as a new float array."""
+    return np.array(grid if isinstance(grid, np.ndarray) else list(grid), dtype=float)
 
 
 def sweep_h(params: ModelParams, curve: ReplacementCostCurve, grid: Iterable[float]) -> Table:
@@ -53,18 +87,20 @@ def sweep_h(params: ModelParams, curve: ReplacementCostCurve, grid: Iterable[flo
     welfare.  Rows within the solver's ``TOL`` of the threshold carry a
     boundary flag.  The credible interval [0, h_tilde] is closed, as the
     solve returns the last reach it confirmed credible, so a row at
-    h_tilde itself reports the punishment regime.
+    h_tilde itself reports the punishment regime.  The closed forms run
+    once on the whole grid array.
     """
     sol = solve_threshold(params, curve)
-    rows = []
-    for h in map(float, grid):
-        gamma_star = policy(h, sol)
-        regime = EFFORT if gamma_star > 0.0 else SHIRK
-        output = expected_output(h, regime, params)
-        welfare = output - params.c * h if regime == EFFORT else output
-        boundary = abs(h - sol.h_tilde) <= TOL
-        rows.append((h, regime, gamma_star, output, welfare, boundary))
-    return Table(("h", "regime", "gamma_star", "output", "welfare", "boundary"), tuple(rows))
+    h = _floats(grid)
+    gamma_star = policy(h, sol)
+    effort = gamma_star > 0.0
+    output = np.where(effort, expected_output(h, EFFORT, params), expected_output(h, SHIRK, params))
+    # welfare nets out the effort cost that researchers pay
+    welfare = np.where(effort, output - params.c * h, output)
+    return Table(
+        ("h", "regime", "gamma_star", "output", "welfare", "boundary"),
+        (h, np.where(effort, EFFORT, SHIRK), gamma_star, output, welfare, np.abs(h - sol.h_tilde) <= TOL),
+    )
 
 
 def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve, grid: Iterable[float]) -> Table:
@@ -74,36 +110,45 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
     Inadmissible grid points are emitted with ``admissible=False`` and
     the name of the violated condition; their equilibrium columns are
     left empty.  Points outside a parameter's range, or a negative
-    curve scale, are flagged the same way with the error message.
+    curve scale, are flagged the same way with the error message.  Each
+    point is checked on its own, and the admissible points are solved
+    together by ``solve_thresholds``: one batched bisection, or for
+    ``curve_scale`` blocks of points whose scaled boundary sums share one
+    buffer of about 2 MB, so no scaled curve is built.
     """
     if parameter not in SWEEPABLE_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEPABLE_PARAMETERS}")
     if parameter == "h":
         raise ValueError("use sweep_h for grids over the technology reach")
-    # a solve reads r(gamma_bar * h) with h <= 1 only, so a scaled curve is
-    # built that far; an inadmissible point is never solved
-    upto = gamma_bar(params) if is_admissible(params) else 0.0
-    rows = []
-    for value in map(float, grid):
+    values = _floats(grid)
+    reasons = [""] * len(values)
+    solved, points = [], []
+    for index, value in enumerate(values.tolist()):
         try:
             if parameter == "curve_scale":
-                point_params, point_curve = params, curve.scaled(value, upto)
+                curve.check_scale(value)
+                point = params
             else:
-                point_params, point_curve = dc_replace(params, **{parameter: value}), curve
+                point = dc_replace(params, **{parameter: value})
         except (InvalidParamsError, InvalidCurveError) as exc:
-            rows.append((value, None, None, False, None, str(exc)))
+            reasons[index] = str(exc)
             continue
-        report = validate_params(point_params)
+        report = validate_params(point)
         if not report.admissible:
-            reason = ", ".join(check.name for check in report.failures())
-            rows.append((value, None, None, False, None, reason))
+            reasons[index] = ", ".join(check.name for check in report.failures())
             continue
-        sol = solve_threshold(point_params, point_curve)
-        drop = output_drop(sol.h_tilde, point_params)
-        rows.append((value, sol.gamma_bar, sol.h_tilde, True, drop, ""))
+        solved.append(index)
+        points.append(point)
+    scales = values[solved] if parameter == "curve_scale" else None
+    gammas, h_tildes, drops = [None] * len(values), [None] * len(values), [None] * len(values)
+    admissible = [False] * len(values)
+    for index, point, sol in zip(solved, points, solve_thresholds(points, curve, scales)):
+        gammas[index], h_tildes[index] = sol.gamma_bar, sol.h_tilde
+        admissible[index] = True
+        drops[index] = output_drop(sol.h_tilde, point)
     return Table(
         ("value", "gamma_bar", "h_tilde", "admissible", "drop_at_h_tilde", "reason"),
-        tuple(rows),
+        (values, gammas, h_tildes, admissible, drops, reasons),
     )
 
 
@@ -129,35 +174,55 @@ def _cell_text(value) -> str:
     return buffer.getvalue()[:-1]
 
 
+class _Texts(dict):
+    """Cell texts keyed by (type, value), each made by ``_cell_text`` on first use.
+
+    The type keeps True, 1 and "1" apart.  Floats are never looked up:
+    0.0 and -0.0 are equal keys with different texts.
+    """
+
+    def __missing__(self, key):
+        text = self[key] = _cell_text(key[1])
+        return text
+
+    def of(self, cells: list) -> list[str]:
+        return [_fmt(cell) if isinstance(cell, float) else self[type(cell), cell] for cell in cells]
+
+
 def emit_csv(table: Table, path: str) -> None:
     """Write the table to ``path`` with a header row, 12 significant digits per number.
 
-    Rows are written ``CSV_CHUNK_ROWS`` at a time.  Within a chunk, a
-    column of plain floats goes to the number format directly and every
-    other column through ``_cell_text``, so one %-template formats the
-    whole chunk.  An empty table is an error, raised before the file is
-    opened.
+    Rows are written ``CSV_CHUNK_ROWS`` at a time from slices of the
+    columns.  Within a chunk, a column of plain floats goes to the number
+    format directly; any other column becomes cell texts, each non-float
+    text made once per distinct value, and the columns are interleaved
+    into one argument list, so one %-template formats the whole chunk.
+    An empty table is an error, raised before the file is opened.
     """
-    if not table.rows:
+    if not len(table):
         raise ValueError("refusing to write an empty table")
+    width = len(table.columns)
+    texts = [_Texts() for _ in table.data]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerow(table.columns)
-        for start in range(0, len(table.rows), CSV_CHUNK_ROWS):
-            chunk = table.rows[start : start + CSV_CHUNK_ROWS]
-            columns, specs = [], []
-            for column in zip(*chunk):
+        for start in range(0, len(table), CSV_CHUNK_ROWS):
+            stop = min(start + CSV_CHUNK_ROWS, len(table))
+            cells = [None] * ((stop - start) * width)
+            specs = []
+            for index, (values, known) in enumerate(zip(table.data, texts)):
+                column = _cells(values[start:stop])
                 if set(map(type, column)) == {float}:
-                    columns.append(column)
                     specs.append("%" + NUMBER_FORMAT)
                 else:
-                    columns.append(tuple(map(_cell_text, column)))
+                    column = known.of(column)
                     specs.append("%s")
+                cells[index::width] = column
             if specs == ["%s"]:
                 # csv.writer quotes a row's lone empty field, so that it
                 # does not read back as a blank line
-                columns[0] = tuple(text or '""' for text in columns[0])
+                cells = [text or '""' for text in cells]
             template = ",".join(specs) + "\n"
-            handle.write((template * len(chunk)) % tuple(chain.from_iterable(zip(*columns))))
+            handle.write((template * (stop - start)) % tuple(cells))
 
 
 def csv_to_table(path: str) -> Table:
@@ -179,7 +244,7 @@ def csv_to_table(path: str) -> Table:
                     except ValueError:
                         row.append(cell)
             rows.append(tuple(row))
-    return Table(header, tuple(rows))
+    return Table(header, tuple(zip(*rows, strict=True)) if rows else ((),) * len(header))
 
 
 #: Most points a ``start:stop:step`` grid may hold, checked before it is built.
@@ -202,6 +267,9 @@ def grid_size(start: float, stop: float, step: float) -> int:
     return max(int(math.floor(span)) + 1, 0)
 
 
-def make_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """Inclusive arithmetic grid with endpoint-safe rounding; ``grid_size`` checks the bounds."""
-    return tuple(start + i * step for i in range(grid_size(start, stop, step)))
+def make_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Inclusive arithmetic grid ``start + i * step`` as a float array; ``grid_size`` checks the bounds.
+
+    Each point is the same multiply-add as in Python floats.
+    """
+    return start + np.arange(grid_size(start, stop, step)) * step

@@ -1,6 +1,7 @@
 """Replacement-cost curves, threshold solving, and closed-form comparisons."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_curve, draw_params
+from shirklab import equilibrium
 from shirklab import (
     AgentStrategy,
     EquilibriumSolution,
@@ -28,7 +30,7 @@ from shirklab import (
     verify_equilibrium,
     welfare_loss,
 )
-from shirklab.equilibrium import TOL
+from shirklab.equilibrium import TOL, solve_thresholds
 
 
 class TestReplacementCostCurve:
@@ -60,6 +62,16 @@ class TestReplacementCostCurve:
             linear_curve.cost(-0.01)
         with pytest.raises(ValueError):
             linear_curve.cost(1.01)
+        with pytest.raises(ValueError, match=r"replacement measure must lie in \[0, 1\], got 1.5"):
+            linear_curve.cost(np.array([0.2, 1.5, -1.0]))
+
+    def test_cost_of_an_array_equals_each_scalar_cost(self):
+        rng = np.random.default_rng(78)
+        for _ in range(20):
+            curve = draw_curve(rng, resolution=int(rng.integers(2, 500)))
+            measures = np.concatenate(([0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, 100)))
+            assert curve.cost(measures).tolist() == [curve.cost(x) for x in measures.tolist()]
+            assert type(curve.cost(0.25)) is float
 
     def test_resolution_above_the_cap_is_rejected_before_any_evaluation(self):
         def q(z):
@@ -136,34 +148,26 @@ class TestPrefixScaledCurve:
     @settings(max_examples=200, deadline=None)
     @given(
         kind=st.sampled_from(sorted(PREFIX_PARENTS)),
-        factor=FACTORS,
+        factors=st.lists(FACTORS, min_size=1, max_size=4),
         upto=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0, 0.211111111111])),
         fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
     )
-    def test_prefix_cost_equals_the_full_build_exactly(self, kind, factor, upto, fractions):
+    def test_prefix_cost_equals_the_full_build_exactly(self, kind, factors, upto, fractions):
+        # a block of scaled sums holds one row per factor, only as far as
+        # measures up to ``upto`` read, and builds no scaled copy
         parent = PREFIX_PARENTS[kind]
-        prefix, full = parent.scaled(factor, upto), parent.scaled(factor)
+        block = np.empty((len(factors), parent._boundaries_to(upto) + 1))
+        parent._cumulate(np.array(factors), block)
         for x in [upto, 0.0] + [upto * u for u in fractions]:
-            assert prefix.cost(x) == full.cost(x)
-
-    @pytest.mark.parametrize("kind", sorted(PREFIX_PARENTS))
-    def test_cost_above_the_bound_raises(self, kind):
-        prefix = PREFIX_PARENTS[kind].scaled(2.0, 0.3)
-        with pytest.raises(ValueError, match="up to 0.3"):
-            prefix.cost(np.nextafter(0.3, 1.0))
-        with pytest.raises(ValueError):
-            prefix.cost(1.0)
-
-    def test_negative_or_nan_bound_is_rejected(self):
-        for upto in (-0.1, float("nan")):
-            with pytest.raises(InvalidCurveError, match="upto"):
-                PREFIX_PARENTS["nodes"].scaled(1.0, upto)
+            full = [parent.scaled(factor).cost(x) for factor in factors]
+            prefix = parent._cost(np.full(len(factors), x), block, np.array(factors))
+            assert prefix.tolist() == full
 
     @pytest.mark.parametrize("factor", [0.0, 1e-300, 0.37, 3.0, 1e6])
     @pytest.mark.parametrize("kind", sorted(PREFIX_PARENTS))
     def test_a_scaled_copy_of_a_valid_curve_passes_the_check(self, kind, factor):
         # the copy skips the check when it is built, so the check must hold of it
-        PREFIX_PARENTS[kind].scaled(factor, 0.4).validate()
+        PREFIX_PARENTS[kind].scaled(factor).validate()
 
     def test_a_tiny_descent_is_rejected(self):
         with pytest.raises(InvalidCurveError, match="not sorted"):
@@ -345,6 +349,117 @@ class TestSolveThreshold:
             assert sol.bracket == (0.0, 2.0**-34)
 
 
+def _scalar_solve(p, curve):
+    """Bisection on the scalar credibility test, step for step as a solve takes it."""
+    feasible = infeasible = 1.0
+    if not punish_feasible(1.0, p, curve):
+        feasible = 0.0
+    steps = 0
+    while infeasible - feasible > TOL:
+        mid = 0.5 * (feasible + infeasible)
+        if punish_feasible(mid, p, curve):
+            feasible = mid
+        else:
+            infeasible = mid
+        steps += 1
+    return feasible, infeasible, steps
+
+
+@pytest.fixture(scope="module")
+def curve_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("curves")
+
+
+def _family_curve(family, rng, curve_dir):
+    scale = 10.0 ** rng.uniform(-2.0, 4.0)
+    if family == "linear":
+        return ReplacementCostCurve.linear(scale, resolution=int(rng.integers(2, 3000)))
+    if family == "power":
+        return ReplacementCostCurve.power(scale, rng.uniform(0.0, 5.0), resolution=int(rng.integers(2, 3000)))
+    size = int(rng.integers(1, 400))
+    path = curve_dir / f"costs{rng.integers(2**62)}.txt"
+    path.write_text("".join(f"{z} {q}\n" for z, q in zip(rng.uniform(0, 1, size), rng.uniform(0, scale, size))))
+    return ReplacementCostCurve.from_file(str(path))
+
+
+def _largest_scale(curve):
+    """Nearly the largest factor ``check_scale`` passes."""
+    terms = 2 if curve.kind == "nodes" else len(curve.values)
+    return 0.99 * np.finfo(float).max / (terms * max(float(curve.values[-1]), 1.0))
+
+
+class TestSolveThresholds:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(("linear", "power", "file")),
+        edges=st.lists(st.sampled_from(("none", "eps0", "costless")), min_size=1, max_size=6),
+    )
+    def test_a_batch_equals_one_point_solves_bit_for_bit(self, seed, family, edges, curve_dir):
+        rng = np.random.default_rng(seed)
+        curve = _family_curve(family, rng, curve_dir)
+        points = []
+        for edge in edges:
+            p = draw_params(rng)
+            if edge == "eps0":
+                p = dataclasses.replace(p, eps=0.0)
+            elif edge == "costless":
+                p = dataclasses.replace(p, c=0.0, w=0.0)
+            if is_admissible(p):
+                points.append(p)
+        batch = solve_thresholds(points, curve)
+        # repr tells -0.0 from 0.0 and shows every bit of a float
+        assert repr(batch) == repr([solve_threshold(p, curve) for p in points])
+        for p, sol in zip(points, batch):
+            feasible, infeasible, steps = _scalar_solve(p, curve)
+            assert (sol.h_tilde, sol.bracket, sol.bisections) == (feasible, (feasible, infeasible), steps)
+            assert sol.bisections in (0, 34)
+            assert sol.gamma_bar == gamma_bar(p)
+            if p.eps == 0.0 or sol.gamma_bar == 0.0:
+                assert sol.feasible_set_nonempty and sol.bracket == (1.0, 1.0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(("linear", "power", "file")),
+        kinds=st.lists(st.sampled_from(("zero", "tiny", "drawn", "largest")), min_size=1, max_size=30),
+        block_bytes=st.sampled_from((1, 10_000, 2**21)),
+    )
+    def test_scaled_batches_equal_solves_on_scaled_copies(self, seed, family, kinds, block_bytes, curve_dir):
+        # blocks of one row, of a few rows and of many rows all give the same bits
+        rng = np.random.default_rng(seed)
+        curve = _family_curve(family, rng, curve_dir)
+        p = draw_params(rng)
+        draws = {"zero": lambda: 0.0, "tiny": lambda: 5e-324, "drawn": lambda: 10.0 ** rng.uniform(-3.0, 3.0)}
+        draws["largest"] = lambda: _largest_scale(curve)
+        factors = [draws[kind]() for kind in kinds]
+        # the CLI's float checks: an overflow or invalid operation would exit 2
+        errstate = np.errstate(over="raise", invalid="raise", divide="raise")
+        with mock.patch.object(equilibrium, "SCALED_BLOCK_BYTES", block_bytes), errstate:
+            batch = solve_thresholds([p] * len(factors), curve, factors)
+        for factor, sol in zip(factors, batch):
+            scaled = curve.scaled(factor)
+            assert repr(sol) == repr(solve_threshold(p, scaled))
+            feasible, infeasible, steps = _scalar_solve(p, scaled)
+            assert (sol.h_tilde, sol.bracket, sol.bisections) == (feasible, (feasible, infeasible), steps)
+            assert sol.bisections in (0, 34)
+
+    @pytest.mark.parametrize("factor", [-1.0, float("nan"), float("inf"), 1e307])
+    def test_a_scale_the_curve_cannot_take_raises(self, p0, factor):
+        curve = ReplacementCostCurve.from_samples([1.0, 2.0, 50.0])
+        with pytest.raises(InvalidCurveError, match="scale factor"):
+            solve_thresholds([p0, p0], curve, [1.0, factor])
+
+    def test_an_inadmissible_point_raises(self, p0, linear_curve):
+        bad = dataclasses.replace(p0, c=0.05)
+        with pytest.raises(InadmissibleParamsError):
+            solve_thresholds([p0, bad], linear_curve)
+
+    def test_no_points_give_no_solutions(self, linear_curve):
+        assert solve_thresholds([], linear_curve) == []
+        assert solve_thresholds([], linear_curve, []) == []
+
+
 class TestPolicy:
     def test_threshold_rule(self, p0, linear_curve):
         sol = solve_threshold(p0, linear_curve)
@@ -353,6 +468,14 @@ class TestPolicy:
         assert policy(0.9, sol) == 0.0
         # the crossing satisfies the feasibility condition with equality
         assert policy(sol.h_tilde, sol) == gb
+
+    def test_an_array_of_reaches_gives_each_reach_its_rate(self, p0, linear_curve):
+        sol = solve_threshold(p0, linear_curve)
+        reaches = [0.0, 0.1, sol.h_tilde, np.nextafter(sol.h_tilde, 1.0), 0.9, 1.0]
+        rates = policy(np.array(reaches), sol)
+        assert rates.tolist() == [policy(h, sol) for h in reaches] == [sol.gamma_bar] * 3 + [0.0] * 3
+        with pytest.raises(ValueError, match=r"h must lie in \[0, 1\], got 1.5"):
+            policy(np.array([0.5, 1.5, -1.0]), sol)
 
 
 class TestPrincipalValue:
@@ -410,6 +533,20 @@ class TestOutputAndWelfare:
         assert welfare_loss(0.5, p0) == pytest.approx(0.0175, abs=1e-12)
         assert output_drop(0.0, p0) == 0.0
         assert welfare_loss(0.0, p0) == 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closed_forms_of_an_array_equal_the_scalar_calls_bit_for_bit(self, seed):
+        # sweeps call these on the whole grid, so the array results must be the scalar floats
+        rng = np.random.default_rng(seed)
+        p = draw_params(rng)
+        reaches = np.concatenate(([0.0, -0.0, 1.0, 5e-324], rng.uniform(0.0, 1.0, 200)))
+        scalar = reaches.tolist()
+        for regime in ("effort", "shirk"):
+            assert expected_output(reaches, regime, p).tolist() == [expected_output(h, regime, p) for h in scalar]
+        assert output_drop(reaches, p).tolist() == [output_drop(h, p) for h in scalar]
+        assert welfare_loss(reaches, p).tolist() == [welfare_loss(h, p) for h in scalar]
+        with pytest.raises(ValueError, match=r"h must lie in \[0, 1\], got nan"):
+            output_drop(np.array([0.5, np.nan]), p)
 
     def test_drop_equals_output_gap_and_exceeds_effort_cost(self):
         rng = np.random.default_rng(9090)

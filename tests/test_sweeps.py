@@ -1,8 +1,10 @@
 """Comparative-statics tables and their CSV contract."""
 
 import csv
+import dataclasses
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 from conftest import draw_params
 from shirklab import (
     InvalidCurveError,
+    InvalidParamsError,
+    ModelParams,
     ReplacementCostCurve,
     csv_to_table,
     emit_csv,
@@ -24,7 +28,8 @@ from shirklab import (
     sweep_param,
 )
 from shirklab import sweeps
-from shirklab.model import _fmt
+from shirklab.cli import main
+from shirklab.model import _fmt, validate_params
 from shirklab.sweeps import Table
 
 
@@ -165,7 +170,7 @@ class TestEmitCsv:
     def test_empty_table_errors_before_any_write(self, tmp_path):
         path = tmp_path / "never.csv"
         with pytest.raises(ValueError):
-            emit_csv(Table(columns=("a",), rows=()), str(path))
+            emit_csv(Table(("a",), ((),)), str(path))
         assert not path.exists()
 
     def test_unwritable_destination_raises_io_error(self, h_table, tmp_path):
@@ -235,8 +240,16 @@ def tables(draw):
     uniform = draw(st.booleans())
     kinds = [draw(st.sampled_from(["float", "any"])) for _ in range(width)]
     floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-    row = st.tuples(*[floats if uniform and kind == "float" else CELLS for kind in kinds])
-    return Table(columns, tuple(draw(st.lists(row, min_size=1, max_size=25))))
+    size = draw(st.integers(1, 25))
+    data = []
+    for kind in kinds:
+        if uniform and kind == "float":
+            cells = draw(st.lists(floats, min_size=size, max_size=size))
+            # a sweep's float column is an array, a hand-built one may be a tuple
+            data.append(np.array(cells) if draw(st.booleans()) else tuple(cells))
+        else:
+            data.append(tuple(draw(st.lists(CELLS, min_size=size, max_size=size))))
+    return Table(columns, tuple(data))
 
 
 class TestEmitCsvMatchesCsvWriter:
@@ -250,10 +263,46 @@ class TestEmitCsvMatchesCsvWriter:
 
     @pytest.mark.parametrize("cell", ["", None])
     def test_lone_empty_cell_is_quoted(self, cell, tmp_path):
-        table = Table(("only",), (("x",), (cell,), (1.5,)))
+        table = Table(("only",), (("x", cell, 1.5),))
         path = tmp_path / "t.csv"
         emit_csv(table, str(path))
         assert path.read_bytes() == _reference_csv(table) == b'only\nx\n""\n1.5\n'
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4096])
+    def test_a_mixed_column_keeps_every_cell_apart(self, chunk, tmp_path):
+        # -0.0 == 0.0 and True == 1 == 1.0 hash alike, so a lookup keyed by
+        # value, or by (type, value) for floats, would merge their texts
+        cells = (0.0, -0.0, True, 1, 1.0, "1", None, "", math.nan, -0.0, False, 0)
+        table = Table(("mixed", "pad"), (cells, ("",) * len(cells)))
+        path = tmp_path / "t.csv"
+        with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
+            emit_csv(table, str(path))
+        assert path.read_bytes() == _reference_csv(table)
+        assert path.read_text().splitlines()[1:4] == ["0,", "-0,", "true,"]
+        lone = Table(("mixed",), (cells,))
+        emit_csv(lone, str(path))
+        assert path.read_bytes() == _reference_csv(lone)
+
+
+class TestTable:
+    def test_columns_must_match_names_and_lengths(self):
+        with pytest.raises(ValueError, match="2 column names for 1 columns"):
+            Table(("a", "b"), ((1.0,),))
+        with pytest.raises(ValueError, match="differ in length"):
+            Table(("a", "b"), ((1.0,), (1.0, 2.0)))
+
+    def test_rows_column_and_len_give_python_cells(self):
+        table = Table(("x", "flag", "name"), (np.array([0.5, -0.0]), np.array([True, False]), ("a", None)))
+        assert len(table) == 2
+        assert table.rows == ((0.5, True, "a"), (-0.0, False, None))
+        assert [type(cell) for cell in table.rows[0]] == [float, bool, str]
+        assert table.column("flag") == [True, False]
+
+    def test_a_ragged_csv_is_rejected(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b\n1,2\n3\n")
+        with pytest.raises(ValueError):
+            csv_to_table(str(path))
 
 
 class TestCurveScaleSweepOnPrefixCurves:
@@ -275,9 +324,125 @@ class TestCurveScaleSweepOnPrefixCurves:
         assert any(0.0 < h < 1.0 for h in table.column("h_tilde") if h is not None)
 
 
+def _point_rows(parameter, params, curve, grid):
+    """A sweep's rows solved one point at a time, each scale on its own scaled copy."""
+    rows = []
+    for value in map(float, grid):
+        try:
+            if parameter == "curve_scale":
+                point, point_curve = params, curve.scaled(value)
+            else:
+                point, point_curve = dataclasses.replace(params, **{parameter: value}), curve
+        except (InvalidParamsError, InvalidCurveError) as exc:
+            rows.append((value, None, None, False, None, str(exc)))
+            continue
+        report = validate_params(point)
+        if not report.admissible:
+            rows.append((value, None, None, False, None, ", ".join(check.name for check in report.failures())))
+            continue
+        sol = solve_threshold(point, point_curve)
+        rows.append((value, sol.gamma_bar, sol.h_tilde, True, output_drop(sol.h_tilde, point), ""))
+    return tuple(rows)
+
+
+#: Grid points on the edges: eps = 0 (infinite slope), out of range,
+#: inadmissible, and scale factors that are zero, negative, non-finite or
+#: overflowing, next to ordinary points.
+EDGE_POINTS = {
+    "pi": (0.0, 1e-300, 0.3, 0.5, 0.9, 0.95, 0.999, 1.0),
+    "eps": (0.0, 1e-300, 1e-9, 0.05, 0.1, 0.3, 0.5, 0.6),
+    "c": (0.0, 1e-300, 0.005, 0.03, 1.0, -1.0),
+    "w": (0.0, 0.01, 0.5, 3.0),
+    "curve_scale": (0.0, -0.0, 5e-324, 0.5, 3.0, 1e4, -1.0, math.nan, math.inf, 1e306),
+}
+
+
+class TestBatchedSweepsEqualOnePointSolves:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        parameter=st.sampled_from(sorted(EDGE_POINTS)),
+        family=st.sampled_from(("linear", "power", "samples")),
+        costless=st.booleans(),
+        picks=st.lists(st.integers(0, 99), min_size=1, max_size=12),
+    )
+    def test_rows_equal_bit_for_bit(self, seed, parameter, family, costless, picks):
+        rng = np.random.default_rng(seed)
+        params = draw_params(rng)
+        if costless:
+            # gamma_bar = 0, so every point is credible at h = 1
+            params = dataclasses.replace(params, c=0.0, w=0.0)
+        if family == "linear":
+            curve = ReplacementCostCurve.linear(10.0 ** rng.uniform(-1.0, 4.0), resolution=1000)
+        elif family == "power":
+            curve = ReplacementCostCurve.power(10.0 ** rng.uniform(-1.0, 5.0), 3.0, resolution=1000)
+        else:
+            curve = ReplacementCostCurve.from_samples(rng.uniform(0.0, 10.0 ** rng.uniform(-1.0, 4.0), 500))
+        edges = EDGE_POINTS[parameter]
+        grid = [edges[i % len(edges)] if i < 50 else float(rng.uniform(0.0, 1.0)) for i in picks]
+        table = sweep_param(parameter, params, curve, grid)
+        # repr tells -0.0 from 0.0 and shows every bit of a float
+        assert repr(table.rows) == repr(_point_rows(parameter, params, curve, grid))
+
+
+class TestSweepsThroughTheCli:
+    CONFIG = (
+        "[model]\npi = 0.9\neps = 0.1\ng = 0.5\nc = {c}\nw = {w}\nv_c = 1.0\n"
+        "[curve]\nfamily = linear\nscale = 1000\n[sweep]\nparameter = {parameter}\ngrid = {grid}\n"
+    )
+
+    @pytest.mark.parametrize(
+        "parameter, grid, c, w",
+        [
+            # slope / gamma_bar past the float range, inf slopes and gamma_bar = 0
+            ("eps", "0, 1e-300, 1e-9, 0.1, 0.5, 0.6", "1e-300", "0"),
+            ("eps", "0, 1e-300, 0.1, 0.6", "0", "0"),
+            ("pi", "1e-300, 0.5, 0.9, 0.999999, 1", "1e-300", "0"),
+            ("pi", "0.5, 0.9, 0.99", "0", "0"),
+            ("curve_scale", "0, -0, 5e-324, 1, -1, nan, inf, 1e306, 1e10", "0.01", "0.05"),
+        ],
+    )
+    def test_edge_points_exit_0_with_the_one_point_rows(self, tmp_path, capsys, parameter, grid, c, w):
+        # main runs under np.errstate(over, invalid, divide = "raise"): an
+        # array form of a guard the scalar code kept would exit 2 here
+        path = tmp_path / "edge.ini"
+        path.write_text(self.CONFIG.format(c=c, w=w, parameter=parameter, grid=grid))
+        out = tmp_path / "edge.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        params = ModelParams(pi=0.9, eps=0.1, g=0.5, c=float(c), w=float(w), v_c=1.0)
+        points = [float(x) for x in grid.split(",")]
+        expected = _point_rows(parameter, params, ReplacementCostCurve.linear(1000.0), points)
+        columns = ("value", "gamma_bar", "h_tilde", "admissible", "drop_at_h_tilde", "reason")
+        assert out.read_bytes() == _reference_csv(Table(columns, tuple(zip(*expected))))
+
+
+def test_a_curve_scale_sweep_holds_about_one_block_of_sums(p0):
+    # at gamma_bar = 0.2111 each point of a 10^5-segment curve reads 21114
+    # sums; a block of about 2 MB holds 12 rows of them, 64 rows would be
+    # 10.8 MB, and a scaled copy of the whole curve per point 0.8 MB more
+    curve = ReplacementCostCurve.linear(1000.0)
+    grid = np.linspace(0.1, 10.0, 200)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        table = sweep_param("curve_scale", p0, curve, grid)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert table.column("admissible") == [True] * 200
+    assert peak < 4 * 2**20
+
+
 def test_make_grid_is_inclusive():
     grid = make_grid(0.0, 1.0, 0.05)
     assert len(grid) == 21
+    # the same multiply-add as in Python floats, point for point
+    assert grid.tolist() == [0.0 + i * 0.05 for i in range(21)]
     assert grid[0] == 0.0
     assert grid[-1] == pytest.approx(1.0)
     with pytest.raises(ValueError):
