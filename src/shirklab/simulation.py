@@ -7,27 +7,27 @@ wages are paid (prospectively on adoption, or as realized output), output
 is realized, failures are punished, and survivors collect the
 continuation value.
 
-Episode randomness comes from a single generator per trial with a fixed
-draw order: one uniform for quality, then the signal-error draws (one
+An episode reads its uniforms in a fixed order: one for the quality,
+then the signal-error draws only when some strategy reads them (one
 shared uniform under common correlation, one per access agent under
-independent), then one firing uniform per access agent.  The quality and
-signal draws are always taken; the firing uniforms are drawn only under
-random firing at a rate strictly between 0 and 1 when some agent fails,
-the only case in which they can change who is fired.  Every draw sits at
-a fixed place in the stream, so matched scenarios see identical
-production paths.  Trials use counter-derived substreams of the root
-seed, so results are reproducible bit-for-bit and independent of
-execution order.
+independent), then one firing uniform per access agent.  The firing
+uniforms are drawn only under random firing at a rate strictly between
+0 and 1 when some agent fails, the only case in which they can change
+who is fired.
 
-Monte Carlo does not build a generator for most trials: it replays the
-first one or two uniforms of every substream (the quality, and the shared
-reading under common signals) with numpy array arithmetic, bit for bit,
-codes each trial's (quality, reading) state from them and accounts each
-distinct state once.  Only a trial that draws fire uniforms, and every
-trial of a profile that reads independent signals, builds its real
-generator and plays alone.  Each run checks the replay against the real
-generator at its first and last trial and, on a mismatch, codes the
-states from every trial's real generator instead.
+Monte Carlo takes these uniforms from numpy's own spawned streams of the
+root seed.  Trial block ``b`` covers trials ``[b * TRIAL_BLOCK, (b + 1) *
+TRIAL_BLOCK)`` and draws from ``SeedSequence(seed, spawn_key=(0, b))``:
+all ``TRIAL_BLOCK`` qualities, then under common signals all
+``TRIAL_BLOCK`` shared readings, then, only when some strategy reads
+independent signals, one signal per access agent, trial by trial.  Trial
+``t``'s firing uniforms come from ``SeedSequence(seed, spawn_key=(1,
+t))``.  A trial's draws depend on the seed and its index alone, so a run
+of T trials is a prefix of any longer run, and matched scenarios see
+identical production paths.  A trial whose outcome depends on nothing but
+its quality and shared reading is coded ``2 * good + reading`` and each
+distinct state is accounted once; a trial that reads independent signals
+or draws firing uniforms plays alone.
 
 Seniority is agent order: under seniority firing the lowest-indexed
 failing agent is fired.  Workers differ only in the strategy they play, so
@@ -78,7 +78,7 @@ SENIORITY = "seniority"
 
 #: Size caps of a run, checked before any array is built.  A profile holds
 #: one byte per agent and Monte Carlo keeps about 20 bytes per trial, about
-#: 120 for a trial that builds its own generator.
+#: 120 for a trial that plays alone.
 MAX_AGENTS = 10**7
 MAX_TRIALS = 10**6
 
@@ -203,16 +203,25 @@ def _access_codes(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float 
     return profile.codes[: cfg.access_count]
 
 
+#: Trials per block stream.  Part of the stream contract: trial t draws from
+#: block ``t // TRIAL_BLOCK`` whatever ``n_trials`` is.
+TRIAL_BLOCK = 2048
+# the spawn keys' first word: a trial block's stream, or one trial's fire uniforms
+_BLOCK_STREAM, _FIRE_STREAM = 0, 1
+
+
+def _stream(seed: int, kind: int, index: int) -> np.random.Generator:
+    """The generator spawned from ``seed`` at ``spawn_key=(kind, index)``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(kind, index)))
+
+
 class _EpisodeKernel:
     """The one-shot timeline for a fixed profile, firing rate and curve.
 
-    ``draw`` takes one trial's uniforms from ``rng`` in the contract order
-    (quality, signals, fire uniforms when they can change who is fired);
-    ``account`` plays the timeline on them.  ``rng`` needs only
-    ``random()`` and ``random(size)``.  ``replay_states`` codes each
-    trial whose outcome depends on nothing but its quality and shared
-    reading as ``2 * good + reading`` (reading 0 when no strategy reads
-    the signal), so equal codes give equal outcomes.
+    ``use`` maps a trial's quality and signal uniforms to who adopts,
+    ``fires_at_random`` says whether its fire uniforms can change who is
+    fired, and ``account`` plays the timeline on them.  ``states`` and
+    ``lone_draws`` take a Monte Carlo run's uniforms from the block streams.
     """
 
     def __init__(
@@ -231,56 +240,61 @@ class _EpisodeKernel:
         self.use_by_reading = _ADOPTS[:, self.codes]
         self.anyone_adopts = self.use_by_reading.any(axis=1)
         self.reads_signal = bool((self.use_by_reading[0] != self.use_by_reading[1]).any())
+        self.reads_independent = self.reads_signal and cfg.signal_correlation == INDEPENDENT
         # a fire uniform can change who is fired only at a rate strictly inside (0, 1)
         self.random_firing = cfg.punishment_mode == UNIFORM_RANDOM and 0.0 < policy_gamma < 1.0
 
-    def draw(self, rng) -> tuple[bool, np.ndarray, np.ndarray | None]:
-        """One trial's draws as ``(good, use, fire_draws)``; ``fire_draws`` is None when not drawn."""
-        p = self.cfg.params
-        m = len(self.codes)
-        good = bool(rng.random() < p.pi)
-        # the reading is good (1) when the signal is right about a good
-        # technology or wrong about a bad one
+    def reading(self, good, signals) -> np.ndarray:
+        """Each signal uniform's reading: good (1) when right about a good technology or wrong about a bad one."""
+        return np.asarray(good != (signals < self.cfg.params.eps), dtype=np.intp)
+
+    def use(self, good: bool, signals) -> np.ndarray:
+        """Who adopts, given the quality and the signal uniform(s), None when no strategy reads them."""
+        if signals is None:
+            return self.use_by_reading[0]
+        return _ADOPTS[self.reading(good, signals), self.codes]
+
+    def fires_at_random(self, good: bool, use: np.ndarray) -> bool:
+        """Whether fire uniforms can change who is fired: a failure under random firing."""
+        return self.random_firing and not good and bool(use.any())
+
+    def block(self, seed: int, index: int) -> tuple[np.random.Generator, np.ndarray]:
+        """Trial block ``index``'s generator, past its qualities and shared readings, and its state codes."""
+        rng = _stream(seed, _BLOCK_STREAM, index)
+        good = rng.random(TRIAL_BLOCK) < self.cfg.params.pi
+        states = 2 * good.astype(np.int8)
         if self.cfg.signal_correlation == COMMON:
-            use = self.use_by_reading[int(good != (rng.random() < p.eps))]
-        elif self.reads_signal:
-            readings = (good != (rng.random(m) < p.eps)).astype(np.intp)
-            use = _ADOPTS[readings, self.codes]
-        else:
-            # no one reads these signals, so no reading is formed from them
-            rng.random(m)
-            use = self.use_by_reading[0]
-        fails = not good and bool(use.any())
-        return good, use, rng.random(m) if fails and self.random_firing else None
-
-    def replay_states(self, seed: int, trials: int) -> np.ndarray:
-        """Each trial's state code, found from the first uniforms of its substream.
-
-        A trial that needs its generator gets -1: one that draws fire
-        uniforms, and every trial of a profile that reads independent
-        signals, which is never coded.  The uniforms are replayed when
-        the replay matches ``_trial_rng`` at the first and the last
-        trial, and are taken from every trial's generator otherwise.
-        """
-        states = np.full(trials, -1, dtype=np.int8)
-        if self.reads_signal and self.cfg.signal_correlation == INDEPENDENT:
-            return states
-        n_draws = 2 if self.reads_signal else 1
-        ends = np.array([0, trials - 1])
-        uniforms_of = _replay_uniforms
-        if not np.array_equal(uniforms_of(seed, ends, n_draws), _generator_uniforms(seed, ends, n_draws)):
-            uniforms_of = _generator_uniforms
-        p = self.cfg.params
-        for first in range(0, trials, REPLAY_BLOCK):
-            uniforms = uniforms_of(seed, np.arange(first, min(first + REPLAY_BLOCK, trials)), n_draws)
-            good = uniforms[0] < p.pi
-            block = 2 * good.astype(np.int8)
+            reading = self.reading(good, rng.random(TRIAL_BLOCK))
             if self.reads_signal:
-                block += good != (uniforms[1] < p.eps)
-            if self.random_firing:
-                block[~good & self.anyone_adopts[block & 1]] = -1
-            states[first : first + len(block)] = block
-        return states
+                states += reading
+        return rng, states
+
+    def states(self, seed: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each trial's state code ``2 * good + reading``, and the trials that play alone.
+
+        The reading is 0 when no strategy reads a shared signal, so equal
+        codes give equal outcomes, except in the trials that play alone:
+        those that draw fire uniforms, and every trial of a profile that
+        reads independent signals.
+        """
+        if self.reads_independent:
+            return np.zeros(trials, dtype=np.int8), np.arange(trials)
+        blocks = range(-(-trials // TRIAL_BLOCK))
+        states = np.concatenate([self.block(seed, index)[1] for index in blocks])[:trials]
+        lone = self.random_firing & (states < 2) & self.anyone_adopts[states & 1]
+        return states, np.flatnonzero(lone)
+
+    def lone_draws(self, seed: int, states: np.ndarray, lone: np.ndarray) -> Iterator[tuple[bool, np.ndarray]]:
+        """The quality and ``use`` of every trial in ``lone``, in trial order."""
+        if not self.reads_independent:
+            for state in states[lone].tolist():
+                yield state >= 2, self.use_by_reading[state & 1]
+            return
+        # every trial reads its signals from its block's stream, after the block's qualities
+        for first in range(0, len(states), TRIAL_BLOCK):
+            rng, codes = self.block(seed, first // TRIAL_BLOCK)
+            for good in (codes[: len(states) - first] >= 2).tolist():
+                yield good, self.use(good, rng.random(len(self.codes)))
 
     def account(self, good: bool, use: np.ndarray, fire_draws: np.ndarray | None) -> EpisodeOutcome:
         """Play the timeline on one trial's draws and account for every agent."""
@@ -343,11 +357,18 @@ def run_episode(
     independently with probability ``policy_gamma``; under ``seniority``
     the lowest-indexed failing agent is fired with certainty and
     ``policy_gamma`` is ignored.  ``rng`` is read in the module's
-    draw order: the quality and signal draws always, the fire uniforms
-    only when they can change who is fired.
+    draw order: the quality, the signal draw(s) only when some strategy
+    reads them, and the fire uniforms only when they can change who is
+    fired.  It needs only ``random()`` and ``random(size)``.
     """
     kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve)
-    return kernel.account(*kernel.draw(rng))
+    m = len(kernel.codes)
+    good = bool(rng.random() < cfg.params.pi)
+    signals = None
+    if kernel.reads_signal:
+        signals = rng.random() if cfg.signal_correlation == COMMON else rng.random(m)
+    use = kernel.use(good, signals)
+    return kernel.account(good, use, rng.random(m) if kernel.fires_at_random(good, use) else None)
 
 
 @dataclass(frozen=True)
@@ -395,132 +416,6 @@ class SimResult:
         return "\n".join(lines)
 
 
-# -- trial substreams ------------------------------------------------------
-
-#: Trials whose uniforms are replayed at once.  The replay's temporaries
-#: then take a few hundred kilobytes, whatever ``n_trials`` is.
-REPLAY_BLOCK = 2048
-
-_MASK32 = 0xFFFFFFFF
-# numpy's SeedSequence constants
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier as 32-bit limbs, least significant first
-_PCG_MULT = tuple((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & _MASK32 for k in range(4))
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Trial ``trial``'s generator: the substream of ``seed`` spawned at that index."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-
-
-def _generator_uniforms(seed: int, trials: np.ndarray, n_draws: int) -> np.ndarray:
-    """``_replay_uniforms``'s answer taken from each trial's generator."""
-    return np.array([_trial_rng(seed, int(t)).random(n_draws) for t in trials]).T
-
-
-# The helpers below take Python ints or uint32/uint64 arrays.  Python ints
-# never wrap and uint arrays wrap silently, so no numpy scalar (whose
-# overflow warns, and raises under the CLI's errstate) is ever formed.
-
-
-def _hashmix(value, hash_const: int, mult: int):
-    """SeedSequence's hash of one 32-bit word, with the next hash constant."""
-    value = value ^ hash_const
-    hash_const = (hash_const * mult) & _MASK32
-    value = (value * hash_const) & _MASK32
-    return value ^ (value >> 16), hash_const
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two 32-bit words."""
-    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
-    return result ^ (result >> 16)
-
-
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """The pool of ``SeedSequence(seed, spawn_key=(t,))`` before ``t`` is mixed in.
-
-    Returns the four pool words and the hash constant of the last pass,
-    which mixes the spawn word ``t`` into every pool word.
-    """
-    pool: list[int] = []
-    hash_const = _INIT_A
-    # the seed's 32-bit words, zero-padded to the pool size because a spawn key follows
-    for word in (seed & _MASK32, seed >> 32, 0, 0):
-        value, hash_const = _hashmix(word, hash_const, _MULT_A)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    return pool, hash_const
-
-
-def _lcg_step(state: list[np.ndarray], inc: list[np.ndarray]) -> list[np.ndarray]:
-    """``state * multiplier + inc`` mod 2**128 on 32-bit limbs held in uint64."""
-    out = []
-    carry = 0
-    for k in range(4):
-        acc = inc[k] + carry
-        high = 0
-        for i in range(k + 1):
-            product = state[i] * _PCG_MULT[k - i]
-            acc = acc + (product & _MASK32)
-            if k < 3:
-                high = high + (product >> 32)
-        out.append(acc & _MASK32)
-        # the high halves and the overflow carry into the next limb
-        carry = high + (acc >> 32)
-    return out
-
-
-def _replay_uniforms(seed: int, trials: np.ndarray, n_draws: int) -> np.ndarray:
-    """The first ``n_draws`` uniforms of ``_trial_rng(seed, t)`` for every ``t`` in ``trials``.
-
-    Row k holds draw k of each trial.  NumPy's documented algorithms are
-    replayed on arrays: SeedSequence, whose pool depends on the seed alone
-    until a last pass mixes in the trial index, then ``generate_state``'s
-    eight words, the PCG64 seeding steps and one XSL-RR output per draw,
-    the 128-bit LCG done on 32-bit limbs.  A trial index must fit one
-    32-bit word, as every index below ``MAX_TRIALS`` does.
-    """
-    pool_words, hash_const = _seed_pool(seed)
-    t = np.asarray(trials, dtype=np.uint32)
-    pool = []
-    for word in pool_words:
-        value, hash_const = _hashmix(t, hash_const, _MULT_A)
-        pool.append(_mix(word, value))
-    hash_const = _INIT_B
-    words = []
-    for i in range(8):
-        value, hash_const = _hashmix(pool[i % 4], hash_const, _MULT_B)
-        words.append(value.astype(np.uint64))
-    # little-endian uint64 pairs: seed (high, low) then increment (high, low)
-    initial = [words[2], words[3], words[0], words[1]]
-    seq = [words[6], words[7], words[4], words[5]]
-    inc = [((seq[k] << 1) | ((seq[k - 1] >> 31) if k else 1)) & _MASK32 for k in range(4)]
-    # seeding: state = inc, then state += initial, then one step
-    state = []
-    carry = 0
-    for k in range(4):
-        acc = inc[k] + initial[k] + carry
-        state.append(acc & _MASK32)
-        carry = acc >> 32
-    state = _lcg_step(state, inc)
-    uniforms = np.empty((n_draws, len(t)))
-    for row in uniforms:
-        state = _lcg_step(state, inc)
-        # XSL-RR: xor the 64-bit halves, rotate right by the top six bits
-        x = ((state[3] << 32) | state[2]) ^ ((state[1] << 32) | state[0])
-        rot = state[3] >> 26
-        x = (x >> rot) | (x << ((64 - rot) & 63))
-        row[:] = (x >> 11) * (1.0 / 9007199254740992.0)
-    return uniforms
-
-
 def _mean_se(values: np.ndarray) -> MeanSE:
     mean = float(values.mean())
     if len(values) < 2:
@@ -535,22 +430,23 @@ def monte_carlo(
     curve: ReplacementCostCurve,
     trace_path: str | None = None,
 ) -> SimResult:
-    """Average the episode over ``cfg.n_trials`` substreams.
+    """Average the episode over ``cfg.n_trials`` trials.
 
-    Trial t plays on its own substream ``_trial_rng(cfg.seed, t)``, so the
-    result does not depend on the order trials run in.  The uniforms that
-    fix each trial's (quality, shared reading) state are replayed in
-    blocks of ``REPLAY_BLOCK`` trials without building a generator, and
-    each distinct state is accounted once.  Only a trial that draws fire
-    uniforms, and every trial of a profile that reads independent
-    signals, plays alone on its generator.  The per-trial arrays
-    and the trace are filled by indexing the accounted outcomes.
+    Trial t draws from the block stream ``spawn_key=(0, t //
+    TRIAL_BLOCK)`` and, when it draws fire uniforms, from its own stream
+    ``spawn_key=(1, t)``, so its outcome depends on neither ``n_trials``
+    nor the order trials run in.  Each distinct (quality, shared reading)
+    state is accounted once; a trial that draws fire uniforms, and every
+    trial of a profile that reads independent signals, plays alone.  The
+    per-trial arrays and the trace are filled by indexing the accounted
+    outcomes.
     """
     kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve)
     trials = cfg.n_trials
-    which = kernel.replay_states(cfg.seed, trials).astype(np.intp)
-    lone = np.flatnonzero(which < 0)
+    states, lone = kernel.states(cfg.seed, trials)
     # trial t reports row which[t]: row s < 4 holds state s, row 4 + i trial lone[i] played alone
+    which = states.astype(np.intp)
+    which[lone] = 4 + np.arange(len(lone))
     rows = 4 + len(lone)
     table = {
         "output": np.zeros(rows),
@@ -568,9 +464,10 @@ def monte_carlo(
         for name, column in table.items():
             column[row] = getattr(episode, name)
 
-    for i, t in enumerate(lone.tolist()):
-        which[t] = 4 + i
-        fill(4 + i, kernel.account(*kernel.draw(_trial_rng(cfg.seed, t))))
+    m = len(kernel.codes)
+    for row, t, (good, use) in zip(range(4, rows), lone.tolist(), kernel.lone_draws(cfg.seed, states, lone)):
+        fire_draws = _stream(cfg.seed, _FIRE_STREAM, t).random(m) if kernel.fires_at_random(good, use) else None
+        fill(row, kernel.account(good, use, fire_draws))
     for state in range(4):
         if (which == state).any():
             fill(state, kernel.account(state >= 2, kernel.use_by_reading[state & 1], None))

@@ -123,6 +123,8 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
     values = _floats(grid)
     reasons = [""] * len(values)
     solved, points = [], []
+    # a curve_scale point keeps params, so they are checked once
+    fixed = validate_params(params) if parameter == "curve_scale" else None
     for index, value in enumerate(values.tolist()):
         try:
             if parameter == "curve_scale":
@@ -133,7 +135,7 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
         except (InvalidParamsError, InvalidCurveError) as exc:
             reasons[index] = str(exc)
             continue
-        report = validate_params(point)
+        report = validate_params(point) if fixed is None else fixed
         if not report.admissible:
             reasons[index] = ", ".join(check.name for check in report.failures())
             continue

@@ -146,8 +146,8 @@ class TestSimulate:
         path.write_text(BASE_CONFIG.replace("n_agents = 300", "n_agents = 10").replace("h = 0.5", "h = 0.25"))
         assert main(["simulate", "--config", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "[pass] output: simulated 1.12225 +- 0.00412885270058 vs target 1.1185\n" in out
-        assert "[pass] welfare: simulated 1.11925 +- 0.00412885270058 vs target 1.1155\n" in out
+        assert "[pass] output: simulated 1.117 +- 0.00477430307472 vs target 1.1185\n" in out
+        assert "[pass] welfare: simulated 1.114 +- 0.00477430307472 vs target 1.1155\n" in out
         assert "FAIL" not in out
 
     def test_trace_leaves_stdout_unchanged_and_writes_one_line_per_trial(self, config_path, tmp_path, capsys):
@@ -276,7 +276,7 @@ class TestExperiment:
         assert main(["experiment", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "scenario baseline: profile shirk_use at gamma 0 (equilibrium)\n" in out
-        assert "  output/agent  1.10725 +- 0.00935345514319  target 1.105\n" in out
+        assert "  output/agent  1.105 +- 0.00956989626761  target 1.105\n" in out
         assert out.count("target 1.1185\n") == 2 and out.count("target 1.1155\n") == 2
 
     def test_no_access_agents_are_labelled_none(self, tmp_path, capsys):

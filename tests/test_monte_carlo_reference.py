@@ -1,14 +1,14 @@
-"""The Monte Carlo engine against the plain per-trial loop it replaced.
+"""The Monte Carlo engine against a plain per-trial loop on the stream contract.
 
-The reference below is the original engine, copied in verbatim apart
-from the thread pool and the seniority order, which is now agent order:
-every trial takes all of its uniforms (quality, the signal draws, then one
-fire uniform per access agent) and plays a full episode.  The package
-draws only what can change a trial, replays the first uniforms of each
-substream with array arithmetic instead of building its generator, and
-reuses the outcome of a repeated (quality, reading) state; these tests
-hold it to exact equality with the reference, trace files included, and
-the replay to numpy's generator.
+The reference below plays a full episode for every trial, taking all of
+its uniforms: the quality and the signal draws from its block's stream,
+``SeedSequence(seed, spawn_key=(0, t // TRIAL_BLOCK))``, in the order the
+contract fixes (every quality of the block, then every shared reading
+under common signals, then each trial's independent signals), and one
+fire uniform per access agent from ``spawn_key=(1, t)``.  The package
+draws only what can change a trial and reuses the outcome of a repeated
+(quality, reading) state; these tests hold it to exact equality with the
+reference, trace files included.
 """
 
 import dataclasses
@@ -33,26 +33,24 @@ from shirklab import (
 from shirklab import simulation
 from shirklab.cli import main
 from shirklab.model import STRATEGY_TABLE
-from shirklab.simulation import MAX_TRIALS, REPLAY_BLOCK, MeanSE, SimResult
+from shirklab.simulation import MeanSE, SimResult
 
 _N_STRATEGIES = len(ALL_STRATEGIES)
+# trials per block stream, a number the contract fixes, not the package's constant
+TRIAL_BLOCK = 2048
 _EFFORT, _ADOPTS_ON_GOOD, _ADOPTS_ON_BAD = np.array(STRATEGY_TABLE).T
 _ADOPTS = np.array([_ADOPTS_ON_BAD, _ADOPTS_ON_GOOD])
 
 
-def reference_episode(cfg, profile, policy_gamma, curve, rng):
-    """Aggregates of one episode, every draw taken, as the old engine did."""
+def reference_episode(cfg, profile, policy_gamma, curve, quality, signals, fire_draws):
+    """Aggregates of one episode on its quality, signal and fire uniforms."""
     p = cfg.params
     n = cfg.n_agents
     m = cfg.access_count
     codes = profile.codes[:m]
 
-    good = bool(rng.random() < p.pi)
-    if cfg.signal_correlation == "common":
-        reading = int(good != (rng.random() < p.eps))
-    else:
-        reading = (good != (rng.random(m) < p.eps)).astype(np.intp)
-    fire_draws = rng.random(m)
+    good = bool(quality < p.pi)
+    reading = (good != (np.asarray(signals) < p.eps)).astype(np.intp)
 
     effort = _EFFORT[codes]
     use = _ADOPTS[reading, codes]
@@ -96,8 +94,38 @@ def reference_episode(cfg, profile, policy_gamma, curve, rng):
     }
 
 
-def _trial_rng(seed, trial):
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+def _reads_a_signal(profile, m):
+    codes = profile.codes[:m]
+    return bool((_ADOPTS[0][codes] != _ADOPTS[1][codes]).any())
+
+
+def reference_run_episode(cfg, profile, policy_gamma, curve, rng):
+    """One episode on one generator: the signals only when read, the fire uniforms last."""
+    m = cfg.access_count
+    quality = rng.random()
+    signals = 0.0
+    if _reads_a_signal(profile, m):
+        signals = rng.random() if cfg.signal_correlation == "common" else rng.random(m)
+    return reference_episode(cfg, profile, policy_gamma, curve, quality, signals, rng.random(m))
+
+
+def _stream(seed, kind, index):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(kind, index)))
+
+
+def reference_uniforms(cfg):
+    """Every trial's (quality, signals, fire uniforms), one trial at a time."""
+    m = cfg.access_count
+    for t in range(cfg.n_trials):
+        block, offset = divmod(t, TRIAL_BLOCK)
+        if offset == 0:
+            rng = _stream(cfg.seed, 0, block)
+            qualities = rng.random(TRIAL_BLOCK)
+            if cfg.signal_correlation == "common":
+                readings = rng.random(TRIAL_BLOCK)
+        # a signal no strategy reads changes nothing, and nothing follows it in the block
+        signals = readings[offset] if cfg.signal_correlation == "common" else rng.random(m)
+        yield qualities[offset], signals, _stream(cfg.seed, 1, t).random(m)
 
 
 def _mean_se(values):
@@ -118,8 +146,8 @@ def reference_monte_carlo(cfg, profile, policy_gamma, curve, trace_path=None):
     fired_counts = np.empty(trials, dtype=np.int64)
     payoff_sums = np.empty((trials, _N_STRATEGIES))
     counts = np.bincount(profile.codes[: cfg.access_count], minlength=_N_STRATEGIES)
-    for t in range(trials):
-        episode = reference_episode(cfg, profile, policy_gamma, curve, _trial_rng(cfg.seed, t))
+    for t, uniforms in enumerate(reference_uniforms(cfg)):
+        episode = reference_episode(cfg, profile, policy_gamma, curve, *uniforms)
         outputs[t] = episode["output"]
         wages[t] = episode["wages"]
         repl[t] = episode["replacement_cost"]
@@ -205,7 +233,8 @@ def test_grid_covers_every_mode_combination():
     assert len(GRID) == 288
 
 
-# The grid's seeds are single 32-bit words; these seeds take two.
+# The grid's seeds are single 32-bit words and its runs fit one block; these
+# seeds take two words, and their runs cross into a second block.
 TWO_WORD_SEEDS = (2**32, 2**64 - 1)
 TWO_WORD_INDICES = [
     index
@@ -229,7 +258,7 @@ def test_two_word_seeds_cover_every_signal_firing_and_profile():
 def test_monte_carlo_and_trace_match_the_reference(index, seed, tmp_path):
     cfg, profile, gamma, curve = _case(index)
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
+        cfg = dataclasses.replace(cfg, seed=seed, n_trials=TRIAL_BLOCK + 60)
     got = monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "got.jsonl"))
     want = reference_monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "want.jsonl"))
     assert got == want
@@ -241,7 +270,7 @@ def test_run_episode_matches_the_reference_on_every_field(index):
     cfg, profile, gamma, curve = _case(index)
     for seed in range(12):
         got = run_episode(cfg, profile, gamma, curve, np.random.default_rng(seed))
-        want = reference_episode(cfg, profile, gamma, curve, np.random.default_rng(seed))
+        want = reference_run_episode(cfg, profile, gamma, curve, np.random.default_rng(seed))
         for name, value in want.items():
             if isinstance(value, np.ndarray):
                 assert np.array_equal(getattr(got, name), value), name
@@ -280,30 +309,19 @@ def test_mixed_profiles_at_the_memo_edges(params, signal, firing, gamma, tmp_pat
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
 
-# -- the replayed substreams ----------------------------------------------
-
-REPLAY_SEEDS = (0, 1, 23, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1)
-REPLAY_TRIALS = (0, 1, REPLAY_BLOCK - 1, REPLAY_BLOCK, 65535, 65536, MAX_TRIALS - 1)
+# -- the streams a run draws from -----------------------------------------
 
 
-@pytest.mark.parametrize("seed", REPLAY_SEEDS)
-def test_replay_equals_numpys_generator_bit_for_bit(seed):
-    with np.errstate(all="raise"):
-        got = simulation._replay_uniforms(seed, np.array(REPLAY_TRIALS), 3)
-        want = np.array([_trial_rng(seed, t).random(3) for t in REPLAY_TRIALS]).T
-    assert got.tobytes() == want.tobytes()
-
-
-def _counted_trial_rng(monkeypatch):
-    """Count the generators ``monte_carlo`` builds."""
+def _counted_streams(monkeypatch):
+    """Record the spawn key of every generator ``monte_carlo`` builds."""
     built = []
-    original = simulation._trial_rng
+    original = simulation._stream
 
-    def trial_rng(seed, trial):
-        built.append(trial)
-        return original(seed, trial)
+    def stream(seed, kind, index):
+        built.append((kind, index))
+        return original(seed, kind, index)
 
-    monkeypatch.setattr(simulation, "_trial_rng", trial_rng)
+    monkeypatch.setattr(simulation, "_stream", stream)
     return built
 
 
@@ -311,7 +329,7 @@ def _firing_case(signal, kind):
     cfg = SimConfig(
         params=NOISY,
         n_agents=N_AGENTS,
-        n_trials=REPLAY_BLOCK + 100,
+        n_trials=2 * TRIAL_BLOCK + 100,
         seed=2**32 + 5,
         h=0.6,
         signal_correlation=signal,
@@ -321,41 +339,37 @@ def _firing_case(signal, kind):
 
 
 @pytest.mark.parametrize("signal", ["common", "independent"])
-@pytest.mark.parametrize("kind", ["effort", "shirk"])
-def test_only_trials_that_draw_fire_uniforms_build_a_generator(signal, kind, monkeypatch, tmp_path):
+@pytest.mark.parametrize("kind", ["effort", "shirk", "mixed"])
+def test_one_generator_per_block_and_one_per_trial_that_draws_fire_uniforms(signal, kind, monkeypatch, tmp_path):
     cfg, profile, gamma, curve = _firing_case(signal, kind)
     want = reference_monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "want.jsonl"))
-    built = _counted_trial_rng(monkeypatch)
+    built = _counted_streams(monkeypatch)
     assert monte_carlo(cfg, profile, gamma, curve) == want
-    if signal == "independent" and kind == "effort":
-        # every trial reads its own signals, so none is replayed
-        assert len(built) == cfg.n_trials
-    else:
-        # a failure at a rate inside (0, 1) draws fire uniforms; the other
-        # generators are the two that check the replay
-        lines = (tmp_path / "want.jsonl").read_text().splitlines()
-        failures = sum(json.loads(line)["failure"] for line in lines)
-        assert 0 < failures < cfg.n_trials
-        assert len(built) == 2 + failures
+    # at a rate inside (0, 1) a trial draws fire uniforms exactly when it fails
+    lines = (tmp_path / "want.jsonl").read_text().splitlines()
+    failures = [t for t, line in enumerate(lines) if json.loads(line)["failure"]]
+    assert 0 < len(failures) < cfg.n_trials
+    blocks = math.ceil(cfg.n_trials / TRIAL_BLOCK)
+    assert sorted(built) == [(0, b) for b in range(blocks)] + [(1, t) for t in failures]
 
 
 @pytest.mark.parametrize("signal", ["common", "independent"])
 @pytest.mark.parametrize("kind", ["effort", "shirk", "mixed"])
-def test_a_replay_mismatch_routes_every_trial_through_its_generator(signal, kind, monkeypatch, tmp_path):
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(signal, kind, tmp_path):
     cfg, profile, gamma, curve = _firing_case(signal, kind)
-    replay = simulation._replay_uniforms
-    monkeypatch.setattr(simulation, "_replay_uniforms", lambda *args: 1.0 - replay(*args))
-    built = _counted_trial_rng(monkeypatch)
-    got = monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "got.jsonl"))
-    want = reference_monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "want.jsonl"))
-    assert got == want
-    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
-    assert sorted(set(built)) == list(range(cfg.n_trials))
+    traces = []
+    for trials in (TRIAL_BLOCK - 3, TRIAL_BLOCK + 1, cfg.n_trials):
+        path = tmp_path / f"{trials}.jsonl"
+        monte_carlo(dataclasses.replace(cfg, n_trials=trials), profile, gamma, curve, trace_path=str(path))
+        traces.append(path.read_text().splitlines())
+    shortest, middle, longest = traces
+    assert middle[: len(shortest)] == shortest
+    assert longest[: len(middle)] == middle
 
 
 def test_the_cli_trace_matches_the_reference(tmp_path, capsys):
     params = REFERENCE_POINTS[0]
-    cfg = SimConfig(params=params, n_agents=200, n_trials=REPLAY_BLOCK + 50, seed=2**64 - 1, h=0.5)
+    cfg = SimConfig(params=params, n_agents=200, n_trials=TRIAL_BLOCK + 50, seed=2**64 - 1, h=0.5)
     lines = ["[model]"]
     lines += [f"{name} = {getattr(params, name)!r}" for name in ("pi", "eps", "g", "c", "w", "v_c")]
     lines += ["[curve]", "family = linear", "scale = 100", "resolution = 500"]

@@ -184,12 +184,13 @@ class TestRunEpisode:
         rng = ScriptedRNG(quality, later)
         profile = StrategyProfile.symmetric(strategy, cfg.n_agents)
         episode = run_episode(cfg, profile, gamma, linear_curve, rng)
-        # the quality and the signal draw(s) always; m fire uniforms only on
-        # a failure under random firing at a rate inside (0, 1)
+        # the quality always; the signal draw(s) only when the strategy reads
+        # them; m fire uniforms only on a failure under random firing at a
+        # rate inside (0, 1)
         fails = quality == 0.95 and (strategy == SU or later == 0.05)
         fire = fails and firing == "uniform_random" and 0.0 < gamma < 1.0
-        signal_size = None if signal == "common" else m
-        assert rng.sizes == [None, signal_size] + ([m] if fire else [])
+        signal_sizes = [] if strategy == SU else [None if signal == "common" else m]
+        assert rng.sizes == [None] + signal_sizes + ([m] if fire else [])
         assert episode.failure_event == fails
 
     def test_profile_length_mismatch_is_a_contract_violation(self, p0, linear_curve):

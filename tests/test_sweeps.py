@@ -27,7 +27,7 @@ from shirklab import (
     sweep_h,
     sweep_param,
 )
-from shirklab import sweeps
+from shirklab import model, sweeps
 from shirklab.cli import main
 from shirklab.model import _fmt, validate_params
 from shirklab.sweeps import Table
@@ -132,6 +132,24 @@ class TestSweepParam:
         table = sweep_param("curve_scale", p0, linear_curve, (math.nan, math.inf, 1.0))
         assert table.column("admissible") == [False, False, True]
         assert table.column("reason")[:2] == ["scale factor must be finite"] * 2
+
+    def test_a_curve_scale_sweep_checks_its_unchanging_params_once(self, p0, linear_curve):
+        grid = [0.25 * k for k in range(1, 41)]
+        in_sweep = mock.patch.object(sweeps, "validate_params", wraps=validate_params)
+        in_solve = mock.patch.object(model, "validate_params", wraps=validate_params)
+        with in_sweep as in_sweep, in_solve as in_solve:
+            table = sweep_param("curve_scale", p0, linear_curve, grid)
+        assert all(table.column("admissible"))
+        assert in_sweep.call_count == 1
+        # the solve checks each point's rate, and nothing else checks them again
+        assert in_sweep.call_count + in_solve.call_count <= len(grid) + 1
+
+    def test_inadmissible_params_flag_every_valid_curve_scale(self, p0, linear_curve):
+        params = dataclasses.replace(p0, c=1.0)
+        failed = ", ".join(check.name for check in validate_params(params).failures())
+        table = sweep_param("curve_scale", params, linear_curve, (-1.0, 0.5, 2.0))
+        assert table.column("admissible") == [False] * 3
+        assert table.column("reason") == ["scale factor must be nonnegative", failed, failed]
 
     def test_unknown_parameter_rejected(self, p0, linear_curve):
         with pytest.raises(ValueError, match="unknown sweep parameter 'zeta'"):
