@@ -21,7 +21,6 @@ from .model import (
     expected_production,
     failure_probability,
     gamma_bar,
-    is_admissible,
     use_probability,
     validate_params,
 )
@@ -34,11 +33,9 @@ from .equilibrium import (
     expected_output,
     output_drop,
     policy,
-    principal_value,
     punish_feasible,
     solve_threshold,
     verify_equilibrium,
-    welfare_loss,
 )
 from .simulation import (
     BASELINE,
@@ -59,6 +56,6 @@ from .simulation import (
     policy_experiment,
     run_episode,
 )
-from .sweeps import Table, csv_to_table, emit_csv, make_grid, sweep_h, sweep_param
+from .sweeps import Table, emit_csv, make_grid, sweep_h, sweep_param
 
 __version__ = "0.1.0"

@@ -261,9 +261,8 @@ def cmd_solve(config: Config, args) -> int:
     print(f"punish at the boundary h_tilde    = {str(policy(sol.h_tilde, sol) == sol.gamma_bar).lower()}")
     if params.eps == 0.0:
         print("note: eps = 0, failures never happen by mistake, punishment is always credible")
-    report = verify_equilibrium(sol, params, curve)
     print("verification:")
-    for check in report.checks:
+    for check in verify_equilibrium(sol, params, curve):
         status = "pass" if check.passed else "FAIL"
         print(f"  [{status}] {check.name}: {check.witness}")
     return OK

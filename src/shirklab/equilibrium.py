@@ -11,8 +11,8 @@ Punishing is worthwhile only while the output gained by deterring
 shirking exceeds the expected replacement bill.  With minimal firing rate
 gamma_bar, the condition is linear-versus-convex in the technology reach
 h, so the credible region is an interval [0, h_tilde].  This module
-solves for h_tilde by bisection, evaluates the principal's value in both
-regimes, and provides the closed-form output and welfare comparisons.
+solves for h_tilde by bisection, verifies the solved threshold, and
+provides the closed-form output comparisons.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ from .model import (
     _fmt,
     agent_payoff,
     gamma_bar,
-    require_admissible,
 )
 
 #: Default number of evaluation nodes for closed-form schedules.
@@ -67,24 +66,20 @@ class ReplacementCostCurve:
     kind -- "nodes" (closed-form schedule) or "steps" (finite sample).
 
     Construction runs ``validate``, so a broken schedule never becomes a
-    curve; a copy from ``scaled`` skips it, as its parent passed.
+    curve.
     """
 
     values: np.ndarray
     kind: str
-    # set only by ``scaled``: the costs are a valid curve's times a
-    # nonnegative factor, so they pass the check
-    _scaled_from_valid: InitVar[bool] = False
     # r(j / n) at segment boundaries j = 0..n, read by ``cost``
     _cumulative: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, _scaled_from_valid: bool) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in ("nodes", "steps"):
             raise InvalidCurveError(f"unknown curve kind {self.kind!r}")
         if len(self.values) < (2 if self.kind == "nodes" else 1):
             raise InvalidCurveError("schedule needs at least one cost sample")
-        if not _scaled_from_valid:
-            self.validate()
+        self.validate()
         cumulative = np.empty((1, self._segments + 1))
         self._cumulate(np.ones(1), cumulative)
         object.__setattr__(self, "_cumulative", cumulative[0])
@@ -98,9 +93,9 @@ class ReplacementCostCurve:
 
         m + 1 is the width of ``out``, so a row holds the prefix of the
         boundaries that measures up to m / n read.  Each cost is
-        ``values * factor``, the float a scaled copy stores, and np.cumsum
-        adds each row in sequence, so a row equals the prefix of the
-        scaled copy's own sums.
+        ``values * factor``, the float that ``scaled(factor)`` stores, and
+        np.cumsum adds each row in sequence, so a row equals the prefix of
+        the sums that curve builds.
         """
         n = self._segments
         m = out.shape[1] - 1
@@ -202,8 +197,8 @@ class ReplacementCostCurve:
 
         ``cumulative`` holds one curve's sums, or one row of sums per
         measure in ``x`` with ``factor`` one per row.  ``values[j] * factor``
-        is the float a scaled copy stores, so this is the scaled copy's r
-        without building it.  The int64 cast truncates as ``int`` does.
+        is the float that ``scaled(factor)`` stores, so this is that curve's
+        r without building it.  The int64 cast truncates as ``int`` does.
         """
         n = self._segments
         j = np.minimum((x * n).astype(np.int64), n - 1)
@@ -245,12 +240,9 @@ class ReplacementCostCurve:
             raise InvalidCurveError("scale factor too large: the scaled costs overflow")
 
     def scaled(self, factor: float) -> "ReplacementCostCurve":
-        """A copy with every per-replacement cost times ``factor``; ``check_scale`` checks it.
-
-        The copy skips the structural check, which its parent passed.
-        """
+        """A copy with every per-replacement cost times ``factor``; ``check_scale`` checks it."""
         self.check_scale(factor)
-        return ReplacementCostCurve(self.values * factor, self.kind, _scaled_from_valid=True)
+        return ReplacementCostCurve(self.values * factor, self.kind)
 
     def validate(self) -> None:
         """Raise ``InvalidCurveError`` unless the stored costs are finite, nonnegative and ascending.
@@ -364,8 +356,13 @@ def solve_thresholds(
     bracket of width 2^-34, the first below ``TOL``, unless it is
     credible at h = 1.
     """
-    rate = np.array([gamma_bar(p) for p in points], dtype=float)
-    slope = np.array([credibility_slope(p) for p in points], dtype=float)
+    # a curve_scale sweep passes one params object for every point, so each
+    # object's terms are computed once; keyed by identity, as equal params
+    # such as c = w = -0.0 and c = w = 0.0 give gamma_bar -0.0 and 0.0
+    distinct = {id(p): p for p in points}
+    terms = {key: (gamma_bar(p), credibility_slope(p)) for key, p in distinct.items()}
+    rate = np.array([terms[id(p)][0] for p in points], dtype=float)
+    slope = np.array([terms[id(p)][1] for p in points], dtype=float)
     if scales is None:
         # the bisection reads only measures gamma_bar * h in [0, 1]
         cost = functools.partial(curve._cost, cumulative=curve._cumulative)
@@ -436,29 +433,6 @@ def policy(h, sol: EquilibriumSolution):
     return sol.gamma_bar * (h <= sol.h_tilde)
 
 
-def principal_value(
-    h: float,
-    punish: bool,
-    p: ModelParams,
-    curve: ReplacementCostCurve,
-) -> float:
-    """Expected value to the principal of each policy regime at reach ``h``.
-
-    Under punishment every worker with access researches and follows the
-    signal; the principal collects that output, pays the wage bill, and
-    in the failure state replaces a fraction gamma_bar of the failed
-    workers.  Without punishment all workers with access adopt blindly.
-
-    The wage premium is charged on the whole measure ``h`` in both
-    regimes, mirroring the closed-form comparison in which the wage bill
-    cancels.  The output is ``expected_output`` of the regime.
-    """
-    if not punish:
-        return expected_output(h, SHIRK, p) - p.w * h
-    output = expected_output(h, EFFORT, p)
-    return output - (1.0 - p.pi) * p.eps * curve.cost(gamma_bar(p) * h) - p.w * h
-
-
 def expected_output(h, regime: str, p: ModelParams):
     """Expected aggregate output per unit mass of workers at reach ``h``.
 
@@ -482,17 +456,6 @@ def output_drop(h, p: ModelParams):
     return h * ((1.0 - p.eps) * (1.0 - p.pi) - p.pi * p.g * p.eps)
 
 
-def welfare_loss(h: float, p: ModelParams) -> float:
-    """Welfare lost to shirking at reach ``h``: the output drop net of saved effort.
-
-    Welfare is output minus effort costs (wages and continuation values
-    are transfers), and shirkers do save the effort cost, so the loss is
-    h * [(1-eps)(1-pi) - pi*g*eps - c].  Positive whenever research is
-    efficient.
-    """
-    return output_drop(h, p) - h * p.c
-
-
 @dataclass(frozen=True)
 class VerificationCheck:
     name: str
@@ -500,23 +463,11 @@ class VerificationCheck:
     witness: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[VerificationCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    def failures(self) -> tuple[VerificationCheck, ...]:
-        return tuple(check for check in self.checks if not check.passed)
-
-
 def verify_equilibrium(
     sol: EquilibriumSolution,
     p: ModelParams,
     curve: ReplacementCostCurve,
-) -> VerificationReport:
+) -> tuple[VerificationCheck, ...]:
     """Independently re-check a solved equilibrium.
 
     (a) at the solution's firing rate, researching and blind adoption
@@ -526,7 +477,8 @@ def verify_equilibrium(
         ``TOL`` of the threshold;
     (c) the policy has the threshold shape.
 
-    Failures are reported with witnesses, never raised.
+    Returns one check per property; failures are reported with witnesses,
+    never raised.
     """
     checks: list[VerificationCheck] = []
 
@@ -564,7 +516,7 @@ def verify_equilibrium(
         shape.append("policy(h_tilde) != gamma_bar at the threshold")
     checks.append(_check("threshold_policy_shape", shape, "threshold rule holds on sampled reaches"))
 
-    return VerificationReport(tuple(checks))
+    return tuple(checks)
 
 
 def _check(name: str, failures: list[str], passed: str) -> VerificationCheck:

@@ -177,10 +177,6 @@ def validate_params(p: ModelParams) -> ValidationReport:
     return ValidationReport(checks)
 
 
-def is_admissible(p: ModelParams) -> bool:
-    return validate_params(p).admissible
-
-
 def require_admissible(p: ModelParams) -> None:
     """Raise ``InadmissibleParamsError`` naming each failing check with its slack."""
     report = validate_params(p)

@@ -702,10 +702,9 @@ def nash_check(
 class BestResponseTrace:
     """Synchronous best-response iteration record, stored as per-round diffs.
 
-    ``initial`` is the starting profile; in round k+1 the access agents
-    ``changed[k]`` switched to the strategy codes ``switched_to[k]``.
-    ``profiles`` rebuilds the profile after every round on demand
-    (``profiles[0]`` is the initial one), so the record itself takes
+    ``initial`` is the starting profile and ``final`` the profile after
+    the last round; in round k+1 the access agents ``changed[k]`` switched
+    to the strategy codes ``switched_to[k]``, so the record takes
     O(n + switches) memory.  ``converged`` is False only if the round cap
     was hit, which is reported rather than raised so a failing dynamic can
     be inspected as a counterexample.
@@ -715,26 +714,11 @@ class BestResponseTrace:
     changed: list[list[int]]
     switched_to: list[np.ndarray]
     converged: bool
+    final: StrategyProfile
 
     @property
     def rounds(self) -> int:
         return len(self.changed)
-
-    def _replay(self) -> Iterator[np.ndarray]:
-        codes = self.initial.codes.copy()
-        yield codes
-        for positions, new_codes in zip(self.changed, self.switched_to):
-            codes[positions] = new_codes
-            yield codes
-
-    @property
-    def profiles(self) -> list[StrategyProfile]:
-        return [StrategyProfile(codes.copy()) for codes in self._replay()]
-
-    @property
-    def final(self) -> StrategyProfile:
-        *_, codes = self._replay()
-        return StrategyProfile(codes)
 
 
 def iterated_best_response(
@@ -754,24 +738,28 @@ def iterated_best_response(
     deviator who fails in a bad state is fired iff its index is at most
     that of the first current failure there, so every agent's payoffs are
     one of four rows and a round costs O(n) vectorized work.  The trace
-    keeps the initial profile and each round's switched positions with
-    their new codes.
+    keeps the initial profile, each round's switched positions with their
+    new codes, and the final profile.
     """
     codes = _access_codes(cfg, initial).copy()
     cap = 10 * cfg.n_agents if max_rounds is None else max_rounds
     changed: list[list[int]] = []
     switched_to: list[np.ndarray] = []
+    converged = False
     for _ in range(cap):
         rows, row_of_agent = _deviation_payoff_table(cfg, codes, 0.0)
         unhappy = rows < rows.max(1)[:, None] - PAYOFF_TIE_TOL
         switched = np.flatnonzero(unhappy[row_of_agent, codes])
         if not switched.size:
-            return BestResponseTrace(initial, changed, switched_to, True)
+            converged = True
+            break
         new_codes = rows.argmax(1)[row_of_agent[switched]].astype(np.int8)
         codes[switched] = new_codes
         changed.append(switched.tolist())
         switched_to.append(new_codes)
-    return BestResponseTrace(initial, changed, switched_to, False)
+    final = initial.codes.copy()
+    final[: cfg.access_count] = codes
+    return BestResponseTrace(initial, changed, switched_to, converged, StrategyProfile(final))
 
 
 BASELINE = "baseline"

@@ -44,9 +44,9 @@ class Table:
         array for a column of numbers, else an array, tuple or list of
         cells (float, bool, int, str or None).
 
-    ``column`` and ``rows`` give the cells as Python objects; ``rows``
-    builds one tuple per row, so ``len`` is the cheap row count.  Tables
-    compare by identity, as their arrays have no single truth value.
+    ``rows`` builds one tuple of Python objects per row, so ``len`` is the
+    cheap row count.  Tables compare by identity, as their arrays have no
+    single truth value.
     """
 
     columns: tuple[str, ...]
@@ -60,9 +60,6 @@ class Table:
 
     def __len__(self) -> int:
         return len(self.data[0]) if self.data else 0
-
-    def column(self, name: str) -> list:
-        return _cells(self.data[self.columns.index(name)])
 
     @property
     def rows(self) -> tuple[tuple, ...]:
@@ -225,28 +222,6 @@ def emit_csv(table: Table, path: str) -> None:
                 cells = [text or '""' for text in cells]
             template = ",".join(specs) + "\n"
             handle.write((template * (stop - start)) % tuple(cells))
-
-
-def csv_to_table(path: str) -> Table:
-    """Parse a table written by ``emit_csv``; numeric cells become floats."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader))
-        for raw in reader:
-            row = []
-            for cell in raw:
-                if cell == "":
-                    row.append(None)
-                elif cell in ("true", "false"):
-                    row.append(cell == "true")
-                else:
-                    try:
-                        row.append(float(cell))
-                    except ValueError:
-                        row.append(cell)
-            rows.append(tuple(row))
-    return Table(header, tuple(zip(*rows, strict=True)) if rows else ((),) * len(header))
 
 
 #: Most points a ``start:stop:step`` grid may hold, checked before it is built.

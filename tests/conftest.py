@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from shirklab import ModelParams, ReplacementCostCurve, is_admissible  # noqa: E402
+from shirklab import ModelParams, ReplacementCostCurve, StrategyProfile, validate_params  # noqa: E402
 
 
 @pytest.fixture
@@ -69,7 +69,7 @@ def draw_params(
         v_c_bound = (c + (1.0 - signal_good) * w) / ((1.0 - pi) * (1.0 - eps))
         v_c = v_c_bound * float(rng.uniform(1.05, 5.0))
         params = ModelParams(pi=pi, eps=eps, g=g, c=c, w=w, v_c=v_c)
-        if is_admissible(params):
+        if validate_params(params).admissible:
             return params
     raise RuntimeError("parameter sampler failed to find an admissible draw")
 
@@ -96,3 +96,19 @@ def draw_curve(rng: np.random.Generator, resolution: int = 4000) -> ReplacementC
         )
     n_samples = int(rng.integers(20, 300))
     return ReplacementCostCurve.from_samples(base + rng.uniform(0.0, swing, size=n_samples))
+
+
+def trace_profiles(trace) -> list[StrategyProfile]:
+    """The profile before the first round and after every round of a ``BestResponseTrace``."""
+    codes = trace.initial.codes.copy()
+    profiles = [StrategyProfile(codes.copy())]
+    for positions, new_codes in zip(trace.changed, trace.switched_to):
+        codes[positions] = new_codes
+        profiles.append(StrategyProfile(codes.copy()))
+    return profiles
+
+
+def column(table, name: str) -> list:
+    """One column of a sweep ``Table``, its cells as Python objects."""
+    index = table.columns.index(name)
+    return [row[index] for row in table.rows]

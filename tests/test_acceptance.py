@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import draw_curve, draw_params
+from conftest import column, draw_curve, draw_params
 from shirklab import (
     AgentStrategy,
     ModelParams,
@@ -139,7 +139,7 @@ def test_criterion_4_replacement_cost_convexity():
     worst = math.inf
     for _ in range(500):
         curve = draw_curve(rng, resolution=1500)
-        values = np.array([curve.cost(float(x)) for x in grid])
+        values = curve.cost(grid)
         worst = min(worst, float(np.diff(values, 2).min()))
     ok = worst >= -1e-9
     _report(4, "replacement cost convexity", ok, f"worst second difference {worst:.3g}")
@@ -162,7 +162,7 @@ def test_criterion_5_threshold_interval_structure():
                 if punish_feasible(above, p, curve):
                     violations.append((trial, "above", above))
         table = sweep_h(p, curve, make_grid(0.0, 1.0, 0.1))
-        regimes = table.column("regime")
+        regimes = column(table, "regime")
         switches = sum(1 for i in range(1, len(regimes)) if regimes[i] != regimes[i - 1])
         if switches > 1:
             violations.append((trial, "switches", switches))
@@ -196,8 +196,8 @@ def test_criterion_7_output_discontinuity():
     sol = solve_threshold(P0, curve)
     step = 0.005
     table = sweep_h(P0, curve, make_grid(0.0, 1.0, step))
-    outputs = table.column("output")
-    grid = table.column("h")
+    outputs = column(table, "output")
+    grid = column(table, "h")
     drops = [i for i in range(1, len(outputs)) if outputs[i] < outputs[i - 1]]
     jump_located = len(drops) == 1 and abs(grid[drops[0]] - sol.h_tilde) <= step + 1e-12
 

@@ -1,0 +1,56 @@
+"""The benchmark's span tracer still fits the package.
+
+``perfbench/spans.py`` wraps package functions and methods by name, and
+reads fields of their results.  A name it hooks that the package drops
+would raise in every traced benchmark run, so each subcommand runs here
+under the tracer, in a fresh process, as a traced benchmark child does.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CONFIG = (
+    "[model]\npi = 0.9\neps = 0.1\ng = 0.5\nc = 0.01\nw = 0.05\nv_c = 1.0\n"
+    "[curve]\nfamily = linear\nscale = 1000\nresolution = 1000\n"
+    "[simulation]\nh = 0.5\nn_agents = 20\nn_trials = 10\nseed = 3\n"
+    "[sweep]\nparameter = h\ngrid = 0.0:1.0:0.25\n"
+)
+
+TRACED_RUN = """
+import contextlib, io, json, sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import shirklab.cli
+from spans import Tracer, layer_metrics
+
+tracer = Tracer()
+tracer.install()
+codes = []
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(shirklab.cli.main(argv))
+metrics = layer_metrics(tracer.spans)
+print(json.dumps({{"codes": codes, "rows": metrics["sweeps.rows"], "rounds": metrics["simulation.unravel_rounds"]}}))
+"""
+
+
+def test_every_subcommand_runs_under_the_benchmark_tracer(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG)
+    commands = [
+        [name, "--config", str(config)] for name in ("solve", "simulate", "experiment")
+    ] + [["sweep", "--config", str(config), "--out", str(tmp_path / "sweep.csv")]]
+    script = TRACED_RUN.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), commands=commands)
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    result = json.loads(run.stdout)
+    assert result["codes"] == [0, 0, 0, 0]
+    # the 5-point h sweep, and the seniority arm's unraveling past h_tilde
+    assert result["rows"] == 5
+    assert result["rounds"] > 0

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_POINTS
+from conftest import REFERENCE_POINTS, trace_profiles
 from shirklab import (
     ALL_STRATEGIES,
     AgentStrategy,
@@ -220,7 +220,7 @@ def _labelled_back(profile, order):
 def _trace_in_agent_labels(trace, order):
     """The package trace's changed agents and profiles, in the reference's agent labels."""
     changed = [sorted(int(order[j]) for j in switched) for switched in trace.changed]
-    return changed, [_labelled_back(profile, order) for profile in trace.profiles]
+    return changed, [_labelled_back(profile, order) for profile in trace_profiles(trace)]
 
 
 MODES = [

@@ -21,16 +21,44 @@ from shirklab import (
     expected_output,
     expected_production,
     gamma_bar,
-    is_admissible,
     output_drop,
     policy,
-    principal_value,
     punish_feasible,
     solve_threshold,
+    validate_params,
     verify_equilibrium,
-    welfare_loss,
 )
 from shirklab.equilibrium import TOL, solve_thresholds
+
+
+def principal_value(h, punish, p, curve):
+    """Expected value to the principal of each policy regime at reach ``h``.
+
+    Under punishment every worker with access researches and follows the
+    signal; the principal collects that output, pays the wage bill, and
+    in the failure state replaces a fraction gamma_bar of the failed
+    workers.  Without punishment all workers with access adopt blindly.
+    The wage premium is charged on the whole measure ``h`` in both
+    regimes, so the wage bill cancels from their difference.
+    """
+    if not punish:
+        return expected_output(h, "shirk", p) - p.w * h
+    output = expected_output(h, "effort", p)
+    return output - (1.0 - p.pi) * p.eps * curve.cost(gamma_bar(p) * h) - p.w * h
+
+
+def welfare_loss(h, p):
+    """Welfare lost to shirking at reach ``h``: the output drop net of saved effort.
+
+    Welfare is output minus effort costs (wages and continuation values
+    are transfers), and shirkers save the effort cost, so the loss is
+    h * [(1-eps)(1-pi) - pi*g*eps - c].
+    """
+    return output_drop(h, p) - h * p.c
+
+
+def _failures(checks):
+    return [check for check in checks if not check.passed]
 
 
 class TestReplacementCostCurve:
@@ -166,7 +194,7 @@ class TestPrefixScaledCurve:
     @pytest.mark.parametrize("factor", [0.0, 1e-300, 0.37, 3.0, 1e6])
     @pytest.mark.parametrize("kind", sorted(PREFIX_PARENTS))
     def test_a_scaled_copy_of_a_valid_curve_passes_the_check(self, kind, factor):
-        # the copy skips the check when it is built, so the check must hold of it
+        # the scaled costs must stay finite, nonnegative and ascending
         PREFIX_PARENTS[kind].scaled(factor).validate()
 
     def test_a_tiny_descent_is_rejected(self):
@@ -280,7 +308,7 @@ class TestSolveThreshold:
         elif edge == "costless":
             # c = w = 0 makes gamma_bar = 0, so punishing replaces no one
             p = dataclasses.replace(p, c=0.0, w=0.0)
-        assume(is_admissible(p))
+        assume(validate_params(p).admissible)
         scale = 10.0 ** rng.uniform(-2.0, 4.0)
         if family == "drawn":
             curve = draw_curve(rng, resolution=500)
@@ -291,7 +319,7 @@ class TestSolveThreshold:
         sol = solve_threshold(p, curve)
         assert punish_feasible(sol.h_tilde, p, curve)
         assert policy(sol.h_tilde, sol) == sol.gamma_bar
-        assert verify_equilibrium(sol, p, curve).all_passed
+        assert not _failures(verify_equilibrium(sol, p, curve))
 
     def test_threshold_shrinks_as_replacement_costs_scale_up(self):
         rng = np.random.default_rng(7070)
@@ -318,7 +346,7 @@ class TestSolveThreshold:
         p = draw_params(rng)
         if edge == "eps0":
             p = dataclasses.replace(p, eps=0.0)
-            assume(is_admissible(p))
+            assume(validate_params(p).admissible)
         if family == "drawn":
             curve = draw_curve(rng, resolution=500)
         elif family == "linear":
@@ -405,7 +433,7 @@ class TestSolveThresholds:
                 p = dataclasses.replace(p, eps=0.0)
             elif edge == "costless":
                 p = dataclasses.replace(p, c=0.0, w=0.0)
-            if is_admissible(p):
+            if validate_params(p).admissible:
                 points.append(p)
         batch = solve_thresholds(points, curve)
         # repr tells -0.0 from 0.0 and shows every bit of a float
@@ -454,6 +482,15 @@ class TestSolveThresholds:
         bad = dataclasses.replace(p0, c=0.05)
         with pytest.raises(InadmissibleParamsError):
             solve_thresholds([p0, bad], linear_curve)
+
+    def test_equal_points_of_opposite_zero_signs_keep_their_own_rate(self, p0, linear_curve):
+        # the params compare equal, yet c = w = -0.0 gives gamma_bar -0.0
+        negative = dataclasses.replace(p0, c=-0.0, w=-0.0)
+        positive = dataclasses.replace(p0, c=0.0, w=0.0)
+        points = [negative, positive, negative]
+        batch = solve_thresholds(points, linear_curve)
+        assert repr(batch) == repr([solve_threshold(p, linear_curve) for p in points])
+        assert [bool(np.signbit(sol.gamma_bar)) for sol in batch] == [True, False, True]
 
     def test_no_points_give_no_solutions(self, linear_curve):
         assert solve_thresholds([], linear_curve) == []
@@ -562,8 +599,7 @@ class TestOutputAndWelfare:
 class TestVerifyEquilibrium:
     def test_honest_solution_passes(self, p0, linear_curve):
         sol = solve_threshold(p0, linear_curve)
-        report = verify_equilibrium(sol, p0, linear_curve)
-        assert report.all_passed
+        assert not _failures(verify_equilibrium(sol, p0, linear_curve))
 
     def test_a_boundary_within_tol_of_one_passes(self, p0):
         # the bracket (h_tilde, 1) is narrower than TOL, and a reach inside
@@ -572,8 +608,8 @@ class TestVerifyEquilibrium:
         curve = ReplacementCostCurve.linear(scale)
         sol = solve_threshold(p0, curve)
         assert sol.bracket == (sol.h_tilde, 1.0) and sol.h_tilde == 0.9999999999417923
-        report = verify_equilibrium(sol, p0, curve)
-        assert report.all_passed, report.failures()
+        failures = _failures(verify_equilibrium(sol, p0, curve))
+        assert not failures, failures
 
     def test_inflated_threshold_fails_the_interval_check(self, p0, linear_curve):
         sol = solve_threshold(p0, linear_curve)
@@ -583,19 +619,18 @@ class TestVerifyEquilibrium:
             feasible_set_nonempty=sol.feasible_set_nonempty,
             marginal_cost_at_zero=sol.marginal_cost_at_zero,
         )
-        report = verify_equilibrium(corrupted, p0, linear_curve)
-        failed = {check.name for check in report.failures()}
-        assert "feasible_below_threshold" in failed
-        witness = next(c.witness for c in report.failures() if c.name == "feasible_below_threshold")
+        failures = _failures(verify_equilibrium(corrupted, p0, linear_curve))
+        assert "feasible_below_threshold" in {check.name for check in failures}
+        witness = next(c.witness for c in failures if c.name == "feasible_below_threshold")
         assert "h=" in witness
 
     @pytest.mark.parametrize("bracket", [None, (1.0, 1.0)])
     def test_deflated_threshold_fails_the_interval_check(self, p0, linear_curve, bracket):
         sol = solve_threshold(p0, linear_curve)
         corrupted = dataclasses.replace(sol, h_tilde=0.1, bracket=bracket or sol.bracket)
-        report = verify_equilibrium(corrupted, p0, linear_curve)
-        assert [check.name for check in report.failures()] == ["infeasible_above_threshold"]
-        witness = report.failures()[0].witness
+        failures = _failures(verify_equilibrium(corrupted, p0, linear_curve))
+        assert [check.name for check in failures] == ["infeasible_above_threshold"]
+        witness = failures[0].witness
         assert witness == f"unresolved from h_tilde=0.1 to h={corrupted.bracket[1]:.12g}"
 
     def test_perturbed_gamma_fails_the_indifference_check(self, p0, linear_curve):
@@ -606,6 +641,5 @@ class TestVerifyEquilibrium:
             feasible_set_nonempty=sol.feasible_set_nonempty,
             marginal_cost_at_zero=sol.marginal_cost_at_zero,
         )
-        report = verify_equilibrium(corrupted, p0, linear_curve)
-        failed = {check.name for check in report.failures()}
+        failed = {check.name for check in _failures(verify_equilibrium(corrupted, p0, linear_curve))}
         assert "indifference_at_gamma_bar" in failed

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_POINTS, draw_params
+from conftest import REFERENCE_POINTS, draw_params, trace_profiles
 from shirklab import (
     AgentStrategy,
     ContractViolationError,
@@ -419,7 +419,8 @@ class TestIteratedBestResponse:
         trace = iterated_best_response(cfg, StrategyProfile.symmetric(EFS, 10))
         assert trace.converged
         assert trace.rounds == 0
-        assert len(trace.profiles) == 1
+        assert len(trace_profiles(trace)) == 1
+        assert trace.final == trace.initial
 
     def test_trace_stores_diffs_and_rebuilds_profiles(self, p0):
         cfg = SimConfig(params=p0, n_agents=8, n_trials=1, seed=0, h=0.5, punishment_mode="seniority")
@@ -428,7 +429,7 @@ class TestIteratedBestResponse:
         assert trace.initial == start
         assert trace.changed == [[0], [1], [2], [3]]
         assert [codes.tolist() for codes in trace.switched_to] == [[int(EFS)]] * 4
-        profiles = trace.profiles
+        profiles = trace_profiles(trace)
         assert len(profiles) == trace.rounds + 1 == 5
         for k, profile in enumerate(profiles):
             expected = [int(EFS)] * k + [int(SU)] * (8 - k)

@@ -21,8 +21,8 @@ from shirklab import (
     expected_production,
     failure_probability,
     gamma_bar,
-    is_admissible,
     use_probability,
+    validate_params,
 )
 from shirklab.model import STRATEGY_TABLE
 from shirklab.simulation import _adoption_given_quality, _expected_wages
@@ -136,7 +136,7 @@ def random_admissible(rng, count):
         bound = (c + (1.0 - pi * (1.0 - eps) - (1.0 - pi) * eps) * w) / ((1.0 - pi) * (1.0 - eps))
         v_c = max(bound, 1e-3) * float(rng.uniform(1.0, 5.0))
         p = ModelParams(pi=pi, eps=eps, g=g, c=c, w=w, v_c=v_c)
-        if is_admissible(p):
+        if validate_params(p).admissible:
             points.append(p)
     return points
 
@@ -146,7 +146,7 @@ PARAMS = REFERENCE_POINTS + tuple(random_admissible(np.random.default_rng(202510
 
 def test_the_sample_reaches_the_corners():
     assert len(PARAMS) > 10_000
-    assert all(is_admissible(p) for p in PARAMS)
+    assert all(validate_params(p).admissible for p in PARAMS)
     assert sum(p.eps == 0.0 for p in PARAMS) > 500
     assert min(p.pi for p in PARAMS) < 0.1 and max(p.pi for p in PARAMS) > 0.9
 
