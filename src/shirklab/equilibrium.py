@@ -500,13 +500,23 @@ def verify_equilibrium(
     infeasible_end = sol.bracket[1]
     above = [h for h in (infeasible_end + (1.0 - infeasible_end) * u for u in fractions) if h > sol.h_tilde]
     threshold = _fmt(sol.h_tilde)
+    # the terms come from p, not from sol, so the check stays independent of the solve
+    slope, rate = credibility_slope(p), gamma_bar(p)
+
+    def credible(reaches: list[float]) -> list[bool]:
+        """``punish_feasible`` at every reach, as one array; h = 0 is credible, as there."""
+        h = np.array(reaches, dtype=float)
+        ok = h == 0.0
+        ok[~ok] = _credible(h[~ok], slope, rate, curve.cost)
+        return ok.tolist()
+
     infeasible = [
-        f"infeasible at h={_fmt(h)} < h_tilde={threshold}" for h in below if not punish_feasible(h, p, curve)
+        f"infeasible at h={_fmt(h)} < h_tilde={threshold}" for h, ok in zip(below, credible(below)) if not ok
     ]
     checks.append(
         _check("feasible_below_threshold", infeasible, f"{VERIFY_SAMPLES} samples in (0, h_tilde) feasible")
     )
-    feasible = [f"feasible at h={_fmt(h)} > h_tilde={threshold}" for h in above if punish_feasible(h, p, curve)]
+    feasible = [f"feasible at h={_fmt(h)} > h_tilde={threshold}" for h, ok in zip(above, credible(above)) if ok]
     if infeasible_end - sol.h_tilde > TOL:
         feasible.append(f"unresolved from h_tilde={threshold} to h={_fmt(infeasible_end)}")
     checks.append(_check("infeasible_above_threshold", feasible, "no feasible point above h_tilde"))

@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass, replace as dc_replace
 from typing import Iterator, Sequence
 
@@ -721,6 +722,109 @@ class BestResponseTrace:
         return len(self.changed)
 
 
+def _table_switches(cfg: SimConfig, codes: bytearray, start: int) -> tuple[list[int], list[int]]:
+    """The unhappy agents from ``start`` on, read off the full deviation table, and their best codes."""
+    array = np.frombuffer(codes, dtype=np.int8)
+    rows, row_of_agent = _deviation_payoff_table(cfg, array, 0.0)
+    row_of_agent = row_of_agent[start:]
+    unhappy = rows < rows.max(1)[:, None] - PAYOFF_TIE_TOL
+    positions = np.flatnonzero(unhappy[row_of_agent, array[start:]])
+    return (start + positions).tolist(), rows.argmax(1)[row_of_agent[positions]].tolist()
+
+
+class _SharedRows:
+    """The agents whose row moved when every agent's payoffs are a row of one fixed table.
+
+    Under seniority firing with common signals agent i's row is ``2 * (i
+    <= first[0]) + (i <= first[1])``, as in ``_common_signal_row_of_agent``:
+    ``first`` holds the index of the first agent that fails in the bad
+    state on a right and on a wrong signal, ``m`` when none does.  A
+    switch moves only these two indices, so only the agents between an
+    index's old and new value change row.  Under uniform random firing
+    the four rows are one and no code counts as failing, so no row ever
+    moves.
+    """
+
+    def __init__(self, cfg: SimConfig, codes: bytearray):
+        self.codes = codes
+        rows = _deviation_payoff_table(cfg, np.zeros(0, dtype=np.int8), 0.0)[0]
+        if cfg.punishment_mode == UNIFORM_RANDOM:
+            rows = np.broadcast_to(rows, (4, _N_STRATEGIES))
+            failing = ([], [])
+        else:
+            # the codes that adopt on a bad reading (a right signal in the bad state) and on a good one
+            failing = tuple(np.flatnonzero(adopts).tolist() for adopts in _ADOPTS)
+        self.failing = [frozenset(group) for group in failing]
+        # each finds the next failing agent; an empty group finds none
+        self.scans = [re.compile(b"[" + bytes(group) + b"]" if group else b"(?!)") for group in failing]
+        self.first = [self._next_failure(k, 0) for k in (0, 1)]
+        self.unhappy = (rows < rows.max(1)[:, None] - PAYOFF_TIE_TOL).tolist()
+        self.best = rows.argmax(1).tolist()
+
+    def _next_failure(self, k: int, start: int) -> int:
+        """The first agent from ``start`` on failing in the bad state on a right (k = 0) or wrong signal, else m."""
+        found = self.scans[k].search(self.codes, start)
+        return found.start() if found else len(self.codes)
+
+    def switches(self, moved: Sequence[int]) -> tuple[list[int], list[int]]:
+        """The unhappy agents among ``moved``, in its order, and their best codes."""
+        right, wrong = self.first
+        codes, unhappy, best = self.codes, self.unhappy, self.best
+        switched: list[int] = []
+        to: list[int] = []
+        for at in moved:
+            row = 2 * (at <= right) + (at <= wrong)
+            if unhappy[row][codes[at]]:
+                switched.append(at)
+                to.append(best[row])
+        return switched, to
+
+    def moved(self, switched: list[int], best: list[int]) -> Sequence[int]:
+        """Update the first failures after a round; the agents whose row moved, in index order."""
+        m = len(self.codes)
+        spans = []
+        for k, failing in enumerate(self.failing):
+            old = new = self.first[k]
+            # a first failure that stopped failing is replaced by the next one,
+            # and a lower switcher that now fails pulls the index down
+            if old < m and self.codes[old] not in failing:
+                new = self._next_failure(k, old + 1)
+            for at, code in zip(switched, best):
+                if at >= new:
+                    break
+                if code in failing:
+                    new = at
+                    break
+            if new != old:
+                self.first[k] = new
+                low, high = (old, new) if old < new else (new, old)
+                spans.append(range(low + 1, high + 1 if high < m else m))
+        if len(spans) < 2:
+            return spans[0] if spans else ()
+        return sorted({*spans[0], *spans[1]})
+
+
+class _PerAgentRows:
+    """The agents whose row moved under seniority firing with independent signals: one row per agent.
+
+    Agent i's chance of being the one fired is a product over the agents
+    before it, so a round moves the row of every agent after the lowest
+    switcher, and those rows are read off the full table again.
+    """
+
+    def __init__(self, cfg: SimConfig, codes: bytearray):
+        self.cfg = cfg
+        self.codes = codes
+
+    def switches(self, moved: range) -> tuple[list[int], list[int]]:
+        """The unhappy agents among ``moved``, a range to the last agent, and their best codes."""
+        return _table_switches(self.cfg, self.codes, moved.start)
+
+    def moved(self, switched: list[int], best: list[int]) -> range:
+        """The agents after the lowest switcher."""
+        return range(switched[0] + 1, len(self.codes))
+
+
 def iterated_best_response(
     cfg: SimConfig,
     initial: StrategyProfile,
@@ -734,31 +838,40 @@ def iterated_best_response(
     researches.  Agents keep their current strategy when it remains among
     the best responses.
 
-    Each round reads the exact deviation table: with common signals a
-    deviator who fails in a bad state is fired iff its index is at most
-    that of the first current failure there, so every agent's payoffs are
-    one of four rows and a round costs O(n) vectorized work.  The trace
-    keeps the initial profile, each round's switched positions with their
-    new codes, and the final profile.
+    Each round reads the exact deviation payoffs, but only of the agents
+    whose payoff row moved: a switcher moves to a best code of its row and
+    every other agent was already happy with its row, so no one else can
+    want to switch.  Round 1 reads every agent.  Under uniform random
+    firing no row ever moves.  Under seniority firing with common signals
+    an agent's row is fixed by two indices, the first agent failing in the
+    bad state on a right and on a wrong signal, so the rows that move are
+    those between an index's old and new value, and a round costs
+    O(switches + rows moved).  With independent signals a switch moves the
+    row of every agent after it, and a round costs O(n) vectorized work.
+    The trace keeps the initial profile, each round's switched positions
+    with their new codes, and the final profile.
     """
-    codes = _access_codes(cfg, initial).copy()
+    codes = bytearray(_access_codes(cfg, initial).tobytes())
+    per_agent = cfg.punishment_mode == SENIORITY and cfg.signal_correlation == INDEPENDENT
+    responses = (_PerAgentRows if per_agent else _SharedRows)(cfg, codes)
     cap = 10 * cfg.n_agents if max_rounds is None else max_rounds
     changed: list[list[int]] = []
     switched_to: list[np.ndarray] = []
     converged = False
+    moved: Sequence[int] = ()
     for _ in range(cap):
-        rows, row_of_agent = _deviation_payoff_table(cfg, codes, 0.0)
-        unhappy = rows < rows.max(1)[:, None] - PAYOFF_TIE_TOL
-        switched = np.flatnonzero(unhappy[row_of_agent, codes])
-        if not switched.size:
+        # round 1 reads every agent off the full table, later rounds only the moved rows
+        switched, best = responses.switches(moved) if changed else _table_switches(cfg, codes, 0)
+        if not switched:
             converged = True
             break
-        new_codes = rows.argmax(1)[row_of_agent[switched]].astype(np.int8)
-        codes[switched] = new_codes
-        changed.append(switched.tolist())
-        switched_to.append(new_codes)
+        for at, code in zip(switched, best):
+            codes[at] = code
+        changed.append(switched)
+        switched_to.append(np.array(best, dtype=np.int8))
+        moved = responses.moved(switched, best)
     final = initial.codes.copy()
-    final[: cfg.access_count] = codes
+    final[: len(codes)] = np.frombuffer(codes, dtype=np.int8)
     return BestResponseTrace(initial, changed, switched_to, converged, StrategyProfile(final))
 
 
@@ -769,7 +882,11 @@ SENIORITY_SCENARIO = "seniority"
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """One arm of a policy experiment."""
+    """One arm of a policy experiment.
+
+    An arm whose profile was found by best-response unraveling carries the
+    number of rounds it took and whether it settled before the round cap.
+    """
 
     name: str
     gamma: float
@@ -779,6 +896,7 @@ class ScenarioResult:
     target_output: float
     target_welfare: float
     unraveling_rounds: int | None = None
+    converged: bool | None = None
 
     def summary(self) -> str:
         status = "equilibrium" if self.deviation_count == 0 else f"{self.deviation_count} deviations"
@@ -790,8 +908,16 @@ class ScenarioResult:
             f"  target {_fmt(self.target_welfare)}",
             f"  replacement cost {_fmt(self.result.replacement_cost.mean)}",
         ]
-        if self.unraveling_rounds is not None:
-            lines.append(f"  unraveled to effort in {self.unraveling_rounds} rounds")
+        rounds = self.unraveling_rounds
+        if rounds is not None:
+            if not self.converged:
+                outcome = f"stopped at the round cap of {rounds} rounds without settling"
+            elif self.profile_label in (AgentStrategy.EFFORT_FOLLOW_SIGNAL.label, "none"):
+                # with no access agent the profile is all effort too
+                outcome = f"unraveled to effort in {rounds} rounds"
+            else:
+                outcome = f"best responses settled on a {self.profile_label} profile in {rounds} rounds"
+            lines.append(f"  {outcome}")
         return "\n".join(lines)
 
 
@@ -814,7 +940,7 @@ def _scenario_run(
     gamma: float,
     profile: StrategyProfile,
     curve: ReplacementCostCurve,
-    unraveling_rounds: int | None = None,
+    trace: BestResponseTrace | None = None,
 ) -> ScenarioResult:
     deviations = nash_check(cfg, profile, gamma)
     sim = monte_carlo(cfg, profile, gamma, curve)
@@ -834,7 +960,8 @@ def _scenario_run(
         result=sim,
         target_output=targets["output"],
         target_welfare=targets["welfare"],
-        unraveling_rounds=unraveling_rounds,
+        unraveling_rounds=None if trace is None else trace.rounds,
+        converged=None if trace is None else trace.converged,
     )
 
 
@@ -872,8 +999,6 @@ def policy_experiment(cfg: SimConfig, curve: ReplacementCostCurve) -> Experiment
     scenarios = (
         _scenario_run(base_cfg, BASELINE, base_gamma, base_profile, curve),
         _scenario_run(variable_cfg, VARIABLE_COMPENSATION, 0.0, effort, curve),
-        _scenario_run(
-            seniority_cfg, SENIORITY_SCENARIO, 0.0, trace.final, curve, unraveling_rounds=trace.rounds
-        ),
+        _scenario_run(seniority_cfg, SENIORITY_SCENARIO, 0.0, trace.final, curve, trace),
     )
     return ExperimentReport(h=cfg.h, scenarios=scenarios)

@@ -9,12 +9,20 @@ senior).  The package fires by agent index, which is the same game on a
 relabelled profile: these tests sort the access agents by rank, run the
 package, map its agent indices back and hold the result to exact equality
 with the reference on random profiles, orders and parameters.
+
+A second reference is the vectorized loop the package ran before it read
+only the agents whose payoff row moved: every round rebuilds every access
+agent's row of the package's deviation table.  The package's trace must
+equal it field for field, the round cap and the int8 codes included.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REFERENCE_POINTS, trace_profiles
 from shirklab import (
@@ -27,6 +35,8 @@ from shirklab import (
     iterated_best_response,
     nash_check,
 )
+from shirklab.model import PAYOFF_TIE_TOL
+from shirklab.simulation import _SharedRows, _common_signal_row_of_agent, _deviation_payoff_table
 
 _N_STRATEGIES = len(ALL_STRATEGIES)
 _EFFORT_TABLE = np.array([s.exerts_effort for s in ALL_STRATEGIES])
@@ -171,6 +181,43 @@ def reference_best_response(cfg, initial, ranks=None, max_rounds=None, tol=1e-12
     return profiles, changed, False
 
 
+def vectorized_best_response(cfg, initial, max_rounds=None):
+    """Returns (changed, switched_to, converged, final) of the synchronous iteration, O(m) a round."""
+    codes = initial.codes[: cfg.access_count].copy()
+    cap = 10 * cfg.n_agents if max_rounds is None else max_rounds
+    changed = []
+    switched_to = []
+    converged = False
+    for _ in range(cap):
+        rows, row_of_agent = _deviation_payoff_table(cfg, codes, 0.0)
+        unhappy = rows < rows.max(1)[:, None] - PAYOFF_TIE_TOL
+        switched = np.flatnonzero(unhappy[row_of_agent, codes])
+        if not switched.size:
+            converged = True
+            break
+        new_codes = rows.argmax(1)[row_of_agent[switched]].astype(np.int8)
+        codes[switched] = new_codes
+        changed.append(switched.tolist())
+        switched_to.append(new_codes)
+    final = initial.codes.copy()
+    final[: cfg.access_count] = codes
+    return changed, switched_to, converged, StrategyProfile(final)
+
+
+def assert_matches_the_vectorized_loop(cfg, initial, max_rounds=None):
+    trace = iterated_best_response(cfg, initial, max_rounds)
+    changed, switched_to, converged, final = vectorized_best_response(cfg, initial, max_rounds)
+    assert trace.initial is initial
+    assert trace.changed == changed
+    assert all(type(at) is int for positions in trace.changed for at in positions)
+    assert len(trace.switched_to) == len(switched_to)
+    for got, want in zip(trace.switched_to, switched_to):
+        assert got.dtype == np.int8 and got.tolist() == want.tolist()
+    assert trace.converged == converged
+    assert trace.rounds == len(changed)
+    assert trace.final == final and trace.final.codes.dtype == np.int8
+
+
 #: Parameter points: the reference scenarios (one has eps = 0) plus an eps = 0 copy of P0.
 PARAMS = REFERENCE_POINTS + (ModelParams(pi=0.9, eps=0.0, g=0.5, c=0.01, w=0.05, v_c=1.0),)
 
@@ -270,3 +317,101 @@ def test_round_cap_matches_the_reference():
     profiles, changed, converged = reference_best_response(cfg, start, ranks, max_rounds=7)
     assert not trace.converged and not converged
     assert _trace_in_agent_labels(trace, order) == (changed, profiles)
+
+
+@st.composite
+def best_response_cases(draw):
+    """A config in any mode, a start over all six codes or mostly ``shirk_use``, and a round cap."""
+    n = draw(st.integers(1, 300))
+    cfg = SimConfig(
+        params=draw(st.sampled_from(PARAMS)),
+        n_agents=n,
+        n_trials=1,
+        seed=0,
+        h=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+        signal_correlation=draw(st.sampled_from(["common", "independent"])),
+        compensation=draw(st.sampled_from(["prospective", "realized"])),
+        punishment_mode=draw(st.sampled_from(["uniform_random", "seniority"])),
+    )
+    if draw(st.booleans()):
+        codes = draw(st.lists(st.integers(0, _N_STRATEGIES - 1), min_size=n, max_size=n))
+    else:
+        # mostly shirk_use with random flips, so seniority races show up
+        codes = [int(AgentStrategy.SHIRK_USE)] * n
+        flips = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, _N_STRATEGIES - 1), max_size=n // 5 + 1))
+        for at, code in flips.items():
+            codes[at] = code
+    return cfg, StrategyProfile(codes), draw(st.none() | st.integers(0, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=best_response_cases())
+def test_iterated_best_response_matches_the_vectorized_loop(case):
+    assert_matches_the_vectorized_loop(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=best_response_cases())
+def test_a_round_moves_exactly_the_rows_it_reports(case):
+    # seniority firing with common signals: after each round the first
+    # failures are those of the new codes, and the agents to read next are
+    # exactly those whose row changed
+    cfg, initial, _ = case
+    cfg = dataclasses.replace(cfg, signal_correlation="common", punishment_mode="seniority")
+    codes = bytearray(initial.codes[: cfg.access_count].tobytes())
+    responses = _SharedRows(cfg, codes)
+    moved = range(len(codes))
+    for _ in range(10 * cfg.n_agents):
+        before = _common_signal_row_of_agent(np.frombuffer(codes, dtype=np.int8))
+        switched, best = responses.switches(moved)
+        if not switched:
+            break
+        for at, code in zip(switched, best):
+            codes[at] = code
+        moved = responses.moved(switched, best)
+        now = np.frombuffer(codes, dtype=np.int8)
+        assert list(moved) == np.flatnonzero(_common_signal_row_of_agent(now) != before).tolist()
+        for first, adopts in zip(responses.first, (False, True)):
+            failing = np.flatnonzero(_adoption(now, adopts))
+            assert first == (failing[0] if failing.size else len(now))
+
+
+EFS = AgentStrategy.EFFORT_FOLLOW_SIGNAL
+SU = AgentStrategy.SHIRK_USE
+SNU = AgentStrategy.SHIRK_NO_USE
+ENU = AgentStrategy.EFFORT_NEVER_USE
+EC = AgentStrategy.EFFORT_CONTRARIAN
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        # the first failure on a right signal sits after a long run of effort agents
+        [(EFS, 2500), (SU, 500)],
+        # agent 0 stops failing on a right signal and the next failure is 2500 agents on
+        [(SU, 1), (EFS, 2500), (SU, 499)],
+        # the forward scan runs to the end of the codes: after agent 0 no one fails
+        [(SU, 1), (EFS, 2999)],
+        # no agent fails in the bad state on either signal
+        [(SNU, 1500), (ENU, 1500)],
+        [(ENU, 3000)],
+        # contrarians fail on a right signal only, followers on a wrong one
+        [(EC, 1000), (EFS, 1000), (SU, 1000)],
+        [(SNU, 2000), (SU, 1), (SNU, 999)],
+    ],
+    ids=["effort-run-then-shirkers", "one-shirker-then-effort-run", "scan-to-the-end", "no-failure",
+         "all-never-use", "contrarians-followers-shirkers", "one-late-shirker"],
+)
+@pytest.mark.parametrize("compensation", ["prospective", "realized"])
+def test_far_jumps_of_the_first_failure_match_the_vectorized_loop(runs, compensation):
+    start = StrategyProfile(np.concatenate([np.full(count, int(s), dtype=np.int8) for s, count in runs]))
+    cfg = SimConfig(
+        params=PARAMS[0],
+        n_agents=len(start),
+        n_trials=1,
+        seed=0,
+        h=1.0,
+        compensation=compensation,
+        punishment_mode="seniority",
+    )
+    assert_matches_the_vectorized_loop(cfg, start)

@@ -288,6 +288,22 @@ class TestExperiment:
         assert out.count(": profile none at gamma ") == 3
         assert "mixed" not in out
 
+    def test_independent_signals_settle_on_a_mixed_profile(self, tmp_path, capsys):
+        # with independent signals seniority firing singles out no one for
+        # sure: 15 of the 1000 workers with access switch to effort and best
+        # responses settle there, which is no unraveling to effort
+        path = tmp_path / "independent.ini"
+        path.write_text(
+            BASE_CONFIG.replace("n_agents = 300", "n_agents = 2000")
+            .replace("n_trials = 200", "n_trials = 50")
+            .replace("seed = 9", "seed = 909\nsignal_correlation = independent")
+        )
+        assert main(["experiment", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "scenario seniority: profile mixed at gamma 0 (equilibrium)\n" in out
+        assert out.endswith("  best responses settled on a mixed profile in 15 rounds\n")
+        assert "unraveled" not in out
+
     def test_golden_stdout_past_the_threshold(self, capsys):
         # 400 agents, 300 trials at h = 0.5 > h_tilde: 200 unraveling rounds
         assert main(["experiment", "--config", str(DATA / "experiment_golden.ini")]) == 0

@@ -1,6 +1,7 @@
 """Replacement-cost curves, threshold solving, and closed-form comparisons."""
 
 import dataclasses
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_curve, draw_params
-from shirklab import equilibrium
+from shirklab import equilibrium, model
 from shirklab import (
     AgentStrategy,
     EquilibriumSolution,
@@ -28,7 +29,8 @@ from shirklab import (
     validate_params,
     verify_equilibrium,
 )
-from shirklab.equilibrium import TOL, solve_thresholds
+from shirklab.cli import main
+from shirklab.equilibrium import TOL, VERIFY_SAMPLES, solve_thresholds
 
 
 def principal_value(h, punish, p, curve):
@@ -632,6 +634,43 @@ class TestVerifyEquilibrium:
         assert [check.name for check in failures] == ["infeasible_above_threshold"]
         witness = failures[0].witness
         assert witness == f"unresolved from h_tilde=0.1 to h={corrupted.bracket[1]:.12g}"
+
+    def test_interval_checks_agree_with_punish_feasible_at_every_sample(self):
+        # the checks read their samples as one array; punish_feasible reads them one by one
+        rng = np.random.default_rng(17)
+        fractions = [(i + 1) / (VERIFY_SAMPLES + 1) for i in range(VERIFY_SAMPLES)]
+        for _ in range(60):
+            p, curve = draw_params(rng), draw_curve(rng, resolution=500)
+            h_tilde = float(rng.choice([0.0, rng.uniform(), 1.0]))
+            sol = dataclasses.replace(solve_threshold(p, curve), h_tilde=h_tilde, bracket=(h_tilde, h_tilde))
+            checks = {check.name: check for check in verify_equilibrium(sol, p, curve)}
+            below = [h_tilde * u for u in fractions]
+            above = [h for h in (h_tilde + (1.0 - h_tilde) * u for u in fractions) if h > h_tilde]
+            infeasible = [h for h in below if not punish_feasible(h, p, curve)]
+            feasible = [h for h in above if punish_feasible(h, p, curve)]
+            assert checks["feasible_below_threshold"].passed == (not infeasible)
+            assert checks["infeasible_above_threshold"].passed == (not feasible)
+            if infeasible:
+                assert checks["feasible_below_threshold"].witness.startswith(f"infeasible at h={infeasible[0]:.12g} <")
+            if feasible:
+                assert checks["infeasible_above_threshold"].witness.startswith(f"feasible at h={feasible[0]:.12g} >")
+
+    @pytest.mark.parametrize("eps", [0.1, 0.0])
+    def test_samples_at_zero_reach_are_credible(self, p0, linear_curve, eps):
+        # a threshold at 0 samples h = 0 only, credible as punish_feasible has
+        # it; with eps = 0 the infinite slope is never multiplied by 0
+        p = dataclasses.replace(p0, eps=eps)
+        sol = dataclasses.replace(solve_threshold(p, linear_curve), h_tilde=0.0)
+        checks = {check.name: check for check in verify_equilibrium(sol, p, linear_curve)}
+        assert checks["feasible_below_threshold"].passed
+
+    def test_solve_checks_its_params_three_times(self):
+        # the command, the solve and the check each compute gamma_bar once:
+        # the check reads all its feasibility samples at one rate
+        config = Path(__file__).parent / "data" / "golden" / "solve_scale100.ini"
+        with mock.patch.object(model, "validate_params", wraps=validate_params) as spy:
+            assert main(["solve", "--config", str(config)]) == 0
+        assert spy.call_count == 3
 
     def test_perturbed_gamma_fails_the_indifference_check(self, p0, linear_curve):
         sol = solve_threshold(p0, linear_curve)

@@ -1,5 +1,6 @@
 """Episode engine, Monte Carlo oracle equivalence, Nash checks, unraveling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -443,6 +444,18 @@ class TestIteratedBestResponse:
         assert not trace.converged
         assert trace.rounds == 3
 
+    def test_32000_agents_unravel_one_agent_a_round(self, p0):
+        # 16000 rounds: a round reads only the agents whose payoff row moved
+        n = 32000
+        cfg = SimConfig(params=p0, n_agents=n, n_trials=1, seed=0, h=0.5, punishment_mode="seniority")
+        trace = iterated_best_response(cfg, StrategyProfile.symmetric(SU, n))
+        assert trace.rounds == 16000
+        assert trace.changed == [[k] for k in range(16000)]
+        assert all(codes.dtype == np.int8 and codes.tolist() == [int(EFS)] for codes in trace.switched_to)
+        assert trace.converged
+        assert (trace.final.codes[:16000] == int(EFS)).all()
+        assert (trace.final.codes[16000:] == int(SU)).all()
+
 
 class TestPolicyExperiment:
     def test_above_threshold_treatments_restore_effort(self, p0, linear_curve):
@@ -460,6 +473,18 @@ class TestPolicyExperiment:
         assert unraveled.deviation_count == 0
         assert unraveled.unraveling_rounds == cfg.access_count
         assert unraveled.result.replacement_cost.mean > 0.0
+
+    def test_the_unraveling_line_names_what_the_best_responses_reached(self, p0, linear_curve):
+        cfg = make_cfg(p0, n_agents=300, n_trials=50, seed=909, h=0.5, signal_correlation="independent")
+        baseline, _, unraveled = policy_experiment(cfg, linear_curve).scenarios
+        assert unraveled.profile_label == "mixed"
+        assert (unraveled.unraveling_rounds, unraveled.converged) == (15, True)
+        assert unraveled.summary().endswith("\n  best responses settled on a mixed profile in 15 rounds")
+        capped = dataclasses.replace(unraveled, converged=False)
+        assert capped.summary().endswith("\n  stopped at the round cap of 15 rounds without settling")
+        effort = dataclasses.replace(unraveled, profile_label=EFS.label)
+        assert effort.summary().endswith("\n  unraveled to effort in 15 rounds")
+        assert "rounds" not in baseline.summary()
 
     def test_below_threshold_all_scenarios_share_the_effort_path(self, p0, linear_curve):
         cfg = make_cfg(p0, n_agents=400, n_trials=300, seed=33, h=0.1)
