@@ -284,14 +284,22 @@ def credibility_slope(p: ModelParams) -> float:
     return gain / ((1.0 - p.pi) * p.eps)
 
 
-def punish_feasible(h: float, p: ModelParams, curve: ReplacementCostCurve) -> bool:
+def punish_feasible(h, p: ModelParams, curve: ReplacementCostCurve):
     """Whether committing to punish failures at rate gamma_bar and reach ``h`` pays for itself.
 
-    Both sides are zero at h = 0, where the infinite slope of eps = 0 would
-    form inf * 0; for h > 0 that slope makes every finite bill credible.
+    ``h`` is a float, answered with a bool, or an array, answered with one
+    bool per reach.  Both sides are zero at h = 0, which is credible: the
+    infinite slope of eps = 0 is never multiplied by it.  For h > 0 that
+    slope makes every finite bill credible.  ``p`` is read only when some
+    reach is positive, so h = 0 is credible even for inadmissible params.
     """
     _require_unit(h, "h")
-    return h == 0.0 or _credible(h, credibility_slope(p), gamma_bar(p), curve.cost)
+    reach = np.asarray(h, dtype=float)
+    feasible = np.array(reach == 0.0)
+    positive = ~feasible
+    if positive.any():
+        feasible[positive] = _credible(reach[positive], credibility_slope(p), gamma_bar(p), curve.cost)
+    return feasible if isinstance(h, np.ndarray) else bool(feasible)
 
 
 def _credible(h, slope, rate, cost: Callable):
@@ -500,23 +508,16 @@ def verify_equilibrium(
     infeasible_end = sol.bracket[1]
     above = [h for h in (infeasible_end + (1.0 - infeasible_end) * u for u in fractions) if h > sol.h_tilde]
     threshold = _fmt(sol.h_tilde)
-    # the terms come from p, not from sol, so the check stays independent of the solve
-    slope, rate = credibility_slope(p), gamma_bar(p)
-
-    def credible(reaches: list[float]) -> list[bool]:
-        """``punish_feasible`` at every reach, as one array; h = 0 is credible, as there."""
-        h = np.array(reaches, dtype=float)
-        ok = h == 0.0
-        ok[~ok] = _credible(h[~ok], slope, rate, curve.cost)
-        return ok.tolist()
-
-    infeasible = [
-        f"infeasible at h={_fmt(h)} < h_tilde={threshold}" for h, ok in zip(below, credible(below)) if not ok
-    ]
+    # one call on every sample: its terms come from p, not from sol, so the
+    # check stays independent of the solve
+    credible = punish_feasible(np.array(below + above), p, curve).tolist()
+    infeasible = [f"infeasible at h={_fmt(h)} < h_tilde={threshold}" for h, ok in zip(below, credible) if not ok]
     checks.append(
         _check("feasible_below_threshold", infeasible, f"{VERIFY_SAMPLES} samples in (0, h_tilde) feasible")
     )
-    feasible = [f"feasible at h={_fmt(h)} > h_tilde={threshold}" for h, ok in zip(above, credible(above)) if ok]
+    feasible = [
+        f"feasible at h={_fmt(h)} > h_tilde={threshold}" for h, ok in zip(above, credible[len(below) :]) if ok
+    ]
     if infeasible_end - sol.h_tilde > TOL:
         feasible.append(f"unresolved from h_tilde={threshold} to h={_fmt(infeasible_end)}")
     checks.append(_check("infeasible_above_threshold", feasible, "no feasible point above h_tilde"))

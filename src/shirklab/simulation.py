@@ -39,7 +39,6 @@ quality, signals, and the firing rule, including the seniority pick.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -49,14 +48,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, InvalidParamsError
-from .equilibrium import (
-    EFFORT,
-    SHIRK,
-    ReplacementCostCurve,
-    expected_output,
-    policy,
-    solve_threshold,
-)
+from .equilibrium import ReplacementCostCurve, policy, solve_threshold
 from .model import (
     ALL_STRATEGIES,
     AgentStrategy,
@@ -70,6 +62,7 @@ from .model import (
     _adoption_probability,
     _fmt,
     agent_payoff,
+    expected_production,
 )
 
 COMMON = "common"
@@ -530,7 +523,6 @@ def _expected_wages(p: ModelParams, compensation: str) -> np.ndarray:
     return p.pi * (use_good * (1.0 + p.g) + (1.0 - use_good)) + (1.0 - p.pi) * (1.0 - use_bad)
 
 
-@functools.lru_cache(maxsize=32)
 def _common_signal_rows(p: ModelParams, compensation: str) -> np.ndarray:
     """Seniority deviation payoffs under common signals, one row per fired pattern.
 
@@ -539,8 +531,7 @@ def _common_signal_rows(p: ModelParams, compensation: str) -> np.ndarray:
     agent who would be fired (flag 1) or spared (flag 0) on failing in the
     bad state with a right or a wrong signal.  The four (quality,
     signal-error) states are summed in a fixed order, so every agent's
-    payoffs are bit-identical to a per-agent expectation.  Read-only
-    because it is shared between calls.
+    payoffs are bit-identical to a per-agent expectation.
     """
     rows = np.zeros((4, _N_STRATEGIES))
     fired_if = {False: np.array([0, 0, 1, 1], dtype=bool), True: np.array([0, 1, 0, 1], dtype=bool)}
@@ -557,7 +548,6 @@ def _common_signal_rows(p: ModelParams, compensation: str) -> np.ndarray:
             # a deviator who fails (uses a bad technology) loses v_c when first in line
             fired = (use & (not good))[None, :] & fired_if[wrong][:, None]
             rows += prob * (base - p.v_c * fired)
-    rows.flags.writeable = False
     return rows
 
 
@@ -646,18 +636,19 @@ def expected_strategy_payoffs(
 def closed_form_targets(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float) -> dict[str, float]:
     """The exact values a Monte Carlo run of ``profile`` is checked against.
 
-    Output and welfare come from the closed forms at the realized reach
-    ``access_count / n_agents``, in the effort regime when every access
-    agent researches and follows the signal and the blind-adoption regime
-    otherwise; welfare nets out the effort cost of the agents who research.
-    Each strategy played then gets its exact expected payoff, as
-    ``payoff_<label>``.
+    Output is ``((n - m) + sum of expected_production) / n``: each of the m
+    access agents' expected production plus one per inert agent, for
+    every profile, pure or mixed.  Welfare nets out the effort cost of the
+    agents who research.  Each strategy played then gets its exact
+    expected payoff, as ``payoff_<label>``.
     """
     p = cfg.params
+    n = cfg.n_agents
     codes = _access_codes(cfg, profile, policy_gamma)
-    effort = bool(codes.size) and bool(np.all(codes == AgentStrategy.EFFORT_FOLLOW_SIGNAL))
-    output = expected_output(cfg.access_count / cfg.n_agents, EFFORT if effort else SHIRK, p)
-    effort_share = float(_EFFORT[codes].sum()) / cfg.n_agents
+    counts = np.bincount(codes, minlength=_N_STRATEGIES)
+    production = np.array([expected_production(s, p) for s in ALL_STRATEGIES])
+    output = ((n - len(codes)) + float(counts @ production)) / n
+    effort_share = float(counts[_EFFORT].sum()) / n
     targets = {"output": output, "welfare": output - p.c * effort_share}
     for label, payoff in expected_strategy_payoffs(cfg, profile, policy_gamma).items():
         targets[f"payoff_{label}"] = payoff
@@ -733,30 +724,24 @@ def _table_switches(cfg: SimConfig, codes: bytearray, start: int) -> tuple[list[
 
 
 class _SharedRows:
-    """The agents whose row moved when every agent's payoffs are a row of one fixed table.
+    """The agents whose row moved under seniority firing with common signals: one row of four per agent.
 
-    Under seniority firing with common signals agent i's row is ``2 * (i
-    <= first[0]) + (i <= first[1])``, as in ``_common_signal_row_of_agent``:
-    ``first`` holds the index of the first agent that fails in the bad
-    state on a right and on a wrong signal, ``m`` when none does.  A
-    switch moves only these two indices, so only the agents between an
-    index's old and new value change row.  Under uniform random firing
-    the four rows are one and no code counts as failing, so no row ever
-    moves.
+    Agent i's row of ``_common_signal_rows`` is ``2 * (i <= first[0]) + (i
+    <= first[1])``, as in ``_common_signal_row_of_agent``: ``first`` holds
+    the index of the first agent that fails in the bad state on a right
+    and on a wrong signal, ``m`` when none does.  A switch moves only
+    these two indices, so only the agents between an index's old and new
+    value change row.
     """
 
     def __init__(self, cfg: SimConfig, codes: bytearray):
         self.codes = codes
-        rows = _deviation_payoff_table(cfg, np.zeros(0, dtype=np.int8), 0.0)[0]
-        if cfg.punishment_mode == UNIFORM_RANDOM:
-            rows = np.broadcast_to(rows, (4, _N_STRATEGIES))
-            failing = ([], [])
-        else:
-            # the codes that adopt on a bad reading (a right signal in the bad state) and on a good one
-            failing = tuple(np.flatnonzero(adopts).tolist() for adopts in _ADOPTS)
+        rows = _common_signal_rows(cfg.params, cfg.compensation)
+        # the codes that adopt on a bad reading (a right signal in the bad state) and on a good one
+        failing = [np.flatnonzero(adopts).tolist() for adopts in _ADOPTS]
         self.failing = [frozenset(group) for group in failing]
-        # each finds the next failing agent; an empty group finds none
-        self.scans = [re.compile(b"[" + bytes(group) + b"]" if group else b"(?!)") for group in failing]
+        # each finds the next failing agent
+        self.scans = [re.compile(b"[" + bytes(group) + b"]") for group in failing]
         self.first = [self._next_failure(k, 0) for k in (0, 1)]
         self.unhappy = (rows < rows.max(1)[:, None] - PAYOFF_TIE_TOL).tolist()
         self.best = rows.argmax(1).tolist()
@@ -805,11 +790,12 @@ class _SharedRows:
 
 
 class _PerAgentRows:
-    """The agents whose row moved under seniority firing with independent signals: one row per agent.
+    """Every agent after the lowest switcher, read off the full table again.
 
-    Agent i's chance of being the one fired is a product over the agents
-    before it, so a round moves the row of every agent after the lowest
-    switcher, and those rows are read off the full table again.
+    Under seniority firing with independent signals agent i's chance of
+    being the one fired is a product over the agents before it, so a
+    switch moves the row of every agent after it.  Under uniform random
+    firing no row ever moves, so the reread finds no switch.
     """
 
     def __init__(self, cfg: SimConfig, codes: bytearray):
@@ -841,19 +827,21 @@ def iterated_best_response(
     Each round reads the exact deviation payoffs, but only of the agents
     whose payoff row moved: a switcher moves to a best code of its row and
     every other agent was already happy with its row, so no one else can
-    want to switch.  Round 1 reads every agent.  Under uniform random
-    firing no row ever moves.  Under seniority firing with common signals
-    an agent's row is fixed by two indices, the first agent failing in the
-    bad state on a right and on a wrong signal, so the rows that move are
-    those between an index's old and new value, and a round costs
-    O(switches + rows moved).  With independent signals a switch moves the
-    row of every agent after it, and a round costs O(n) vectorized work.
+    want to switch.  Round 1 reads every agent.  Under seniority firing
+    with common signals an agent's row is fixed by two indices, the first
+    agent failing in the bad state on a right and on a wrong signal, so
+    the rows that move are those between an index's old and new value, and
+    a round costs O(switches + rows moved).  Otherwise every agent after
+    the lowest switcher is read again, which costs O(n) vectorized work:
+    with independent signals a switch moves the row of every agent after
+    it, and under uniform random firing no row moves, so round 2 finds no
+    switch.
     The trace keeps the initial profile, each round's switched positions
     with their new codes, and the final profile.
     """
     codes = bytearray(_access_codes(cfg, initial).tobytes())
-    per_agent = cfg.punishment_mode == SENIORITY and cfg.signal_correlation == INDEPENDENT
-    responses = (_PerAgentRows if per_agent else _SharedRows)(cfg, codes)
+    shared = cfg.punishment_mode == SENIORITY and cfg.signal_correlation == COMMON
+    responses = (_SharedRows if shared else _PerAgentRows)(cfg, codes)
     cap = 10 * cfg.n_agents if max_rounds is None else max_rounds
     changed: list[list[int]] = []
     switched_to: list[np.ndarray] = []

@@ -6,7 +6,9 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from shirklab import ModelParams, ReplacementCostCurve, StrategyProfile, validate_params  # noqa: E402
+from shirklab.equilibrium import ReplacementCostCurve  # noqa: E402
+from shirklab.model import ModelParams, validate_params  # noqa: E402
+from shirklab.simulation import StrategyProfile  # noqa: E402
 
 
 @pytest.fixture

@@ -15,25 +15,22 @@ import numpy as np
 import pytest
 
 from conftest import column, draw_curve, draw_params
-from shirklab import (
-    AgentStrategy,
-    ModelParams,
+from shirklab.equilibrium import (
     ReplacementCostCurve,
-    SimConfig,
-    StrategyProfile,
-    agent_payoff,
-    best_response,
     expected_output,
-    gamma_bar,
-    iterated_best_response,
-    monte_carlo,
-    nash_check,
     output_drop,
     punish_feasible,
     solve_threshold,
-    sweep_h,
 )
-from shirklab.sweeps import make_grid
+from shirklab.model import AgentStrategy, ModelParams, agent_payoff, best_response, gamma_bar
+from shirklab.simulation import (
+    SimConfig,
+    StrategyProfile,
+    iterated_best_response,
+    monte_carlo,
+    nash_check,
+)
+from shirklab.sweeps import make_grid, sweep_h
 
 EFS = AgentStrategy.EFFORT_FOLLOW_SIGNAL
 SU = AgentStrategy.SHIRK_USE

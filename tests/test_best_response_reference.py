@@ -25,18 +25,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_POINTS, trace_profiles
-from shirklab import (
-    ALL_STRATEGIES,
-    AgentStrategy,
-    ModelParams,
+from shirklab.model import ALL_STRATEGIES, PAYOFF_TIE_TOL, AgentStrategy, ModelParams, agent_payoff
+from shirklab.simulation import (
     SimConfig,
     StrategyProfile,
-    agent_payoff,
+    _SharedRows,
+    _common_signal_row_of_agent,
+    _deviation_payoff_table,
     iterated_best_response,
     nash_check,
 )
-from shirklab.model import PAYOFF_TIE_TOL
-from shirklab.simulation import _SharedRows, _common_signal_row_of_agent, _deviation_payoff_table
 
 _N_STRATEGIES = len(ALL_STRATEGIES)
 _EFFORT_TABLE = np.array([s.exerts_effort for s in ALL_STRATEGIES])

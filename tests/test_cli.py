@@ -304,6 +304,25 @@ class TestExperiment:
         assert out.endswith("  best responses settled on a mixed profile in 15 rounds\n")
         assert "unraveled" not in out
 
+    def test_a_mixed_profile_is_held_to_its_summed_production(self, tmp_path, capsys):
+        # the seniority arm settles on 15 effort_follow_signal (1.395 each) and
+        # 985 shirk_use workers (1.35 each) beside 1000 inert ones (1 each):
+        # output (1000 + 15 * 1.395 + 985 * 1.35) / 2000, welfare less
+        # 15 * c / 2000, not the shirk line's 1.175 and 1.174925
+        path = tmp_path / "mixed.ini"
+        path.write_text(
+            BASE_CONFIG.replace("n_agents = 300", "n_agents = 2000")
+            .replace("n_trials = 200", "n_trials = 500")
+            .replace("seed = 9", "seed = 909\nsignal_correlation = independent")
+        )
+        assert main(["experiment", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out[out.index("scenario seniority:") :].splitlines()[:3] == [
+            "scenario seniority: profile mixed at gamma 0 (equilibrium)",
+            "  output/agent  1.1738675 +- 0.0100639053065  target 1.1753375",
+            "  welfare/agent 1.1737925 +- 0.0100639053065  target 1.1752625",
+        ]
+
     def test_golden_stdout_past_the_threshold(self, capsys):
         # 400 agents, 300 trials at h = 0.5 > h_tilde: 200 unraveling rounds
         assert main(["experiment", "--config", str(DATA / "experiment_golden.ini")]) == 0

@@ -11,26 +11,29 @@ from hypothesis import strategies as st
 
 from conftest import draw_curve, draw_params
 from shirklab import equilibrium, model
-from shirklab import (
-    AgentStrategy,
+from shirklab.cli import main
+from shirklab.equilibrium import (
+    TOL,
+    VERIFY_SAMPLES,
     EquilibriumSolution,
-    InadmissibleParamsError,
-    InvalidCurveError,
-    ModelParams,
     ReplacementCostCurve,
     credibility_slope,
     expected_output,
-    expected_production,
-    gamma_bar,
     output_drop,
     policy,
     punish_feasible,
     solve_threshold,
-    validate_params,
+    solve_thresholds,
     verify_equilibrium,
 )
-from shirklab.cli import main
-from shirklab.equilibrium import TOL, VERIFY_SAMPLES, solve_thresholds
+from shirklab.errors import InadmissibleParamsError, InvalidCurveError
+from shirklab.model import (
+    AgentStrategy,
+    ModelParams,
+    expected_production,
+    gamma_bar,
+    validate_params,
+)
 
 
 def principal_value(h, punish, p, curve):
@@ -217,6 +220,15 @@ class TestPunishFeasible:
             p = draw_params(rng)
             assert punish_feasible(0.0, p, draw_curve(rng, resolution=500))
 
+    def test_zero_reach_reads_no_params(self, linear_curve):
+        # h = 0 is credible before p is looked at; a positive reach checks it
+        p = ModelParams(pi=0.9, eps=0.1, g=0.5, c=0.05, w=0.05, v_c=1.0)
+        assert punish_feasible(0.0, p, linear_curve) is True
+        assert punish_feasible(np.zeros(3), p, linear_curve).tolist() == [True] * 3
+        for h in (0.1, np.array([0.0, 0.1])):
+            with pytest.raises(InadmissibleParamsError):
+                punish_feasible(h, p, linear_curve)
+
     def test_perfect_signal_makes_punishment_costless(self, linear_curve):
         p = ModelParams(pi=0.85, eps=0.0, g=0.8, c=0.05, w=0.1, v_c=2.0)
         for curve in (linear_curve, ReplacementCostCurve.linear(1e9)):
@@ -226,6 +238,26 @@ class TestPunishFeasible:
     def test_reach_outside_unit_interval_raises(self, p0, linear_curve):
         with pytest.raises(ValueError):
             punish_feasible(1.5, p0, linear_curve)
+        with pytest.raises(ValueError, match="got 1.5"):
+            punish_feasible(np.array([0.2, 1.5]), p0, linear_curve)
+
+    def test_an_array_of_reaches_is_answered_as_one_call_per_reach(self):
+        rng = np.random.default_rng(6060)
+        for trial in range(60):
+            p = draw_params(rng)
+            if trial % 3 == 0:
+                p = dataclasses.replace(p, eps=0.0)
+            curve = draw_curve(rng, resolution=500)
+            sol = solve_threshold(p, curve)
+            # h = 0, both bracket ends, the threshold and its neighbours, and the edges
+            reaches = np.array([0.0, *sol.bracket, sol.h_tilde, *rng.uniform(size=8), 1.0, 5e-324])
+            reaches = np.concatenate([reaches, np.nextafter(reaches[1:3], [1.0, 0.0])])
+            answers = punish_feasible(reaches, p, curve)
+            assert answers.dtype == bool and answers.shape == reaches.shape
+            assert answers.tolist() == [punish_feasible(float(h), p, curve) for h in reaches]
+            assert punish_feasible(reaches.reshape(2, -1), p, curve).tolist() == answers.reshape(2, -1).tolist()
+            assert punish_feasible(np.array(sol.h_tilde), p, curve).shape == ()
+        assert punish_feasible(np.array([]), p, curve).tolist() == []
 
 
 class TestSolveThreshold:

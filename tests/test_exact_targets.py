@@ -27,9 +27,15 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_POINTS
-from shirklab import AgentStrategy, ReplacementCostCurve, SimConfig, StrategyProfile, monte_carlo
-from shirklab.model import STRATEGY_TABLE
-from shirklab.simulation import MeanSE, expected_strategy_payoffs
+from shirklab.equilibrium import ReplacementCostCurve
+from shirklab.model import STRATEGY_TABLE, AgentStrategy
+from shirklab.simulation import (
+    MeanSE,
+    SimConfig,
+    StrategyProfile,
+    expected_strategy_payoffs,
+    monte_carlo,
+)
 
 # pi = 0.7 and eps = 0.15: bad technologies and wrong signals are both common
 PARAMS = REFERENCE_POINTS[2]

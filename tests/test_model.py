@@ -8,10 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_params
-from shirklab import (
+from shirklab.errors import InadmissibleParamsError, InvalidParamsError
+from shirklab.model import (
     AgentStrategy,
-    InadmissibleParamsError,
-    InvalidParamsError,
     ModelParams,
     agent_payoff,
     best_response,

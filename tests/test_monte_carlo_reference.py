@@ -20,20 +20,18 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_POINTS
-from shirklab import (
-    ALL_STRATEGIES,
-    AgentStrategy,
-    ModelParams,
-    ReplacementCostCurve,
+from shirklab import simulation
+from shirklab.cli import main
+from shirklab.equilibrium import ReplacementCostCurve
+from shirklab.model import ALL_STRATEGIES, STRATEGY_TABLE, AgentStrategy, ModelParams
+from shirklab.simulation import (
+    MeanSE,
     SimConfig,
+    SimResult,
     StrategyProfile,
     monte_carlo,
     run_episode,
 )
-from shirklab import simulation
-from shirklab.cli import main
-from shirklab.model import STRATEGY_TABLE
-from shirklab.simulation import MeanSE, SimResult
 
 _N_STRATEGIES = len(ALL_STRATEGIES)
 # trials per block stream, a number the contract fixes, not the package's constant

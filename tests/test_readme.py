@@ -1,8 +1,12 @@
-"""The README's CLI example runs as written, and the defaults it lists are the code's."""
+"""The README's CLI example runs as written, the defaults and Python names it lists are the code's."""
 
 import dataclasses
+import importlib
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from shirklab import cli
@@ -42,3 +46,25 @@ def test_the_defaults_sentence_lists_every_default():
         if field.default is not dataclasses.MISSING
     )
     assert documented == expected
+
+
+def test_every_python_name_the_readme_mentions_resolves():
+    # the dotted paths are the documented Python API: each module is imported
+    # and each name after it read as an attribute
+    paths = sorted(set(re.findall(r"\bshirklab(?:\.\w+)+", README)))
+    assert len(paths) >= 13
+    for path in paths:
+        _, module, *names = path.split(".")
+        value = importlib.import_module(f"shirklab.{module}")
+        for name in names:
+            assert hasattr(value, name), path
+            value = getattr(value, name)
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    # each name is imported from its module, so the package root holds only __version__
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    probe = "import sys, shirklab; print(sorted(m for m in sys.modules if m.startswith(('shirklab.', 'numpy'))))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout == "[]\n"

@@ -9,25 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_POINTS, draw_params, trace_profiles
-from shirklab import (
-    AgentStrategy,
-    ContractViolationError,
-    InvalidParamsError,
-    ModelParams,
-    ReplacementCostCurve,
+from shirklab.equilibrium import EFFORT, SHIRK, ReplacementCostCurve, expected_output
+from shirklab.errors import ContractViolationError, InvalidParamsError
+from shirklab.model import AgentStrategy, ModelParams, agent_payoff, best_response, expected_production, gamma_bar
+from shirklab.simulation import (
     SimConfig,
     StrategyProfile,
-    agent_payoff,
-    best_response,
-    expected_output,
-    gamma_bar,
+    closed_form_targets,
+    expected_strategy_payoffs,
     iterated_best_response,
     monte_carlo,
     nash_check,
     policy_experiment,
     run_episode,
 )
-from shirklab.simulation import closed_form_targets, expected_strategy_payoffs
 
 EFS = AgentStrategy.EFFORT_FOLLOW_SIGNAL
 SU = AgentStrategy.SHIRK_USE
@@ -385,6 +380,37 @@ class TestNashCheck:
             shirkers = StrategyProfile.symmetric(SU, seniority.n_agents)
             payoff = expected_strategy_payoffs(seniority, shirkers, 0.0)[SU.label]
             assert payoff == pytest.approx(p0.w + p0.v_c * (1.0 - (1.0 - p0.pi) / m), rel=1e-12)
+
+    def test_every_profile_targets_its_summed_production(self):
+        # every profile is held to the production of its agents, one by one, and
+        # one per inert agent; a pure one also meets its closed-form line
+        rng = np.random.default_rng(4711)
+        mixed = pure = 0
+        for trial in range(300):
+            p = draw_params(rng)
+            n = int(rng.integers(1, 60))
+            cfg = make_cfg(p, n_agents=n, h=float(rng.uniform(0.0, 1.0)))
+            m = cfg.access_count
+            codes = rng.integers(0, len(AgentStrategy), size=n)
+            if trial % 4 == 0:
+                codes = np.full(n, int(EFS if trial % 8 else SU))
+            elif rng.random() < 0.5:
+                # mostly shirk_use with a few flips, as unraveling leaves it
+                codes = np.where(rng.random(n) < 0.1, codes, int(SU))
+            targets = closed_form_targets(cfg, StrategyProfile(codes), 0.0)
+            production = sum(expected_production(AgentStrategy(int(code)), p) for code in codes[:m])
+            output = ((n - m) + production) / n
+            researchers = sum(AgentStrategy(int(code)).exerts_effort for code in codes[:m])
+            assert targets["output"] == pytest.approx(output, rel=1e-12)
+            assert targets["welfare"] == pytest.approx(output - p.c * researchers / n, rel=1e-12)
+            for regime, code in ((EFFORT, EFS), (SHIRK, SU)):
+                if m and np.all(codes[:m] == code):
+                    pure += 1
+                    assert targets["output"] == pytest.approx(expected_output(m / n, regime, p), rel=1e-12)
+                    break
+            else:
+                mixed += m > 0
+        assert mixed > 100 and pure > 50
 
     @pytest.mark.parametrize("targets", [expected_strategy_payoffs, closed_form_targets])
     @pytest.mark.parametrize(

@@ -11,10 +11,11 @@ is pinned byte for byte.
 import numpy as np
 
 from conftest import REFERENCE_POINTS
-from shirklab import (
+from shirklab.model import (
     ALL_STRATEGIES,
     PROSPECTIVE,
     REALIZED,
+    STRATEGY_TABLE,
     AgentStrategy,
     ModelParams,
     agent_payoff,
@@ -24,7 +25,6 @@ from shirklab import (
     use_probability,
     validate_params,
 )
-from shirklab.model import STRATEGY_TABLE
 from shirklab.simulation import _adoption_given_quality, _expected_wages
 
 # -- the hand algebra ------------------------------------------------------

@@ -13,23 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import column, draw_params
-from shirklab import (
-    InvalidCurveError,
-    InvalidParamsError,
-    ModelParams,
-    ReplacementCostCurve,
-    emit_csv,
-    gamma_bar,
-    make_grid,
-    output_drop,
-    solve_threshold,
-    sweep_h,
-    sweep_param,
-)
 from shirklab import model, sweeps
 from shirklab.cli import main
-from shirklab.model import _fmt, validate_params
-from shirklab.sweeps import Table
+from shirklab.equilibrium import ReplacementCostCurve, output_drop, solve_threshold
+from shirklab.errors import InvalidCurveError, InvalidParamsError
+from shirklab.model import ModelParams, _fmt, gamma_bar, validate_params
+from shirklab.sweeps import Table, emit_csv, make_grid, sweep_h, sweep_param
 
 
 def csv_to_table(path: str) -> Table:
