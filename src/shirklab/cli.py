@@ -25,8 +25,13 @@ import argparse
 import configparser
 import functools
 import math
+import os
 import sys
 from collections.abc import Callable, Sequence
+
+# shirklab calls no BLAS routine, so numpy's OpenBLAS thread pool would only
+# spin; the default must be set before numpy loads, and a user's value wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

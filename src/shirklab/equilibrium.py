@@ -41,9 +41,11 @@ DEFAULT_RESOLUTION = 100_000
 MAX_RESOLUTION = 10**7
 #: Bracket width at which ``solve_threshold`` stops bisecting.
 TOL = 1e-10
-#: Bytes of boundary sums one block of scaled curves holds in
-#: ``solve_thresholds``: about 2 MB, 12 rows of the 21114 sums a
-#: 10^5-segment curve needs up to gamma_bar = 0.2111.
+#: Bytes of boundary sums one block of scaled curves holds in the exact
+#: fallback of ``solve_thresholds``: about 2 MB, 12 rows of the 21114 sums
+#: a 10^5-segment curve needs up to gamma_bar = 0.2111.  Only points that
+#: the interval test of ``ReplacementCostCurve._cost_bounds`` (where its
+#: error bound is derived) leaves undecided at some step get a row.
 SCALED_BLOCK_BYTES = 2**21
 #: Reaches ``verify_equilibrium`` samples on each side of the threshold.
 VERIFY_SAMPLES = 9
@@ -95,7 +97,9 @@ class ReplacementCostCurve:
         boundaries that measures up to m / n read.  Each cost is
         ``values * factor``, the float that ``scaled(factor)`` stores, and
         np.cumsum adds each row in sequence, so a row equals the prefix of
-        the sums that curve builds.
+        the sums that curve builds.  Boundary j sums j terms that carry at
+        most 3 roundings each, which bounds how far it can lie from
+        ``factor`` times the unscaled sum (derived in ``_cost_bounds``).
         """
         n = self._segments
         m = out.shape[1] - 1
@@ -198,11 +202,43 @@ class ReplacementCostCurve:
         ``cumulative`` holds one curve's sums, or one row of sums per
         measure in ``x`` with ``factor`` one per row.  ``values[j] * factor``
         is the float that ``scaled(factor)`` stores, so this is that curve's
-        r without building it.  The int64 cast truncates as ``int`` does.
+        r without building it.
         """
-        n = self._segments
-        j = np.minimum((x * n).astype(np.int64), n - 1)
+        j = self._segment_of(x)
         at_j = cumulative[j] if cumulative.ndim == 1 else cumulative[np.arange(len(x)), j]
+        return self._cost_from(at_j, x, j, factor)
+
+    def _cost_bounds(self, x: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """Rows (lo, hi) enclosing r(x) of the curve scaled by ``factors``, one of each per measure.
+
+        No scaled sum is built: ``_cost(x, cumulative, factors)`` on the
+        rows that ``_cumulate`` fills lies in [lo, hi] for every factor
+        that passes ``check_scale``.
+        """
+        j = self._segment_of(x)
+        approx = factors * self._cumulative[j]
+        # Boundary j adds j nonnegative terms of real total f*T in sequence.
+        # Each term is rounded at most 3 times and the sum adds j - 1 more
+        # roundings, so with u = 2^-53 the scaled sum S lies within
+        # gamma_{j+2}*f*T of f*T (Higham, Lemma 3.3), and approx, the
+        # unscaled sum times f rounded once more, within gamma_{j+3}*f*T.
+        # A product or quotient rounded into the subnormal range is off by
+        # up to 2^-1075 instead (a sum is exact there), which adds at most
+        # (2.02*j*(1 + f) + 1)*2^-1075: the f is the unscaled sum's error
+        # carried by the product.  err is at least twice the total, which
+        # also covers rounding err itself and approx -+ err.
+        err = 4 * (j + 8) * 2.0**-53 * approx + (4 * j + 16) * 2.0**-1074 * (1.0 + factors)
+        # rounding is monotone, so the rest of the path keeps lo <= r <= hi
+        return self._cost_from(np.stack((approx - err, approx + err)), x, j, factors)
+
+    def _segment_of(self, x: np.ndarray) -> np.ndarray:
+        """The segment j, 0..n-1, of each measure; the int64 cast truncates as ``int`` does."""
+        n = self._segments
+        return np.minimum((x * n).astype(np.int64), n - 1)
+
+    def _cost_from(self, at_j, x: np.ndarray, j: np.ndarray, factor):
+        """r(x) of the curve scaled by ``factor``, from ``at_j``, its r at the start of segment ``j``."""
+        n = self._segments
         t = x - j / n
         y0 = self.values[j] * factor
         if self.kind == "steps":
@@ -356,13 +392,16 @@ def solve_thresholds(
 
     Point i is solved against ``curve``, or, given ``scales``, against the
     curve with every cost times ``scales[i]``, which must pass
-    ``check_scale``.  Scaled curves are never built: their boundary sums
-    are filled block by block into one buffer of about
-    ``SCALED_BLOCK_BYTES``, and a block's points bisect together.  Every
-    point bisects as a one-point solve does, so the batch changes no bit:
-    every midpoint is dyadic, and each point takes exactly 34 steps to a
-    bracket of width 2^-34, the first below ``TOL``, unless it is
-    credible at h = 1.
+    ``check_scale``.  Scaled curves are never built.  Each step of a
+    scaled point compares the benefit with an interval that contains the
+    scaled curve's r, bounded from the unscaled boundary sums (the bound
+    is derived in ``ReplacementCostCurve._cost_bounds``).  A point that
+    some step cannot decide is solved again on its exact scaled sums,
+    filled block by block into one buffer of about
+    ``SCALED_BLOCK_BYTES``.  Every point bisects as a one-point solve
+    does, so the batch changes no bit: every midpoint is dyadic, and each
+    point takes exactly 34 steps to a bracket of width 2^-34, the first
+    below ``TOL``, unless it is credible at h = 1.
     """
     # a curve_scale sweep passes one params object for every point, so each
     # object's terms are computed once; keyed by identity, as equal params
@@ -374,7 +413,7 @@ def solve_thresholds(
     if scales is None:
         # the bisection reads only measures gamma_bar * h in [0, 1]
         cost = functools.partial(curve._cost, cumulative=curve._cumulative)
-        feasible, infeasible, bisections = _bisect(slope, rate, cost)
+        feasible, infeasible, bisections = _bisect(functools.partial(_credible, slope=slope, rate=rate, cost=cost))
         marginal = [curve.marginal_cost_at_zero] * len(points)
     else:
         factors = np.array(scales, dtype=float)
@@ -383,18 +422,30 @@ def solve_thresholds(
         for factor in factors.tolist():
             curve.check_scale(factor)
         marginal = (curve.values[0] * factors).tolist()
-        feasible, infeasible = np.empty_like(rate), np.empty_like(rate)
-        bisections = np.empty(len(rate), dtype=int)
-        # a solve reads r(gamma_bar * h) with h <= 1, so the sums stop there
-        width = curve._boundaries_to(float(rate.max(initial=0.0))) + 1
-        rows = max(min(SCALED_BLOCK_BYTES // (8 * width), len(rate)), 1)
-        buffer = np.empty((rows, width))
-        for start in range(0, len(rate), rows):
-            block = slice(start, start + rows)
-            cumulative = buffer[: len(factors[block])]
-            curve._cumulate(factors[block], cumulative)
-            cost = functools.partial(curve._cost, cumulative=cumulative, factor=factors[block])
-            feasible[block], infeasible[block], bisections[block] = _bisect(slope[block], rate[block], cost)
+        undecided = np.zeros(len(rate), dtype=bool)
+
+        def decided(h):
+            # credible where the benefit covers the interval's top; the
+            # steps of a point whose benefit falls inside it are redone
+            benefit = slope * h
+            low, high = curve._cost_bounds(rate * h, factors)
+            undecided[...] |= ~((benefit >= high) | (benefit < low))
+            return benefit >= high
+
+        feasible, infeasible, bisections = _bisect(decided)
+        redo = np.flatnonzero(undecided)
+        if redo.size:
+            # a solve reads r(gamma_bar * h) with h <= 1, so the sums stop there
+            width = curve._boundaries_to(float(rate[redo].max())) + 1
+            rows = max(min(SCALED_BLOCK_BYTES // (8 * width), len(redo)), 1)
+            buffer = np.empty((rows, width))
+            for start in range(0, len(redo), rows):
+                block = redo[start : start + rows]
+                cumulative = buffer[: len(block)]
+                curve._cumulate(factors[block], cumulative)
+                cost = functools.partial(curve._cost, cumulative=cumulative, factor=factors[block])
+                credible = functools.partial(_credible, slope=slope[block], rate=rate[block], cost=cost)
+                feasible[block], infeasible[block], bisections[block] = _bisect(credible)
     return [
         EquilibriumSolution(
             gamma_bar=gb,
@@ -411,16 +462,16 @@ def solve_thresholds(
     ]
 
 
-def _bisect(slope: np.ndarray, rate: np.ndarray, cost: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bisect(credible: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bisect the credibility condition on [0, 1] for every point at once.
 
-    ``cost`` maps an array of measures, one per point, to each point's r.
-    Returns the final (feasible, infeasible) bracket ends and the
-    bisection count per point.  A point credible at h = 1 keeps the
-    bracket (1, 1): its midpoint is 1 again, so the steps leave it be and
-    do not count.
+    ``credible`` maps a reach, one float or one per point, to whether each
+    point is credible there.  Returns the final (feasible, infeasible)
+    bracket ends and the bisection count per point.  A point credible at
+    h = 1 keeps the bracket (1, 1): its midpoint is 1 again, so the steps
+    leave it be and do not count.
     """
-    feasible = np.where(_credible(1.0, slope, rate, cost), 1.0, 0.0)
+    feasible = np.where(credible(1.0), 1.0, 0.0)
     infeasible = np.ones_like(feasible)
     bisections = np.zeros(len(feasible), dtype=int)
     while True:
@@ -428,9 +479,9 @@ def _bisect(slope: np.ndarray, rate: np.ndarray, cost: Callable) -> tuple[np.nda
         if not open_.any():
             return feasible, infeasible, bisections
         mid = 0.5 * (feasible + infeasible)
-        credible = _credible(mid, slope, rate, cost)
-        feasible = np.where(credible, mid, feasible)
-        infeasible = np.where(credible, infeasible, mid)
+        step = credible(mid)
+        feasible = np.where(step, mid, feasible)
+        infeasible = np.where(step, infeasible, mid)
         bisections += open_
 
 

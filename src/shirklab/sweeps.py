@@ -109,9 +109,9 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
     left empty.  Points outside a parameter's range, or a negative
     curve scale, are flagged the same way with the error message.  Each
     point is checked on its own, and the admissible points are solved
-    together by ``solve_thresholds``: one batched bisection, or for
-    ``curve_scale`` blocks of points whose scaled boundary sums share one
-    buffer of about 2 MB, so no scaled curve is built.
+    together by ``solve_thresholds`` in one batched bisection; for
+    ``curve_scale`` no scaled curve is built, and only points with a
+    step too close to call from the unscaled sums get scaled sums.
     """
     if parameter not in SWEEPABLE_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEPABLE_PARAMETERS}")

@@ -1,5 +1,6 @@
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -114,3 +115,14 @@ def column(table, name: str) -> list:
     """One column of a sweep ``Table``, its cells as Python objects."""
     index = table.columns.index(name)
     return [row[index] for row in table.rows]
+
+
+def recording_cumulate(built: list):
+    """Patch ``ReplacementCostCurve._cumulate`` to append to ``built`` each factor it fills scaled sums for."""
+    cumulate = ReplacementCostCurve._cumulate
+
+    def recording(self, factors, out):
+        built.extend(factors.tolist())
+        cumulate(self, factors, out)
+
+    return mock.patch.object(ReplacementCostCurve, "_cumulate", recording)

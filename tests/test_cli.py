@@ -2,6 +2,9 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -594,3 +597,26 @@ def test_every_name_the_benchmark_traces_still_exists():
     for name in spans.CURVE_BUILDERS + ("validate",):
         # read from the class itself, as the tracer does
         assert name in vars(curve), name
+
+
+#: Prints OPENBLAS_NUM_THREADS as numpy starts to load, then imports the CLI.
+_BLAS_PROBE = """
+import os, sys
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Spy())
+import shirklab.cli
+"""
+
+
+@pytest.mark.parametrize("setting, seen", [(None, "1"), ("3", "3")])
+def test_the_cli_sets_one_blas_thread_before_numpy_loads_unless_the_user_did(setting, seen):
+    src = Path(__file__).parent.parent / "src"
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(src) + os.pathsep + os.environ.get("PYTHONPATH", "")
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    result = subprocess.run([sys.executable, "-c", _BLAS_PROBE], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout == f"{seen}\n"

@@ -1,6 +1,8 @@
 """Replacement-cost curves, threshold solving, and closed-form comparisons."""
 
 import dataclasses
+import math
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_curve, draw_params
+from conftest import draw_curve, draw_params, recording_cumulate
 from shirklab import equilibrium, model
 from shirklab.cli import main
 from shirklab.equilibrium import (
@@ -450,6 +452,72 @@ def _largest_scale(curve):
     return 0.99 * np.finfo(float).max / (terms * max(float(curve.values[-1]), 1.0))
 
 
+def _exact_threshold(p, curve):
+    """The exact end h* of the credible interval, and how far a solve's bracket may miss it.
+
+    g(h) = slope*h - r(gamma_bar*h) is concave with g(0) = 0, so the
+    credible set is [0, h*], capped at 1.  Between the boundaries j/n
+    whose sums ``_cumulative`` holds, r is quadratic (nodes) or linear
+    (steps).  The last boundary with g >= 0 fixes the segment, and one
+    equation on it, solved in rationals, gives h*.  Neither the solve's
+    interval test nor its bisection is used.
+
+    The allowance: the solve decides the sign of g(h) in floats, to
+    within about 11*u*h*slope + 3*u*h*|g'(h)|, u = 2^-53, so its bracket
+    may miss h* by that over |g'(h*)|.  64*u*h*(1 + slope/|g'(h*)|)
+    covers it and the oracle's own roundings.  Both read the same float
+    boundary sums, so their rounding is common to both.
+    """
+    rate, slope = gamma_bar(p), credibility_slope(p)
+    if rate == 0.0 or math.isinf(slope):
+        return 1.0, 0.0
+    n = curve._segments
+    reach = np.arange(n + 1) / n / rate
+    inside = np.flatnonzero(reach <= 1.0)
+    g = slope * reach[inside] - curve._cumulative[inside]
+    j = min(int(inside[g >= 0.0][-1]), n - 1)
+    # at measure x = (j + v) / n, slope*h = r(x) reads a*v^2 + b*v + c = 0,
+    # scaled by n / k with k = slope / rate, and v = 0 at boundary j
+    k = Fraction(slope) / Fraction(rate)
+    y0 = Fraction(float(curve.values[j]))
+    y1 = Fraction(float(curve.values[j + 1])) if curve.kind == "nodes" else y0
+    a, b, c = (y1 - y0) / (2 * k), y0 / k - 1, Fraction(float(curve._cumulative[j])) * n / k - j
+    top = max(abs(a), abs(b), abs(c))
+    fa, fb, fc = (float(term / top) for term in (a, b, c))
+    disc = math.sqrt(max(fb * fb - 4.0 * fa * fc, 0.0))
+    if fb > 0.0:
+        v = -2.0 * fc / (fb + disc)
+    elif fa > 0.0:
+        v = (disc - fb) / (2.0 * fa)
+    else:
+        # g does not fall on the last segment within reach 1
+        return 1.0, 0.0
+    h = (j + v) / n / rate
+    if h >= 1.0:
+        return 1.0, 0.0
+    # -g'(h*) / slope
+    falling = abs(b + 2 * a * Fraction(v))
+    return h, 64 * 2.0**-53 * h * (1.0 + (math.inf if falling == 0 else float(1 / falling)))
+
+
+def _assert_brackets_the_exact_threshold(sol, p, curve):
+    exact, allowance = _exact_threshold(p, curve)
+    low, high = sol.bracket
+    assert low - allowance <= exact <= high + allowance, (sol.bracket, exact, allowance)
+
+
+def _scale_factors(rng, curve, kinds):
+    """One scale factor per kind: zero, the least subnormal, a draw, or nearly the largest."""
+    draws = {"zero": lambda: 0.0, "tiny": lambda: 5e-324, "drawn": lambda: 10.0 ** rng.uniform(-3.0, 3.0)}
+    draws["largest"] = lambda: _largest_scale(curve)
+    return [draws[kind]() for kind in kinds]
+
+
+def _cli_errstate():
+    """The CLI's float checks: an overflow or invalid operation would exit 2."""
+    return np.errstate(over="raise", invalid="raise", divide="raise")
+
+
 class TestSolveThresholds:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -505,6 +573,100 @@ class TestSolveThresholds:
             feasible, infeasible, steps = _scalar_solve(p, scaled)
             assert (sol.h_tilde, sol.bracket, sol.bisections) == (feasible, (feasible, infeasible), steps)
             assert sol.bisections in (0, 34)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(("linear", "power", "file")),
+        kinds=st.lists(st.sampled_from(("zero", "tiny", "drawn", "largest")), max_size=27),
+        block_bytes=st.sampled_from((1, 10_000, 2**21)),
+    )
+    def test_the_exact_fallback_alone_equals_solves_on_scaled_copies(self, seed, family, kinds, block_bytes, curve_dir):
+        # bounds that decide no step send every point to the exact scaled sums
+        rng = np.random.default_rng(seed)
+        curve = _family_curve(family, rng, curve_dir)
+        p = draw_params(rng)
+        factors = _scale_factors(rng, curve, ["zero", "tiny", "largest", *kinds])
+        built = []
+
+        def undecided(self, x, factors):
+            return np.stack((np.full(len(x), -np.inf), np.full(len(x), np.inf)))
+
+        with (
+            mock.patch.object(ReplacementCostCurve, "_cost_bounds", undecided),
+            recording_cumulate(built),
+            mock.patch.object(equilibrium, "SCALED_BLOCK_BYTES", block_bytes),
+            _cli_errstate(),
+        ):
+            batch = solve_thresholds([p] * len(factors), curve, factors)
+        assert built == factors
+        for factor, sol in zip(factors, batch):
+            scaled = curve.scaled(factor)
+            assert repr(sol) == repr(solve_threshold(p, scaled))
+            _assert_brackets_the_exact_threshold(sol, p, scaled)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(("linear", "power", "file")),
+        edges=st.lists(st.sampled_from(("none", "eps0", "costless")), min_size=1, max_size=6),
+    )
+    def test_every_solve_brackets_the_exact_threshold(self, seed, family, edges, curve_dir):
+        rng = np.random.default_rng(seed)
+        curve = _family_curve(family, rng, curve_dir)
+        points = []
+        for edge in edges:
+            p = draw_params(rng)
+            if edge == "eps0":
+                p = dataclasses.replace(p, eps=0.0)
+            elif edge == "costless":
+                p = dataclasses.replace(p, c=0.0, w=0.0)
+            if validate_params(p).admissible:
+                points.append(p)
+        for p, sol in zip(points, solve_thresholds(points, curve)):
+            _assert_brackets_the_exact_threshold(sol, p, curve)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(("linear", "power", "file")),
+        kinds=st.lists(st.sampled_from(("zero", "tiny", "drawn", "largest")), min_size=1, max_size=30),
+    )
+    def test_every_scaled_solve_brackets_the_exact_threshold(self, seed, family, kinds, curve_dir):
+        rng = np.random.default_rng(seed)
+        curve = _family_curve(family, rng, curve_dir)
+        p = draw_params(rng)
+        factors = _scale_factors(rng, curve, kinds)
+        with _cli_errstate():
+            batch = solve_thresholds([p] * len(factors), curve, factors)
+        for factor, sol in zip(factors, batch):
+            _assert_brackets_the_exact_threshold(sol, p, curve.scaled(factor))
+
+    def test_near_ties_at_the_first_midpoint_take_the_exact_path(self, p0):
+        # 200 neighbouring factors around the one whose cost at h = 1/2
+        # meets the benefit; for some, the cost from the unscaled sums and
+        # the exact one fall on opposite sides of it, so only the exact
+        # path can decide that step
+        curve = ReplacementCostCurve.linear(1000.0, resolution=10_000)
+        rate, benefit = gamma_bar(p0), credibility_slope(p0) * 0.5
+        x = np.array([rate * 0.5])
+        j = curve._segment_of(x)
+        factors = [float(benefit / curve.cost(float(x[0]))) * (1.0 - 2e-14)]
+        for _ in range(199):
+            factors.append(float(np.nextafter(factors[-1], np.inf)))
+        ties = []
+        for factor in factors:
+            exact = curve.scaled(factor).cost(float(x[0]))
+            approx = float(curve._cost_from(factor * curve._cumulative[j], x, j, factor)[0])
+            if min(exact, approx) <= benefit < max(exact, approx):
+                ties.append(factor)
+        assert ties
+        built = []
+        with recording_cumulate(built), _cli_errstate():
+            batch = solve_thresholds([p0] * len(factors), curve, factors)
+        assert set(ties) <= set(built)
+        for factor, sol in zip(factors, batch):
+            assert repr(sol) == repr(solve_threshold(p0, curve.scaled(factor)))
 
     @pytest.mark.parametrize("factor", [-1.0, float("nan"), float("inf"), 1e307])
     def test_a_scale_the_curve_cannot_take_raises(self, p0, factor):

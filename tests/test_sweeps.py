@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import column, draw_params
+from conftest import column, draw_params, recording_cumulate
 from shirklab import model, sweeps
 from shirklab.cli import main
 from shirklab.equilibrium import ReplacementCostCurve, output_drop, solve_threshold
@@ -459,6 +459,22 @@ def test_a_curve_scale_sweep_holds_about_one_block_of_sums(p0):
             tracemalloc.stop()
     assert column(table, "admissible") == [True] * 200
     assert peak < 4 * 2**20
+
+
+def test_the_benchmark_curve_scale_sweep_builds_scaled_sums_for_few_points(p0):
+    # the benchmark's sweep: most bisection steps are decided from the
+    # unscaled sums, and only a point with an undecided step gets a row
+    curve = ReplacementCostCurve.linear(705.96235)
+    grid = make_grid(0.1, 10.0, 0.01)
+    built = []
+    with recording_cumulate(built):
+        table = sweep_param("curve_scale", p0, curve, grid)
+    assert len(grid) == 991
+    assert len(built) <= 0.05 * len(grid)
+    # every point that fell back, and every 50th, equals a one-point solve on its scaled copy
+    checked = sorted(set(np.flatnonzero(np.isin(grid, built)).tolist()) | set(range(0, len(grid), 50)))
+    rows = table.rows
+    assert repr([rows[i] for i in checked]) == repr(list(_point_rows("curve_scale", p0, curve, grid[checked])))
 
 
 def test_make_grid_is_inclusive():
