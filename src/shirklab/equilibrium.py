@@ -30,8 +30,10 @@ from .model import (
     AgentStrategy,
     ModelParams,
     _fmt,
+    _gamma_bar,
     agent_payoff,
     gamma_bar,
+    require_admissible,
 )
 
 #: Default number of evaluation nodes for closed-form schedules.
@@ -404,10 +406,29 @@ def solve_thresholds(
     below ``TOL``, unless it is credible at h = 1.
     """
     # a curve_scale sweep passes one params object for every point, so each
-    # object's terms are computed once; keyed by identity, as equal params
-    # such as c = w = -0.0 and c = w = 0.0 give gamma_bar -0.0 and 0.0
+    # object is checked once
+    for p in {id(p): p for p in points}.values():
+        require_admissible(p)
+    if scales is not None:
+        factors = np.asarray(scales, dtype=float)
+        if len(factors) != len(points):
+            raise ValueError(f"{len(factors)} scales for {len(points)} points")
+        for factor in factors.tolist():
+            curve.check_scale(factor)
+    return _solve_checked(points, curve, scales)
+
+
+def _solve_checked(
+    points: Sequence[ModelParams],
+    curve: ReplacementCostCurve,
+    scales: Sequence[float] | None,
+) -> list[EquilibriumSolution]:
+    """``solve_thresholds`` of admissible points and of scales that pass ``check_scale``, checking neither."""
+    # each params object's terms are computed once; keyed by identity, as
+    # equal params such as c = w = -0.0 and c = w = 0.0 give gamma_bar -0.0
+    # and 0.0
     distinct = {id(p): p for p in points}
-    terms = {key: (gamma_bar(p), credibility_slope(p)) for key, p in distinct.items()}
+    terms = {key: (_gamma_bar(p), credibility_slope(p)) for key, p in distinct.items()}
     rate = np.array([terms[id(p)][0] for p in points], dtype=float)
     slope = np.array([terms[id(p)][1] for p in points], dtype=float)
     if scales is None:
@@ -417,10 +438,6 @@ def solve_thresholds(
         marginal = [curve.marginal_cost_at_zero] * len(points)
     else:
         factors = np.array(scales, dtype=float)
-        if len(factors) != len(points):
-            raise ValueError(f"{len(factors)} scales for {len(points)} points")
-        for factor in factors.tolist():
-            curve.check_scale(factor)
         marginal = (curve.values[0] * factors).tolist()
         undecided = np.zeros(len(rate), dtype=bool)
 

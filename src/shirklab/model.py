@@ -243,6 +243,11 @@ def gamma_bar(p: ModelParams) -> float:
     [0, 1] for admissible parameters.
     """
     require_admissible(p)
+    return _gamma_bar(p)
+
+
+def _gamma_bar(p: ModelParams) -> float:
+    """``gamma_bar`` of parameters the caller has already found admissible."""
     numerator = p.c + (1.0 - p.signal_good_prob()) * p.w
     return numerator / ((1.0 - p.pi) * (1.0 - p.eps) * p.v_c)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import column, draw_params, recording_cumulate
 from shirklab import model, sweeps
 from shirklab.cli import main
-from shirklab.equilibrium import ReplacementCostCurve, output_drop, solve_threshold
+from shirklab.equilibrium import TOL, ReplacementCostCurve, output_drop, solve_threshold
 from shirklab.errors import InvalidCurveError, InvalidParamsError
 from shirklab.model import ModelParams, _fmt, gamma_bar, validate_params
 from shirklab.sweeps import Table, emit_csv, make_grid, sweep_h, sweep_param
@@ -147,13 +147,45 @@ class TestSweepParam:
         grid = [0.25 * k for k in range(1, 41)]
         in_sweep = mock.patch.object(sweeps, "validate_params", wraps=validate_params)
         in_solve = mock.patch.object(model, "validate_params", wraps=validate_params)
-        with in_sweep as in_sweep, in_solve as in_solve:
+        scale_checks = mock.patch.object(
+            ReplacementCostCurve, "check_scale", autospec=True, side_effect=ReplacementCostCurve.check_scale
+        )
+        with in_sweep as in_sweep, in_solve as in_solve, scale_checks as scale_checks:
             table = sweep_param("curve_scale", p0, linear_curve, grid)
         assert all(column(table, "admissible"))
         assert in_sweep.call_count == 1
-        # the solve computes the one params object's rate once, and nothing
-        # else checks it again
-        assert in_sweep.call_count + in_solve.call_count == 2
+        # the solve checks neither the params nor any scale again
+        assert in_solve.call_count == 0
+        assert scale_checks.call_count == len(grid)
+
+    @pytest.mark.parametrize(
+        "parameter, grid",
+        [
+            # the benchmark's pi sweep: 981 points, 874 of them admissible
+            ("pi", make_grid(0.5, 0.99, 0.0005)),
+            ("eps", (0.0, 0.05, 0.1, 0.3, 0.6)),
+            ("g", (0.05, 0.5, 20.0)),
+            ("c", (0.0, 0.01, 0.05, -1.0)),
+            ("w", (0.0, 0.05, 3.0)),
+            ("v_c", (0.01, 1.0, 4.0)),
+        ],
+    )
+    def test_a_param_sweep_validates_each_point_once(self, p0, linear_curve, parameter, grid):
+        in_sweep = mock.patch.object(sweeps, "validate_params", wraps=validate_params)
+        in_solve = mock.patch.object(model, "validate_params", wraps=validate_params)
+        with in_sweep as in_sweep, in_solve as in_solve:
+            table = sweep_param(parameter, p0, linear_curve, grid)
+        in_range = 0
+        for value in map(float, grid):
+            try:
+                dataclasses.replace(p0, **{parameter: value})
+            except InvalidParamsError:
+                continue
+            in_range += 1
+        assert any(column(table, "admissible"))
+        # an out-of-range point is rejected by the constructor, unvalidated
+        assert in_sweep.call_count == in_range
+        assert in_solve.call_count == 0
 
     def test_inadmissible_params_flag_every_valid_curve_scale(self, p0, linear_curve):
         params = dataclasses.replace(p0, c=1.0)
@@ -260,6 +292,30 @@ CELLS = st.one_of(
 )
 
 
+#: Cells of the numpy columns the sweeps produce, by dtype: texts holding
+#: the characters that %-templates and csv.writer treat apart, and floats
+#: that compare equal with different texts (-0.0, 0.0) or unequal to
+#: themselves (NaN).
+RUN_CELLS = {
+    bool: st.booleans(),
+    str: st.one_of(
+        st.sampled_from(["effort", "shirk", "", "50%", "%s", "%%", "a,b", 'say "x"']),
+        st.text(alphabet=st.sampled_from([",", '"', "\n", "a", "%", "\u00e9"]), max_size=4),
+    ),
+    int: st.integers(-(2**63), 2**63 - 1),
+    float: st.one_of(st.sampled_from((-0.0, 0.0, math.nan)), st.floats(allow_nan=True, allow_infinity=True)),
+}
+
+
+@st.composite
+def runs(draw, dtype, size):
+    """A numpy column of ``size`` cells in runs of one repeated value, so runs span chunk boundaries."""
+    cells = []
+    while len(cells) < size:
+        cells += [draw(RUN_CELLS[dtype])] * draw(st.integers(1, 12))
+    return np.array(cells[:size], dtype=dtype)
+
+
 @st.composite
 def tables(draw):
     width = draw(st.integers(1, 4))
@@ -267,12 +323,14 @@ def tables(draw):
     # a column keeps one kind of cell in some tables, so all-float columns
     # and the per-cell path both meet the chunk boundaries
     uniform = draw(st.booleans())
-    kinds = [draw(st.sampled_from(["float", "any"])) for _ in range(width)]
+    kinds = [draw(st.sampled_from(["float", "any", *RUN_CELLS])) for _ in range(width)]
     floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
     size = draw(st.integers(1, 25))
     data = []
     for kind in kinds:
-        if uniform and kind == "float":
+        if kind in RUN_CELLS:
+            data.append(draw(runs(kind, size)))
+        elif uniform and kind == "float":
             cells = draw(st.lists(floats, min_size=size, max_size=size))
             # a sweep's float column is an array, a hand-built one may be a tuple
             data.append(np.array(cells) if draw(st.booleans()) else tuple(cells))
@@ -311,6 +369,64 @@ class TestEmitCsvMatchesCsvWriter:
         lone = Table(("mixed",), (cells,))
         emit_csv(lone, str(path))
         assert path.read_bytes() == _reference_csv(lone)
+
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            np.array([-0.0] * 5 + [0.0] * 5 + [-0.0] * 3),
+            np.array([1.5] * 4 + [math.nan] * 7 + [math.inf] * 2),
+            np.array(["50%"] * 6 + ["a,b"] * 4 + ['say "x"'] * 5),
+            np.array([True] * 7 + [False] * 3),
+            np.array([2**63 - 1] * 5 + [-1] * 5),
+        ],
+        ids=["signed-zeros", "nan-run", "special-texts", "bools", "ints"],
+    )
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 4096])
+    def test_runs_of_one_value_span_chunk_boundaries(self, cells, chunk, tmp_path):
+        table = Table(("run", "x"), (cells, np.arange(len(cells)) / 3.0))
+        lone = Table(("run",), (cells,))
+        path = tmp_path / "t.csv"
+        with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
+            for written in (table, lone):
+                emit_csv(written, str(path))
+                assert path.read_bytes() == _reference_csv(written)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4096])
+    def test_a_lone_column_of_empty_texts_is_quoted_on_every_row(self, chunk, tmp_path):
+        table = Table(("only",), (np.array([""] * 5),))
+        path = tmp_path / "t.csv"
+        with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
+            emit_csv(table, str(path))
+        assert path.read_bytes() == _reference_csv(table) == b'only\n' + b'""\n' * 5
+
+
+class TestHSweepAcrossChunks:
+    @pytest.mark.parametrize("fine", [False, True], ids=["unit-grid", "around-h_tilde"])
+    def test_the_chunk_holding_h_tilde_switches_and_the_rest_are_constant(self, p0, linear_curve, fine, tmp_path):
+        h_tilde = solve_threshold(p0, linear_curve).h_tilde
+        if fine:
+            # steps of 2e-11 put about ten rows within TOL of h_tilde
+            grid = h_tilde + np.arange(-4500, 15500) * 2e-11
+        else:
+            grid = make_grid(0.0, 1.0, 5e-5)
+        table = sweep_h(p0, linear_curve, grid)
+        path = tmp_path / "h.csv"
+        emit_csv(table, str(path))
+        assert path.read_bytes() == _reference_csv(table)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        h = grid.tolist()
+        switch = sum(x <= h_tilde for x in h)
+        # about 2 x 10^4 rows: whole chunks on each side, and the switch inside a chunk
+        assert len(rows) == len(h) >= 20000
+        assert switch > sweeps.CSV_CHUNK_ROWS and switch % sweeps.CSV_CHUNK_ROWS
+        assert len(rows) - switch > 2 * sweeps.CSV_CHUNK_ROWS
+        assert [row[1] for row in rows] == ["effort"] * switch + ["shirk"] * (len(rows) - switch)
+        assert h[switch - 1] <= h_tilde < h[switch]
+        flagged = [i for i, row in enumerate(rows) if row[5] == "true"]
+        assert flagged == [i for i, x in enumerate(h) if abs(x - h_tilde) <= TOL]
+        if fine:
+            assert flagged[0] < switch <= flagged[-1]
 
 
 class TestTable:
