@@ -9,10 +9,10 @@ the technology.  Users are paid a wage premium ``w`` before production is
 observed, and workers who are not fired keep a continuation value ``v_c``.
 
 This module holds the parameter container with its admissibility checks,
-the strategy table that gives each pure strategy its meaning, expected
-production and expected payoff for each pure strategy, the minimal
-punishment (firing) rate that makes research effort incentive-compatible,
-and the brute-force best response over the full strategy set.
+the strategy table that gives each pure strategy its meaning, the state
+table of its outcomes, expected production and expected payoff for each
+pure strategy, and the minimal punishment (firing) rate that makes
+research effort incentive-compatible.
 """
 
 from __future__ import annotations
@@ -20,7 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Literal
+
+import numpy as np
 
 from .errors import InadmissibleParamsError, InvalidParamsError
 
@@ -85,6 +88,11 @@ class ModelParams:
         """Probability the signal reads 'good': pi(1-eps) + (1-pi)eps."""
         return self.pi * (1.0 - self.eps) + (1.0 - self.pi) * self.eps
 
+    @cached_property
+    def state_table(self) -> StateTable:
+        """The state table of these parameters, built once on first use."""
+        return StateTable(self)
+
 
 class AgentStrategy(IntEnum):
     """Pure strategies over (effort, adoption) for a worker with access.
@@ -113,8 +121,8 @@ class AgentStrategy(IntEnum):
 
 #: The meaning of each strategy, one row per ``AgentStrategy`` code:
 #: (exerts effort, adopts on a good reading, adopts on a bad reading).
-#: Shirkers see no reading, so their two adoption entries agree.  Every
-#: closed form below and the simulation's arrays are derived from it.
+#: Shirkers see no reading, so their two adoption entries agree.  The
+#: arrays and the state table below, and every closed form, derive from it.
 STRATEGY_TABLE: tuple[tuple[bool, bool, bool], ...] = (
     (False, False, False),  # SHIRK_NO_USE
     (False, True, True),  # SHIRK_USE
@@ -125,6 +133,37 @@ STRATEGY_TABLE: tuple[tuple[bool, bool, bool], ...] = (
 )
 
 ALL_STRATEGIES: tuple[AgentStrategy, ...] = tuple(AgentStrategy)
+
+# the strategy table as arrays: effort per code, adoption per (reading: 0 bad, 1 good; code)
+_EFFORT, _ADOPTS_ON_GOOD, _ADOPTS_ON_BAD = np.array(STRATEGY_TABLE).T
+_ADOPTS = np.array([_ADOPTS_ON_BAD, _ADOPTS_ON_GOOD])
+
+#: The four (quality, reading) states in one fixed order, as (good technology,
+#: reading): a good technology read right, then wrong, then a bad one likewise.
+STATES: tuple[tuple[bool, int], ...] = ((True, 1), (True, 0), (False, 0), (False, 1))
+
+
+class StateTable:
+    """Each strategy's outcome in each (quality, reading) state, for one parameter set.
+
+    Row k of ``adopts``, ``produced`` and ``fails`` is state ``STATES[k]``, of
+    probability ``prob[k]``; column s, strategy code s, says whether it adopts
+    there, what it produces and whether it fails (adopts a bad technology).
+    ``use``, ``use_given_good`` and ``use_given_bad`` are each strategy's
+    adoption chance: x or 1 - x for a chance x of a good reading.
+    """
+
+    adopts = _ADOPTS[[reading for _, reading in STATES]]
+    fails = adopts & ~np.array([[good] for good, _ in STATES])
+
+    def __init__(self, p: ModelParams):
+        right_or_wrong = (1.0 - p.eps, p.eps)
+        self.prob = tuple((p.pi if good else 1.0 - p.pi) * right_or_wrong[good != reading] for good, reading in STATES)
+        self.produced = np.where(self.adopts, np.where(self.fails, 0.0, 1.0 + p.g), 1.0)
+        chance = np.array([[p.signal_good_prob()], [1.0 - p.eps], [p.eps]])
+        self.use, self.use_given_good, self.use_given_bad = np.where(
+            _ADOPTS_ON_GOOD, np.where(_ADOPTS_ON_BAD, 1.0, chance), np.where(_ADOPTS_ON_BAD, 1.0 - chance, 0.0)
+        )
 
 
 @dataclass(frozen=True)
@@ -185,52 +224,34 @@ def require_admissible(p: ModelParams) -> None:
         raise InadmissibleParamsError(f"inadmissible parameters: {failures}")
 
 
-def _adoption_probability(strategy: AgentStrategy, good_reading: float) -> float:
-    """Probability the strategy adopts when the reading is good w.p. ``good_reading``."""
-    _, on_good, on_bad = STRATEGY_TABLE[strategy]
-    if on_good and on_bad:
-        return 1.0
-    if on_good:
-        return good_reading
-    if on_bad:
-        return 1.0 - good_reading
-    return 0.0
-
-
 def use_probability(strategy: AgentStrategy, p: ModelParams) -> float:
     """Unconditional probability the strategy adopts the technology."""
-    return _adoption_probability(strategy, p.signal_good_prob())
+    return float(p.state_table.use[strategy])
 
 
 def failure_probability(strategy: AgentStrategy, p: ModelParams) -> float:
-    """Probability of zero production: the technology is used and bad.
-
-    A bad technology reads good exactly when the signal is wrong.
-    """
-    return (1.0 - p.pi) * _adoption_probability(strategy, p.eps)
+    """Probability of zero production: the technology is used and bad."""
+    return (1.0 - p.pi) * float(p.state_table.use_given_bad[strategy])
 
 
 def expected_production(strategy: AgentStrategy, p: ModelParams) -> float:
     """Expected output of one worker with access, excluding the effort cost.
 
-    Sums probability times output over the (quality, reading) states the
-    strategy tells apart, the unused states first and each group in state
-    order, so the sum reproduces the hand-written closed forms bit for bit.
+    Sums probability times output over the states of the state table, the
+    unused states first and each group in state order, so the sum
+    reproduces the hand-written closed forms bit for bit.
     """
-    _, on_good, on_bad = STRATEGY_TABLE[strategy]
-    if on_good == on_bad:
+    table = p.state_table
+    used = table.adopts[:, strategy].tolist()
+    produced = table.produced[:, strategy].tolist()
+    if used[0] == used[1]:
         # adoption ignores the reading, so only the quality matters
-        states = ((p.pi, True, on_good), (1.0 - p.pi, False, on_good))
+        terms = zip((p.pi, 1.0 - p.pi), produced[1:3], used[1:3])
     else:
-        states = (
-            (p.pi * (1.0 - p.eps), True, on_good),
-            (p.pi * p.eps, True, on_bad),
-            ((1.0 - p.pi) * (1.0 - p.eps), False, on_bad),
-            ((1.0 - p.pi) * p.eps, False, on_good),
-        )
+        terms = zip(table.prob, produced, used)
     total = 0.0
-    for prob, good, used in sorted(states, key=lambda state: state[2]):
-        total += prob * (((1.0 + p.g) if good else 0.0) if used else 1.0)
+    for prob, output, _ in sorted(terms, key=lambda term: term[2]):
+        total += prob * output
     return total
 
 
@@ -280,18 +301,3 @@ def agent_payoff(
     else:
         wage = expected_production(strategy, p)
     return -effort_cost + wage + survival
-
-
-def best_response(
-    gamma: float,
-    p: ModelParams,
-    comp: Compensation = PROSPECTIVE,
-) -> set[AgentStrategy]:
-    """All payoff-maximizing strategies, ties within ``PAYOFF_TIE_TOL`` included.
-
-    The tie at the minimal punishment rate is meaningful (it defines that
-    rate), so ties are returned as a set rather than broken arbitrarily.
-    """
-    payoffs = {s: agent_payoff(s, gamma, p, comp) for s in ALL_STRATEGIES}
-    best = max(payoffs.values())
-    return {s for s, value in payoffs.items() if value >= best - PAYOFF_TIE_TOL}

@@ -58,8 +58,10 @@ from .model import (
     PAYOFF_TIE_TOL,
     PROSPECTIVE,
     REALIZED,
-    STRATEGY_TABLE,
-    _adoption_probability,
+    STATES,
+    StateTable,
+    _ADOPTS,
+    _EFFORT,
     _fmt,
     agent_payoff,
     expected_production,
@@ -77,10 +79,6 @@ MAX_AGENTS = 10**7
 MAX_TRIALS = 10**6
 
 _N_STRATEGIES = len(ALL_STRATEGIES)
-# the strategy table as arrays: effort per code, and adoption per
-# (reading, code) with reading 1 good and 0 bad
-_EFFORT, _ADOPTS_ON_GOOD, _ADOPTS_ON_BAD = np.array(STRATEGY_TABLE).T
-_ADOPTS = np.array([_ADOPTS_ON_BAD, _ADOPTS_ON_GOOD])
 
 
 @dataclass(frozen=True)
@@ -508,16 +506,9 @@ def monte_carlo(
 # -- exact deviation payoffs ---------------------------------------------
 
 
-def _adoption_given_quality(p: ModelParams, good: bool) -> np.ndarray:
-    """Each strategy's adoption probability given the technology's quality."""
-    good_reading = (1.0 - p.eps) if good else p.eps
-    return np.array([_adoption_probability(s, good_reading) for s in ALL_STRATEGIES])
-
-
 def _expected_wages(p: ModelParams, compensation: str) -> np.ndarray:
     """Each strategy's expected wage, conditioning adoption on the quality."""
-    use_good = _adoption_given_quality(p, True)
-    use_bad = _adoption_given_quality(p, False)
+    use_good, use_bad = p.state_table.use_given_good, p.state_table.use_given_bad
     if compensation == PROSPECTIVE:
         return p.w * (p.pi * use_good + (1.0 - p.pi) * use_bad)
     return p.pi * (use_good * (1.0 + p.g) + (1.0 - use_good)) + (1.0 - p.pi) * (1.0 - use_bad)
@@ -529,25 +520,23 @@ def _common_signal_rows(p: ModelParams, compensation: str) -> np.ndarray:
     A deviator who fails in a bad state is fired iff no lower-indexed agent
     fails there too.  Row ``2 * f_right + f_wrong`` holds the payoffs of an
     agent who would be fired (flag 1) or spared (flag 0) on failing in the
-    bad state with a right or a wrong signal.  The four (quality,
-    signal-error) states are summed in a fixed order, so every agent's
-    payoffs are bit-identical to a per-agent expectation.
+    bad state with a right or a wrong signal.  The states of the state
+    table are summed in its order, so every agent's payoffs are
+    bit-identical to a per-agent expectation.
     """
     rows = np.zeros((4, _N_STRATEGIES))
-    fired_if = {False: np.array([0, 0, 1, 1], dtype=bool), True: np.array([0, 1, 0, 1], dtype=bool)}
+    # which rows are fired on failing in the bad state read right (reading 0) and wrong (1)
+    fired_if = np.array([[0, 0, 1, 1], [0, 1, 0, 1]], dtype=bool)
+    table = p.state_table
     effort_cost = np.where(_EFFORT, p.c, 0.0)
-    for good in (True, False):
-        for wrong in (False, True):
-            prob = (p.pi if good else 1.0 - p.pi) * (p.eps if wrong else 1.0 - p.eps)
-            if prob == 0.0:
-                continue
-            use = _ADOPTS[int(good != wrong)]
-            produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
-            wage = np.where(use, p.w, 0.0) if compensation == PROSPECTIVE else produced
-            base = wage - effort_cost + p.v_c
-            # a deviator who fails (uses a bad technology) loses v_c when first in line
-            fired = (use & (not good))[None, :] & fired_if[wrong][:, None]
-            rows += prob * (base - p.v_c * fired)
+    for (_, reading), prob, use, produced, fails in zip(STATES, table.prob, table.adopts, table.produced, table.fails):
+        if prob == 0.0:
+            continue
+        wage = np.where(use, p.w, 0.0) if compensation == PROSPECTIVE else produced
+        base = wage - effort_cost + p.v_c
+        # a deviator who fails (uses a bad technology) loses v_c when first in line
+        fired = fails[None, :] & fired_if[reading][:, None]
+        rows += prob * (base - p.v_c * fired)
     return rows
 
 
@@ -562,9 +551,9 @@ def _common_signal_row_of_agent(codes: np.ndarray) -> np.ndarray:
     """
     m = len(codes)
     row = np.zeros(m, dtype=np.intp)
-    for bit, wrong in ((2, False), (1, True)):
-        # in the bad state the signal reads good exactly when it is wrong
-        failing = _ADOPTS[int(wrong)][codes]
+    # the bad technology's states, read right and then wrong
+    for bit, fails in zip((2, 1), StateTable.fails[2:]):
+        failing = fails[codes]
         first = failing.argmax() if failing.any() else m
         row += bit * (np.arange(m) <= first)
     return row
@@ -600,7 +589,7 @@ def _deviation_payoff_table(
     # independent signals: failures are independent across agents given a
     # bad technology, so the chance no lower-indexed agent fails is a
     # prefix product
-    use_bad = _adoption_given_quality(p, False)
+    use_bad = p.state_table.use_given_bad
     prefix = np.ones(m)
     prefix[1:] = np.cumprod(1.0 - use_bad[codes[:-1]])
     fired_prob = ((1.0 - p.pi) * use_bad)[None, :] * prefix[:, None]
@@ -737,8 +726,8 @@ class _SharedRows:
     def __init__(self, cfg: SimConfig, codes: bytearray):
         self.codes = codes
         rows = _common_signal_rows(cfg.params, cfg.compensation)
-        # the codes that adopt on a bad reading (a right signal in the bad state) and on a good one
-        failing = [np.flatnonzero(adopts).tolist() for adopts in _ADOPTS]
+        # the codes that fail in the bad technology's states, read right and then wrong
+        failing = [np.flatnonzero(fails).tolist() for fails in StateTable.fails[2:]]
         self.failing = [frozenset(group) for group in failing]
         # each finds the next failing agent
         self.scans = [re.compile(b"[" + bytes(group) + b"]") for group in failing]

@@ -8,7 +8,14 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from shirklab.equilibrium import ReplacementCostCurve  # noqa: E402
-from shirklab.model import ModelParams, validate_params  # noqa: E402
+from shirklab.model import (  # noqa: E402
+    ALL_STRATEGIES,
+    PAYOFF_TIE_TOL,
+    PROSPECTIVE,
+    ModelParams,
+    agent_payoff,
+    validate_params,
+)
 from shirklab.simulation import StrategyProfile  # noqa: E402
 
 
@@ -20,6 +27,17 @@ def p0() -> ModelParams:
 @pytest.fixture
 def linear_curve() -> ReplacementCostCurve:
     return ReplacementCostCurve.linear(1000.0)
+
+
+def best_response(gamma, p, comp=PROSPECTIVE):
+    """All payoff-maximizing strategies, ties within ``PAYOFF_TIE_TOL`` included.
+
+    The tie at the minimal punishment rate is meaningful (it defines that
+    rate), so ties are returned as a set rather than broken arbitrarily.
+    """
+    payoffs = {s: agent_payoff(s, gamma, p, comp) for s in ALL_STRATEGIES}
+    best = max(payoffs.values())
+    return {s for s, value in payoffs.items() if value >= best - PAYOFF_TIE_TOL}
 
 
 #: Admissible parameter points spanning the interesting region, first is P0.

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import column, draw_curve, draw_params
+from conftest import best_response, column, draw_curve, draw_params
 from shirklab.equilibrium import (
     ReplacementCostCurve,
     expected_output,
@@ -22,7 +22,7 @@ from shirklab.equilibrium import (
     punish_feasible,
     solve_threshold,
 )
-from shirklab.model import AgentStrategy, ModelParams, agent_payoff, best_response, gamma_bar
+from shirklab.model import AgentStrategy, ModelParams, agent_payoff, gamma_bar
 from shirklab.simulation import (
     SimConfig,
     StrategyProfile,

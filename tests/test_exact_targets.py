@@ -28,7 +28,7 @@ import pytest
 
 from conftest import REFERENCE_POINTS
 from shirklab.equilibrium import ReplacementCostCurve
-from shirklab.model import STRATEGY_TABLE, AgentStrategy
+from shirklab.model import _ADOPTS, _EFFORT, ALL_STRATEGIES, AgentStrategy
 from shirklab.simulation import (
     MeanSE,
     SimConfig,
@@ -45,10 +45,6 @@ N_TRIALS = 3000
 GAMMA = 0.4
 # convex, so the spread of K moves the mean cost
 CURVE = ReplacementCostCurve.power(100.0, 2.0)
-
-_EFFORT = np.array([row[0] for row in STRATEGY_TABLE])
-# adoption per (reading, code), reading 1 good and 0 bad
-_ADOPTS = np.array([[row[2] for row in STRATEGY_TABLE], [row[1] for row in STRATEGY_TABLE]], dtype=float)
 
 CASES = list(
     itertools.product(
@@ -76,7 +72,7 @@ def _fired_pmf_if_bad(cfg, codes, gamma):
         for prob, failures in readings:
             pmf[: failures + 1] += prob * _binomial(failures, gamma)
     else:
-        counts = np.bincount(codes, minlength=len(STRATEGY_TABLE))
+        counts = np.bincount(codes, minlength=len(ALL_STRATEGIES))
         adopts_if_bad = p.eps * _ADOPTS[1] + (1.0 - p.eps) * _ADOPTS[0]
         any_failure = 1.0 - float(np.prod((1.0 - adopts_if_bad) ** counts))
         pmf[0] = 1.0

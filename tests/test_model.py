@@ -7,13 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_params
+from conftest import best_response, draw_params
 from shirklab.errors import InadmissibleParamsError, InvalidParamsError
 from shirklab.model import (
     AgentStrategy,
     ModelParams,
     agent_payoff,
-    best_response,
     expected_production,
     gamma_bar,
     validate_params,

@@ -23,7 +23,7 @@ from conftest import REFERENCE_POINTS
 from shirklab import simulation
 from shirklab.cli import main
 from shirklab.equilibrium import ReplacementCostCurve
-from shirklab.model import ALL_STRATEGIES, STRATEGY_TABLE, AgentStrategy, ModelParams
+from shirklab.model import _ADOPTS, _EFFORT, ALL_STRATEGIES, AgentStrategy, ModelParams
 from shirklab.simulation import (
     MeanSE,
     SimConfig,
@@ -36,8 +36,6 @@ from shirklab.simulation import (
 _N_STRATEGIES = len(ALL_STRATEGIES)
 # trials per block stream, a number the contract fixes, not the package's constant
 TRIAL_BLOCK = 2048
-_EFFORT, _ADOPTS_ON_GOOD, _ADOPTS_ON_BAD = np.array(STRATEGY_TABLE).T
-_ADOPTS = np.array([_ADOPTS_ON_BAD, _ADOPTS_ON_GOOD])
 
 
 def reference_episode(cfg, profile, policy_gamma, curve, quality, signals, fire_draws):

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_POINTS, draw_params, trace_profiles
+from conftest import REFERENCE_POINTS, best_response, draw_params, trace_profiles
 from shirklab.equilibrium import EFFORT, SHIRK, ReplacementCostCurve, expected_output
 from shirklab.errors import ContractViolationError, InvalidParamsError
-from shirklab.model import AgentStrategy, ModelParams, agent_payoff, best_response, expected_production, gamma_bar
+from shirklab.model import AgentStrategy, ModelParams, agent_payoff, expected_production, gamma_bar
 from shirklab.simulation import (
     SimConfig,
     StrategyProfile,

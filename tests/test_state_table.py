@@ -1,0 +1,266 @@
+"""The closed forms read off ``model.StateTable`` against the code they replaced.
+
+The references below are the package's closed forms as they were written
+before the state table existed, each spelling the (quality, reading)
+states out itself, copied verbatim.  The new forms must give the same
+float, sign of zero included, so values are compared by ``repr``.  The
+parameters cover the admissible region and every in-range corner the
+closed forms accept without checking admissibility: eps = 0 and 1/2, pi
+next to 0 and 1, and zeros of either sign.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from shirklab import model, simulation
+from shirklab.model import (
+    ALL_STRATEGIES,
+    PROSPECTIVE,
+    REALIZED,
+    STRATEGY_TABLE,
+    AgentStrategy,
+    Compensation,
+    ModelParams,
+)
+from shirklab.simulation import COMMON, INDEPENDENT, SENIORITY, UNIFORM_RANDOM, SimConfig
+from test_model import admissible_params
+
+_N_STRATEGIES = len(ALL_STRATEGIES)
+_EFFORT, _ADOPTS_ON_GOOD, _ADOPTS_ON_BAD = np.array(STRATEGY_TABLE).T
+_ADOPTS = np.array([_ADOPTS_ON_BAD, _ADOPTS_ON_GOOD])
+
+# -- the references --------------------------------------------------------
+
+
+def _adoption_probability(strategy: AgentStrategy, good_reading: float) -> float:
+    """Probability the strategy adopts when the reading is good w.p. ``good_reading``."""
+    _, on_good, on_bad = STRATEGY_TABLE[strategy]
+    if on_good and on_bad:
+        return 1.0
+    if on_good:
+        return good_reading
+    if on_bad:
+        return 1.0 - good_reading
+    return 0.0
+
+
+def use_probability(strategy: AgentStrategy, p: ModelParams) -> float:
+    """Unconditional probability the strategy adopts the technology."""
+    return _adoption_probability(strategy, p.signal_good_prob())
+
+
+def failure_probability(strategy: AgentStrategy, p: ModelParams) -> float:
+    """Probability of zero production: the technology is used and bad.
+
+    A bad technology reads good exactly when the signal is wrong.
+    """
+    return (1.0 - p.pi) * _adoption_probability(strategy, p.eps)
+
+
+def expected_production(strategy: AgentStrategy, p: ModelParams) -> float:
+    """Expected output of one worker with access, excluding the effort cost.
+
+    Sums probability times output over the (quality, reading) states the
+    strategy tells apart, the unused states first and each group in state
+    order, so the sum reproduces the hand-written closed forms bit for bit.
+    """
+    _, on_good, on_bad = STRATEGY_TABLE[strategy]
+    if on_good == on_bad:
+        # adoption ignores the reading, so only the quality matters
+        states = ((p.pi, True, on_good), (1.0 - p.pi, False, on_good))
+    else:
+        states = (
+            (p.pi * (1.0 - p.eps), True, on_good),
+            (p.pi * p.eps, True, on_bad),
+            ((1.0 - p.pi) * (1.0 - p.eps), False, on_bad),
+            ((1.0 - p.pi) * p.eps, False, on_good),
+        )
+    total = 0.0
+    for prob, good, used in sorted(states, key=lambda state: state[2]):
+        total += prob * (((1.0 + p.g) if good else 0.0) if used else 1.0)
+    return total
+
+
+def agent_payoff(
+    strategy: AgentStrategy,
+    gamma: float,
+    p: ModelParams,
+    comp: Compensation = PROSPECTIVE,
+) -> float:
+    """Expected payoff of a worker with access under firing rate ``gamma``."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    if comp not in (PROSPECTIVE, REALIZED):
+        raise ValueError(f"compensation must be 'prospective' or 'realized', got {comp!r}")
+    effort_cost = p.c if strategy.exerts_effort else 0.0
+    survival = (1.0 - failure_probability(strategy, p) * gamma) * p.v_c
+    if comp == PROSPECTIVE:
+        wage = use_probability(strategy, p) * p.w
+    else:
+        wage = expected_production(strategy, p)
+    return -effort_cost + wage + survival
+
+
+def _adoption_given_quality(p: ModelParams, good: bool) -> np.ndarray:
+    """Each strategy's adoption probability given the technology's quality."""
+    good_reading = (1.0 - p.eps) if good else p.eps
+    return np.array([_adoption_probability(s, good_reading) for s in ALL_STRATEGIES])
+
+
+def _expected_wages(p: ModelParams, compensation: str) -> np.ndarray:
+    """Each strategy's expected wage, conditioning adoption on the quality."""
+    use_good = _adoption_given_quality(p, True)
+    use_bad = _adoption_given_quality(p, False)
+    if compensation == PROSPECTIVE:
+        return p.w * (p.pi * use_good + (1.0 - p.pi) * use_bad)
+    return p.pi * (use_good * (1.0 + p.g) + (1.0 - use_good)) + (1.0 - p.pi) * (1.0 - use_bad)
+
+
+def _common_signal_rows(p: ModelParams, compensation: str) -> np.ndarray:
+    """Seniority deviation payoffs under common signals, one row per fired pattern."""
+    rows = np.zeros((4, _N_STRATEGIES))
+    fired_if = {False: np.array([0, 0, 1, 1], dtype=bool), True: np.array([0, 1, 0, 1], dtype=bool)}
+    effort_cost = np.where(_EFFORT, p.c, 0.0)
+    for good in (True, False):
+        for wrong in (False, True):
+            prob = (p.pi if good else 1.0 - p.pi) * (p.eps if wrong else 1.0 - p.eps)
+            if prob == 0.0:
+                continue
+            use = _ADOPTS[int(good != wrong)]
+            produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
+            wage = np.where(use, p.w, 0.0) if compensation == PROSPECTIVE else produced
+            base = wage - effort_cost + p.v_c
+            # a deviator who fails (uses a bad technology) loses v_c when first in line
+            fired = (use & (not good))[None, :] & fired_if[wrong][:, None]
+            rows += prob * (base - p.v_c * fired)
+    return rows
+
+
+def _common_signal_row_of_agent(codes: np.ndarray) -> np.ndarray:
+    """Each access agent's row of ``_common_signal_rows`` given the others' codes."""
+    m = len(codes)
+    row = np.zeros(m, dtype=np.intp)
+    for bit, wrong in ((2, False), (1, True)):
+        # in the bad state the signal reads good exactly when it is wrong
+        failing = _ADOPTS[int(wrong)][codes]
+        first = failing.argmax() if failing.any() else m
+        row += bit * (np.arange(m) <= first)
+    return row
+
+
+def _deviation_payoff_table(
+    cfg: SimConfig,
+    codes: np.ndarray,
+    policy_gamma: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expected payoff of every (access agent, strategy) pair, others fixed."""
+    p = cfg.params
+    m = len(codes)
+    if cfg.punishment_mode == UNIFORM_RANDOM:
+        # firing is independent across agents, so payoffs decouple
+        row = np.array(
+            [agent_payoff(s, policy_gamma, p, cfg.compensation) for s in ALL_STRATEGIES]
+        )
+        return row[None, :], np.zeros(m, dtype=np.intp)
+    if cfg.signal_correlation == COMMON:
+        return _common_signal_rows(p, cfg.compensation), _common_signal_row_of_agent(codes)
+
+    # independent signals: failures are independent across agents given a
+    # bad technology, so the chance no lower-indexed agent fails is a
+    # prefix product
+    use_bad = _adoption_given_quality(p, False)
+    prefix = np.ones(m)
+    prefix[1:] = np.cumprod(1.0 - use_bad[codes[:-1]])
+    fired_prob = ((1.0 - p.pi) * use_bad)[None, :] * prefix[:, None]
+    base = _expected_wages(p, cfg.compensation) - np.where(_EFFORT, p.c, 0.0)
+    return base + p.v_c * (1.0 - fired_prob), np.arange(m)
+
+
+# -- parameters --------------------------------------------------------------
+
+_ZERO = st.sampled_from([0.0, -0.0])
+_TINY = [5e-324, 1e-300, 1e-12]
+_NEAR_ONE = [1.0 - 2.0**-53, 1.0 - 1e-12]
+in_range_params = st.builds(
+    ModelParams,
+    pi=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from(_TINY + _NEAR_ONE),
+    eps=st.floats(0.0, 0.5) | st.sampled_from([0.0, -0.0, 0.5, 0.5 - 2.0**-54]) | st.sampled_from(_TINY),
+    g=st.floats(0.0, 1e6, exclude_min=True) | st.sampled_from(_TINY),
+    c=st.floats(0.0, 10.0) | _ZERO,
+    w=st.floats(0.0, 10.0) | _ZERO,
+    v_c=st.floats(0.0, 10.0, exclude_min=True) | st.sampled_from(_TINY),
+)
+params = admissible_params() | in_range_params
+
+CORNERS = (
+    ModelParams(pi=0.9, eps=0.0, g=0.5, c=0.01, w=0.05, v_c=1.0),
+    ModelParams(pi=0.9, eps=-0.0, g=0.5, c=-0.0, w=-0.0, v_c=1.0),
+    ModelParams(pi=0.9, eps=0.5, g=0.5, c=0.01, w=0.05, v_c=1.0),
+    ModelParams(pi=5e-324, eps=0.1, g=0.5, c=0.01, w=0.05, v_c=1.0),
+    ModelParams(pi=1e-12, eps=0.5, g=3.0, c=0.0, w=1.0, v_c=2.0),
+    ModelParams(pi=1.0 - 2.0**-53, eps=0.1, g=0.5, c=0.01, w=0.05, v_c=1.0),
+    ModelParams(pi=1.0 - 1e-12, eps=0.0, g=1e-300, c=0.0, w=0.0, v_c=1e-300),
+)
+
+
+def _with_corners(test):
+    for p in CORNERS:
+        test = example(p=p, gamma=0.5)(test)
+    return example(p=CORNERS[0], gamma=0.0)(example(p=CORNERS[2], gamma=1.0)(test))
+
+
+def _same(new, old):
+    if isinstance(old, np.ndarray):
+        assert isinstance(new, np.ndarray) and new.dtype == old.dtype and new.shape == old.shape
+        new, old = new.tolist(), old.tolist()
+    assert repr(new) == repr(old)
+
+
+# -- bit for bit ---------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@_with_corners
+@given(p=params, gamma=st.floats(0.0, 1.0))
+def test_the_scalar_closed_forms_equal_the_references_bit_for_bit(p, gamma):
+    for s in ALL_STRATEGIES:
+        _same(model.use_probability(s, p), use_probability(s, p))
+        _same(model.failure_probability(s, p), failure_probability(s, p))
+        _same(model.expected_production(s, p), expected_production(s, p))
+        for comp in (PROSPECTIVE, REALIZED):
+            _same(model.agent_payoff(s, gamma, p, comp), agent_payoff(s, gamma, p, comp))
+
+
+@settings(max_examples=300, deadline=None)
+@_with_corners
+@given(p=params, gamma=st.floats(0.0, 1.0))
+def test_the_simulation_closed_forms_equal_the_references_bit_for_bit(p, gamma):
+    _same(p.state_table.use_given_good, _adoption_given_quality(p, True))
+    _same(p.state_table.use_given_bad, _adoption_given_quality(p, False))
+    for comp in (PROSPECTIVE, REALIZED):
+        _same(simulation._expected_wages(p, comp), _expected_wages(p, comp))
+        _same(simulation._common_signal_rows(p, comp), _common_signal_rows(p, comp))
+    # each code once in every place, so each is once the first to fail
+    codes = np.concatenate([np.roll(np.arange(_N_STRATEGIES, dtype=np.int8), -k) for k in range(_N_STRATEGIES)])
+    for mode in (UNIFORM_RANDOM, SENIORITY):
+        for signals in (COMMON, INDEPENDENT):
+            for comp in (PROSPECTIVE, REALIZED):
+                cfg = SimConfig(p, len(codes), 1, 0, 1.0, signals, comp, mode)
+                for new, old in zip(
+                    simulation._deviation_payoff_table(cfg, codes, gamma),
+                    _deviation_payoff_table(cfg, codes, gamma),
+                ):
+                    _same(new, old)
+
+
+def test_the_arrays_and_the_rows_of_an_agent_equal_the_references():
+    assert np.array_equal(model._EFFORT, _EFFORT) and model._EFFORT.dtype == _EFFORT.dtype
+    assert np.array_equal(model._ADOPTS, _ADOPTS) and model._ADOPTS.dtype == _ADOPTS.dtype
+    shared = simulation._SharedRows(SimConfig(CORNERS[0], 1, 1, 0, 1.0), bytearray(1))
+    assert shared.failing == [frozenset(np.flatnonzero(adopts).tolist()) for adopts in _ADOPTS]
+    rng = np.random.default_rng(20261019)
+    for m in (0, 1, 2, 5, 40):
+        for _ in range(50):
+            codes = rng.integers(0, _N_STRATEGIES, m).astype(np.int8)
+            _same(simulation._common_signal_row_of_agent(codes), _common_signal_row_of_agent(codes))

@@ -25,7 +25,7 @@ from shirklab.model import (
     use_probability,
     validate_params,
 )
-from shirklab.simulation import _adoption_given_quality, _expected_wages
+from shirklab.simulation import _expected_wages
 
 # -- the hand algebra ------------------------------------------------------
 
@@ -194,7 +194,7 @@ def test_simulation_adoption_and_wages_equal_the_hand_algebra_exactly():
     for p in PARAMS:
         for good in (True, False):
             old = [oracle_use_prob_given_quality(code, good, p) for code in range(len(ALL_STRATEGIES))]
-            if _adoption_given_quality(p, good).tolist() != old:
+            if (p.state_table.use_given_good if good else p.state_table.use_given_bad).tolist() != old:
                 mismatches.append(("adoption", good, p))
         for comp in (PROSPECTIVE, REALIZED):
             old = [oracle_expected_wage(code, p, comp) for code in range(len(ALL_STRATEGIES))]
