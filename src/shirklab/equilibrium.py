@@ -529,7 +529,12 @@ def expected_output(h, regime: str, p: ModelParams):
 def output_drop(h, p: ModelParams):
     """Output lost when reach ``h`` of workers shirk instead of researching; ``h`` is a float or an array."""
     _require_unit(h, "h")
-    return h * ((1.0 - p.eps) * (1.0 - p.pi) - p.pi * p.g * p.eps)
+    return h * _drop_per_reach(p)
+
+
+def _drop_per_reach(p: ModelParams) -> float:
+    """Output lost per unit of reach that shirks instead of researching: ``output_drop`` at h = 1."""
+    return (1.0 - p.eps) * (1.0 - p.pi) - p.pi * p.g * p.eps
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ admissibility boundary stay informative.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, replace as dc_replace
@@ -24,13 +25,13 @@ from .equilibrium import (
     SHIRK,
     TOL,
     ReplacementCostCurve,
+    _drop_per_reach,
     _solve_checked,
     expected_output,
-    output_drop,
     policy,
     solve_threshold,
 )
-from .model import NUMBER_FORMAT, ModelParams, _fmt, validate_params
+from .model import ModelParams, _fmt, validate_params
 
 SWEEPABLE_PARAMETERS = ("h", "pi", "eps", "g", "c", "w", "v_c", "curve_scale")
 
@@ -140,26 +141,29 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
         solved.append(index)
         points.append(point)
     scales = values[solved] if parameter == "curve_scale" else None
+    solutions = _solve_checked(points, curve, scales)
+    # output_drop's product for all points at once; a solved h_tilde lies in [0, 1]
+    solved_drops = np.array([sol.h_tilde for sol in solutions]) * np.array([_drop_per_reach(point) for point in points])
     gammas, h_tildes, drops = [None] * len(values), [None] * len(values), [None] * len(values)
     admissible = [False] * len(values)
-    for index, point, sol in zip(solved, points, _solve_checked(points, curve, scales)):
-        gammas[index], h_tildes[index] = sol.gamma_bar, sol.h_tilde
+    for index, sol, drop in zip(solved, solutions, solved_drops.tolist()):
+        gammas[index], h_tildes[index], drops[index] = sol.gamma_bar, sol.h_tilde, drop
         admissible[index] = True
-        drops[index] = output_drop(sol.h_tilde, point)
     return Table(
         ("value", "gamma_bar", "h_tilde", "admissible", "drop_at_h_tilde", "reason"),
         (values, gammas, h_tildes, admissible, drops, reasons),
     )
 
 
-#: Rows formatted and written at a time, which bounds the text held in memory.
-#: A chunk's one-value columns are literal text in its row template, which is
-#: repeated once per row: on a 10^5-row h sweep (fresh process, 2-CPU Xeon,
-#: numpy 2.4) peak RSS was 41.32 MB without them, 41.68 MB with them at 4096
-#: rows and 41.36 MB at 2048, at the same speed.
+#: Rows formatted and written at a time, which bounds the bytes held in memory.
+#: Peak RSS of a 10^5-row h sweep through the CLI (fresh process, 2-CPU Xeon,
+#: numpy 2.4, medians of 10) was 41.43 MB at 1024 rows, 41.35 MB at 2048 and
+#: 41.41 MB at 4096; smaller chunks make more numpy calls per row.
 CSV_CHUNK_ROWS = 2048
 # characters csv.writer may quote a field for, with its default dialect
 _CSV_SPECIAL = frozenset(',"\r\n')
+# fills a text block's rows past their text; no UTF-8 text holds this byte
+_PAD = 0xFF
 
 
 def _cell_text(value) -> str:
@@ -196,16 +200,16 @@ class _Texts(dict):
 def emit_csv(table: Table, path: str) -> None:
     """Write the table to ``path`` with a header row, 12 significant digits per number.
 
-    Rows are written ``CSV_CHUNK_ROWS`` at a time from slices of the
-    columns, and one %-template formats a whole chunk.  A numpy column
-    (not of objects) whose cells in the chunk all have the first cell's
-    bytes, so -0.0 and 0.0 differ and a NaN run is one value, is one literal
-    text in the template, its ``%`` doubled.  The template is repeated
-    per row, which is why chunks are 2048 rows (see ``CSV_CHUNK_ROWS``).
-    Otherwise a column of plain floats goes to the number format, and
-    any other column becomes cell texts, each non-float text made once
-    per distinct value.  An empty table is an error, raised before the
-    file is opened.
+    Rows are written ``CSV_CHUNK_ROWS`` at a time, each chunk as one byte
+    string.  Every column of a chunk becomes a block of text bytes, one
+    row per cell, padded with a byte that no UTF-8 text holds; the blocks
+    are joined with the separators and the padding is deleted.  A numpy
+    column (not of objects) whose cells in the chunk all have the first
+    cell's bytes, so -0.0 and 0.0 differ and a NaN run is one value, is
+    its one text repeated.  Otherwise a float64 array goes to
+    ``_format_floats``, and any other column becomes cell texts, each
+    non-float text made once per distinct value.  An empty table is an
+    error, raised before the file is opened.
     """
     if not len(table):
         raise ValueError("refusing to write an empty table")
@@ -213,32 +217,47 @@ def emit_csv(table: Table, path: str) -> None:
     # back as a blank line
     lone = len(table.columns) == 1
     texts = [_Texts() for _ in table.data]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle, lineterminator="\n").writerow(table.columns)
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(table.columns)
+    with open(path, "wb") as handle:
+        handle.write(header.getvalue().encode("utf-8"))
         for start in range(0, len(table), CSV_CHUNK_ROWS):
-            stop = min(start + CSV_CHUNK_ROWS, len(table))
-            specs, fields = [], []
-            for values, known in zip(table.data, texts):
-                chunk = values[start:stop]
-                if _one_value(chunk):
-                    (text,) = known.of(chunk[:1].tolist())
-                    specs.append((text if text or not lone else '""').replace("%", "%%"))
-                    continue
-                column = _cells(chunk)
-                # a float64 array's cells are Python floats, so it skips the scan
-                if isinstance(chunk, np.ndarray) and chunk.dtype == float or set(map(type, column)) == {float}:
-                    specs.append("%" + NUMBER_FORMAT)
-                else:
-                    column = known.of(column)
-                    specs.append("%s")
-                    if lone:
-                        column = [text or '""' for text in column]
-                fields.append(column)
-            cells = [None] * ((stop - start) * len(fields))
-            for index, column in enumerate(fields):
-                cells[index :: len(fields)] = column
-            template = ",".join(specs) + "\n"
-            handle.write((template * (stop - start)) % tuple(cells))
+            chunks = [values[start : start + CSV_CHUNK_ROWS] for values in table.data]
+            handle.write(_chunk_bytes(chunks, texts, lone))
+
+
+def _chunk_bytes(chunks: list, texts: list[_Texts], lone: bool) -> bytes:
+    """The CSV rows of one chunk, from each column's slice and text cache."""
+    # blocks of one row per cell, and between them the bytes that every row
+    # repeats: the separators and the texts of one-value columns
+    pieces = [b""]
+    for index, (chunk, known) in enumerate(zip(chunks, texts)):
+        if index:
+            pieces[-1] += b","
+        if _one_value(chunk):
+            (text,) = known.of(chunk[:1].tolist())
+            pieces[-1] += (text or '""' if lone else text).encode("utf-8")
+        elif isinstance(chunk, np.ndarray) and chunk.dtype == float:
+            pieces += (_format_floats(chunk), b"")
+        else:
+            cells = known.of(_cells(chunk))
+            pieces += (_text_block([text or '""' for text in cells] if lone else cells), b"")
+    pieces[-1] += b"\n"
+    rows = len(chunks[0])
+    blocks = [
+        np.broadcast_to(np.frombuffer(piece, np.uint8), (rows, len(piece))) if isinstance(piece, bytes) else piece
+        for piece in pieces
+    ]
+    return np.concatenate(blocks, axis=1).tobytes().translate(None, bytes([_PAD]))
+
+
+def _text_block(texts: list[str]) -> np.ndarray:
+    """The texts' UTF-8 bytes, one row each, padded to the longest."""
+    encoded = [text.encode("utf-8") for text in texts]
+    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    block = np.full((len(encoded), lengths.max(initial=0)), _PAD, np.uint8)
+    block[np.arange(block.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(encoded), np.uint8)
+    return block
 
 
 def _one_value(values) -> bool:
@@ -246,6 +265,135 @@ def _one_value(values) -> bool:
     if not isinstance(values, np.ndarray) or values.dtype == object:
         return False
     return values.tobytes() == values[:1].tobytes() * len(values)
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of ``_format_floats``, built on its first call.
+
+    scale -- 10**(11 - e) at e + 5, for the decimal exponents e = -5..11
+        that log10 can give in the fast range, each exact, then 0 for e = 12.
+    quad -- each group 0..9999 as four ASCII digits, the low bytes of a
+        little-endian word.
+    end_high, end_mid, end_low -- where the last nonzero digit of the
+        group in digits 1-4, 5-8 or 9-12 of N lies, 0 for a zero group:
+        their maximum is N's count k of significant digits.
+    layout -- columns by (e + 5) * 13 + k, with the rows: the mask of the
+        digits after the insert (2 words), its shift in bits, the fill
+        (3 words) and the text's length.
+    """
+    # e = 12 only comes from a log10 rounded up at the top of the range;
+    # its scale 0 leaves the cell undecided
+    scale = np.array([float(10 ** (11 - e)) for e in range(-5, 12)] + [0.0])
+    # a group is two pairs of digits, 100 * first + second
+    pairs = [f"{pair:02d}" for pair in range(100)]
+    pair = np.array([int.from_bytes(text.encode(), "little") for text in pairs], np.uint64)
+    quad = (pair[:, None] | pair << np.uint64(16)).ravel()
+    pair_end = np.array([len(text.rstrip("0")) for text in pairs], np.uint8)
+    # a group's last nonzero digit is in its second pair unless that is 0
+    last = np.where(pair_end > 0, pair_end + 2, pair_end[:, None]).ravel()
+    ends = [np.where(last > 0, last + offset, 0).astype(np.uint8) for offset in (0, 4, 8)]
+    layout = np.zeros((7, 18 * 13), np.uint64)
+    for e in range(-5, 13):
+        for k in range(13):
+            # k = 0 only for zero, which prints as "0"; e outside -4..11 is
+            # never a decided cell's
+            exponent = e if k and -4 <= e <= 11 else 0
+            if exponent >= 0:
+                # the point after digit e + 1, and none if no digit follows
+                at, insert = exponent + 1, b"."
+                length = k + 1 if k > exponent + 1 else exponent + 1
+            else:
+                at, insert = 0, b"0." + b"0" * (-exponent - 1)
+                length = len(insert) + k
+            after = -1 << (8 * at)
+            fill = int.from_bytes(insert, "little") << (8 * at) | -1 << (8 * length)
+            rows = [after, after >> 64, 8 * len(insert), fill, fill >> 64, fill >> 128, length]
+            layout[:, (e + 5) * 13 + k] = [row % 2**64 for row in rows]
+    return scale, quad, *ends, layout
+
+
+def _format_floats(values: np.ndarray) -> np.ndarray:
+    """``_fmt`` of each float, as one row of ASCII bytes per value padded with ``_PAD``.
+
+    Where 1e-4 <= |v| < 1e12, ".12g" prints |v| in fixed notation with
+    the 12 significant digits of N = rint(|v| * 10**(11 - e)), for the
+    decimal exponent e = floor(log10 |v|).  The one product of |v| and
+    an exact power of ten is correctly rounded, so it lies within 2**-14
+    of the exact one, below 2**40: its rint is N unless it lies within
+    2**-12 of a tie.  A cell is decided when the product y has 12 digits
+    before the point (1e11 <= y, N < 1e12; a log10 off by one fails this)
+    and is no such near tie.  Its text is N's digits with "." inserted
+    after digit e + 1, or "0." and -e - 1 zeros put before them when
+    e < 0, cut after the last nonzero digit and the point dropped if it
+    ends the text; a negative value gets a "-".  Exact zeros print as "0"
+    or "-0".  Every other cell, NaN, infinities, exponent notation and
+    near ties, is printed by ``_fmt``.
+    """
+    decided, exponent, number = _twelve_digits(values)
+    block, width = _fixed_notation(exponent, number)
+    negative = np.signbit(values)
+    if negative.any():
+        block[negative, 1:] = block[negative, :-1]
+        block[negative, 0] = ord("-")
+        width += 1
+    # a zero has N = 0, printed as "0"
+    decided |= values == 0.0
+    if not decided.all():
+        rest = np.flatnonzero(~decided)
+        texts = _text_block([_fmt(value) for value in values[rest].tolist()])
+        block[rest] = _PAD
+        block[rest, : texts.shape[1]] = texts
+        width = max(width, texts.shape[1])
+    return block[:, :width]
+
+
+def _twelve_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which cells ``_format_floats`` decides, their e + 5 and their N, 0 for the undecided."""
+    magnitude = np.abs(values)
+    # clamped into the fast range, so the arithmetic below meets no NaN,
+    # infinity or zero; a cell outside the range is never decided
+    clamped = np.fmin(np.fmax(magnitude, 1e-4), np.nextafter(1e12, 0.0))
+    decided = magnitude == clamped
+    exponent = np.floor(np.log10(clamped)).astype(np.intp) + 5
+    scaled = clamped * _digit_tables()[0].take(exponent)
+    digits = np.rint(scaled)
+    decided &= np.abs(scaled - digits) < 0.5 - 2.0**-12
+    decided &= scaled >= 1e11
+    decided &= digits < 1e12
+    return decided, exponent, (digits * decided).astype(np.int64)
+
+
+def _fixed_notation(exponent: np.ndarray, number: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each N printed in fixed notation at its e + 5, as 24 bytes a row padded with ``_PAD``, and the longest text."""
+    _, quad, end_high, end_mid, end_low, layout = _digit_tables()
+    thousands = number // 10000
+    low_group = number - thousands * 10000
+    high_group = thousands // 10000
+    mid_group = thousands - high_group * 10000
+    # the 12 ASCII digits as a 96-bit little-endian number (two words)
+    word0 = quad.take(mid_group) << np.uint64(32)
+    word0 |= quad.take(high_group)
+    word1 = quad.take(low_group)
+    significant = np.maximum(np.maximum(end_high.take(high_group), end_mid.take(mid_group)), end_low.take(low_group))
+    code = exponent * 13 + significant
+    # as 192-bit numbers (three words), the text is the digits before the
+    # insert, the insert and the fill, and the digits after it shifted up
+    # by the insert's bits; the fill holds the insert and sets every byte
+    # from the text's length on to _PAD
+    after0, after1, shift, fill0, fill1, fill2, length = layout.take(code, axis=1)
+    rest0 = word0 & after0
+    rest1 = word1 & after1
+    word0 ^= rest0
+    word1 ^= rest1
+    text = np.empty((len(number), 3), "<u8")
+    np.left_shift(rest0, shift, out=text[:, 0])
+    text[:, 0] |= word0 | fill0
+    np.left_shift(rest1, shift, out=text[:, 1])
+    text[:, 1] |= word1 | fill1 | rest0 >> (64 - shift)
+    np.right_shift(rest1, 64 - shift, out=text[:, 2])
+    text[:, 2] |= fill2
+    return text.view(np.uint8), int(length.max(initial=0))
 
 
 #: Most points a ``start:stop:step`` grid may hold, checked before it is built.

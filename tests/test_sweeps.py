@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import column, draw_params, recording_cumulate
-from shirklab import model, sweeps
+from shirklab import equilibrium, model, sweeps
 from shirklab.cli import main
 from shirklab.equilibrium import TOL, ReplacementCostCurve, output_drop, solve_threshold
 from shirklab.errors import InvalidCurveError, InvalidParamsError
@@ -186,6 +187,22 @@ class TestSweepParam:
         # an out-of-range point is rejected by the constructor, unvalidated
         assert in_sweep.call_count == in_range
         assert in_solve.call_count == 0
+
+    @pytest.mark.parametrize(
+        "parameter, grid", [("pi", make_grid(0.5, 0.99, 0.01)), ("curve_scale", make_grid(0.1, 10.0, 0.1))]
+    )
+    def test_drops_take_one_array_product_and_no_reach_checks(self, p0, linear_curve, parameter, grid):
+        with mock.patch.object(equilibrium, "_require_unit", wraps=equilibrium._require_unit) as checks:
+            table = sweep_param(parameter, p0, linear_curve, grid)
+        assert checks.call_count == 0
+        solved = [row for row in table.rows if row[3]]
+        assert len(solved) > 20
+        # each point's drop is output_drop at its h_tilde, bit for bit
+        points = [p0] * len(solved)
+        if parameter == "pi":
+            points = [dataclasses.replace(p0, pi=row[0]) for row in solved]
+        expected = [output_drop(row[2], point) for row, point in zip(solved, points)]
+        assert repr([row[4] for row in solved]) == repr(expected)
 
     def test_inadmissible_params_flag_every_valid_curve_scale(self, p0, linear_curve):
         params = dataclasses.replace(p0, c=1.0)
@@ -427,6 +444,88 @@ class TestHSweepAcrossChunks:
         assert flagged == [i for i, x in enumerate(h) if abs(x - h_tilde) <= TOL]
         if fine:
             assert flagged[0] < switch <= flagged[-1]
+
+
+def _neighbours(value: float) -> list[float]:
+    return [float(np.nextafter(value, -math.inf)), value, float(np.nextafter(value, math.inf))]
+
+
+#: Floats at the edges of the formatter's fast path: powers of ten and
+#: their neighbours, both ends of [1e-4, 1e12) (999999999999.75 rounds to
+#: 13 digits), zeros, subnormals and the non-finite.
+FORMAT_EDGES = sorted(
+    {x for k in range(-7, 16) for x in _neighbours(float(f"1e{k}"))}
+    | {x for end in (1e-4, 9.9999999999995e-05, 999999999999.5, 999999999999.75, 1e12) for x in _neighbours(end)}
+    | {0.0, 5e-324, 2.2250738585072014e-308, 1e-310, math.inf},
+    key=repr,
+) + [-0.0, math.nan]
+
+
+@st.composite
+def thirteenth_digit_ties(draw):
+    """A float at or next to a tie of its 13th significant digit, d.ddddddddddd5 times a power of ten."""
+    digits = draw(st.integers(10**11, 10**12 - 1))
+    value = float(f"{digits}5e{draw(st.integers(-17, 2))}")
+    return draw(st.sampled_from(_neighbours(value)))
+
+
+FORMAT_CELLS = st.one_of(
+    st.sampled_from(FORMAT_EDGES),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent, st.floats(1.0, 10.0), st.integers(-8, 14)),
+    thirteenth_digit_ties(),
+)
+
+
+class TestFormatFloats:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        cells=st.lists(st.one_of(FORMAT_CELLS, FORMAT_CELLS.map(lambda x: -x)), max_size=64),
+        bulk=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from([1, 7, 2048]),
+    )
+    def test_every_float_prints_as_format_gives_it(self, cells, bulk, seed, chunk, tmp_path):
+        # drawn edge cells among thousands of values of mixed exponents and signs
+        rng = np.random.default_rng(seed)
+        values = np.concatenate([rng.standard_normal(bulk) * 10.0 ** rng.integers(-7, 15, bulk), cells])
+        rng.shuffle(values)
+        expected = [_fmt(value).encode() for value in values.tolist()]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            block = sweeps._format_floats(values)
+        assert block.dtype == np.uint8 and len(block) == len(values)
+        assert [bytes(row) for row in block] == [text.ljust(block.shape[1], b"\xff") for text in expected]
+        if not len(values):
+            return
+        table = Table(("x", "reversed"), (values, values[::-1].copy()))
+        path = tmp_path / "t.csv"
+        with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                emit_csv(table, str(path))
+        assert path.read_bytes() == _reference_csv(table)
+
+    def test_every_edge_float_prints_as_format_gives_it(self):
+        values = np.array(FORMAT_EDGES + [-x for x in FORMAT_EDGES])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            block = sweeps._format_floats(values)
+        assert [bytes(row).rstrip(b"\xff") for row in block] == [_fmt(value).encode() for value in values.tolist()]
+
+    def test_the_benchmark_h_sweep_formats_in_range_cells_in_numpy(self, p0, linear_curve):
+        # the benchmark's 10^5-point grid: only the nonzero cells outside
+        # [1e-4, 1e12) and each chunk's one-value float columns reach _fmt
+        table = sweep_h(p0, linear_curve, make_grid(0.0, 1.0, 1e-5))
+        floats = [values for values in table.data if values.dtype == float]
+        magnitudes = np.abs(np.concatenate(floats))
+        outside = np.count_nonzero((magnitudes != 0.0) & ((magnitudes < 1e-4) | (magnitudes >= 1e12)))
+        literals = sum(
+            sweeps._one_value(values[start : start + sweeps.CSV_CHUNK_ROWS])
+            for values in floats
+            for start in range(0, len(table), sweeps.CSV_CHUNK_ROWS)
+        )
+        with mock.patch.object(sweeps, "_fmt", wraps=_fmt) as printed:
+            emit_csv(table, os.devnull)
+        assert len(table) == 100001 and len(floats) == 4
+        assert 0 < outside + literals <= printed.call_count <= outside + literals + 16 < 200
 
 
 class TestTable:
