@@ -141,7 +141,11 @@ class ReplacementCostCurve:
         if raw.shape != grid.shape:
             raw = np.broadcast_to(raw, grid.shape).astype(float)
         _check_nonnegative(raw, grid)
-        return cls(values=np.sort(raw), kind="nodes")
+        # every family's nodes ascend already: np.sort would only copy them, as equal
+        # floats are equal bytes but for 0.0 and -0.0; the copy is the curve's own
+        signs = np.signbit(raw[raw == 0.0])
+        ascending = np.all(raw[1:] >= raw[:-1]) and (signs.all() or not signs.any())
+        return cls(values=raw.copy() if ascending else np.sort(raw), kind="nodes")
 
     @classmethod
     def from_samples(cls, costs: Iterable[float]) -> "ReplacementCostCurve":

@@ -73,8 +73,8 @@ UNIFORM_RANDOM = "uniform_random"
 SENIORITY = "seniority"
 
 #: Size caps of a run, checked before any array is built.  A profile holds
-#: one byte per agent and Monte Carlo keeps about 20 bytes per trial, about
-#: 120 for a trial that plays alone.
+#: one byte per agent and Monte Carlo peaks at about 25 bytes per trial,
+#: about 165 for a trial that plays alone.
 MAX_AGENTS = 10**7
 MAX_TRIALS = 10**6
 
@@ -210,10 +210,12 @@ def _stream(seed: int, kind: int, index: int) -> np.random.Generator:
 class _EpisodeKernel:
     """The one-shot timeline for a fixed profile, firing rate and curve.
 
-    ``use`` maps a trial's quality and signal uniforms to who adopts,
+    ``use`` maps a trial's quality and signal uniforms to who adopts, and
     ``fires_at_random`` says whether its fire uniforms can change who is
-    fired, and ``account`` plays the timeline on them.  ``states`` and
-    ``lone_draws`` take a Monte Carlo run's uniforms from the block streams.
+    fired.  ``pay``, ``fired``, ``totals`` and ``payoff_sums`` play the
+    timeline; ``account`` puts them together for one trial, agent by
+    agent, while Monte Carlo calls only those a row's own draws change.
+    ``states`` and ``plays`` take a run's uniforms from the block streams.
     """
 
     def __init__(
@@ -227,7 +229,11 @@ class _EpisodeKernel:
         self.policy_gamma = policy_gamma
         self.curve = curve
         self.codes = _access_codes(cfg, profile, policy_gamma)
-        self.effort = _EFFORT[self.codes]
+        # bincount's index type, converted once rather than on every trial
+        self.code_index = self.codes.astype(np.intp)
+        effort = _EFFORT[self.codes]
+        self.agent_effort_costs = cfg.params.c * effort
+        self.effort_cost = cfg.params.c * float(effort.sum()) / cfg.n_agents
         # adoption per (shared reading, access agent), and whether anyone adopts
         self.use_by_reading = _ADOPTS[:, self.codes]
         self.anyone_adopts = self.use_by_reading.any(axis=1)
@@ -237,14 +243,14 @@ class _EpisodeKernel:
         self.random_firing = cfg.punishment_mode == UNIFORM_RANDOM and 0.0 < policy_gamma < 1.0
 
     def reading(self, good, signals) -> np.ndarray:
-        """Each signal uniform's reading: good (1) when right about a good technology or wrong about a bad one."""
-        return np.asarray(good != (signals < self.cfg.params.eps), dtype=np.intp)
+        """Each signal uniform's reading: good (True) when right about a good technology or wrong about a bad one."""
+        return np.asarray(good != (signals < self.cfg.params.eps))
 
     def use(self, good: bool, signals) -> np.ndarray:
         """Who adopts, given the quality and the signal uniform(s), None when no strategy reads them."""
         if signals is None:
             return self.use_by_reading[0]
-        return _ADOPTS[self.reading(good, signals), self.codes]
+        return np.where(self.reading(good, signals), self.use_by_reading[1], self.use_by_reading[0])
 
     def fires_at_random(self, good: bool, use: np.ndarray) -> bool:
         """Whether fire uniforms can change who is fired: a failure under random firing."""
@@ -276,49 +282,67 @@ class _EpisodeKernel:
         lone = self.random_firing & (states < 2) & self.anyone_adopts[states & 1]
         return states, np.flatnonzero(lone)
 
-    def lone_draws(self, seed: int, states: np.ndarray, lone: np.ndarray) -> Iterator[tuple[bool, np.ndarray]]:
-        """The quality and ``use`` of every trial in ``lone``, in trial order."""
+    def plays(self, seed: int, states: np.ndarray, lone: np.ndarray) -> Iterator[tuple]:
+        """Each row to play, as ``(row, trial, good, use, pay)``, lone trials in trial order.
+
+        Under common signals: every state a trial reached (trial None), then
+        the lone trials, each adopting as its state does.  Else every trial.
+        """
         if not self.reads_independent:
-            for state in states[lone].tolist():
-                yield state >= 2, self.use_by_reading[state & 1]
+            reached = np.flatnonzero(np.bincount(states, minlength=4)).tolist()
+            pays = {state: self.pay(state >= 2, self.use_by_reading[state & 1]) for state in reached}
+            for state in reached:
+                yield state, None, state >= 2, self.use_by_reading[state & 1], pays[state]
+            # a lone trial draws fire uniforms, so its technology is bad
+            for row, t, state in zip(range(4, 4 + len(lone)), lone.tolist(), states[lone].tolist()):
+                yield row, t, False, self.use_by_reading[state & 1], pays[state]
             return
         # every trial reads its signals from its block's stream, after the block's qualities
         for first in range(0, len(states), TRIAL_BLOCK):
             rng, codes = self.block(seed, first // TRIAL_BLOCK)
-            for good in (codes[: len(states) - first] >= 2).tolist():
-                yield good, self.use(good, rng.random(len(self.codes)))
+            for t, good in enumerate((codes[: len(states) - first] >= 2).tolist(), first):
+                use = self.use(good, rng.random(len(self.codes)))
+                yield 4 + t, t, good, use, self.pay(good, use)
+
+    def pay(self, good: bool, use: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each access agent's production and wage, and its wage net of effort cost."""
+        p = self.cfg.params
+        produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
+        wage = np.where(use, p.w, 0.0) if self.cfg.compensation == PROSPECTIVE else produced.copy()
+        return produced, wage, wage - self.agent_effort_costs
+
+    def fired(self, failed: np.ndarray, fire_draws: np.ndarray | None) -> np.ndarray:
+        """Who is fired among the agents that ``failed``, given the trial's fire uniforms."""
+        if self.cfg.punishment_mode == SENIORITY:
+            fired = np.zeros_like(failed)
+            if failed.any():
+                fired[failed.argmax()] = True
+            return fired
+        if fire_draws is None:
+            # no failure, or a rate of 0 or 1 that fires none or all of them
+            return failed & (self.policy_gamma == 1.0)
+        return failed & (fire_draws < self.policy_gamma)
+
+    def totals(self, produced: np.ndarray, wage: np.ndarray) -> tuple[float, float, float]:
+        """Output, wages and welfare per agent; an inert agent produces 1, paid to it under realized pay."""
+        n = self.cfg.n_agents
+        inert = n - len(self.codes)
+        inert_wages = 0.0 if self.cfg.compensation == PROSPECTIVE else float(inert)
+        output = (inert + float(produced.sum())) / n
+        return output, (float(wage.sum()) + inert_wages) / n, output - self.effort_cost
+
+    def payoff_sums(self, partial: np.ndarray, fired: np.ndarray) -> np.ndarray:
+        """Each strategy's summed payoff: the net wage ``partial``, plus v_c for each agent kept."""
+        weights = partial + self.cfg.params.v_c * (~fired)
+        return np.bincount(self.code_index, weights=weights, minlength=_N_STRATEGIES)
 
     def account(self, good: bool, use: np.ndarray, fire_draws: np.ndarray | None) -> EpisodeOutcome:
         """Play the timeline on one trial's draws and account for every agent."""
-        cfg = self.cfg
-        p = cfg.params
-        n = cfg.n_agents
-        m = len(self.codes)
-        produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
+        produced, wage, partial = self.pay(good, use)
         failed = use & (not good)
-
-        if cfg.punishment_mode == SENIORITY:
-            fired = np.zeros(m, dtype=bool)
-            if failed.any():
-                fired[failed.argmax()] = True
-        elif fire_draws is None:
-            # no failure, or a rate of 0 or 1 that fires none or all of them
-            fired = failed & (self.policy_gamma == 1.0)
-        else:
-            fired = failed & (fire_draws < self.policy_gamma)
-
-        if cfg.compensation == PROSPECTIVE:
-            wage = np.where(use, p.w, 0.0)
-            inert_wages = 0.0
-        else:
-            wage = produced.copy()
-            inert_wages = float(n - m)
-
-        payoffs = wage - p.c * self.effort + p.v_c * (~fired)
-        fired_count = int(fired.sum())
-        output = ((n - m) + float(produced.sum())) / n
-        wages = (float(wage.sum()) + inert_wages) / n
-        effort_cost = p.c * float(self.effort.sum()) / n
+        fired = self.fired(failed, fire_draws)
+        fired_count = np.count_nonzero(fired)
+        output, wages, welfare = self.totals(produced, wage)
         return EpisodeOutcome(
             quality=GOOD if good else BAD,
             used=use,
@@ -327,12 +351,12 @@ class _EpisodeKernel:
             fired=fired,
             output=output,
             wages=wages,
-            effort_cost=effort_cost,
-            welfare=output - effort_cost,
-            replacement_cost=self.curve.cost(fired_count / n),
+            effort_cost=self.effort_cost,
+            welfare=welfare,
+            replacement_cost=self.curve.cost(fired_count / self.cfg.n_agents),
             fired_count=fired_count,
             failure_event=bool(failed.any()),
-            payoff_sum_by_strategy=np.bincount(self.codes, weights=payoffs, minlength=_N_STRATEGIES),
+            payoff_sum_by_strategy=self.payoff_sums(partial, fired),
         )
 
 
@@ -428,10 +452,11 @@ def monte_carlo(
     TRIAL_BLOCK)`` and, when it draws fire uniforms, from its own stream
     ``spawn_key=(1, t)``, so its outcome depends on neither ``n_trials``
     nor the order trials run in.  Each distinct (quality, shared reading)
-    state is accounted once; a trial that draws fire uniforms, and every
-    trial of a profile that reads independent signals, plays alone.  The
-    per-trial arrays and the trace are filled by indexing the accounted
-    outcomes.
+    state is played once; a trial that draws fire uniforms, and every
+    trial of a profile that reads independent signals, plays alone.  A
+    lone trial computes only what its draws change: who is fired and the
+    payoff sums, and with independent signals its output, wages, welfare
+    and failure too.  One ``curve.cost`` call prices every row.
     """
     kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve)
     trials = cfg.n_trials
@@ -440,61 +465,53 @@ def monte_carlo(
     which = states.astype(np.intp)
     which[lone] = 4 + np.arange(len(lone))
     rows = 4 + len(lone)
-    table = {
-        "output": np.zeros(rows),
-        "wages": np.zeros(rows),
-        "replacement_cost": np.zeros(rows),
-        "welfare": np.zeros(rows),
-        "failure_event": np.zeros(rows, dtype=bool),
-        "payoff_sum_by_strategy": np.zeros((rows, _N_STRATEGIES)),
-    }
-    if trace_path:
-        table["quality"] = np.full(rows, BAD, dtype=object)
-        table["fired_count"] = np.zeros(rows, dtype=np.int64)
-
-    def fill(row: int, episode: EpisodeOutcome) -> None:
-        for name, column in table.items():
-            column[row] = getattr(episode, name)
-
+    output, wages, welfare = np.zeros((3, rows))
+    good, failure = np.zeros((2, rows), dtype=bool)
+    fired_count = np.zeros(rows, dtype=np.int64)
+    payoff_sums = np.zeros((rows, _N_STRATEGIES))
     m = len(kernel.codes)
-    for row, t, (good, use) in zip(range(4, rows), lone.tolist(), kernel.lone_draws(cfg.seed, states, lone)):
-        fire_draws = _stream(cfg.seed, _FIRE_STREAM, t).random(m) if kernel.fires_at_random(good, use) else None
-        fill(row, kernel.account(good, use, fire_draws))
-    for state in range(4):
-        if (which == state).any():
-            fill(state, kernel.account(state >= 2, kernel.use_by_reading[state & 1], None))
-
-    def per_trial(name: str) -> np.ndarray:
-        return table[name][which]
+    for row, t, good_t, use, (produced, wage, partial) in kernel.plays(cfg.seed, states, lone):
+        failed = use & (not good_t)
+        draws = t is not None and kernel.fires_at_random(good_t, use)
+        fired = kernel.fired(failed, _stream(cfg.seed, _FIRE_STREAM, t).random(m) if draws else None)
+        good[row], fired_count[row] = good_t, np.count_nonzero(fired)
+        payoff_sums[row] = kernel.payoff_sums(partial, fired)
+        if row < 4 or kernel.reads_independent:
+            output[row], wages[row], welfare[row] = kernel.totals(produced, wage)
+            failure[row] = failed.any()
+    if not kernel.reads_independent:
+        # a lone trial of common signals shares these with its state
+        for column in (output, wages, welfare, failure):
+            column[4:] = column[states[lone]]
+    replacement_cost = curve.cost(fired_count / cfg.n_agents)
 
     per_strategy: dict[str, MeanSE] = {}
     counts = np.bincount(kernel.codes, minlength=_N_STRATEGIES)
     for code in np.flatnonzero(counts).tolist():
-        payoffs = table["payoff_sum_by_strategy"][which, code]
-        per_strategy[AgentStrategy(code).label] = _mean_se(payoffs / counts[code])
+        per_strategy[AgentStrategy(code).label] = _mean_se(payoff_sums[which, code] / counts[code])
 
     if trace_path:
-        quality, output, welfare, fired, failure = (
-            table[name].tolist() for name in ("quality", "output", "welfare", "fired_count", "failure_event")
+        quality, outputs, welfares, fired, failures = (
+            column.tolist() for column in (np.where(good, GOOD, BAD), output, welfare, fired_count, failure)
         )
         with open(trace_path, "w", encoding="utf-8") as handle:
             for t, row in enumerate(which.tolist()):
                 record = {
                     "trial": t,
                     "quality": quality[row],
-                    "output": output[row],
-                    "welfare": welfare[row],
+                    "output": outputs[row],
+                    "welfare": welfares[row],
                     "fired": fired[row],
-                    "failure": failure[row],
+                    "failure": failures[row],
                 }
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
 
     return SimResult(
-        output=_mean_se(per_trial("output")),
-        wages=_mean_se(per_trial("wages")),
-        replacement_cost=_mean_se(per_trial("replacement_cost")),
-        welfare=_mean_se(per_trial("welfare")),
-        failure_frequency=float(per_trial("failure_event").mean()),
+        output=_mean_se(output[which]),
+        wages=_mean_se(wages[which]),
+        replacement_cost=_mean_se(replacement_cost[which]),
+        welfare=_mean_se(welfare[which]),
+        failure_frequency=float(failure[which].mean()),
         per_strategy_payoff=per_strategy,
         n_agents=cfg.n_agents,
         n_trials=trials,

@@ -158,6 +158,50 @@ class TestReplacementCostCurve:
         with pytest.raises(InvalidCurveError, match="not a numeric table"):
             ReplacementCostCurve.from_file(str(path))
 
+    @staticmethod
+    def _sorted_build(q, resolution):
+        """The curve built by sorting the nodes, whatever their order."""
+        raw = np.asarray(q(np.linspace(0.0, 1.0, resolution + 1)), dtype=float)
+        return ReplacementCostCurve(values=np.sort(raw), kind="nodes")
+
+    @pytest.mark.parametrize("resolution", [2, 3, 500, 10**5])
+    def test_families_build_the_sorted_curve_byte_for_byte(self, resolution):
+        for scale in (1.0, 0.0, -0.0, 705.96235, 3e-9, 1e300):
+            for built, q in (
+                (ReplacementCostCurve.linear(scale, resolution), lambda z: scale * z),
+                (ReplacementCostCurve.power(scale, 1.7, resolution), lambda z: scale * z**1.7),
+                (ReplacementCostCurve.power(scale, 0.0, resolution), lambda z: scale * z**0.0),
+                (ReplacementCostCurve.constant(scale, resolution), lambda z: np.full_like(z, scale)),
+            ):
+                want = self._sorted_build(q, resolution)
+                assert built.values.tobytes() == want.values.tobytes()
+                assert built._cumulative.tobytes() == want._cumulative.tobytes()
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            # ascending, with zeros of both signs: they compare equal, but
+            # np.sort may reorder them and their bytes differ
+            lambda z: np.where(z < 0.5, np.where(np.arange(len(z)) % 3 == 0, -0.0, 0.0), z),
+            lambda z: 1000.0 * (1.0 - z),
+            lambda z: np.abs(z - 0.3),
+        ],
+        ids=["mixed_zeros", "descending", "valley"],
+    )
+    def test_unsorted_nodes_are_sorted(self, q):
+        for resolution in (2, 3, 40, 500, 10**5):
+            built = ReplacementCostCurve.from_function(q, resolution)
+            want = self._sorted_build(q, resolution)
+            assert built.values.tobytes() == want.values.tobytes()
+            assert built._cumulative.tobytes() == want._cumulative.tobytes()
+
+    def test_a_curve_never_shares_the_array_its_schedule_returns(self):
+        stored = np.linspace(0.0, 2.0, 11)
+        curve = ReplacementCostCurve.from_function(lambda z: stored, resolution=10)
+        assert not np.shares_memory(curve.values, stored)
+        stored[:] = 5.0
+        assert curve.values.tolist() == np.linspace(0.0, 2.0, 11).tolist()
+
     def test_tampered_curve_fails_validation(self, linear_curve):
         with pytest.raises(InvalidCurveError, match="not sorted"):
             ReplacementCostCurve(values=linear_curve.values[::-1].copy(), kind="nodes")

@@ -15,6 +15,7 @@ import dataclasses
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -305,6 +306,44 @@ def test_mixed_profiles_at_the_memo_edges(params, signal, firing, gamma, tmp_pat
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
 
+# Lone trials at scale: a few thousand access agents, where a sequential sum
+# and a pairwise one, or a count times a value, differ in the last bits.
+# Half the trials have a bad technology, and firing is random at a rate
+# strictly inside (0, 1), so the bad trials in which anyone adopts play
+# alone.  g, c and w are not dyadic, and c and w also sit at both signed
+# zeros.
+SCALE_PARAMS = {
+    "nondyadic": ModelParams(pi=0.5, eps=0.3, g=1.7, c=0.013, w=0.07, v_c=1.1),
+    "c0_w-0": ModelParams(pi=0.5, eps=0.3, g=1.7, c=0.0, w=-0.0, v_c=1.1),
+    "c-0_w0": ModelParams(pi=0.5, eps=0.3, g=1.7, c=-0.0, w=0.0, v_c=1.1),
+}
+
+
+@pytest.mark.parametrize("params", SCALE_PARAMS.values(), ids=SCALE_PARAMS)
+@pytest.mark.parametrize("signal", ["common", "independent"])
+@pytest.mark.parametrize("pay", ["prospective", "realized"])
+@pytest.mark.parametrize("kind", ["effort", "mixed"])
+def test_lone_trials_at_scale_match_the_reference(params, signal, pay, kind, tmp_path):
+    cfg = SimConfig(
+        params=params,
+        n_agents=4000,
+        n_trials=200,
+        seed=4401,
+        h=0.75,
+        signal_correlation=signal,
+        compensation=pay,
+    )
+    profile = _profile(kind, np.random.default_rng(17), cfg.n_agents)
+    curve = ReplacementCostCurve.power(70.3, 1.3, resolution=997)
+    got = monte_carlo(cfg, profile, 0.37, curve, trace_path=str(tmp_path / "got.jsonl"))
+    want = reference_monte_carlo(cfg, profile, 0.37, curve, trace_path=str(tmp_path / "want.jsonl"))
+    assert got == want
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    # a trial that fails plays alone
+    lines = (tmp_path / "want.jsonl").read_text().splitlines()
+    assert sum(json.loads(line)["failure"] for line in lines) >= 20
+
+
 # -- the streams a run draws from -----------------------------------------
 
 
@@ -379,3 +418,22 @@ def test_the_cli_trace_matches_the_reference(tmp_path, capsys):
     curve = ReplacementCostCurve.linear(100.0, resolution=500)
     reference_monte_carlo(cfg, profile, 0.35, curve, trace_path=str(tmp_path / "want.jsonl"))
     assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("signal", ["common", "independent"])
+def test_lone_trials_skip_account_and_share_one_cost_call(signal, tmp_path):
+    cfg, profile, gamma, curve = _firing_case(signal, "effort")
+    want = reference_monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "want.jsonl"))
+    kernel, curve_type = simulation._EpisodeKernel, ReplacementCostCurve
+    with mock.patch.object(kernel, "account", autospec=True, side_effect=kernel.account) as account, mock.patch.object(
+        curve_type, "cost", autospec=True, side_effect=curve_type.cost
+    ) as cost:
+        assert monte_carlo(cfg, profile, gamma, curve) == want
+    lines = (tmp_path / "want.jsonl").read_text().splitlines()
+    lone = sum(json.loads(line)["failure"] for line in lines)
+    assert lone > 100
+    # account runs at most once per distinct (quality, reading) state, never
+    # once per lone trial; with independent signals every trial is lone
+    assert account.call_count <= (4 if signal == "common" else 0)
+    # a cost per accounted state, and one call for every other row
+    assert cost.call_count == account.call_count + 1
