@@ -43,12 +43,6 @@ DEFAULT_RESOLUTION = 100_000
 MAX_RESOLUTION = 10**7
 #: Bracket width at which ``solve_threshold`` stops bisecting.
 TOL = 1e-10
-#: Bytes of boundary sums one block of scaled curves holds in the exact
-#: fallback of ``solve_thresholds``: about 2 MB, 12 rows of the 21114 sums
-#: a 10^5-segment curve needs up to gamma_bar = 0.2111.  Only points that
-#: the interval test of ``ReplacementCostCurve._cost_bounds`` (where its
-#: error bound is derived) leaves undecided at some step get a row.
-SCALED_BLOCK_BYTES = 2**21
 #: Reaches ``verify_equilibrium`` samples on each side of the threshold.
 VERIFY_SAMPLES = 9
 #: Largest payoff gap ``verify_equilibrium`` accepts as indifference at gamma_bar.
@@ -84,41 +78,38 @@ class ReplacementCostCurve:
         if len(self.values) < (2 if self.kind == "nodes" else 1):
             raise InvalidCurveError("schedule needs at least one cost sample")
         self.validate()
-        cumulative = np.empty((1, self._segments + 1))
-        self._cumulate(np.ones(1), cumulative)
-        object.__setattr__(self, "_cumulative", cumulative[0])
+        cumulative = np.empty(self._segments + 1)
+        self._cumulate(1.0, cumulative)
+        object.__setattr__(self, "_cumulative", cumulative)
 
     @property
     def _segments(self) -> int:
         return len(self.values) if self.kind == "steps" else len(self.values) - 1
 
-    def _cumulate(self, factors: np.ndarray, out: np.ndarray) -> None:
-        """Fill row i of ``out`` with r(j / n), j = 0..m, of the curve scaled by ``factors[i]``.
+    def _cumulate(self, factor: float, out: np.ndarray) -> None:
+        """Fill ``out`` with r(j / n), j = 0..m, of the curve scaled by ``factor``.
 
-        m + 1 is the width of ``out``, so a row holds the prefix of the
-        boundaries that measures up to m / n read.  Each cost is
-        ``values * factor``, the float that ``scaled(factor)`` stores, and
-        np.cumsum adds each row in sequence, so a row equals the prefix of
-        the sums that curve builds.  Boundary j sums j terms that carry at
-        most 3 roundings each, which bounds how far it can lie from
-        ``factor`` times the unscaled sum (derived in ``_cost_bounds``).
+        m + 1 is the length of ``out``: the boundaries that measures up to
+        segment m read.  Each cost is ``values * factor``, the float that
+        ``scaled(factor)`` stores, and np.cumsum adds in sequence, so
+        ``out`` is a prefix of the sums that curve builds.  Boundary j sums
+        j terms that carry at most 3 roundings each, which bounds how far it
+        can lie from ``factor`` times the unscaled sum (see ``_cost_bounds``).
         """
         n = self._segments
-        m = out.shape[1] - 1
-        sums = out[:, 1:]
+        m = len(out) - 1
+        sums = out[1:]
         if self.kind == "steps":
-            np.multiply(self.values[:m], factors[:, None], out=sums)
-            np.cumsum(sums, axis=1, out=sums)
+            np.multiply(self.values[:m], factor, out=sums)
+            np.cumsum(sums, out=sums)
             sums /= n
         else:
-            np.multiply(self.values[: m + 1], factors[:, None], out=out)
-            for row in out:
-                # each segment's two nodes; row by row, so the copy numpy
-                # makes of the overlapping operand is one row long
-                row[1:] += row[:-1]
+            np.multiply(self.values[: m + 1], factor, out=out)
+            # each segment's two nodes
+            sums += out[:-1]
             sums /= 2.0 * n
-            np.cumsum(sums, axis=1, out=sums)
-        out[:, 0] = 0.0
+            np.cumsum(sums, out=sums)
+        out[0] = 0.0
 
     # -- constructors ---------------------------------------------------
 
@@ -205,21 +196,19 @@ class ReplacementCostCurve:
     def _cost(self, x: np.ndarray, cumulative: np.ndarray, factor=1.0):
         """r(x) of the curve scaled by ``factor``, from its boundary sums ``cumulative``.
 
-        ``cumulative`` holds one curve's sums, or one row of sums per
-        measure in ``x`` with ``factor`` one per row.  ``values[j] * factor``
-        is the float that ``scaled(factor)`` stores, so this is that curve's
-        r without building it.
+        ``cumulative`` reaches at least the segment of each measure in ``x``.
+        ``values[j] * factor`` is the float that ``scaled(factor)`` stores,
+        so this is that curve's r without building it.
         """
         j = self._segment_of(x)
-        at_j = cumulative[j] if cumulative.ndim == 1 else cumulative[np.arange(len(x)), j]
-        return self._cost_from(at_j, x, j, factor)
+        return self._cost_from(cumulative[j], x, j, factor)
 
     def _cost_bounds(self, x: np.ndarray, factors: np.ndarray) -> np.ndarray:
         """Rows (lo, hi) enclosing r(x) of the curve scaled by ``factors``, one of each per measure.
 
-        No scaled sum is built: ``_cost(x, cumulative, factors)`` on the
-        rows that ``_cumulate`` fills lies in [lo, hi] for every factor
-        that passes ``check_scale``.
+        No scaled sum is built: ``_cost(x, sums, factor)`` on the sums
+        that ``_cumulate(factor, sums)`` fills lies in [lo, hi] for every
+        factor that passes ``check_scale``.
         """
         j = self._segment_of(x)
         approx = factors * self._cumulative[j]
@@ -253,11 +242,6 @@ class ReplacementCostCurve:
         # integrate the piecewise-linear interpolant of the sorted nodes
         y1 = self.values[j + 1] * factor
         return at_j + y0 * t + (y1 - y0) * t * t * n / 2.0
-
-    def _boundaries_to(self, upto: float) -> int:
-        """Segments whose sums r at measures up to ``upto`` read: one past the segment of ``upto``."""
-        n = self._segments
-        return n if upto >= 1.0 else min(int(upto * n) + 1, n)
 
     @property
     def marginal_cost_at_zero(self) -> float:
@@ -401,13 +385,14 @@ def solve_thresholds(
     ``check_scale``.  Scaled curves are never built.  Each step of a
     scaled point compares the benefit with an interval that contains the
     scaled curve's r, bounded from the unscaled boundary sums (the bound
-    is derived in ``ReplacementCostCurve._cost_bounds``).  A point that
-    some step cannot decide is solved again on its exact scaled sums,
-    filled block by block into one buffer of about
-    ``SCALED_BLOCK_BYTES``.  Every point bisects as a one-point solve
-    does, so the batch changes no bit: every midpoint is dyadic, and each
-    point takes exactly 34 steps to a bracket of width 2^-34, the first
-    below ``TOL``, unless it is credible at h = 1.
+    is derived in ``ReplacementCostCurve._cost_bounds``).  A step it
+    cannot decide, a near tie, builds that point's exact scaled sums as
+    far as the step reads and decides on them; a point credible at h = 1
+    is asked at h = 1 on every step, so a near tie there builds them each
+    time.  Every point bisects as a one-point solve does, so the batch
+    changes no bit: every midpoint is dyadic, and each point takes
+    exactly 34 steps to a bracket of width 2^-34, the first below
+    ``TOL``, unless it is credible at h = 1.
     """
     # a curve_scale sweep passes one params object for every point, so each
     # object is checked once
@@ -443,30 +428,20 @@ def _solve_checked(
     else:
         factors = np.array(scales, dtype=float)
         marginal = (curve.values[0] * factors).tolist()
-        undecided = np.zeros(len(rate), dtype=bool)
 
-        def decided(h):
-            # credible where the benefit covers the interval's top; the
-            # steps of a point whose benefit falls inside it are redone
-            benefit = slope * h
-            low, high = curve._cost_bounds(rate * h, factors)
-            undecided[...] |= ~((benefit >= high) | (benefit < low))
-            return benefit >= high
+        def credible(h):
+            # a benefit inside the interval, a near tie, is decided on the exact sums
+            benefit, x = slope * h, rate * h
+            low, high = curve._cost_bounds(x, factors)
+            feasible = benefit >= high
+            for i in np.flatnonzero((benefit >= low) & ~feasible).tolist():
+                at = x[i : i + 1]
+                sums = np.empty(int(curve._segment_of(at)[0]) + 1)
+                curve._cumulate(factors[i], sums)
+                feasible[i] = benefit[i] >= curve._cost(at, sums, factors[i])[0]
+            return feasible
 
-        feasible, infeasible, bisections = _bisect(decided)
-        redo = np.flatnonzero(undecided)
-        if redo.size:
-            # a solve reads r(gamma_bar * h) with h <= 1, so the sums stop there
-            width = curve._boundaries_to(float(rate[redo].max())) + 1
-            rows = max(min(SCALED_BLOCK_BYTES // (8 * width), len(redo)), 1)
-            buffer = np.empty((rows, width))
-            for start in range(0, len(redo), rows):
-                block = redo[start : start + rows]
-                cumulative = buffer[: len(block)]
-                curve._cumulate(factors[block], cumulative)
-                cost = functools.partial(curve._cost, cumulative=cumulative, factor=factors[block])
-                credible = functools.partial(_credible, slope=slope[block], rate=rate[block], cost=cost)
-                feasible[block], infeasible[block], bisections[block] = _bisect(credible)
+        feasible, infeasible, bisections = _bisect(credible)
     return [
         EquilibriumSolution(
             gamma_bar=gb,

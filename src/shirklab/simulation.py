@@ -74,7 +74,7 @@ SENIORITY = "seniority"
 
 #: Size caps of a run, checked before any array is built.  A profile holds
 #: one byte per agent and Monte Carlo peaks at about 25 bytes per trial,
-#: about 165 for a trial that plays alone.
+#: about 140 for a trial that plays alone.
 MAX_AGENTS = 10**7
 MAX_TRIALS = 10**6
 
@@ -456,7 +456,8 @@ def monte_carlo(
     trial of a profile that reads independent signals, plays alone.  A
     lone trial computes only what its draws change: who is fired and the
     payoff sums, and with independent signals its output, wages, welfare
-    and failure too.  One ``curve.cost`` call prices every row.
+    and failure too.  One ``curve.cost`` call prices each distinct count
+    of fired agents.
     """
     kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve)
     trials = cfg.n_trials
@@ -483,7 +484,9 @@ def monte_carlo(
         # a lone trial of common signals shares these with its state
         for column in (output, wages, welfare, failure):
             column[4:] = column[states[lone]]
-    replacement_cost = curve.cost(fired_count / cfg.n_agents)
+    # each distinct count priced once; cost works element by element
+    distinct, inverse = np.unique(fired_count, return_inverse=True)
+    replacement_cost = curve.cost(distinct / cfg.n_agents)[inverse]
 
     per_strategy: dict[str, MeanSE] = {}
     counts = np.bincount(kernel.codes, minlength=_N_STRATEGIES)
@@ -678,8 +681,9 @@ def nash_check(
 ) -> list[Deviation]:
     """List every profitable unilateral deviation; empty means Nash.
 
-    Payoffs are exact expectations, so a gain above ``PAYOFF_TIE_TOL`` is
-    a real deviation rather than sampling noise.
+    Payoffs are exact expectations, so a strategy that ``_unhappy`` finds
+    short of the best is a real deviation rather than sampling noise: the
+    agents listed are those that ``iterated_best_response`` would switch.
     """
     codes = _access_codes(cfg, profile, policy_gamma)
     rows, row_of_agent = _deviation_payoff_table(cfg, codes, policy_gamma)
@@ -692,8 +696,13 @@ def nash_check(
             better=AgentStrategy(int(best[pos])),
             gain=float(gain[pos]),
         )
-        for pos in np.flatnonzero(gain > PAYOFF_TIE_TOL)
+        for pos in np.flatnonzero(_unhappy(rows)[row_of_agent, codes])
     ]
+
+
+def _unhappy(rows: np.ndarray) -> np.ndarray:
+    """Where a strategy pays less than its row's best by more than ``PAYOFF_TIE_TOL``: the one tie rule."""
+    return rows < rows.max(1)[:, None] - PAYOFF_TIE_TOL
 
 
 @dataclass(frozen=True)
@@ -724,8 +733,7 @@ def _table_switches(cfg: SimConfig, codes: bytearray, start: int) -> tuple[list[
     array = np.frombuffer(codes, dtype=np.int8)
     rows, row_of_agent = _deviation_payoff_table(cfg, array, 0.0)
     row_of_agent = row_of_agent[start:]
-    unhappy = rows < rows.max(1)[:, None] - PAYOFF_TIE_TOL
-    positions = np.flatnonzero(unhappy[row_of_agent, array[start:]])
+    positions = np.flatnonzero(_unhappy(rows)[row_of_agent, array[start:]])
     return (start + positions).tolist(), rows.argmax(1)[row_of_agent[positions]].tolist()
 
 
@@ -749,7 +757,7 @@ class _SharedRows:
         # each finds the next failing agent
         self.scans = [re.compile(b"[" + bytes(group) + b"]") for group in failing]
         self.first = [self._next_failure(k, 0) for k in (0, 1)]
-        self.unhappy = (rows < rows.max(1)[:, None] - PAYOFF_TIE_TOL).tolist()
+        self.unhappy = _unhappy(rows).tolist()
         self.best = rows.argmax(1).tolist()
 
     def _next_failure(self, k: int, start: int) -> int:

@@ -95,9 +95,11 @@ def sweep_h(params: ModelParams, curve: ReplacementCostCurve, grid: Iterable[flo
     output = np.where(effort, expected_output(h, EFFORT, params), expected_output(h, SHIRK, params))
     # welfare nets out the effort cost that researchers pay
     welfare = np.where(effort, output - params.c * h, output)
+    # the two label objects, 8 bytes a row
+    regime = np.array((SHIRK, EFFORT), dtype=object)[effort.view(np.uint8)]
     return Table(
         ("h", "regime", "gamma_star", "output", "welfare", "boundary"),
-        (h, np.where(effort, EFFORT, SHIRK), gamma_star, output, welfare, np.abs(h - sol.h_tilde) <= TOL),
+        (h, regime, gamma_star, output, welfare, np.abs(h - sol.h_tilde) <= TOL),
     )
 
 
@@ -112,8 +114,8 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
     point is checked once, here, and the admissible points are solved
     together in one batched bisection, as ``solve_thresholds`` does but
     without checking them again; for
-    ``curve_scale`` no scaled curve is built, and only points with a
-    step too close to call from the unscaled sums get scaled sums.
+    ``curve_scale`` no scaled curve is built, and only a step too close
+    to call from the unscaled sums builds scaled sums.
     """
     if parameter not in SWEEPABLE_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEPABLE_PARAMETERS}")
@@ -204,12 +206,12 @@ def emit_csv(table: Table, path: str) -> None:
     string.  Every column of a chunk becomes a block of text bytes, one
     row per cell, padded with a byte that no UTF-8 text holds; the blocks
     are joined with the separators and the padding is deleted.  A numpy
-    column (not of objects) whose cells in the chunk all have the first
-    cell's bytes, so -0.0 and 0.0 differ and a NaN run is one value, is
-    its one text repeated.  Otherwise a float64 array goes to
-    ``_format_floats``, and any other column becomes cell texts, each
-    non-float text made once per distinct value.  An empty table is an
-    error, raised before the file is opened.
+    column whose cells in the chunk all have the first cell's bytes, so
+    -0.0 and 0.0 differ, a NaN run is one value and an object column
+    holds one object, is its one text repeated.  Otherwise a float64
+    array goes to ``_format_floats``, and any other column becomes cell
+    texts, each non-float text made once per distinct value.  An empty
+    table is an error, raised before the file is opened.
     """
     if not len(table):
         raise ValueError("refusing to write an empty table")
@@ -261,10 +263,12 @@ def _text_block(texts: list[str]) -> np.ndarray:
 
 
 def _one_value(values) -> bool:
-    """Whether ``values`` is a numpy column, not of objects, whose cells all have the first cell's bytes."""
-    if not isinstance(values, np.ndarray) or values.dtype == object:
-        return False
-    return values.tobytes() == values[:1].tobytes() * len(values)
+    """Whether ``values`` is a numpy column whose cells all have the first cell's bytes.
+
+    The bytes of an object column are its pointers: equal ones are one
+    object, so one text.
+    """
+    return isinstance(values, np.ndarray) and values.tobytes() == values[:1].tobytes() * len(values)
 
 
 @functools.cache

@@ -136,11 +136,11 @@ def column(table, name: str) -> list:
 
 
 def recording_cumulate(built: list):
-    """Patch ``ReplacementCostCurve._cumulate`` to append to ``built`` each factor it fills scaled sums for."""
+    """Patch ``ReplacementCostCurve._cumulate`` to append to ``built`` the factor of each row of scaled sums it fills."""
     cumulate = ReplacementCostCurve._cumulate
 
-    def recording(self, factors, out):
-        built.extend(factors.tolist())
-        cumulate(self, factors, out)
+    def recording(self, factor, out):
+        built.append(float(factor))
+        cumulate(self, factor, out)
 
     return mock.patch.object(ReplacementCostCurve, "_cumulate", recording)

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_curve, draw_params, recording_cumulate
-from shirklab import equilibrium, model
+from shirklab import model
 from shirklab.cli import main
 from shirklab.equilibrium import (
     TOL,
@@ -232,15 +232,16 @@ class TestPrefixScaledCurve:
         fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
     )
     def test_prefix_cost_equals_the_full_build_exactly(self, kind, factors, upto, fractions):
-        # a block of scaled sums holds one row per factor, only as far as
-        # measures up to ``upto`` read, and builds no scaled copy
+        # one row of scaled sums per factor, only as far as the segment of
+        # ``upto`` reads, and no scaled copy built
         parent = PREFIX_PARENTS[kind]
-        block = np.empty((len(factors), parent._boundaries_to(upto) + 1))
-        parent._cumulate(np.array(factors), block)
-        for x in [upto, 0.0] + [upto * u for u in fractions]:
-            full = [parent.scaled(factor).cost(x) for factor in factors]
-            prefix = parent._cost(np.full(len(factors), x), block, np.array(factors))
-            assert prefix.tolist() == full
+        for factor in factors:
+            sums = np.empty(int(parent._segment_of(np.array([upto]))[0]) + 1)
+            parent._cumulate(factor, sums)
+            full = parent.scaled(factor)
+            assert sums.tobytes() == full._cumulative[: len(sums)].tobytes()
+            for x in [upto, 0.0] + [upto * u for u in fractions]:
+                assert parent._cost(np.array([x]), sums, factor).tolist() == [full.cost(x)]
 
     @pytest.mark.parametrize("factor", [0.0, 1e-300, 0.37, 3.0, 1e6])
     @pytest.mark.parametrize("kind", sorted(PREFIX_PARENTS))
@@ -597,10 +598,8 @@ class TestSolveThresholds:
         seed=st.integers(0, 2**32 - 1),
         family=st.sampled_from(("linear", "power", "file")),
         kinds=st.lists(st.sampled_from(("zero", "tiny", "drawn", "largest")), min_size=1, max_size=30),
-        block_bytes=st.sampled_from((1, 10_000, 2**21)),
     )
-    def test_scaled_batches_equal_solves_on_scaled_copies(self, seed, family, kinds, block_bytes, curve_dir):
-        # blocks of one row, of a few rows and of many rows all give the same bits
+    def test_scaled_batches_equal_solves_on_scaled_copies(self, seed, family, kinds, curve_dir):
         rng = np.random.default_rng(seed)
         curve = _family_curve(family, rng, curve_dir)
         p = draw_params(rng)
@@ -609,7 +608,7 @@ class TestSolveThresholds:
         factors = [draws[kind]() for kind in kinds]
         # the CLI's float checks: an overflow or invalid operation would exit 2
         errstate = np.errstate(over="raise", invalid="raise", divide="raise")
-        with mock.patch.object(equilibrium, "SCALED_BLOCK_BYTES", block_bytes), errstate:
+        with errstate:
             batch = solve_thresholds([p] * len(factors), curve, factors)
         for factor, sol in zip(factors, batch):
             scaled = curve.scaled(factor)
@@ -623,27 +622,28 @@ class TestSolveThresholds:
         seed=st.integers(0, 2**32 - 1),
         family=st.sampled_from(("linear", "power", "file")),
         kinds=st.lists(st.sampled_from(("zero", "tiny", "drawn", "largest")), max_size=27),
-        block_bytes=st.sampled_from((1, 10_000, 2**21)),
     )
-    def test_the_exact_fallback_alone_equals_solves_on_scaled_copies(self, seed, family, kinds, block_bytes, curve_dir):
-        # bounds that decide no step send every point to the exact scaled sums
+    def test_the_exact_fallback_alone_equals_solves_on_scaled_copies(self, seed, family, kinds, curve_dir):
+        # bounds that decide no step send every point to the exact scaled sums at every step
         rng = np.random.default_rng(seed)
         curve = _family_curve(family, rng, curve_dir)
         p = draw_params(rng)
         factors = _scale_factors(rng, curve, ["zero", "tiny", "largest", *kinds])
-        built = []
+        built, asked = [], []
 
         def undecided(self, x, factors):
+            asked.extend(factors.tolist())
             return np.stack((np.full(len(x), -np.inf), np.full(len(x), np.inf)))
 
         with (
             mock.patch.object(ReplacementCostCurve, "_cost_bounds", undecided),
             recording_cumulate(built),
-            mock.patch.object(equilibrium, "SCALED_BLOCK_BYTES", block_bytes),
             _cli_errstate(),
         ):
             batch = solve_thresholds([p] * len(factors), curve, factors)
-        assert built == factors
+        # one build per step that the bounds leave undecided: here every
+        # point's, at h = 1 and at each step after it
+        assert built == asked == factors * (1 + max(sol.bisections for sol in batch))
         for factor, sol in zip(factors, batch):
             scaled = curve.scaled(factor)
             assert repr(sol) == repr(solve_threshold(p, scaled))

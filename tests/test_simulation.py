@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_POINTS, best_response, draw_params, trace_profiles
+from shirklab import simulation
 from shirklab.equilibrium import EFFORT, SHIRK, ReplacementCostCurve, expected_output
 from shirklab.errors import ContractViolationError, InvalidParamsError
 from shirklab.model import AgentStrategy, ModelParams, agent_payoff, expected_production, gamma_bar
@@ -347,6 +349,28 @@ class TestNashCheck:
                         assert deviations == []
                     else:
                         assert len(deviations) == cfg.n_agents
+
+    @pytest.mark.parametrize(
+        "current",
+        # the best payoff, a gap of 1.00009e-12 that the tolerance's own
+        # rounding leaves a tie, the float below it, and a clear shortfall
+        [1.6089617403047425, 1.6089617403037424, 1.6089617403037422, 1.6089617393047425],
+    )
+    def test_a_deviation_is_listed_exactly_when_best_responses_switch(self, p0, current):
+        best = 1.6089617403047425
+        row = np.array([best if s == EFS else current if s == SU else 0.0 for s in AgentStrategy])
+
+        def table(cfg, codes, policy_gamma):
+            return row[None, :], np.zeros(len(codes), dtype=np.intp)
+
+        cfg = make_cfg(p0, n_agents=20, h=1.0)
+        profile = StrategyProfile.symmetric(SU, cfg.n_agents)
+        with mock.patch.object(simulation, "_deviation_payoff_table", table):
+            deviations = nash_check(cfg, profile, 0.0)
+            trace = iterated_best_response(cfg, profile)
+        assert trace.converged
+        assert (deviations == []) == (trace.rounds == 0)
+        assert all(d.gain == best - current and d.better == EFS for d in deviations)
 
     def test_seniority_mode_research_profile_is_nash(self, p0):
         cfg = make_cfg(p0, n_agents=50, h=1.0, punishment_mode="seniority")
