@@ -31,6 +31,7 @@ from .model import (
     ModelParams,
     _fmt,
     _gamma_bar,
+    _quotient,
     agent_payoff,
     gamma_bar,
     require_admissible,
@@ -248,22 +249,26 @@ class ReplacementCostCurve:
         """One-sided derivative r'(0): the cheapest available replacement."""
         return float(self.values[0])
 
-    def check_scale(self, factor: float) -> None:
-        """Raise ``InvalidCurveError`` unless scaling every cost by ``factor`` keeps the curve valid.
+    def check_scale(self, factor) -> None:
+        """Raise ``InvalidCurveError`` unless the costs times ``factor``, or times each of an array, stay valid."""
+        for fault in self._scale_faults(np.array(factor, dtype=float, ndmin=1)).tolist():
+            if fault:
+                raise InvalidCurveError(fault)
+
+    def _scale_faults(self, factors: np.ndarray) -> np.ndarray:
+        """Why ``check_scale`` rejects each of ``factors``, "" where it passes, as an object array.
 
         A nonnegative factor keeps the costs ascending, since rounding is
-        monotone; the factor must also keep every sum the constructor
-        forms finite: two neighbouring nodes, or every cost of a finite
-        sample.  That is checked in Python floats, which overflow to inf
-        where a numpy product would raise.
+        monotone; it must also keep every sum the constructor forms finite:
+        two neighbouring nodes, or every cost of a finite sample.
         """
-        if not math.isfinite(factor):
-            raise InvalidCurveError("scale factor must be finite")
-        if factor < 0.0:
-            raise InvalidCurveError("scale factor must be nonnegative")
         terms = 2 if self.kind == "nodes" else len(self.values)
-        if not math.isfinite(terms * factor * float(self.values[-1])):
-            raise InvalidCurveError("scale factor too large: the scaled costs overflow")
+        with np.errstate(over="ignore", invalid="ignore"):
+            # an overflowing product is inf, as in Python floats
+            overflows = ~np.isfinite(terms * factors * self.values[-1])
+            fault = np.select((~np.isfinite(factors), factors < 0.0, overflows), (1, 2, 3))
+        texts = ("must be finite", "must be nonnegative", "too large: the scaled costs overflow")
+        return np.array(["", *(f"scale factor {text}" for text in texts)], dtype=object)[fault]
 
     def scaled(self, factor: float) -> "ReplacementCostCurve":
         """A copy with every per-replacement cost times ``factor``; ``check_scale`` checks it."""
@@ -302,12 +307,12 @@ def credibility_slope(p: ModelParams) -> float:
     bill is paid only in the failure state, which has probability
     (1-pi)*eps.  The condition "slope * h >= r(gamma_bar * h)" compares
     the two.  With eps = 0 punishment is never actually carried out in
-    an effort equilibrium, so the slope is infinite.
+    an effort equilibrium, so the slope is infinite; so it is when a
+    subnormal eps rounds the probability to 0.0, as the correctly rounded
+    quotient of the positive gain.  ``p``'s primitives may be arrays.
     """
     gain = (1.0 - p.pi) * (1.0 - p.eps) - p.pi * p.eps * p.g
-    if p.eps == 0.0:
-        return math.inf
-    return gain / ((1.0 - p.pi) * p.eps)
+    return _quotient(gain, (1.0 - p.pi) * p.eps, math.inf)
 
 
 def punish_feasible(h, p: ModelParams, curve: ReplacementCostCurve):
@@ -315,9 +320,10 @@ def punish_feasible(h, p: ModelParams, curve: ReplacementCostCurve):
 
     ``h`` is a float, answered with a bool, or an array, answered with one
     bool per reach.  Both sides are zero at h = 0, which is credible: the
-    infinite slope of eps = 0 is never multiplied by it.  For h > 0 that
-    slope makes every finite bill credible.  ``p`` is read only when some
-    reach is positive, so h = 0 is credible even for inadmissible params.
+    infinite slope of eps = 0, or of a subnormal eps, is never multiplied
+    by it.  For h > 0 that slope makes every finite bill credible.  ``p``
+    is read only when some reach is positive, so h = 0 is credible even
+    for inadmissible params.
     """
     _require_unit(h, "h")
     reach = np.asarray(h, dtype=float)
@@ -382,52 +388,67 @@ def solve_thresholds(
 
     Point i is solved against ``curve``, or, given ``scales``, against the
     curve with every cost times ``scales[i]``, which must pass
-    ``check_scale``.  Scaled curves are never built.  Each step of a
-    scaled point compares the benefit with an interval that contains the
-    scaled curve's r, bounded from the unscaled boundary sums (the bound
-    is derived in ``ReplacementCostCurve._cost_bounds``).  A step it
-    cannot decide, a near tie, builds that point's exact scaled sums as
-    far as the step reads and decides on them; a point credible at h = 1
-    is asked at h = 1 on every step, so a near tie there builds them each
-    time.  Every point bisects as a one-point solve does, so the batch
-    changes no bit: every midpoint is dyadic, and each point takes
-    exactly 34 steps to a bracket of width 2^-34, the first below
-    ``TOL``, unless it is credible at h = 1.
+    ``check_scale``.  Each point's gamma_bar and credibility slope come
+    from its params object, and ``_bisect_thresholds`` solves them all;
+    a parameter sweep calls that same core on its grid arrays.
     """
     # a curve_scale sweep passes one params object for every point, so each
     # object is checked once
     for p in {id(p): p for p in points}.values():
         require_admissible(p)
+    factors = None
     if scales is not None:
-        factors = np.asarray(scales, dtype=float)
+        factors = np.array(scales, dtype=float)
         if len(factors) != len(points):
             raise ValueError(f"{len(factors)} scales for {len(points)} points")
-        for factor in factors.tolist():
-            curve.check_scale(factor)
-    return _solve_checked(points, curve, scales)
+        curve.check_scale(factors)
+    rate, slope = (np.array([term(p) for p in points], dtype=float) for term in (_gamma_bar, credibility_slope))
+    marginal = np.full(len(points), curve.marginal_cost_at_zero) if factors is None else curve.values[0] * factors
+    feasible, infeasible, bisections = _bisect_thresholds(curve, rate, slope, factors)
+    return [
+        EquilibriumSolution(
+            gamma_bar=gb,
+            h_tilde=low,
+            # Python floats: a slope / gamma_bar past the float range is inf, not an error
+            feasible_set_nonempty=_quotient(s, gb, math.inf) > cheapest,
+            marginal_cost_at_zero=cheapest,
+            bisections=steps,
+            bracket=(low, high),
+        )
+        for gb, s, cheapest, low, high, steps in zip(
+            *(column.tolist() for column in (rate, slope, marginal, feasible, infeasible, bisections))
+        )
+    ]
 
 
-def _solve_checked(
-    points: Sequence[ModelParams],
-    curve: ReplacementCostCurve,
-    scales: Sequence[float] | None,
-) -> list[EquilibriumSolution]:
-    """``solve_thresholds`` of admissible points and of scales that pass ``check_scale``, checking neither."""
-    # each params object's terms are computed once; keyed by identity, as
-    # equal params such as c = w = -0.0 and c = w = 0.0 give gamma_bar -0.0
-    # and 0.0
-    distinct = {id(p): p for p in points}
-    terms = {key: (_gamma_bar(p), credibility_slope(p)) for key, p in distinct.items()}
-    rate = np.array([terms[id(p)][0] for p in points], dtype=float)
-    slope = np.array([terms[id(p)][1] for p in points], dtype=float)
-    if scales is None:
+def _bisect_thresholds(
+    curve: ReplacementCostCurve, rate: np.ndarray, slope: np.ndarray, factors: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bisect the credibility condition on [0, 1] for every point at once.
+
+    Point i has gamma_bar ``rate[i]`` and credibility slope ``slope[i]``,
+    and is solved against ``curve``, or, given ``factors``, against the
+    curve scaled by ``factors[i]``, which must pass ``check_scale``; no
+    scaled curve is built.  Each step of a scaled point compares the
+    benefit with an interval that contains the scaled curve's r, bounded
+    from the unscaled boundary sums (the bound is derived in
+    ``ReplacementCostCurve._cost_bounds``).  A step it cannot decide, a
+    near tie, builds that point's exact scaled sums as far as the step
+    reads and decides on them; a point credible at h = 1 is asked at
+    h = 1 on every step, so a near tie there builds them each time.
+
+    Returns the final (feasible, infeasible) bracket ends and the
+    bisection count per point.  Every point bisects as a one-point solve
+    does, so the batch changes no bit: every midpoint is dyadic, and each
+    point takes exactly 34 steps to a bracket of width 2^-34, the first
+    below ``TOL``, unless it is credible at h = 1 and keeps the bracket
+    (1, 1): its midpoint is 1 again, so no step moves or counts it.
+    """
+    if factors is None:
         # the bisection reads only measures gamma_bar * h in [0, 1]
         cost = functools.partial(curve._cost, cumulative=curve._cumulative)
-        feasible, infeasible, bisections = _bisect(functools.partial(_credible, slope=slope, rate=rate, cost=cost))
-        marginal = [curve.marginal_cost_at_zero] * len(points)
+        credible = functools.partial(_credible, slope=slope, rate=rate, cost=cost)
     else:
-        factors = np.array(scales, dtype=float)
-        marginal = (curve.values[0] * factors).tolist()
 
         def credible(h):
             # a benefit inside the interval, a near tie, is decided on the exact sums
@@ -441,32 +462,6 @@ def _solve_checked(
                 feasible[i] = benefit[i] >= curve._cost(at, sums, factors[i])[0]
             return feasible
 
-        feasible, infeasible, bisections = _bisect(credible)
-    return [
-        EquilibriumSolution(
-            gamma_bar=gb,
-            h_tilde=low,
-            # Python floats: a slope / gamma_bar past the float range is inf, not an error
-            feasible_set_nonempty=(math.inf if gb == 0.0 else s / gb) > cheapest,
-            marginal_cost_at_zero=cheapest,
-            bisections=steps,
-            bracket=(low, high),
-        )
-        for gb, s, cheapest, low, high, steps in zip(
-            rate.tolist(), slope.tolist(), marginal, feasible.tolist(), infeasible.tolist(), bisections.tolist()
-        )
-    ]
-
-
-def _bisect(credible: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bisect the credibility condition on [0, 1] for every point at once.
-
-    ``credible`` maps a reach, one float or one per point, to whether each
-    point is credible there.  Returns the final (feasible, infeasible)
-    bracket ends and the bisection count per point.  A point credible at
-    h = 1 keeps the bracket (1, 1): its midpoint is 1 again, so the steps
-    leave it be and do not count.
-    """
     feasible = np.where(credible(1.0), 1.0, 0.0)
     infeasible = np.ones_like(feasible)
     bisections = np.zeros(len(feasible), dtype=int)

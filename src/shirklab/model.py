@@ -47,6 +47,11 @@ def _fmt(x: float) -> str:
     return format(x, NUMBER_FORMAT)
 
 
+def _signal_good_prob(p) -> float:
+    """Probability the signal reads 'good': pi(1-eps) + (1-pi)eps; ``p``'s primitives may be arrays."""
+    return p.pi * (1.0 - p.eps) + (1.0 - p.pi) * p.eps
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The six model primitives.
@@ -67,31 +72,45 @@ class ModelParams:
     v_c: float
 
     def __post_init__(self) -> None:
-        for name in ("pi", "eps", "g", "c", "w", "v_c"):
+        for name in _RANGES:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise InvalidParamsError(f"{name} must be a finite number, got {value!r}")
-        if not 0.0 < self.pi < 1.0:
-            raise InvalidParamsError(f"pi must lie in (0, 1), got {self.pi}")
-        if not 0.0 <= self.eps <= 0.5:
-            raise InvalidParamsError(f"eps must lie in [0, 1/2], got {self.eps}")
-        if self.g <= 0.0:
-            raise InvalidParamsError(f"g must be positive, got {self.g}")
-        if self.c < 0.0:
-            raise InvalidParamsError(f"c must be nonnegative, got {self.c}")
-        if self.w < 0.0:
-            raise InvalidParamsError(f"w must be nonnegative, got {self.w}")
-        if self.v_c <= 0.0:
-            raise InvalidParamsError(f"v_c must be positive, got {self.v_c}")
+                raise InvalidParamsError(_range_message(name, value))
+        for name, (_, holds) in _RANGES.items():
+            if not holds(getattr(self, name)):
+                raise InvalidParamsError(_range_message(name, getattr(self, name)))
 
-    def signal_good_prob(self) -> float:
-        """Probability the signal reads 'good': pi(1-eps) + (1-pi)eps."""
-        return self.pi * (1.0 - self.eps) + (1.0 - self.pi) * self.eps
+    signal_good_prob = _signal_good_prob
 
     @cached_property
     def state_table(self) -> StateTable:
         """The state table of these parameters, built once on first use."""
         return StateTable(self)
+
+
+#: Each primitive's range: its words, and a test of finite floats or arrays.
+_RANGES = {
+    "pi": ("lie in (0, 1)", lambda x: (0.0 < x) & (x < 1.0)),
+    "eps": ("lie in [0, 1/2]", lambda x: (0.0 <= x) & (x <= 0.5)),
+    "g": ("be positive", lambda x: x > 0.0),
+    "c": ("be nonnegative", lambda x: x >= 0.0),
+    "w": ("be nonnegative", lambda x: x >= 0.0),
+    "v_c": ("be positive", lambda x: x > 0.0),
+}
+
+
+def _range_message(name: str, value) -> str:
+    """Why ``ModelParams`` rejects ``value`` as primitive ``name``."""
+    if isinstance(value, (int, float)) and math.isfinite(value):
+        return f"{name} must {_RANGES[name][0]}, got {value}"
+    return f"{name} must be a finite number, got {value!r}"
+
+
+def _quotient(numerator, denominator, at_zero):
+    """numerator / denominator, floats or arrays, and ``at_zero`` where the denominator is 0.0."""
+    if isinstance(denominator, np.ndarray):
+        return np.where(denominator == 0.0, at_zero, numerator / denominator)
+    return at_zero if denominator == 0.0 else numerator / denominator
 
 
 class AgentStrategy(IntEnum):
@@ -201,12 +220,14 @@ def validate_params(p: ModelParams) -> ValidationReport:
         which also caps the minimal punishment rate at 1.
 
     Hard range violations raise from the ``ModelParams`` constructor, so
-    every report here is over in-range parameters.
+    every report here is over in-range parameters.  ``p`` may also be any
+    object whose primitives are floats or arrays of in-range values, run
+    under ``np.errstate(all="ignore")``: each check then holds arrays.
     """
     low = p.eps / (1.0 - p.eps)
-    high = math.inf if p.eps == 0.0 else (1.0 - p.eps) / p.eps
+    high = _quotient(1.0 - p.eps, p.eps, math.inf)
     efficiency_slack = (1.0 - p.pi) * (1.0 - p.eps) - p.pi * p.eps * p.g - p.c
-    v_c_bound = (p.c + (1.0 - p.signal_good_prob()) * p.w) / ((1.0 - p.pi) * (1.0 - p.eps))
+    v_c_bound = (p.c + (1.0 - _signal_good_prob(p)) * p.w) / ((1.0 - p.pi) * (1.0 - p.eps))
     checks = (
         CheckResult("growth_window_low", p.g > low, p.g - low),
         CheckResult("growth_window_high", p.g < high, high - p.g),
@@ -267,10 +288,14 @@ def gamma_bar(p: ModelParams) -> float:
     return _gamma_bar(p)
 
 
-def _gamma_bar(p: ModelParams) -> float:
-    """``gamma_bar`` of parameters the caller has already found admissible."""
-    numerator = p.c + (1.0 - p.signal_good_prob()) * p.w
-    return numerator / ((1.0 - p.pi) * (1.0 - p.eps) * p.v_c)
+def _gamma_bar(p) -> float:
+    """``gamma_bar`` of primitives, floats or arrays, that the caller has already found admissible.
+
+    On admissible params the denominator underflows to 0.0 (v_c = 5e-324)
+    only under a zero numerator, so that signed zero is the quotient.
+    """
+    numerator = p.c + (1.0 - _signal_good_prob(p)) * p.w
+    return _quotient(numerator, (1.0 - p.pi) * (1.0 - p.eps) * p.v_c, numerator)
 
 
 def agent_payoff(

@@ -3,9 +3,9 @@
 A sweep over the reach h traces the model's central prediction: output
 follows the first-best line while punishment is credible, then drops to
 the blind-adoption line once the reach passes the credibility threshold.
-Parameter sweeps recompute the equilibrium objects per grid point and
-flag inadmissible points instead of dropping them, so sweeps across the
-admissibility boundary stay informative.
+Parameter sweeps recompute the equilibrium objects at every grid point,
+as arrays over the grid, and flag inadmissible points instead of dropping
+them, so sweeps across the admissibility boundary stay informative.
 """
 
 from __future__ import annotations
@@ -14,24 +14,25 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidCurveError, InvalidParamsError
 from .equilibrium import (
     EFFORT,
     SHIRK,
     TOL,
     ReplacementCostCurve,
+    _bisect_thresholds,
     _drop_per_reach,
-    _solve_checked,
+    credibility_slope,
     expected_output,
     policy,
     solve_threshold,
 )
-from .model import ModelParams, _fmt, validate_params
+from .model import _RANGES, ModelParams, _fmt, _gamma_bar, _range_message, validate_params
 
 SWEEPABLE_PARAMETERS = ("h", "pi", "eps", "g", "c", "w", "v_c", "curve_scale")
 
@@ -108,52 +109,50 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
 
     ``parameter`` is one of ``SWEEPABLE_PARAMETERS`` other than ``h``.
     Inadmissible grid points are emitted with ``admissible=False`` and
-    the name of the violated condition; their equilibrium columns are
-    left empty.  Points outside a parameter's range, or a negative
-    curve scale, are flagged the same way with the error message.  Each
-    point is checked once, here, and the admissible points are solved
-    together in one batched bisection, as ``solve_thresholds`` does but
-    without checking them again; for
-    ``curve_scale`` no scaled curve is built, and only a step too close
-    to call from the unscaled sums builds scaled sums.
+    the names of the violated conditions; their equilibrium columns are
+    left empty.  Points outside a parameter's range, or a curve scale
+    that ``check_scale`` rejects, are flagged the same way with the
+    error message.  The sweep is one array program, with no params object
+    per point: the range rule or the scale check, the admissibility checks
+    and the closed forms run once on the grid array, through the functions
+    that check and solve one params object, and ``_bisect_thresholds``,
+    the core of ``solve_thresholds``, solves the admissible points.  For
+    ``curve_scale`` no scaled curve is built.
     """
     if parameter not in SWEEPABLE_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEPABLE_PARAMETERS}")
     if parameter == "h":
         raise ValueError("use sweep_h for grids over the technology reach")
     values = _floats(grid)
-    reasons = [""] * len(values)
-    solved, points = [], []
+    scaled = parameter == "curve_scale"
+    if scaled:
+        reasons = curve._scale_faults(values)
+    else:
+        reasons = np.full(len(values), "", dtype=object)
+        rejected = np.flatnonzero(~(np.isfinite(values) & _RANGES[parameter][1](values)))
+        reasons[rejected] = [_range_message(parameter, value) for value in values[rejected].tolist()]
+    in_range = np.flatnonzero(reasons == "")
     # a curve_scale point keeps params, so they are checked once
-    fixed = validate_params(params) if parameter == "curve_scale" else None
-    for index, value in enumerate(values.tolist()):
-        try:
-            if parameter == "curve_scale":
-                curve.check_scale(value)
-                point = params
-            else:
-                point = dc_replace(params, **{parameter: value})
-        except (InvalidParamsError, InvalidCurveError) as exc:
-            reasons[index] = str(exc)
-            continue
-        report = validate_params(point) if fixed is None else fixed
-        if not report.admissible:
-            reasons[index] = ", ".join(check.name for check in report.failures())
-            continue
-        solved.append(index)
-        points.append(point)
-    scales = values[solved] if parameter == "curve_scale" else None
-    solutions = _solve_checked(points, curve, scales)
-    # output_drop's product for all points at once; a solved h_tilde lies in [0, 1]
-    solved_drops = np.array([sol.h_tilde for sol in solutions]) * np.array([_drop_per_reach(point) for point in points])
-    gammas, h_tildes, drops = [None] * len(values), [None] * len(values), [None] * len(values)
-    admissible = [False] * len(values)
-    for index, sol, drop in zip(solved, solutions, solved_drops.tolist()):
-        gammas[index], h_tildes[index], drops[index] = sol.gamma_bar, sol.h_tilde, drop
-        admissible[index] = True
+    point = params if scaled else SimpleNamespace(**{**asdict(params), parameter: values[in_range]})
+    with np.errstate(all="ignore"):
+        # as in Python floats: an overflow is inf, not an error
+        checks = validate_params(point).checks
+        failed = sum((np.where(check.passed, 0, 1 << bit) for bit, check in enumerate(checks)), np.zeros_like(in_range))
+        # the failed checks' names, for each of the 2^4 sets of failures
+        names = [", ".join(check.name for bit, check in enumerate(checks) if code >> bit & 1) for code in range(16)]
+        reasons[in_range] = np.array(names, dtype=object)[failed]
+        solved = in_range[failed == 0]
+        if not scaled:
+            setattr(point, parameter, values[solved])
+        terms = (_gamma_bar(point), credibility_slope(point), _drop_per_reach(point))
+        rate, slope, drop = (np.broadcast_to(term, solved.shape) for term in terms)
+    h_tilde = _bisect_thresholds(curve, rate, slope, values[solved] if scaled else None)[0]
+    # None at every unsolved point; a drop is output_drop's product at the solved h_tilde
+    gammas, h_tildes, drops = cells = np.full((3, len(values)), None, dtype=object)
+    cells[:, solved] = (rate, h_tilde, h_tilde * drop)
     return Table(
         ("value", "gamma_bar", "h_tilde", "admissible", "drop_at_h_tilde", "reason"),
-        (values, gammas, h_tildes, admissible, drops, reasons),
+        (values, gammas, h_tildes, reasons == "", drops, reasons),
     )
 
 

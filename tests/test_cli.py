@@ -582,6 +582,16 @@ class TestConfigErrors:
         assert not recwarn.list
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate", "experiment"])
+def test_a_subnormal_eps_exits_0(tmp_path, capsys, command):
+    # (1 - pi) * eps underflows to 0.0, so the credibility slope is inf, as
+    # with eps = 0, not a division by zero
+    path = tmp_path / "tiny_eps.ini"
+    path.write_text(BASE_CONFIG.replace("eps = 0.1", "eps = 5e-324"))
+    assert main([command, "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_every_name_the_benchmark_traces_still_exists():
     # the benchmark's tracer wraps these by name; loading its module installs nothing
     spec = importlib.util.spec_from_file_location(

@@ -144,20 +144,23 @@ class TestSweepParam:
         assert column(table, "admissible") == [False, False, True]
         assert column(table, "reason")[:2] == ["scale factor must be finite"] * 2
 
-    def test_a_curve_scale_sweep_checks_its_unchanging_params_once(self, p0, linear_curve):
+    def test_a_curve_scale_sweep_checks_its_params_and_scales_once(self, p0, linear_curve):
         grid = [0.25 * k for k in range(1, 41)]
         in_sweep = mock.patch.object(sweeps, "validate_params", wraps=validate_params)
         in_solve = mock.patch.object(model, "validate_params", wraps=validate_params)
+        scale_faults = mock.patch.object(
+            ReplacementCostCurve, "_scale_faults", autospec=True, side_effect=ReplacementCostCurve._scale_faults
+        )
         scale_checks = mock.patch.object(
             ReplacementCostCurve, "check_scale", autospec=True, side_effect=ReplacementCostCurve.check_scale
         )
-        with in_sweep as in_sweep, in_solve as in_solve, scale_checks as scale_checks:
+        with in_sweep as in_sweep, in_solve as in_solve, scale_faults as scale_faults, scale_checks as scale_checks:
             table = sweep_param("curve_scale", p0, linear_curve, grid)
         assert all(column(table, "admissible"))
-        assert in_sweep.call_count == 1
-        # the solve checks neither the params nor any scale again
-        assert in_solve.call_count == 0
-        assert scale_checks.call_count == len(grid)
+        # one check of the params and one array check of every scale, for
+        # the whole sweep; the solve checks neither again
+        assert in_sweep.call_count == 1 and scale_faults.call_count == 1
+        assert in_solve.call_count == 0 and scale_checks.call_count == 0
 
     @pytest.mark.parametrize(
         "parameter, grid",
@@ -171,22 +174,18 @@ class TestSweepParam:
             ("v_c", (0.01, 1.0, 4.0)),
         ],
     )
-    def test_a_param_sweep_validates_each_point_once(self, p0, linear_curve, parameter, grid):
+    def test_a_param_sweep_builds_no_params_and_validates_once(self, p0, linear_curve, parameter, grid):
+        constructions = mock.patch.object(
+            ModelParams, "__post_init__", autospec=True, side_effect=ModelParams.__post_init__
+        )
         in_sweep = mock.patch.object(sweeps, "validate_params", wraps=validate_params)
         in_solve = mock.patch.object(model, "validate_params", wraps=validate_params)
-        with in_sweep as in_sweep, in_solve as in_solve:
+        with constructions as constructions, in_sweep as in_sweep, in_solve as in_solve:
             table = sweep_param(parameter, p0, linear_curve, grid)
-        in_range = 0
-        for value in map(float, grid):
-            try:
-                dataclasses.replace(p0, **{parameter: value})
-            except InvalidParamsError:
-                continue
-            in_range += 1
         assert any(column(table, "admissible"))
-        # an out-of-range point is rejected by the constructor, unvalidated
-        assert in_sweep.call_count == in_range
-        assert in_solve.call_count == 0
+        # no params object per point: the checks run once, on the grid array
+        assert constructions.call_count == 0
+        assert in_sweep.call_count + in_solve.call_count <= 1
 
     @pytest.mark.parametrize(
         "parameter, grid", [("pi", make_grid(0.5, 0.99, 0.01)), ("curve_scale", make_grid(0.1, 10.0, 0.1))]
@@ -585,15 +584,19 @@ def _point_rows(parameter, params, curve, grid):
     return tuple(rows)
 
 
-#: Grid points on the edges: eps = 0 (infinite slope), out of range,
-#: inadmissible, and scale factors that are zero, negative, non-finite or
-#: overflowing, next to ordinary points.
+#: Grid points on the edges: eps = 0 (infinite slope) and subnormal,
+#: out of range and non-finite, inadmissible, terms that overflow in
+#: Python floats, a subnormal gamma_bar, and scale factors that are zero,
+#: negative, non-finite or overflowing, next to ordinary points.
+NON_FINITE = (math.nan, math.inf, -math.inf)
 EDGE_POINTS = {
-    "pi": (0.0, 1e-300, 0.3, 0.5, 0.9, 0.95, 0.999, 1.0),
-    "eps": (0.0, 1e-300, 1e-9, 0.05, 0.1, 0.3, 0.5, 0.6),
-    "c": (0.0, 1e-300, 0.005, 0.03, 1.0, -1.0),
-    "w": (0.0, 0.01, 0.5, 3.0),
-    "curve_scale": (0.0, -0.0, 5e-324, 0.5, 3.0, 1e4, -1.0, math.nan, math.inf, 1e306),
+    "pi": (0.0, 1e-300, 0.3, 0.5, 0.9, 0.95, 0.999, 1.0, *NON_FINITE),
+    "eps": (0.0, 5e-324, 1e-300, 1e-9, 0.05, 0.1, 0.3, 0.5, 0.6, *NON_FINITE),
+    "g": (0.0, -1.0, 1e-300, 20.0, 1e308, *NON_FINITE),
+    "c": (0.0, 1e-300, 0.005, 0.03, 1.0, -1.0, *NON_FINITE),
+    "w": (0.0, 0.01, 0.5, 3.0, *NON_FINITE),
+    "v_c": (0.0, -1.0, 5e-324, 1e-9, 1e308, *NON_FINITE),
+    "curve_scale": (0.0, -0.0, 5e-324, 0.5, 3.0, 1e4, -1.0, math.nan, math.inf, 1e306, -math.inf),
 }
 
 
@@ -640,6 +643,12 @@ class TestSweepsThroughTheCli:
             ("pi", "1e-300, 0.5, 0.9, 0.999999, 1", "1e-300", "0"),
             ("pi", "0.5, 0.9, 0.99", "0", "0"),
             ("curve_scale", "0, -0, 5e-324, 1, -1, nan, inf, 1e306, 1e10", "0.01", "0.05"),
+            # a bound or gamma_bar term that overflows, or a slope whose
+            # denominator underflows to 0.0
+            ("c", "1e308, 0.01", "0.01", "0.05"),
+            ("w", "1e308, 0.05", "0.01", "0.05"),
+            ("v_c", "5e-324, 1e308", "0.01", "0.05"),
+            ("eps", "5e-324, 0.1", "0.01", "0.05"),
         ],
     )
     def test_edge_points_exit_0_with_the_one_point_rows(self, tmp_path, capsys, parameter, grid, c, w):
