@@ -21,7 +21,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -373,52 +373,21 @@ def solve_threshold(p: ModelParams, curve: ReplacementCostCurve) -> EquilibriumS
     convex cost, both zero at the origin), so bisection on the
     feasibility predicate converges to its supremum.  The returned
     h_tilde is the last point confirmed feasible, and 1 when the
-    condition holds everywhere.  This is ``solve_thresholds`` run on the
-    one point.
+    condition holds everywhere.  This is ``_bisect_thresholds``, the core
+    that a parameter sweep runs on its grid arrays, run on the one point.
     """
-    return solve_thresholds([p], curve)[0]
-
-
-def solve_thresholds(
-    points: Sequence[ModelParams],
-    curve: ReplacementCostCurve,
-    scales: Sequence[float] | None = None,
-) -> list[EquilibriumSolution]:
-    """Solve every point's threshold in one batched bisection.
-
-    Point i is solved against ``curve``, or, given ``scales``, against the
-    curve with every cost times ``scales[i]``, which must pass
-    ``check_scale``.  Each point's gamma_bar and credibility slope come
-    from its params object, and ``_bisect_thresholds`` solves them all;
-    a parameter sweep calls that same core on its grid arrays.
-    """
-    # a curve_scale sweep passes one params object for every point, so each
-    # object is checked once
-    for p in {id(p): p for p in points}.values():
-        require_admissible(p)
-    factors = None
-    if scales is not None:
-        factors = np.array(scales, dtype=float)
-        if len(factors) != len(points):
-            raise ValueError(f"{len(factors)} scales for {len(points)} points")
-        curve.check_scale(factors)
-    rate, slope = (np.array([term(p) for p in points], dtype=float) for term in (_gamma_bar, credibility_slope))
-    marginal = np.full(len(points), curve.marginal_cost_at_zero) if factors is None else curve.values[0] * factors
-    feasible, infeasible, bisections = _bisect_thresholds(curve, rate, slope, factors)
-    return [
-        EquilibriumSolution(
-            gamma_bar=gb,
-            h_tilde=low,
-            # Python floats: a slope / gamma_bar past the float range is inf, not an error
-            feasible_set_nonempty=_quotient(s, gb, math.inf) > cheapest,
-            marginal_cost_at_zero=cheapest,
-            bisections=steps,
-            bracket=(low, high),
-        )
-        for gb, s, cheapest, low, high, steps in zip(
-            *(column.tolist() for column in (rate, slope, marginal, feasible, infeasible, bisections))
-        )
-    ]
+    require_admissible(p)
+    rate, slope = float(_gamma_bar(p)), float(credibility_slope(p))
+    low, high, steps = (end.item() for end in _bisect_thresholds(curve, np.array([rate]), np.array([slope]), None))
+    return EquilibriumSolution(
+        gamma_bar=rate,
+        h_tilde=low,
+        # Python floats: a slope / gamma_bar past the float range is inf, not an error
+        feasible_set_nonempty=_quotient(slope, rate, math.inf) > curve.marginal_cost_at_zero,
+        marginal_cost_at_zero=curve.marginal_cost_at_zero,
+        bisections=steps,
+        bracket=(low, high),
+    )
 
 
 def _bisect_thresholds(
@@ -429,13 +398,15 @@ def _bisect_thresholds(
     Point i has gamma_bar ``rate[i]`` and credibility slope ``slope[i]``,
     and is solved against ``curve``, or, given ``factors``, against the
     curve scaled by ``factors[i]``, which must pass ``check_scale``; no
-    scaled curve is built.  Each step of a scaled point compares the
-    benefit with an interval that contains the scaled curve's r, bounded
-    from the unscaled boundary sums (the bound is derived in
-    ``ReplacementCostCurve._cost_bounds``).  A step it cannot decide, a
-    near tie, builds that point's exact scaled sums as far as the step
-    reads and decides on them; a point credible at h = 1 is asked at
-    h = 1 on every step, so a near tie there builds them each time.
+    scaled curve is built.  ``solve_threshold`` runs it on one point and
+    a parameter sweep on its grid arrays.  Each step of a scaled point
+    compares the benefit with an interval that contains the scaled
+    curve's r, bounded from the unscaled boundary sums (the bound is
+    derived in ``ReplacementCostCurve._cost_bounds``).  A step it cannot
+    decide, a near tie, builds that point's exact scaled sums as far as
+    the step reads and decides on them; a point credible at h = 1 is
+    asked at h = 1 on every step, so a near tie there builds them each
+    time.
 
     Returns the final (feasible, infeasible) bracket ends and the
     bisection count per point.  Every point bisects as a one-point solve
@@ -500,14 +471,8 @@ def expected_output(h, regime: str, p: ModelParams):
     raise ValueError(f"regime must be 'effort' or 'shirk', got {regime!r}")
 
 
-def output_drop(h, p: ModelParams):
-    """Output lost when reach ``h`` of workers shirk instead of researching; ``h`` is a float or an array."""
-    _require_unit(h, "h")
-    return h * _drop_per_reach(p)
-
-
 def _drop_per_reach(p: ModelParams) -> float:
-    """Output lost per unit of reach that shirks instead of researching: ``output_drop`` at h = 1."""
+    """Output lost per unit of reach that shirks instead of researching; reach h loses h times it."""
     return (1.0 - p.eps) * (1.0 - p.pi) - p.pi * p.g * p.eps
 
 

@@ -803,28 +803,6 @@ class _SharedRows:
         return sorted({*spans[0], *spans[1]})
 
 
-class _PerAgentRows:
-    """Every agent after the lowest switcher, read off the full table again.
-
-    Under seniority firing with independent signals agent i's chance of
-    being the one fired is a product over the agents before it, so a
-    switch moves the row of every agent after it.  Under uniform random
-    firing no row ever moves, so the reread finds no switch.
-    """
-
-    def __init__(self, cfg: SimConfig, codes: bytearray):
-        self.cfg = cfg
-        self.codes = codes
-
-    def switches(self, moved: range) -> tuple[list[int], list[int]]:
-        """The unhappy agents among ``moved``, a range to the last agent, and their best codes."""
-        return _table_switches(self.cfg, self.codes, moved.start)
-
-    def moved(self, switched: list[int], best: list[int]) -> range:
-        """The agents after the lowest switcher."""
-        return range(switched[0] + 1, len(self.codes))
-
-
 def iterated_best_response(
     cfg: SimConfig,
     initial: StrategyProfile,
@@ -841,29 +819,31 @@ def iterated_best_response(
     Each round reads the exact deviation payoffs, but only of the agents
     whose payoff row moved: a switcher moves to a best code of its row and
     every other agent was already happy with its row, so no one else can
-    want to switch.  Round 1 reads every agent.  Under seniority firing
-    with common signals an agent's row is fixed by two indices, the first
-    agent failing in the bad state on a right and on a wrong signal, so
-    the rows that move are those between an index's old and new value, and
-    a round costs O(switches + rows moved).  Otherwise every agent after
-    the lowest switcher is read again, which costs O(n) vectorized work:
-    with independent signals a switch moves the row of every agent after
-    it, and under uniform random firing no row moves, so round 2 finds no
+    want to switch.  Round 1 reads every agent off the full table.  Under
+    seniority firing with common signals an agent's row is fixed by two
+    indices, the first agent failing in the bad state on a right and on a
+    wrong signal, so ``_SharedRows`` reads only the rows between an
+    index's old and new value, and a round costs O(switches + rows moved).
+    Otherwise each later round reads the full table again from the agent
+    after the lowest switcher on, which costs O(n) vectorized work: with
+    independent signals a switch moves the row of every agent after it,
+    and under uniform random firing no row moves, so round 2 finds no
     switch.
     The trace keeps the initial profile, each round's switched positions
     with their new codes, and the final profile.
     """
     codes = bytearray(_access_codes(cfg, initial).tobytes())
-    shared = cfg.punishment_mode == SENIORITY and cfg.signal_correlation == COMMON
-    responses = (_SharedRows if shared else _PerAgentRows)(cfg, codes)
+    shared = _SharedRows(cfg, codes) if cfg.punishment_mode == SENIORITY and cfg.signal_correlation == COMMON else None
     cap = 10 * cfg.n_agents if max_rounds is None else max_rounds
     changed: list[list[int]] = []
     switched_to: list[np.ndarray] = []
     converged = False
-    moved: Sequence[int] = ()
+    start = 0
     for _ in range(cap):
-        # round 1 reads every agent off the full table, later rounds only the moved rows
-        switched, best = responses.switches(moved) if changed else _table_switches(cfg, codes, 0)
+        if shared is None or not changed:
+            switched, best = _table_switches(cfg, codes, start)
+        else:
+            switched, best = shared.switches(moved)
         if not switched:
             converged = True
             break
@@ -871,7 +851,10 @@ def iterated_best_response(
             codes[at] = code
         changed.append(switched)
         switched_to.append(np.array(best, dtype=np.int8))
-        moved = responses.moved(switched, best)
+        if shared is None:
+            start = switched[0] + 1
+        else:
+            moved = shared.moved(switched, best)
     final = initial.codes.copy()
     final[: len(codes)] = np.frombuffer(codes, dtype=np.int8)
     return BestResponseTrace(initial, changed, switched_to, converged, StrategyProfile(final))

@@ -14,7 +14,9 @@ import csv
 import functools
 import io
 import math
+import operator
 from dataclasses import asdict, dataclass
+from itertools import compress, repeat
 from types import SimpleNamespace
 from typing import Iterable
 
@@ -116,8 +118,8 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
     per point: the range rule or the scale check, the admissibility checks
     and the closed forms run once on the grid array, through the functions
     that check and solve one params object, and ``_bisect_thresholds``,
-    the core of ``solve_thresholds``, solves the admissible points.  For
-    ``curve_scale`` no scaled curve is built.
+    which ``solve_threshold`` runs on one point, solves the admissible
+    points.  For ``curve_scale`` no scaled curve is built.
     """
     if parameter not in SWEEPABLE_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEPABLE_PARAMETERS}")
@@ -147,7 +149,7 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
         terms = (_gamma_bar(point), credibility_slope(point), _drop_per_reach(point))
         rate, slope, drop = (np.broadcast_to(term, solved.shape) for term in terms)
     h_tilde = _bisect_thresholds(curve, rate, slope, values[solved] if scaled else None)[0]
-    # None at every unsolved point; a drop is output_drop's product at the solved h_tilde
+    # None at every unsolved point; a drop is the solved h_tilde times the drop per reach
     gammas, h_tildes, drops = cells = np.full((3, len(values)), None, dtype=object)
     cells[:, solved] = (rate, h_tilde, h_tilde * drop)
     return Table(
@@ -173,8 +175,6 @@ def _cell_text(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt(value)
     text = str(value)
     if _CSV_SPECIAL.isdisjoint(text):
         return text
@@ -194,9 +194,6 @@ class _Texts(dict):
         text = self[key] = _cell_text(key[1])
         return text
 
-    def of(self, cells: list) -> list[str]:
-        return [_fmt(cell) if isinstance(cell, float) else self[type(cell), cell] for cell in cells]
-
 
 def emit_csv(table: Table, path: str) -> None:
     """Write the table to ``path`` with a header row, 12 significant digits per number.
@@ -209,8 +206,10 @@ def emit_csv(table: Table, path: str) -> None:
     -0.0 and 0.0 differ, a NaN run is one value and an object column
     holds one object, is its one text repeated.  Otherwise a float64
     array goes to ``_format_floats``, and any other column becomes cell
-    texts, each non-float text made once per distinct value.  An empty
-    table is an error, raised before the file is opened.
+    texts, each non-float text made once per distinct value and its
+    float cells, such as a parameter sweep's between ``None`` holes,
+    formatted by ``_format_floats`` in one call.  An empty table is an
+    error, raised before the file is opened.
     """
     if not len(table):
         raise ValueError("refusing to write an empty table")
@@ -236,13 +235,13 @@ def _chunk_bytes(chunks: list, texts: list[_Texts], lone: bool) -> bytes:
         if index:
             pieces[-1] += b","
         if _one_value(chunk):
-            (text,) = known.of(chunk[:1].tolist())
+            cell = chunk[:1].tolist()[0]
+            text = _fmt(cell) if isinstance(cell, float) else known[type(cell), cell]
             pieces[-1] += (text or '""' if lone else text).encode("utf-8")
         elif isinstance(chunk, np.ndarray) and chunk.dtype == float:
             pieces += (_format_floats(chunk), b"")
         else:
-            cells = known.of(_cells(chunk))
-            pieces += (_text_block([text or '""' for text in cells] if lone else cells), b"")
+            pieces += (_cell_block(_cells(chunk), known, lone), b"")
     pieces[-1] += b"\n"
     rows = len(chunks[0])
     blocks = [
@@ -250,6 +249,22 @@ def _chunk_bytes(chunks: list, texts: list[_Texts], lone: bool) -> bytes:
         for piece in pieces
     ]
     return np.concatenate(blocks, axis=1).tobytes().translate(None, bytes([_PAD]))
+
+
+def _cell_block(cells: list, known: _Texts, lone: bool) -> np.ndarray:
+    """The cells' text block; the float cells go to ``_format_floats`` in one call, over their rows."""
+    flags = list(map(isinstance, cells, repeat(float)))
+    others = list(compress(cells, map(operator.not_, flags)))
+    texts = list(map(known.__getitem__, zip(map(type, others), others)))
+    block = _text_block([text or '""' for text in texts] if lone else texts)
+    if len(others) == len(cells):
+        return block
+    numbers = _format_floats(np.fromiter(compress(cells, flags), float, len(cells) - len(others)))
+    at = np.array(flags)
+    cell_block = np.full((len(cells), max(block.shape[1], numbers.shape[1])), _PAD, np.uint8)
+    cell_block[at, : numbers.shape[1]] = numbers
+    cell_block[~at, : block.shape[1]] = block
+    return cell_block
 
 
 def _text_block(texts: list[str]) -> np.ndarray:

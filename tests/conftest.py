@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from shirklab.equilibrium import ReplacementCostCurve  # noqa: E402
+from shirklab.equilibrium import ReplacementCostCurve, _drop_per_reach, _require_unit  # noqa: E402
 from shirklab.model import (  # noqa: E402
     ALL_STRATEGIES,
     PAYOFF_TIE_TOL,
@@ -27,6 +27,16 @@ def p0() -> ModelParams:
 @pytest.fixture
 def linear_curve() -> ReplacementCostCurve:
     return ReplacementCostCurve.linear(1000.0)
+
+
+def output_drop(h, p: ModelParams):
+    """Output lost when reach ``h`` of workers shirk instead of researching; ``h`` is a float or an array.
+
+    An oracle for the sweeps' ``drop_at_h_tilde`` column, which multiplies
+    the solved h_tilde by ``_drop_per_reach`` itself.
+    """
+    _require_unit(h, "h")
+    return h * _drop_per_reach(p)
 
 
 def best_response(gamma, p, comp=PROSPECTIVE):

@@ -14,11 +14,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import best_response, column, draw_curve, draw_params
+from conftest import best_response, column, draw_curve, draw_params, output_drop
 from shirklab.equilibrium import (
     ReplacementCostCurve,
     expected_output,
-    output_drop,
     punish_feasible,
     solve_threshold,
 )

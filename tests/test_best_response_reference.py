@@ -18,6 +18,7 @@ equal it field for field, the round cap and the int8 codes included.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_POINTS, trace_profiles
+from shirklab import simulation
 from shirklab.model import ALL_STRATEGIES, PAYOFF_TIE_TOL, AgentStrategy, ModelParams, agent_payoff
 from shirklab.simulation import (
     SimConfig,
@@ -346,6 +348,26 @@ def best_response_cases(draw):
 @given(case=best_response_cases())
 def test_iterated_best_response_matches_the_vectorized_loop(case):
     assert_matches_the_vectorized_loop(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=best_response_cases())
+def test_the_full_table_is_reread_from_after_the_lowest_switcher(case):
+    # round 1 reads every agent off the full table; without the two first
+    # failures of seniority firing with common signals, so does every later
+    # round from the agent after the previous round's lowest switcher on
+    cfg, initial, _ = case
+    with mock.patch.object(simulation, "_table_switches", wraps=simulation._table_switches) as table:
+        trace = iterated_best_response(cfg, initial)
+    starts = [call.args[2] for call in table.call_args_list]
+    assert trace.converged
+    if cfg.punishment_mode == "seniority" and cfg.signal_correlation == "common":
+        assert starts == [0]
+    else:
+        assert starts == [0] + [min(switched) + 1 for switched in trace.changed]
+    if cfg.punishment_mode == "uniform_random":
+        # no row moves, so the reread after round 1 finds no switch
+        assert trace.rounds <= 1 and len(starts) == 1 + trace.rounds
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_curve, draw_params, recording_cumulate
+from conftest import column, draw_curve, draw_params, output_drop, recording_cumulate
 from shirklab import model
 from shirklab.cli import main
 from shirklab.equilibrium import (
@@ -19,13 +19,12 @@ from shirklab.equilibrium import (
     VERIFY_SAMPLES,
     EquilibriumSolution,
     ReplacementCostCurve,
+    _bisect_thresholds,
     credibility_slope,
     expected_output,
-    output_drop,
     policy,
     punish_feasible,
     solve_threshold,
-    solve_thresholds,
     verify_equilibrium,
 )
 from shirklab.errors import InadmissibleParamsError, InvalidCurveError
@@ -36,6 +35,7 @@ from shirklab.model import (
     gamma_bar,
     validate_params,
 )
+from shirklab.sweeps import sweep_param
 
 
 def principal_value(h, punish, p, curve):
@@ -545,9 +545,9 @@ def _exact_threshold(p, curve):
     return h, 64 * 2.0**-53 * h * (1.0 + (math.inf if falling == 0 else float(1 / falling)))
 
 
-def _assert_brackets_the_exact_threshold(sol, p, curve):
+def _assert_brackets_the_exact_threshold(bracket, p, curve):
     exact, allowance = _exact_threshold(p, curve)
-    low, high = sol.bracket
+    low, high = bracket
     assert low - allowance <= exact <= high + allowance, (sol.bracket, exact, allowance)
 
 
@@ -561,6 +561,22 @@ def _scale_factors(rng, curve, kinds):
 def _cli_errstate():
     """The CLI's float checks: an overflow or invalid operation would exit 2."""
     return np.errstate(over="raise", invalid="raise", divide="raise")
+
+
+def _bisected(points, curve, factors=None):
+    """Each point's (h_tilde, bracket, bisections) from ``_bisect_thresholds``, the batch core the sweeps call."""
+    rate, slope = (np.array([term(p) for p in points], dtype=float) for term in (gamma_bar, credibility_slope))
+    scales = None if factors is None else np.array(factors, dtype=float)
+    feasible, infeasible, bisections = _bisect_thresholds(curve, rate, slope, scales)
+    return [
+        (low, (low, high), steps)
+        for low, high, steps in zip(feasible.tolist(), infeasible.tolist(), bisections.tolist())
+    ]
+
+
+def _solved(sol):
+    """A solution's (h_tilde, bracket, bisections), as ``_bisected`` gives them."""
+    return sol.h_tilde, sol.bracket, sol.bisections
 
 
 class TestSolveThresholds:
@@ -582,12 +598,13 @@ class TestSolveThresholds:
                 p = dataclasses.replace(p, c=0.0, w=0.0)
             if validate_params(p).admissible:
                 points.append(p)
-        batch = solve_thresholds(points, curve)
+        batch = _bisected(points, curve)
+        solutions = [solve_threshold(p, curve) for p in points]
         # repr tells -0.0 from 0.0 and shows every bit of a float
-        assert repr(batch) == repr([solve_threshold(p, curve) for p in points])
-        for p, sol in zip(points, batch):
+        assert repr(batch) == repr([_solved(sol) for sol in solutions])
+        for p, sol in zip(points, solutions):
             feasible, infeasible, steps = _scalar_solve(p, curve)
-            assert (sol.h_tilde, sol.bracket, sol.bisections) == (feasible, (feasible, infeasible), steps)
+            assert _solved(sol) == (feasible, (feasible, infeasible), steps)
             assert sol.bisections in (0, 34)
             assert sol.gamma_bar == gamma_bar(p)
             if p.eps == 0.0 or sol.gamma_bar == 0.0:
@@ -603,19 +620,15 @@ class TestSolveThresholds:
         rng = np.random.default_rng(seed)
         curve = _family_curve(family, rng, curve_dir)
         p = draw_params(rng)
-        draws = {"zero": lambda: 0.0, "tiny": lambda: 5e-324, "drawn": lambda: 10.0 ** rng.uniform(-3.0, 3.0)}
-        draws["largest"] = lambda: _largest_scale(curve)
-        factors = [draws[kind]() for kind in kinds]
-        # the CLI's float checks: an overflow or invalid operation would exit 2
-        errstate = np.errstate(over="raise", invalid="raise", divide="raise")
-        with errstate:
-            batch = solve_thresholds([p] * len(factors), curve, factors)
-        for factor, sol in zip(factors, batch):
+        factors = _scale_factors(rng, curve, kinds)
+        with _cli_errstate():
+            batch = _bisected([p] * len(factors), curve, factors)
+        for factor, solved in zip(factors, batch):
             scaled = curve.scaled(factor)
-            assert repr(sol) == repr(solve_threshold(p, scaled))
+            assert repr(solved) == repr(_solved(solve_threshold(p, scaled)))
             feasible, infeasible, steps = _scalar_solve(p, scaled)
-            assert (sol.h_tilde, sol.bracket, sol.bisections) == (feasible, (feasible, infeasible), steps)
-            assert sol.bisections in (0, 34)
+            assert solved == (feasible, (feasible, infeasible), steps)
+            assert steps in (0, 34)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -640,14 +653,14 @@ class TestSolveThresholds:
             recording_cumulate(built),
             _cli_errstate(),
         ):
-            batch = solve_thresholds([p] * len(factors), curve, factors)
+            batch = _bisected([p] * len(factors), curve, factors)
         # one build per step that the bounds leave undecided: here every
         # point's, at h = 1 and at each step after it
-        assert built == asked == factors * (1 + max(sol.bisections for sol in batch))
-        for factor, sol in zip(factors, batch):
+        assert built == asked == factors * (1 + max(steps for _, _, steps in batch))
+        for factor, solved in zip(factors, batch):
             scaled = curve.scaled(factor)
-            assert repr(sol) == repr(solve_threshold(p, scaled))
-            _assert_brackets_the_exact_threshold(sol, p, scaled)
+            assert repr(solved) == repr(_solved(solve_threshold(p, scaled)))
+            _assert_brackets_the_exact_threshold(solved[1], p, scaled)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -667,8 +680,8 @@ class TestSolveThresholds:
                 p = dataclasses.replace(p, c=0.0, w=0.0)
             if validate_params(p).admissible:
                 points.append(p)
-        for p, sol in zip(points, solve_thresholds(points, curve)):
-            _assert_brackets_the_exact_threshold(sol, p, curve)
+        for p, (_, bracket, _) in zip(points, _bisected(points, curve)):
+            _assert_brackets_the_exact_threshold(bracket, p, curve)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -682,9 +695,9 @@ class TestSolveThresholds:
         p = draw_params(rng)
         factors = _scale_factors(rng, curve, kinds)
         with _cli_errstate():
-            batch = solve_thresholds([p] * len(factors), curve, factors)
-        for factor, sol in zip(factors, batch):
-            _assert_brackets_the_exact_threshold(sol, p, curve.scaled(factor))
+            batch = _bisected([p] * len(factors), curve, factors)
+        for factor, (_, bracket, _) in zip(factors, batch):
+            _assert_brackets_the_exact_threshold(bracket, p, curve.scaled(factor))
 
     def test_near_ties_at_the_first_midpoint_take_the_exact_path(self, p0):
         # 200 neighbouring factors around the one whose cost at h = 1/2
@@ -707,34 +720,36 @@ class TestSolveThresholds:
         assert ties
         built = []
         with recording_cumulate(built), _cli_errstate():
-            batch = solve_thresholds([p0] * len(factors), curve, factors)
+            batch = _bisected([p0] * len(factors), curve, factors)
         assert set(ties) <= set(built)
-        for factor, sol in zip(factors, batch):
-            assert repr(sol) == repr(solve_threshold(p0, curve.scaled(factor)))
+        for factor, solved in zip(factors, batch):
+            assert repr(solved) == repr(_solved(solve_threshold(p0, curve.scaled(factor))))
 
     @pytest.mark.parametrize("factor", [-1.0, float("nan"), float("inf"), 1e307])
     def test_a_scale_the_curve_cannot_take_raises(self, p0, factor):
+        # the batch core trusts its factors: a scaled copy raises, and a sweep flags the point
         curve = ReplacementCostCurve.from_samples([1.0, 2.0, 50.0])
         with pytest.raises(InvalidCurveError, match="scale factor"):
-            solve_thresholds([p0, p0], curve, [1.0, factor])
+            curve.scaled(factor)
+        table = sweep_param("curve_scale", p0, curve, [1.0, factor])
+        assert column(table, "admissible") == [True, False]
+        assert column(table, "reason")[1].startswith("scale factor")
 
     def test_an_inadmissible_point_raises(self, p0, linear_curve):
+        # before any bisection
         bad = dataclasses.replace(p0, c=0.05)
-        with pytest.raises(InadmissibleParamsError):
-            solve_thresholds([p0, bad], linear_curve)
+        with (
+            mock.patch("shirklab.equilibrium._bisect_thresholds") as bisect,
+            pytest.raises(InadmissibleParamsError),
+        ):
+            solve_threshold(bad, linear_curve)
+        bisect.assert_not_called()
 
     def test_equal_points_of_opposite_zero_signs_keep_their_own_rate(self, p0, linear_curve):
         # the params compare equal, yet c = w = -0.0 gives gamma_bar -0.0
-        negative = dataclasses.replace(p0, c=-0.0, w=-0.0)
-        positive = dataclasses.replace(p0, c=0.0, w=0.0)
-        points = [negative, positive, negative]
-        batch = solve_thresholds(points, linear_curve)
-        assert repr(batch) == repr([solve_threshold(p, linear_curve) for p in points])
-        assert [bool(np.signbit(sol.gamma_bar)) for sol in batch] == [True, False, True]
-
-    def test_no_points_give_no_solutions(self, linear_curve):
-        assert solve_thresholds([], linear_curve) == []
-        assert solve_thresholds([], linear_curve, []) == []
+        negative = solve_threshold(dataclasses.replace(p0, c=-0.0, w=-0.0), linear_curve)
+        positive = solve_threshold(dataclasses.replace(p0, c=0.0, w=0.0), linear_curve)
+        assert repr(negative.gamma_bar) == "-0.0" and repr(positive.gamma_bar) == "0.0"
 
 
 class TestPolicy:

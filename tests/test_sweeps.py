@@ -13,10 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import column, draw_params, recording_cumulate
+from conftest import column, draw_params, output_drop, recording_cumulate
 from shirklab import equilibrium, model, sweeps
 from shirklab.cli import main
-from shirklab.equilibrium import EFFORT, SHIRK, TOL, ReplacementCostCurve, output_drop, solve_threshold
+from shirklab.equilibrium import EFFORT, SHIRK, TOL, ReplacementCostCurve, solve_threshold
 from shirklab.errors import InvalidCurveError, InvalidParamsError
 from shirklab.model import ModelParams, _fmt, gamma_bar, validate_params
 from shirklab.sweeps import Table, emit_csv, make_grid, sweep_h, sweep_param
@@ -341,13 +341,16 @@ def tables(draw):
     # a column keeps one kind of cell in some tables, so all-float columns
     # and the per-cell path both meet the chunk boundaries
     uniform = draw(st.booleans())
-    kinds = [draw(st.sampled_from(["float", "any", *RUN_CELLS])) for _ in range(width)]
+    kinds = [draw(st.sampled_from(["float", "any", "holes", *RUN_CELLS])) for _ in range(width)]
     floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
     size = draw(st.integers(1, 25))
     data = []
     for kind in kinds:
         if kind in RUN_CELLS:
             data.append(draw(runs(kind, size)))
+        elif kind == "holes":
+            # a parameter sweep's equilibrium column: floats, None at the unsolved points
+            data.append(np.array(draw(st.lists(st.none() | floats, min_size=size, max_size=size)), dtype=object))
         elif uniform and kind == "float":
             cells = draw(st.lists(floats, min_size=size, max_size=size))
             # a sweep's float column is an array, a hand-built one may be a tuple
@@ -527,6 +530,19 @@ class TestFormatFloats:
             emit_csv(table, os.devnull)
         assert len(table) == 100001 and len(floats) == 4
         assert 0 < outside + literals <= printed.call_count <= outside + literals + 16 < 200
+
+    def test_the_benchmark_pi_sweep_formats_float_cells_between_holes_in_numpy(self, p0):
+        # the benchmark's 981-point pi grid: gamma_bar, h_tilde and
+        # drop_at_h_tilde hold floats between None holes, and only nonzero
+        # cells outside [1e-4, 1e12) and a few near ties reach _fmt
+        table = sweep_param("pi", p0, ReplacementCostCurve.linear(705.96235), make_grid(0.5, 0.99, 0.0005))
+        held = [column(table, name) for name in ("value", "gamma_bar", "h_tilde", "drop_at_h_tilde")]
+        magnitudes = np.abs([cell for cells in held for cell in cells if cell is not None])
+        outside = np.count_nonzero((magnitudes != 0.0) & ((magnitudes < 1e-4) | (magnitudes >= 1e12)))
+        with mock.patch.object(sweeps, "_fmt", wraps=_fmt) as printed:
+            emit_csv(table, os.devnull)
+        assert len(table) == 981 and len(magnitudes) > 3000 and None in held[1]
+        assert outside <= printed.call_count <= outside + 16
 
 
 class TestTable:
