@@ -251,12 +251,12 @@ class ReplacementCostCurve:
 
     def check_scale(self, factor) -> None:
         """Raise ``InvalidCurveError`` unless the costs times ``factor``, or times each of an array, stay valid."""
-        for fault in self._scale_faults(np.array(factor, dtype=float, ndmin=1)).tolist():
-            if fault:
-                raise InvalidCurveError(fault)
+        fault, texts = self._scale_faults(np.array(factor, dtype=float, ndmin=1))
+        if fault.any():
+            raise InvalidCurveError(texts[fault[fault > 0][0]])
 
-    def _scale_faults(self, factors: np.ndarray) -> np.ndarray:
-        """Why ``check_scale`` rejects each of ``factors``, "" where it passes, as an object array.
+    def _scale_faults(self, factors: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+        """Why ``check_scale`` rejects each of ``factors``: a code into the texts, 0 (the empty text) where it passes.
 
         A nonnegative factor keeps the costs ascending, since rounding is
         monotone; it must also keep every sum the constructor forms finite:
@@ -268,7 +268,7 @@ class ReplacementCostCurve:
             overflows = ~np.isfinite(terms * factors * self.values[-1])
             fault = np.select((~np.isfinite(factors), factors < 0.0, overflows), (1, 2, 3))
         texts = ("must be finite", "must be nonnegative", "too large: the scaled costs overflow")
-        return np.array(["", *(f"scale factor {text}" for text in texts)], dtype=object)[fault]
+        return fault, ("", *(f"scale factor {text}" for text in texts))
 
     def scaled(self, factor: float) -> "ReplacementCostCurve":
         """A copy with every per-replacement cost times ``factor``; ``check_scale`` checks it."""

@@ -14,9 +14,7 @@ import csv
 import functools
 import io
 import math
-import operator
 from dataclasses import asdict, dataclass
-from itertools import compress, repeat
 from types import SimpleNamespace
 from typing import Iterable
 
@@ -40,13 +38,43 @@ SWEEPABLE_PARAMETERS = ("h", "pi", "eps", "g", "c", "w", "v_c", "curve_scale")
 
 
 @dataclass(frozen=True, eq=False)
+class Labels:
+    """A text column stored as small-int codes into its distinct texts: row i reads ``texts[codes[i]]``."""
+
+    codes: np.ndarray
+    texts: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> "Labels":
+        return Labels(self.codes[rows], self.texts)
+
+    def tolist(self) -> list[str]:
+        return np.array(self.texts, dtype=object)[self.codes].tolist()
+
+
+def _is_column(values) -> bool:
+    """Whether ``values`` is of a column kind that a ``Table`` holds; ``Labels`` codes must index their texts."""
+    array = values.codes if isinstance(values, Labels) else values
+    if not (isinstance(array, np.ndarray) and array.ndim == 1):
+        return False
+    if isinstance(values, Labels):
+        in_range = array.dtype.kind in "ui" and (not len(array) or 0 <= array.min() <= array.max() < len(values.texts))
+        return in_range and isinstance(values.texts, tuple) and all(isinstance(text, str) for text in values.texts)
+    if array.dtype == object:
+        return set(map(type, array.tolist())) <= {float, type(None)}
+    return array.dtype in (np.float64, np.bool_)
+
+
+@dataclass(frozen=True, eq=False)
 class Table:
     """A result table stored column by column.
 
     columns -- the column names.
-    data -- one sequence of cells per column, all of one length: a float
-        array for a column of numbers, else an array, tuple or list of
-        cells (float, bool, int, str or None).
+    data -- one column per name, all of one length, each of one of four
+        kinds: a float64 array, a bool array, an object array of floats
+        and None (None is an empty cell), or ``Labels`` for text.
 
     ``rows`` builds one tuple of Python objects per row, so ``len`` is the
     cheap row count.  Tables compare by identity, as their arrays have no
@@ -59,6 +87,9 @@ class Table:
     def __post_init__(self) -> None:
         if len(self.data) != len(self.columns):
             raise ValueError(f"{len(self.columns)} column names for {len(self.data)} columns")
+        for name, values in zip(self.columns, self.data):
+            if not _is_column(values):
+                raise ValueError(f"column {name!r} is not a float64 or bool array, floats and None, or Labels")
         if len(set(map(len, self.data))) > 1:
             raise ValueError("columns differ in length")
 
@@ -67,12 +98,7 @@ class Table:
 
     @property
     def rows(self) -> tuple[tuple, ...]:
-        return tuple(zip(*map(_cells, self.data)))
-
-
-def _cells(values) -> list:
-    """A column's cells as Python objects."""
-    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+        return tuple(zip(*(values.tolist() for values in self.data)))
 
 
 def _floats(grid: Iterable[float]) -> np.ndarray:
@@ -98,8 +124,7 @@ def sweep_h(params: ModelParams, curve: ReplacementCostCurve, grid: Iterable[flo
     output = np.where(effort, expected_output(h, EFFORT, params), expected_output(h, SHIRK, params))
     # welfare nets out the effort cost that researchers pay
     welfare = np.where(effort, output - params.c * h, output)
-    # the two label objects, 8 bytes a row
-    regime = np.array((SHIRK, EFFORT), dtype=object)[effort.view(np.uint8)]
+    regime = Labels(effort.view(np.uint8), (SHIRK, EFFORT))
     return Table(
         ("h", "regime", "gamma_star", "output", "welfare", "boundary"),
         (h, regime, gamma_star, output, welfare, np.abs(h - sol.h_tilde) <= TOL),
@@ -128,12 +153,13 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
     values = _floats(grid)
     scaled = parameter == "curve_scale"
     if scaled:
-        reasons = curve._scale_faults(values)
+        fault, faults = curve._scale_faults(values)
     else:
-        reasons = np.full(len(values), "", dtype=object)
-        rejected = np.flatnonzero(~(np.isfinite(values) & _RANGES[parameter][1](values)))
-        reasons[rejected] = [_range_message(parameter, value) for value in values[rejected].tolist()]
-    in_range = np.flatnonzero(reasons == "")
+        rejected = ~(np.isfinite(values) & _RANGES[parameter][1](values))
+        faults = ("", *(_range_message(parameter, value) for value in values[rejected].tolist()))
+        fault = np.zeros(len(values), np.intp)
+        fault[rejected] = np.arange(1, len(faults))
+    in_range = np.flatnonzero(fault == 0)
     # a curve_scale point keeps params, so they are checked once
     point = params if scaled else SimpleNamespace(**{**asdict(params), parameter: values[in_range]})
     with np.errstate(all="ignore"):
@@ -142,7 +168,9 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
         failed = sum((np.where(check.passed, 0, 1 << bit) for bit, check in enumerate(checks)), np.zeros_like(in_range))
         # the failed checks' names, for each of the 2^4 sets of failures
         names = [", ".join(check.name for bit, check in enumerate(checks) if code >> bit & 1) for code in range(16)]
-        reasons[in_range] = np.array(names, dtype=object)[failed]
+        # each reason is a code into these names, then into the faults past their empty text
+        codes = fault + len(names) - 1
+        codes[in_range] = failed
         solved = in_range[failed == 0]
         if not scaled:
             setattr(point, parameter, values[solved])
@@ -154,7 +182,7 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
     cells[:, solved] = (rate, h_tilde, h_tilde * drop)
     return Table(
         ("value", "gamma_bar", "h_tilde", "admissible", "drop_at_h_tilde", "reason"),
-        (values, gammas, h_tildes, reasons == "", drops, reasons),
+        (values, gammas, h_tildes, codes == 0, drops, Labels(codes, (*names, *faults[1:]))),
     )
 
 
@@ -163,108 +191,78 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
 #: numpy 2.4, medians of 10) was 41.43 MB at 1024 rows, 41.35 MB at 2048 and
 #: 41.41 MB at 4096; smaller chunks make more numpy calls per row.
 CSV_CHUNK_ROWS = 2048
-# characters csv.writer may quote a field for, with its default dialect
-_CSV_SPECIAL = frozenset(',"\r\n')
 # fills a text block's rows past their text; no UTF-8 text holds this byte
 _PAD = 0xFF
 
 
-def _cell_text(value) -> str:
-    """A cell as ``emit_csv`` writes it, quoted by csv.writer where needed."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    text = str(value)
-    if _CSV_SPECIAL.isdisjoint(text):
-        return text
+def _cell_text(text: str) -> str:
+    """A text cell as csv.writer writes it in a row of two fields, so quoted where needed but not when empty."""
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([text])
-    return buffer.getvalue()[:-1]
-
-
-class _Texts(dict):
-    """Cell texts keyed by (type, value), each made by ``_cell_text`` on first use.
-
-    The type keeps True, 1 and "1" apart.  Floats are never looked up:
-    0.0 and -0.0 are equal keys with different texts.
-    """
-
-    def __missing__(self, key):
-        text = self[key] = _cell_text(key[1])
-        return text
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[:-2]
 
 
 def emit_csv(table: Table, path: str) -> None:
     """Write the table to ``path`` with a header row, 12 significant digits per number.
 
     Rows are written ``CSV_CHUNK_ROWS`` at a time, each chunk as one byte
-    string.  Every column of a chunk becomes a block of text bytes, one
-    row per cell, padded with a byte that no UTF-8 text holds; the blocks
-    are joined with the separators and the padding is deleted.  A numpy
-    column whose cells in the chunk all have the first cell's bytes, so
-    -0.0 and 0.0 differ, a NaN run is one value and an object column
-    holds one object, is its one text repeated.  Otherwise a float64
-    array goes to ``_format_floats``, and any other column becomes cell
-    texts, each non-float text made once per distinct value and its
-    float cells, such as a parameter sweep's between ``None`` holes,
-    formatted by ``_format_floats`` in one call.  An empty table is an
-    error, raised before the file is opened.
+    string joined from a text block per column, a row per cell padded
+    with a byte that no UTF-8 text holds.  Bool and ``Labels`` codes index
+    a block of the column's texts, built once; ``_format_floats`` prints
+    the floats, an object column's between its empty None cells.  A chunk
+    of one code, or of one float bit pattern, is its one text repeated.
+    An empty table is an error, raised before the file is opened.
     """
     if not len(table):
         raise ValueError("refusing to write an empty table")
-    # csv.writer quotes a row's lone empty field, so that it does not read
-    # back as a blank line
-    lone = len(table.columns) == 1
-    texts = [_Texts() for _ in table.data]
-    header = io.StringIO()
-    csv.writer(header, lineterminator="\n").writerow(table.columns)
+    # csv.writer quotes a row's lone empty field, so that it does not read back as a blank line
+    empty = '""' if len(table.columns) == 1 else ""
+    encoders = [_encoder(values, empty) for values in table.data]
+    header = ",".join(_cell_text(name) or empty for name in table.columns) + "\n"
     with open(path, "wb") as handle:
-        handle.write(header.getvalue().encode("utf-8"))
+        handle.write(header.encode("utf-8"))
         for start in range(0, len(table), CSV_CHUNK_ROWS):
-            chunks = [values[start : start + CSV_CHUNK_ROWS] for values in table.data]
-            handle.write(_chunk_bytes(chunks, texts, lone))
+            rows = slice(start, min(start + CSV_CHUNK_ROWS, len(table)))
+            handle.write(_chunk_bytes([encode(rows) for encode in encoders]))
 
 
-def _chunk_bytes(chunks: list, texts: list[_Texts], lone: bool) -> bytes:
-    """The CSV rows of one chunk, from each column's slice and text cache."""
-    # blocks of one row per cell, and between them the bytes that every row
-    # repeats: the separators and the texts of one-value columns
-    pieces = [b""]
-    for index, (chunk, known) in enumerate(zip(chunks, texts)):
-        if index:
-            pieces[-1] += b","
-        if _one_value(chunk):
-            cell = chunk[:1].tolist()[0]
-            text = _fmt(cell) if isinstance(cell, float) else known[type(cell), cell]
-            pieces[-1] += (text or '""' if lone else text).encode("utf-8")
-        elif isinstance(chunk, np.ndarray) and chunk.dtype == float:
-            pieces += (_format_floats(chunk), b"")
-        else:
-            pieces += (_cell_block(_cells(chunk), known, lone), b"")
-    pieces[-1] += b"\n"
-    rows = len(chunks[0])
-    blocks = [
-        np.broadcast_to(np.frombuffer(piece, np.uint8), (rows, len(piece))) if isinstance(piece, bytes) else piece
-        for piece in pieces
-    ]
-    return np.concatenate(blocks, axis=1).tobytes().translate(None, bytes([_PAD]))
+def _encoder(values, empty: str):
+    """The function that prints a slice of the column's rows as a block of text bytes, a row per cell."""
+    if isinstance(values, np.ndarray) and values.dtype == object:
+        literal, block = None, functools.partial(_held_floats, empty=empty.encode("ascii"))
+    elif isinstance(values, np.ndarray) and values.dtype == float:
+        literal, block = (lambda cell: np.frombuffer(_fmt(float(cell)).encode("ascii"), np.uint8)), _format_floats
+    else:
+        labels = values if isinstance(values, Labels) else Labels(values.view(np.uint8), ("false", "true"))
+        texts = _text_block([_cell_text(text) or empty for text in labels.texts])
+        values, literal, block = labels.codes, texts.__getitem__, texts.__getitem__
+
+    def encode(rows: slice) -> np.ndarray:
+        chunk = values[rows]
+        # cells that all have the first one's bytes, so -0.0 and 0.0 differ and a NaN run is one value, are one text
+        if literal and chunk.tobytes() == chunk[:1].tobytes() * len(chunk):
+            text = literal(chunk[0])
+            return np.broadcast_to(text, (len(chunk), len(text)))
+        return block(chunk)
+
+    return encode
 
 
-def _cell_block(cells: list, known: _Texts, lone: bool) -> np.ndarray:
-    """The cells' text block; the float cells go to ``_format_floats`` in one call, over their rows."""
-    flags = list(map(isinstance, cells, repeat(float)))
-    others = list(compress(cells, map(operator.not_, flags)))
-    texts = list(map(known.__getitem__, zip(map(type, others), others)))
-    block = _text_block([text or '""' for text in texts] if lone else texts)
-    if len(others) == len(cells):
-        return block
-    numbers = _format_floats(np.fromiter(compress(cells, flags), float, len(cells) - len(others)))
-    at = np.array(flags)
-    cell_block = np.full((len(cells), max(block.shape[1], numbers.shape[1])), _PAD, np.uint8)
-    cell_block[at, : numbers.shape[1]] = numbers
-    cell_block[~at, : block.shape[1]] = block
-    return cell_block
+def _held_floats(chunk: np.ndarray, empty: bytes) -> np.ndarray:
+    """The texts of an object column's cells: its floats printed in one call, ``empty`` at each None."""
+    held = np.not_equal(chunk, None)
+    numbers = _format_floats(chunk[held].astype(float))
+    block = np.full((len(chunk), max(numbers.shape[1], len(empty))), _PAD, np.uint8)
+    block[~held, : len(empty)] = np.frombuffer(empty, np.uint8)
+    block[held, : numbers.shape[1]] = numbers
+    return block
+
+
+def _chunk_bytes(blocks: list[np.ndarray]) -> bytes:
+    """The CSV rows of one chunk, from a block of text bytes per column, with the padding deleted."""
+    comma, newline = (np.full((len(blocks[0]), 1), ord(byte), np.uint8) for byte in ",\n")
+    joined = [part for block in blocks for part in (comma, block)][1:] + [newline]
+    return np.concatenate(joined, axis=1).tobytes().translate(None, bytes([_PAD]))
 
 
 def _text_block(texts: list[str]) -> np.ndarray:
@@ -274,15 +272,6 @@ def _text_block(texts: list[str]) -> np.ndarray:
     block = np.full((len(encoded), lengths.max(initial=0)), _PAD, np.uint8)
     block[np.arange(block.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(encoded), np.uint8)
     return block
-
-
-def _one_value(values) -> bool:
-    """Whether ``values`` is a numpy column whose cells all have the first cell's bytes.
-
-    The bytes of an object column are its pointers: equal ones are one
-    object, so one text.
-    """
-    return isinstance(values, np.ndarray) and values.tobytes() == values[:1].tobytes() * len(values)
 
 
 @functools.cache

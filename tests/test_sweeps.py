@@ -19,11 +19,11 @@ from shirklab.cli import main
 from shirklab.equilibrium import EFFORT, SHIRK, TOL, ReplacementCostCurve, solve_threshold
 from shirklab.errors import InvalidCurveError, InvalidParamsError
 from shirklab.model import ModelParams, _fmt, gamma_bar, validate_params
-from shirklab.sweeps import Table, emit_csv, make_grid, sweep_h, sweep_param
+from shirklab.sweeps import Labels, Table, emit_csv, make_grid, sweep_h, sweep_param
 
 
-def csv_to_table(path: str) -> Table:
-    """Read back a table written by ``emit_csv``; numeric cells become floats."""
+def read_csv(path: str) -> tuple[tuple[str, ...], list[tuple]]:
+    """The header and rows of a table written by ``emit_csv``; numeric cells become floats."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -41,7 +41,7 @@ def csv_to_table(path: str) -> Table:
                     except ValueError:
                         row.append(cell)
             rows.append(tuple(row))
-    return Table(header, tuple(zip(*rows, strict=True)) if rows else ((),) * len(header))
+    return header, rows
 
 
 @pytest.fixture
@@ -235,9 +235,9 @@ class TestEmitCsv:
         table = h_table
         path = tmp_path / "sweep.csv"
         emit_csv(table, str(path))
-        parsed = csv_to_table(str(path))
-        assert parsed.columns == table.columns
-        for row, parsed_row in zip(table.rows, parsed.rows):
+        columns, parsed = read_csv(str(path))
+        assert columns == table.columns and len(parsed) == len(table)
+        for row, parsed_row in zip(table.rows, parsed):
             for cell, parsed_cell in zip(row, parsed_row):
                 if isinstance(cell, float):
                     assert parsed_cell == pytest.approx(cell, rel=1e-11, abs=1e-15)
@@ -247,7 +247,7 @@ class TestEmitCsv:
     def test_empty_table_errors_before_any_write(self, tmp_path):
         path = tmp_path / "never.csv"
         with pytest.raises(ValueError):
-            emit_csv(Table(("a",), ((),)), str(path))
+            emit_csv(Table(("a",), (np.array([]),)), str(path))
         assert not path.exists()
 
     def test_unwritable_destination_raises_io_error(self, h_table, tmp_path):
@@ -270,15 +270,15 @@ class TestEmitCsv:
             table = sweep_param("w", p, curve, tuple(np.linspace(0.0, 0.4, 7)))
             path = tmp_path / f"t{i}.csv"
             emit_csv(table, str(path))
-            parsed = csv_to_table(str(path))
-            for row, parsed_row in zip(table.rows, parsed.rows):
+            _, parsed = read_csv(str(path))
+            for row, parsed_row in zip(table.rows, parsed):
                 for cell, parsed_cell in zip(row, parsed_row):
                     if isinstance(cell, float):
                         assert parsed_cell == pytest.approx(cell, rel=1e-11, abs=1e-15)
 
 
-def _reference_csv(table: Table) -> bytes:
-    """The writer ``emit_csv`` replaced: csv.writer with one call per cell."""
+def _reference_csv(columns: tuple[str, ...], rows) -> bytes:
+    """The writer ``emit_csv`` replaced: csv.writer with one call per cell of each row."""
 
     def cell_text(value) -> str:
         if value is None:
@@ -291,72 +291,51 @@ def _reference_csv(table: Table) -> bytes:
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(table.columns)
-    for row in table.rows:
+    writer.writerow(columns)
+    for row in rows:
         writer.writerow([cell_text(cell) for cell in row])
     return buffer.getvalue().encode("utf-8")
 
 
-EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308)
-CELLS = st.one_of(
-    st.sampled_from(EDGE_FLOATS),
+#: Floats that compare equal with different texts (-0.0, 0.0), unequal to
+#: themselves (NaN), or infinite, among any others.
+FLOATS = st.one_of(
+    st.sampled_from((-0.0, 0.0, math.nan, math.inf, -math.inf)),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    st.booleans(),
-    st.none(),
-    st.text(alphabet=st.sampled_from([",", '"', "\n", "\r", "a", " ", "%", "\u00e9"]), max_size=6),
-    st.integers(),
 )
-
-
-#: Cells of the numpy columns the sweeps produce, by dtype: texts holding
-#: the characters that %-templates and csv.writer treat apart, floats
-#: that compare equal with different texts (-0.0, 0.0) or unequal to
-#: themselves (NaN), and objects, such as the h sweep's regime labels,
-#: where one run shares one object and equal cells of two runs may not.
-RUN_CELLS = {
-    object: st.one_of(st.sampled_from([EFFORT, SHIRK]), CELLS),
-    bool: st.booleans(),
-    str: st.one_of(
-        st.sampled_from(["effort", "shirk", "", "50%", "%s", "%%", "a,b", 'say "x"']),
-        st.text(alphabet=st.sampled_from([",", '"', "\n", "a", "%", "\u00e9"]), max_size=4),
-    ),
-    int: st.integers(-(2**63), 2**63 - 1),
-    float: st.one_of(st.sampled_from((-0.0, 0.0, math.nan)), st.floats(allow_nan=True, allow_infinity=True)),
-}
+#: Texts of the characters that %-templates and csv.writer treat apart, and the empty text.
+TEXTS = st.text(alphabet=st.sampled_from([",", '"', "\n", "\r", "%", "\u00e9"]), max_size=4)
 
 
 @st.composite
-def runs(draw, dtype, size):
-    """A numpy column of ``size`` cells in runs of one repeated value, so runs span chunk boundaries."""
-    cells = []
-    while len(cells) < size:
-        cells += [draw(RUN_CELLS[dtype])] * draw(st.integers(1, 12))
-    return np.array(cells[:size], dtype=dtype)
+def runs(draw, cells, size):
+    """``size`` cells in runs of one repeated value, so that runs span chunk boundaries."""
+    drawn = []
+    while len(drawn) < size:
+        drawn += [draw(cells)] * draw(st.integers(1, 12))
+    return drawn[:size]
 
 
 @st.composite
 def tables(draw):
+    """A table of the four column kinds, each cell drawn in runs."""
     width = draw(st.integers(1, 4))
     columns = tuple(draw(st.lists(st.text(alphabet="ab,\"", max_size=3), min_size=width, max_size=width)))
-    # a column keeps one kind of cell in some tables, so all-float columns
-    # and the per-cell path both meet the chunk boundaries
-    uniform = draw(st.booleans())
-    kinds = [draw(st.sampled_from(["float", "any", "holes", *RUN_CELLS])) for _ in range(width)]
-    floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
     size = draw(st.integers(1, 25))
     data = []
-    for kind in kinds:
-        if kind in RUN_CELLS:
-            data.append(draw(runs(kind, size)))
+    for kind in draw(st.lists(st.sampled_from(["float", "bool", "holes", "labels"]), min_size=width, max_size=width)):
+        if kind == "float":
+            data.append(np.array(draw(runs(FLOATS, size)), dtype=float))
+        elif kind == "bool":
+            data.append(np.array(draw(runs(st.booleans(), size)), dtype=bool))
         elif kind == "holes":
-            # a parameter sweep's equilibrium column: floats, None at the unsolved points
-            data.append(np.array(draw(st.lists(st.none() | floats, min_size=size, max_size=size)), dtype=object))
-        elif uniform and kind == "float":
-            cells = draw(st.lists(floats, min_size=size, max_size=size))
-            # a sweep's float column is an array, a hand-built one may be a tuple
-            data.append(np.array(cells) if draw(st.booleans()) else tuple(cells))
+            # a parameter sweep's equilibrium column: floats, None at the
+            # unsolved points, so that some chunks hold only None
+            data.append(np.array(draw(runs(st.none() | FLOATS, size)), dtype=object))
         else:
-            data.append(tuple(draw(st.lists(CELLS, min_size=size, max_size=size))))
+            texts = tuple(draw(st.lists(TEXTS, min_size=1, max_size=5)))
+            codes = draw(runs(st.integers(0, len(texts) - 1), size))
+            data.append(Labels(np.array(codes, dtype=draw(st.sampled_from([np.uint8, np.intp]))), texts))
     return Table(columns, tuple(data))
 
 
@@ -367,29 +346,37 @@ class TestEmitCsvMatchesCsvWriter:
         path = tmp_path / "t.csv"
         with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
             emit_csv(table, str(path))
-        assert path.read_bytes() == _reference_csv(table)
+        assert path.read_bytes() == _reference_csv(table.columns, table.rows)
 
     @pytest.mark.parametrize("cell", ["", None])
     def test_lone_empty_cell_is_quoted(self, cell, tmp_path):
-        table = Table(("only",), (("x", cell, 1.5),))
+        # an empty text, or a None between floats
+        if cell is None:
+            values = np.array([1.5, None, 1.5], dtype=object)
+        else:
+            values = Labels(np.array([0, 1, 0], np.uint8), ("1.5", cell))
+        table = Table(("only",), (values,))
         path = tmp_path / "t.csv"
         emit_csv(table, str(path))
-        assert path.read_bytes() == _reference_csv(table) == b'only\nx\n""\n1.5\n'
+        assert path.read_bytes() == _reference_csv(table.columns, table.rows) == b'only\n1.5\n""\n1.5\n'
 
     @pytest.mark.parametrize("chunk", [1, 2, 4096])
-    def test_a_mixed_column_keeps_every_cell_apart(self, chunk, tmp_path):
-        # -0.0 == 0.0 and True == 1 == 1.0 hash alike, so a lookup keyed by
-        # value, or by (type, value) for floats, would merge their texts
-        cells = (0.0, -0.0, True, 1, 1.0, "1", None, "", math.nan, -0.0, False, 0)
-        table = Table(("mixed", "pad"), (cells, ("",) * len(cells)))
+    def test_signed_zeros_and_nan_keep_their_texts_in_float_and_held_columns(self, chunk, tmp_path):
+        # -0.0 == 0.0 with different texts, and NaN != NaN with one text:
+        # a value-keyed lookup would merge the zeros, and a comparison of
+        # values would split a NaN run
+        cells = [0.0, -0.0, math.nan, -0.0, 0.0, None, -0.0, math.nan, math.nan]
+        floats = np.array([math.inf if cell is None else cell for cell in cells])
+        table = Table(("floats", "held"), (floats, np.array(cells, dtype=object)))
         path = tmp_path / "t.csv"
         with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
             emit_csv(table, str(path))
-        assert path.read_bytes() == _reference_csv(table)
-        assert path.read_text().splitlines()[1:4] == ["0,", "-0,", "true,"]
-        lone = Table(("mixed",), (cells,))
-        emit_csv(lone, str(path))
-        assert path.read_bytes() == _reference_csv(lone)
+            assert path.read_bytes() == _reference_csv(table.columns, table.rows)
+            assert path.read_text().splitlines()[1:7] == ["0,0", "-0,-0", "nan,nan", "-0,-0", "0,0", "inf,"]
+            for values in table.data:
+                lone = Table(("only",), (values,))
+                emit_csv(lone, str(path))
+                assert path.read_bytes() == _reference_csv(lone.columns, lone.rows)
 
 
     @pytest.mark.parametrize(
@@ -397,11 +384,11 @@ class TestEmitCsvMatchesCsvWriter:
         [
             np.array([-0.0] * 5 + [0.0] * 5 + [-0.0] * 3),
             np.array([1.5] * 4 + [math.nan] * 7 + [math.inf] * 2),
-            np.array(["50%"] * 6 + ["a,b"] * 4 + ['say "x"'] * 5),
+            Labels(np.array([0] * 6 + [1] * 4 + [2] * 5, np.uint8), ("50%", "a,b", 'say "x"')),
             np.array([True] * 7 + [False] * 3),
-            np.array([2**63 - 1] * 5 + [-1] * 5),
+            np.array([None] * 5 + [1.5] * 4 + [None] * 3 + [-0.0] * 2, dtype=object),
         ],
-        ids=["signed-zeros", "nan-run", "special-texts", "bools", "ints"],
+        ids=["signed-zeros", "nan-run", "special-texts", "bools", "holes"],
     )
     @pytest.mark.parametrize("chunk", [1, 3, 4, 4096])
     def test_runs_of_one_value_span_chunk_boundaries(self, cells, chunk, tmp_path):
@@ -411,15 +398,15 @@ class TestEmitCsvMatchesCsvWriter:
         with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
             for written in (table, lone):
                 emit_csv(written, str(path))
-                assert path.read_bytes() == _reference_csv(written)
+                assert path.read_bytes() == _reference_csv(written.columns, written.rows)
 
     @pytest.mark.parametrize("chunk", [1, 2, 4096])
     def test_a_lone_column_of_empty_texts_is_quoted_on_every_row(self, chunk, tmp_path):
-        table = Table(("only",), (np.array([""] * 5),))
+        table = Table(("only",), (Labels(np.zeros(5, np.uint8), ("",)),))
         path = tmp_path / "t.csv"
         with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
             emit_csv(table, str(path))
-        assert path.read_bytes() == _reference_csv(table) == b'only\n' + b'""\n' * 5
+        assert path.read_bytes() == _reference_csv(table.columns, table.rows) == b'only\n' + b'""\n' * 5
 
 
 class TestHSweepAcrossChunks:
@@ -434,7 +421,7 @@ class TestHSweepAcrossChunks:
         table = sweep_h(p0, linear_curve, grid)
         path = tmp_path / "h.csv"
         emit_csv(table, str(path))
-        assert path.read_bytes() == _reference_csv(table)
+        assert path.read_bytes() == _reference_csv(table.columns, table.rows)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         h = grid.tolist()
         switch = sum(x <= h_tilde for x in h)
@@ -506,7 +493,7 @@ class TestFormatFloats:
         with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 emit_csv(table, str(path))
-        assert path.read_bytes() == _reference_csv(table)
+        assert path.read_bytes() == _reference_csv(table.columns, table.rows)
 
     def test_every_edge_float_prints_as_format_gives_it(self):
         values = np.array(FORMAT_EDGES + [-x for x in FORMAT_EDGES])
@@ -518,14 +505,13 @@ class TestFormatFloats:
         # the benchmark's 10^5-point grid: only the nonzero cells outside
         # [1e-4, 1e12) and each chunk's one-value float columns reach _fmt
         table = sweep_h(p0, linear_curve, make_grid(0.0, 1.0, 1e-5))
-        floats = [values for values in table.data if values.dtype == float]
+        floats = [values for values in table.data if isinstance(values, np.ndarray) and values.dtype == float]
         magnitudes = np.abs(np.concatenate(floats))
         outside = np.count_nonzero((magnitudes != 0.0) & ((magnitudes < 1e-4) | (magnitudes >= 1e12)))
-        literals = sum(
-            sweeps._one_value(values[start : start + sweeps.CSV_CHUNK_ROWS])
-            for values in floats
-            for start in range(0, len(table), sweeps.CSV_CHUNK_ROWS)
-        )
+        starts = range(0, len(table), sweeps.CSV_CHUNK_ROWS)
+        chunks = [values[start : start + sweeps.CSV_CHUNK_ROWS] for values in floats for start in starts]
+        # a chunk of one bit pattern is printed once
+        literals = sum(chunk.tobytes() == chunk[:1].tobytes() * len(chunk) for chunk in chunks)
         with mock.patch.object(sweeps, "_fmt", wraps=_fmt) as printed:
             emit_csv(table, os.devnull)
         assert len(table) == 100001 and len(floats) == 4
@@ -548,16 +534,56 @@ class TestFormatFloats:
 class TestTable:
     def test_columns_must_match_names_and_lengths(self):
         with pytest.raises(ValueError, match="2 column names for 1 columns"):
-            Table(("a", "b"), ((1.0,),))
+            Table(("a", "b"), (np.array([1.0]),))
         with pytest.raises(ValueError, match="differ in length"):
-            Table(("a", "b"), ((1.0,), (1.0, 2.0)))
+            Table(("a", "b"), (np.array([1.0]), np.array([1.0, 2.0])))
 
     def test_rows_column_and_len_give_python_cells(self):
-        table = Table(("x", "flag", "name"), (np.array([0.5, -0.0]), np.array([True, False]), ("a", None)))
+        name = Labels(np.array([1, 0], np.uint8), ("b", "a"))
+        table = Table(
+            ("x", "flag", "name", "held"),
+            (np.array([0.5, -0.0]), np.array([True, False]), name, np.array([None, 2.5], dtype=object)),
+        )
         assert len(table) == 2
-        assert table.rows == ((0.5, True, "a"), (-0.0, False, None))
-        assert [type(cell) for cell in table.rows[0]] == [float, bool, str]
+        assert table.rows == ((0.5, True, "a", None), (-0.0, False, "b", 2.5))
+        assert [type(cell) for cell in table.rows[0]] == [float, bool, str, type(None)]
         assert column(table, "flag") == [True, False]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (0.5, 1.5),
+            [0.5, 1.5],
+            np.array([1, 2], np.int64),
+            np.array(["a", "b"]),
+            np.array(["a", "b"], dtype=object),
+            np.array([0.5, "b"], dtype=object),
+            np.array([[0.5, 1.5]]),
+            np.array([0.5, 1.5], np.float32),
+            Labels(np.array([0.0, 1.0]), ("a", "b")),
+            Labels(np.array([0, 2], np.uint8), ("a", "b")),
+            Labels(np.array([-1, 0], np.intp), ("a", "b")),
+            Labels(np.array([0, 0], np.uint8), (b"a",)),
+            Labels(np.array([0, 0], np.uint8), "ab"),
+        ],
+        ids=[
+            "tuple", "list", "int64", "str_", "object-str", "object-mixed", "2-d", "float32",
+            "float-codes", "code-past-texts", "negative-code", "bytes-text", "str-texts",
+        ],
+    )
+    def test_a_column_of_another_kind_is_rejected_by_name(self, values):
+        with pytest.raises(ValueError, match="column 'x' is not"):
+            Table(("ok", "x"), (np.array([0.5, 1.5]), values))
+
+    def test_labels_slice_and_give_python_cells_like_the_other_columns(self):
+        labels = Labels(np.array([2, 0, 0, 1, 2], np.uint8), ("a", "", 'b,"'))
+        assert len(labels) == 5
+        assert labels.tolist() == ['b,"', "a", "a", "", 'b,"']
+        for rows in (slice(1, 4), slice(None, None, 2), slice(3, None), slice(0, 0)):
+            piece = labels[rows]
+            assert isinstance(piece, Labels) and piece.texts is labels.texts
+            assert piece.tolist() == labels.tolist()[rows]
+        assert Table(("name",), (labels,)).rows == tuple((text,) for text in labels.tolist())
 
 
 class TestCurveScaleSweepOnPrefixCurves:
@@ -679,7 +705,7 @@ class TestSweepsThroughTheCli:
         points = [float(x) for x in grid.split(",")]
         expected = _point_rows(parameter, params, ReplacementCostCurve.linear(1000.0), points)
         columns = ("value", "gamma_bar", "h_tilde", "admissible", "drop_at_h_tilde", "reason")
-        assert out.read_bytes() == _reference_csv(Table(columns, tuple(zip(*expected))))
+        assert out.read_bytes() == _reference_csv(columns, expected)
 
 
 @pytest.mark.parametrize(
@@ -705,6 +731,31 @@ def test_a_curve_scale_sweep_holds_one_row_of_sums_at_a_time(p0, scale, grid):
             tracemalloc.stop()
     assert column(table, "admissible") == [True] * len(grid)
     assert peak < 2**20
+
+
+def test_the_benchmark_h_sweep_holds_its_regime_at_one_byte_a_row(p0):
+    # the benchmark's 10^5-point grid: four float columns of 0.8 MB each,
+    # 0.1 MB each for boundary and regime, and the closed forms' temporaries;
+    # the regime as one 8-byte pointer a row would add 0.7 MB
+    curve = ReplacementCostCurve.linear(705.96235)
+    grid = make_grid(0.0, 1.0, 1e-5)
+    emit_csv(sweep_h(p0, curve, grid[:10]), os.devnull)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        table = sweep_h(p0, curve, grid)
+        emit_csv(table, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    regime = table.data[table.columns.index("regime")]
+    assert len(table) == 100001
+    assert isinstance(regime, Labels) and regime.codes.nbytes == len(table)
+    assert peak < 5 * 2**20
 
 
 def test_the_benchmark_curve_scale_sweep_builds_scaled_sums_for_few_points(p0):
