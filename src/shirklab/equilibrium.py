@@ -65,7 +65,7 @@ class ReplacementCostCurve:
     kind -- "nodes" (closed-form schedule) or "steps" (finite sample).
 
     Construction runs ``validate``, so a broken schedule never becomes a
-    curve.
+    curve; ``from_function`` checks its nodes itself, once.
     """
 
     values: np.ndarray
@@ -79,6 +79,9 @@ class ReplacementCostCurve:
         if len(self.values) < (2 if self.kind == "nodes" else 1):
             raise InvalidCurveError("schedule needs at least one cost sample")
         self.validate()
+        self._build()
+
+    def _build(self) -> None:
         cumulative = np.empty(self._segments + 1)
         self._cumulate(1.0, cumulative)
         object.__setattr__(self, "_cumulative", cumulative)
@@ -124,6 +127,14 @@ class ReplacementCostCurve:
 
         ``resolution`` must lie in [2, ``MAX_RESOLUTION``].
         """
+        return cls._from_schedule(q, resolution, fresh=False)
+
+    @classmethod
+    def _from_schedule(cls, q: Callable, resolution: int, fresh: bool) -> "ReplacementCostCurve":
+        """``from_function``, keeping the nodes without a copy when ``fresh`` says q returns a new array.
+
+        The nodes are checked once here, and ``validate`` does not walk them again.
+        """
         if resolution < 2:
             raise InvalidCurveError("resolution must be at least 2")
         if resolution > MAX_RESOLUTION:
@@ -131,13 +142,22 @@ class ReplacementCostCurve:
         grid = np.linspace(0.0, 1.0, resolution + 1)
         raw = np.asarray(q(grid), dtype=float)
         if raw.shape != grid.shape:
-            raw = np.broadcast_to(raw, grid.shape).astype(float)
-        _check_nonnegative(raw, grid)
+            raw, fresh = np.broadcast_to(raw, grid.shape).astype(float), True
+        # a NaN, a negative or an infinite node moves the least or the greatest
+        if not (raw.min() >= 0.0 and raw.max() < math.inf):
+            _check_nonnegative(raw, grid)
         # every family's nodes ascend already: np.sort would only copy them, as equal
-        # floats are equal bytes but for 0.0 and -0.0; the copy is the curve's own
-        signs = np.signbit(raw[raw == 0.0])
-        ascending = np.all(raw[1:] >= raw[:-1]) and (signs.all() or not signs.any())
-        return cls(values=raw.copy() if ascending else np.sort(raw), kind="nodes")
+        # floats are equal bytes but for 0.0 and -0.0, which lead ascending nodes
+        ascending = bool(np.all(raw[1:] >= raw[:-1]))
+        if ascending:
+            signs = np.signbit(raw[: np.searchsorted(raw, 0.0, side="right")])
+            ascending = signs.all() or not signs.any()
+        values = np.sort(raw) if not ascending else raw if fresh else raw.copy()
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "values", values)
+        object.__setattr__(curve, "kind", "nodes")
+        curve._build()
+        return curve
 
     @classmethod
     def from_samples(cls, costs: Iterable[float]) -> "ReplacementCostCurve":
@@ -148,7 +168,7 @@ class ReplacementCostCurve:
 
     @classmethod
     def linear(cls, scale: float = 1.0, resolution: int = DEFAULT_RESOLUTION) -> "ReplacementCostCurve":
-        return cls.from_function(lambda z: scale * z, resolution)
+        return cls._from_schedule(lambda z: scale * z, resolution, fresh=True)
 
     @classmethod
     def power(
@@ -156,11 +176,11 @@ class ReplacementCostCurve:
     ) -> "ReplacementCostCurve":
         if exponent < 0:
             raise InvalidCurveError("exponent must be nonnegative")
-        return cls.from_function(lambda z: scale * z**exponent, resolution)
+        return cls._from_schedule(lambda z: scale * z**exponent, resolution, fresh=True)
 
     @classmethod
     def constant(cls, level: float = 1.0, resolution: int = DEFAULT_RESOLUTION) -> "ReplacementCostCurve":
-        return cls.from_function(lambda z: np.full_like(z, float(level)), resolution)
+        return cls._from_schedule(lambda z: np.full_like(z, float(level)), resolution, fresh=True)
 
     @classmethod
     def from_file(cls, path: str) -> "ReplacementCostCurve":

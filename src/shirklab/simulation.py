@@ -7,27 +7,25 @@ wages are paid (prospectively on adoption, or as realized output), output
 is realized, failures are punished, and survivors collect the
 continuation value.
 
-An episode reads its uniforms in a fixed order: one for the quality,
-then the signal-error draws only when some strategy reads them (one
-shared uniform under common correlation, one per access agent under
-independent), then one firing uniform per access agent.  The firing
-uniforms are drawn only under random firing at a rate strictly between
-0 and 1 when some agent fails, the only case in which they can change
-who is fired.
+``run_episode`` plays one trial agent by agent and reads its uniforms in
+a fixed order: one for the quality, then the signal-error draws only
+when some strategy reads them (one shared uniform under common
+correlation, one per access agent under independent), then one firing
+uniform per access agent.  The firing uniforms are drawn only under
+random firing at a rate strictly between 0 and 1 when some agent fails,
+the only case in which they can change who is fired.
 
-Monte Carlo takes these uniforms from numpy's own spawned streams of the
-root seed.  Trial block ``b`` covers trials ``[b * TRIAL_BLOCK, (b + 1) *
-TRIAL_BLOCK)`` and draws from ``SeedSequence(seed, spawn_key=(0, b))``:
-all ``TRIAL_BLOCK`` qualities, then under common signals all
-``TRIAL_BLOCK`` shared readings, then, only when some strategy reads
-independent signals, one signal per access agent, trial by trial.  Trial
-``t``'s firing uniforms come from ``SeedSequence(seed, spawn_key=(1,
-t))``.  A trial's draws depend on the seed and its index alone, so a run
-of T trials is a prefix of any longer run, and matched scenarios see
-identical production paths.  A trial whose outcome depends on nothing but
-its quality and shared reading is coded ``2 * good + reading`` and each
-distinct state is accounted once; a trial that reads independent signals
-or draws firing uniforms plays alone.
+Monte Carlo draws trial block ``b``, trials ``[b * TRIAL_BLOCK, (b + 1)
+* TRIAL_BLOCK)``, from numpy's ``SeedSequence(seed, spawn_key=(0, b))``:
+all its qualities, then under common signals all its shared readings,
+then, when some trial can play alone, the per-strategy counts of all its
+trials (``_EpisodeKernel.counts``).  So a run of T trials is a prefix of
+any longer run, and matched scenarios see identical production paths.  A
+trial coded by its quality and shared reading, ``2 * good + reading``,
+reuses its state, played once agent by agent.  The rest play alone, from
+the counts of adopters and fired agents of each strategy, with no work
+per agent: a failure punished at random under common signals, and every
+trial of a profile that reads independent signals.
 
 Seniority is agent order: under seniority firing the lowest-indexed
 failing agent is fired.  Workers differ only in the strategy they play, so
@@ -43,7 +41,8 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace as dc_replace
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -72,9 +71,9 @@ INDEPENDENT = "independent"
 UNIFORM_RANDOM = "uniform_random"
 SENIORITY = "seniority"
 
-#: Size caps of a run, checked before any array is built.  A profile holds
-#: one byte per agent and Monte Carlo peaks at about 25 bytes per trial,
-#: about 140 for a trial that plays alone.
+#: Size caps of a run, checked before any array is built.  A profile holds one byte per agent.  Monte Carlo
+#: peaks at about 35 bytes per trial, and 140 to 220 for a trial that plays alone as one to six strategies
+#: (tracemalloc, 2 * 10^5 trials of 60 agents, numpy 2.4).
 MAX_AGENTS = 10**7
 MAX_TRIALS = 10**6
 
@@ -187,9 +186,7 @@ class EpisodeOutcome:
 def _access_codes(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float = 0.0) -> np.ndarray:
     """The strategy codes of the access agents, after checking the profile length and the rate."""
     if len(profile) != cfg.n_agents:
-        raise ContractViolationError(
-            f"profile length {len(profile)} does not match n_agents {cfg.n_agents}"
-        )
+        raise ContractViolationError(f"profile length {len(profile)} does not match n_agents {cfg.n_agents}")
     if not 0.0 <= policy_gamma <= 1.0:
         raise ValueError(f"policy_gamma must lie in [0, 1], got {policy_gamma}")
     return profile.codes[: cfg.access_count]
@@ -198,151 +195,171 @@ def _access_codes(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float 
 #: Trials per block stream.  Part of the stream contract: trial t draws from
 #: block ``t // TRIAL_BLOCK`` whatever ``n_trials`` is.
 TRIAL_BLOCK = 2048
-# the spawn keys' first word: a trial block's stream, or one trial's fire uniforms
-_BLOCK_STREAM, _FIRE_STREAM = 0, 1
 
 
-def _stream(seed: int, kind: int, index: int) -> np.random.Generator:
-    """The generator spawned from ``seed`` at ``spawn_key=(kind, index)``."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(kind, index)))
+def _block_stream(seed: int, index: int) -> np.random.Generator:
+    """Trial block ``index``'s generator, spawned from ``seed`` at ``spawn_key=(0, index)``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, index)))
+
+
+def _binomial(rng: np.random.Generator, n, p) -> np.ndarray:
+    """Binom(n, p) counts, element by element; a count that is certain (p of 0 or 1) takes no draw."""
+    return np.where(p == 1.0, n, rng.binomial(np.where((p == 0.0) | (p == 1.0), 0, n), p))
+
+
+def _spared(p: ModelParams, codes: np.ndarray) -> np.ndarray:
+    """P(none of access agents 0..i fails | a bad technology), for each i: a prefix product."""
+    spared = 1.0 - p.state_table.use_given_bad[codes]
+    return np.cumprod(spared, out=spared)
 
 
 class _EpisodeKernel:
     """The one-shot timeline for a fixed profile, firing rate and curve.
 
-    ``use`` maps a trial's quality and signal uniforms to who adopts, and
-    ``fires_at_random`` says whether its fire uniforms can change who is
-    fired.  ``pay``, ``fired``, ``totals`` and ``payoff_sums`` play the
-    timeline; ``account`` puts them together for one trial, agent by
-    agent, while Monte Carlo calls only those a row's own draws change.
-    ``states`` and ``plays`` take a run's uniforms from the block streams.
+    ``use`` says who adopts on a reading, and ``account`` plays one trial
+    agent by agent: every trial of ``run_episode``, and each (quality,
+    shared reading) state a Monte Carlo run reaches.  ``trials`` draws a
+    run block by block, and ``counted`` accounts for the trials that play
+    alone from their per-strategy counts.
     """
 
-    def __init__(
-        self,
-        cfg: SimConfig,
-        profile: StrategyProfile,
-        policy_gamma: float,
-        curve: ReplacementCostCurve,
-    ):
-        self.cfg = cfg
-        self.policy_gamma = policy_gamma
-        self.curve = curve
+    def __init__(self, cfg: SimConfig, profile: StrategyProfile, policy_gamma: float, curve: ReplacementCostCurve):
+        self.cfg, self.policy_gamma, self.curve = cfg, policy_gamma, curve
         self.codes = _access_codes(cfg, profile, policy_gamma)
-        # bincount's index type, converted once rather than on every trial
-        self.code_index = self.codes.astype(np.intp)
-        effort = _EFFORT[self.codes]
-        self.agent_effort_costs = cfg.params.c * effort
-        self.effort_cost = cfg.params.c * float(effort.sum()) / cfg.n_agents
-        # adoption per (shared reading, access agent), and whether anyone adopts
-        self.use_by_reading = _ADOPTS[:, self.codes]
-        self.anyone_adopts = self.use_by_reading.any(axis=1)
-        self.reads_signal = bool((self.use_by_reading[0] != self.use_by_reading[1]).any())
+        # the strategies played, with the access agents playing each
+        players = np.bincount(self.codes, minlength=_N_STRATEGIES)
+        self.played = np.flatnonzero(players)
+        self.players = players[self.played]
+        self.effort_cost = cfg.params.c * float(self.players @ _EFFORT[self.played]) / cfg.n_agents
+        # whether anyone adopts on each shared reading, and whether adoption reads it
+        adopts = _ADOPTS[:, self.played]
+        self.anyone_adopts = adopts.any(axis=1)
+        self.reads_signal = bool((adopts[0] != adopts[1]).any())
         self.reads_independent = self.reads_signal and cfg.signal_correlation == INDEPENDENT
         # a fire uniform can change who is fired only at a rate strictly inside (0, 1)
         self.random_firing = cfg.punishment_mode == UNIFORM_RANDOM and 0.0 < policy_gamma < 1.0
+
+    @cached_property
+    def failure_cdf(self) -> np.ndarray:
+        """P(one of access agents 0..i fails | a bad technology), for each i, under independent signals."""
+        cdf = _spared(self.cfg.params, self.codes)
+        return np.subtract(1.0, cdf, out=cdf)
+
+    @cached_property
+    def positions(self) -> list[np.ndarray]:
+        """Each played strategy's access agents, in index order."""
+        return [np.flatnonzero(self.codes == code) for code in self.played.tolist()]
 
     def reading(self, good, signals) -> np.ndarray:
         """Each signal uniform's reading: good (True) when right about a good technology or wrong about a bad one."""
         return np.asarray(good != (signals < self.cfg.params.eps))
 
-    def use(self, good: bool, signals) -> np.ndarray:
-        """Who adopts, given the quality and the signal uniform(s), None when no strategy reads them."""
-        if signals is None:
-            return self.use_by_reading[0]
-        return np.where(self.reading(good, signals), self.use_by_reading[1], self.use_by_reading[0])
+    def use(self, reading) -> np.ndarray:
+        """Who adopts on a shared reading, or on each access agent's own: 1 (good) or 0 (bad)."""
+        return _ADOPTS[np.asarray(reading, dtype=np.intp), self.codes]
 
-    def fires_at_random(self, good: bool, use: np.ndarray) -> bool:
-        """Whether fire uniforms can change who is fired: a failure under random firing."""
-        return self.random_firing and not good and bool(use.any())
-
-    def block(self, seed: int, index: int) -> tuple[np.random.Generator, np.ndarray]:
-        """Trial block ``index``'s generator, past its qualities and shared readings, and its state codes."""
-        rng = _stream(seed, _BLOCK_STREAM, index)
+    def block(self, seed: int, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Trial block ``index``'s state codes, and each trial's adopters and fired per played strategy, or zeros."""
+        rng = _block_stream(seed, index)
         good = rng.random(TRIAL_BLOCK) < self.cfg.params.pi
         states = 2 * good.astype(np.int8)
         if self.cfg.signal_correlation == COMMON:
             reading = self.reading(good, rng.random(TRIAL_BLOCK))
             if self.reads_signal:
                 states += reading
-        return rng, states
+        if not (self.reads_independent or self.random_firing):
+            none = np.zeros((TRIAL_BLOCK, len(self.played)), dtype=np.int64)
+            return states, none, none
+        return states, *self.counts(rng, good, states)
 
-    def states(self, seed: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each trial's state code ``2 * good + reading``, and the trials that play alone.
+    def counts(self, rng: np.random.Generator, good: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each trial's adopters and fired per played strategy, drawn from the block's stream past its states.
 
-        The reading is 0 when no strategy reads a shared signal, so equal
-        codes give equal outcomes, except in the trials that play alone:
-        those that draw fire uniforms, and every trial of a profile that
-        reads independent signals.
+        Under common signals the adopters are the trial's state's.  With
+        independent signals a bad technology's first failure is one uniform
+        per trial inverted through ``failure_cdf``, and each strategy's
+        adopters after it, or of a good technology, a binomial, whatever the
+        firing rule, so matched arms share them.  Seniority fires that first
+        failure; random firing a binomial of each strategy's failures.
         """
-        if self.reads_independent:
-            return np.zeros(trials, dtype=np.int8), np.arange(trials)
-        blocks = range(-(-trials // TRIAL_BLOCK))
-        states = np.concatenate([self.block(seed, index)[1] for index in blocks])[:trials]
-        lone = self.random_firing & (states < 2) & self.anyone_adopts[states & 1]
-        return states, np.flatnonzero(lone)
-
-    def plays(self, seed: int, states: np.ndarray, lone: np.ndarray) -> Iterator[tuple]:
-        """Each row to play, as ``(row, trial, good, use, pay)``, lone trials in trial order.
-
-        Under common signals: every state a trial reached (trial None), then
-        the lone trials, each adopting as its state does.  Else every trial.
-        """
+        bad = ~good[:, None]
         if not self.reads_independent:
-            reached = np.flatnonzero(np.bincount(states, minlength=4)).tolist()
-            pays = {state: self.pay(state >= 2, self.use_by_reading[state & 1]) for state in reached}
-            for state in reached:
-                yield state, None, state >= 2, self.use_by_reading[state & 1], pays[state]
-            # a lone trial draws fire uniforms, so its technology is bad
-            for row, t, state in zip(range(4, 4 + len(lone)), lone.tolist(), states[lone].tolist()):
-                yield row, t, False, self.use_by_reading[state & 1], pays[state]
-            return
-        # every trial reads its signals from its block's stream, after the block's qualities
-        for first in range(0, len(states), TRIAL_BLOCK):
-            rng, codes = self.block(seed, first // TRIAL_BLOCK)
-            for t, good in enumerate((codes[: len(states) - first] >= 2).tolist(), first):
-                use = self.use(good, rng.random(len(self.codes)))
-                yield 4 + t, t, good, use, self.pay(good, use)
+            users = self.players * _ADOPTS[states & 1][:, self.played]
+            return users, _binomial(rng, np.where(bad, users, 0), self.policy_gamma)
+        m = len(self.codes)
+        first = np.searchsorted(self.failure_cdf, rng.random(TRIAL_BLOCK), side="right")
+        # each strategy's agents up to the first failure, which is at m when no one fails
+        upto = np.stack([np.searchsorted(agents, first, side="right") for agents in self.positions], axis=1)
+        first_fails = bad & (first < m)[:, None] & (self.codes[np.minimum(first, m - 1)][:, None] == self.played)
+        table = self.cfg.params.state_table
+        chance = np.where(bad, table.use_given_bad[self.played], table.use_given_good[self.played])
+        users = first_fails + _binomial(rng, np.where(bad, self.players - upto, self.players), chance)
+        if self.cfg.punishment_mode == SENIORITY:
+            return users, first_fails.astype(np.int64)
+        return users, _binomial(rng, np.where(bad, users, 0), self.policy_gamma)
 
-    def pay(self, good: bool, use: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each access agent's production and wage, and its wage net of effort cost."""
-        p = self.cfg.params
+    def trials(self, seed: int, trials: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Each trial's state code ``2 * good + reading``, the trials that play alone, and their ``counted`` rows.
+
+        The reading is 0 when no strategy reads a shared signal, so equal codes give equal outcomes, but
+        for the trials that play alone: a failure under random firing, and every trial read on independent signals.
+        """
+        parts = []
+        for first in range(0, trials, TRIAL_BLOCK):
+            states, users, fired = self.block(seed, first // TRIAL_BLOCK)
+            states = states[: trials - first]
+            alone = self.random_firing & (states < 2) & self.anyone_adopts[states & 1]
+            lone = np.flatnonzero(alone | self.reads_independent)
+            parts.append((states, first + lone, *self.counted(states[lone] >= 2, users[lone], fired[lone])))
+        states, lone, *counted = (np.concatenate(part) for part in zip(*parts))
+        return states, lone, counted
+
+    def counted(self, good: np.ndarray, users: np.ndarray, fired: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Output, wages and welfare per agent, failure, fired count and payoff sums per played strategy, from counts.
+
+        A payoff sum is each count of a strategy's agents times their payoff: wage, effort cost, v_c if kept.
+        """
+        p, n = self.cfg.params, self.cfg.n_agents
+        adopters = users.sum(axis=1)
+        # an adopter produces 1 + g of a good technology and 0 of a bad one, anyone else 1
+        produce = np.where(good, 1.0 + p.g, 0.0)
+        output = (n - adopters + adopters * produce) / n
+        if self.cfg.compensation == PROSPECTIVE:
+            wages, use_wage, idle_wage = p.w * adopters / n, p.w, 0.0
+        else:
+            # realized pay is every agent's production, an inert agent's too
+            wages, use_wage, idle_wage = output, produce[:, None], 1.0
+        players = self.players
+        sums = users * use_wage + (players - users) * idle_wage - players * (p.c * _EFFORT[self.played])
+        sums += (players - fired) * p.v_c
+        return output, wages, output - self.effort_cost, ~good & (adopters > 0), fired.sum(axis=1), sums
+
+    def account(self, good: bool, use: np.ndarray, fire_draws: np.ndarray | None) -> EpisodeOutcome:
+        """Play the timeline on one trial's draws and account for every agent.
+
+        Under random firing a failing agent is fired when its fire uniform
+        falls below the rate; with no uniforms (no failure, or a rate of 0
+        or 1) none or all of them are.  An inert agent produces 1, paid to
+        it under realized pay.
+        """
+        p, n = self.cfg.params, self.cfg.n_agents
+        inert = n - len(self.codes)
         produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
-        wage = np.where(use, p.w, 0.0) if self.cfg.compensation == PROSPECTIVE else produced.copy()
-        return produced, wage, wage - self.agent_effort_costs
-
-    def fired(self, failed: np.ndarray, fire_draws: np.ndarray | None) -> np.ndarray:
-        """Who is fired among the agents that ``failed``, given the trial's fire uniforms."""
+        if self.cfg.compensation == PROSPECTIVE:
+            wage, inert_wages = np.where(use, p.w, 0.0), 0.0
+        else:
+            wage, inert_wages = produced.copy(), float(inert)
+        failed = use & (not good)
         if self.cfg.punishment_mode == SENIORITY:
             fired = np.zeros_like(failed)
             if failed.any():
                 fired[failed.argmax()] = True
-            return fired
-        if fire_draws is None:
-            # no failure, or a rate of 0 or 1 that fires none or all of them
-            return failed & (self.policy_gamma == 1.0)
-        return failed & (fire_draws < self.policy_gamma)
-
-    def totals(self, produced: np.ndarray, wage: np.ndarray) -> tuple[float, float, float]:
-        """Output, wages and welfare per agent; an inert agent produces 1, paid to it under realized pay."""
-        n = self.cfg.n_agents
-        inert = n - len(self.codes)
-        inert_wages = 0.0 if self.cfg.compensation == PROSPECTIVE else float(inert)
-        output = (inert + float(produced.sum())) / n
-        return output, (float(wage.sum()) + inert_wages) / n, output - self.effort_cost
-
-    def payoff_sums(self, partial: np.ndarray, fired: np.ndarray) -> np.ndarray:
-        """Each strategy's summed payoff: the net wage ``partial``, plus v_c for each agent kept."""
-        weights = partial + self.cfg.params.v_c * (~fired)
-        return np.bincount(self.code_index, weights=weights, minlength=_N_STRATEGIES)
-
-    def account(self, good: bool, use: np.ndarray, fire_draws: np.ndarray | None) -> EpisodeOutcome:
-        """Play the timeline on one trial's draws and account for every agent."""
-        produced, wage, partial = self.pay(good, use)
-        failed = use & (not good)
-        fired = self.fired(failed, fire_draws)
+        else:
+            fired = failed & (self.policy_gamma == 1.0 if fire_draws is None else fire_draws < self.policy_gamma)
         fired_count = np.count_nonzero(fired)
-        output, wages, welfare = self.totals(produced, wage)
+        output = (inert + float(produced.sum())) / n
+        # each strategy's summed payoff: the wage net of effort cost, plus v_c for each agent kept
+        payoffs = wage - p.c * _EFFORT[self.codes] + p.v_c * (~fired)
         return EpisodeOutcome(
             quality=GOOD if good else BAD,
             used=use,
@@ -350,22 +367,18 @@ class _EpisodeKernel:
             wage_paid=wage,
             fired=fired,
             output=output,
-            wages=wages,
+            wages=(float(wage.sum()) + inert_wages) / n,
             effort_cost=self.effort_cost,
-            welfare=welfare,
-            replacement_cost=self.curve.cost(fired_count / self.cfg.n_agents),
+            welfare=output - self.effort_cost,
+            replacement_cost=self.curve.cost(fired_count / n),
             fired_count=fired_count,
             failure_event=bool(failed.any()),
-            payoff_sum_by_strategy=self.payoff_sums(partial, fired),
+            payoff_sum_by_strategy=np.bincount(self.codes, weights=payoffs, minlength=_N_STRATEGIES),
         )
 
 
 def run_episode(
-    cfg: SimConfig,
-    profile: StrategyProfile,
-    policy_gamma: float,
-    curve: ReplacementCostCurve,
-    rng: np.random.Generator,
+    cfg: SimConfig, profile: StrategyProfile, policy_gamma: float, curve: ReplacementCostCurve, rng: np.random.Generator
 ) -> EpisodeOutcome:
     """Play the timeline once and account for every agent.
 
@@ -380,11 +393,13 @@ def run_episode(
     kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve)
     m = len(kernel.codes)
     good = bool(rng.random() < cfg.params.pi)
-    signals = None
+    reading = 0
     if kernel.reads_signal:
-        signals = rng.random() if cfg.signal_correlation == COMMON else rng.random(m)
-    use = kernel.use(good, signals)
-    return kernel.account(good, use, rng.random(m) if kernel.fires_at_random(good, use) else None)
+        reading = kernel.reading(good, rng.random() if cfg.signal_correlation == COMMON else rng.random(m))
+    use = kernel.use(reading)
+    # fire uniforms can change who is fired only on a failure under random firing
+    fires_at_random = kernel.random_firing and not good and use.any()
+    return kernel.account(good, use, rng.random(m) if fires_at_random else None)
 
 
 @dataclass(frozen=True)
@@ -440,58 +455,44 @@ def _mean_se(values: np.ndarray) -> MeanSE:
 
 
 def monte_carlo(
-    cfg: SimConfig,
-    profile: StrategyProfile,
-    policy_gamma: float,
-    curve: ReplacementCostCurve,
-    trace_path: str | None = None,
+    cfg: SimConfig, profile: StrategyProfile, policy_gamma: float, curve: ReplacementCostCurve, trace_path: str | None = None
 ) -> SimResult:
     """Average the episode over ``cfg.n_trials`` trials.
 
-    Trial t draws from the block stream ``spawn_key=(0, t //
-    TRIAL_BLOCK)`` and, when it draws fire uniforms, from its own stream
-    ``spawn_key=(1, t)``, so its outcome depends on neither ``n_trials``
-    nor the order trials run in.  Each distinct (quality, shared reading)
-    state is played once; a trial that draws fire uniforms, and every
-    trial of a profile that reads independent signals, plays alone.  A
-    lone trial computes only what its draws change: who is fired and the
-    payoff sums, and with independent signals its output, wages, welfare
-    and failure too.  One ``curve.cost`` call prices each distinct count
+    Trial t draws from its block's stream ``spawn_key=(0, t //
+    TRIAL_BLOCK)`` alone, so its outcome depends on neither ``n_trials``
+    nor the order trials run in.  Each (quality, shared reading) state
+    reached is played once, agent by agent, as ``run_episode`` plays a
+    trial.  A trial that plays alone is accounted from its block's counts
+    of adopters and fired agents per strategy, each payoff sum a count
+    times a value.  One ``curve.cost`` call prices every distinct count
     of fired agents.
     """
     kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve)
-    trials = cfg.n_trials
-    states, lone = kernel.states(cfg.seed, trials)
+    states, lone, counted = kernel.trials(cfg.seed, cfg.n_trials)
     # trial t reports row which[t]: row s < 4 holds state s, row 4 + i trial lone[i] played alone
     which = states.astype(np.intp)
     which[lone] = 4 + np.arange(len(lone))
     rows = 4 + len(lone)
     output, wages, welfare = np.zeros((3, rows))
-    good, failure = np.zeros((2, rows), dtype=bool)
+    failure = np.zeros(rows, dtype=bool)
     fired_count = np.zeros(rows, dtype=np.int64)
-    payoff_sums = np.zeros((rows, _N_STRATEGIES))
-    m = len(kernel.codes)
-    for row, t, good_t, use, (produced, wage, partial) in kernel.plays(cfg.seed, states, lone):
-        failed = use & (not good_t)
-        draws = t is not None and kernel.fires_at_random(good_t, use)
-        fired = kernel.fired(failed, _stream(cfg.seed, _FIRE_STREAM, t).random(m) if draws else None)
-        good[row], fired_count[row] = good_t, np.count_nonzero(fired)
-        payoff_sums[row] = kernel.payoff_sums(partial, fired)
-        if row < 4 or kernel.reads_independent:
-            output[row], wages[row], welfare[row] = kernel.totals(produced, wage)
-            failure[row] = failed.any()
-    if not kernel.reads_independent:
-        # a lone trial of common signals shares these with its state
-        for column in (output, wages, welfare, failure):
-            column[4:] = column[states[lone]]
+    payoff_sums = np.zeros((rows, len(kernel.played)))
+    # the states reached by trials not played alone (np.unique would import numpy.ma, 30 ms cold)
+    for state in np.flatnonzero(np.bincount(which[which < 4], minlength=4)).tolist():
+        play = kernel.account(state >= 2, kernel.use(state & 1), None)
+        output[state], wages[state], welfare[state] = play.output, play.wages, play.welfare
+        failure[state], fired_count[state] = play.failure_event, play.fired_count
+        payoff_sums[state] = play.payoff_sum_by_strategy[kernel.played]
+    output[4:], wages[4:], welfare[4:], failure[4:], fired_count[4:], payoff_sums[4:] = counted
+    good = np.concatenate(([False, False, True, True], states[lone] >= 2))
     # each distinct count priced once; cost works element by element
     distinct, inverse = np.unique(fired_count, return_inverse=True)
     replacement_cost = curve.cost(distinct / cfg.n_agents)[inverse]
 
     per_strategy: dict[str, MeanSE] = {}
-    counts = np.bincount(kernel.codes, minlength=_N_STRATEGIES)
-    for code in np.flatnonzero(counts).tolist():
-        per_strategy[AgentStrategy(code).label] = _mean_se(payoff_sums[which, code] / counts[code])
+    for column, (code, players) in enumerate(zip(kernel.played.tolist(), kernel.players.tolist())):
+        per_strategy[AgentStrategy(code).label] = _mean_se(payoff_sums[which, column] / players)
 
     if trace_path:
         quality, outputs, welfares, fired, failures = (
@@ -517,7 +518,7 @@ def monte_carlo(
         failure_frequency=float(failure[which].mean()),
         per_strategy_payoff=per_strategy,
         n_agents=cfg.n_agents,
-        n_trials=trials,
+        n_trials=cfg.n_trials,
         seed=cfg.seed,
         policy_gamma=policy_gamma,
     )
@@ -609,10 +610,9 @@ def _deviation_payoff_table(
     # independent signals: failures are independent across agents given a
     # bad technology, so the chance no lower-indexed agent fails is a
     # prefix product
-    use_bad = p.state_table.use_given_bad
     prefix = np.ones(m)
-    prefix[1:] = np.cumprod(1.0 - use_bad[codes[:-1]])
-    fired_prob = ((1.0 - p.pi) * use_bad)[None, :] * prefix[:, None]
+    prefix[1:] = _spared(p, codes[:-1])
+    fired_prob = ((1.0 - p.pi) * p.state_table.use_given_bad)[None, :] * prefix[:, None]
     base = _expected_wages(p, cfg.compensation) - np.where(_EFFORT, p.c, 0.0)
     return base + p.v_c * (1.0 - fired_prob), np.arange(m)
 

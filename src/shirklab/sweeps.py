@@ -180,9 +180,12 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
     # None at every unsolved point; a drop is the solved h_tilde times the drop per reach
     gammas, h_tildes, drops = cells = np.full((3, len(values)), None, dtype=object)
     cells[:, solved] = (rate, h_tilde, h_tilde * drop)
+    # the reasons carry only the texts some point uses
+    texts = (*names, *faults[1:])
+    used, reasons = np.unique(codes, return_inverse=True)
     return Table(
         ("value", "gamma_bar", "h_tilde", "admissible", "drop_at_h_tilde", "reason"),
-        (values, gammas, h_tildes, codes == 0, drops, Labels(codes, (*names, *faults[1:]))),
+        (values, gammas, h_tildes, codes == 0, drops, Labels(reasons, tuple(texts[i] for i in used.tolist()))),
     )
 
 

@@ -322,8 +322,8 @@ class TestExperiment:
         out = capsys.readouterr().out
         assert out[out.index("scenario seniority:") :].splitlines()[:3] == [
             "scenario seniority: profile mixed at gamma 0 (equilibrium)",
-            "  output/agent  1.1738675 +- 0.0100639053065  target 1.1753375",
-            "  welfare/agent 1.1737925 +- 0.0100639053065  target 1.1752625",
+            "  output/agent  1.1738315 +- 0.0100646952087  target 1.1753375",
+            "  welfare/agent 1.1737565 +- 0.0100646952087  target 1.1752625",
         ]
 
     def test_golden_stdout_past_the_threshold(self, capsys):

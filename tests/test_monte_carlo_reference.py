@@ -1,16 +1,36 @@
 """The Monte Carlo engine against a plain per-trial loop on the stream contract.
 
-The reference below plays a full episode for every trial, taking all of
-its uniforms: the quality and the signal draws from its block's stream,
-``SeedSequence(seed, spawn_key=(0, t // TRIAL_BLOCK))``, in the order the
-contract fixes (every quality of the block, then every shared reading
-under common signals, then each trial's independent signals), and one
-fire uniform per access agent from ``spawn_key=(1, t)``.  The package
-draws only what can change a trial and reuses the outcome of a repeated
-(quality, reading) state; these tests hold it to exact equality with the
-reference, trace files included.
+Trial block ``b`` covers trials ``[b * TRIAL_BLOCK, (b + 1) * TRIAL_BLOCK)``
+and takes every draw from ``SeedSequence(seed, spawn_key=(0, b))``, in
+this order, for every trial of the block, the last block too:
+
+1. the qualities, one uniform each
+2. under common signals, the shared readings, one uniform each
+3. only when some trial can play alone, the per-strategy counts:
+   - when some strategy reads independent signals, one uniform per trial
+     that places a bad technology's first failure, inverted through the
+     chance that one of the first agents fails; then, trial by trial and
+     played strategy by strategy in code order, the adopters: Binom(m_s,
+     use | good) of a good technology, and of a bad one the first failure
+     plus Binom(agents of s after it, use | bad)
+   - under random firing, the fired, in the same order:
+     Binom(failing adopters, gamma)
+
+A binomial draw that is certain (chance 0 or 1, or no agents) takes no
+draw.  Seniority fires the first failure.  Under common signals the
+adopters are those of the trial's shared reading, all of whom fail on a
+bad technology.
+
+A trial that plays alone (a failure under random firing, or every trial
+of a profile that reads independent signals) is accounted here from its
+counts, each sum a count times a value.  Any other trial plays its
+(quality, reading) state agent by agent, as ``run_episode`` does.  The
+package draws the counts as whole arrays and reuses a repeated state's
+outcome; these tests hold it to exact equality with the reference, trace
+files included.
 """
 
+import bisect
 import dataclasses
 import itertools
 import json
@@ -40,7 +60,7 @@ TRIAL_BLOCK = 2048
 
 
 def reference_episode(cfg, profile, policy_gamma, curve, quality, signals, fire_draws):
-    """Aggregates of one episode on its quality, signal and fire uniforms."""
+    """Aggregates of one episode on its quality, signal and fire uniforms, agent by agent."""
     p = cfg.params
     n = cfg.n_agents
     m = cfg.access_count
@@ -106,23 +126,130 @@ def reference_run_episode(cfg, profile, policy_gamma, curve, rng):
     return reference_episode(cfg, profile, policy_gamma, curve, quality, signals, rng.random(m))
 
 
-def _stream(seed, kind, index):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(kind, index)))
+def _stream(seed, index):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, index)))
 
 
-def reference_uniforms(cfg):
-    """Every trial's (quality, signals, fire uniforms), one trial at a time."""
-    m = cfg.access_count
-    for t in range(cfg.n_trials):
-        block, offset = divmod(t, TRIAL_BLOCK)
-        if offset == 0:
-            rng = _stream(cfg.seed, 0, block)
-            qualities = rng.random(TRIAL_BLOCK)
-            if cfg.signal_correlation == "common":
-                readings = rng.random(TRIAL_BLOCK)
-        # a signal no strategy reads changes nothing, and nothing follows it in the block
-        signals = readings[offset] if cfg.signal_correlation == "common" else rng.random(m)
-        yield qualities[offset], signals, _stream(cfg.seed, 1, t).random(m)
+def _draw(rng, n, chance):
+    """One Binom(n, chance) count; a certain one takes no draw."""
+    if n == 0 or chance == 0.0:
+        return 0
+    return n if chance == 1.0 else int(rng.binomial(n, chance))
+
+
+class Reference:
+    """One run's trials, block by block, as a plain loop over trials and strategies."""
+
+    def __init__(self, cfg, profile, policy_gamma, curve):
+        self.cfg, self.profile, self.gamma, self.curve = cfg, profile, policy_gamma, curve
+        p = cfg.params
+        self.codes = profile.codes[: cfg.access_count].tolist()
+        self.played = sorted(set(self.codes))
+        self.players = {s: self.codes.count(s) for s in self.played}
+        self.independent = cfg.signal_correlation == "independent" and _reads_a_signal(profile, len(self.codes))
+        self.random = cfg.punishment_mode == "uniform_random" and 0.0 < policy_gamma < 1.0
+        # each strategy's chance of adopting a good and a bad technology
+        self.use_good = {s: (1.0 - p.eps) * _ADOPTS[1][s] + p.eps * _ADOPTS[0][s] for s in self.played}
+        self.use_bad = {s: p.eps * _ADOPTS[1][s] + (1.0 - p.eps) * _ADOPTS[0][s] for s in self.played}
+        # the chance that one of agents 0..i fails on a bad technology, multiplied out agent by agent
+        self.failure_cdf, spared = [], 1.0
+        for code in self.codes:
+            spared *= 1.0 - self.use_bad[code]
+            self.failure_cdf.append(1.0 - spared)
+        self.agents = {s: [i for i, code in enumerate(self.codes) if code == s] for s in self.played}
+
+    def plays_alone(self, good, reading):
+        if self.independent:
+            return True
+        return self.random and not good and any(_ADOPTS[reading][s] for s in self.played)
+
+    def block(self, index):
+        """Each trial of block ``index``: its quality and reading, and its counts when it plays alone."""
+        cfg = self.cfg
+        rng = _stream(cfg.seed, index)
+        qualities = rng.random(TRIAL_BLOCK)
+        good = [bool(q < cfg.params.pi) for q in qualities]
+        readings = [0] * TRIAL_BLOCK
+        if cfg.signal_correlation == "common":
+            signals = rng.random(TRIAL_BLOCK)
+            readings = [int(g != (u < cfg.params.eps)) for g, u in zip(good, signals)]
+        alone = [self.plays_alone(g, r) for g, r in zip(good, readings)]
+        users = [dict.fromkeys(self.played, 0) for _ in range(TRIAL_BLOCK)]
+        fired = [dict.fromkeys(self.played, 0) for _ in range(TRIAL_BLOCK)]
+        if self.independent:
+            m = len(self.codes)
+            firsts = [bisect.bisect_right(self.failure_cdf, u) for u in rng.random(TRIAL_BLOCK)]
+            for t in range(TRIAL_BLOCK):
+                first = firsts[t]
+                for s in self.played:
+                    if good[t]:
+                        users[t][s] = _draw(rng, self.players[s], self.use_good[s])
+                        continue
+                    # no adopter before the first failure, and after it each adopts on its own signal
+                    after = self.players[s] - bisect.bisect_right(self.agents[s], first)
+                    at_first = first < m and self.codes[first] == s
+                    users[t][s] = at_first + _draw(rng, after, self.use_bad[s])
+                    if cfg.punishment_mode == "seniority":
+                        fired[t][s] = int(at_first)
+        else:
+            for t in range(TRIAL_BLOCK):
+                for s in self.played:
+                    users[t][s] = self.players[s] * bool(_ADOPTS[readings[t]][s])
+        if cfg.punishment_mode == "uniform_random" and any(alone):
+            for t in range(TRIAL_BLOCK):
+                for s in self.played:
+                    fired[t][s] = 0 if good[t] else _draw(rng, users[t][s], self.gamma)
+        return [
+            (good[t], readings[t], (users[t], fired[t]) if alone[t] else None)
+            for t in range(TRIAL_BLOCK)
+        ]
+
+    def counted(self, good, users, fired):
+        """The episode's aggregates from its counts: each sum a count times a value."""
+        p = self.cfg.params
+        n = self.cfg.n_agents
+        adopters = sum(users.values())
+        produce = (1.0 + p.g) if good else 0.0
+        output = (n - adopters + adopters * produce) / n
+        if self.cfg.compensation == "prospective":
+            wages, use_wage, idle_wage = p.w * adopters / n, p.w, 0.0
+        else:
+            wages, use_wage, idle_wage = output, produce, 1.0
+        sums = np.zeros(_N_STRATEGIES)
+        for s in self.played:
+            players = self.players[s]
+            sums[s] = users[s] * use_wage + (players - users[s]) * idle_wage - players * (p.c * _EFFORT[s])
+            sums[s] += (players - fired[s]) * p.v_c
+        fired_count = sum(fired.values())
+        effort_cost = p.c * float(sum(players for s, players in self.players.items() if _EFFORT[s])) / n
+        return {
+            "quality": "good" if good else "bad",
+            "output": output,
+            "wages": wages,
+            "welfare": output - effort_cost,
+            "replacement_cost": self.curve.cost(fired_count / n),
+            "fired_count": fired_count,
+            "failure_event": not good and adopters > 0,
+            "payoff_sum_by_strategy": sums,
+        }
+
+    def episodes(self):
+        """Every trial's aggregates, in trial order."""
+        m = len(self.codes)
+        for t in range(self.cfg.n_trials):
+            block, offset = divmod(t, TRIAL_BLOCK)
+            if offset == 0:
+                trials = self.block(block)
+            good, reading, counts = trials[offset]
+            if counts is not None:
+                yield self.counted(good, *counts)
+                continue
+            # a state plays with no fire uniform: a failure under random firing plays alone, and a
+            # rate of 0 or 1 decides alone
+            fire_draws = np.full(m, 0.0 if self.gamma == 1.0 else 1.0)
+            quality = 0.0 if good else 1.0
+            signals = 1.0 if good == bool(reading) else 0.0
+            yield reference_episode(self.cfg, self.profile, self.gamma, self.curve, quality, signals, fire_draws)
 
 
 def _mean_se(values):
@@ -143,8 +270,7 @@ def reference_monte_carlo(cfg, profile, policy_gamma, curve, trace_path=None):
     fired_counts = np.empty(trials, dtype=np.int64)
     payoff_sums = np.empty((trials, _N_STRATEGIES))
     counts = np.bincount(profile.codes[: cfg.access_count], minlength=_N_STRATEGIES)
-    for t, uniforms in enumerate(reference_uniforms(cfg)):
-        episode = reference_episode(cfg, profile, policy_gamma, curve, *uniforms)
+    for t, episode in enumerate(Reference(cfg, profile, policy_gamma, curve).episodes()):
         outputs[t] = episode["output"]
         wages[t] = episode["wages"]
         repl[t] = episode["replacement_cost"]
@@ -277,7 +403,7 @@ def test_run_episode_matches_the_reference_on_every_field(index):
 
 # Memo-key-sensitive cases: a perfect signal (eps = 0) makes the bad reading
 # certain in a bad state, a coin-flip prior puts half the trials in the bad
-# state, and rates of 0 and 1 decide firing without any fire uniform.
+# state, and rates of 0 and 1 decide firing without any binomial draw.
 EPS0 = ModelParams(pi=0.5, eps=0.0, g=1.5, c=0.01, w=0.05, v_c=1.0)
 NOISY = ModelParams(pi=0.5, eps=0.3, g=1.5, c=0.01, w=0.05, v_c=1.0)
 
@@ -306,10 +432,9 @@ def test_mixed_profiles_at_the_memo_edges(params, signal, firing, gamma, tmp_pat
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
 
-# Lone trials at scale: a few thousand access agents, where a sequential sum
-# and a pairwise one, or a count times a value, differ in the last bits.
-# Half the trials have a bad technology, and firing is random at a rate
-# strictly inside (0, 1), so the bad trials in which anyone adopts play
+# Lone trials at scale: a few thousand access agents, so that the counts are
+# large.  Half the trials have a bad technology, and firing is random at a
+# rate strictly inside (0, 1), so the bad trials in which anyone adopts play
 # alone.  g, c and w are not dyadic, and c and w also sit at both signed
 # zeros.
 SCALE_PARAMS = {
@@ -348,15 +473,15 @@ def test_lone_trials_at_scale_match_the_reference(params, signal, pay, kind, tmp
 
 
 def _counted_streams(monkeypatch):
-    """Record the spawn key of every generator ``monte_carlo`` builds."""
+    """Record the index of every block generator ``monte_carlo`` builds."""
     built = []
-    original = simulation._stream
+    original = simulation._block_stream
 
-    def stream(seed, kind, index):
-        built.append((kind, index))
-        return original(seed, kind, index)
+    def stream(seed, index):
+        built.append(index)
+        return original(seed, index)
 
-    monkeypatch.setattr(simulation, "_stream", stream)
+    monkeypatch.setattr(simulation, "_block_stream", stream)
     return built
 
 
@@ -375,17 +500,16 @@ def _firing_case(signal, kind):
 
 @pytest.mark.parametrize("signal", ["common", "independent"])
 @pytest.mark.parametrize("kind", ["effort", "shirk", "mixed"])
-def test_one_generator_per_block_and_one_per_trial_that_draws_fire_uniforms(signal, kind, monkeypatch, tmp_path):
+def test_one_generator_per_block(signal, kind, monkeypatch, tmp_path):
     cfg, profile, gamma, curve = _firing_case(signal, kind)
     want = reference_monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "want.jsonl"))
     built = _counted_streams(monkeypatch)
     assert monte_carlo(cfg, profile, gamma, curve) == want
-    # at a rate inside (0, 1) a trial draws fire uniforms exactly when it fails
+    # at a rate inside (0, 1) a trial plays alone when it fails, and draws from its block's stream
     lines = (tmp_path / "want.jsonl").read_text().splitlines()
     failures = [t for t, line in enumerate(lines) if json.loads(line)["failure"]]
     assert 0 < len(failures) < cfg.n_trials
-    blocks = math.ceil(cfg.n_trials / TRIAL_BLOCK)
-    assert sorted(built) == [(0, b) for b in range(blocks)] + [(1, t) for t in failures]
+    assert built == list(range(math.ceil(cfg.n_trials / TRIAL_BLOCK)))
 
 
 @pytest.mark.parametrize("signal", ["common", "independent"])
@@ -400,6 +524,16 @@ def test_a_shorter_run_is_a_prefix_of_a_longer_one(signal, kind, tmp_path):
     shortest, middle, longest = traces
     assert middle[: len(shortest)] == shortest
     assert longest[: len(middle)] == middle
+
+
+@pytest.mark.parametrize("firing", ["uniform_random", "seniority"])
+def test_matched_arms_share_the_adopters_with_independent_signals(firing):
+    # the adopters are drawn before, and apart from, the firing rule
+    cfg, profile, gamma, curve = _firing_case("independent", "mixed")
+    base = monte_carlo(cfg, profile, gamma, curve)
+    other = dataclasses.replace(cfg, punishment_mode=firing)
+    for rate in (0.0, 0.9):
+        assert monte_carlo(other, profile, rate, curve).output == base.output
 
 
 def test_the_cli_trace_matches_the_reference(tmp_path, capsys):
@@ -432,8 +566,9 @@ def test_lone_trials_skip_account_and_share_one_cost_call(signal, tmp_path):
     lines = (tmp_path / "want.jsonl").read_text().splitlines()
     lone = sum(json.loads(line)["failure"] for line in lines)
     assert lone > 100
-    # account runs at most once per distinct (quality, reading) state, never
-    # once per lone trial; with independent signals every trial is lone
-    assert account.call_count <= (4 if signal == "common" else 0)
-    # a cost per accounted state, and one call for every other row
+    # account runs once per (quality, reading) state that a trial not played
+    # alone reaches, never once per lone trial; with independent signals
+    # every trial is lone
+    assert account.call_count == (3 if signal == "common" else 0)
+    # a cost per accounted state, and one call for every row
     assert cost.call_count == account.call_count + 1
