@@ -20,12 +20,13 @@ Monte Carlo draws trial block ``b``, trials ``[b * TRIAL_BLOCK, (b + 1)
 all its qualities, then under common signals all its shared readings,
 then, when some trial can play alone, the per-strategy counts of all its
 trials (``_EpisodeKernel.counts``).  So a run of T trials is a prefix of
-any longer run, and matched scenarios see identical production paths.  A
-trial coded by its quality and shared reading, ``2 * good + reading``,
-reuses its state, played once agent by agent.  The rest play alone, from
-the counts of adopters and fired agents of each strategy, with no work
-per agent: a failure punished at random under common signals, and every
-trial of a profile that reads independent signals.
+any longer run, and matched scenarios see identical production paths.
+Every trial is accounted from the counts of adopters and fired agents of
+each strategy, with no work per agent.  A trial coded by its quality and
+shared reading, ``2 * good + reading``, takes its state's counts, which
+need no draw.  The rest play alone on counts of their own: a failure
+punished at random under common signals, and every trial of a profile
+that reads independent signals.
 
 Seniority is agent order: under seniority firing the lowest-indexed
 failing agent is fired.  Workers differ only in the strategy they play, so
@@ -214,27 +215,25 @@ def _spared(p: ModelParams, codes: np.ndarray) -> np.ndarray:
 
 
 class _EpisodeKernel:
-    """The one-shot timeline for a fixed profile, firing rate and curve.
+    """The one-shot timeline for a fixed profile and firing rate, in per-strategy counts.
 
-    ``use`` says who adopts on a reading, and ``account`` plays one trial
-    agent by agent: every trial of ``run_episode``, and each (quality,
-    shared reading) state a Monte Carlo run reaches.  ``trials`` draws a
-    run block by block, and ``counted`` accounts for the trials that play
-    alone from their per-strategy counts.
+    ``trials`` draws a run block by block and accounts every trial from
+    its adopters and fired agents per played strategy, through
+    ``counted``: rows 0 to 3 are the (quality, shared reading) states,
+    whose counts need no draw (``state_counts``), and each trial that
+    plays alone has a row of its own, on counts drawn from its block
+    (``counts``).  ``run_episode`` plays one trial agent by agent.
     """
 
-    def __init__(self, cfg: SimConfig, profile: StrategyProfile, policy_gamma: float, curve: ReplacementCostCurve):
-        self.cfg, self.policy_gamma, self.curve = cfg, policy_gamma, curve
+    def __init__(self, cfg: SimConfig, profile: StrategyProfile, policy_gamma: float):
+        self.cfg, self.policy_gamma = cfg, policy_gamma
         self.codes = _access_codes(cfg, profile, policy_gamma)
         # the strategies played, with the access agents playing each
         players = np.bincount(self.codes, minlength=_N_STRATEGIES)
         self.played = np.flatnonzero(players)
         self.players = players[self.played]
         self.effort_cost = cfg.params.c * float(self.players @ _EFFORT[self.played]) / cfg.n_agents
-        # whether anyone adopts on each shared reading, and whether adoption reads it
-        adopts = _ADOPTS[:, self.played]
-        self.anyone_adopts = adopts.any(axis=1)
-        self.reads_signal = bool((adopts[0] != adopts[1]).any())
+        self.reads_signal = bool((_ADOPTS[0, self.played] != _ADOPTS[1, self.played]).any())
         self.reads_independent = self.reads_signal and cfg.signal_correlation == INDEPENDENT
         # a fire uniform can change who is fired only at a rate strictly inside (0, 1)
         self.random_firing = cfg.punishment_mode == UNIFORM_RANDOM and 0.0 < policy_gamma < 1.0
@@ -254,12 +253,8 @@ class _EpisodeKernel:
         """Each signal uniform's reading: good (True) when right about a good technology or wrong about a bad one."""
         return np.asarray(good != (signals < self.cfg.params.eps))
 
-    def use(self, reading) -> np.ndarray:
-        """Who adopts on a shared reading, or on each access agent's own: 1 (good) or 0 (bad)."""
-        return _ADOPTS[np.asarray(reading, dtype=np.intp), self.codes]
-
     def block(self, seed: int, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Trial block ``index``'s state codes, and each trial's adopters and fired per played strategy, or zeros."""
+        """Trial block ``index``'s state codes, and each trial's adopters and fired per played strategy."""
         rng = _block_stream(seed, index)
         good = rng.random(TRIAL_BLOCK) < self.cfg.params.pi
         states = 2 * good.astype(np.int8)
@@ -268,8 +263,7 @@ class _EpisodeKernel:
             if self.reads_signal:
                 states += reading
         if not (self.reads_independent or self.random_firing):
-            none = np.zeros((TRIAL_BLOCK, len(self.played)), dtype=np.int64)
-            return states, none, none
+            return states, *(rows[states] for rows in self.state_counts)
         return states, *self.counts(rng, good, states)
 
     def counts(self, rng: np.random.Generator, good: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +278,7 @@ class _EpisodeKernel:
         """
         bad = ~good[:, None]
         if not self.reads_independent:
-            users = self.players * _ADOPTS[states & 1][:, self.played]
+            users = self.state_counts[0][states]
             return users, _binomial(rng, np.where(bad, users, 0), self.policy_gamma)
         m = len(self.codes)
         first = np.searchsorted(self.failure_cdf, rng.random(TRIAL_BLOCK), side="right")
@@ -298,21 +292,52 @@ class _EpisodeKernel:
             return users, first_fails.astype(np.int64)
         return users, _binomial(rng, np.where(bad, users, 0), self.policy_gamma)
 
-    def trials(self, seed: int, trials: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Each trial's state code ``2 * good + reading``, the trials that play alone, and their ``counted`` rows.
+    @cached_property
+    def state_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each (quality, reading) state's adopters and fired per played strategy, which need no draw.
 
-        The reading is 0 when no strategy reads a shared signal, so equal codes give equal outcomes, but
-        for the trials that play alone: a failure under random firing, and every trial read on independent signals.
+        The adopters are the players of the strategies that adopt on the
+        reading, and in a bad state all of them fail: seniority fires the
+        first of them, and random firing every one at a rate of 1 and none
+        at 0.  At a rate inside (0, 1) a bad state with adopters plays
+        alone, so its row goes unused.
         """
-        parts = []
+        adopts = _ADOPTS[[0, 1, 0, 1]][:, self.played]
+        users = self.players * adopts
+        if self.cfg.punishment_mode == SENIORITY:
+            # each strategy's first player; the first adopter is the least of those who adopt, m when no one does
+            firsts = np.array([(self.codes == code).argmax() for code in self.played.tolist()], dtype=np.intp)
+            m = len(self.codes)
+            fired = (firsts == np.where(adopts, firsts, m).min(axis=1, initial=m)[:, None]).astype(np.int64)
+        else:
+            fired = users * (self.policy_gamma == 1.0)
+        fired[2:] = 0
+        return users, fired
+
+    def trials(self, seed: int, trials: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Each trial's row, and each row's quality and ``counted`` statistics.
+
+        Rows 0 to 3 hold the states ``2 * good + reading`` (reading 0 when no strategy reads a shared signal),
+        then a row per trial that plays alone: a failure under random firing, and every trial read on independent
+        signals.  Each block's rows are counted together, the states with the first's, so temporaries stay small.
+        """
+        head = [(np.array([False, False, True, True]), *self.state_counts)]
+        parts, which, rows = [], [], 4
         for first in range(0, trials, TRIAL_BLOCK):
             states, users, fired = self.block(seed, first // TRIAL_BLOCK)
             states = states[: trials - first]
-            alone = self.random_firing & (states < 2) & self.anyone_adopts[states & 1]
+            alone = self.random_firing & (states < 2) & users[: len(states)].any(axis=1)
             lone = np.flatnonzero(alone | self.reads_independent)
-            parts.append((states, first + lone, *self.counted(states[lone] >= 2, users[lone], fired[lone])))
-        states, lone, *counted = (np.concatenate(part) for part in zip(*parts))
-        return states, lone, counted
+            row = states.astype(np.intp)
+            row[lone] = rows + np.arange(len(lone))
+            rows += len(lone)
+            which.append(row)
+            lone_rows = (states[lone] >= 2, users[lone], fired[lone])
+            good, users, fired = (np.concatenate(chunks) for chunks in zip(*head, lone_rows))
+            head = []
+            parts.append((good, *self.counted(good, users, fired)))
+        good, *counted = (np.concatenate(part) for part in zip(*parts))
+        return np.concatenate(which), good, counted
 
     def counted(self, good: np.ndarray, users: np.ndarray, fired: np.ndarray) -> tuple[np.ndarray, ...]:
         """Output, wages and welfare per agent, failure, fired count and payoff sums per played strategy, from counts.
@@ -334,48 +359,6 @@ class _EpisodeKernel:
         sums += (players - fired) * p.v_c
         return output, wages, output - self.effort_cost, ~good & (adopters > 0), fired.sum(axis=1), sums
 
-    def account(self, good: bool, use: np.ndarray, fire_draws: np.ndarray | None) -> EpisodeOutcome:
-        """Play the timeline on one trial's draws and account for every agent.
-
-        Under random firing a failing agent is fired when its fire uniform
-        falls below the rate; with no uniforms (no failure, or a rate of 0
-        or 1) none or all of them are.  An inert agent produces 1, paid to
-        it under realized pay.
-        """
-        p, n = self.cfg.params, self.cfg.n_agents
-        inert = n - len(self.codes)
-        produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
-        if self.cfg.compensation == PROSPECTIVE:
-            wage, inert_wages = np.where(use, p.w, 0.0), 0.0
-        else:
-            wage, inert_wages = produced.copy(), float(inert)
-        failed = use & (not good)
-        if self.cfg.punishment_mode == SENIORITY:
-            fired = np.zeros_like(failed)
-            if failed.any():
-                fired[failed.argmax()] = True
-        else:
-            fired = failed & (self.policy_gamma == 1.0 if fire_draws is None else fire_draws < self.policy_gamma)
-        fired_count = np.count_nonzero(fired)
-        output = (inert + float(produced.sum())) / n
-        # each strategy's summed payoff: the wage net of effort cost, plus v_c for each agent kept
-        payoffs = wage - p.c * _EFFORT[self.codes] + p.v_c * (~fired)
-        return EpisodeOutcome(
-            quality=GOOD if good else BAD,
-            used=use,
-            produced=produced,
-            wage_paid=wage,
-            fired=fired,
-            output=output,
-            wages=(float(wage.sum()) + inert_wages) / n,
-            effort_cost=self.effort_cost,
-            welfare=output - self.effort_cost,
-            replacement_cost=self.curve.cost(fired_count / n),
-            fired_count=fired_count,
-            failure_event=bool(failed.any()),
-            payoff_sum_by_strategy=np.bincount(self.codes, weights=payoffs, minlength=_N_STRATEGIES),
-        )
-
 
 def run_episode(
     cfg: SimConfig, profile: StrategyProfile, policy_gamma: float, curve: ReplacementCostCurve, rng: np.random.Generator
@@ -388,18 +371,50 @@ def run_episode(
     ``policy_gamma`` is ignored.  ``rng`` is read in the module's
     draw order: the quality, the signal draw(s) only when some strategy
     reads them, and the fire uniforms only when they can change who is
-    fired.  It needs only ``random()`` and ``random(size)``.
+    fired.  It needs only ``random()`` and ``random(size)``.  An inert
+    agent produces 1, paid to it under realized pay.
     """
-    kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve)
-    m = len(kernel.codes)
-    good = bool(rng.random() < cfg.params.pi)
+    kernel = _EpisodeKernel(cfg, profile, policy_gamma)
+    p, n, codes = cfg.params, cfg.n_agents, kernel.codes
+    m = len(codes)
+    good = bool(rng.random() < p.pi)
     reading = 0
     if kernel.reads_signal:
         reading = kernel.reading(good, rng.random() if cfg.signal_correlation == COMMON else rng.random(m))
-    use = kernel.use(reading)
-    # fire uniforms can change who is fired only on a failure under random firing
-    fires_at_random = kernel.random_firing and not good and use.any()
-    return kernel.account(good, use, rng.random(m) if fires_at_random else None)
+    use = _ADOPTS[np.asarray(reading, dtype=np.intp), codes]
+    failed = use & (not good)
+    if cfg.punishment_mode == SENIORITY:
+        # the first failure: a failing agent with no failure before it
+        fired = failed & (failed.cumsum() == 1)
+    elif kernel.random_firing and failed.any():
+        # fire uniforms can change who is fired only on a failure under random firing
+        fired = failed & (rng.random(m) < policy_gamma)
+    else:
+        fired = failed & (policy_gamma == 1.0)
+    produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
+    if cfg.compensation == PROSPECTIVE:
+        wage, inert_wages = np.where(use, p.w, 0.0), 0.0
+    else:
+        wage, inert_wages = produced.copy(), float(n - m)
+    fired_count = np.count_nonzero(fired)
+    output = (n - m + float(produced.sum())) / n
+    # each strategy's summed payoff: the wage net of effort cost, plus v_c for each agent kept
+    payoffs = wage - p.c * _EFFORT[codes] + p.v_c * (~fired)
+    return EpisodeOutcome(
+        quality=GOOD if good else BAD,
+        used=use,
+        produced=produced,
+        wage_paid=wage,
+        fired=fired,
+        output=output,
+        wages=(float(wage.sum()) + inert_wages) / n,
+        effort_cost=kernel.effort_cost,
+        welfare=output - kernel.effort_cost,
+        replacement_cost=curve.cost(fired_count / n),
+        fired_count=fired_count,
+        failure_event=bool(failed.any()),
+        payoff_sum_by_strategy=np.bincount(codes, weights=payoffs, minlength=_N_STRATEGIES),
+    )
 
 
 @dataclass(frozen=True)
@@ -461,31 +476,15 @@ def monte_carlo(
 
     Trial t draws from its block's stream ``spawn_key=(0, t //
     TRIAL_BLOCK)`` alone, so its outcome depends on neither ``n_trials``
-    nor the order trials run in.  Each (quality, shared reading) state
-    reached is played once, agent by agent, as ``run_episode`` plays a
-    trial.  A trial that plays alone is accounted from its block's counts
+    nor the order trials run in.  Every trial is accounted from its counts
     of adopters and fired agents per strategy, each payoff sum a count
-    times a value.  One ``curve.cost`` call prices every distinct count
-    of fired agents.
+    times a value: a trial that plays alone from its block's counts, any
+    other from its (quality, shared reading) state's, which need no draw.
+    No pass runs over the agents.  One ``curve.cost`` call prices every
+    distinct count of fired agents.
     """
-    kernel = _EpisodeKernel(cfg, profile, policy_gamma, curve)
-    states, lone, counted = kernel.trials(cfg.seed, cfg.n_trials)
-    # trial t reports row which[t]: row s < 4 holds state s, row 4 + i trial lone[i] played alone
-    which = states.astype(np.intp)
-    which[lone] = 4 + np.arange(len(lone))
-    rows = 4 + len(lone)
-    output, wages, welfare = np.zeros((3, rows))
-    failure = np.zeros(rows, dtype=bool)
-    fired_count = np.zeros(rows, dtype=np.int64)
-    payoff_sums = np.zeros((rows, len(kernel.played)))
-    # the states reached by trials not played alone (np.unique would import numpy.ma, 30 ms cold)
-    for state in np.flatnonzero(np.bincount(which[which < 4], minlength=4)).tolist():
-        play = kernel.account(state >= 2, kernel.use(state & 1), None)
-        output[state], wages[state], welfare[state] = play.output, play.wages, play.welfare
-        failure[state], fired_count[state] = play.failure_event, play.fired_count
-        payoff_sums[state] = play.payoff_sum_by_strategy[kernel.played]
-    output[4:], wages[4:], welfare[4:], failure[4:], fired_count[4:], payoff_sums[4:] = counted
-    good = np.concatenate(([False, False, True, True], states[lone] >= 2))
+    kernel = _EpisodeKernel(cfg, profile, policy_gamma)
+    which, good, (output, wages, welfare, failure, fired_count, payoff_sums) = kernel.trials(cfg.seed, cfg.n_trials)
     # each distinct count priced once; cost works element by element
     distinct, inverse = np.unique(fired_count, return_inverse=True)
     replacement_cost = curve.cost(distinct / cfg.n_agents)[inverse]

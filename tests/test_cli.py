@@ -572,6 +572,41 @@ class TestConfigErrors:
         assert err.startswith("config error: values too extreme to compute with: ") and err.count("\n") == 1
         assert not recwarn.list
 
+    # v_c = 1e300 puts gamma_bar near 2e-301, so random firing at the solved
+    # rate fires no one and every trial's payoff sums are equal: the states
+    # are priced from counts, so no rounding noise between their sums is
+    # squared past overflow.  Seniority fires someone in a bad state, so the
+    # spread of its payoffs is real and overflows.
+    HUGE_V_C = (
+        BASE_CONFIG.replace("v_c = 1.0", "v_c = 1e300")
+        .replace("scale = 1000", "scale = 100")
+        .replace("n_trials = 200", "n_trials = 300")
+        .replace("h = 0.5", "h = 0.6")
+    )
+
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            ("experiment", "signal_correlation = common"),
+            ("experiment", "signal_correlation = independent"),
+            ("simulate", "gamma = equilibrium"),
+        ],
+        ids=["experiment-common", "experiment-independent", "simulate-equilibrium"],
+    )
+    def test_a_huge_v_c_that_fires_no_one_exits_0(self, tmp_path, capsys, command, setting):
+        path = tmp_path / "huge.ini"
+        path.write_text(self.HUGE_V_C.replace("seed = 9", f"seed = 5\n{setting}"))
+        assert main([command, "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "[FAIL]" not in out
+
+    def test_a_huge_v_c_under_seniority_still_overflows(self, tmp_path, capsys):
+        path = tmp_path / "huge.ini"
+        path.write_text(self.HUGE_V_C.replace("seed = 9", "seed = 5\npunishment_mode = seniority"))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: values too extreme to compute with: overflow encountered in square\n"
+
     def test_empty_curve_file_exits_2_without_warnings(self, tmp_path, capsys, recwarn):
         curve = tmp_path / "q.txt"
         curve.write_text("")

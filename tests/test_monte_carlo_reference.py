@@ -21,13 +21,16 @@ draw.  Seniority fires the first failure.  Under common signals the
 adopters are those of the trial's shared reading, all of whom fail on a
 bad technology.
 
-A trial that plays alone (a failure under random firing, or every trial
-of a profile that reads independent signals) is accounted here from its
-counts, each sum a count times a value.  Any other trial plays its
-(quality, reading) state agent by agent, as ``run_episode`` does.  The
-package draws the counts as whole arrays and reuses a repeated state's
-outcome; these tests hold it to exact equality with the reference, trace
-files included.
+Every trial is accounted here from its per-strategy counts, each sum a
+count times a value.  A trial that plays alone (a failure under random
+firing, or every trial of a profile that reads independent signals) has
+counts drawn from its block.  Any other trial's counts are those of its
+(quality, reading) state, which need no draw: under seniority a bad
+state fires its first adopter, and random firing fires every failing
+adopter at a rate of 1 and none at 0.  The package draws the counts as
+whole arrays and prices each state once; these tests hold it to exact
+equality with the reference, trace files included.  ``reference_episode``
+is ``run_episode``'s reference, agent by agent.
 """
 
 import bisect
@@ -35,6 +38,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -147,7 +151,6 @@ class Reference:
         self.played = sorted(set(self.codes))
         self.players = {s: self.codes.count(s) for s in self.played}
         self.independent = cfg.signal_correlation == "independent" and _reads_a_signal(profile, len(self.codes))
-        self.random = cfg.punishment_mode == "uniform_random" and 0.0 < policy_gamma < 1.0
         # each strategy's chance of adopting a good and a bad technology
         self.use_good = {s: (1.0 - p.eps) * _ADOPTS[1][s] + p.eps * _ADOPTS[0][s] for s in self.played}
         self.use_bad = {s: p.eps * _ADOPTS[1][s] + (1.0 - p.eps) * _ADOPTS[0][s] for s in self.played}
@@ -158,13 +161,8 @@ class Reference:
             self.failure_cdf.append(1.0 - spared)
         self.agents = {s: [i for i, code in enumerate(self.codes) if code == s] for s in self.played}
 
-    def plays_alone(self, good, reading):
-        if self.independent:
-            return True
-        return self.random and not good and any(_ADOPTS[reading][s] for s in self.played)
-
     def block(self, index):
-        """Each trial of block ``index``: its quality and reading, and its counts when it plays alone."""
+        """Each trial of block ``index``: its quality, and its adopters and fired per strategy."""
         cfg = self.cfg
         rng = _stream(cfg.seed, index)
         qualities = rng.random(TRIAL_BLOCK)
@@ -173,7 +171,6 @@ class Reference:
         if cfg.signal_correlation == "common":
             signals = rng.random(TRIAL_BLOCK)
             readings = [int(g != (u < cfg.params.eps)) for g, u in zip(good, signals)]
-        alone = [self.plays_alone(g, r) for g, r in zip(good, readings)]
         users = [dict.fromkeys(self.played, 0) for _ in range(TRIAL_BLOCK)]
         fired = [dict.fromkeys(self.played, 0) for _ in range(TRIAL_BLOCK)]
         if self.independent:
@@ -195,14 +192,17 @@ class Reference:
             for t in range(TRIAL_BLOCK):
                 for s in self.played:
                     users[t][s] = self.players[s] * bool(_ADOPTS[readings[t]][s])
-        if cfg.punishment_mode == "uniform_random" and any(alone):
+                if cfg.punishment_mode == "seniority" and not good[t]:
+                    # every adopter of a bad technology fails, and seniority fires the first of them
+                    first = next((code for code in self.codes if _ADOPTS[readings[t]][code]), None)
+                    if first is not None:
+                        fired[t][first] = 1
+        if cfg.punishment_mode == "uniform_random":
+            # a rate of 0 or 1, no failing adopter or a good technology takes no draw
             for t in range(TRIAL_BLOCK):
                 for s in self.played:
                     fired[t][s] = 0 if good[t] else _draw(rng, users[t][s], self.gamma)
-        return [
-            (good[t], readings[t], (users[t], fired[t]) if alone[t] else None)
-            for t in range(TRIAL_BLOCK)
-        ]
+        return [(good[t], users[t], fired[t]) for t in range(TRIAL_BLOCK)]
 
     def counted(self, good, users, fired):
         """The episode's aggregates from its counts: each sum a count times a value."""
@@ -235,21 +235,11 @@ class Reference:
 
     def episodes(self):
         """Every trial's aggregates, in trial order."""
-        m = len(self.codes)
         for t in range(self.cfg.n_trials):
             block, offset = divmod(t, TRIAL_BLOCK)
             if offset == 0:
                 trials = self.block(block)
-            good, reading, counts = trials[offset]
-            if counts is not None:
-                yield self.counted(good, *counts)
-                continue
-            # a state plays with no fire uniform: a failure under random firing plays alone, and a
-            # rate of 0 or 1 decides alone
-            fire_draws = np.full(m, 0.0 if self.gamma == 1.0 else 1.0)
-            quality = 0.0 if good else 1.0
-            signals = 1.0 if good == bool(reading) else 0.0
-            yield reference_episode(self.cfg, self.profile, self.gamma, self.curve, quality, signals, fire_draws)
+            yield self.counted(*trials[offset])
 
 
 def _mean_se(values):
@@ -555,20 +545,124 @@ def test_the_cli_trace_matches_the_reference(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("signal", ["common", "independent"])
-def test_lone_trials_skip_account_and_share_one_cost_call(signal, tmp_path):
+def test_one_cost_call_prices_every_trial(signal, tmp_path):
     cfg, profile, gamma, curve = _firing_case(signal, "effort")
     want = reference_monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "want.jsonl"))
-    kernel, curve_type = simulation._EpisodeKernel, ReplacementCostCurve
-    with mock.patch.object(kernel, "account", autospec=True, side_effect=kernel.account) as account, mock.patch.object(
-        curve_type, "cost", autospec=True, side_effect=curve_type.cost
-    ) as cost:
+    curve_type = ReplacementCostCurve
+    with mock.patch.object(curve_type, "cost", autospec=True, side_effect=curve_type.cost) as cost:
         assert monte_carlo(cfg, profile, gamma, curve) == want
     lines = (tmp_path / "want.jsonl").read_text().splitlines()
     lone = sum(json.loads(line)["failure"] for line in lines)
     assert lone > 100
-    # account runs once per (quality, reading) state that a trial not played
-    # alone reaches, never once per lone trial; with independent signals
-    # every trial is lone
-    assert account.call_count == (3 if signal == "common" else 0)
-    # a cost per accounted state, and one call for every row
-    assert cost.call_count == account.call_count + 1
+    # the states and the lone trials are rows of one count table, priced together
+    assert cost.call_count == 1
+
+
+@pytest.mark.parametrize("firing, gamma", [("seniority", 0.0), ("uniform_random", 1.0), ("uniform_random", 0.4)])
+def test_a_million_agents_take_no_pass_over_the_agents(firing, gamma):
+    # a state priced from counts builds nothing a million agents long; what
+    # is left is the kernel's strategy count (bincount's intp copy of the
+    # codes, 7.6 MiB)
+    n = 10**6
+    profile = StrategyProfile(np.random.default_rng(3).integers(0, _N_STRATEGIES, size=n))
+    cfg = SimConfig(params=NOISY, n_agents=n, n_trials=200, seed=29, h=1.0, punishment_mode=firing)
+    curve = ReplacementCostCurve.linear(1000.0, resolution=500)
+    want = monte_carlo(cfg, profile, gamma, curve)
+    tracemalloc.start()
+    try:
+        got = monte_carlo(cfg, profile, gamma, curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 16 * 2**20
+
+
+def test_lone_trials_are_counted_a_block_at_a_time():
+    # MAX_TRIALS is sized on a lone trial of six strategies peaking at no
+    # more than 220 bytes, which holds while each block's rows are counted
+    # on their own (all rows in one call take about 390)
+    trials = 2 * 10**5
+    cfg = SimConfig(params=NOISY, n_agents=60, n_trials=trials, seed=31, h=1.0, signal_correlation="independent")
+    profile = StrategyProfile(np.arange(60) % _N_STRATEGIES)
+    curve = ReplacementCostCurve.linear(1000.0, resolution=500)
+    want = monte_carlo(cfg, profile, 0.5, curve)
+    tracemalloc.start()
+    try:
+        got = monte_carlo(cfg, profile, 0.5, curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 220 * trials
+
+
+# -- each state's counts against the agent-by-agent episode ----------------
+
+
+class _Scripted:
+    """A stand-in generator: the given uniforms in order, each repeated to the size asked for, and no binomial."""
+
+    def __init__(self, *uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, size=None):
+        value = self.uniforms.pop(0)
+        return value if size is None else np.full(size, value)
+
+    def binomial(self, n, p):
+        # a trial that draws a count plays alone, and is not its state
+        assert not np.any(n)
+        return np.zeros_like(n)
+
+
+#: the largest double below 1: above any pi or eps below it
+_ALMOST_ONE = 1.0 - 2.0**-53
+
+STATE_FIRINGS = [("seniority", 0.0), ("uniform_random", 0.0), ("uniform_random", 1.0), ("uniform_random", 0.4)]
+STATE_CASES = [
+    pytest.param(state, firing, gamma, pay, id=f"state{state}-{firing}-{gamma}-{pay}")
+    for state in range(4)
+    for firing, gamma in STATE_FIRINGS
+    for pay in ("prospective", "realized")
+    # at a rate inside (0, 1) a bad state's failures play alone
+    if state >= 2 or gamma in (0.0, 1.0)
+]
+
+
+@pytest.mark.parametrize("state, firing, gamma, pay", STATE_CASES)
+def test_each_state_row_matches_the_episode_played_agent_by_agent(state, firing, gamma, pay, monkeypatch, tmp_path):
+    good, reading = state >= 2, state & 1
+    # a quality uniform of 0 is a good technology; a signal uniform below eps reads the quality wrong
+    quality = 0.0 if good else _ALMOST_ONE
+    signal = 0.0 if good != bool(reading) else _ALMOST_ONE
+    codes = np.random.default_rng(state).permutation(np.arange(40) % _N_STRATEGIES)
+    profile = StrategyProfile(codes)
+    cfg = SimConfig(
+        params=SCALE_PARAMS["nondyadic"],
+        n_agents=40,
+        n_trials=1,
+        seed=3,
+        h=0.75,
+        compensation=pay,
+        punishment_mode=firing,
+    )
+    curve = ReplacementCostCurve.power(70.3, 1.3, resolution=997)
+    episode = run_episode(cfg, profile, gamma, curve, _Scripted(quality, signal))
+    monkeypatch.setattr(simulation, "_block_stream", lambda seed, index: _Scripted(quality, signal))
+    result = monte_carlo(cfg, profile, gamma, curve, trace_path=str(tmp_path / "trace.jsonl"))
+    (row,) = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+
+    assert episode.used.any() and episode.quality == row["quality"] == ("good" if good else "bad")
+    assert math.isclose(row["output"], episode.output, rel_tol=1e-12)
+    assert math.isclose(row["welfare"], episode.welfare, rel_tol=1e-12)
+    assert math.isclose(result.wages.mean, episode.wages, rel_tol=1e-12)
+    assert math.isclose(result.replacement_cost.mean, episode.replacement_cost, rel_tol=1e-12)
+    assert row["fired"] == episode.fired_count
+    assert row["failure"] is episode.failure_event
+    assert result.failure_frequency == float(episode.failure_event)
+    players = np.bincount(profile.codes[: cfg.access_count], minlength=_N_STRATEGIES)
+    assert sorted(result.per_strategy_payoff) == sorted(ALL_STRATEGIES[code].label for code in np.flatnonzero(players))
+    for code in np.flatnonzero(players):
+        want = episode.payoff_sum_by_strategy[code]
+        assert math.isclose(result.per_strategy_payoff[ALL_STRATEGIES[code].label].mean * players[code], want, rel_tol=1e-12)
