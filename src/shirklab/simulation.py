@@ -22,15 +22,17 @@ then, when some trial can play alone, the per-strategy counts of all its
 trials (``_EpisodeKernel.counts``).  So a run of T trials is a prefix of
 any longer run, and matched scenarios see identical production paths.
 Every trial is accounted from the counts of adopters and fired agents of
-each strategy, with no work per agent.  A trial coded by its quality and
-shared reading, ``2 * good + reading``, takes its state's counts, which
-need no draw.  The rest play alone on counts of their own: a failure
-punished at random under common signals, and every trial of a profile
-that reads independent signals.
+each strategy, with no work per agent.  A trial's state is its row of
+``model.STATES``, ``2 * bad + wrong``, where ``wrong`` says the shared
+signal uniform fell below eps (0 when no strategy reads it); a trial
+takes its state's counts, which need no draw.  The rest play alone on
+counts of their own: a failure punished at random under common signals,
+and every trial of a profile that reads independent signals.
 
 Seniority is agent order: under seniority firing the lowest-indexed
-failing agent is fired.  Workers differ only in the strategy they play, so
-any other commonly known order is the same game on a relabelled profile.
+failing agent is fired (``_first_failures``).  Workers differ only in the
+strategy they play, so any other commonly known order is the same game on
+a relabelled profile.
 
 Nash checks never sample: deviation payoffs are exact expectations over
 quality, signals, and the firing rule, including the seniority pick.
@@ -60,7 +62,6 @@ from .model import (
     REALIZED,
     STATES,
     StateTable,
-    _ADOPTS,
     _EFFORT,
     _fmt,
     agent_payoff,
@@ -150,7 +151,7 @@ class StrategyProfile:
         return hash(self.codes.tobytes())
 
     def __repr__(self) -> str:
-        counts = np.bincount(self.codes, minlength=_N_STRATEGIES)
+        counts = _players(self.codes)
         parts = [
             f"{AgentStrategy(i).label}={counts[i]}"
             for i in range(_N_STRATEGIES)
@@ -193,6 +194,17 @@ def _access_codes(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float 
     return profile.codes[: cfg.access_count]
 
 
+def _players(codes: np.ndarray) -> np.ndarray:
+    """The agents playing each strategy code, counted in place: bincount would copy the codes to intp."""
+    return np.array([np.count_nonzero(codes == code) for code in range(_N_STRATEGIES)])
+
+
+def _first_failures(codes: np.ndarray) -> list[int]:
+    """The first access agent that fails in the bad state on a right and on a wrong signal, ``m`` when none does."""
+    failing = (fails[codes] for fails in StateTable.fails[2:])
+    return [int(agents.argmax()) if agents.any() else len(codes) for agents in failing]
+
+
 #: Trials per block stream.  Part of the stream contract: trial t draws from
 #: block ``t // TRIAL_BLOCK`` whatever ``n_trials`` is.
 TRIAL_BLOCK = 2048
@@ -219,9 +231,9 @@ class _EpisodeKernel:
 
     ``trials`` draws a run block by block and accounts every trial from
     its adopters and fired agents per played strategy, through
-    ``counted``: rows 0 to 3 are the (quality, shared reading) states,
-    whose counts need no draw (``state_counts``), and each trial that
-    plays alone has a row of its own, on counts drawn from its block
+    ``counted``: rows 0 to 3 are the states of ``model.STATES``, whose
+    counts need no draw (``state_counts``), and each trial that plays
+    alone has a row of its own, on counts drawn from its block
     (``counts``).  ``run_episode`` plays one trial agent by agent.
     """
 
@@ -229,11 +241,12 @@ class _EpisodeKernel:
         self.cfg, self.policy_gamma = cfg, policy_gamma
         self.codes = _access_codes(cfg, profile, policy_gamma)
         # the strategies played, with the access agents playing each
-        players = np.bincount(self.codes, minlength=_N_STRATEGIES)
+        players = _players(self.codes)
         self.played = np.flatnonzero(players)
         self.players = players[self.played]
         self.effort_cost = cfg.params.c * float(self.players @ _EFFORT[self.played]) / cfg.n_agents
-        self.reads_signal = bool((_ADOPTS[0, self.played] != _ADOPTS[1, self.played]).any())
+        # a strategy reads the signal when a good technology read right and wrong see it adopt differently
+        self.reads_signal = bool((StateTable.adopts[0, self.played] != StateTable.adopts[1, self.played]).any())
         self.reads_independent = self.reads_signal and cfg.signal_correlation == INDEPENDENT
         # a fire uniform can change who is fired only at a rate strictly inside (0, 1)
         self.random_firing = cfg.punishment_mode == UNIFORM_RANDOM and 0.0 < policy_gamma < 1.0
@@ -249,24 +262,19 @@ class _EpisodeKernel:
         """Each played strategy's access agents, in index order."""
         return [np.flatnonzero(self.codes == code) for code in self.played.tolist()]
 
-    def reading(self, good, signals) -> np.ndarray:
-        """Each signal uniform's reading: good (True) when right about a good technology or wrong about a bad one."""
-        return np.asarray(good != (signals < self.cfg.params.eps))
-
     def block(self, seed: int, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Trial block ``index``'s state codes, and each trial's adopters and fired per played strategy."""
+        """Trial block ``index``'s states, and each trial's adopters and fired per played strategy."""
         rng = _block_stream(seed, index)
-        good = rng.random(TRIAL_BLOCK) < self.cfg.params.pi
-        states = 2 * good.astype(np.int8)
+        states = 2 * (rng.random(TRIAL_BLOCK) >= self.cfg.params.pi)
         if self.cfg.signal_correlation == COMMON:
-            reading = self.reading(good, rng.random(TRIAL_BLOCK))
+            wrong = rng.random(TRIAL_BLOCK) < self.cfg.params.eps
             if self.reads_signal:
-                states += reading
+                states += wrong
         if not (self.reads_independent or self.random_firing):
             return states, *(rows[states] for rows in self.state_counts)
-        return states, *self.counts(rng, good, states)
+        return states, *self.counts(rng, states)
 
-    def counts(self, rng: np.random.Generator, good: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def counts(self, rng: np.random.Generator, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each trial's adopters and fired per played strategy, drawn from the block's stream past its states.
 
         Under common signals the adopters are the trial's state's.  With
@@ -276,7 +284,7 @@ class _EpisodeKernel:
         firing rule, so matched arms share them.  Seniority fires that first
         failure; random firing a binomial of each strategy's failures.
         """
-        bad = ~good[:, None]
+        bad = (states >= 2)[:, None]
         if not self.reads_independent:
             users = self.state_counts[0][states]
             return users, _binomial(rng, np.where(bad, users, 0), self.policy_gamma)
@@ -294,52 +302,51 @@ class _EpisodeKernel:
 
     @cached_property
     def state_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each (quality, reading) state's adopters and fired per played strategy, which need no draw.
+        """Each state's adopters and fired per played strategy, row k for ``STATES[k]``, which need no draw.
 
-        The adopters are the players of the strategies that adopt on the
-        reading, and in a bad state all of them fail: seniority fires the
-        first of them, and random firing every one at a rate of 1 and none
-        at 0.  At a rate inside (0, 1) a bad state with adopters plays
-        alone, so its row goes unused.
+        The adopters are the players of the strategies that adopt in the
+        state, and those who fail are the adopters of a bad technology:
+        seniority fires the first of them (``_first_failures``), and random
+        firing every one at a rate of 1 and none at 0.  At a rate inside
+        (0, 1) a bad state with adopters plays alone, so its row goes unused.
         """
-        adopts = _ADOPTS[[0, 1, 0, 1]][:, self.played]
-        users = self.players * adopts
+        users = self.players * StateTable.adopts[:, self.played]
         if self.cfg.punishment_mode == SENIORITY:
-            # each strategy's first player; the first adopter is the least of those who adopt, m when no one does
-            firsts = np.array([(self.codes == code).argmax() for code in self.played.tolist()], dtype=np.intp)
-            m = len(self.codes)
-            fired = (firsts == np.where(adopts, firsts, m).min(axis=1, initial=m)[:, None]).astype(np.int64)
+            fired = np.zeros_like(users)
+            for state, first in enumerate(_first_failures(self.codes), start=2):
+                if first < len(self.codes):
+                    fired[state] = self.played == self.codes[first]
         else:
-            fired = users * (self.policy_gamma == 1.0)
-        fired[2:] = 0
+            fired = users * StateTable.fails[:, self.played] * (self.policy_gamma == 1.0)
         return users, fired
 
     def trials(self, seed: int, trials: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Each trial's row, and each row's quality and ``counted`` statistics.
+        """Each trial's row, and each row's bad-technology flag and ``counted`` statistics.
 
-        Rows 0 to 3 hold the states ``2 * good + reading`` (reading 0 when no strategy reads a shared signal),
-        then a row per trial that plays alone: a failure under random firing, and every trial read on independent
-        signals.  Each block's rows are counted together, the states with the first's, so temporaries stay small.
+        Rows 0 to 3 hold the states of ``STATES``, then a row per trial that plays alone: a failure under random
+        firing, and every trial read on independent signals.  Each block's rows are counted together, the states
+        with the first's, so temporaries stay small.
         """
-        head = [(np.array([False, False, True, True]), *self.state_counts)]
-        parts, which, rows = [], [], 4
+        head = [(np.arange(len(STATES)), *self.state_counts)]
+        parts, which, rows = [], [], len(STATES)
         for first in range(0, trials, TRIAL_BLOCK):
             states, users, fired = self.block(seed, first // TRIAL_BLOCK)
             states = states[: trials - first]
-            alone = self.random_firing & (states < 2) & users[: len(states)].any(axis=1)
+            alone = self.random_firing & (states >= 2) & users[: len(states)].any(axis=1)
             lone = np.flatnonzero(alone | self.reads_independent)
             row = states.astype(np.intp)
             row[lone] = rows + np.arange(len(lone))
             rows += len(lone)
             which.append(row)
-            lone_rows = (states[lone] >= 2, users[lone], fired[lone])
-            good, users, fired = (np.concatenate(chunks) for chunks in zip(*head, lone_rows))
+            lone_rows = (states[lone], users[lone], fired[lone])
+            states, users, fired = (np.concatenate(chunks) for chunks in zip(*head, lone_rows))
             head = []
-            parts.append((good, *self.counted(good, users, fired)))
-        good, *counted = (np.concatenate(part) for part in zip(*parts))
-        return np.concatenate(which), good, counted
+            bad = states >= 2
+            parts.append((bad, *self.counted(bad, users, fired)))
+        bad, *counted = (np.concatenate(part) for part in zip(*parts))
+        return np.concatenate(which), bad, counted
 
-    def counted(self, good: np.ndarray, users: np.ndarray, fired: np.ndarray) -> tuple[np.ndarray, ...]:
+    def counted(self, bad: np.ndarray, users: np.ndarray, fired: np.ndarray) -> tuple[np.ndarray, ...]:
         """Output, wages and welfare per agent, failure, fired count and payoff sums per played strategy, from counts.
 
         A payoff sum is each count of a strategy's agents times their payoff: wage, effort cost, v_c if kept.
@@ -347,7 +354,7 @@ class _EpisodeKernel:
         p, n = self.cfg.params, self.cfg.n_agents
         adopters = users.sum(axis=1)
         # an adopter produces 1 + g of a good technology and 0 of a bad one, anyone else 1
-        produce = np.where(good, 1.0 + p.g, 0.0)
+        produce = np.where(bad, 0.0, 1.0 + p.g)
         output = (n - adopters + adopters * produce) / n
         if self.cfg.compensation == PROSPECTIVE:
             wages, use_wage, idle_wage = p.w * adopters / n, p.w, 0.0
@@ -357,7 +364,7 @@ class _EpisodeKernel:
         players = self.players
         sums = users * use_wage + (players - users) * idle_wage - players * (p.c * _EFFORT[self.played])
         sums += (players - fired) * p.v_c
-        return output, wages, output - self.effort_cost, ~good & (adopters > 0), fired.sum(axis=1), sums
+        return output, wages, output - self.effort_cost, bad & (adopters > 0), fired.sum(axis=1), sums
 
 
 def run_episode(
@@ -378,11 +385,11 @@ def run_episode(
     p, n, codes = cfg.params, cfg.n_agents, kernel.codes
     m = len(codes)
     good = bool(rng.random() < p.pi)
-    reading = 0
+    # each agent's row of STATES, 2 * bad + wrong: one shared reading under common signals
+    state = 2 * (not good)
     if kernel.reads_signal:
-        reading = kernel.reading(good, rng.random() if cfg.signal_correlation == COMMON else rng.random(m))
-    use = _ADOPTS[np.asarray(reading, dtype=np.intp), codes]
-    failed = use & (not good)
+        state = state + ((rng.random() if cfg.signal_correlation == COMMON else rng.random(m)) < p.eps)
+    use, failed = StateTable.adopts[state, codes], StateTable.fails[state, codes]
     if cfg.punishment_mode == SENIORITY:
         # the first failure: a failing agent with no failure before it
         fired = failed & (failed.cumsum() == 1)
@@ -391,7 +398,7 @@ def run_episode(
         fired = failed & (rng.random(m) < policy_gamma)
     else:
         fired = failed & (policy_gamma == 1.0)
-    produced = np.where(use, (1.0 + p.g) if good else 0.0, 1.0)
+    produced = p.state_table.produced[state, codes]
     if cfg.compensation == PROSPECTIVE:
         wage, inert_wages = np.where(use, p.w, 0.0), 0.0
     else:
@@ -484,7 +491,7 @@ def monte_carlo(
     distinct count of fired agents.
     """
     kernel = _EpisodeKernel(cfg, profile, policy_gamma)
-    which, good, (output, wages, welfare, failure, fired_count, payoff_sums) = kernel.trials(cfg.seed, cfg.n_trials)
+    which, bad, (output, wages, welfare, failure, fired_count, payoff_sums) = kernel.trials(cfg.seed, cfg.n_trials)
     # each distinct count priced once; cost works element by element
     distinct, inverse = np.unique(fired_count, return_inverse=True)
     replacement_cost = curve.cost(distinct / cfg.n_agents)[inverse]
@@ -495,7 +502,7 @@ def monte_carlo(
 
     if trace_path:
         quality, outputs, welfares, fired, failures = (
-            column.tolist() for column in (np.where(good, GOOD, BAD), output, welfare, fired_count, failure)
+            column.tolist() for column in (np.where(bad, BAD, GOOD), output, welfare, fired_count, failure)
         )
         with open(trace_path, "w", encoding="utf-8") as handle:
             for t, row in enumerate(which.tolist()):
@@ -569,14 +576,9 @@ def _common_signal_row_of_agent(codes: np.ndarray) -> np.ndarray:
     if it is that failure itself, a non-failing one only if it comes
     before it.  Holds with no failure too (the bound is then ``m``).
     """
-    m = len(codes)
-    row = np.zeros(m, dtype=np.intp)
-    # the bad technology's states, read right and then wrong
-    for bit, fails in zip((2, 1), StateTable.fails[2:]):
-        failing = fails[codes]
-        first = failing.argmax() if failing.any() else m
-        row += bit * (np.arange(m) <= first)
-    return row
+    right, wrong = _first_failures(codes)
+    at = np.arange(len(codes))
+    return 2 * (at <= right) + (at <= wrong)
 
 
 def _deviation_payoff_table(
@@ -630,7 +632,7 @@ def expected_strategy_payoffs(
     """
     codes = _access_codes(cfg, profile, policy_gamma)
     rows, row_of_agent = _deviation_payoff_table(cfg, codes, policy_gamma)
-    players = np.bincount(codes, minlength=_N_STRATEGIES)
+    players = _players(codes)
     payoffs: dict[str, float] = {}
     for code in np.flatnonzero(players):
         per_row = np.bincount(row_of_agent[codes == code], minlength=len(rows))
@@ -653,7 +655,7 @@ def closed_form_targets(cfg: SimConfig, profile: StrategyProfile, policy_gamma: 
     p = cfg.params
     n = cfg.n_agents
     codes = _access_codes(cfg, profile, policy_gamma)
-    counts = np.bincount(codes, minlength=_N_STRATEGIES)
+    counts = _players(codes)
     production = np.array([expected_production(s, p) for s in ALL_STRATEGIES])
     output = ((n - len(codes)) + float(counts @ production)) / n
     effort_share = float(counts[_EFFORT].sum()) / n
@@ -681,21 +683,14 @@ def nash_check(
     """List every profitable unilateral deviation; empty means Nash.
 
     Payoffs are exact expectations, so a strategy that ``_unhappy`` finds
-    short of the best is a real deviation rather than sampling noise: the
-    agents listed are those that ``iterated_best_response`` would switch.
+    short of the best is a real deviation rather than sampling noise.  The
+    agents listed are read by ``_table_switches``, the reader of
+    ``iterated_best_response``, so they are exactly those it would switch.
     """
     codes = _access_codes(cfg, profile, policy_gamma)
-    rows, row_of_agent = _deviation_payoff_table(cfg, codes, policy_gamma)
-    best = rows.argmax(1)[row_of_agent]
-    gain = (rows.max(1)[:, None] - rows)[row_of_agent, codes]
     return [
-        Deviation(
-            agent=int(pos),
-            current=AgentStrategy(int(codes[pos])),
-            better=AgentStrategy(int(best[pos])),
-            gain=float(gain[pos]),
-        )
-        for pos in np.flatnonzero(_unhappy(rows)[row_of_agent, codes])
+        Deviation(agent=at, current=AgentStrategy(int(codes[at])), better=AgentStrategy(code), gain=gain)
+        for at, code, gain in zip(*_table_switches(cfg, codes, 0, policy_gamma))
     ]
 
 
@@ -727,13 +722,15 @@ class BestResponseTrace:
         return len(self.changed)
 
 
-def _table_switches(cfg: SimConfig, codes: bytearray, start: int) -> tuple[list[int], list[int]]:
-    """The unhappy agents from ``start`` on, read off the full deviation table, and their best codes."""
-    array = np.frombuffer(codes, dtype=np.int8)
-    rows, row_of_agent = _deviation_payoff_table(cfg, array, 0.0)
-    row_of_agent = row_of_agent[start:]
-    positions = np.flatnonzero(_unhappy(rows)[row_of_agent, array[start:]])
-    return (start + positions).tolist(), rows.argmax(1)[row_of_agent[positions]].tolist()
+def _table_switches(
+    cfg: SimConfig, codes: np.ndarray, start: int, policy_gamma: float
+) -> tuple[list[int], list[int], list[float]]:
+    """The unhappy agents from ``start`` on, read off the full deviation table, with their best codes and gains."""
+    rows, row_of_agent = _deviation_payoff_table(cfg, codes, policy_gamma)
+    positions = np.flatnonzero(_unhappy(rows)[row_of_agent[start:], codes[start:]])
+    row, code = row_of_agent[start + positions], codes[start + positions]
+    gain = rows[row].max(1) - rows[row, code]
+    return (start + positions).tolist(), rows.argmax(1)[row].tolist(), gain.tolist()
 
 
 class _SharedRows:
@@ -840,7 +837,7 @@ def iterated_best_response(
     start = 0
     for _ in range(cap):
         if shared is None or not changed:
-            switched, best = _table_switches(cfg, codes, start)
+            switched, best, _ = _table_switches(cfg, np.frombuffer(codes, dtype=np.int8), start, 0.0)
         else:
             switched, best = shared.switches(moved)
         if not switched:

@@ -43,12 +43,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import REFERENCE_POINTS
 from shirklab import simulation
 from shirklab.cli import main
 from shirklab.equilibrium import ReplacementCostCurve
-from shirklab.model import _ADOPTS, _EFFORT, ALL_STRATEGIES, AgentStrategy, ModelParams
+from shirklab.model import _ADOPTS, _EFFORT, ALL_STRATEGIES, STATES, AgentStrategy, ModelParams
 from shirklab.simulation import (
     MeanSE,
     SimConfig,
@@ -561,8 +563,10 @@ def test_one_cost_call_prices_every_trial(signal, tmp_path):
 @pytest.mark.parametrize("firing, gamma", [("seniority", 0.0), ("uniform_random", 1.0), ("uniform_random", 0.4)])
 def test_a_million_agents_take_no_pass_over_the_agents(firing, gamma):
     # a state priced from counts builds nothing a million agents long; what
-    # is left is the kernel's strategy count (bincount's intp copy of the
-    # codes, 7.6 MiB)
+    # is left is one byte per agent at a time: the kernel's strategy counts
+    # (one code compared at a time, 0.95 MiB) and, under seniority, the two
+    # rows of who fails in a bad state (1.97 MiB); counting with bincount
+    # copies the codes to intp, 7.6 MiB
     n = 10**6
     profile = StrategyProfile(np.random.default_rng(3).integers(0, _N_STRATEGIES, size=n))
     cfg = SimConfig(params=NOISY, n_agents=n, n_trials=200, seed=29, h=1.0, punishment_mode=firing)
@@ -575,7 +579,7 @@ def test_a_million_agents_take_no_pass_over_the_agents(firing, gamma):
     finally:
         tracemalloc.stop()
     assert got == want
-    assert peak < 16 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_lone_trials_are_counted_a_block_at_a_time():
@@ -666,3 +670,43 @@ def test_each_state_row_matches_the_episode_played_agent_by_agent(state, firing,
     for code in np.flatnonzero(players):
         want = episode.payoff_sum_by_strategy[code]
         assert math.isclose(result.per_strategy_payoff[ALL_STRATEGIES[code].label].mean * players[code], want, rel_tol=1e-12)
+
+
+STATE_ROW_FIRINGS = [("seniority", 0.0), ("uniform_random", 0.0), ("uniform_random", 1.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@example(codes=[], extra=1, firing=STATE_ROW_FIRINGS[0])  # no access agent
+@example(codes=[0, 4, 4, 0], extra=0, firing=STATE_ROW_FIRINGS[0])  # no strategy ever adopts
+@example(codes=[0, 4, 4, 0], extra=0, firing=STATE_ROW_FIRINGS[2])
+@example(codes=[4, 2, 5, 0, 3, 1, 2], extra=3, firing=STATE_ROW_FIRINGS[0])  # all six strategies
+@example(codes=[4, 2, 5, 0, 3, 1, 2], extra=3, firing=STATE_ROW_FIRINGS[2])
+@given(
+    codes=st.lists(st.integers(0, _N_STRATEGIES - 1), max_size=30),
+    extra=st.integers(0, 5),
+    firing=st.sampled_from(STATE_ROW_FIRINGS),
+)
+def test_state_row_k_counts_the_state_of_index_k(codes, extra, firing):
+    # the kernel's rows of states follow model.STATES: row k is (good, reading) = STATES[k]
+    mode, gamma = firing
+    n = max(len(codes) + extra, 1)
+    profile = StrategyProfile(codes + [1] * (n - len(codes)))
+    cfg = SimConfig(params=NOISY, n_agents=n, n_trials=1, seed=0, h=len(codes) / n, punishment_mode=mode)
+    assert cfg.access_count == len(codes)
+    kernel = simulation._EpisodeKernel(cfg, profile, gamma)
+    users, fired = kernel.state_counts
+    played = sorted(set(codes))
+    assert kernel.played.tolist() == played
+    assert users.shape == fired.shape == (len(STATES), len(played))
+    for k, (good, reading) in enumerate(STATES):
+        adopts = [bool(_ADOPTS[reading][code]) for code in played]
+        assert users[k].tolist() == [codes.count(code) * use for code, use in zip(played, adopts)]
+        if good:
+            want = [0] * len(played)
+        elif mode == "seniority":
+            # brute force: the first access agent who adopts a bad technology, if any
+            first = next((code for code in codes if _ADOPTS[reading][code]), None)
+            want = [int(code == first) for code in played]
+        else:
+            want = [codes.count(code) * use * int(gamma) for code, use in zip(played, adopts)]
+        assert fired[k].tolist() == want
