@@ -45,6 +45,7 @@ import math
 import re
 from dataclasses import dataclass, replace as dc_replace
 from functools import cached_property
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
@@ -152,12 +153,8 @@ class StrategyProfile:
 
     def __repr__(self) -> str:
         counts = _players(self.codes)
-        parts = [
-            f"{AgentStrategy(i).label}={counts[i]}"
-            for i in range(_N_STRATEGIES)
-            if counts[i]
-        ]
-        return f"StrategyProfile({', '.join(parts)})"
+        parts = ", ".join(f"{AgentStrategy(i).label}={counts[i]}" for i in range(_N_STRATEGIES) if counts[i])
+        return f"StrategyProfile({parts})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,16 +452,14 @@ class SimResult:
 
     def summary(self) -> str:
         lines = [
-            f"agents {self.n_agents}  trials {self.n_trials}  seed {self.seed}  "
-            f"gamma {_fmt(self.policy_gamma)}",
+            f"agents {self.n_agents}  trials {self.n_trials}  seed {self.seed}  gamma {_fmt(self.policy_gamma)}",
             f"output/agent       {_fmt(self.output.mean)} +- {_fmt(self.output.se)}",
             f"wages/agent        {_fmt(self.wages.mean)} +- {_fmt(self.wages.se)}",
             f"replacement cost   {_fmt(self.replacement_cost.mean)} +- {_fmt(self.replacement_cost.se)}",
             f"welfare/agent      {_fmt(self.welfare.mean)} +- {_fmt(self.welfare.se)}",
             f"failure frequency  {_fmt(self.failure_frequency)}",
         ]
-        for label in sorted(self.per_strategy_payoff):
-            stat = self.per_strategy_payoff[label]
+        for label, stat in sorted(self.per_strategy_payoff.items()):
             lines.append(f"payoff[{label}]  {_fmt(stat.mean)} +- {_fmt(stat.se)}")
         return "\n".join(lines)
 
@@ -506,14 +501,8 @@ def monte_carlo(
         )
         with open(trace_path, "w", encoding="utf-8") as handle:
             for t, row in enumerate(which.tolist()):
-                record = {
-                    "trial": t,
-                    "quality": quality[row],
-                    "output": outputs[row],
-                    "welfare": welfares[row],
-                    "fired": fired[row],
-                    "failure": failures[row],
-                }
+                record = {"trial": t, "quality": quality[row], "output": outputs[row], "welfare": welfares[row],
+                          "fired": fired[row], "failure": failures[row]}
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
 
     return SimResult(
@@ -581,11 +570,7 @@ def _common_signal_row_of_agent(codes: np.ndarray) -> np.ndarray:
     return 2 * (at <= right) + (at <= wrong)
 
 
-def _deviation_payoff_table(
-    cfg: SimConfig,
-    codes: np.ndarray,
-    policy_gamma: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def _deviation_payoff_table(cfg: SimConfig, codes: np.ndarray, policy_gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Expected payoff of every (access agent, strategy) pair, others fixed.
 
     ``codes`` are the access agents' strategy codes.  Returns ``(rows,
@@ -597,20 +582,16 @@ def _deviation_payoff_table(
     Analytic expectations over quality, signals, and the firing rule; no
     sampling, so deviation gains carry no Monte Carlo noise.
     """
-    p = cfg.params
-    m = len(codes)
+    p, m = cfg.params, len(codes)
     if cfg.punishment_mode == UNIFORM_RANDOM:
         # firing is independent across agents, so payoffs decouple
-        row = np.array(
-            [agent_payoff(s, policy_gamma, p, cfg.compensation) for s in ALL_STRATEGIES]
-        )
+        row = np.array([agent_payoff(s, policy_gamma, p, cfg.compensation) for s in ALL_STRATEGIES])
         return row[None, :], np.zeros(m, dtype=np.intp)
     if cfg.signal_correlation == COMMON:
         return _common_signal_rows(p, cfg.compensation), _common_signal_row_of_agent(codes)
 
-    # independent signals: failures are independent across agents given a
-    # bad technology, so the chance no lower-indexed agent fails is a
-    # prefix product
+    # independent signals: failures are independent across agents given a bad
+    # technology, so the chance no lower-indexed agent fails is a prefix product
     prefix = np.ones(m)
     prefix[1:] = _spared(p, codes[:-1])
     fired_prob = ((1.0 - p.pi) * p.state_table.use_given_bad)[None, :] * prefix[:, None]
@@ -618,11 +599,7 @@ def _deviation_payoff_table(
     return base + p.v_c * (1.0 - fired_prob), np.arange(m)
 
 
-def expected_strategy_payoffs(
-    cfg: SimConfig,
-    profile: StrategyProfile,
-    policy_gamma: float,
-) -> dict[str, float]:
+def expected_strategy_payoffs(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float) -> dict[str, float]:
     """Exact expected payoff of each strategy played in ``profile``.
 
     Each access agent's payoff is its own-strategy entry of the deviation
@@ -637,9 +614,7 @@ def expected_strategy_payoffs(
     for code in np.flatnonzero(players):
         per_row = np.bincount(row_of_agent[codes == code], minlength=len(rows))
         used = np.flatnonzero(per_row)
-        payoffs[AgentStrategy(int(code)).label] = float(
-            np.sum(rows[used, code] * (per_row[used] / players[code]))
-        )
+        payoffs[AgentStrategy(int(code)).label] = float(np.sum(rows[used, code] * (per_row[used] / players[code])))
     return payoffs
 
 
@@ -652,16 +627,14 @@ def closed_form_targets(cfg: SimConfig, profile: StrategyProfile, policy_gamma: 
     agents who research.  Each strategy played then gets its exact
     expected payoff, as ``payoff_<label>``.
     """
-    p = cfg.params
-    n = cfg.n_agents
+    p, n = cfg.params, cfg.n_agents
     codes = _access_codes(cfg, profile, policy_gamma)
     counts = _players(codes)
     production = np.array([expected_production(s, p) for s in ALL_STRATEGIES])
     output = ((n - len(codes)) + float(counts @ production)) / n
     effort_share = float(counts[_EFFORT].sum()) / n
     targets = {"output": output, "welfare": output - p.c * effort_share}
-    for label, payoff in expected_strategy_payoffs(cfg, profile, policy_gamma).items():
-        targets[f"payoff_{label}"] = payoff
+    targets.update({f"payoff_{s}": v for s, v in expected_strategy_payoffs(cfg, profile, policy_gamma).items()})
     return targets
 
 
@@ -675,11 +648,7 @@ class Deviation:
     gain: float
 
 
-def nash_check(
-    cfg: SimConfig,
-    profile: StrategyProfile,
-    policy_gamma: float,
-) -> list[Deviation]:
+def nash_check(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float) -> list[Deviation]:
     """List every profitable unilateral deviation; empty means Nash.
 
     Payoffs are exact expectations, so a strategy that ``_unhappy`` finds
@@ -699,27 +668,37 @@ def _unhappy(rows: np.ndarray) -> np.ndarray:
     return rows < rows.max(1)[:, None] - PAYOFF_TIE_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BestResponseTrace:
-    """Synchronous best-response iteration record, stored as per-round diffs.
+    """Synchronous best-response iteration record, its switches kept as flat arrays.
 
-    ``initial`` is the starting profile and ``final`` the profile after
-    the last round; in round k+1 the access agents ``changed[k]`` switched
-    to the strategy codes ``switched_to[k]``, so the record takes
-    O(n + switches) memory.  ``converged`` is False only if the round cap
-    was hit, which is reported rather than raised so a failing dynamic can
-    be inspected as a counterexample.
+    ``initial`` is the starting profile and ``final`` the profile after the last round.  ``agents`` holds every
+    switched access agent in round order and ``new_codes`` the strategy code it switched to; round k+1's switches
+    are entries ``offsets[k]`` to ``offsets[k + 1]``, so the record takes O(n + switches) memory in three arrays.
+    ``converged`` is False only if the round cap was hit, which is reported rather than raised so a failing
+    dynamic can be inspected as a counterexample.
     """
 
     initial: StrategyProfile
-    changed: list[list[int]]
-    switched_to: list[np.ndarray]
+    agents: np.ndarray
+    new_codes: np.ndarray
+    offsets: np.ndarray
     converged: bool
     final: StrategyProfile
 
     @property
     def rounds(self) -> int:
-        return len(self.changed)
+        return len(self.offsets) - 1
+
+    @property
+    def changed(self) -> list[list[int]]:
+        """Each round's switched agents, built on demand."""
+        return [self.agents[low:high].tolist() for low, high in pairwise(self.offsets.tolist())]
+
+    @property
+    def switched_to(self) -> list[np.ndarray]:
+        """Each round's new codes, as views of ``new_codes``."""
+        return [self.new_codes[low:high] for low, high in pairwise(self.offsets.tolist())]
 
 
 def _table_switches(
@@ -741,7 +720,8 @@ class _SharedRows:
     the index of the first agent that fails in the bad state on a right
     and on a wrong signal, ``m`` when none does.  A switch moves only
     these two indices, so only the agents between an index's old and new
-    value change row.
+    value change row.  A lone switch that the next agent is bound to
+    repeat is played ahead along its run of equal codes (``jump``).
     """
 
     def __init__(self, cfg: SimConfig, codes: bytearray):
@@ -765,8 +745,7 @@ class _SharedRows:
         """The unhappy agents among ``moved``, in its order, and their best codes."""
         right, wrong = self.first
         codes, unhappy, best = self.codes, self.unhappy, self.best
-        switched: list[int] = []
-        to: list[int] = []
+        switched, to = [], []
         for at in moved:
             row = 2 * (at <= right) + (at <= wrong)
             if unhappy[row][codes[at]]:
@@ -798,62 +777,91 @@ class _SharedRows:
             return spans[0] if spans else ()
         return sorted({*spans[0], *spans[1]})
 
+    def jump(self, at: int, old: int, code: int, moved: Sequence[int], limit: int) -> int:
+        """Play ahead, up to ``limit`` rounds, those that repeat agent ``at``'s lone switch from ``old`` to ``code``.
+
+        They repeat it one agent up when the one moved row is the next agent's, who plays ``old`` too, and ``code``
+        fails in the bad state only on a signal where an agent before ``at`` fails: that row is then ``at``'s before
+        the switch, and each round hands the first failure to the next agent of the run.  All but the run's last
+        agent switch, and the first failures follow; the last is left to a round of its own, which scans for the
+        failure past the run.  Returns the rounds played.
+        """
+        after = at + 1
+        if len(moved) != 1 or moved[0] != after or self.codes[after] != old:
+            return 0
+        if any(code in failing and first >= at for first, failing in zip(self.first, self.failing)):
+            return 0
+        # the run ends at the first agent not playing old; re caches the pattern
+        end = re.compile(b"[^%c]" % old).search(self.codes, after)
+        rounds = min((end.start() if end else len(self.codes)) - 1 - after, limit)
+        if rounds <= 0:
+            return 0
+        self.codes[after : after + rounds] = bytes([code]) * rounds
+        self.first = [after + rounds if first == after else first for first in self.first]
+        return rounds
+
 
 def iterated_best_response(
-    cfg: SimConfig,
-    initial: StrategyProfile,
-    max_rounds: int | None = None,
+    cfg: SimConfig, initial: StrategyProfile, max_rounds: int | None = None
 ) -> BestResponseTrace:
     """Iterate synchronous best responses until a fixed point.
 
-    Intended for the seniority punishment mode, where the lowest-indexed
-    member of any would-be shirking group prefers effort, flipping one
-    agent per round, in index order, until everyone with access
-    researches.  Agents keep their current strategy when it remains among
-    the best responses.
+    Intended for the seniority punishment mode, where the lowest-indexed member of any would-be shirking group
+    prefers effort, flipping one agent per round, in index order, until everyone with access researches.  Agents
+    keep their current strategy when it remains among the best responses.
 
-    Each round reads the exact deviation payoffs, but only of the agents
-    whose payoff row moved: a switcher moves to a best code of its row and
-    every other agent was already happy with its row, so no one else can
-    want to switch.  Round 1 reads every agent off the full table.  Under
-    seniority firing with common signals an agent's row is fixed by two
-    indices, the first agent failing in the bad state on a right and on a
-    wrong signal, so ``_SharedRows`` reads only the rows between an
-    index's old and new value, and a round costs O(switches + rows moved).
-    Otherwise each later round reads the full table again from the agent
-    after the lowest switcher on, which costs O(n) vectorized work: with
-    independent signals a switch moves the row of every agent after it,
-    and under uniform random firing no row moves, so round 2 finds no
-    switch.
-    The trace keeps the initial profile, each round's switched positions
-    with their new codes, and the final profile.
+    Each round reads the exact deviation payoffs, but only of the agents whose payoff row moved: a switcher moves
+    to a best code of its row and every other agent was already happy with its row, so no one else can want to
+    switch.  Round 1 reads every agent off the full table.  Under seniority firing with common signals an agent's
+    row is fixed by two indices, the first agent failing in the bad state on a right and on a wrong signal, so
+    ``_SharedRows`` reads only the rows between an index's old and new value: a round costs O(switches + rows
+    moved).  A lone switch bound to repeat one agent up along a run of equal codes is played ahead for the whole
+    run in one step (``_SharedRows.jump``).  Otherwise each later round reads the full table again from the agent
+    after the lowest switcher on, which costs O(n) vectorized work: with independent signals a switch moves the
+    row of every agent after it, and under uniform random firing no row moves, so round 2 finds no switch.  The
+    round cap, ``10 * n_agents`` or ``max_rounds``, stops a jump too; a negative ``max_rounds`` is refused.
     """
+    if max_rounds is not None and max_rounds < 0:
+        raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
     codes = bytearray(_access_codes(cfg, initial).tobytes())
     shared = _SharedRows(cfg, codes) if cfg.punishment_mode == SENIORITY and cfg.signal_correlation == COMMON else None
     cap = 10 * cfg.n_agents if max_rounds is None else max_rounds
-    changed: list[list[int]] = []
-    switched_to: list[np.ndarray] = []
-    converged = False
-    start = 0
-    for _ in range(cap):
-        if shared is None or not changed:
+    # every switch's agent and new code in round order, and the switches made by the end of each round, from 0
+    agents, new_codes, offsets = bytearray(), bytearray(), bytearray(8)
+    rounds, start = 0, 0
+    while rounds < cap:
+        if shared is None or not rounds:
             switched, best, _ = _table_switches(cfg, np.frombuffer(codes, dtype=np.int8), start, 0.0)
         else:
             switched, best = shared.switches(moved)
         if not switched:
-            converged = True
             break
+        old = codes[switched[0]]
         for at, code in zip(switched, best):
             codes[at] = code
-        changed.append(switched)
-        switched_to.append(np.array(best, dtype=np.int8))
+        agents += np.array(switched, dtype=np.int64).data
+        new_codes.extend(best)
+        offsets += np.int64(len(new_codes)).data
+        rounds += 1
         if shared is None:
             start = switched[0] + 1
-        else:
-            moved = shared.moved(switched, best)
+            continue
+        moved = shared.moved(switched, best)
+        jumped = len(switched) == 1 and shared.jump(switched[0], old, best[0], moved, cap - rounds)
+        if jumped:
+            # the r-th round played ahead switches agent switched[0] + r alone
+            ahead = np.arange(switched[0] + 1, switched[0] + 1 + jumped, dtype=np.int64)
+            agents += ahead.data
+            ahead += len(new_codes) - switched[0]
+            offsets += ahead.data
+            new_codes += bytes(best) * jumped
+            rounds += jumped
+            moved = [switched[0] + jumped + 1]
     final = initial.codes.copy()
     final[: len(codes)] = np.frombuffer(codes, dtype=np.int8)
-    return BestResponseTrace(initial, changed, switched_to, converged, StrategyProfile(final))
+    switches = (np.frombuffer(agents, np.int64), np.frombuffer(new_codes, np.int8), np.frombuffer(offsets, np.int64))
+    # only a round with no switch stops the loop short of the cap
+    return BestResponseTrace(initial, *switches, rounds < cap, StrategyProfile(final))
 
 
 BASELINE = "baseline"
@@ -916,17 +924,12 @@ class ExperimentReport:
 
 
 def _scenario_run(
-    cfg: SimConfig,
-    name: str,
-    gamma: float,
-    profile: StrategyProfile,
-    curve: ReplacementCostCurve,
+    cfg: SimConfig, name: str, gamma: float, profile: StrategyProfile, curve: ReplacementCostCurve,
     trace: BestResponseTrace | None = None,
 ) -> ScenarioResult:
-    deviations = nash_check(cfg, profile, gamma)
+    access_codes = _access_codes(cfg, profile, gamma)
     sim = monte_carlo(cfg, profile, gamma, curve)
     targets = closed_form_targets(cfg, profile, gamma)
-    access_codes = _access_codes(cfg, profile, gamma)
     if not cfg.access_count:
         label = "none"
     elif np.all(access_codes == access_codes[0]):
@@ -937,7 +940,8 @@ def _scenario_run(
         name=name,
         gamma=gamma,
         profile_label=label,
-        deviation_count=len(deviations),
+        # the deviations nash_check would list, counted without building them
+        deviation_count=len(_table_switches(cfg, access_codes, 0, gamma)[0]),
         result=sim,
         target_output=targets["output"],
         target_welfare=targets["welfare"],
@@ -967,16 +971,12 @@ def policy_experiment(cfg: SimConfig, curve: ReplacementCostCurve) -> Experiment
     sol = solve_threshold(cfg.params, curve)
     base_gamma = policy(cfg.h, sol)
     base_cfg = dc_replace(cfg, compensation=PROSPECTIVE, punishment_mode=UNIFORM_RANDOM)
-    base_strategy = (
-        AgentStrategy.EFFORT_FOLLOW_SIGNAL if base_gamma > 0.0 else AgentStrategy.SHIRK_USE
-    )
+    base_strategy = AgentStrategy.EFFORT_FOLLOW_SIGNAL if base_gamma > 0.0 else AgentStrategy.SHIRK_USE
     base_profile = StrategyProfile.symmetric(base_strategy, cfg.n_agents)
     variable_cfg = dc_replace(cfg, compensation=REALIZED, punishment_mode=UNIFORM_RANDOM)
     effort = StrategyProfile.symmetric(AgentStrategy.EFFORT_FOLLOW_SIGNAL, cfg.n_agents)
     seniority_cfg = dc_replace(cfg, compensation=PROSPECTIVE, punishment_mode=SENIORITY)
-    trace = iterated_best_response(
-        seniority_cfg, StrategyProfile.symmetric(AgentStrategy.SHIRK_USE, cfg.n_agents)
-    )
+    trace = iterated_best_response(seniority_cfg, StrategyProfile.symmetric(AgentStrategy.SHIRK_USE, cfg.n_agents))
     scenarios = (
         _scenario_run(base_cfg, BASELINE, base_gamma, base_profile, curve),
         _scenario_run(variable_cfg, VARIABLE_COMPENSATION, 0.0, effort, curve),

@@ -16,6 +16,7 @@ agent's row of the package's deviation table.  The package's trace must
 equal it field for field, the round cap and the int8 codes included.
 """
 
+import contextlib
 import dataclasses
 import math
 from unittest import mock
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 
 from conftest import REFERENCE_POINTS, trace_profiles
 from shirklab import simulation
+from shirklab.equilibrium import ReplacementCostCurve
 from shirklab.model import ALL_STRATEGIES, PAYOFF_TIE_TOL, AgentStrategy, ModelParams, agent_payoff
 from shirklab.simulation import (
     SimConfig,
@@ -294,6 +296,17 @@ def test_nash_check_matches_the_reference(signal, compensation, punishment, h):
 
 
 @pytest.mark.parametrize("signal,compensation,punishment,h", MODES)
+def test_a_scenario_counts_the_deviations_nash_check_lists(signal, compensation, punishment, h):
+    rng = np.random.default_rng([13, len(signal), len(compensation), len(punishment), int(10 * h)])
+    curve = ReplacementCostCurve.linear(1000.0)
+    for _ in range(6):
+        cfg, profile, _ = _random_case(rng, signal, compensation, punishment, h)
+        gamma = float(rng.choice([0.0, 1.0, rng.random()]))
+        scenario = simulation._scenario_run(cfg, "arm", gamma, profile, curve)
+        assert scenario.deviation_count == len(nash_check(cfg, profile, gamma))
+
+
+@pytest.mark.parametrize("signal,compensation,punishment,h", MODES)
 def test_iterated_best_response_matches_the_reference(signal, compensation, punishment, h):
     rng = np.random.default_rng([11, len(signal), len(compensation), len(punishment), int(10 * h)])
     for _ in range(8):
@@ -321,7 +334,7 @@ def test_round_cap_matches_the_reference():
 
 @st.composite
 def best_response_cases(draw):
-    """A config in any mode, a start over all six codes or mostly ``shirk_use``, and a round cap."""
+    """A config in any mode, a start over all six codes, mostly ``shirk_use`` or a few long runs, and a round cap."""
     n = draw(st.integers(1, 300))
     cfg = SimConfig(
         params=draw(st.sampled_from(PARAMS)),
@@ -333,15 +346,22 @@ def best_response_cases(draw):
         compensation=draw(st.sampled_from(["prospective", "realized"])),
         punishment_mode=draw(st.sampled_from(["uniform_random", "seniority"])),
     )
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["any", "flips", "runs"]))
+    if kind == "any":
         codes = draw(st.lists(st.integers(0, _N_STRATEGIES - 1), min_size=n, max_size=n))
-    else:
+    elif kind == "flips":
         # mostly shirk_use with random flips, so seniority races show up
         codes = [int(AgentStrategy.SHIRK_USE)] * n
         flips = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, _N_STRATEGIES - 1), max_size=n // 5 + 1))
         for at, code in flips.items():
             codes[at] = code
-    return cfg, StrategyProfile(codes), draw(st.none() | st.integers(0, 5))
+    else:
+        # a few long runs of one code, so unraveling plays runs ahead and stops where they end
+        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+        codes = []
+        for low, high in zip([0, *cuts], [*cuts, n]):
+            codes += [draw(st.just(int(AgentStrategy.SHIRK_USE)) | st.integers(0, _N_STRATEGIES - 1))] * (high - low)
+    return cfg, StrategyProfile(codes), draw(st.none() | st.integers(0, 5) | st.integers(0, 300))
 
 
 @settings(max_examples=200, deadline=None)
@@ -435,3 +455,115 @@ def test_far_jumps_of_the_first_failure_match_the_vectorized_loop(runs, compensa
         punishment_mode="seniority",
     )
     assert_matches_the_vectorized_loop(cfg, start)
+
+
+def _from_runs(runs, compensation="prospective"):
+    """A seniority config with common signals and every agent given access, and its start made of ``runs``."""
+    start = StrategyProfile(np.concatenate([np.full(count, int(s), dtype=np.int8) for s, count in runs]))
+    cfg = SimConfig(
+        params=PARAMS[0],
+        n_agents=len(start),
+        n_trials=1,
+        seed=0,
+        h=1.0,
+        compensation=compensation,
+        punishment_mode="seniority",
+    )
+    return cfg, start
+
+
+@contextlib.contextmanager
+def _recorded_jumps():
+    """Patch ``_SharedRows.jump`` to append the rounds each call plays ahead to the list it yields."""
+    played = []
+    jump = _SharedRows.jump
+
+    def recording(self, *args):
+        played.append(jump(self, *args))
+        return played[-1]
+
+    with mock.patch.object(_SharedRows, "jump", recording):
+        yield played
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        # a never-user between two runs of shirkers
+        [(SU, 700), (SNU, 1), (SU, 300)],
+        # shirkers, then contrarians, who fail in the bad state on a right signal only
+        [(SU, 500), (EC, 500)],
+        # a contrarian first, so the first failure on a right signal sits before the shirkers
+        [(EC, 1), (SU, 999)],
+    ],
+    ids=["shirkers-never-user-shirkers", "shirkers-then-contrarians", "contrarian-then-shirkers"],
+)
+def test_mixed_starts_play_their_run_ahead_as_the_vectorized_loop_does(runs):
+    # prospective pay: the seniority arm's unraveling, one switch a round after round 1
+    cfg, start = _from_runs(runs)
+    with _recorded_jumps() as played:
+        assert_matches_the_vectorized_loop(cfg, start)
+    # round 1 turns every agent past both first failures to shirk_use, so one run reaches the end of the profile:
+    # only rounds 1 and 2 and the last agent's are played alone
+    assert max(played) == len(start) - 3
+
+
+@pytest.mark.parametrize("max_rounds", [0, 1, 2, 437])
+def test_a_round_cap_inside_a_run_stops_the_jump_there(max_rounds):
+    cfg, start = _from_runs([(SU, 3000)])
+    with _recorded_jumps() as played:
+        assert_matches_the_vectorized_loop(cfg, start, max_rounds)
+    trace = iterated_best_response(cfg, start, max_rounds)
+    assert (trace.rounds, trace.converged) == (max_rounds, False)
+    # rounds 1 and 2 are played one by one, then the jump fills the cap exactly
+    assert sum(played) == max(max_rounds - 2, 0)
+
+
+def _play_shared_rows(cfg, codes, moved, ahead):
+    """Rounds of ``_SharedRows`` from ``codes`` whose rows in ``moved`` are to be read, as (switched, best) pairs.
+
+    With ``ahead`` every lone switch is offered to ``jump`` and the rounds it plays are listed one by one.  Returns
+    the rounds, the codes and the first failures at the end.
+    """
+    codes = bytearray(codes)
+    responses = _SharedRows(cfg, codes)
+    rounds = []
+    while len(rounds) < 10 * len(codes):
+        switched, best = responses.switches(moved)
+        if not switched:
+            break
+        old = codes[switched[0]]
+        for at, code in zip(switched, best):
+            codes[at] = code
+        rounds.append((switched, best))
+        moved = responses.moved(switched, best)
+        jumped = ahead and len(switched) == 1 and responses.jump(switched[0], old, best[0], moved, len(codes))
+        if jumped:
+            rounds += [([switched[0] + r], best) for r in range(1, jumped + 1)]
+            moved = [switched[0] + jumped + 1]
+    return rounds, bytes(codes), responses.first
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=best_response_cases(), data=st.data())
+def test_a_jump_plays_exactly_the_rounds_it_replaces(case, data):
+    # the rounds are read from one agent whose row is taken to have moved, so the codes past a run are unsettled
+    # and a run can end at any code, not only at the end of the profile as it does after round 1
+    cfg, initial, _ = case
+    cfg = dataclasses.replace(cfg, signal_correlation="common", punishment_mode="seniority")
+    codes = initial.codes[: cfg.access_count].tobytes()
+    moved = [data.draw(st.integers(0, len(codes) - 1))] if codes else []
+    assert _play_shared_rows(cfg, codes, moved, True) == _play_shared_rows(cfg, codes, moved, False)
+
+
+def test_a_jump_stops_where_its_run_ends():
+    # shirkers unravel up to a run of contrarians, who then unravel to the end
+    codes = np.array([int(SU)] * 10 + [int(EC)] * 10, dtype=np.int8).tobytes()
+    cfg, _ = _from_runs([(SU, 20)])
+    rounds, final, first = _play_shared_rows(cfg, codes, [0], True)
+    assert (rounds, final, first) == _play_shared_rows(cfg, codes, [0], False)
+    assert [switched for switched, _ in rounds] == [[k] for k in range(20)]
+    with _recorded_jumps() as played:
+        _play_shared_rows(cfg, codes, [0], True)
+    # agents 2 to 8 are played ahead, 9 and 10 alone, then 11 to 18 ahead and 19 alone
+    assert [r for r in played if r] == [7, 8]

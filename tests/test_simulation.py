@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -205,6 +206,7 @@ def test_array_holding_records_compare_by_identity(p0, linear_curve):
     for make in (
         lambda: ReplacementCostCurve.linear(1000.0),
         lambda: run_episode(cfg, profile, 0.5, linear_curve, np.random.default_rng(3)),
+        lambda: iterated_best_response(dataclasses.replace(cfg, punishment_mode="seniority"), profile),
     ):
         first, second = make(), make()
         assert first == first and first != second
@@ -494,8 +496,34 @@ class TestIteratedBestResponse:
         assert not trace.converged
         assert trace.rounds == 3
 
+    @pytest.mark.parametrize("max_rounds", [-1, -437])
+    def test_a_negative_round_cap_is_rejected(self, p0, max_rounds):
+        cfg = SimConfig(params=p0, n_agents=10, n_trials=1, seed=0, h=1.0, punishment_mode="seniority")
+        with pytest.raises(ValueError, match=f"max_rounds must be nonnegative, got {max_rounds}$"):
+            iterated_best_response(cfg, StrategyProfile.symmetric(SU, 10), max_rounds=max_rounds)
+
+    def test_a_million_agents_unravel_in_a_few_steps(self, p0):
+        # 500000 rounds of one switch each: all but the first two and the last are played ahead in one step; the
+        # trace's int64 agents and offsets take 4 MB each (playing every round peaked at 121 MiB)
+        n = 10**6
+        cfg = SimConfig(params=p0, n_agents=n, n_trials=1, seed=0, h=0.5, punishment_mode="seniority")
+        start = StrategyProfile.symmetric(SU, n)
+        tracemalloc.start()
+        try:
+            trace = iterated_best_response(cfg, start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (trace.rounds, trace.converged) == (500000, True)
+        assert (trace.final.codes[:500000] == int(EFS)).all() and (trace.final.codes[500000:] == int(SU)).all()
+        assert np.array_equal(trace.agents, np.arange(500000))
+        assert np.array_equal(trace.offsets, np.arange(500001))
+        assert trace.new_codes.dtype == np.int8 and (trace.new_codes == int(EFS)).all()
+        assert len(trace.new_codes) == 500000
+        assert peak < 20 * 2**20
+
     def test_32000_agents_unravel_one_agent_a_round(self, p0):
-        # 16000 rounds: a round reads only the agents whose payoff row moved
+        # 16000 rounds, each switching the next agent alone
         n = 32000
         cfg = SimConfig(params=p0, n_agents=n, n_trials=1, seed=0, h=0.5, punishment_mode="seniority")
         trace = iterated_best_response(cfg, StrategyProfile.symmetric(SU, n))
