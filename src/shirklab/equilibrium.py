@@ -65,7 +65,7 @@ class ReplacementCostCurve:
     kind -- "nodes" (closed-form schedule) or "steps" (finite sample).
 
     Construction runs ``validate``, so a broken schedule never becomes a
-    curve; ``from_function`` checks its nodes itself, once.
+    curve; every builder ends in the constructor.
     """
 
     values: np.ndarray
@@ -79,9 +79,6 @@ class ReplacementCostCurve:
         if len(self.values) < (2 if self.kind == "nodes" else 1):
             raise InvalidCurveError("schedule needs at least one cost sample")
         self.validate()
-        self._build()
-
-    def _build(self) -> None:
         cumulative = np.empty(self._segments + 1)
         self._cumulate(1.0, cumulative)
         object.__setattr__(self, "_cumulative", cumulative)
@@ -133,7 +130,7 @@ class ReplacementCostCurve:
     def _from_schedule(cls, q: Callable, resolution: int, fresh: bool) -> "ReplacementCostCurve":
         """``from_function``, keeping the nodes without a copy when ``fresh`` says q returns a new array.
 
-        The nodes are checked once here, and ``validate`` does not walk them again.
+        A negative or non-finite node is reported here with its z; the constructor validates the rest.
         """
         if resolution < 2:
             raise InvalidCurveError("resolution must be at least 2")
@@ -153,11 +150,7 @@ class ReplacementCostCurve:
             signs = np.signbit(raw[: np.searchsorted(raw, 0.0, side="right")])
             ascending = signs.all() or not signs.any()
         values = np.sort(raw) if not ascending else raw if fresh else raw.copy()
-        curve = object.__new__(cls)
-        object.__setattr__(curve, "values", values)
-        object.__setattr__(curve, "kind", "nodes")
-        curve._build()
-        return curve
+        return cls(values, "nodes")
 
     @classmethod
     def from_samples(cls, costs: Iterable[float]) -> "ReplacementCostCurve":

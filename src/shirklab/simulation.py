@@ -19,7 +19,7 @@ Monte Carlo draws trial block ``b``, trials ``[b * TRIAL_BLOCK, (b + 1)
 * TRIAL_BLOCK)``, from numpy's ``SeedSequence(seed, spawn_key=(0, b))``:
 all its qualities, then under common signals all its shared readings,
 then, when some trial can play alone, the per-strategy counts of all its
-trials (``_EpisodeKernel.counts``).  So a run of T trials is a prefix of
+trials (``_EpisodeKernel.block``).  So a run of T trials is a prefix of
 any longer run, and matched scenarios see identical production paths.
 Every trial is accounted from the counts of adopters and fired agents of
 each strategy, with no work per agent.  A trial's state is its row of
@@ -231,7 +231,7 @@ class _EpisodeKernel:
     ``counted``: rows 0 to 3 are the states of ``model.STATES``, whose
     counts need no draw (``state_counts``), and each trial that plays
     alone has a row of its own, on counts drawn from its block
-    (``counts``).  ``run_episode`` plays one trial agent by agent.
+    (``block``).  ``run_episode`` plays one trial agent by agent.
     """
 
     def __init__(self, cfg: SimConfig, profile: StrategyProfile, policy_gamma: float):
@@ -260,42 +260,38 @@ class _EpisodeKernel:
         return [np.flatnonzero(self.codes == code) for code in self.played.tolist()]
 
     def block(self, seed: int, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Trial block ``index``'s states, and each trial's adopters and fired per played strategy."""
+        """Trial block ``index``'s states, and each trial's adopters and fired per played strategy.
+
+        Each trial starts from its state's counts.  With independent signals
+        a bad technology's first failure is one uniform per trial inverted
+        through ``failure_cdf``, and each strategy's adopters after it, or
+        of a good technology, a binomial, whatever the firing rule, so
+        matched arms share them.  Seniority fires that first failure;
+        random firing a binomial of each strategy's failures, which draws
+        nothing at a rate of 0 or 1.
+        """
         rng = _block_stream(seed, index)
         states = 2 * (rng.random(TRIAL_BLOCK) >= self.cfg.params.pi)
         if self.cfg.signal_correlation == COMMON:
             wrong = rng.random(TRIAL_BLOCK) < self.cfg.params.eps
             if self.reads_signal:
                 states += wrong
-        if not (self.reads_independent or self.random_firing):
-            return states, *(rows[states] for rows in self.state_counts)
-        return states, *self.counts(rng, states)
-
-    def counts(self, rng: np.random.Generator, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each trial's adopters and fired per played strategy, drawn from the block's stream past its states.
-
-        Under common signals the adopters are the trial's state's.  With
-        independent signals a bad technology's first failure is one uniform
-        per trial inverted through ``failure_cdf``, and each strategy's
-        adopters after it, or of a good technology, a binomial, whatever the
-        firing rule, so matched arms share them.  Seniority fires that first
-        failure; random firing a binomial of each strategy's failures.
-        """
+        users, fired = (rows[states] for rows in self.state_counts)
         bad = (states >= 2)[:, None]
-        if not self.reads_independent:
-            users = self.state_counts[0][states]
-            return users, _binomial(rng, np.where(bad, users, 0), self.policy_gamma)
-        m = len(self.codes)
-        first = np.searchsorted(self.failure_cdf, rng.random(TRIAL_BLOCK), side="right")
-        # each strategy's agents up to the first failure, which is at m when no one fails
-        upto = np.stack([np.searchsorted(agents, first, side="right") for agents in self.positions], axis=1)
-        first_fails = bad & (first < m)[:, None] & (self.codes[np.minimum(first, m - 1)][:, None] == self.played)
-        table = self.cfg.params.state_table
-        chance = np.where(bad, table.use_given_bad[self.played], table.use_given_good[self.played])
-        users = first_fails + _binomial(rng, np.where(bad, self.players - upto, self.players), chance)
-        if self.cfg.punishment_mode == SENIORITY:
-            return users, first_fails.astype(np.int64)
-        return users, _binomial(rng, np.where(bad, users, 0), self.policy_gamma)
+        if self.reads_independent:
+            m = len(self.codes)
+            first = np.searchsorted(self.failure_cdf, rng.random(TRIAL_BLOCK), side="right")
+            # each strategy's agents up to the first failure, which is at m when no one fails
+            upto = np.stack([np.searchsorted(agents, first, side="right") for agents in self.positions], axis=1)
+            first_fails = bad & (first < m)[:, None] & (self.codes[np.minimum(first, m - 1)][:, None] == self.played)
+            table = self.cfg.params.state_table
+            chance = np.where(bad, table.use_given_bad[self.played], table.use_given_good[self.played])
+            users = first_fails + _binomial(rng, np.where(bad, self.players - upto, self.players), chance)
+            if self.cfg.punishment_mode == SENIORITY:
+                fired = first_fails.astype(np.int64)
+        if self.cfg.punishment_mode == UNIFORM_RANDOM:
+            fired = _binomial(rng, np.where(bad, users, 0), self.policy_gamma)
+        return states, users, fired
 
     @cached_property
     def state_counts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -321,11 +317,11 @@ class _EpisodeKernel:
         """Each trial's row, and each row's bad-technology flag and ``counted`` statistics.
 
         Rows 0 to 3 hold the states of ``STATES``, then a row per trial that plays alone: a failure under random
-        firing, and every trial read on independent signals.  Each block's rows are counted together, the states
-        with the first's, so temporaries stay small.
+        firing, and every trial read on independent signals.  The states are counted once, then each block's lone
+        rows together, so temporaries stay small.
         """
-        head = [(np.arange(len(STATES)), *self.state_counts)]
-        parts, which, rows = [], [], len(STATES)
+        bad = np.arange(len(STATES)) >= 2
+        parts, which, rows = [(bad, *self.counted(bad, *self.state_counts))], [], len(STATES)
         for first in range(0, trials, TRIAL_BLOCK):
             states, users, fired = self.block(seed, first // TRIAL_BLOCK)
             states = states[: trials - first]
@@ -335,11 +331,8 @@ class _EpisodeKernel:
             row[lone] = rows + np.arange(len(lone))
             rows += len(lone)
             which.append(row)
-            lone_rows = (states[lone], users[lone], fired[lone])
-            states, users, fired = (np.concatenate(chunks) for chunks in zip(*head, lone_rows))
-            head = []
-            bad = states >= 2
-            parts.append((bad, *self.counted(bad, users, fired)))
+            bad = states[lone] >= 2
+            parts.append((bad, *self.counted(bad, users[lone], fired[lone])))
         bad, *counted = (np.concatenate(part) for part in zip(*parts))
         return np.concatenate(which), bad, counted
 
@@ -566,8 +559,10 @@ def _common_signal_row_of_agent(codes: np.ndarray) -> np.ndarray:
     before it.  Holds with no failure too (the bound is then ``m``).
     """
     right, wrong = _first_failures(codes)
-    at = np.arange(len(codes))
-    return 2 * (at <= right) + (at <= wrong)
+    rows = np.zeros(len(codes), dtype=np.int8)
+    rows[: right + 1] += 2
+    rows[: wrong + 1] += 1
+    return rows
 
 
 def _deviation_payoff_table(cfg: SimConfig, codes: np.ndarray, policy_gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -594,9 +589,10 @@ def _deviation_payoff_table(cfg: SimConfig, codes: np.ndarray, policy_gamma: flo
     # technology, so the chance no lower-indexed agent fails is a prefix product
     prefix = np.ones(m)
     prefix[1:] = _spared(p, codes[:-1])
-    fired_prob = ((1.0 - p.pi) * p.state_table.use_given_bad)[None, :] * prefix[:, None]
+    fails = (1.0 - p.pi) * p.state_table.use_given_bad
     base = _expected_wages(p, cfg.compensation) - np.where(_EFFORT, p.c, 0.0)
-    return base + p.v_c * (1.0 - fired_prob), np.arange(m)
+    # built strategy by strategy: each row maximum then reads six contiguous lines
+    return (base[:, None] + p.v_c * (1.0 - fails[:, None] * prefix)).T, np.arange(m)
 
 
 def expected_strategy_payoffs(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float) -> dict[str, float]:
@@ -708,8 +704,10 @@ def _table_switches(
     rows, row_of_agent = _deviation_payoff_table(cfg, codes, policy_gamma)
     positions = np.flatnonzero(_unhappy(rows)[row_of_agent[start:], codes[start:]])
     row, code = row_of_agent[start + positions], codes[start + positions]
-    gain = rows[row].max(1) - rows[row, code]
-    return (start + positions).tolist(), rows.argmax(1)[row].tolist(), gain.tolist()
+    # only the switchers' rows: under independent signals the table has one per agent
+    switcher_rows = rows[row]
+    gain = switcher_rows.max(1) - rows[row, code]
+    return (start + positions).tolist(), switcher_rows.argmax(1).tolist(), gain.tolist()
 
 
 class _SharedRows:

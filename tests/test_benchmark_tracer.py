@@ -33,7 +33,14 @@ for argv in {commands!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(shirklab.cli.main(argv))
 metrics = layer_metrics(tracer.spans)
-print(json.dumps({{"codes": codes, "rows": metrics["sweeps.rows"], "rounds": metrics["simulation.unravel_rounds"]}}))
+print(json.dumps({{
+    "codes": codes,
+    "rows": metrics["sweeps.rows"],
+    "rounds": metrics["simulation.unravel_rounds"],
+    "builds": metrics["equilibrium.curve_build.calls"],
+    "validations": metrics["equilibrium.curve_validate.calls"],
+    "masked_arrays": "numpy.ma" in sys.modules,
+}}))
 """
 
 
@@ -54,3 +61,8 @@ def test_every_subcommand_runs_under_the_benchmark_tracer(tmp_path):
     # the 5-point h sweep, and the seniority arm's unraveling past h_tilde
     assert result["rows"] == 5
     assert result["rounds"] > 0
+    # one curve per command, each validated by its constructor
+    assert result["builds"] == len(commands)
+    assert result["validations"] == result["builds"]
+    # importing numpy.ma would cost every benchmark child 9-19 ms and about 1.3 MB of RSS
+    assert not result["masked_arrays"]

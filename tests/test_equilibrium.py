@@ -202,6 +202,25 @@ class TestReplacementCostCurve:
         stored[:] = 5.0
         assert curve.values.tolist() == np.linspace(0.0, 2.0, 11).tolist()
 
+    def test_every_builder_validates_its_curve_once(self, tmp_path):
+        path = tmp_path / "costs.txt"
+        path.write_text("0.5 3.0\n0.1 1.0\n")
+        parent = ReplacementCostCurve.linear(2.0, 10)
+        builders = {
+            "from_function": lambda: ReplacementCostCurve.from_function(lambda z: 1.0 - z, 10),
+            "linear": lambda: ReplacementCostCurve.linear(2.0, 10),
+            "power": lambda: ReplacementCostCurve.power(2.0, 1.5, 10),
+            "constant": lambda: ReplacementCostCurve.constant(2.0, 10),
+            "from_samples": lambda: ReplacementCostCurve.from_samples([3.0, 1.0]),
+            "from_file": lambda: ReplacementCostCurve.from_file(str(path)),
+            "scaled": lambda: parent.scaled(3.0),
+        }
+        for name, build in builders.items():
+            validate = ReplacementCostCurve.validate
+            with mock.patch.object(ReplacementCostCurve, "validate", autospec=True, side_effect=validate) as spy:
+                curve = build()
+            assert [call.args for call in spy.call_args_list] == [(curve,)], name
+
     def test_tampered_curve_fails_validation(self, linear_curve):
         with pytest.raises(InvalidCurveError, match="not sorted"):
             ReplacementCostCurve(values=linear_curve.values[::-1].copy(), kind="nodes")

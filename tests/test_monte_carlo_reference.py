@@ -518,6 +518,17 @@ def test_a_shorter_run_is_a_prefix_of_a_longer_one(signal, kind, tmp_path):
     assert longest[: len(middle)] == middle
 
 
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+@pytest.mark.parametrize("count", [7, np.array([[0, 3, 9], [5, 2, 1]])], ids=["scalar", "array"])
+def test_a_certain_binomial_draws_nothing(rate, count):
+    # a block calls _binomial at random firing's rate whatever it is, so at 0 or 1 the stream must not move
+    rng = np.random.default_rng(2026)
+    before = rng.bit_generator.state
+    got = simulation._binomial(rng, count, rate)
+    assert rng.bit_generator.state == before
+    assert np.array_equal(got, count if rate == 1.0 else np.zeros_like(count))
+
+
 @pytest.mark.parametrize("firing", ["uniform_random", "seniority"])
 def test_matched_arms_share_the_adopters_with_independent_signals(firing):
     # the adopters are drawn before, and apart from, the firing rule

@@ -140,7 +140,7 @@ def _common_signal_rows(p: ModelParams, compensation: str) -> np.ndarray:
 def _common_signal_row_of_agent(codes: np.ndarray) -> np.ndarray:
     """Each access agent's row of ``_common_signal_rows`` given the others' codes."""
     m = len(codes)
-    row = np.zeros(m, dtype=np.intp)
+    row = np.zeros(m, dtype=np.int8)
     for bit, wrong in ((2, False), (1, True)):
         # in the bad state the signal reads good exactly when it is wrong
         failing = _ADOPTS[int(wrong)][codes]
