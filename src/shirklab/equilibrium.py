@@ -32,6 +32,7 @@ from .model import (
     _fmt,
     _gamma_bar,
     _quotient,
+    _research_gain,
     agent_payoff,
     gamma_bar,
     require_admissible,
@@ -315,17 +316,16 @@ def _check_nonnegative(raw: np.ndarray, grid: np.ndarray | None) -> None:
 def credibility_slope(p: ModelParams) -> float:
     """Slope of the punishment-worthwhile condition in the technology reach.
 
-    Per unit of reach, deterring shirking is worth
-    (1-pi)(1-eps) - pi*eps*g in expected output, while the replacement
-    bill is paid only in the failure state, which has probability
-    (1-pi)*eps.  The condition "slope * h >= r(gamma_bar * h)" compares
-    the two.  With eps = 0 punishment is never actually carried out in
-    an effort equilibrium, so the slope is infinite; so it is when a
+    Per unit of reach, deterring shirking is worth the research gain
+    (1-pi)(1-eps) - pi*eps*g in expected output (``model._research_gain``),
+    while the replacement bill is paid only in the failure state, which has
+    probability (1-pi)*eps.  The condition "slope * h >= r(gamma_bar * h)"
+    compares the two.  With eps = 0 punishment is never actually carried
+    out in an effort equilibrium, so the slope is infinite; so it is when a
     subnormal eps rounds the probability to 0.0, as the correctly rounded
     quotient of the positive gain.  ``p``'s primitives may be arrays.
     """
-    gain = (1.0 - p.pi) * (1.0 - p.eps) - p.pi * p.eps * p.g
-    return _quotient(gain, (1.0 - p.pi) * p.eps, math.inf)
+    return _quotient(_research_gain(p), (1.0 - p.pi) * p.eps, math.inf)
 
 
 def punish_feasible(h, p: ModelParams, curve: ReplacementCostCurve):
@@ -482,11 +482,6 @@ def expected_output(h, regime: str, p: ModelParams):
     if regime == SHIRK:
         return (1.0 - h) + h * p.pi * (1.0 + p.g)
     raise ValueError(f"regime must be 'effort' or 'shirk', got {regime!r}")
-
-
-def _drop_per_reach(p: ModelParams) -> float:
-    """Output lost per unit of reach that shirks instead of researching; reach h loses h times it."""
-    return (1.0 - p.eps) * (1.0 - p.pi) - p.pi * p.g * p.eps
 
 
 @dataclass(frozen=True)

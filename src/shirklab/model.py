@@ -52,6 +52,11 @@ def _signal_good_prob(p) -> float:
     return p.pi * (1.0 - p.eps) + (1.0 - p.pi) * p.eps
 
 
+def _research_gain(p) -> float:
+    """Output research adds over blind adoption per worker with access; ``p``'s primitives may be arrays."""
+    return (1.0 - p.pi) * (1.0 - p.eps) - p.pi * p.eps * p.g
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The six model primitives.
@@ -214,7 +219,8 @@ def validate_params(p: ModelParams) -> ValidationReport:
     growth_window_low / growth_window_high -- the signal is worth
         following only if eps/(1-eps) < g < (1-eps)/eps (both strict).
     research_efficiency -- effort is socially worthwhile:
-        c < (1-pi)(1-eps) - pi*eps*g (strict).
+        c < (1-pi)(1-eps) - pi*eps*g (strict), its slack
+        ``_research_gain(p) - c``.
     effort_inducible -- certain punishment can induce effort:
         v_c >= [c + (1 - pi(1-eps) - (1-pi)eps) w] / [(1-pi)(1-eps)],
         which also caps the minimal punishment rate at 1.
@@ -226,7 +232,7 @@ def validate_params(p: ModelParams) -> ValidationReport:
     """
     low = p.eps / (1.0 - p.eps)
     high = _quotient(1.0 - p.eps, p.eps, math.inf)
-    efficiency_slack = (1.0 - p.pi) * (1.0 - p.eps) - p.pi * p.eps * p.g - p.c
+    efficiency_slack = _research_gain(p) - p.c
     v_c_bound = (p.c + (1.0 - _signal_good_prob(p)) * p.w) / ((1.0 - p.pi) * (1.0 - p.eps))
     checks = (
         CheckResult("growth_window_low", p.g > low, p.g - low),

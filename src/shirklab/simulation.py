@@ -45,7 +45,6 @@ import math
 import re
 from dataclasses import dataclass, replace as dc_replace
 from functools import cached_property
-from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
@@ -97,6 +96,9 @@ class SimConfig:
     punishment_mode: str = UNIFORM_RANDOM
 
     def __post_init__(self) -> None:
+        for name in ("n_agents", "n_trials", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise InvalidParamsError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 1 <= self.n_agents <= MAX_AGENTS:
             raise InvalidParamsError(f"n_agents must lie in [1, {MAX_AGENTS}], got {self.n_agents}")
         if not 1 <= self.n_trials <= MAX_TRIALS:
@@ -570,9 +572,9 @@ def _deviation_payoff_table(cfg: SimConfig, codes: np.ndarray, policy_gamma: flo
 
     ``codes`` are the access agents' strategy codes.  Returns ``(rows,
     row_of_agent)``: access agent i's payoffs are ``rows[row_of_agent[i]]``.
-    There is one row under ``uniform_random`` firing, at most four under
-    seniority firing with common signals, and one per agent with
-    independent signals.
+    There is one row under ``uniform_random`` firing and at most four under
+    seniority firing with common signals, each indexed by one int8 per
+    agent, and one per agent with independent signals, indexed by ``arange``.
 
     Analytic expectations over quality, signals, and the firing rule; no
     sampling, so deviation gains carry no Monte Carlo noise.
@@ -581,7 +583,7 @@ def _deviation_payoff_table(cfg: SimConfig, codes: np.ndarray, policy_gamma: flo
     if cfg.punishment_mode == UNIFORM_RANDOM:
         # firing is independent across agents, so payoffs decouple
         row = np.array([agent_payoff(s, policy_gamma, p, cfg.compensation) for s in ALL_STRATEGIES])
-        return row[None, :], np.zeros(m, dtype=np.intp)
+        return row[None, :], np.zeros(m, dtype=np.int8)
     if cfg.signal_correlation == COMMON:
         return _common_signal_rows(p, cfg.compensation), _common_signal_row_of_agent(codes)
 
@@ -670,7 +672,7 @@ class BestResponseTrace:
 
     ``initial`` is the starting profile and ``final`` the profile after the last round.  ``agents`` holds every
     switched access agent in round order and ``new_codes`` the strategy code it switched to; round k+1's switches
-    are entries ``offsets[k]`` to ``offsets[k + 1]``, so the record takes O(n + switches) memory in three arrays.
+    are the slices ``offsets[k]:offsets[k + 1]`` of both, so the record takes O(n + switches) in three arrays.
     ``converged`` is False only if the round cap was hit, which is reported rather than raised so a failing
     dynamic can be inspected as a counterexample.
     """
@@ -685,16 +687,6 @@ class BestResponseTrace:
     @property
     def rounds(self) -> int:
         return len(self.offsets) - 1
-
-    @property
-    def changed(self) -> list[list[int]]:
-        """Each round's switched agents, built on demand."""
-        return [self.agents[low:high].tolist() for low, high in pairwise(self.offsets.tolist())]
-
-    @property
-    def switched_to(self) -> list[np.ndarray]:
-        """Each round's new codes, as views of ``new_codes``."""
-        return [self.new_codes[low:high] for low, high in pairwise(self.offsets.tolist())]
 
 
 def _table_switches(
@@ -817,8 +809,11 @@ def iterated_best_response(
     run in one step (``_SharedRows.jump``).  Otherwise each later round reads the full table again from the agent
     after the lowest switcher on, which costs O(n) vectorized work: with independent signals a switch moves the
     row of every agent after it, and under uniform random firing no row moves, so round 2 finds no switch.  The
-    round cap, ``10 * n_agents`` or ``max_rounds``, stops a jump too; a negative ``max_rounds`` is refused.
+    round cap, ``10 * n_agents`` or ``max_rounds``, stops a jump too; a ``max_rounds`` that is not an integer, or
+    is negative, is refused before any round.
     """
+    if max_rounds is not None and not isinstance(max_rounds, (int, np.integer)):
+        raise TypeError(f"max_rounds must be an integer, got {max_rounds!r}")
     if max_rounds is not None and max_rounds < 0:
         raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
     codes = bytearray(_access_codes(cfg, initial).tobytes())
@@ -882,8 +877,8 @@ class ScenarioResult:
     result: SimResult
     target_output: float
     target_welfare: float
-    unraveling_rounds: int | None = None
-    converged: bool | None = None
+    unraveling_rounds: int | None
+    converged: bool | None
 
     def summary(self) -> str:
         status = "equilibrium" if self.deviation_count == 0 else f"{self.deviation_count} deviations"

@@ -26,13 +26,12 @@ from .equilibrium import (
     TOL,
     ReplacementCostCurve,
     _bisect_thresholds,
-    _drop_per_reach,
     credibility_slope,
     expected_output,
     policy,
     solve_threshold,
 )
-from .model import _RANGES, ModelParams, _fmt, _gamma_bar, _range_message, validate_params
+from .model import _RANGES, ModelParams, _fmt, _gamma_bar, _range_message, _research_gain, validate_params
 
 SWEEPABLE_PARAMETERS = ("h", "pi", "eps", "g", "c", "w", "v_c", "curve_scale")
 
@@ -174,10 +173,10 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
         solved = in_range[failed == 0]
         if not scaled:
             setattr(point, parameter, values[solved])
-        terms = (_gamma_bar(point), credibility_slope(point), _drop_per_reach(point))
+        terms = (_gamma_bar(point), credibility_slope(point), _research_gain(point))
         rate, slope, drop = (np.broadcast_to(term, solved.shape) for term in terms)
     h_tilde = _bisect_thresholds(curve, rate, slope, values[solved] if scaled else None)[0]
-    # None at every unsolved point; a drop is the solved h_tilde times the drop per reach
+    # None at every unsolved point; a drop is the solved h_tilde times the research gain it forgoes
     gammas, h_tildes, drops = cells = np.full((3, len(values)), None, dtype=object)
     cells[:, solved] = (rate, h_tilde, h_tilde * drop)
     # the reasons carry only the texts some point uses

@@ -7,12 +7,13 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from shirklab.equilibrium import ReplacementCostCurve, _drop_per_reach, _require_unit  # noqa: E402
+from shirklab.equilibrium import ReplacementCostCurve, _require_unit  # noqa: E402
 from shirklab.model import (  # noqa: E402
     ALL_STRATEGIES,
     PAYOFF_TIE_TOL,
     PROSPECTIVE,
     ModelParams,
+    _research_gain,
     agent_payoff,
     validate_params,
 )
@@ -33,10 +34,11 @@ def output_drop(h, p: ModelParams):
     """Output lost when reach ``h`` of workers shirk instead of researching; ``h`` is a float or an array.
 
     An oracle for the sweeps' ``drop_at_h_tilde`` column, which multiplies
-    the solved h_tilde by ``_drop_per_reach`` itself.
+    the solved h_tilde by ``model._research_gain`` itself: each unit of reach
+    that shirks forgoes the output research adds, (1-pi)(1-eps) - pi*eps*g.
     """
     _require_unit(h, "h")
-    return h * _drop_per_reach(p)
+    return h * _research_gain(p)
 
 
 def best_response(gamma, p, comp=PROSPECTIVE):
@@ -129,11 +131,23 @@ def draw_curve(rng: np.random.Generator, resolution: int = 4000) -> ReplacementC
     return ReplacementCostCurve.from_samples(base + rng.uniform(0.0, swing, size=n_samples))
 
 
+def switched_agents(trace) -> list[list[int]]:
+    """Each round's switched agents of a ``BestResponseTrace``, as Python ints."""
+    bounds = trace.offsets.tolist()
+    return [trace.agents[low:high].tolist() for low, high in zip(bounds, bounds[1:])]
+
+
+def switched_codes(trace) -> list[np.ndarray]:
+    """Each round's new codes of a ``BestResponseTrace``, as views of its ``new_codes``."""
+    bounds = trace.offsets.tolist()
+    return [trace.new_codes[low:high] for low, high in zip(bounds, bounds[1:])]
+
+
 def trace_profiles(trace) -> list[StrategyProfile]:
     """The profile before the first round and after every round of a ``BestResponseTrace``."""
     codes = trace.initial.codes.copy()
     profiles = [StrategyProfile(codes.copy())]
-    for positions, new_codes in zip(trace.changed, trace.switched_to):
+    for positions, new_codes in zip(switched_agents(trace), switched_codes(trace)):
         codes[positions] = new_codes
         profiles.append(StrategyProfile(codes.copy()))
     return profiles

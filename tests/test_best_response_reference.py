@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_POINTS, trace_profiles
+from conftest import REFERENCE_POINTS, switched_agents, switched_codes, trace_profiles
 from shirklab import simulation
 from shirklab.equilibrium import ReplacementCostCurve
 from shirklab.model import ALL_STRATEGIES, PAYOFF_TIE_TOL, AgentStrategy, ModelParams, agent_payoff
@@ -210,10 +210,10 @@ def assert_matches_the_vectorized_loop(cfg, initial, max_rounds=None):
     trace = iterated_best_response(cfg, initial, max_rounds)
     changed, switched_to, converged, final = vectorized_best_response(cfg, initial, max_rounds)
     assert trace.initial is initial
-    assert trace.changed == changed
-    assert all(type(at) is int for positions in trace.changed for at in positions)
-    assert len(trace.switched_to) == len(switched_to)
-    for got, want in zip(trace.switched_to, switched_to):
+    assert switched_agents(trace) == changed
+    assert all(type(at) is int for positions in switched_agents(trace) for at in positions)
+    assert len(switched_codes(trace)) == len(switched_to)
+    for got, want in zip(switched_codes(trace), switched_to):
         assert got.dtype == np.int8 and got.tolist() == want.tolist()
     assert trace.converged == converged
     assert trace.rounds == len(changed)
@@ -268,7 +268,7 @@ def _labelled_back(profile, order):
 
 def _trace_in_agent_labels(trace, order):
     """The package trace's changed agents and profiles, in the reference's agent labels."""
-    changed = [sorted(int(order[j]) for j in switched) for switched in trace.changed]
+    changed = [sorted(int(order[j]) for j in switched) for switched in switched_agents(trace)]
     return changed, [_labelled_back(profile, order) for profile in trace_profiles(trace)]
 
 
@@ -384,7 +384,7 @@ def test_the_full_table_is_reread_from_after_the_lowest_switcher(case):
     if cfg.punishment_mode == "seniority" and cfg.signal_correlation == "common":
         assert starts == [0]
     else:
-        assert starts == [0] + [min(switched) + 1 for switched in trace.changed]
+        assert starts == [0] + [min(switched) + 1 for switched in switched_agents(trace)]
     if cfg.punishment_mode == "uniform_random":
         # no row moves, so the reread after round 1 finds no switch
         assert trace.rounds <= 1 and len(starts) == 1 + trace.rounds

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_POINTS, best_response, draw_params, trace_profiles
+from conftest import REFERENCE_POINTS, best_response, draw_params, switched_agents, switched_codes, trace_profiles
 from shirklab import simulation
 from shirklab.equilibrium import EFFORT, SHIRK, ReplacementCostCurve, expected_output
 from shirklab.errors import ContractViolationError, InvalidParamsError
@@ -80,6 +81,20 @@ class TestSimConfig:
         with pytest.raises(InvalidParamsError, match=f"{field} must lie in \\[1, {cap}\\]"):
             make_cfg(p0, **{field: above})
         assert getattr(make_cfg(p0, **{field: cap}), field) == cap
+
+    @pytest.mark.parametrize("field", ["n_agents", "n_trials", "seed"])
+    @pytest.mark.parametrize("value", [10.0, 2.5, np.float64(5.0), "10"])
+    def test_a_size_or_seed_that_is_not_an_integer_is_rejected(self, p0, field, value):
+        with pytest.raises(InvalidParamsError, match=re.escape(f"{field} must be an integer, got {value!r}") + "$"):
+            make_cfg(p0, **{field: value})
+
+    def test_numpy_integer_sizes_and_seeds_run_as_python_ints(self, p0):
+        curve = ReplacementCostCurve.linear(1000.0)
+        profile = StrategyProfile.symmetric(EFS, 10)
+        cfg = make_cfg(p0, n_agents=np.int64(10), n_trials=np.uint32(5), seed=np.uint64(2**64 - 1))
+        same = make_cfg(p0, n_agents=10, n_trials=5, seed=2**64 - 1)
+        assert cfg.access_count == 5
+        assert monte_carlo(cfg, profile, 0.0, curve) == monte_carlo(same, profile, 0.0, curve)
 
 
 class TestStrategyProfile:
@@ -323,6 +338,20 @@ class TestNashCheck:
         profile = StrategyProfile.symmetric(SU, cfg.n_agents)
         assert nash_check(cfg, profile, 0.0) == []
 
+    def test_uniform_random_firing_indexes_its_one_row_with_a_byte_per_agent(self, p0):
+        # the check traced 8.6 MiB at 10^6 agents with intp row indices, and traces 2.0 MiB with int8
+        n = 10**6
+        cfg = make_cfg(p0, n_agents=n, n_trials=1, h=1.0)
+        profile = StrategyProfile.symmetric(EFS, n)
+        tracemalloc.start()
+        try:
+            deviations = nash_check(cfg, profile, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert deviations == []
+        assert peak < 4 * 2**20
+
     def test_research_above_the_threshold_rate_is_nash(self, p0):
         cfg = make_cfg(p0, n_agents=200)
         profile = StrategyProfile.symmetric(EFS, cfg.n_agents)
@@ -465,7 +494,7 @@ class TestIteratedBestResponse:
     def test_one_agent_flips_per_round_in_seniority_order(self, p0):
         cfg = SimConfig(params=p0, n_agents=6, n_trials=1, seed=0, h=1.0, punishment_mode="seniority")
         trace = iterated_best_response(cfg, StrategyProfile.symmetric(SU, 6))
-        assert trace.changed == [[0], [1], [2], [3], [4], [5]]
+        assert switched_agents(trace) == [[0], [1], [2], [3], [4], [5]]
 
     def test_fixed_point_detected_immediately(self, p0):
         cfg = SimConfig(params=p0, n_agents=10, n_trials=1, seed=0, h=1.0, punishment_mode="seniority")
@@ -480,8 +509,8 @@ class TestIteratedBestResponse:
         start = StrategyProfile.symmetric(SU, 8)
         trace = iterated_best_response(cfg, start)
         assert trace.initial == start
-        assert trace.changed == [[0], [1], [2], [3]]
-        assert [codes.tolist() for codes in trace.switched_to] == [[int(EFS)]] * 4
+        assert switched_agents(trace) == [[0], [1], [2], [3]]
+        assert [codes.tolist() for codes in switched_codes(trace)] == [[int(EFS)]] * 4
         profiles = trace_profiles(trace)
         assert len(profiles) == trace.rounds + 1 == 5
         for k, profile in enumerate(profiles):
@@ -495,6 +524,19 @@ class TestIteratedBestResponse:
         trace = iterated_best_response(cfg, StrategyProfile.symmetric(SU, 10), max_rounds=3)
         assert not trace.converged
         assert trace.rounds == 3
+
+    @pytest.mark.parametrize("max_rounds", [2.5, 3.0, np.float64(3.0), "3"])
+    def test_a_round_cap_that_is_not_an_integer_is_rejected_before_any_round(self, p0, max_rounds):
+        cfg = SimConfig(params=p0, n_agents=10, n_trials=1, seed=0, h=1.0, punishment_mode="seniority")
+        with mock.patch.object(simulation, "_table_switches", wraps=simulation._table_switches) as table:
+            with pytest.raises(TypeError, match=re.escape(f"max_rounds must be an integer, got {max_rounds!r}") + "$"):
+                iterated_best_response(cfg, StrategyProfile.symmetric(SU, 10), max_rounds=max_rounds)
+        assert not table.called
+
+    def test_a_numpy_integer_round_cap_is_accepted(self, p0):
+        cfg = SimConfig(params=p0, n_agents=10, n_trials=1, seed=0, h=1.0, punishment_mode="seniority")
+        trace = iterated_best_response(cfg, StrategyProfile.symmetric(SU, 10), max_rounds=np.int64(3))
+        assert (trace.rounds, trace.converged) == (3, False)
 
     @pytest.mark.parametrize("max_rounds", [-1, -437])
     def test_a_negative_round_cap_is_rejected(self, p0, max_rounds):
@@ -528,8 +570,8 @@ class TestIteratedBestResponse:
         cfg = SimConfig(params=p0, n_agents=n, n_trials=1, seed=0, h=0.5, punishment_mode="seniority")
         trace = iterated_best_response(cfg, StrategyProfile.symmetric(SU, n))
         assert trace.rounds == 16000
-        assert trace.changed == [[k] for k in range(16000)]
-        assert all(codes.dtype == np.int8 and codes.tolist() == [int(EFS)] for codes in trace.switched_to)
+        assert switched_agents(trace) == [[k] for k in range(16000)]
+        assert all(codes.dtype == np.int8 and codes.tolist() == [int(EFS)] for codes in switched_codes(trace))
         assert trace.converged
         assert (trace.final.codes[:16000] == int(EFS)).all()
         assert (trace.final.codes[16000:] == int(SU)).all()

@@ -2,7 +2,10 @@
 
 The references below are the package's closed forms as they were written
 before the state table existed, each spelling the (quality, reading)
-states out itself, copied verbatim.  The new forms must give the same
+states out itself, copied verbatim but for one dtype: the few-row
+deviation tables, under uniform random firing and under seniority firing
+with common signals, index each agent's row with one int8, as the package
+does, where the originals used intp.  The new forms must give the same
 float, sign of zero included, so values are compared by ``repr``.  The
 parameters cover the admissible region and every in-range corner the
 closed forms accept without checking admissibility: eps = 0 and 1/2, pi
@@ -162,7 +165,7 @@ def _deviation_payoff_table(
         row = np.array(
             [agent_payoff(s, policy_gamma, p, cfg.compensation) for s in ALL_STRATEGIES]
         )
-        return row[None, :], np.zeros(m, dtype=np.intp)
+        return row[None, :], np.zeros(m, dtype=np.int8)
     if cfg.signal_correlation == COMMON:
         return _common_signal_rows(p, cfg.compensation), _common_signal_row_of_agent(codes)
 

@@ -6,20 +6,22 @@ import io
 import math
 import os
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import column, draw_params, output_drop, recording_cumulate
 from shirklab import equilibrium, model, sweeps
 from shirklab.cli import main
-from shirklab.equilibrium import EFFORT, SHIRK, TOL, ReplacementCostCurve, solve_threshold
+from shirklab.equilibrium import EFFORT, SHIRK, TOL, ReplacementCostCurve, credibility_slope, solve_threshold
 from shirklab.errors import InvalidCurveError, InvalidParamsError
 from shirklab.model import ModelParams, _fmt, gamma_bar, validate_params
 from shirklab.sweeps import Labels, Table, emit_csv, make_grid, sweep_h, sweep_param
+from test_state_table import CORNERS, params
 
 
 def read_csv(path: str) -> tuple[tuple[str, ...], list[tuple]]:
@@ -810,3 +812,39 @@ def test_make_grid_caps_the_point_count_before_building(monkeypatch):
 def test_grid_size_counts_the_points_without_building_them(start, stop, step, size):
     # the config check reads only the count, so a reversed range must give 0, never a negative
     assert sweeps.grid_size(start, stop, step) == size == len(make_grid(start, stop, step))
+
+
+def _gain(p) -> float:
+    """Research's output gain per worker with access, written out here as the oracle."""
+    return (1 - p.pi) * (1 - p.eps) - p.pi * p.eps * p.g
+
+
+_SWEEP_CURVE = ReplacementCostCurve.linear(1000.0)
+
+
+@settings(max_examples=60, deadline=None)
+# a drop read as (1-eps)(1-pi) - pi*g*eps was 0.34099999999999997 here, not 0.341
+@example(points=[ModelParams(pi=0.6, eps=0.05, g=1.3, c=0.01, w=0.05, v_c=1.0)])
+@example(points=list(CORNERS))
+@given(points=st.lists(params, min_size=1, max_size=4))
+def test_the_slack_the_slope_and_the_drop_read_one_research_gain_float(points):
+    gains = [_gain(p) for p in points]
+    slopes = []
+    for p, gain in zip(points, gains):
+        denominator = (1.0 - p.pi) * p.eps
+        slopes.append(math.inf if denominator == 0.0 else gain / denominator)
+        assert repr(validate_params(p).checks[2].slack) == repr(gain - p.c)
+        assert repr(credibility_slope(p)) == repr(slopes[-1])
+    arrays = SimpleNamespace(**{name: np.array([getattr(p, name) for p in points]) for name in model._RANGES})
+    with np.errstate(all="ignore"):
+        slack, slope = validate_params(arrays).checks[2].slack, credibility_slope(arrays)
+    assert repr(slack.tolist()) == repr([gain - p.c for p, gain in zip(points, gains)])
+    assert repr(slope.tolist()) == repr(slopes)
+    # each point swept as one grid value of each primitive, the others taken from another point
+    for base in points:
+        for parameter in ("pi", "eps", "g"):
+            values = [getattr(p, parameter) for p in points]
+            table = sweep_param(parameter, base, _SWEEP_CURVE, values)
+            for value, h_tilde, drop in zip(values, column(table, "h_tilde"), column(table, "drop_at_h_tilde")):
+                if drop is not None:
+                    assert repr(drop) == repr(h_tilde * _gain(dataclasses.replace(base, **{parameter: value})))
