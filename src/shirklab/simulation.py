@@ -96,15 +96,14 @@ class SimConfig:
     punishment_mode: str = UNIFORM_RANDOM
 
     def __post_init__(self) -> None:
-        for name in ("n_agents", "n_trials", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise InvalidParamsError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not 1 <= self.n_agents <= MAX_AGENTS:
-            raise InvalidParamsError(f"n_agents must lie in [1, {MAX_AGENTS}], got {self.n_agents}")
-        if not 1 <= self.n_trials <= MAX_TRIALS:
-            raise InvalidParamsError(f"n_trials must lie in [1, {MAX_TRIALS}], got {self.n_trials}")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidParamsError("seed must be a nonnegative 64-bit integer")
+        for name, low, high in (("n_agents", 1, MAX_AGENTS), ("n_trials", 1, MAX_TRIALS), ("seed", 0, 2**64 - 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+            if not low <= value <= high:
+                raise InvalidParamsError(f"{name} must lie in [{low}, {high}], got {value}")
+        if isinstance(self.h, bool) or not isinstance(self.h, (int, float, np.integer, np.floating)):
+            raise InvalidParamsError(f"h must be a number, got {self.h!r}")
         if not 0.0 <= self.h <= 1.0:
             raise InvalidParamsError(f"h must lie in [0, 1], got {self.h}")
         for name, choices in (
@@ -573,8 +572,9 @@ def _deviation_payoff_table(cfg: SimConfig, codes: np.ndarray, policy_gamma: flo
     ``codes`` are the access agents' strategy codes.  Returns ``(rows,
     row_of_agent)``: access agent i's payoffs are ``rows[row_of_agent[i]]``.
     There is one row under ``uniform_random`` firing and at most four under
-    seniority firing with common signals, each indexed by one int8 per
-    agent, and one per agent with independent signals, indexed by ``arange``.
+    seniority firing with common signals, indexed by one int8 per agent;
+    with independent signals one per run of equal ``prefix`` values,
+    indexed by the smallest unsigned type that counts the runs.
 
     Analytic expectations over quality, signals, and the firing rule; no
     sampling, so deviation gains carry no Monte Carlo noise.
@@ -587,14 +587,16 @@ def _deviation_payoff_table(cfg: SimConfig, codes: np.ndarray, policy_gamma: flo
     if cfg.signal_correlation == COMMON:
         return _common_signal_rows(p, cfg.compensation), _common_signal_row_of_agent(codes)
 
-    # independent signals: failures are independent across agents given a bad
-    # technology, so the chance no lower-indexed agent fails is a prefix product
+    # independent signals: given a bad technology, the chance no lower-indexed agent fails is a prefix product
     prefix = np.ones(m)
     prefix[1:] = _spared(p, codes[:-1])
+    # prefix never increases, so each run of equal values shares one row
+    changes = prefix[1:] != prefix[:-1]
+    row_of_agent = np.zeros(m, dtype=np.min_scalar_type(np.count_nonzero(changes)))
+    np.cumsum(changes, out=row_of_agent[1:])
     fails = (1.0 - p.pi) * p.state_table.use_given_bad
     base = _expected_wages(p, cfg.compensation) - np.where(_EFFORT, p.c, 0.0)
-    # built strategy by strategy: each row maximum then reads six contiguous lines
-    return (base[:, None] + p.v_c * (1.0 - fails[:, None] * prefix)).T, np.arange(m)
+    return base + p.v_c * (1.0 - fails * np.concatenate((prefix[:1], prefix[1:][changes]))[:, None]), row_of_agent
 
 
 def expected_strategy_payoffs(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float) -> dict[str, float]:
@@ -603,7 +605,9 @@ def expected_strategy_payoffs(cfg: SimConfig, profile: StrategyProfile, policy_g
     Each access agent's payoff is its own-strategy entry of the deviation
     table, averaged over the agents playing that strategy: the exact
     counterpart of ``SimResult.per_strategy_payoff``.  Under uniform
-    random firing this is ``agent_payoff`` itself.
+    random firing this is ``agent_payoff`` itself.  Under seniority firing
+    with independent signals it sums one term per agent, as a per-agent
+    table did, so its digits stay; otherwise one weighted term per row.
     """
     codes = _access_codes(cfg, profile, policy_gamma)
     rows, row_of_agent = _deviation_payoff_table(cfg, codes, policy_gamma)
@@ -612,7 +616,11 @@ def expected_strategy_payoffs(cfg: SimConfig, profile: StrategyProfile, policy_g
     for code in np.flatnonzero(players):
         per_row = np.bincount(row_of_agent[codes == code], minlength=len(rows))
         used = np.flatnonzero(per_row)
-        payoffs[AgentStrategy(int(code)).label] = float(np.sum(rows[used, code] * (per_row[used] / players[code])))
+        if cfg.punishment_mode == SENIORITY and cfg.signal_correlation == INDEPENDENT:
+            terms = np.repeat(rows[used, code] * (1 / players[code]), per_row[used])
+        else:
+            terms = rows[used, code] * (per_row[used] / players[code])
+        payoffs[AgentStrategy(int(code)).label] = float(np.sum(terms))
     return payoffs
 
 
@@ -657,7 +665,7 @@ def nash_check(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float) ->
     codes = _access_codes(cfg, profile, policy_gamma)
     return [
         Deviation(agent=at, current=AgentStrategy(int(codes[at])), better=AgentStrategy(code), gain=gain)
-        for at, code, gain in zip(*_table_switches(cfg, codes, 0, policy_gamma))
+        for at, code, gain in zip(*_table_switches(cfg, codes, policy_gamma))
     ]
 
 
@@ -689,17 +697,13 @@ class BestResponseTrace:
         return len(self.offsets) - 1
 
 
-def _table_switches(
-    cfg: SimConfig, codes: np.ndarray, start: int, policy_gamma: float
-) -> tuple[list[int], list[int], list[float]]:
-    """The unhappy agents from ``start`` on, read off the full deviation table, with their best codes and gains."""
+def _table_switches(cfg: SimConfig, codes: np.ndarray, policy_gamma: float) -> tuple[list[int], list[int], list[float]]:
+    """The unhappy agents, with their best codes and gains, each taken once over the table's few rows."""
     rows, row_of_agent = _deviation_payoff_table(cfg, codes, policy_gamma)
-    positions = np.flatnonzero(_unhappy(rows)[row_of_agent[start:], codes[start:]])
-    row, code = row_of_agent[start + positions], codes[start + positions]
-    # only the switchers' rows: under independent signals the table has one per agent
-    switcher_rows = rows[row]
-    gain = switcher_rows.max(1) - rows[row, code]
-    return (start + positions).tolist(), switcher_rows.argmax(1).tolist(), gain.tolist()
+    agents = np.flatnonzero(_unhappy(rows)[row_of_agent, codes])
+    row, code = row_of_agent[agents], codes[agents]
+    gains = rows.max(1)[:, None] - rows
+    return agents.tolist(), rows.argmax(1)[row].tolist(), gains[row, code].tolist()
 
 
 class _SharedRows:
@@ -791,28 +795,25 @@ class _SharedRows:
         return rounds
 
 
-def iterated_best_response(
-    cfg: SimConfig, initial: StrategyProfile, max_rounds: int | None = None
-) -> BestResponseTrace:
+def iterated_best_response(cfg: SimConfig, initial: StrategyProfile, max_rounds: int | None = None) -> BestResponseTrace:
     """Iterate synchronous best responses until a fixed point.
 
     Intended for the seniority punishment mode, where the lowest-indexed member of any would-be shirking group
     prefers effort, flipping one agent per round, in index order, until everyone with access researches.  Agents
     keep their current strategy when it remains among the best responses.
 
-    Each round reads the exact deviation payoffs, but only of the agents whose payoff row moved: a switcher moves
-    to a best code of its row and every other agent was already happy with its row, so no one else can want to
-    switch.  Round 1 reads every agent off the full table.  Under seniority firing with common signals an agent's
-    row is fixed by two indices, the first agent failing in the bad state on a right and on a wrong signal, so
-    ``_SharedRows`` reads only the rows between an index's old and new value: a round costs O(switches + rows
-    moved).  A lone switch bound to repeat one agent up along a run of equal codes is played ahead for the whole
-    run in one step (``_SharedRows.jump``).  Otherwise each later round reads the full table again from the agent
-    after the lowest switcher on, which costs O(n) vectorized work: with independent signals a switch moves the
-    row of every agent after it, and under uniform random firing no row moves, so round 2 finds no switch.  The
-    round cap, ``10 * n_agents`` or ``max_rounds``, stops a jump too; a ``max_rounds`` that is not an integer, or
-    is negative, is refused before any round.
+    A switcher moves to a best code of its row and every other agent was already happy with its row, so only the
+    agents whose row moved can want to switch.  Round 1 reads every agent off the full table.  Under seniority
+    firing with common signals an agent's row is fixed by two indices, the first agent failing in the bad state on a
+    right and on a wrong signal, so ``_SharedRows`` reads only the rows between an index's old and new value: a
+    round costs O(switches + rows moved), and a lone switch bound to repeat one agent up along a run of equal codes
+    is played ahead for the whole run in one step (``_SharedRows.jump``).  Otherwise each later round rereads the
+    whole table, a few rows and a row index, in O(n) vectorized work: with independent signals a switch moves the
+    row of every agent after it, and under uniform random firing no row moves.  The round cap, ``10 * n_agents`` or
+    ``max_rounds``, stops a jump too; a ``max_rounds`` that is negative or not an integer (a bool is not one) is
+    refused before any round.
     """
-    if max_rounds is not None and not isinstance(max_rounds, (int, np.integer)):
+    if max_rounds is not None and (isinstance(max_rounds, bool) or not isinstance(max_rounds, (int, np.integer))):
         raise TypeError(f"max_rounds must be an integer, got {max_rounds!r}")
     if max_rounds is not None and max_rounds < 0:
         raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
@@ -821,10 +822,10 @@ def iterated_best_response(
     cap = 10 * cfg.n_agents if max_rounds is None else max_rounds
     # every switch's agent and new code in round order, and the switches made by the end of each round, from 0
     agents, new_codes, offsets = bytearray(), bytearray(), bytearray(8)
-    rounds, start = 0, 0
+    rounds = 0
     while rounds < cap:
         if shared is None or not rounds:
-            switched, best, _ = _table_switches(cfg, np.frombuffer(codes, dtype=np.int8), start, 0.0)
+            switched, best, _ = _table_switches(cfg, np.frombuffer(codes, dtype=np.int8), 0.0)
         else:
             switched, best = shared.switches(moved)
         if not switched:
@@ -837,7 +838,6 @@ def iterated_best_response(
         offsets += np.int64(len(new_codes)).data
         rounds += 1
         if shared is None:
-            start = switched[0] + 1
             continue
         moved = shared.moved(switched, best)
         jumped = len(switched) == 1 and shared.jump(switched[0], old, best[0], moved, cap - rounds)
@@ -934,7 +934,7 @@ def _scenario_run(
         gamma=gamma,
         profile_label=label,
         # the deviations nash_check would list, counted without building them
-        deviation_count=len(_table_switches(cfg, access_codes, 0, gamma)[0]),
+        deviation_count=len(_table_switches(cfg, access_codes, gamma)[0]),
         result=sim,
         target_output=targets["output"],
         target_welfare=targets["welfare"],

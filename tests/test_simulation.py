@@ -83,10 +83,24 @@ class TestSimConfig:
         assert getattr(make_cfg(p0, **{field: cap}), field) == cap
 
     @pytest.mark.parametrize("field", ["n_agents", "n_trials", "seed"])
-    @pytest.mark.parametrize("value", [10.0, 2.5, np.float64(5.0), "10"])
+    @pytest.mark.parametrize("value", [10.0, 2.5, np.float64(5.0), "10", True, False])
     def test_a_size_or_seed_that_is_not_an_integer_is_rejected(self, p0, field, value):
         with pytest.raises(InvalidParamsError, match=re.escape(f"{field} must be an integer, got {value!r}") + "$"):
             make_cfg(p0, **{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_a_seed_outside_64_bits_is_rejected(self, p0, seed):
+        with pytest.raises(InvalidParamsError, match=re.escape(f"seed must lie in [0, {2**64 - 1}], got {seed}") + "$"):
+            make_cfg(p0, seed=seed)
+
+    @pytest.mark.parametrize("value", ["0.5", None, True, False, np.True_])
+    def test_an_h_that_is_not_a_number_is_rejected(self, p0, value):
+        with pytest.raises(InvalidParamsError, match=re.escape(f"h must be a number, got {value!r}") + "$"):
+            make_cfg(p0, h=value)
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(1), 1, 0.5])
+    def test_numpy_and_python_numbers_are_accepted_as_h(self, p0, value):
+        assert make_cfg(p0, h=value).access_count == make_cfg(p0, h=float(value)).access_count
 
     def test_numpy_integer_sizes_and_seeds_run_as_python_ints(self, p0):
         curve = ReplacementCostCurve.linear(1000.0)
@@ -525,7 +539,7 @@ class TestIteratedBestResponse:
         assert not trace.converged
         assert trace.rounds == 3
 
-    @pytest.mark.parametrize("max_rounds", [2.5, 3.0, np.float64(3.0), "3"])
+    @pytest.mark.parametrize("max_rounds", [2.5, 3.0, np.float64(3.0), "3", True, False])
     def test_a_round_cap_that_is_not_an_integer_is_rejected_before_any_round(self, p0, max_rounds):
         cfg = SimConfig(params=p0, n_agents=10, n_trials=1, seed=0, h=1.0, punishment_mode="seniority")
         with mock.patch.object(simulation, "_table_switches", wraps=simulation._table_switches) as table:

@@ -5,12 +5,19 @@ before the state table existed, each spelling the (quality, reading)
 states out itself, copied verbatim but for one dtype: the few-row
 deviation tables, under uniform random firing and under seniority firing
 with common signals, index each agent's row with one int8, as the package
-does, where the originals used intp.  The new forms must give the same
+does, where the originals used intp.  Under seniority firing with
+independent signals the reference keeps one row per agent, indexed by
+``arange``, where the package keeps one row per run of equal prefixes, so
+the two are compared agent by agent, as ``rows[row_of_agent]``; the
+package's table reader and its strategy payoffs are held to per-agent
+readings of this reference table.  The new forms must give the same
 float, sign of zero included, so values are compared by ``repr``.  The
 parameters cover the admissible region and every in-range corner the
 closed forms accept without checking admissibility: eps = 0 and 1/2, pi
 next to 0 and 1, and zeros of either sign.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -25,8 +32,9 @@ from shirklab.model import (
     AgentStrategy,
     Compensation,
     ModelParams,
+    PAYOFF_TIE_TOL,
 )
-from shirklab.simulation import COMMON, INDEPENDENT, SENIORITY, UNIFORM_RANDOM, SimConfig
+from shirklab.simulation import COMMON, INDEPENDENT, SENIORITY, UNIFORM_RANDOM, SimConfig, StrategyProfile
 from test_model import admissible_params
 
 _N_STRATEGIES = len(ALL_STRATEGIES)
@@ -250,11 +258,13 @@ def test_the_simulation_closed_forms_equal_the_references_bit_for_bit(p, gamma):
         for signals in (COMMON, INDEPENDENT):
             for comp in (PROSPECTIVE, REALIZED):
                 cfg = SimConfig(p, len(codes), 1, 0, 1.0, signals, comp, mode)
-                for new, old in zip(
-                    simulation._deviation_payoff_table(cfg, codes, gamma),
-                    _deviation_payoff_table(cfg, codes, gamma),
-                ):
-                    _same(new, old)
+                rows, row_of_agent = simulation._deviation_payoff_table(cfg, codes, gamma)
+                old_rows, old_row_of_agent = _deviation_payoff_table(cfg, codes, gamma)
+                # every agent's row, expanded from the few rows the package keeps
+                _same(rows[row_of_agent], old_rows[old_row_of_agent])
+                if not (mode == SENIORITY and signals == INDEPENDENT):
+                    _same(rows, old_rows)
+                    _same(row_of_agent, old_row_of_agent)
 
 
 def test_the_arrays_and_the_rows_of_an_agent_equal_the_references():
@@ -267,3 +277,134 @@ def test_the_arrays_and_the_rows_of_an_agent_equal_the_references():
         for _ in range(50):
             codes = rng.integers(0, _N_STRATEGIES, m).astype(np.int8)
             _same(simulation._common_signal_row_of_agent(codes), _common_signal_row_of_agent(codes))
+
+
+# -- the few-row table under independent signals ---------------------------------
+
+P0 = ModelParams(pi=0.9, eps=0.1, g=0.5, c=0.01, w=0.05, v_c=1.0)
+SU, EFS, ENU = AgentStrategy.SHIRK_USE, AgentStrategy.EFFORT_FOLLOW_SIGNAL, AgentStrategy.EFFORT_NEVER_USE
+
+
+def _independent(p: ModelParams, m: int, comp: Compensation = PROSPECTIVE) -> SimConfig:
+    """Seniority firing with independent signals, every agent given access."""
+    return SimConfig(p, m, 1, 0, 1.0, INDEPENDENT, comp, SENIORITY)
+
+
+def _reference_switches(cfg: SimConfig, codes: np.ndarray) -> tuple[list[int], list[int], list[float]]:
+    """The unhappy agents, their best codes and gains, read agent by agent off the reference table."""
+    rows, row_of_agent = _deviation_payoff_table(cfg, codes, 0.0)
+    table = rows[row_of_agent]
+    own = table[np.arange(len(codes)), codes]
+    agents = np.flatnonzero(own < table.max(1) - PAYOFF_TIE_TOL)
+    return agents.tolist(), table[agents].argmax(1).tolist(), (table[agents].max(1) - own[agents]).tolist()
+
+
+@st.composite
+def profiles(draw):
+    """Access codes: any codes, or a few long runs of one code each."""
+    if draw(st.booleans()):
+        codes = draw(st.lists(st.integers(0, _N_STRATEGIES - 1), min_size=1, max_size=300))
+    else:
+        runs = draw(st.lists(st.tuples(st.integers(0, _N_STRATEGIES - 1), st.integers(1, 200)), min_size=1, max_size=4))
+        codes = [code for code, count in runs for _ in range(count)]
+    return np.array(codes, dtype=np.int8)
+
+
+def test_a_symmetric_shirk_use_profile_gets_two_rows():
+    # the first agent alone has no failure before it; every later one follows a certain failure, prefix 0
+    for m in (2, 3, 1000):
+        codes = np.full(m, int(SU), dtype=np.int8)
+        rows, row_of_agent = simulation._deviation_payoff_table(_independent(P0, m), codes, 0.0)
+        assert rows.shape == (2, _N_STRATEGIES)
+        assert row_of_agent.tolist() == [0] + [1] * (m - 1)
+
+
+def test_an_effort_profile_gets_one_row_per_distinct_prefix():
+    # each effort agent fails on a bad technology read wrong, so the prefix falls by 1 - eps an agent until it
+    # underflows to 0, about 7000 agents in, and every agent from there on shares its row
+    for m in (1, 50, 20000):
+        codes = np.full(m, int(EFS), dtype=np.int8)
+        rows, row_of_agent = simulation._deviation_payoff_table(_independent(P0, m), codes, 0.0)
+        prefix = np.cumprod(1.0 - _adoption_given_quality(P0, False)[codes[:-1]])
+        distinct = len({1.0, *prefix.tolist()})
+        assert rows.shape == (distinct, _N_STRATEGIES)
+        assert row_of_agent[0] == 0 and row_of_agent[-1] == distinct - 1
+        assert (np.diff(row_of_agent.astype(np.int64)) >= 0).all()
+        assert row_of_agent.dtype.itemsize <= 2
+    assert distinct < m
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pi=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    eps=st.floats(0.0, 0.5),
+    v_c=st.sampled_from([PAYOFF_TIE_TOL, 2 * PAYOFF_TIE_TOL]),
+    codes=profiles(),
+)
+def test_a_gain_exactly_at_the_tie_tolerance_switches_no_one(pi, eps, v_c, codes):
+    # with no wage and c = PAYOFF_TIE_TOL, shirk_no_use pays exactly v_c, the best of every row, and
+    # effort_never_use exactly PAYOFF_TIE_TOL less, so its players sit on the tie edge and stay
+    cfg = _independent(ModelParams(pi=pi, eps=eps, g=0.5, c=PAYOFF_TIE_TOL, w=0.0, v_c=v_c), len(codes))
+    rows, row_of_agent = _deviation_payoff_table(cfg, codes, 0.0)
+    assert set((rows.max(1) - rows[:, ENU]).tolist()) == {PAYOFF_TIE_TOL}
+    switches = simulation._table_switches(cfg, codes, 0.0)
+    assert repr(switches) == repr(_reference_switches(cfg, codes))
+    assert not (codes[switches[0]] == ENU).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pi=st.sampled_from([0.5, 0.9, 1.0 - 1e-12, 1.0 - 2.0**-53]),
+    eps=st.floats(0.0, 0.5),
+    c=st.sampled_from([0.0, 0.01]),
+    w=st.sampled_from([0.0, 0.05]),
+    comp=st.sampled_from([PROSPECTIVE, REALIZED]),
+    codes=profiles(),
+)
+def test_equal_rows_and_tied_strategies_switch_as_the_reference_does(pi, eps, c, w, comp, codes):
+    # pi next to 1 leaves runs of different prefixes with equal rows, and c = 0 or w = 0 ties strategies
+    # within a row, where the best code is the lowest
+    cfg = _independent(ModelParams(pi=pi, eps=eps, g=0.5, c=c, w=w, v_c=1.0), len(codes), comp)
+    assert repr(simulation._table_switches(cfg, codes, 0.0)) == repr(_reference_switches(cfg, codes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=params.map(lambda p: ModelParams(p.pi, 0.0, p.g, p.c, p.w, p.v_c)),
+    comp=st.sampled_from([PROSPECTIVE, REALIZED]),
+    codes=profiles(),
+)
+def test_error_free_signals_switch_as_the_reference_does(p, comp, codes):
+    # eps = 0: an agent who follows the signal never fails, so the prefix holds still along its run
+    cfg = _independent(p, len(codes), comp)
+    assert repr(simulation._table_switches(cfg, codes, 0.0)) == repr(_reference_switches(cfg, codes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=params, comp=st.sampled_from([PROSPECTIVE, REALIZED]), codes=profiles())
+def test_independent_seniority_payoffs_sum_the_reference_agent_by_agent(p, comp, codes):
+    cfg = _independent(p, len(codes), comp)
+    rows, row_of_agent = _deviation_payoff_table(cfg, codes, 0.0)
+    table = rows[row_of_agent]
+    want = {}
+    for code in np.unique(codes).tolist():
+        mine = codes == code
+        want[AgentStrategy(code).label] = float(np.sum(table[mine, code] * (1 / np.count_nonzero(mine))))
+    assert repr(simulation.expected_strategy_payoffs(cfg, StrategyProfile(codes), 0.0)) == repr(want)
+
+
+def test_the_targets_of_a_million_agents_take_no_table_per_agent():
+    # the (m, 6) table per agent traced 99 MiB here; the prefixes, their change flags and a two-byte row index
+    # are what is left
+    n = 10**6
+    cfg = _independent(P0, n)
+    profile = StrategyProfile.symmetric(EFS, n)
+    want = simulation.closed_form_targets(cfg, profile, 0.0)
+    tracemalloc.start()
+    try:
+        got = simulation.closed_form_targets(cfg, profile, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert repr(got) == repr(want)
+    assert peak < 48 * 2**20
