@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, replace as dc_replace
 from functools import cached_property
 from typing import Sequence
@@ -489,7 +488,7 @@ def monte_carlo(
     for column, (code, players) in enumerate(zip(kernel.played.tolist(), kernel.players.tolist())):
         per_strategy[AgentStrategy(code).label] = _mean_se(payoff_sums[which, column] / players)
 
-    if trace_path:
+    if trace_path is not None:
         quality, outputs, welfares, fired, failures = (
             column.tolist() for column in (np.where(bad, BAD, GOOD), output, welfare, fired_count, failure)
         )
@@ -665,7 +664,7 @@ def nash_check(cfg: SimConfig, profile: StrategyProfile, policy_gamma: float) ->
     codes = _access_codes(cfg, profile, policy_gamma)
     return [
         Deviation(agent=at, current=AgentStrategy(int(codes[at])), better=AgentStrategy(code), gain=gain)
-        for at, code, gain in zip(*_table_switches(cfg, codes, policy_gamma))
+        for at, code, gain in zip(*(column.tolist() for column in _table_switches(cfg, codes, policy_gamma)))
     ]
 
 
@@ -697,102 +696,40 @@ class BestResponseTrace:
         return len(self.offsets) - 1
 
 
-def _table_switches(cfg: SimConfig, codes: np.ndarray, policy_gamma: float) -> tuple[list[int], list[int], list[float]]:
-    """The unhappy agents, with their best codes and gains, each taken once over the table's few rows."""
+def _table_switches(cfg: SimConfig, codes: np.ndarray, policy_gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unhappy agents, with their best codes (int8) and gains, each taken once over the table's few rows."""
     rows, row_of_agent = _deviation_payoff_table(cfg, codes, policy_gamma)
     agents = np.flatnonzero(_unhappy(rows)[row_of_agent, codes])
     row, code = row_of_agent[agents], codes[agents]
     gains = rows.max(1)[:, None] - rows
-    return agents.tolist(), rows.argmax(1)[row].tolist(), gains[row, code].tolist()
+    return agents, rows.argmax(1).astype(np.int8)[row], gains[row, code]
 
 
-class _SharedRows:
-    """The agents whose row moved under seniority firing with common signals: one row of four per agent.
+def _jump(codes: np.ndarray, at: int, old: int, before: list[int], after: list[int], limit: int) -> int:
+    """Play ahead, up to ``limit`` rounds, those that repeat agent ``at``'s lone switch from ``old`` to ``codes[at]``.
 
-    Agent i's row of ``_common_signal_rows`` is ``2 * (i <= first[0]) + (i
-    <= first[1])``, as in ``_common_signal_row_of_agent``: ``first`` holds
-    the index of the first agent that fails in the bad state on a right
-    and on a wrong signal, ``m`` when none does.  A switch moves only
-    these two indices, so only the agents between an index's old and new
-    value change row.  A lone switch that the next agent is bound to
-    repeat is played ahead along its run of equal codes (``jump``).
+    Under seniority firing with common signals agent i's row is ``2 * (i <= first[0]) + (i <= first[1])``, where
+    ``first`` holds the first failures (``_first_failures``) ``before`` and ``after`` the round, so the rows that
+    moved lie between each first failure's old and new index.  The switch is repeated one agent up when those rows
+    are exactly agent ``at + 1``'s, who plays ``old`` too, and the new code fails in the bad state only on a signal
+    where an agent before ``at`` fails: agent ``at + 1``'s row is then ``at``'s before the switch, and each round
+    hands the first failure to the next agent of the run.  All but the run's last agent switch in ``codes``; the last
+    keeps a round of its own.  Returns the rounds played.
     """
-
-    def __init__(self, cfg: SimConfig, codes: bytearray):
-        self.codes = codes
-        rows = _common_signal_rows(cfg.params, cfg.compensation)
-        # the codes that fail in the bad technology's states, read right and then wrong
-        failing = [np.flatnonzero(fails).tolist() for fails in StateTable.fails[2:]]
-        self.failing = [frozenset(group) for group in failing]
-        # each finds the next failing agent
-        self.scans = [re.compile(b"[" + bytes(group) + b"]") for group in failing]
-        self.first = [self._next_failure(k, 0) for k in (0, 1)]
-        self.unhappy = _unhappy(rows).tolist()
-        self.best = rows.argmax(1).tolist()
-
-    def _next_failure(self, k: int, start: int) -> int:
-        """The first agent from ``start`` on failing in the bad state on a right (k = 0) or wrong signal, else m."""
-        found = self.scans[k].search(self.codes, start)
-        return found.start() if found else len(self.codes)
-
-    def switches(self, moved: Sequence[int]) -> tuple[list[int], list[int]]:
-        """The unhappy agents among ``moved``, in its order, and their best codes."""
-        right, wrong = self.first
-        codes, unhappy, best = self.codes, self.unhappy, self.best
-        switched, to = [], []
-        for at in moved:
-            row = 2 * (at <= right) + (at <= wrong)
-            if unhappy[row][codes[at]]:
-                switched.append(at)
-                to.append(best[row])
-        return switched, to
-
-    def moved(self, switched: list[int], best: list[int]) -> Sequence[int]:
-        """Update the first failures after a round; the agents whose row moved, in index order."""
-        m = len(self.codes)
-        spans = []
-        for k, failing in enumerate(self.failing):
-            old = new = self.first[k]
-            # a first failure that stopped failing is replaced by the next one,
-            # and a lower switcher that now fails pulls the index down
-            if old < m and self.codes[old] not in failing:
-                new = self._next_failure(k, old + 1)
-            for at, code in zip(switched, best):
-                if at >= new:
-                    break
-                if code in failing:
-                    new = at
-                    break
-            if new != old:
-                self.first[k] = new
-                low, high = (old, new) if old < new else (new, old)
-                spans.append(range(low + 1, high + 1 if high < m else m))
-        if len(spans) < 2:
-            return spans[0] if spans else ()
-        return sorted({*spans[0], *spans[1]})
-
-    def jump(self, at: int, old: int, code: int, moved: Sequence[int], limit: int) -> int:
-        """Play ahead, up to ``limit`` rounds, those that repeat agent ``at``'s lone switch from ``old`` to ``code``.
-
-        They repeat it one agent up when the one moved row is the next agent's, who plays ``old`` too, and ``code``
-        fails in the bad state only on a signal where an agent before ``at`` fails: that row is then ``at``'s before
-        the switch, and each round hands the first failure to the next agent of the run.  All but the run's last
-        agent switch, and the first failures follow; the last is left to a round of its own, which scans for the
-        failure past the run.  Returns the rounds played.
-        """
-        after = at + 1
-        if len(moved) != 1 or moved[0] != after or self.codes[after] != old:
-            return 0
-        if any(code in failing and first >= at for first, failing in zip(self.first, self.failing)):
-            return 0
-        # the run ends at the first agent not playing old; re caches the pattern
-        end = re.compile(b"[^%c]" % old).search(self.codes, after)
-        rounds = min((end.start() if end else len(self.codes)) - 1 - after, limit)
-        if rounds <= 0:
-            return 0
-        self.codes[after : after + rounds] = bytes([code]) * rounds
-        self.first = [after + rounds if first == after else first for first in self.first]
-        return rounds
+    code, last, nxt = int(codes[at]), len(codes) - 1, at + 1
+    # a first failure at m, none, moves no row from one at m - 1
+    spans = [sorted((min(old_first, last), min(new_first, last))) for old_first, new_first in zip(before, after)]
+    moved = [span for span in spans if span[0] != span[1]]
+    if not moved or any(span != [at, nxt] for span in moved) or codes[nxt] != old:
+        return 0
+    if any(fails[code] and first >= at for fails, first in zip(StateTable.fails[2:], after)):
+        return 0
+    # the run ends at the first agent not playing old
+    other = codes[nxt:] != old
+    end = nxt + int(other.argmax()) if other.any() else len(codes)
+    rounds = min(end - 1 - nxt, limit)
+    codes[nxt : nxt + rounds] = code
+    return rounds
 
 
 def iterated_best_response(cfg: SimConfig, initial: StrategyProfile, max_rounds: int | None = None) -> BestResponseTrace:
@@ -802,56 +739,47 @@ def iterated_best_response(cfg: SimConfig, initial: StrategyProfile, max_rounds:
     prefers effort, flipping one agent per round, in index order, until everyone with access researches.  Agents
     keep their current strategy when it remains among the best responses.
 
-    A switcher moves to a best code of its row and every other agent was already happy with its row, so only the
-    agents whose row moved can want to switch.  Round 1 reads every agent off the full table.  Under seniority
-    firing with common signals an agent's row is fixed by two indices, the first agent failing in the bad state on a
-    right and on a wrong signal, so ``_SharedRows`` reads only the rows between an index's old and new value: a
-    round costs O(switches + rows moved), and a lone switch bound to repeat one agent up along a run of equal codes
-    is played ahead for the whole run in one step (``_SharedRows.jump``).  Otherwise each later round rereads the
-    whole table, a few rows and a row index, in O(n) vectorized work: with independent signals a switch moves the
-    row of every agent after it, and under uniform random firing no row moves.  The round cap, ``10 * n_agents`` or
-    ``max_rounds``, stops a jump too; a ``max_rounds`` that is negative or not an integer (a bool is not one) is
-    refused before any round.
+    Every round reads every agent off the full table, a few rows and a row index, in O(n) vectorized work
+    (``_table_switches``), and writes its switches into the codes in one assignment.  Under seniority firing with
+    common signals a lone switch bound to repeat one agent up along a run of equal codes is played ahead for the
+    whole run in one step (``_jump``), so unraveling from all ``shirk_use`` takes a few reads at any size.  The
+    round cap, ``10 * n_agents`` or ``max_rounds``, stops a jump too; a ``max_rounds`` that is negative or not an
+    integer (a bool is not one) is refused before any round.
     """
     if max_rounds is not None and (isinstance(max_rounds, bool) or not isinstance(max_rounds, (int, np.integer))):
         raise TypeError(f"max_rounds must be an integer, got {max_rounds!r}")
     if max_rounds is not None and max_rounds < 0:
         raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
-    codes = bytearray(_access_codes(cfg, initial).tobytes())
-    shared = _SharedRows(cfg, codes) if cfg.punishment_mode == SENIORITY and cfg.signal_correlation == COMMON else None
+    codes = _access_codes(cfg, initial).copy()
+    jumps = cfg.punishment_mode == SENIORITY and cfg.signal_correlation == COMMON
     cap = 10 * cfg.n_agents if max_rounds is None else max_rounds
     # every switch's agent and new code in round order, and the switches made by the end of each round, from 0
     agents, new_codes, offsets = bytearray(), bytearray(), bytearray(8)
     rounds = 0
     while rounds < cap:
-        if shared is None or not rounds:
-            switched, best, _ = _table_switches(cfg, np.frombuffer(codes, dtype=np.int8), 0.0)
-        else:
-            switched, best = shared.switches(moved)
-        if not switched:
+        switched, best, _ = _table_switches(cfg, codes, 0.0)
+        if not switched.size:
             break
-        old = codes[switched[0]]
-        for at, code in zip(switched, best):
-            codes[at] = code
-        agents += np.array(switched, dtype=np.int64).data
-        new_codes.extend(best)
+        lone = jumps and switched.size == 1
+        if lone:
+            at = int(switched[0])
+            old, before = int(codes[at]), _first_failures(codes)
+        codes[switched] = best
+        agents += switched.astype(np.int64, copy=False).data
+        new_codes += best.data
         offsets += np.int64(len(new_codes)).data
         rounds += 1
-        if shared is None:
-            continue
-        moved = shared.moved(switched, best)
-        jumped = len(switched) == 1 and shared.jump(switched[0], old, best[0], moved, cap - rounds)
+        jumped = lone and _jump(codes, at, old, before, _first_failures(codes), cap - rounds)
         if jumped:
-            # the r-th round played ahead switches agent switched[0] + r alone
-            ahead = np.arange(switched[0] + 1, switched[0] + 1 + jumped, dtype=np.int64)
+            # the r-th round played ahead switches agent at + r alone
+            ahead = np.arange(at + 1, at + 1 + jumped, dtype=np.int64)
             agents += ahead.data
-            ahead += len(new_codes) - switched[0]
+            ahead += len(new_codes) - at
             offsets += ahead.data
-            new_codes += bytes(best) * jumped
+            new_codes += best.tobytes() * jumped
             rounds += jumped
-            moved = [switched[0] + jumped + 1]
     final = initial.codes.copy()
-    final[: len(codes)] = np.frombuffer(codes, dtype=np.int8)
+    final[: len(codes)] = codes
     switches = (np.frombuffer(agents, np.int64), np.frombuffer(new_codes, np.int8), np.frombuffer(offsets, np.int64))
     # only a round with no switch stops the loop short of the cap
     return BestResponseTrace(initial, *switches, rounds < cap, StrategyProfile(final))

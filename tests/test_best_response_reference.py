@@ -10,10 +10,12 @@ relabelled profile: these tests sort the access agents by rank, run the
 package, map its agent indices back and hold the result to exact equality
 with the reference on random profiles, orders and parameters.
 
-A second reference is the vectorized loop the package ran before it read
-only the agents whose payoff row moved: every round rebuilds every access
-agent's row of the package's deviation table.  The package's trace must
-equal it field for field, the round cap and the int8 codes included.
+A second reference is the vectorized loop alone: every round rebuilds
+every access agent's row of the package's deviation table.  The package
+runs that loop too, plus one shortcut under seniority firing with common
+signals, ``_jump``, which plays a run of one-agent rounds ahead in one
+step.  The package's trace must equal the reference field for field, the
+round cap and the int8 codes included.
 """
 
 import contextlib
@@ -33,8 +35,6 @@ from shirklab.model import ALL_STRATEGIES, PAYOFF_TIE_TOL, AgentStrategy, ModelP
 from shirklab.simulation import (
     SimConfig,
     StrategyProfile,
-    _SharedRows,
-    _common_signal_row_of_agent,
     _deviation_payoff_table,
     iterated_best_response,
     nash_check,
@@ -373,47 +373,37 @@ def test_iterated_best_response_matches_the_vectorized_loop(case):
 @settings(max_examples=100, deadline=None)
 @given(case=best_response_cases())
 def test_every_round_rereads_the_full_table(case):
-    # round 1 reads every agent off the full table; without the two first
-    # failures of seniority firing with common signals, so does every later
-    # round, and a last read finds no switch
+    # every read covers all access agents; but for the rounds a jump plays ahead under seniority firing with common
+    # signals, each round takes one read, and a last read finds no switch
     cfg, initial, _ = case
     with mock.patch.object(simulation, "_table_switches", wraps=simulation._table_switches) as table:
         trace = iterated_best_response(cfg, initial)
     read = [len(call.args[1]) for call in table.call_args_list]
     assert trace.converged
+    assert read and read == [cfg.access_count] * len(read)
     if cfg.punishment_mode == "seniority" and cfg.signal_correlation == "common":
-        assert read == [cfg.access_count]
+        assert len(read) <= 1 + trace.rounds
     else:
-        assert read == [cfg.access_count] * (1 + trace.rounds)
+        assert len(read) == 1 + trace.rounds
     if cfg.punishment_mode == "uniform_random":
         # no row moves, so the reread after round 1 finds no switch
         assert trace.rounds <= 1
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=best_response_cases())
-def test_a_round_moves_exactly_the_rows_it_reports(case):
-    # seniority firing with common signals: after each round the first
-    # failures are those of the new codes, and the agents to read next are
-    # exactly those whose row changed
-    cfg, initial, _ = case
-    cfg = dataclasses.replace(cfg, signal_correlation="common", punishment_mode="seniority")
-    codes = bytearray(initial.codes[: cfg.access_count].tobytes())
-    responses = _SharedRows(cfg, codes)
-    moved = range(len(codes))
-    for _ in range(10 * cfg.n_agents):
-        before = _common_signal_row_of_agent(np.frombuffer(codes, dtype=np.int8))
-        switched, best = responses.switches(moved)
-        if not switched:
-            break
-        for at, code in zip(switched, best):
-            codes[at] = code
-        moved = responses.moved(switched, best)
-        now = np.frombuffer(codes, dtype=np.int8)
-        assert list(moved) == np.flatnonzero(_common_signal_row_of_agent(now) != before).tolist()
-        for first, adopts in zip(responses.first, (False, True)):
-            failing = np.flatnonzero(_adoption(now, adopts))
-            assert first == (failing[0] if failing.size else len(now))
+#: The benchmark's model.
+BENCHMARK_MODEL = ModelParams(pi=0.9, eps=0.1, g=0.5, c=0.01, w=0.05, v_c=1.0)
+
+
+@pytest.mark.parametrize("n", [10, 1000, 10**5])
+@pytest.mark.parametrize("compensation,reads", [("prospective", 4), ("realized", 2)])
+def test_unraveling_all_shirk_use_reads_the_table_a_fixed_number_of_times(n, compensation, reads):
+    # prospective pay: rounds 1 and 2 alone, the jump over the run, the last agent's round and a read with no
+    # switch; realized pay: one round and a read with no switch.  A lost jump shows as a count that grows with n
+    cfg = SimConfig(BENCHMARK_MODEL, n, 1, 0, 0.5, compensation=compensation, punishment_mode="seniority")
+    with mock.patch.object(simulation, "_table_switches", wraps=simulation._table_switches) as table:
+        trace = iterated_best_response(cfg, StrategyProfile.symmetric(AgentStrategy.SHIRK_USE, n))
+    assert trace.converged
+    assert table.call_count == reads
 
 
 EFS = AgentStrategy.EFFORT_FOLLOW_SIGNAL
@@ -474,15 +464,15 @@ def _from_runs(runs, compensation="prospective"):
 
 @contextlib.contextmanager
 def _recorded_jumps():
-    """Patch ``_SharedRows.jump`` to append the rounds each call plays ahead to the list it yields."""
+    """Patch ``simulation._jump`` to append the rounds each call plays ahead to the list it yields."""
     played = []
-    jump = _SharedRows.jump
+    jump = simulation._jump
 
-    def recording(self, *args):
-        played.append(jump(self, *args))
+    def recording(*args):
+        played.append(jump(*args))
         return played[-1]
 
-    with mock.patch.object(_SharedRows, "jump", recording):
+    with mock.patch.object(simulation, "_jump", recording):
         yield played
 
 
@@ -519,51 +509,31 @@ def test_a_round_cap_inside_a_run_stops_the_jump_there(max_rounds):
     assert sum(played) == max(max_rounds - 2, 0)
 
 
-def _play_shared_rows(cfg, codes, moved, ahead):
-    """Rounds of ``_SharedRows`` from ``codes`` whose rows in ``moved`` are to be read, as (switched, best) pairs.
-
-    With ``ahead`` every lone switch is offered to ``jump`` and the rounds it plays are listed one by one.  Returns
-    the rounds, the codes and the first failures at the end.
-    """
-    codes = bytearray(codes)
-    responses = _SharedRows(cfg, codes)
-    rounds = []
-    while len(rounds) < 10 * len(codes):
-        switched, best = responses.switches(moved)
-        if not switched:
-            break
-        old = codes[switched[0]]
-        for at, code in zip(switched, best):
-            codes[at] = code
-        rounds.append((switched, best))
-        moved = responses.moved(switched, best)
-        jumped = ahead and len(switched) == 1 and responses.jump(switched[0], old, best[0], moved, len(codes))
-        if jumped:
-            rounds += [([switched[0] + r], best) for r in range(1, jumped + 1)]
-            moved = [switched[0] + jumped + 1]
-    return rounds, bytes(codes), responses.first
+def assert_matches_the_trace_without_jumps(cfg, initial, max_rounds=None):
+    """``iterated_best_response`` with ``_jump`` playing no round ahead gives the real trace, field for field."""
+    trace = iterated_best_response(cfg, initial, max_rounds)
+    with mock.patch.object(simulation, "_jump", return_value=0):
+        alone = iterated_best_response(cfg, initial, max_rounds)
+    for field in ("agents", "new_codes", "offsets"):
+        got, want = getattr(trace, field), getattr(alone, field)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert (trace.converged, trace.final) == (alone.converged, alone.final)
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=best_response_cases(), data=st.data())
-def test_a_jump_plays_exactly_the_rounds_it_replaces(case, data):
-    # the rounds are read from one agent whose row is taken to have moved, so the codes past a run are unsettled
-    # and a run can end at any code, not only at the end of the profile as it does after round 1
-    cfg, initial, _ = case
+@given(case=best_response_cases())
+def test_a_jump_plays_exactly_the_rounds_it_replaces(case):
+    cfg, initial, max_rounds = case
     cfg = dataclasses.replace(cfg, signal_correlation="common", punishment_mode="seniority")
-    codes = initial.codes[: cfg.access_count].tobytes()
-    moved = [data.draw(st.integers(0, len(codes) - 1))] if codes else []
-    assert _play_shared_rows(cfg, codes, moved, True) == _play_shared_rows(cfg, codes, moved, False)
+    assert_matches_the_trace_without_jumps(cfg, initial, max_rounds)
 
 
 def test_a_jump_stops_where_its_run_ends():
-    # shirkers unravel up to a run of contrarians, who then unravel to the end
-    codes = np.array([int(SU)] * 10 + [int(EC)] * 10, dtype=np.int8).tobytes()
-    cfg, _ = _from_runs([(SU, 20)])
-    rounds, final, first = _play_shared_rows(cfg, codes, [0], True)
-    assert (rounds, final, first) == _play_shared_rows(cfg, codes, [0], False)
-    assert [switched for switched, _ in rounds] == [[k] for k in range(20)]
+    # round 1 turns the contrarians to shirk_use, so one run of shirkers reaches the end: round 2 switches agent 1
+    # alone and plays agents 2 to 18 ahead, and agent 19 keeps a round of its own
+    cfg, start = _from_runs([(SU, 10), (EC, 10)])
+    assert_matches_the_trace_without_jumps(cfg, start)
     with _recorded_jumps() as played:
-        _play_shared_rows(cfg, codes, [0], True)
-    # agents 2 to 8 are played ahead, 9 and 10 alone, then 11 to 18 ahead and 19 alone
-    assert [r for r in played if r] == [7, 8]
+        trace = iterated_best_response(cfg, start)
+    assert switched_agents(trace) == [[0, *range(10, 20)], *([k] for k in range(1, 20))]
+    assert played == [17, 0]

@@ -171,6 +171,14 @@ class TestSimulate:
         assert captured.err.startswith("i/o error: ")
         assert captured.err.count("\n") == 1
 
+    def test_an_empty_trace_path_exits_4_as_sweep_out_does(self, config_path, capsys):
+        # an empty path names no file to write; it is an i/o error, not a request for no trace
+        assert main(["simulate", "--config", config_path, "--trace", ""]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ")
+        assert captured.err.count("\n") == 1
+
 
     @pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
     def test_a_seed_above_2_53_is_read_exactly(self, tmp_path, capsys, seed):

@@ -270,8 +270,9 @@ def test_the_simulation_closed_forms_equal_the_references_bit_for_bit(p, gamma):
 def test_the_arrays_and_the_rows_of_an_agent_equal_the_references():
     assert np.array_equal(model._EFFORT, _EFFORT) and model._EFFORT.dtype == _EFFORT.dtype
     assert np.array_equal(model._ADOPTS, _ADOPTS) and model._ADOPTS.dtype == _ADOPTS.dtype
-    shared = simulation._SharedRows(SimConfig(CORNERS[0], 1, 1, 0, 1.0), bytearray(1))
-    assert shared.failing == [frozenset(np.flatnonzero(adopts).tolist()) for adopts in _ADOPTS]
+    # the codes that fail in the bad technology's states, read right and then wrong
+    failing = [np.flatnonzero(fails).tolist() for fails in model.StateTable.fails[2:]]
+    assert failing == [np.flatnonzero(adopts).tolist() for adopts in _ADOPTS]
     rng = np.random.default_rng(20261019)
     for m in (0, 1, 2, 5, 40):
         for _ in range(50):
@@ -297,6 +298,11 @@ def _reference_switches(cfg: SimConfig, codes: np.ndarray) -> tuple[list[int], l
     own = table[np.arange(len(codes)), codes]
     agents = np.flatnonzero(own < table.max(1) - PAYOFF_TIE_TOL)
     return agents.tolist(), table[agents].argmax(1).tolist(), (table[agents].max(1) - own[agents]).tolist()
+
+
+def _listed(switches: tuple[np.ndarray, ...]) -> tuple[list, ...]:
+    """The package reader's agents, best codes and gains as lists, the form of ``_reference_switches``."""
+    return tuple(column.tolist() for column in switches)
 
 
 @st.composite
@@ -348,7 +354,7 @@ def test_a_gain_exactly_at_the_tie_tolerance_switches_no_one(pi, eps, v_c, codes
     rows, row_of_agent = _deviation_payoff_table(cfg, codes, 0.0)
     assert set((rows.max(1) - rows[:, ENU]).tolist()) == {PAYOFF_TIE_TOL}
     switches = simulation._table_switches(cfg, codes, 0.0)
-    assert repr(switches) == repr(_reference_switches(cfg, codes))
+    assert repr(_listed(switches)) == repr(_reference_switches(cfg, codes))
     assert not (codes[switches[0]] == ENU).any()
 
 
@@ -365,7 +371,7 @@ def test_equal_rows_and_tied_strategies_switch_as_the_reference_does(pi, eps, c,
     # pi next to 1 leaves runs of different prefixes with equal rows, and c = 0 or w = 0 ties strategies
     # within a row, where the best code is the lowest
     cfg = _independent(ModelParams(pi=pi, eps=eps, g=0.5, c=c, w=w, v_c=1.0), len(codes), comp)
-    assert repr(simulation._table_switches(cfg, codes, 0.0)) == repr(_reference_switches(cfg, codes))
+    assert repr(_listed(simulation._table_switches(cfg, codes, 0.0))) == repr(_reference_switches(cfg, codes))
 
 
 @settings(max_examples=200, deadline=None)
@@ -377,7 +383,7 @@ def test_equal_rows_and_tied_strategies_switch_as_the_reference_does(pi, eps, c,
 def test_error_free_signals_switch_as_the_reference_does(p, comp, codes):
     # eps = 0: an agent who follows the signal never fails, so the prefix holds still along its run
     cfg = _independent(p, len(codes), comp)
-    assert repr(simulation._table_switches(cfg, codes, 0.0)) == repr(_reference_switches(cfg, codes))
+    assert repr(_listed(simulation._table_switches(cfg, codes, 0.0))) == repr(_reference_switches(cfg, codes))
 
 
 @settings(max_examples=200, deadline=None)
@@ -407,4 +413,20 @@ def test_the_targets_of_a_million_agents_take_no_table_per_agent():
     finally:
         tracemalloc.stop()
     assert repr(got) == repr(want)
+    assert peak < 48 * 2**20
+
+
+def test_counting_the_deviations_of_a_million_agents_makes_no_list():
+    # the reader returns its agents, best codes and gains as arrays; as three lists the count traced 97 MiB here
+    n = 10**6
+    cfg = _independent(P0, n)
+    codes = np.full(n, int(EFS), dtype=np.int8)
+    want = len(_reference_switches(cfg, codes)[0])
+    tracemalloc.start()
+    try:
+        count = len(simulation._table_switches(cfg, codes, 0.0)[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == want
     assert peak < 48 * 2**20
