@@ -10,9 +10,10 @@ observed, and workers who are not fired keep a continuation value ``v_c``.
 
 This module holds the parameter container with its admissibility checks,
 the strategy table that gives each pure strategy its meaning, the state
-table of its outcomes, expected production and expected payoff for each
-pure strategy, and the minimal punishment (firing) rate that makes
-research effort incentive-compatible.
+table of its outcomes with each strategy's expected production, the one
+builder of exact expected payoffs (``_payoff_rows``), which every firing
+rule feeds only the chance of being fired on a failure, and the minimal
+punishment (firing) rate that makes research effort incentive-compatible.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ class ModelParams:
         """The state table of these parameters, built once on first use."""
         return StateTable(self)
 
+    @cached_property
+    def production(self) -> np.ndarray:
+        """Each strategy's ``expected_production``, the wage of realized pay, built once on first use."""
+        return np.array([expected_production(s, self) for s in ALL_STRATEGIES])
+
 
 #: Each primitive's range: its words, and a test of finite floats or arrays.
 _RANGES = {
@@ -133,10 +139,6 @@ class AgentStrategy(IntEnum):
     EFFORT_ALWAYS_USE = 3
     EFFORT_NEVER_USE = 4
     EFFORT_CONTRARIAN = 5
-
-    @property
-    def exerts_effort(self) -> bool:
-        return STRATEGY_TABLE[self][0]
 
     @property
     def label(self) -> str:
@@ -251,16 +253,6 @@ def require_admissible(p: ModelParams) -> None:
         raise InadmissibleParamsError(f"inadmissible parameters: {failures}")
 
 
-def use_probability(strategy: AgentStrategy, p: ModelParams) -> float:
-    """Unconditional probability the strategy adopts the technology."""
-    return float(p.state_table.use[strategy])
-
-
-def failure_probability(strategy: AgentStrategy, p: ModelParams) -> float:
-    """Probability of zero production: the technology is used and bad."""
-    return (1.0 - p.pi) * float(p.state_table.use_given_bad[strategy])
-
-
 def expected_production(strategy: AgentStrategy, p: ModelParams) -> float:
     """Expected output of one worker with access, excluding the effort cost.
 
@@ -304,31 +296,31 @@ def _gamma_bar(p) -> float:
     return _quotient(numerator, (1.0 - p.pi) * (1.0 - p.eps) * p.v_c, numerator)
 
 
+def _payoff_rows(p: ModelParams, comp: Compensation, fired) -> np.ndarray:
+    """Every exact expected payoff: -c * effort + wage + (1 - P(fail) * fired) * v_c, in this order.
+
+    One row per row of ``fired`` and one column per strategy, where ``fired[r, s]`` (or a row's one value) is the
+    chance strategy s, failing in row r, is fired.  The wage is ``P(use) * w``, or the expected production under
+    realized pay, and ``P(fail)`` is ``(1 - pi) * P(use | bad)``.
+    """
+    table = p.state_table
+    wage = table.use * p.w if comp == PROSPECTIVE else p.production
+    return -np.where(_EFFORT, p.c, 0.0) + wage + (1.0 - (1.0 - p.pi) * table.use_given_bad * fired) * p.v_c
+
+
 def agent_payoff(
     strategy: AgentStrategy,
     gamma: float,
     p: ModelParams,
     comp: Compensation = PROSPECTIVE,
 ) -> float:
-    """Expected payoff of a worker with access under firing rate ``gamma``.
+    """Expected payoff of a worker with access under firing rate ``gamma``: ``_payoff_rows`` at ``fired = gamma``.
 
-    Prospective compensation pays the wage premium ``w`` on adoption,
-    before output is realized:
-
-        -c * effort + P(use) * w + (1 - P(fail) * gamma) * v_c
-
-    Realized compensation instead pays the worker's own realized output,
-    so the wage term becomes the strategy's expected production and the
-    premium ``w`` drops out.
+    Prospective compensation pays the wage premium ``w`` on adoption, before output is realized; realized
+    compensation pays the worker's own realized output instead, and ``w`` drops out.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     if comp not in (PROSPECTIVE, REALIZED):
         raise ValueError(f"compensation must be 'prospective' or 'realized', got {comp!r}")
-    effort_cost = p.c if strategy.exerts_effort else 0.0
-    survival = (1.0 - failure_probability(strategy, p) * gamma) * p.v_c
-    if comp == PROSPECTIVE:
-        wage = use_probability(strategy, p) * p.w
-    else:
-        wage = expected_production(strategy, p)
-    return -effort_cost + wage + survival
+    return float(_payoff_rows(p, comp, [[gamma]])[0, strategy])

@@ -4,9 +4,14 @@ The reference below is the original per-agent implementation, with the
 package's private helpers copied in so it depends on nothing it checks: it
 builds the full (access agents x strategies) deviation matrix with the
 (min1, min2) seniority bookkeeping and loops over every agent in Python.
-It still takes any seniority order, as an array of ranks (0 is most
-senior).  The package fires by agent index, which is the same game on a
-relabelled profile: these tests sort the access agents by rank, run the
+Each entry is the hand algebra, ``-c * effort + wage + (1 - P(fail) *
+fired) * v_c`` in Python floats, where the firing rule gives only
+``fired``, the chance of being fired on a failure.  The matrix first
+summed over the four (quality, reading) states, ``state_sum_matrix``,
+stays as a second check within ``STATE_SUM_ULPS``.  It still takes any
+seniority order, as an array of ranks (0 is most senior).  The package
+fires by agent index, which is the same game on a relabelled profile:
+these tests sort the access agents by rank, run the
 package, map its agent indices back and hold the result to exact equality
 with the reference on random profiles, orders and parameters.
 
@@ -31,7 +36,7 @@ from hypothesis import strategies as st
 from conftest import REFERENCE_POINTS, switched_agents, switched_codes, trace_profiles
 from shirklab import simulation
 from shirklab.equilibrium import ReplacementCostCurve
-from shirklab.model import ALL_STRATEGIES, PAYOFF_TIE_TOL, AgentStrategy, ModelParams, agent_payoff
+from shirklab.model import ALL_STRATEGIES, PAYOFF_TIE_TOL, AgentStrategy, ModelParams
 from shirklab.simulation import (
     SimConfig,
     StrategyProfile,
@@ -41,7 +46,7 @@ from shirklab.simulation import (
 )
 
 _N_STRATEGIES = len(ALL_STRATEGIES)
-_EFFORT_TABLE = np.array([s.exerts_effort for s in ALL_STRATEGIES])
+_EFFORT_TABLE = np.array([s.name.startswith("EFFORT_") for s in ALL_STRATEGIES])
 # adoption rule per strategy: 0 never, 1 always, 2 follow signal, 3 contrarian
 _USE_RULE = np.array([0, 1, 2, 1, 0, 3], dtype=np.int8)
 
@@ -78,23 +83,110 @@ def _expected_wage(code, p, compensation):
     return p.pi * expected_good + (1.0 - p.pi) * expected_bad
 
 
+def _use_probability(code, p):
+    signal_good_prob = p.pi * (1.0 - p.eps) + (1.0 - p.pi) * p.eps
+    rule = _USE_RULE[code]
+    if rule == 0:
+        return 0.0
+    if rule == 1:
+        return 1.0
+    if rule == 2:
+        return signal_good_prob
+    return 1.0 - signal_good_prob
+
+
+def _expected_production(code, p):
+    rule = _USE_RULE[code]
+    if rule == 0:
+        return 1.0
+    if rule == 1:
+        return p.pi * (1.0 + p.g)
+    if rule == 2:
+        return p.pi * p.eps + (1.0 - p.pi) * (1.0 - p.eps) + p.pi * (1.0 - p.eps) * (1.0 + p.g)
+    return p.pi * (1.0 - p.eps) + (1.0 - p.pi) * p.eps + p.pi * p.eps * (1.0 + p.g)
+
+
+def _payoff(code, fired, p, compensation):
+    """The hand algebra of a worker fired with chance ``fired`` on a failure."""
+    effort_cost = p.c if _EFFORT_TABLE[code] else 0.0
+    survival = (1.0 - (1.0 - p.pi) * _use_prob_given_quality(code, False, p) * fired) * p.v_c
+    if compensation == "prospective":
+        wage = _use_probability(code, p) * p.w
+    else:
+        wage = _expected_production(code, p)
+    return -effort_cost + wage + survival
+
+
+def _senior_failures(ranks, failing):
+    """The lowest and second-lowest rank among the failing agents, inf where there are fewer."""
+    failing_ranks = ranks[failing]
+    if failing_ranks.size == 0:
+        return math.inf, math.inf
+    if failing_ranks.size == 1:
+        return float(failing_ranks[0]), math.inf
+    two = np.partition(failing_ranks, 1)[:2]
+    return float(two.min()), float(two.max())
+
+
 def reference_matrix(cfg, profile, policy_gamma, ranks):
     p = cfg.params
     m = cfg.access_count
     matrix = np.empty((m, _N_STRATEGIES))
     if m == 0:
         return matrix
-
     if cfg.punishment_mode == "uniform_random":
-        row = np.array(
-            [agent_payoff(s, policy_gamma, p, cfg.compensation) for s in ALL_STRATEGIES]
-        )
-        matrix[:] = row
+        for code in range(_N_STRATEGIES):
+            matrix[:, code] = _payoff(code, policy_gamma, p, cfg.compensation)
         return matrix
 
     ranks = np.arange(m) if ranks is None else ranks[:m]
     codes = profile.codes[:m]
+    if cfg.signal_correlation == "common":
+        # whether each agent is fired on failing in the bad state, read right (a bad signal) and wrong (a good one):
+        # iff no other failing agent is more senior
+        right, wrong = [], []
+        for flags, signal_good in ((right, False), (wrong, True)):
+            failing = _adoption(codes, signal_good)
+            min1, min2 = _senior_failures(ranks, failing)
+            min_other = np.where(failing & (ranks == min1), min2, min1)
+            flags.extend((ranks < min_other).tolist())
+        for pos in range(m):
+            for code in range(_N_STRATEGIES):
+                rule = _USE_RULE[code]
+                if rule == 1:
+                    # fails on both readings
+                    fired = (0.0, p.eps, 1.0 - p.eps, 1.0)[2 * right[pos] + wrong[pos]]
+                elif rule == 3:
+                    fired = float(right[pos])
+                elif rule == 2:
+                    fired = float(wrong[pos])
+                else:
+                    fired = 0.0
+                matrix[pos, code] = _payoff(code, fired, p, cfg.compensation)
+        return matrix
+
+    pfail_bad = np.array([_use_prob_given_quality(int(c), False, p) for c in codes])
+    by_rank = np.argsort(ranks, kind="stable")
+    survive = 1.0 - pfail_bad[by_rank]
+    prefix = np.ones(m)
+    prefix[by_rank[1:]] = np.cumprod(survive[:-1])
+    for pos, fired in enumerate(prefix.tolist()):
+        for code in range(_N_STRATEGIES):
+            matrix[pos, code] = _payoff(code, fired, p, cfg.compensation)
+    return matrix
+
+
+def state_sum_matrix(cfg, profile, policy_gamma, ranks):
+    """The deviation matrix summed over the four states, and built on the wages conditioned on the quality."""
+    p = cfg.params
+    m = cfg.access_count
+    if m == 0 or cfg.punishment_mode == "uniform_random":
+        return reference_matrix(cfg, profile, policy_gamma, ranks)
+
+    ranks = np.arange(m) if ranks is None else ranks[:m]
+    codes = profile.codes[:m]
     effort_cost = np.where(_EFFORT_TABLE, p.c, 0.0)
+    matrix = np.empty((m, _N_STRATEGIES))
 
     if cfg.signal_correlation == "common":
         matrix[:] = 0.0
@@ -106,14 +198,7 @@ def reference_matrix(cfg, profile, policy_gamma, ranks):
                 signal_good = good != wrong
                 use_now = _adoption(codes, signal_good)
                 failing = use_now & (not good)
-                failing_ranks = ranks[failing]
-                if failing_ranks.size == 0:
-                    min1, min2 = math.inf, math.inf
-                elif failing_ranks.size == 1:
-                    min1, min2 = float(failing_ranks[0]), math.inf
-                else:
-                    two = np.partition(failing_ranks, 1)[:2]
-                    min1, min2 = float(two.min()), float(two.max())
+                min1, min2 = _senior_failures(ranks, failing)
                 min_other = np.where(failing & (ranks == min1), min2, min1)
                 produced_value = (1.0 + p.g) if good else 0.0
                 for s in ALL_STRATEGIES:
@@ -220,6 +305,11 @@ def assert_matches_the_vectorized_loop(cfg, initial, max_rounds=None):
     assert trace.final == final and trace.final.codes.dtype == np.int8
 
 
+#: How far the package's deviation table may lie from ``state_sum_matrix``, in ulps of the payoff algebra's
+#: largest term: c, w, v_c or 1 + g, which bounds the production.  The Nash check's cases are fixed, and their
+#: worst is 2.
+STATE_SUM_ULPS = 2
+
 #: Parameter points: the reference scenarios (one has eps = 0) plus an eps = 0 copy of P0.
 PARAMS = REFERENCE_POINTS + (ModelParams(pi=0.9, eps=0.0, g=0.5, c=0.01, w=0.05, v_c=1.0),)
 
@@ -293,6 +383,13 @@ def test_nash_check_matches_the_reference(signal, compensation, punishment, h):
             for d in nash_check(cfg, _relabelled(profile, order), gamma)
         )
         assert got == reference_nash_check(cfg, profile, gamma, ranks)
+        # the package's table, agent by agent, equals the reference's, and lies within ulps of the state sums
+        rows, row_of_agent = _deviation_payoff_table(cfg, _relabelled(profile, order).codes[: cfg.access_count], gamma)
+        table = rows[row_of_agent]
+        assert repr(table.tolist()) == repr(reference_matrix(cfg, profile, gamma, ranks)[order].tolist())
+        p = cfg.params
+        gap = np.abs(table - state_sum_matrix(cfg, profile, gamma, ranks)[order])
+        assert np.all(gap <= STATE_SUM_ULPS * np.spacing(max(p.c, p.w, p.v_c, 1.0 + p.g)))
 
 
 @pytest.mark.parametrize("signal,compensation,punishment,h", MODES)

@@ -15,7 +15,7 @@ from conftest import REFERENCE_POINTS, best_response, draw_params, switched_agen
 from shirklab import simulation
 from shirklab.equilibrium import EFFORT, SHIRK, ReplacementCostCurve, expected_output
 from shirklab.errors import ContractViolationError, InvalidParamsError
-from shirklab.model import AgentStrategy, ModelParams, agent_payoff, expected_production, gamma_bar
+from shirklab.model import STRATEGY_TABLE, AgentStrategy, ModelParams, agent_payoff, expected_production, gamma_bar
 from shirklab.simulation import (
     SimConfig,
     StrategyProfile,
@@ -438,6 +438,20 @@ class TestNashCheck:
             deviations = nash_check(cfg, profile, 0.0)
             assert [d.agent for d in deviations] == [0]
 
+    def test_rounding_noise_is_no_deviation(self):
+        # an agent never fired gets 1.8 + v_c from shirk_use and from effort_follow_signal alike; the payoffs once
+        # summed over the four states put effort 1.16e-10 short under common signals, a false deviation
+        p = ModelParams(pi=0.9, eps=0.1, g=1.0, c=0.0, w=0.0, v_c=1e6)
+        codes = np.array([SU, EFS, EFS], dtype=np.int8)
+        for signal in ("common", "independent"):
+            cfg = make_cfg(p, n_agents=3, h=1.0, compensation="realized", punishment_mode="seniority",
+                           signal_correlation=signal)
+            rows, row_of_agent = simulation._deviation_payoff_table(cfg, codes, 0.0)
+            assert rows[row_of_agent[1], SU] == rows[row_of_agent[1], EFS] == 1.8 + p.v_c
+            assert [d.agent for d in nash_check(cfg, StrategyProfile(codes), 0.0)] == [0]
+        uniform = make_cfg(p, n_agents=3, h=1.0, compensation="realized")
+        assert [d.agent for d in nash_check(uniform, StrategyProfile(codes), 0.0)] == []
+
     def test_expected_strategy_payoffs_match_the_closed_forms(self, p0):
         cfg = make_cfg(p0, n_agents=100, h=0.5)
         profile = StrategyProfile.symmetric(EFS, cfg.n_agents)
@@ -469,7 +483,7 @@ class TestNashCheck:
             targets = closed_form_targets(cfg, StrategyProfile(codes), 0.0)
             production = sum(expected_production(AgentStrategy(int(code)), p) for code in codes[:m])
             output = ((n - m) + production) / n
-            researchers = sum(AgentStrategy(int(code)).exerts_effort for code in codes[:m])
+            researchers = sum(STRATEGY_TABLE[code][0] for code in codes[:m])
             assert targets["output"] == pytest.approx(output, rel=1e-12)
             assert targets["welfare"] == pytest.approx(output - p.c * researchers / n, rel=1e-12)
             for regime, code in ((EFFORT, EFS), (SHIRK, SU)):

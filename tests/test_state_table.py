@@ -1,20 +1,28 @@
 """The closed forms read off ``model.StateTable`` against the code they replaced.
 
-The references below are the package's closed forms as they were written
-before the state table existed, each spelling the (quality, reading)
-states out itself, copied verbatim but for one dtype: the few-row
-deviation tables, under uniform random firing and under seniority firing
-with common signals, index each agent's row with one int8, as the package
-does, where the originals used intp.  Under seniority firing with
+The references below are written without the state table, each spelling
+the (quality, reading) states out itself.  The few-row deviation tables,
+under uniform random firing and under seniority firing with common
+signals, index each agent's row with one int8, as the package does.
+Under seniority firing with
 independent signals the reference keeps one row per agent, indexed by
 ``arange``, where the package keeps one row per run of equal prefixes, so
 the two are compared agent by agent, as ``rows[row_of_agent]``; the
 package's table reader and its strategy payoffs are held to per-agent
 readings of this reference table.  The new forms must give the same
-float, sign of zero included, so values are compared by ``repr``.  The
-parameters cover the admissible region and every in-range corner the
-closed forms accept without checking admissibility: eps = 0 and 1/2, pi
-next to 0 and 1, and zeros of either sign.
+float, sign of zero included, so values are compared by ``repr``.
+
+Every reference payoff is the hand algebra of ``agent_payoff``,
+``-c * effort + wage + (1 - P(fail) * fired) * v_c`` in Python floats,
+where each firing rule gives only ``fired``, the chance of being fired on
+a failure: the rate, the common-signal fired pattern, or the prefix
+product.  The payoffs the references first summed over the four states
+(``_state_sum_common_rows``, and ``_expected_wages`` under independent
+signals) are kept as a second check, equal within ``STATE_SUM_ULPS`` ulps
+of the algebra's largest term.  The parameters cover the admissible region
+and every in-range corner the closed forms accept without checking
+admissibility: eps = 0 and 1/2, pi next to 0 and 1, and zeros of either
+sign.
 """
 
 import tracemalloc
@@ -93,6 +101,17 @@ def expected_production(strategy: AgentStrategy, p: ModelParams) -> float:
     return total
 
 
+def _payoff(strategy: AgentStrategy, fired: float, p: ModelParams, comp: Compensation) -> float:
+    """The hand algebra of a worker fired with chance ``fired`` on a failure."""
+    effort_cost = p.c if STRATEGY_TABLE[strategy][0] else 0.0
+    survival = (1.0 - failure_probability(strategy, p) * fired) * p.v_c
+    if comp == PROSPECTIVE:
+        wage = use_probability(strategy, p) * p.w
+    else:
+        wage = expected_production(strategy, p)
+    return -effort_cost + wage + survival
+
+
 def agent_payoff(
     strategy: AgentStrategy,
     gamma: float,
@@ -104,13 +123,7 @@ def agent_payoff(
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     if comp not in (PROSPECTIVE, REALIZED):
         raise ValueError(f"compensation must be 'prospective' or 'realized', got {comp!r}")
-    effort_cost = p.c if strategy.exerts_effort else 0.0
-    survival = (1.0 - failure_probability(strategy, p) * gamma) * p.v_c
-    if comp == PROSPECTIVE:
-        wage = use_probability(strategy, p) * p.w
-    else:
-        wage = expected_production(strategy, p)
-    return -effort_cost + wage + survival
+    return _payoff(strategy, gamma, p, comp)
 
 
 def _adoption_given_quality(p: ModelParams, good: bool) -> np.ndarray:
@@ -129,7 +142,30 @@ def _expected_wages(p: ModelParams, compensation: str) -> np.ndarray:
 
 
 def _common_signal_rows(p: ModelParams, compensation: str) -> np.ndarray:
-    """Seniority deviation payoffs under common signals, one row per fired pattern."""
+    """Seniority deviation payoffs under common signals, one row per fired pattern, by the hand algebra.
+
+    Row ``2 * f_right + f_wrong`` is that of an agent fired (flag 1) or spared (flag 0) on failing in the bad
+    state with a right or a wrong reading; a strategy adopting on both readings fails on both.
+    """
+    rows = np.zeros((4, _N_STRATEGIES))
+    for row in range(4):
+        for s in ALL_STRATEGIES:
+            # in the bad state a right reading is bad and a wrong one good
+            _, on_good, on_bad = STRATEGY_TABLE[s]
+            if on_good and on_bad:
+                fired = (0.0, p.eps, 1.0 - p.eps, 1.0)[row]
+            elif on_bad:
+                fired = float(row >= 2)
+            elif on_good:
+                fired = float(row % 2)
+            else:
+                fired = 0.0
+            rows[row, s] = _payoff(s, fired, p, compensation)
+    return rows
+
+
+def _state_sum_common_rows(p: ModelParams, compensation: str) -> np.ndarray:
+    """Seniority deviation payoffs under common signals, one row per fired pattern, summed over the states."""
     rows = np.zeros((4, _N_STRATEGIES))
     fired_if = {False: np.array([0, 0, 1, 1], dtype=bool), True: np.array([0, 1, 0, 1], dtype=bool)}
     effort_cost = np.where(_EFFORT, p.c, 0.0)
@@ -160,12 +196,27 @@ def _common_signal_row_of_agent(codes: np.ndarray) -> np.ndarray:
     return row
 
 
+def _prefix(p: ModelParams, codes: np.ndarray) -> np.ndarray:
+    """The chance no lower-indexed agent fails, given a bad technology, under independent signals.
+
+    Failures are independent across agents given a bad technology, so it is a prefix product.
+    """
+    prefix = np.ones(len(codes))
+    prefix[1:] = np.cumprod(1.0 - _adoption_given_quality(p, False)[codes[:-1]])
+    return prefix
+
+
 def _deviation_payoff_table(
     cfg: SimConfig,
     codes: np.ndarray,
     policy_gamma: float,
+    state_sums: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Expected payoff of every (access agent, strategy) pair, others fixed."""
+    """Expected payoff of every (access agent, strategy) pair, others fixed.
+
+    With ``state_sums`` the seniority rows are the former payoffs, summed over the four states under common
+    signals and built on ``_expected_wages`` under independent signals.
+    """
     p = cfg.params
     m = len(codes)
     if cfg.punishment_mode == UNIFORM_RANDOM:
@@ -175,17 +226,18 @@ def _deviation_payoff_table(
         )
         return row[None, :], np.zeros(m, dtype=np.int8)
     if cfg.signal_correlation == COMMON:
-        return _common_signal_rows(p, cfg.compensation), _common_signal_row_of_agent(codes)
+        rows = (_state_sum_common_rows if state_sums else _common_signal_rows)(p, cfg.compensation)
+        return rows, _common_signal_row_of_agent(codes)
 
-    # independent signals: failures are independent across agents given a
-    # bad technology, so the chance no lower-indexed agent fails is a
-    # prefix product
-    use_bad = _adoption_given_quality(p, False)
-    prefix = np.ones(m)
-    prefix[1:] = np.cumprod(1.0 - use_bad[codes[:-1]])
-    fired_prob = ((1.0 - p.pi) * use_bad)[None, :] * prefix[:, None]
-    base = _expected_wages(p, cfg.compensation) - np.where(_EFFORT, p.c, 0.0)
-    return base + p.v_c * (1.0 - fired_prob), np.arange(m)
+    prefix = _prefix(p, codes)
+    if state_sums:
+        fired_prob = ((1.0 - p.pi) * _adoption_given_quality(p, False))[None, :] * prefix[:, None]
+        base = _expected_wages(p, cfg.compensation) - np.where(_EFFORT, p.c, 0.0)
+        return base + p.v_c * (1.0 - fired_prob), np.arange(m)
+    # every agent of one prefix has one row
+    fired, inverse = np.unique(prefix, return_inverse=True)
+    rows = [[_payoff(s, chance, p, cfg.compensation) for s in ALL_STRATEGIES] for chance in fired.tolist()]
+    return np.array(rows).reshape(-1, _N_STRATEGIES)[inverse.reshape(-1)], np.arange(m)
 
 
 # -- parameters --------------------------------------------------------------
@@ -228,6 +280,17 @@ def _same(new, old):
     assert repr(new) == repr(old)
 
 
+#: How far the one payoff algebra may lie from the payoffs first summed over the four states, in ulps of the
+#: algebra's largest term: c, w, v_c or 1 + g, which bounds the production.  Measured worst over 20000 draws of
+#: each test below: 6 in a table, 8 in a strategy's mean over its agents.
+STATE_SUM_ULPS = 16
+
+
+def _near_the_state_sums(new, old, p: ModelParams) -> None:
+    """``new`` lies within ``STATE_SUM_ULPS`` of ``old``, in ulps of the payoff algebra's largest term."""
+    assert np.all(np.abs(new - old) <= STATE_SUM_ULPS * np.spacing(max(p.c, p.w, p.v_c, 1.0 + p.g)))
+
+
 # -- bit for bit ---------------------------------------------------------------
 
 
@@ -236,8 +299,8 @@ def _same(new, old):
 @given(p=params, gamma=st.floats(0.0, 1.0))
 def test_the_scalar_closed_forms_equal_the_references_bit_for_bit(p, gamma):
     for s in ALL_STRATEGIES:
-        _same(model.use_probability(s, p), use_probability(s, p))
-        _same(model.failure_probability(s, p), failure_probability(s, p))
+        _same(float(p.state_table.use[s]), use_probability(s, p))
+        _same(float((1 - p.pi) * p.state_table.use_given_bad[s]), failure_probability(s, p))
         _same(model.expected_production(s, p), expected_production(s, p))
         for comp in (PROSPECTIVE, REALIZED):
             _same(model.agent_payoff(s, gamma, p, comp), agent_payoff(s, gamma, p, comp))
@@ -249,9 +312,7 @@ def test_the_scalar_closed_forms_equal_the_references_bit_for_bit(p, gamma):
 def test_the_simulation_closed_forms_equal_the_references_bit_for_bit(p, gamma):
     _same(p.state_table.use_given_good, _adoption_given_quality(p, True))
     _same(p.state_table.use_given_bad, _adoption_given_quality(p, False))
-    for comp in (PROSPECTIVE, REALIZED):
-        _same(simulation._expected_wages(p, comp), _expected_wages(p, comp))
-        _same(simulation._common_signal_rows(p, comp), _common_signal_rows(p, comp))
+    _same(p.production, np.array([expected_production(s, p) for s in ALL_STRATEGIES]))
     # each code once in every place, so each is once the first to fail
     codes = np.concatenate([np.roll(np.arange(_N_STRATEGIES, dtype=np.int8), -k) for k in range(_N_STRATEGIES)])
     for mode in (UNIFORM_RANDOM, SENIORITY):
@@ -262,6 +323,8 @@ def test_the_simulation_closed_forms_equal_the_references_bit_for_bit(p, gamma):
                 old_rows, old_row_of_agent = _deviation_payoff_table(cfg, codes, gamma)
                 # every agent's row, expanded from the few rows the package keeps
                 _same(rows[row_of_agent], old_rows[old_row_of_agent])
+                sums, sum_row_of_agent = _deviation_payoff_table(cfg, codes, gamma, state_sums=True)
+                _near_the_state_sums(rows[row_of_agent], sums[sum_row_of_agent], p)
                 if not (mode == SENIORITY and signals == INDEPENDENT):
                     _same(rows, old_rows)
                     _same(row_of_agent, old_row_of_agent)
@@ -389,14 +452,26 @@ def test_error_free_signals_switch_as_the_reference_does(p, comp, codes):
 @settings(max_examples=200, deadline=None)
 @given(p=params, comp=st.sampled_from([PROSPECTIVE, REALIZED]), codes=profiles())
 def test_independent_seniority_payoffs_sum_the_reference_agent_by_agent(p, comp, codes):
+    # each strategy's payoff weights the payoff of each prefix its agents read by their share, the highest
+    # prefix (the most senior agents) first; the agent-by-agent mean of the state sums lies within ulps of it
     cfg = _independent(p, len(codes), comp)
     rows, row_of_agent = _deviation_payoff_table(cfg, codes, 0.0)
     table = rows[row_of_agent]
-    want = {}
+    sums, sum_row_of_agent = _deviation_payoff_table(cfg, codes, 0.0, state_sums=True)
+    prefix = _prefix(p, codes)
+    want, by_agent = {}, {}
+    sums = sums[sum_row_of_agent]
     for code in np.unique(codes).tolist():
         mine = codes == code
-        want[AgentStrategy(code).label] = float(np.sum(table[mine, code] * (1 / np.count_nonzero(mine))))
-    assert repr(simulation.expected_strategy_payoffs(cfg, StrategyProfile(codes), 0.0)) == repr(want)
+        fired, counts = np.unique(prefix[mine], return_counts=True)
+        terms = [_payoff(AgentStrategy(code), chance, p, comp) for chance in fired[::-1].tolist()]
+        want[AgentStrategy(code).label] = float(np.sum(np.array(terms) * (counts[::-1] / np.count_nonzero(mine))))
+        assert set(table[mine, code].tolist()) == set(terms)
+        by_agent[code] = float(np.sum(sums[mine, code] * (1 / np.count_nonzero(mine))))
+    got = simulation.expected_strategy_payoffs(cfg, StrategyProfile(codes), 0.0)
+    assert repr(got) == repr(want)
+    for code, value in by_agent.items():
+        _near_the_state_sums(got[AgentStrategy(code).label], value, p)
 
 
 def test_the_targets_of_a_million_agents_take_no_table_per_agent():
@@ -430,3 +505,40 @@ def test_counting_the_deviations_of_a_million_agents_makes_no_list():
         tracemalloc.stop()
     assert count == want
     assert peak < 48 * 2**20
+
+
+# -- one payoff algebra under every firing rule ----------------------------------
+
+
+def _rows(p: ModelParams, comp: Compensation, signals: str, mode: str, codes: np.ndarray, gamma: float) -> np.ndarray:
+    return simulation._deviation_payoff_table(SimConfig(p, len(codes), 1, 0, 1.0, signals, comp, mode), codes, gamma)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@_with_corners
+@given(p=params, gamma=st.floats(0.0, 1.0))
+def test_the_firing_rules_share_the_payoffs_of_one_chance_of_being_fired(p, gamma):
+    # the most senior agent under independent seniority is fired on any failure, as at gamma 1; under common
+    # seniority row 3 is fired on any failure and row 0 never
+    codes = np.arange(_N_STRATEGIES, dtype=np.int8)
+    for comp in (PROSPECTIVE, REALIZED):
+        uniform = [_rows(p, comp, COMMON, UNIFORM_RANDOM, codes, rate)[0].tolist() for rate in (0.0, 1.0)]
+        _same(_rows(p, comp, INDEPENDENT, SENIORITY, codes, gamma)[0].tolist(), uniform[1])
+        common = _rows(p, comp, COMMON, SENIORITY, codes, gamma)
+        _same(common[3].tolist(), uniform[1])
+        _same(common[0].tolist(), uniform[0])
+
+
+@settings(max_examples=300, deadline=None)
+@_with_corners
+@given(p=params, gamma=st.floats(0.0, 1.0))
+def test_a_lone_access_agent_is_paid_under_seniority_as_at_gamma_1(p, gamma):
+    # the one agent with access is the first to fail whenever it fails, so seniority fires it as gamma 1 does
+    for code in ALL_STRATEGIES:
+        profile = StrategyProfile([int(code)])
+        for comp in (PROSPECTIVE, REALIZED):
+            uniform = SimConfig(p, 1, 1, 0, 1.0, COMMON, comp, UNIFORM_RANDOM)
+            want = simulation.expected_strategy_payoffs(uniform, profile, 1.0)
+            for signals in (COMMON, INDEPENDENT):
+                cfg = SimConfig(p, 1, 1, 0, 1.0, signals, comp, SENIORITY)
+                _same(simulation.expected_strategy_payoffs(cfg, profile, gamma), want)

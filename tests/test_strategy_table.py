@@ -20,12 +20,9 @@ from shirklab.model import (
     ModelParams,
     agent_payoff,
     expected_production,
-    failure_probability,
     gamma_bar,
-    use_probability,
     validate_params,
 )
-from shirklab.simulation import _expected_wages
 
 # -- the hand algebra ------------------------------------------------------
 
@@ -143,6 +140,10 @@ def random_admissible(rng, count):
 
 PARAMS = REFERENCE_POINTS + tuple(random_admissible(np.random.default_rng(20251017), 10_000))
 
+#: How far a wage conditioned on the quality may lie from the one the payoffs read, in ulps of the larger of w
+#: and 1 + g, which bounds the production; the worst on PARAMS, which are fixed, is 2.
+WAGE_ULPS = 2
+
 
 def test_the_sample_reaches_the_corners():
     assert len(PARAMS) > 10_000
@@ -154,7 +155,7 @@ def test_the_sample_reaches_the_corners():
 def test_table_rows_follow_the_strategy_names():
     for s in ALL_STRATEGIES:
         effort, on_good, on_bad = STRATEGY_TABLE[s]
-        assert s.exerts_effort == effort == (s in _EFFORT_STRATEGIES)
+        assert effort == (s in _EFFORT_STRATEGIES)
         rule = _USE_RULE[s]
         assert (on_good, on_bad) == (rule in (1, 2), rule in (1, 3))
 
@@ -167,8 +168,8 @@ def test_closed_forms_equal_the_hand_algebra_exactly():
     for p in PARAMS:
         for s in ALL_STRATEGIES:
             for name, new, old in (
-                ("use_probability", use_probability(s, p), oracle_use_probability(s, p)),
-                ("failure_probability", failure_probability(s, p), oracle_failure_probability(s, p)),
+                ("use_probability", float(p.state_table.use[s]), oracle_use_probability(s, p)),
+                ("failure_probability", (1 - p.pi) * p.state_table.use_given_bad[s], oracle_failure_probability(s, p)),
                 ("expected_production", expected_production(s, p), oracle_expected_production(s, p)),
             ):
                 if new != old:
@@ -190,14 +191,24 @@ def test_agent_payoff_equals_the_hand_algebra_exactly():
 
 
 def test_simulation_adoption_and_wages_equal_the_hand_algebra_exactly():
+    # the wages every exact payoff is built on: P(use) * w under prospective pay, the expected production under
+    # realized pay; the wages conditioned on the quality, which the simulation's payoffs were first built on,
+    # stay within WAGE_ULPS of them
     mismatches = []
     for p in PARAMS:
         for good in (True, False):
             old = [oracle_use_prob_given_quality(code, good, p) for code in range(len(ALL_STRATEGIES))]
             if (p.state_table.use_given_good if good else p.state_table.use_given_bad).tolist() != old:
                 mismatches.append(("adoption", good, p))
-        for comp in (PROSPECTIVE, REALIZED):
-            old = [oracle_expected_wage(code, p, comp) for code in range(len(ALL_STRATEGIES))]
-            if _expected_wages(p, comp).tolist() != old:
+        wages = {PROSPECTIVE: (p.state_table.use * p.w).tolist(), REALIZED: p.production.tolist()}
+        for comp, old in (
+            (PROSPECTIVE, [oracle_use_probability(s, p) * p.w for s in ALL_STRATEGIES]),
+            (REALIZED, [oracle_expected_production(s, p) for s in ALL_STRATEGIES]),
+        ):
+            if wages[comp] != old:
                 mismatches.append(("wage", comp, p))
+            conditioned = [oracle_expected_wage(code, p, comp) for code in range(len(ALL_STRATEGIES))]
+            gap = max(abs(new - was) for new, was in zip(wages[comp], conditioned))
+            if gap > WAGE_ULPS * np.spacing(max(p.w, 1.0 + p.g)):
+                mismatches.append(("conditioned wage", comp, p, gap))
     assert mismatches == []
