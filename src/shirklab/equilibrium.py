@@ -107,8 +107,11 @@ class ReplacementCostCurve:
             sums /= n
         else:
             np.multiply(self.values[: m + 1], factor, out=out)
-            # each segment's two nodes
-            sums += out[:-1]
+            # each segment's two nodes, added where the left one lies and
+            # moved up by one: the input runs ahead of the output, so numpy
+            # adds in place, where sums += out[:-1] would copy out[:-1] first
+            np.add(out[:-1], out[1:], out=out[:-1])
+            sums[:] = out[:-1]
             sums /= 2.0 * n
             np.cumsum(sums, out=sums)
         out[0] = 0.0
@@ -144,6 +147,8 @@ class ReplacementCostCurve:
         # a NaN, a negative or an infinite node moves the least or the greatest
         if not (raw.min() >= 0.0 and raw.max() < math.inf):
             _check_nonnegative(raw, grid)
+        # only a bad node's message reads its z, so the grid goes before the arrays below
+        del grid
         # every family's nodes ascend already: np.sort would only copy them, as equal
         # floats are equal bytes but for 0.0 and -0.0, which lead ascending nodes
         ascending = bool(np.all(raw[1:] >= raw[:-1]))
@@ -151,6 +156,8 @@ class ReplacementCostCurve:
             signs = np.signbit(raw[: np.searchsorted(raw, 0.0, side="right")])
             ascending = signs.all() or not signs.any()
         values = np.sort(raw) if not ascending else raw if fresh else raw.copy()
+        # a schedule that was sorted or copied goes before the constructor adds the sums
+        del raw
         return cls(values, "nodes")
 
     @classmethod

@@ -53,16 +53,40 @@ class Labels:
         return np.array(self.texts, dtype=object)[self.codes].tolist()
 
 
+@dataclass(frozen=True, eq=False)
+class Held:
+    """A float column with empty cells: row i reads ``values[i]`` where ``held[i]``, and is empty elsewhere.
+
+    Columns of one table may share one ``held`` array.
+    """
+
+    values: np.ndarray
+    held: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def tolist(self) -> list:
+        """The cells as Python floats, and None where the row is empty."""
+        return np.where(self.held, self.values, None).tolist()
+
+
 def _is_column(values) -> bool:
-    """Whether ``values`` is of a column kind that a ``Table`` holds; ``Labels`` codes must index their texts."""
+    """Whether ``values`` is of a column kind that a ``Table`` holds.
+
+    ``Labels`` codes must index their texts, and a ``Held`` column's mask
+    must be a bool array as long as its float64 values.
+    """
+    if isinstance(values, Held):
+        floats, held = values.values, values.held
+        kinds = _is_column(floats) and _is_column(held) and (floats.dtype, held.dtype) == (np.float64, np.bool_)
+        return kinds and len(held) == len(floats)
     array = values.codes if isinstance(values, Labels) else values
     if not (isinstance(array, np.ndarray) and array.ndim == 1):
         return False
     if isinstance(values, Labels):
         in_range = array.dtype.kind in "ui" and (not len(array) or 0 <= array.min() <= array.max() < len(values.texts))
         return in_range and isinstance(values.texts, tuple) and all(isinstance(text, str) for text in values.texts)
-    if array.dtype == object:
-        return set(map(type, array.tolist())) <= {float, type(None)}
     return array.dtype in (np.float64, np.bool_)
 
 
@@ -72,8 +96,9 @@ class Table:
 
     columns -- the column names.
     data -- one column per name, all of one length, each of one of four
-        kinds: a float64 array, a bool array, an object array of floats
-        and None (None is an empty cell), or ``Labels`` for text.
+        kinds: a float64 array, a bool array, ``Held`` floats with empty
+        cells, or ``Labels`` for text.  A column may be the caller's own
+        array, held rather than copied.
 
     ``rows`` builds one tuple of Python objects per row, so ``len`` is the
     cheap row count.  Tables compare by identity, as their arrays have no
@@ -88,7 +113,7 @@ class Table:
             raise ValueError(f"{len(self.columns)} column names for {len(self.data)} columns")
         for name, values in zip(self.columns, self.data):
             if not _is_column(values):
-                raise ValueError(f"column {name!r} is not a float64 or bool array, floats and None, or Labels")
+                raise ValueError(f"column {name!r} is not a float64 or bool array, Held floats, or Labels")
         if len(set(map(len, self.data))) > 1:
             raise ValueError("columns differ in length")
 
@@ -101,8 +126,8 @@ class Table:
 
 
 def _floats(grid: Iterable[float]) -> np.ndarray:
-    """The grid points as a new float array."""
-    return np.array(grid if isinstance(grid, np.ndarray) else list(grid), dtype=float)
+    """The grid points as a float64 array: a float64 array grid itself, not a copy, and any other grid converted."""
+    return np.asarray(grid if isinstance(grid, np.ndarray) else list(grid), dtype=float)
 
 
 def sweep_h(params: ModelParams, curve: ReplacementCostCurve, grid: Iterable[float]) -> Table:
@@ -114,19 +139,27 @@ def sweep_h(params: ModelParams, curve: ReplacementCostCurve, grid: Iterable[flo
     boundary flag.  The credible interval [0, h_tilde] is closed, as the
     solve returns the last reach it confirmed credible, so a row at
     h_tilde itself reports the punishment regime.  The closed forms run
-    once on the whole grid array.
+    once on the whole grid array: output is the shirk line, overwritten
+    by the effort line on the effort rows only.  A float64 array grid is
+    the table's ``h`` column itself, not a copy.
     """
     sol = solve_threshold(params, curve)
     h = _floats(grid)
     gamma_star = policy(h, sol)
     effort = gamma_star > 0.0
-    output = np.where(effort, expected_output(h, EFFORT, params), expected_output(h, SHIRK, params))
-    # welfare nets out the effort cost that researchers pay
-    welfare = np.where(effort, output - params.c * h, output)
+    # abs() reuses its one float temporary, where np.abs would allocate a second
+    boundary = abs(h - sol.h_tilde) <= TOL
+    output = expected_output(h, SHIRK, params)
+    reach = h[effort]
+    output[effort] = expected_output(reach, EFFORT, params)
+    # welfare nets out the effort cost that researchers pay, formed in their reach array
+    welfare = output.copy()
+    reach *= params.c
+    welfare[effort] -= reach
     regime = Labels(effort.view(np.uint8), (SHIRK, EFFORT))
     return Table(
         ("h", "regime", "gamma_star", "output", "welfare", "boundary"),
-        (h, regime, gamma_star, output, welfare, np.abs(h - sol.h_tilde) <= TOL),
+        (h, regime, gamma_star, output, welfare, boundary),
     )
 
 
@@ -143,7 +176,10 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
     and the closed forms run once on the grid array, through the functions
     that check and solve one params object, and ``_bisect_thresholds``,
     which ``solve_threshold`` runs on one point, solves the admissible
-    points.  For ``curve_scale`` no scaled curve is built.
+    points.  For ``curve_scale`` no scaled curve is built.  A float64
+    array grid is the table's ``value`` column itself, not a copy, and
+    the three equilibrium columns are ``Held`` floats whose one shared
+    mask is the ``admissible`` column.
     """
     if parameter not in SWEEPABLE_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEPABLE_PARAMETERS}")
@@ -176,22 +212,24 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
         terms = (_gamma_bar(point), credibility_slope(point), _research_gain(point))
         rate, slope, drop = (np.broadcast_to(term, solved.shape) for term in terms)
     h_tilde = _bisect_thresholds(curve, rate, slope, values[solved] if scaled else None)[0]
-    # None at every unsolved point; a drop is the solved h_tilde times the research gain it forgoes
-    gammas, h_tildes, drops = cells = np.full((3, len(values)), None, dtype=object)
+    # NaN and empty at every unsolved point; a drop is the solved h_tilde times the research gain it forgoes
+    cells = np.full((3, len(values)), math.nan)
     cells[:, solved] = (rate, h_tilde, h_tilde * drop)
+    admissible = codes == 0
+    gammas, h_tildes, drops = (Held(column, admissible) for column in cells)
     # the reasons carry only the texts some point uses
     texts = (*names, *faults[1:])
     used, reasons = np.unique(codes, return_inverse=True)
     return Table(
         ("value", "gamma_bar", "h_tilde", "admissible", "drop_at_h_tilde", "reason"),
-        (values, gammas, h_tildes, codes == 0, drops, Labels(reasons, tuple(texts[i] for i in used.tolist()))),
+        (values, gammas, h_tildes, admissible, drops, Labels(reasons, tuple(texts[i] for i in used.tolist()))),
     )
 
 
 #: Rows formatted and written at a time, which bounds the bytes held in memory.
 #: Peak RSS of a 10^5-row h sweep through the CLI (fresh process, 2-CPU Xeon,
-#: numpy 2.4, medians of 10) was 41.43 MB at 1024 rows, 41.35 MB at 2048 and
-#: 41.41 MB at 4096; smaller chunks make more numpy calls per row.
+#: numpy 2.4, medians of 10) was 37.05 MB at 1024 rows, 37.05 MB at 2048 and
+#: 37.43 MB at 4096; smaller chunks make more numpy calls per row.
 CSV_CHUNK_ROWS = 2048
 # fills a text block's rows past their text; no UTF-8 text holds this byte
 _PAD = 0xFF
@@ -211,8 +249,8 @@ def emit_csv(table: Table, path: str) -> None:
     string joined from a text block per column, a row per cell padded
     with a byte that no UTF-8 text holds.  Bool and ``Labels`` codes index
     a block of the column's texts, built once; ``_format_floats`` prints
-    the floats, an object column's between its empty None cells.  A chunk
-    of one code, or of one float bit pattern, is its one text repeated.
+    the floats, a ``Held`` column's between its empty cells.  A chunk of
+    one code, or of one float bit pattern, is its one text repeated.
     An empty table is an error, raised before the file is opened.
     """
     if not len(table):
@@ -230,9 +268,9 @@ def emit_csv(table: Table, path: str) -> None:
 
 def _encoder(values, empty: str):
     """The function that prints a slice of the column's rows as a block of text bytes, a row per cell."""
-    if isinstance(values, np.ndarray) and values.dtype == object:
-        literal, block = None, functools.partial(_held_floats, empty=empty.encode("ascii"))
-    elif isinstance(values, np.ndarray) and values.dtype == float:
+    if isinstance(values, Held):
+        return functools.partial(_held_floats, values, empty=empty)
+    if isinstance(values, np.ndarray) and values.dtype == float:
         literal, block = (lambda cell: np.frombuffer(_fmt(float(cell)).encode("ascii"), np.uint8)), _format_floats
     else:
         labels = values if isinstance(values, Labels) else Labels(values.view(np.uint8), ("false", "true"))
@@ -242,7 +280,7 @@ def _encoder(values, empty: str):
     def encode(rows: slice) -> np.ndarray:
         chunk = values[rows]
         # cells that all have the first one's bytes, so -0.0 and 0.0 differ and a NaN run is one value, are one text
-        if literal and chunk.tobytes() == chunk[:1].tobytes() * len(chunk):
+        if chunk.tobytes() == chunk[:1].tobytes() * len(chunk):
             text = literal(chunk[0])
             return np.broadcast_to(text, (len(chunk), len(text)))
         return block(chunk)
@@ -250,12 +288,12 @@ def _encoder(values, empty: str):
     return encode
 
 
-def _held_floats(chunk: np.ndarray, empty: bytes) -> np.ndarray:
-    """The texts of an object column's cells: its floats printed in one call, ``empty`` at each None."""
-    held = np.not_equal(chunk, None)
-    numbers = _format_floats(chunk[held].astype(float))
-    block = np.full((len(chunk), max(numbers.shape[1], len(empty))), _PAD, np.uint8)
-    block[~held, : len(empty)] = np.frombuffer(empty, np.uint8)
+def _held_floats(column: Held, rows: slice, empty: str) -> np.ndarray:
+    """The texts of a ``Held`` column's rows: its held floats printed in one call, ``empty`` at the other cells."""
+    held = column.held[rows]
+    numbers = _format_floats(column.values[rows][held])
+    block = np.full((len(held), max(numbers.shape[1], len(empty))), _PAD, np.uint8)
+    block[~held, : len(empty)] = np.frombuffer(empty.encode("ascii"), np.uint8)
     block[held, : numbers.shape[1]] = numbers
     return block
 
@@ -428,6 +466,11 @@ def grid_size(start: float, stop: float, step: float) -> int:
 def make_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive arithmetic grid ``start + i * step`` as a float array; ``grid_size`` checks the bounds.
 
-    Each point is the same multiply-add as in Python floats.
+    Each point is the same multiply-add as in Python floats: i < 2^53 is
+    an exact float, and the products and sums are formed in place, so the
+    grid is the one array built.
     """
-    return start + np.arange(grid_size(start, stop, step)) * step
+    grid = np.arange(grid_size(start, stop, step), dtype=float)
+    grid *= step
+    grid += start
+    return grid

@@ -1,5 +1,8 @@
+import contextlib
 import os
 import sys
+import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -168,3 +171,25 @@ def recording_cumulate(built: list):
         cumulate(self, factor, out)
 
     return mock.patch.object(ReplacementCostCurve, "_cumulate", recording)
+
+
+@contextlib.contextmanager
+def traced_memory():
+    """Trace the block's allocations with tracemalloc, started here unless it already runs.
+
+    On exit the yielded namespace holds ``peak``, the most bytes traced at
+    once above what was traced when the block began, and ``kept``, the
+    bytes still traced above it.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    usage = SimpleNamespace()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        yield usage
+        usage.kept, usage.peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import column, draw_curve, draw_params, output_drop, recording_cumulate
+from conftest import column, draw_curve, draw_params, output_drop, recording_cumulate, traced_memory
 from shirklab import model
 from shirklab.cli import main
 from shirklab.equilibrium import (
@@ -176,6 +176,27 @@ class TestReplacementCostCurve:
                 want = self._sorted_build(q, resolution)
                 assert built.values.tobytes() == want.values.tobytes()
                 assert built._cumulative.tobytes() == want._cumulative.tobytes()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ReplacementCostCurve.linear(705.96235, 10**6),
+            lambda: ReplacementCostCurve.power(3.0, 2.5, 10**6),
+            lambda: ReplacementCostCurve.constant(2.0, 10**6),
+        ],
+        ids=["linear", "power", "constant"],
+    )
+    def test_a_family_build_peaks_at_what_it_keeps(self, build):
+        # the nodes and their boundary sums; the nodes' z held into the
+        # constructor and the copy of out[:-1] that sums += out[:-1] makes
+        # peaked at twice that
+        with traced_memory() as traced:
+            curve = build()
+        assert traced.peak < 1.1 * (curve.values.nbytes + curve._cumulative.nbytes)
+        # each boundary adds the segments' node sums, formed out of place here, in sequence
+        nodes, n = curve.values, curve._segments
+        want = np.concatenate(([0.0], np.cumsum((nodes[1:] + nodes[:-1]) / (2.0 * n))))
+        assert curve._cumulative.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "q",

@@ -38,7 +38,6 @@ import dataclasses
 import itertools
 import json
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -46,7 +45,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_POINTS
+from conftest import REFERENCE_POINTS, traced_memory
 from shirklab import simulation
 from shirklab.cli import main
 from shirklab.equilibrium import ReplacementCostCurve
@@ -583,14 +582,10 @@ def test_a_million_agents_take_no_pass_over_the_agents(firing, gamma):
     cfg = SimConfig(params=NOISY, n_agents=n, n_trials=200, seed=29, h=1.0, punishment_mode=firing)
     curve = ReplacementCostCurve.linear(1000.0, resolution=500)
     want = monte_carlo(cfg, profile, gamma, curve)
-    tracemalloc.start()
-    try:
+    with traced_memory() as traced:
         got = monte_carlo(cfg, profile, gamma, curve)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert got == want
-    assert peak < 4 * 2**20
+    assert traced.peak < 4 * 2**20
 
 
 def test_lone_trials_are_counted_a_block_at_a_time():
@@ -602,14 +597,10 @@ def test_lone_trials_are_counted_a_block_at_a_time():
     profile = StrategyProfile(np.arange(60) % _N_STRATEGIES)
     curve = ReplacementCostCurve.linear(1000.0, resolution=500)
     want = monte_carlo(cfg, profile, 0.5, curve)
-    tracemalloc.start()
-    try:
+    with traced_memory() as traced:
         got = monte_carlo(cfg, profile, 0.5, curve)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert got == want
-    assert peak < 220 * trials
+    assert traced.peak < 220 * trials
 
 
 # -- each state's counts against the agent-by-agent episode ----------------

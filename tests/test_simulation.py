@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_POINTS, best_response, draw_params, switched_agents, switched_codes, trace_profiles
+from conftest import (
+    REFERENCE_POINTS,
+    best_response,
+    draw_params,
+    switched_agents,
+    switched_codes,
+    trace_profiles,
+    traced_memory,
+)
 from shirklab import simulation
 from shirklab.equilibrium import EFFORT, SHIRK, ReplacementCostCurve, expected_output
 from shirklab.errors import ContractViolationError, InvalidParamsError
@@ -357,14 +364,10 @@ class TestNashCheck:
         n = 10**6
         cfg = make_cfg(p0, n_agents=n, n_trials=1, h=1.0)
         profile = StrategyProfile.symmetric(EFS, n)
-        tracemalloc.start()
-        try:
+        with traced_memory() as traced:
             deviations = nash_check(cfg, profile, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert deviations == []
-        assert peak < 4 * 2**20
+        assert traced.peak < 4 * 2**20
 
     def test_research_above_the_threshold_rate_is_nash(self, p0):
         cfg = make_cfg(p0, n_agents=200)
@@ -578,19 +581,15 @@ class TestIteratedBestResponse:
         n = 10**6
         cfg = SimConfig(params=p0, n_agents=n, n_trials=1, seed=0, h=0.5, punishment_mode="seniority")
         start = StrategyProfile.symmetric(SU, n)
-        tracemalloc.start()
-        try:
+        with traced_memory() as traced:
             trace = iterated_best_response(cfg, start)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert (trace.rounds, trace.converged) == (500000, True)
         assert (trace.final.codes[:500000] == int(EFS)).all() and (trace.final.codes[500000:] == int(SU)).all()
         assert np.array_equal(trace.agents, np.arange(500000))
         assert np.array_equal(trace.offsets, np.arange(500001))
         assert trace.new_codes.dtype == np.int8 and (trace.new_codes == int(EFS)).all()
         assert len(trace.new_codes) == 500000
-        assert peak < 20 * 2**20
+        assert traced.peak < 20 * 2**20
 
     def test_32000_agents_unravel_one_agent_a_round(self, p0):
         # 16000 rounds, each switching the next agent alone

@@ -25,12 +25,12 @@ admissibility: eps = 0 and 1/2, pi next to 0 and 1, and zeros of either
 sign.
 """
 
-import tracemalloc
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_memory
 from shirklab import model, simulation
 from shirklab.model import (
     ALL_STRATEGIES,
@@ -481,14 +481,10 @@ def test_the_targets_of_a_million_agents_take_no_table_per_agent():
     cfg = _independent(P0, n)
     profile = StrategyProfile.symmetric(EFS, n)
     want = simulation.closed_form_targets(cfg, profile, 0.0)
-    tracemalloc.start()
-    try:
+    with traced_memory() as traced:
         got = simulation.closed_form_targets(cfg, profile, 0.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert repr(got) == repr(want)
-    assert peak < 48 * 2**20
+    assert traced.peak < 48 * 2**20
 
 
 def test_counting_the_deviations_of_a_million_agents_makes_no_list():
@@ -497,14 +493,10 @@ def test_counting_the_deviations_of_a_million_agents_makes_no_list():
     cfg = _independent(P0, n)
     codes = np.full(n, int(EFS), dtype=np.int8)
     want = len(_reference_switches(cfg, codes)[0])
-    tracemalloc.start()
-    try:
+    with traced_memory() as traced:
         count = len(simulation._table_switches(cfg, codes, 0.0)[0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert count == want
-    assert peak < 48 * 2**20
+    assert traced.peak < 48 * 2**20
 
 
 # -- one payoff algebra under every firing rule ----------------------------------

@@ -5,7 +5,6 @@ import dataclasses
 import io
 import math
 import os
-import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -14,13 +13,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import column, draw_params, output_drop, recording_cumulate
+from conftest import column, draw_params, output_drop, recording_cumulate, traced_memory
 from shirklab import equilibrium, model, sweeps
 from shirklab.cli import main
 from shirklab.equilibrium import EFFORT, SHIRK, TOL, ReplacementCostCurve, credibility_slope, solve_threshold
 from shirklab.errors import InvalidCurveError, InvalidParamsError
 from shirklab.model import ModelParams, _fmt, gamma_bar, validate_params
-from shirklab.sweeps import Labels, Table, emit_csv, make_grid, sweep_h, sweep_param
+from shirklab.sweeps import Held, Labels, Table, emit_csv, make_grid, sweep_h, sweep_param
 from test_state_table import CORNERS, params
 
 
@@ -309,6 +308,12 @@ FLOATS = st.one_of(
 TEXTS = st.text(alphabet=st.sampled_from([",", '"', "\n", "\r", "%", "\u00e9"]), max_size=4)
 
 
+def held(cells, fill: float = math.nan) -> Held:
+    """A ``Held`` column of floats and None cells, each None an empty cell over ``fill``."""
+    values = np.array([fill if cell is None else cell for cell in cells])
+    return Held(values, np.array([cell is not None for cell in cells]))
+
+
 @st.composite
 def runs(draw, cells, size):
     """``size`` cells in runs of one repeated value, so that runs span chunk boundaries."""
@@ -331,9 +336,10 @@ def tables(draw):
         elif kind == "bool":
             data.append(np.array(draw(runs(st.booleans(), size)), dtype=bool))
         elif kind == "holes":
-            # a parameter sweep's equilibrium column: floats, None at the
-            # unsolved points, so that some chunks hold only None
-            data.append(np.array(draw(runs(st.none() | FLOATS, size)), dtype=object))
+            # a parameter sweep's equilibrium column: floats, empty at the
+            # unsolved points, so that some chunks hold no float; what lies
+            # under an empty cell is never printed
+            data.append(held(draw(runs(st.none() | FLOATS, size)), draw(FLOATS)))
         else:
             texts = tuple(draw(st.lists(TEXTS, min_size=1, max_size=5)))
             codes = draw(runs(st.integers(0, len(texts) - 1), size))
@@ -354,7 +360,7 @@ class TestEmitCsvMatchesCsvWriter:
     def test_lone_empty_cell_is_quoted(self, cell, tmp_path):
         # an empty text, or a None between floats
         if cell is None:
-            values = np.array([1.5, None, 1.5], dtype=object)
+            values = held([1.5, None, 1.5])
         else:
             values = Labels(np.array([0, 1, 0], np.uint8), ("1.5", cell))
         table = Table(("only",), (values,))
@@ -369,7 +375,7 @@ class TestEmitCsvMatchesCsvWriter:
         # values would split a NaN run
         cells = [0.0, -0.0, math.nan, -0.0, 0.0, None, -0.0, math.nan, math.nan]
         floats = np.array([math.inf if cell is None else cell for cell in cells])
-        table = Table(("floats", "held"), (floats, np.array(cells, dtype=object)))
+        table = Table(("floats", "held"), (floats, held(cells)))
         path = tmp_path / "t.csv"
         with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
             emit_csv(table, str(path))
@@ -388,7 +394,7 @@ class TestEmitCsvMatchesCsvWriter:
             np.array([1.5] * 4 + [math.nan] * 7 + [math.inf] * 2),
             Labels(np.array([0] * 6 + [1] * 4 + [2] * 5, np.uint8), ("50%", "a,b", 'say "x"')),
             np.array([True] * 7 + [False] * 3),
-            np.array([None] * 5 + [1.5] * 4 + [None] * 3 + [-0.0] * 2, dtype=object),
+            held([None] * 5 + [1.5] * 4 + [None] * 3 + [-0.0] * 2),
         ],
         ids=["signed-zeros", "nan-run", "special-texts", "bools", "holes"],
     )
@@ -521,7 +527,7 @@ class TestFormatFloats:
 
     def test_the_benchmark_pi_sweep_formats_float_cells_between_holes_in_numpy(self, p0):
         # the benchmark's 981-point pi grid: gamma_bar, h_tilde and
-        # drop_at_h_tilde hold floats between None holes, and only nonzero
+        # drop_at_h_tilde hold floats between empty cells, and only nonzero
         # cells outside [1e-4, 1e12) and a few near ties reach _fmt
         table = sweep_param("pi", p0, ReplacementCostCurve.linear(705.96235), make_grid(0.5, 0.99, 0.0005))
         held = [column(table, name) for name in ("value", "gamma_bar", "h_tilde", "drop_at_h_tilde")]
@@ -544,7 +550,7 @@ class TestTable:
         name = Labels(np.array([1, 0], np.uint8), ("b", "a"))
         table = Table(
             ("x", "flag", "name", "held"),
-            (np.array([0.5, -0.0]), np.array([True, False]), name, np.array([None, 2.5], dtype=object)),
+            (np.array([0.5, -0.0]), np.array([True, False]), name, held([None, 2.5])),
         )
         assert len(table) == 2
         assert table.rows == ((0.5, True, "a", None), (-0.0, False, "b", 2.5))
@@ -560,6 +566,13 @@ class TestTable:
             np.array(["a", "b"]),
             np.array(["a", "b"], dtype=object),
             np.array([0.5, "b"], dtype=object),
+            np.array([0.5, None], dtype=object),
+            Held(np.array(["a", "b"], dtype=object), np.array([True, True])),
+            Held(np.array([0.5, "b"], dtype=object), np.array([True, True])),
+            Held(np.array([0.5, 1.5], np.float32), np.array([True, False])),
+            Held(np.array([0.5, 1.5]), np.array([1, 0])),
+            Held(np.array([0.5, 1.5]), np.array([True])),
+            Held((0.5, 1.5), (True, False)),
             np.array([[0.5, 1.5]]),
             np.array([0.5, 1.5], np.float32),
             Labels(np.array([0.0, 1.0]), ("a", "b")),
@@ -569,7 +582,8 @@ class TestTable:
             Labels(np.array([0, 0], np.uint8), "ab"),
         ],
         ids=[
-            "tuple", "list", "int64", "str_", "object-str", "object-mixed", "2-d", "float32",
+            "tuple", "list", "int64", "str_", "object-str", "object-mixed", "object-floats",
+            "held-str", "held-mixed", "held-float32", "held-int-mask", "held-short-mask", "held-tuples", "2-d", "float32",
             "float-codes", "code-past-texts", "negative-code", "bytes-text", "str-texts",
         ],
     )
@@ -720,44 +734,42 @@ def test_a_curve_scale_sweep_holds_one_row_of_sums_at_a_time(p0, scale, grid):
     # 21114 sums, 0.17 MB, and a scaled copy of the whole curve is 0.8 MB:
     # under 1 MB, a near tie's row is dropped after its step
     curve = ReplacementCostCurve.linear(scale)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as traced:
         table = sweep_param("curve_scale", p0, curve, grid)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
     assert column(table, "admissible") == [True] * len(grid)
-    assert peak < 2**20
+    assert traced.peak < 2**20
 
 
 def test_the_benchmark_h_sweep_holds_its_regime_at_one_byte_a_row(p0):
-    # the benchmark's 10^5-point grid: four float columns of 0.8 MB each,
-    # 0.1 MB each for boundary and regime, and the closed forms' temporaries;
-    # the regime as one 8-byte pointer a row would add 0.7 MB
+    # the benchmark's 10^5-point grid, held as the h column: three float
+    # columns of 0.8 MB each, 0.1 MB each for boundary and regime, and the
+    # closed forms' temporaries (4.7 MB with a copied grid and both output
+    # lines built whole); the regime as one 8-byte pointer a row would add 0.7 MB
     curve = ReplacementCostCurve.linear(705.96235)
     grid = make_grid(0.0, 1.0, 1e-5)
     emit_csv(sweep_h(p0, curve, grid[:10]), os.devnull)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as traced:
         table = sweep_h(p0, curve, grid)
         emit_csv(table, os.devnull)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
     regime = table.data[table.columns.index("regime")]
-    assert len(table) == 100001
+    assert len(table) == 100001 and table.data[0] is grid
     assert isinstance(regime, Labels) and regime.codes.nbytes == len(table)
-    assert peak < 5 * 2**20
+    assert traced.peak < 4 * 2**20
+
+
+def test_a_param_sweep_table_keeps_its_equilibrium_columns_at_a_float_a_point(p0):
+    # the grid held as the value column, three float columns, the admissible
+    # column that is their one held mask, and an intp code a point for the
+    # reason: 33 bytes a point (105 with a copied grid and three object
+    # columns of Python floats)
+    grid = np.linspace(0.5, 0.99, 10**5)
+    with traced_memory() as traced:
+        table = sweep_param("pi", p0, ReplacementCostCurve.linear(705.96235), grid)
+    admissible = table.data[table.columns.index("admissible")]
+    held = [values for values in table.data if isinstance(values, Held)]
+    assert table.data[0] is grid and 0 < admissible.sum() < len(grid)
+    assert len(held) == 3 and all(values.held is admissible for values in held)
+    assert traced.kept < 40 * len(grid)
 
 
 def test_the_benchmark_curve_scale_sweep_builds_scaled_sums_for_few_points(p0):
@@ -785,6 +797,14 @@ def test_make_grid_is_inclusive():
     assert grid[-1] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         make_grid(0.0, 1.0, 0.0)
+
+
+def test_make_grid_builds_only_its_points():
+    # an int64 arange and a float product beside it peaked at twice the grid
+    with traced_memory() as traced:
+        grid = make_grid(0.0, 1.0, 1e-6)
+    assert len(grid) == 10**6 + 1
+    assert traced.peak < 1.01 * grid.nbytes
 
 
 @pytest.mark.parametrize(
