@@ -47,7 +47,7 @@ from .equilibrium import (
 )
 from .model import AgentStrategy, ModelParams, _fmt, require_admissible
 from .simulation import SENIORITY, SimConfig, StrategyProfile, closed_form_targets, monte_carlo, policy_experiment
-from .sweeps import SWEEPABLE_PARAMETERS, emit_csv, grid_size, make_grid, sweep_h, sweep_param
+from .sweeps import SWEEPABLE_PARAMETERS, emit_csv, grid_size, make_grid, sweep_blocks
 
 OK = 0
 CONFIG_ERROR = 2
@@ -314,12 +314,8 @@ def cmd_sweep(config: Config, args) -> int:
     grid = np.asarray(_get(config, "sweep", "grid")(), dtype=float)
     if parameter == "h" and not np.all((0.0 <= grid) & (grid <= 1.0)):
         raise ConfigError("[sweep] every h grid point must lie in [0, 1]")
-    if parameter == "h":
-        table = sweep_h(params, curve, grid)
-    else:
-        table = sweep_param(parameter, params, curve, grid)
-    emit_csv(table, args.out)
-    print(f"wrote {len(table)} rows to {args.out}")
+    rows = emit_csv(sweep_blocks(parameter, params, curve, grid), args.out)
+    print(f"wrote {rows} rows to {args.out}")
     return OK
 
 

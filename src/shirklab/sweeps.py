@@ -13,10 +13,11 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .equilibrium import (
     EFFORT,
     SHIRK,
     TOL,
+    EquilibriumSolution,
     ReplacementCostCurve,
     _bisect_thresholds,
     credibility_slope,
@@ -130,8 +132,8 @@ def _floats(grid: Iterable[float]) -> np.ndarray:
     return np.asarray(grid if isinstance(grid, np.ndarray) else list(grid), dtype=float)
 
 
-def sweep_h(params: ModelParams, curve: ReplacementCostCurve, grid: Iterable[float]) -> Table:
-    """Sweep the technology reach over ``grid`` at fixed parameters.
+def sweep_h(params: ModelParams, sol: EquilibriumSolution, grid: Iterable[float]) -> Table:
+    """Sweep the technology reach over ``grid`` at fixed parameters, solved as ``sol``.
 
     Each row reports the operative regime (effort below the credibility
     threshold, shirk above), the firing policy, expected output, and
@@ -143,7 +145,6 @@ def sweep_h(params: ModelParams, curve: ReplacementCostCurve, grid: Iterable[flo
     by the effort line on the effort rows only.  A float64 array grid is
     the table's ``h`` column itself, not a copy.
     """
-    sol = solve_threshold(params, curve)
     h = _floats(grid)
     gamma_star = policy(h, sol)
     effort = gamma_star > 0.0
@@ -226,13 +227,33 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
     )
 
 
-#: Rows formatted and written at a time, which bounds the bytes held in memory.
-#: Peak RSS of a 10^5-row h sweep through the CLI (fresh process, 2-CPU Xeon,
-#: numpy 2.4, medians of 10) was 37.05 MB at 1024 rows, 37.05 MB at 2048 and
-#: 37.43 MB at 4096; smaller chunks make more numpy calls per row.
+#: Grid points swept, and rows formatted and written, at a time, which bounds
+#: the bytes a sweep holds besides its curve and grid.  Peak RSS of a
+#: 10^5-row h sweep through the CLI (fresh process, 2-CPU Xeon, numpy 2.4,
+#: medians of 10) was 33.85 MB at 1024 rows, 33.86 MB at 2048 and 34.62 MB at
+#: 4096, in 59.5, 46.5 and 38.3 ms of wall time: smaller blocks make more
+#: numpy calls per row.
 CSV_CHUNK_ROWS = 2048
 # fills a text block's rows past their text; no UTF-8 text holds this byte
 _PAD = 0xFF
+
+
+def sweep_blocks(parameter: str, params: ModelParams, curve: ReplacementCostCurve, grid: Iterable[float]) -> Iterator[Table]:
+    """The sweep of ``parameter`` over ``grid``, as one table per ``CSV_CHUNK_ROWS`` grid points.
+
+    Each block is its own ``sweep_h`` or ``sweep_param`` call on a slice of
+    the grid, and an h sweep solves the threshold once, before its first
+    block.  Every point is solved on its own, so the blocks' rows are the
+    rows of one sweep over the whole grid, while only the grid and one
+    block are held.  Nothing runs until the first block is asked for.
+    """
+    points = _floats(grid)
+    if parameter == "h":
+        sweep = functools.partial(sweep_h, params, solve_threshold(params, curve))
+    else:
+        sweep = functools.partial(sweep_param, parameter, params, curve)
+    for start in range(0, len(points), CSV_CHUNK_ROWS):
+        yield sweep(points[start : start + CSV_CHUNK_ROWS])
 
 
 def _cell_text(text: str) -> str:
@@ -242,39 +263,57 @@ def _cell_text(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-def emit_csv(table: Table, path: str) -> None:
-    """Write the table to ``path`` with a header row, 12 significant digits per number.
+def emit_csv(tables: Iterable[Table], path: str) -> int:
+    """Write tables that share their columns to ``path`` under one header row, and return the rows written.
 
-    Rows are written ``CSV_CHUNK_ROWS`` at a time, each chunk as one byte
-    string joined from a text block per column, a row per cell padded
-    with a byte that no UTF-8 text holds.  Bool and ``Labels`` codes index
-    a block of the column's texts, built once; ``_format_floats`` prints
-    the floats, a ``Held`` column's between its empty cells.  A chunk of
-    one code, or of one float bit pattern, is its one text repeated.
-    An empty table is an error, raised before the file is opened.
+    Numbers get 12 significant digits.  Each table's rows are written
+    ``CSV_CHUNK_ROWS`` at a time, each chunk as one byte string joined
+    from a text block per column, a row per cell padded with a byte that
+    no UTF-8 text holds.  Bool and ``Labels`` codes index a block of the
+    column's texts, built once and kept while the next tables repeat them;
+    ``_format_floats`` prints the floats, a ``Held`` column's between its
+    empty cells.  A chunk of one code, or of one float bit pattern, is its
+    one text repeated.  The first table is made before the file is
+    opened, so an error in making it, or an empty first table, is raised
+    with no file written.
     """
-    if not len(table):
+    tables = iter(tables)
+    first = next(tables, None)
+    if first is None or not len(first):
         raise ValueError("refusing to write an empty table")
     # csv.writer quotes a row's lone empty field, so that it does not read back as a blank line
-    empty = '""' if len(table.columns) == 1 else ""
-    encoders = [_encoder(values, empty) for values in table.data]
-    header = ",".join(_cell_text(name) or empty for name in table.columns) + "\n"
+    empty = '""' if len(first.columns) == 1 else ""
+    # the blocks of the last table's text sets, at most one a column, as the next table mostly repeats them
+    text_block = functools.lru_cache(len(first.columns))(
+        lambda texts: _text_block([_cell_text(text) or empty for text in texts])
+    )
+    header = ",".join(_cell_text(name) or empty for name in first.columns) + "\n"
+    written = 0
     with open(path, "wb") as handle:
         handle.write(header.encode("utf-8"))
-        for start in range(0, len(table), CSV_CHUNK_ROWS):
-            rows = slice(start, min(start + CSV_CHUNK_ROWS, len(table)))
-            handle.write(_chunk_bytes([encode(rows) for encode in encoders]))
+        for table in itertools.chain([first], tables):
+            if table.columns != first.columns:
+                raise ValueError(f"columns {table.columns} differ from the first table's {first.columns}")
+            encoders = [_encoder(values, empty, text_block) for values in table.data]
+            for start in range(0, len(table), CSV_CHUNK_ROWS):
+                rows = slice(start, min(start + CSV_CHUNK_ROWS, len(table)))
+                handle.write(_chunk_bytes([encode(rows) for encode in encoders]))
+            written += len(table)
+    return written
 
 
-def _encoder(values, empty: str):
-    """The function that prints a slice of the column's rows as a block of text bytes, a row per cell."""
+def _encoder(values, empty: str, text_block):
+    """The function that prints a slice of the column's rows as a block of text bytes, a row per cell.
+
+    ``text_block`` maps a code column's texts to their block.
+    """
     if isinstance(values, Held):
         return functools.partial(_held_floats, values, empty=empty)
     if isinstance(values, np.ndarray) and values.dtype == float:
         literal, block = (lambda cell: np.frombuffer(_fmt(float(cell)).encode("ascii"), np.uint8)), _format_floats
     else:
         labels = values if isinstance(values, Labels) else Labels(values.view(np.uint8), ("false", "true"))
-        texts = _text_block([_cell_text(text) or empty for text in labels.texts])
+        texts = text_block(labels.texts)
         values, literal, block = labels.codes, texts.__getitem__, texts.__getitem__
 
     def encode(rows: slice) -> np.ndarray:

@@ -157,7 +157,7 @@ def test_criterion_5_threshold_interval_structure():
                 above = sol.h_tilde + (1.0 - sol.h_tilde) * u
                 if punish_feasible(above, p, curve):
                     violations.append((trial, "above", above))
-        table = sweep_h(p, curve, make_grid(0.0, 1.0, 0.1))
+        table = sweep_h(p, sol, make_grid(0.0, 1.0, 0.1))
         regimes = column(table, "regime")
         switches = sum(1 for i in range(1, len(regimes)) if regimes[i] != regimes[i - 1])
         if switches > 1:
@@ -191,7 +191,7 @@ def test_criterion_7_output_discontinuity():
     curve = ReplacementCostCurve.linear(1000.0)
     sol = solve_threshold(P0, curve)
     step = 0.005
-    table = sweep_h(P0, curve, make_grid(0.0, 1.0, step))
+    table = sweep_h(P0, sol, make_grid(0.0, 1.0, step))
     outputs = column(table, "output")
     grid = column(table, "h")
     drops = [i for i in range(1, len(outputs)) if outputs[i] < outputs[i - 1]]

@@ -45,11 +45,13 @@ print(json.dumps({{
 
 
 def test_every_subcommand_runs_under_the_benchmark_tracer(tmp_path):
-    config = tmp_path / "run.ini"
+    config, blocks = tmp_path / "run.ini", tmp_path / "blocks.ini"
     config.write_text(CONFIG)
-    commands = [
-        [name, "--config", str(config)] for name in ("solve", "simulate", "experiment")
-    ] + [["sweep", "--config", str(config), "--out", str(tmp_path / "sweep.csv")]]
+    # a pi sweep of 4901 points, written in three blocks, each its own traced sweep_param call
+    blocks.write_text(CONFIG.replace("parameter = h\ngrid = 0.0:1.0:0.25", "parameter = pi\ngrid = 0.5:0.99:0.0001"))
+    commands = [[name, "--config", str(config)] for name in ("solve", "simulate", "experiment")] + [
+        ["sweep", "--config", str(path), "--out", str(tmp_path / "sweep.csv")] for path in (config, blocks)
+    ]
     script = TRACED_RUN.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), commands=commands)
     run = subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, timeout=300
@@ -57,9 +59,9 @@ def test_every_subcommand_runs_under_the_benchmark_tracer(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
     result = json.loads(run.stdout)
-    assert result["codes"] == [0, 0, 0, 0]
-    # the 5-point h sweep, and the seniority arm's unraveling past h_tilde
-    assert result["rows"] == 5
+    assert result["codes"] == [0] * len(commands)
+    # the 5-point h sweep and the 4901-point pi sweep, and the seniority arm's unraveling past h_tilde
+    assert result["rows"] == 5 + 4901
     assert result["rounds"] > 0
     # one curve per command, each validated by its constructor
     assert result["builds"] == len(commands)

@@ -5,7 +5,8 @@ write at most one line to stderr, raise nothing out of ``main`` and emit
 no Python warning (a real run prints a warning to stderr as two more
 lines).  Sizes inside the caps stay tiny so each run is quick; huge sizes
 appear only above the caps, where they must be rejected before anything is
-built.
+built.  Sweeps run in blocks of 7 grid points, so that a grid spans many
+blocks, and a sweep that exits other than 0 must leave no ``--out`` file.
 """
 
 import contextlib
@@ -13,11 +14,13 @@ import io
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_POINTS
+from shirklab import sweeps
 from shirklab.cli import main
 
 COMMANDS = ("solve", "simulate", "sweep", "experiment")
@@ -171,7 +174,10 @@ def check_run(run, use_out):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(argv)
+                with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", 7):
+                    code = main(argv)
+        # a sweep that fails raises before it opens --out
+        assert code == 0 or not out.exists()
     err = stderr.getvalue()
     assert code in (0, 2, 3, 4), err
     assert err.count("\n") <= 1 and "Traceback" not in err, err

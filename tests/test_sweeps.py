@@ -17,9 +17,9 @@ from conftest import column, draw_params, output_drop, recording_cumulate, trace
 from shirklab import equilibrium, model, sweeps
 from shirklab.cli import main
 from shirklab.equilibrium import EFFORT, SHIRK, TOL, ReplacementCostCurve, credibility_slope, solve_threshold
-from shirklab.errors import InvalidCurveError, InvalidParamsError
+from shirklab.errors import InadmissibleParamsError, InvalidCurveError, InvalidParamsError
 from shirklab.model import ModelParams, _fmt, gamma_bar, validate_params
-from shirklab.sweeps import Held, Labels, Table, emit_csv, make_grid, sweep_h, sweep_param
+from shirklab.sweeps import Held, Labels, Table, emit_csv, make_grid, sweep_blocks, sweep_h, sweep_param
 from test_state_table import CORNERS, params
 
 
@@ -47,7 +47,7 @@ def read_csv(path: str) -> tuple[tuple[str, ...], list[tuple]]:
 
 @pytest.fixture
 def h_table(p0, linear_curve):
-    return sweep_h(p0, linear_curve, make_grid(0.0, 1.0, 0.05))
+    return sweep_h(p0, solve_threshold(p0, linear_curve), make_grid(0.0, 1.0, 0.05))
 
 
 class TestSweepH:
@@ -83,7 +83,7 @@ class TestSweepH:
                 assert (out2 - out1) / (h2 - h1) == pytest.approx(slope, rel=1e-9)
 
     def test_downward_jump_on_a_fine_grid_brackets_the_threshold(self, p0, linear_curve):
-        table = sweep_h(p0, linear_curve, make_grid(0.0, 1.0, 0.005))
+        table = sweep_h(p0, solve_threshold(p0, linear_curve), make_grid(0.0, 1.0, 0.005))
         outputs = column(table, "output")
         grid = column(table, "h")
         drops = [i for i in range(1, len(outputs)) if outputs[i] < outputs[i - 1]]
@@ -219,14 +219,14 @@ class TestSweepParam:
 
     def test_grid_points_are_read_as_floats(self, p0, linear_curve):
         assert column(sweep_param("w", p0, linear_curve, (0, 1)), "value") == [0.0, 1.0]
-        assert all(type(h) is float for h in column(sweep_h(p0, linear_curve, (0, 1)), "h"))
+        assert all(type(h) is float for h in column(sweep_h(p0, solve_threshold(p0, linear_curve), (0, 1)), "h"))
 
 
 class TestEmitCsv:
     def test_header_and_significant_digits(self, h_table, tmp_path):
         table = h_table
         path = tmp_path / "sweep.csv"
-        emit_csv(table, str(path))
+        emit_csv([table], str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "h,regime,gamma_star,output,welfare,boundary"
         assert len(lines) == len(table.rows) + 1
@@ -235,7 +235,7 @@ class TestEmitCsv:
     def test_round_trip_preserves_twelve_significant_digits(self, h_table, tmp_path):
         table = h_table
         path = tmp_path / "sweep.csv"
-        emit_csv(table, str(path))
+        emit_csv([table], str(path))
         columns, parsed = read_csv(str(path))
         assert columns == table.columns and len(parsed) == len(table)
         for row, parsed_row in zip(table.rows, parsed):
@@ -248,17 +248,42 @@ class TestEmitCsv:
     def test_empty_table_errors_before_any_write(self, tmp_path):
         path = tmp_path / "never.csv"
         with pytest.raises(ValueError):
-            emit_csv(Table(("a",), (np.array([]),)), str(path))
+            emit_csv([Table(("a",), (np.array([]),))], str(path))
         assert not path.exists()
+
+    def test_tables_that_share_their_columns_are_written_under_one_header(self, h_table, tmp_path):
+        path = tmp_path / "sweep.csv"
+        assert emit_csv(iter([h_table, h_table, h_table]), str(path)) == 3 * len(h_table)
+        assert path.read_bytes() == _reference_csv(h_table.columns, h_table.rows * 3)
+
+    def test_a_table_with_other_columns_is_rejected(self, h_table, p0, linear_curve, tmp_path):
+        other = sweep_param("c", p0, linear_curve, (0.01,))
+        with pytest.raises(ValueError, match="differ from the first table's"):
+            emit_csv([h_table, other], str(tmp_path / "sweep.csv"))
+
+    def test_the_first_table_is_made_before_the_file_is_opened(self, p0, linear_curve, tmp_path):
+        path = tmp_path / "never.csv"
+        with pytest.raises(InadmissibleParamsError):
+            emit_csv(sweep_blocks("h", dataclasses.replace(p0, c=1.0), linear_curve, (0.5,)), str(path))
+        with pytest.raises(ValueError, match="empty table"):
+            emit_csv(iter([]), str(path))
+        assert not path.exists()
+
+    def test_a_code_column_prints_its_texts_once_for_all_the_blocks(self, p0, linear_curve):
+        grid = make_grid(0.0, 1.0, 1e-4)
+        with mock.patch.object(sweeps, "_cell_text", wraps=sweeps._cell_text) as texts:
+            assert emit_csv(sweep_blocks("h", p0, linear_curve, grid), os.devnull) == 10001
+        # the six names, then the regime's two texts and the boundary's two, each once for five blocks
+        assert texts.call_count == 6 + 2 + 2
 
     def test_unwritable_destination_raises_io_error(self, h_table, tmp_path):
         table = h_table
         with pytest.raises(OSError):
-            emit_csv(table, str(tmp_path / "missing" / "out.csv"))
+            emit_csv([table], str(tmp_path / "missing" / "out.csv"))
 
     def test_inadmissible_rows_serialize_with_reason(self, p0, linear_curve, tmp_path):
         path = tmp_path / "c.csv"
-        emit_csv(sweep_param("c", p0, linear_curve, (0.01, 0.05)), str(path))
+        emit_csv([sweep_param("c", p0, linear_curve, (0.01, 0.05))], str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "value,gamma_bar,h_tilde,admissible,drop_at_h_tilde,reason"
         assert lines[2].startswith("0.05,,,false,,research_efficiency")
@@ -270,7 +295,7 @@ class TestEmitCsv:
             p = draw_params(rng)
             table = sweep_param("w", p, curve, tuple(np.linspace(0.0, 0.4, 7)))
             path = tmp_path / f"t{i}.csv"
-            emit_csv(table, str(path))
+            emit_csv([table], str(path))
             _, parsed = read_csv(str(path))
             for row, parsed_row in zip(table.rows, parsed):
                 for cell, parsed_cell in zip(row, parsed_row):
@@ -353,7 +378,7 @@ class TestEmitCsvMatchesCsvWriter:
     def test_random_tables_are_byte_identical(self, table, chunk, tmp_path):
         path = tmp_path / "t.csv"
         with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
-            emit_csv(table, str(path))
+            emit_csv([table], str(path))
         assert path.read_bytes() == _reference_csv(table.columns, table.rows)
 
     @pytest.mark.parametrize("cell", ["", None])
@@ -365,7 +390,7 @@ class TestEmitCsvMatchesCsvWriter:
             values = Labels(np.array([0, 1, 0], np.uint8), ("1.5", cell))
         table = Table(("only",), (values,))
         path = tmp_path / "t.csv"
-        emit_csv(table, str(path))
+        emit_csv([table], str(path))
         assert path.read_bytes() == _reference_csv(table.columns, table.rows) == b'only\n1.5\n""\n1.5\n'
 
     @pytest.mark.parametrize("chunk", [1, 2, 4096])
@@ -378,12 +403,12 @@ class TestEmitCsvMatchesCsvWriter:
         table = Table(("floats", "held"), (floats, held(cells)))
         path = tmp_path / "t.csv"
         with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
-            emit_csv(table, str(path))
+            emit_csv([table], str(path))
             assert path.read_bytes() == _reference_csv(table.columns, table.rows)
             assert path.read_text().splitlines()[1:7] == ["0,0", "-0,-0", "nan,nan", "-0,-0", "0,0", "inf,"]
             for values in table.data:
                 lone = Table(("only",), (values,))
-                emit_csv(lone, str(path))
+                emit_csv([lone], str(path))
                 assert path.read_bytes() == _reference_csv(lone.columns, lone.rows)
 
 
@@ -405,7 +430,7 @@ class TestEmitCsvMatchesCsvWriter:
         path = tmp_path / "t.csv"
         with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
             for written in (table, lone):
-                emit_csv(written, str(path))
+                emit_csv([written], str(path))
                 assert path.read_bytes() == _reference_csv(written.columns, written.rows)
 
     @pytest.mark.parametrize("chunk", [1, 2, 4096])
@@ -413,7 +438,7 @@ class TestEmitCsvMatchesCsvWriter:
         table = Table(("only",), (Labels(np.zeros(5, np.uint8), ("",)),))
         path = tmp_path / "t.csv"
         with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
-            emit_csv(table, str(path))
+            emit_csv([table], str(path))
         assert path.read_bytes() == _reference_csv(table.columns, table.rows) == b'only\n' + b'""\n' * 5
 
 
@@ -426,9 +451,10 @@ class TestHSweepAcrossChunks:
             grid = h_tilde + np.arange(-4500, 15500) * 2e-11
         else:
             grid = make_grid(0.0, 1.0, 5e-5)
-        table = sweep_h(p0, linear_curve, grid)
+        # written a block at a time, as the CLI does, against one sweep of the whole grid
+        table = sweep_h(p0, solve_threshold(p0, linear_curve), grid)
         path = tmp_path / "h.csv"
-        emit_csv(table, str(path))
+        assert emit_csv(sweep_blocks("h", p0, linear_curve, grid), str(path)) == len(table)
         assert path.read_bytes() == _reference_csv(table.columns, table.rows)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         h = grid.tolist()
@@ -500,7 +526,7 @@ class TestFormatFloats:
         path = tmp_path / "t.csv"
         with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                emit_csv(table, str(path))
+                emit_csv([table], str(path))
         assert path.read_bytes() == _reference_csv(table.columns, table.rows)
 
     def test_every_edge_float_prints_as_format_gives_it(self):
@@ -512,7 +538,8 @@ class TestFormatFloats:
     def test_the_benchmark_h_sweep_formats_in_range_cells_in_numpy(self, p0, linear_curve):
         # the benchmark's 10^5-point grid: only the nonzero cells outside
         # [1e-4, 1e12) and each chunk's one-value float columns reach _fmt
-        table = sweep_h(p0, linear_curve, make_grid(0.0, 1.0, 1e-5))
+        grid = make_grid(0.0, 1.0, 1e-5)
+        table = sweep_h(p0, solve_threshold(p0, linear_curve), grid)
         floats = [values for values in table.data if isinstance(values, np.ndarray) and values.dtype == float]
         magnitudes = np.abs(np.concatenate(floats))
         outside = np.count_nonzero((magnitudes != 0.0) & ((magnitudes < 1e-4) | (magnitudes >= 1e12)))
@@ -521,7 +548,7 @@ class TestFormatFloats:
         # a chunk of one bit pattern is printed once
         literals = sum(chunk.tobytes() == chunk[:1].tobytes() * len(chunk) for chunk in chunks)
         with mock.patch.object(sweeps, "_fmt", wraps=_fmt) as printed:
-            emit_csv(table, os.devnull)
+            emit_csv(sweep_blocks("h", p0, linear_curve, grid), os.devnull)
         assert len(table) == 100001 and len(floats) == 4
         assert 0 < outside + literals <= printed.call_count <= outside + literals + 16 < 200
 
@@ -534,7 +561,7 @@ class TestFormatFloats:
         magnitudes = np.abs([cell for cells in held for cell in cells if cell is not None])
         outside = np.count_nonzero((magnitudes != 0.0) & ((magnitudes < 1e-4) | (magnitudes >= 1e12)))
         with mock.patch.object(sweeps, "_fmt", wraps=_fmt) as printed:
-            emit_csv(table, os.devnull)
+            emit_csv([table], os.devnull)
         assert len(table) == 981 and len(magnitudes) > 3000 and None in held[1]
         assert outside <= printed.call_count <= outside + 16
 
@@ -666,8 +693,9 @@ class TestBatchedSweepsEqualOnePointSolves:
         family=st.sampled_from(("linear", "power", "samples")),
         costless=st.booleans(),
         picks=st.lists(st.integers(0, 99), min_size=1, max_size=12),
+        chunk=st.integers(1, 5),
     )
-    def test_rows_equal_bit_for_bit(self, seed, parameter, family, costless, picks):
+    def test_rows_equal_bit_for_bit(self, seed, parameter, family, costless, picks, chunk):
         rng = np.random.default_rng(seed)
         params = draw_params(rng)
         if costless:
@@ -684,6 +712,11 @@ class TestBatchedSweepsEqualOnePointSolves:
         table = sweep_param(parameter, params, curve, grid)
         # repr tells -0.0 from 0.0 and shows every bit of a float
         assert repr(table.rows) == repr(_point_rows(parameter, params, curve, grid))
+        # and the grid swept in blocks gives the same rows
+        with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
+            blocks = list(sweep_blocks(parameter, params, curve, grid))
+        assert [len(block) for block in blocks[:-1]] == [chunk] * (len(blocks) - 1)
+        assert repr(sum((block.rows for block in blocks), ())) == repr(table.rows)
 
 
 class TestSweepsThroughTheCli:
@@ -741,20 +774,50 @@ def test_a_curve_scale_sweep_holds_one_row_of_sums_at_a_time(p0, scale, grid):
 
 
 def test_the_benchmark_h_sweep_holds_its_regime_at_one_byte_a_row(p0):
-    # the benchmark's 10^5-point grid, held as the h column: three float
-    # columns of 0.8 MB each, 0.1 MB each for boundary and regime, and the
-    # closed forms' temporaries (4.7 MB with a copied grid and both output
-    # lines built whole); the regime as one 8-byte pointer a row would add 0.7 MB
+    # the benchmark's 10^5-point grid, a block at a time: each block holds
+    # its slice of the grid as the h column, three float columns of 16 KB,
+    # 2 KB each for boundary and regime, and the closed forms' temporaries,
+    # then its CSV chunk, 0.65 MiB in all (a table of the whole grid peaked
+    # at 4.7 MB); the regime as one 8-byte pointer a row would add 14 KB a block
     curve = ReplacementCostCurve.linear(705.96235)
     grid = make_grid(0.0, 1.0, 1e-5)
-    emit_csv(sweep_h(p0, curve, grid[:10]), os.devnull)
+    emit_csv(sweep_blocks("h", p0, curve, grid[:10]), os.devnull)
     with traced_memory() as traced:
-        table = sweep_h(p0, curve, grid)
-        emit_csv(table, os.devnull)
-    regime = table.data[table.columns.index("regime")]
-    assert len(table) == 100001 and table.data[0] is grid
-    assert isinstance(regime, Labels) and regime.codes.nbytes == len(table)
-    assert traced.peak < 4 * 2**20
+        assert emit_csv(sweep_blocks("h", p0, curve, grid), os.devnull) == len(grid) == 100001
+    assert traced.peak < 2**20
+    lengths = []
+    for table in sweep_blocks("h", p0, curve, grid):
+        regime = table.data[table.columns.index("regime")]
+        assert table.data[0].base is grid
+        assert isinstance(regime, Labels) and regime.codes.nbytes == len(table)
+        lengths.append(len(table))
+    assert lengths == [sweeps.CSV_CHUNK_ROWS] * 48 + [len(grid) - 48 * sweeps.CSV_CHUNK_ROWS]
+
+
+#: The benchmark's model and curve at its seed 909, with a sweep.
+BENCHMARK_SWEEP = (
+    "[model]\npi = 0.9\neps = 0.1\ng = 0.5\nc = 0.01\nw = 0.05\nv_c = 1.0\n"
+    "[curve]\nfamily = linear\nscale = 705.96235\n[sweep]\nparameter = {parameter}\ngrid = {grid}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "parameter, grid, bound",
+    [("h", "0.0:1.0:1e-5", 3.5), ("pi", "0.5:0.99:4.9e-6", 4.0)],
+    ids=["benchmark-h", "pi-1e5"],
+)
+def test_a_sweep_through_the_cli_holds_the_curve_the_grid_and_one_block(tmp_path, capsys, parameter, grid, bound):
+    # the 10^5-segment curve's nodes and sums are 1.6 MB and the grid 0.8 MB,
+    # about 3.0 MiB in all with a block; a table of the whole grid peaked at
+    # 5.47 MiB for the h sweep, and its bisection at 19.6 MiB for the pi sweep
+    path = tmp_path / "sweep.ini"
+    path.write_text(BENCHMARK_SWEEP.format(parameter=parameter, grid=grid))
+    argv = ["sweep", "--config", str(path), "--out", os.devnull]
+    assert main(argv) == 0
+    with traced_memory() as traced:
+        assert main(argv) == 0
+    assert capsys.readouterr().out == f"wrote 100001 rows to {os.devnull}\n" * 2
+    assert traced.peak < bound * 2**20
 
 
 def test_a_param_sweep_table_keeps_its_equilibrium_columns_at_a_float_a_point(p0):
