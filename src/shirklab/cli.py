@@ -312,9 +312,13 @@ def cmd_sweep(config: Config, args) -> int:
     curve = _curve(config)
     parameter = _get(config, "sweep", "parameter")
     grid = np.asarray(_get(config, "sweep", "grid")(), dtype=float)
-    if parameter == "h" and not np.all((0.0 <= grid) & (grid <= 1.0)):
+    # min and max read the grid in place, and a NaN point fails both bounds
+    if parameter == "h" and len(grid) and not (0.0 <= grid.min() and grid.max() <= 1.0):
         raise ConfigError("[sweep] every h grid point must lie in [0, 1]")
-    rows = emit_csv(sweep_blocks(parameter, params, curve, grid), args.out)
+    blocks = sweep_blocks(parameter, params, curve, grid)
+    # the blocks hold the curve for as long as the sweep reads it
+    del curve
+    rows = emit_csv(blocks, args.out)
     print(f"wrote {rows} rows to {args.out}")
     return OK
 

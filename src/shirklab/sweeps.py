@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
@@ -229,11 +228,11 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
 
 #: Grid points swept, and rows formatted and written, at a time, which bounds
 #: the bytes a sweep holds besides its curve and grid.  Peak RSS of a
-#: 10^5-row h sweep through the CLI (fresh process, 2-CPU Xeon, numpy 2.4,
-#: medians of 10) was 33.85 MB at 1024 rows, 33.86 MB at 2048 and 34.62 MB at
-#: 4096, in 59.5, 46.5 and 38.3 ms of wall time: smaller blocks make more
-#: numpy calls per row.
-CSV_CHUNK_ROWS = 2048
+#: 10^5-row h sweep through the CLI (fresh process, 2-CPU Xeon, Python 3.11,
+#: numpy 2.4, medians of 10) is 33.29 MB at 1024 rows, 33.27 MB at 2048,
+#: 33.33 MB at 4096 and 34.27 MB at 8192, with ``cli.main`` taking 37.2,
+#: 29.0, 24.9 and 24.7 ms: smaller blocks make more numpy calls per row.
+CSV_CHUNK_ROWS = 4096
 # fills a text block's rows past their text; no UTF-8 text holds this byte
 _PAD = 0xFF
 
@@ -244,14 +243,16 @@ def sweep_blocks(parameter: str, params: ModelParams, curve: ReplacementCostCurv
     Each block is its own ``sweep_h`` or ``sweep_param`` call on a slice of
     the grid, and an h sweep solves the threshold once, before its first
     block.  Every point is solved on its own, so the blocks' rows are the
-    rows of one sweep over the whole grid, while only the grid and one
-    block are held.  Nothing runs until the first block is asked for.
+    rows of one sweep over the whole grid, while only the grid, one block
+    and, until the solve, the curve are held.  Nothing runs until the
+    first block is asked for.
     """
     points = _floats(grid)
     if parameter == "h":
         sweep = functools.partial(sweep_h, params, solve_threshold(params, curve))
     else:
         sweep = functools.partial(sweep_param, parameter, params, curve)
+    del curve
     for start in range(0, len(points), CSV_CHUNK_ROWS):
         yield sweep(points[start : start + CSV_CHUNK_ROWS])
 
@@ -273,56 +274,73 @@ def emit_csv(tables: Iterable[Table], path: str) -> int:
     column's texts, built once and kept while the next tables repeat them;
     ``_format_floats`` prints the floats, a ``Held`` column's between its
     empty cells.  A chunk of one code, or of one float bit pattern, is its
-    one text repeated.  The first table is made before the file is
-    opened, so an error in making it, or an empty first table, is raised
-    with no file written.
+    one text repeated, and a float chunk with the bytes of an earlier
+    column's chunk in the same rows reuses that column's text.  Only the
+    table being written is held.  The first table is made before the
+    file is opened, so an error in making it, or an empty first table, is
+    raised with no file written.
     """
     tables = iter(tables)
-    first = next(tables, None)
-    if first is None or not len(first):
+    table = next(tables, None)
+    if table is None or not len(table):
         raise ValueError("refusing to write an empty table")
+    columns = table.columns
     # csv.writer quotes a row's lone empty field, so that it does not read back as a blank line
-    empty = '""' if len(first.columns) == 1 else ""
+    empty = '""' if len(columns) == 1 else ""
     # the blocks of the last table's text sets, at most one a column, as the next table mostly repeats them
-    text_block = functools.lru_cache(len(first.columns))(
-        lambda texts: _text_block([_cell_text(text) or empty for text in texts])
-    )
-    header = ",".join(_cell_text(name) or empty for name in first.columns) + "\n"
+    text_block = functools.lru_cache(len(columns))(lambda texts: _text_block([_cell_text(text) or empty for text in texts]))
+    header = ",".join(_cell_text(name) or empty for name in columns) + "\n"
+    # the bytes and the text of the chunk's float columns printed so far
+    formatted = []
     written = 0
     with open(path, "wb") as handle:
         handle.write(header.encode("utf-8"))
-        for table in itertools.chain([first], tables):
-            if table.columns != first.columns:
-                raise ValueError(f"columns {table.columns} differ from the first table's {first.columns}")
-            encoders = [_encoder(values, empty, text_block) for values in table.data]
+        while table is not None:
+            if table.columns != columns:
+                raise ValueError(f"columns {table.columns} differ from the first table's {columns}")
+            encoders = [_encoder(values, empty, text_block, formatted) for values in table.data]
             for start in range(0, len(table), CSV_CHUNK_ROWS):
                 rows = slice(start, min(start + CSV_CHUNK_ROWS, len(table)))
-                handle.write(_chunk_bytes([encode(rows) for encode in encoders]))
+                blocks = [encode(rows) for encode in encoders]
+                formatted.clear()
+                handle.write(_chunk_bytes(blocks))
             written += len(table)
+            del table, encoders
+            table = next(tables, None)
     return written
 
 
-def _encoder(values, empty: str, text_block):
+def _encoder(values, empty: str, text_block, formatted: list):
     """The function that prints a slice of the column's rows as a block of text bytes, a row per cell.
 
-    ``text_block`` maps a code column's texts to their block.
+    ``text_block`` maps a code column's texts to their block, and
+    ``formatted`` holds the bytes and the text of each float chunk printed in the chunk's rows so far.
     """
     if isinstance(values, Held):
         return functools.partial(_held_floats, values, empty=empty)
     if isinstance(values, np.ndarray) and values.dtype == float:
-        literal, block = (lambda cell: np.frombuffer(_fmt(float(cell)).encode("ascii"), np.uint8)), _format_floats
+        literal = lambda cell: np.frombuffer(_fmt(float(cell)).encode("ascii"), np.uint8)
+
+        def block(chunk: np.ndarray, cells: bytes) -> np.ndarray:
+            text = next((text for earlier, text in formatted if earlier == cells), None)
+            if text is None:
+                text = _format_floats(chunk)
+                formatted.append((cells, text))
+            return text
+
     else:
         labels = values if isinstance(values, Labels) else Labels(values.view(np.uint8), ("false", "true"))
         texts = text_block(labels.texts)
-        values, literal, block = labels.codes, texts.__getitem__, texts.__getitem__
+        values, literal, block = labels.codes, texts.__getitem__, lambda chunk, cells: texts.take(chunk, axis=0)
 
     def encode(rows: slice) -> np.ndarray:
         chunk = values[rows]
+        cells = chunk.tobytes()
         # cells that all have the first one's bytes, so -0.0 and 0.0 differ and a NaN run is one value, are one text
-        if chunk.tobytes() == chunk[:1].tobytes() * len(chunk):
+        if cells == cells[: chunk.itemsize] * len(chunk):
             text = literal(chunk[0])
             return np.broadcast_to(text, (len(chunk), len(text)))
-        return block(chunk)
+        return block(chunk, cells)
 
     return encode
 
@@ -337,11 +355,14 @@ def _held_floats(column: Held, rows: slice, empty: str) -> np.ndarray:
     return block
 
 
-def _chunk_bytes(blocks: list[np.ndarray]) -> bytes:
-    """The CSV rows of one chunk, from a block of text bytes per column, with the padding deleted."""
+def _chunk_bytes(blocks: list[np.ndarray]) -> bytearray:
+    """The CSV rows of one chunk, from a block of text bytes per column that it drops once joined, with the padding deleted."""
     comma, newline = (np.full((len(blocks[0]), 1), ord(byte), np.uint8) for byte in ",\n")
-    joined = [part for block in blocks for part in (comma, block)][1:] + [newline]
-    return np.concatenate(joined, axis=1).tobytes().translate(None, bytes([_PAD]))
+    rows = np.concatenate([part for block in blocks for part in (comma, block)][1:] + [newline], axis=1)
+    blocks.clear()
+    # each copy is dropped once the next is made; bytearray deletes the padding faster (3.7 vs 4.8 ms an h sweep)
+    rows = bytearray(rows)
+    return rows.translate(None, bytes([_PAD]))
 
 
 def _text_block(texts: list[str]) -> np.ndarray:
@@ -361,10 +382,10 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
         that log10 can give in the fast range, each exact, then 0 for e = 12.
     quad -- each group 0..9999 as four ASCII digits, the low bytes of a
         little-endian word.
-    end_high, end_mid, end_low -- where the last nonzero digit of the
-        group in digits 1-4, 5-8 or 9-12 of N lies, 0 for a zero group:
-        their maximum is N's count k of significant digits.
-    layout -- columns by (e + 5) * 13 + k, with the rows: the mask of the
+    end_high, end_mid, end_low -- 18 times where the last nonzero digit of
+        the group in digits 1-4, 5-8 or 9-12 of N lies, 0 for a zero group:
+        their maximum is 18 k, for N's count k of significant digits.
+    layout -- columns by e + 5 + 18 k, with the rows: the mask of the
         digits after the insert (2 words), its shift in bits, the fill
         (3 words) and the text's length.
     """
@@ -378,7 +399,7 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
     pair_end = np.array([len(text.rstrip("0")) for text in pairs], np.uint8)
     # a group's last nonzero digit is in its second pair unless that is 0
     last = np.where(pair_end > 0, pair_end + 2, pair_end[:, None]).ravel()
-    ends = [np.where(last > 0, last + offset, 0).astype(np.uint8) for offset in (0, 4, 8)]
+    ends = [np.where(last > 0, 18 * (last + offset), 0).astype(np.uint8) for offset in (0, 4, 8)]
     layout = np.zeros((7, 18 * 13), np.uint64)
     for e in range(-5, 13):
         for k in range(13):
@@ -395,8 +416,8 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
             after = -1 << (8 * at)
             fill = int.from_bytes(insert, "little") << (8 * at) | -1 << (8 * length)
             rows = [after, after >> 64, 8 * len(insert), fill, fill >> 64, fill >> 128, length]
-            layout[:, (e + 5) * 13 + k] = [row % 2**64 for row in rows]
-    return scale, quad, *ends, layout
+            layout[:, e + 5 + 18 * k] = [row % 2**64 for row in rows]
+    return scale, quad, *ends, *layout
 
 
 def _format_floats(values: np.ndarray) -> np.ndarray:
@@ -416,8 +437,8 @@ def _format_floats(values: np.ndarray) -> np.ndarray:
     or "-0".  Every other cell, NaN, infinities, exponent notation and
     near ties, is printed by ``_fmt``.
     """
-    decided, exponent, number = _twelve_digits(values)
-    block, width = _fixed_notation(exponent, number)
+    decided, code, number = _twelve_digits(values)
+    block, width = _fixed_notation(code, number)
     negative = np.signbit(values)
     if negative.any():
         block[negative, 1:] = block[negative, :-1]
@@ -439,10 +460,11 @@ def _twelve_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     magnitude = np.abs(values)
     # clamped into the fast range, so the arithmetic below meets no NaN,
     # infinity or zero; a cell outside the range is never decided
-    clamped = np.fmin(np.fmax(magnitude, 1e-4), np.nextafter(1e12, 0.0))
-    decided = magnitude == clamped
-    exponent = np.floor(np.log10(clamped)).astype(np.intp) + 5
-    scaled = clamped * _digit_tables()[0].take(exponent)
+    scaled = np.fmin(np.fmax(magnitude, 1e-4), np.nextafter(1e12, 0.0))
+    decided = magnitude == scaled
+    # log10 + 5 >= 1, so the cast floors it; a sum rounded up is a log10 off by one, as the docstring says
+    exponent = (np.log10(scaled, out=magnitude) + 5.0).astype(np.intp)
+    scaled *= _digit_tables()[0].take(exponent)
     digits = np.rint(scaled)
     decided &= np.abs(scaled - digits) < 0.5 - 2.0**-12
     decided &= scaled >= 1e11
@@ -450,36 +472,40 @@ def _twelve_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return decided, exponent, (digits * decided).astype(np.int64)
 
 
-def _fixed_notation(exponent: np.ndarray, number: np.ndarray) -> tuple[np.ndarray, int]:
+def _fixed_notation(code: np.ndarray, number: np.ndarray) -> tuple[np.ndarray, int]:
     """Each N printed in fixed notation at its e + 5, as 24 bytes a row padded with ``_PAD``, and the longest text."""
-    _, quad, end_high, end_mid, end_low, layout = _digit_tables()
+    _, quad, end_high, end_mid, end_low, after0, after1, shift, fill0, fill1, fill2, length = _digit_tables()
+    # number keeps the low group of four digits, and thousands the middle one
     thousands = number // 10000
-    low_group = number - thousands * 10000
-    high_group = thousands // 10000
-    mid_group = thousands - high_group * 10000
+    number -= thousands * 10000
+    high = thousands // 10000
+    thousands -= high * 10000
     # the 12 ASCII digits as a 96-bit little-endian number (two words)
-    word0 = quad.take(mid_group) << np.uint64(32)
-    word0 |= quad.take(high_group)
-    word1 = quad.take(low_group)
-    significant = np.maximum(np.maximum(end_high.take(high_group), end_mid.take(mid_group)), end_low.take(low_group))
-    code = exponent * 13 + significant
+    word0 = quad.take(thousands) << np.uint64(32)
+    word0 |= quad.take(high)
+    word1 = quad.take(number)
+    significant = np.maximum(end_high.take(high), end_mid.take(thousands))
+    code += np.maximum(significant, end_low.take(number), out=significant)
+    del thousands, high
     # as 192-bit numbers (three words), the text is the digits before the
     # insert, the insert and the fill, and the digits after it shifted up
     # by the insert's bits; the fill holds the insert and sets every byte
     # from the text's length on to _PAD
-    after0, after1, shift, fill0, fill1, fill2, length = layout.take(code, axis=1)
-    rest0 = word0 & after0
-    rest1 = word1 & after1
-    word0 ^= rest0
-    word1 ^= rest1
-    text = np.empty((len(number), 3), "<u8")
-    np.left_shift(rest0, shift, out=text[:, 0])
-    text[:, 0] |= word0 | fill0
-    np.left_shift(rest1, shift, out=text[:, 1])
-    text[:, 1] |= word1 | fill1 | rest0 >> (64 - shift)
-    np.right_shift(rest1, 64 - shift, out=text[:, 2])
-    text[:, 2] |= fill2
-    return text.view(np.uint8), int(length.max(initial=0))
+    text = np.zeros((len(code), 3), "<u8")
+    # into number's array, which the caller holds; every code is in range,
+    # and "clip" takes into it without a buffer
+    bits = shift.take(code, out=number.view(np.uint64), mode="clip")
+    back = 64 - bits
+    for j, (word, after) in enumerate([(word0, after0), (word1, after1)]):
+        moved = word & after.take(code)
+        word ^= moved
+        text[:, j + 1] = moved >> back
+        moved <<= bits
+        moved |= word
+        text[:, j] |= moved
+    for j, fill in enumerate([fill0, fill1, fill2]):
+        text[:, j] |= fill.take(code)
+    return text.view(np.uint8), int(length.take(code).max(initial=0))
 
 
 #: Most points a ``start:stop:step`` grid may hold, checked before it is built.

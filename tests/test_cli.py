@@ -261,6 +261,17 @@ class TestSweep:
         assert message in err and err.count("\n") == 1
         assert not out_path.exists()
 
+    def test_an_unreadable_curve_file_is_reported_before_an_out_of_range_h_grid(self, tmp_path, capsys):
+        # the sweep reads the curve before it checks the grid's points, though it drops the curve after the solve
+        path = tmp_path / "c.ini"
+        config = BASE_CONFIG.replace("family = linear", f"file = {tmp_path / 'missing.txt'}").replace("scale = 1000\n", "")
+        path.write_text(config.replace("grid = 0.0:1.0:0.05", "grid = 0.5, 1.5"))
+        out_path = tmp_path / "never.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read curve file" in err and err.count("\n") == 1
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("command", ["solve", "simulate", "sweep", "experiment"])
     def test_only_sweep_builds_the_grid(self, config_path, tmp_path, monkeypatch, capsys, command):
         # the grid is checked when the config loads, but its points are built on use

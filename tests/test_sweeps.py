@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import os
+import weakref
 from types import SimpleNamespace
 from unittest import mock
 
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import column, draw_params, output_drop, recording_cumulate, traced_memory
-from shirklab import equilibrium, model, sweeps
+from shirklab import cli, equilibrium, model, sweeps
 from shirklab.cli import main
 from shirklab.equilibrium import EFFORT, SHIRK, TOL, ReplacementCostCurve, credibility_slope, solve_threshold
 from shirklab.errors import InadmissibleParamsError, InvalidCurveError, InvalidParamsError
@@ -273,7 +274,7 @@ class TestEmitCsv:
         grid = make_grid(0.0, 1.0, 1e-4)
         with mock.patch.object(sweeps, "_cell_text", wraps=sweeps._cell_text) as texts:
             assert emit_csv(sweep_blocks("h", p0, linear_curve, grid), os.devnull) == 10001
-        # the six names, then the regime's two texts and the boundary's two, each once for five blocks
+        # the six names, then the regime's two texts and the boundary's two, each once for all the blocks
         assert texts.call_count == 6 + 2 + 2
 
     def test_unwritable_destination_raises_io_error(self, h_table, tmp_path):
@@ -329,6 +330,8 @@ FLOATS = st.one_of(
     st.sampled_from((-0.0, 0.0, math.nan, math.inf, -math.inf)),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
 )
+#: Quiet NaNs of other payloads and signs than float("nan"), each printed as "nan".
+OTHER_NANS = tuple(np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF8DEADBEEF0000], np.uint64).view(float).tolist())
 #: Texts of the characters that %-templates and csv.writer treat apart, and the empty text.
 TEXTS = st.text(alphabet=st.sampled_from([",", '"', "\n", "\r", "%", "\u00e9"]), max_size=4)
 
@@ -372,6 +375,26 @@ def tables(draw):
     return Table(columns, tuple(data))
 
 
+@st.composite
+def twin_floats(draw):
+    """Two float columns equal on some runs of rows, and on others apart in value or only in a zero's sign or a NaN's payload."""
+    size = draw(st.integers(1, 30))
+    first = np.array(draw(runs(FLOATS, size)), dtype=float)
+    second = first.copy()
+    start = 0
+    while start < size:
+        part = second[start : start + draw(st.integers(1, 9))]
+        change = draw(st.sampled_from(["none", "zero-sign", "nan-payload", "value"]))
+        if change == "zero-sign":
+            part[part == 0.0] *= -1.0
+        elif change == "nan-payload":
+            part[np.isnan(part)] = draw(st.sampled_from(OTHER_NANS))
+        elif change == "value":
+            part[:] = draw(st.lists(FLOATS, min_size=len(part), max_size=len(part)))
+        start += len(part)
+    return first, second
+
+
 class TestEmitCsvMatchesCsvWriter:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(table=tables(), chunk=st.integers(1, 9))
@@ -380,6 +403,20 @@ class TestEmitCsvMatchesCsvWriter:
         with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
             emit_csv([table], str(path))
         assert path.read_bytes() == _reference_csv(table.columns, table.rows)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(twins=twin_floats(), chunk=st.sampled_from([1, 7, sweeps.CSV_CHUNK_ROWS]))
+    def test_float_chunks_with_equal_bytes_are_printed_once(self, twins, chunk, tmp_path):
+        first, second = twins
+        table = Table(("a", "b", "a again"), (first, second, first.copy()))
+        path = tmp_path / "t.csv"
+        with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
+            with mock.patch.object(sweeps, "_format_floats", wraps=sweeps._format_floats) as printed:
+                emit_csv([table], str(path))
+        assert path.read_bytes() == _reference_csv(table.columns, table.rows)
+        # each chunk prints each of its distinct byte strings once, but for those of one repeated cell
+        chunks = [[values[start : start + chunk].tobytes() for values in table.data] for start in range(0, len(first), chunk)]
+        assert printed.call_count == sum(len({cells for cells in row if cells != cells[:8] * (len(cells) // 8)}) for row in chunks)
 
     @pytest.mark.parametrize("cell", ["", None])
     def test_lone_empty_cell_is_quoted(self, cell, tmp_path):
@@ -450,7 +487,9 @@ class TestHSweepAcrossChunks:
             # steps of 2e-11 put about ten rows within TOL of h_tilde
             grid = h_tilde + np.arange(-4500, 15500) * 2e-11
         else:
-            grid = make_grid(0.0, 1.0, 5e-5)
+            # the switch, at row 8078 of 40001, falls inside the second chunk of
+            # 4096 rows, with eight after it
+            grid = make_grid(0.0, 1.0, 2.5e-5)
         # written a block at a time, as the CLI does, against one sweep of the whole grid
         table = sweep_h(p0, solve_threshold(p0, linear_curve), grid)
         path = tmp_path / "h.csv"
@@ -459,7 +498,7 @@ class TestHSweepAcrossChunks:
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         h = grid.tolist()
         switch = sum(x <= h_tilde for x in h)
-        # about 2 x 10^4 rows: whole chunks on each side, and the switch inside a chunk
+        # 2 x 10^4 rows or more: whole chunks on each side, and the switch inside a chunk
         assert len(rows) == len(h) >= 20000
         assert switch > sweeps.CSV_CHUNK_ROWS and switch % sweeps.CSV_CHUNK_ROWS
         assert len(rows) - switch > 2 * sweeps.CSV_CHUNK_ROWS
@@ -775,10 +814,11 @@ def test_a_curve_scale_sweep_holds_one_row_of_sums_at_a_time(p0, scale, grid):
 
 def test_the_benchmark_h_sweep_holds_its_regime_at_one_byte_a_row(p0):
     # the benchmark's 10^5-point grid, a block at a time: each block holds
-    # its slice of the grid as the h column, three float columns of 16 KB,
-    # 2 KB each for boundary and regime, and the closed forms' temporaries,
-    # then its CSV chunk, 0.65 MiB in all (a table of the whole grid peaked
-    # at 4.7 MB); the regime as one 8-byte pointer a row would add 14 KB a block
+    # its slice of the grid as the h column, three float columns of 32 KB,
+    # 4 KB each for boundary and regime, and the closed forms' temporaries,
+    # then its CSV chunk, 0.90 MiB in all at 4096 rows (a table of the whole
+    # grid peaked at 4.7 MB); the regime as one 8-byte pointer a row would add
+    # 28 KB a block
     curve = ReplacementCostCurve.linear(705.96235)
     grid = make_grid(0.0, 1.0, 1e-5)
     emit_csv(sweep_blocks("h", p0, curve, grid[:10]), os.devnull)
@@ -791,7 +831,36 @@ def test_the_benchmark_h_sweep_holds_its_regime_at_one_byte_a_row(p0):
         assert table.data[0].base is grid
         assert isinstance(regime, Labels) and regime.codes.nbytes == len(table)
         lengths.append(len(table))
-    assert lengths == [sweeps.CSV_CHUNK_ROWS] * 48 + [len(grid) - 48 * sweeps.CSV_CHUNK_ROWS]
+    full = len(grid) // sweeps.CSV_CHUNK_ROWS
+    assert lengths == [sweeps.CSV_CHUNK_ROWS] * full + [len(grid) - full * sweeps.CSV_CHUNK_ROWS]
+
+
+def test_an_h_sweep_drops_its_curve_once_the_threshold_is_solved(p0):
+    # the solve is all that an h sweep reads of the curve, so no block holds it
+    curve = ReplacementCostCurve.linear(705.96235)
+    held = weakref.ref(curve)
+    blocks = sweep_blocks("h", p0, curve, make_grid(0.0, 1.0, 1e-3))
+    del curve
+    assert held() is not None
+    first = next(blocks)
+    assert held() is None
+    assert sum(map(len, [first, *blocks])) == 1001
+
+
+def test_the_sweep_command_drops_the_curve_before_its_first_block(tmp_path, monkeypatch):
+    path = tmp_path / "sweep.ini"
+    path.write_text(BENCHMARK_SWEEP.format(parameter="h", grid="0.0:1.0:1e-4"))
+    read, write, held, alive = cli._curve, sweeps._chunk_bytes, [], []
+
+    def curve(config):
+        built = read(config)
+        held.append(weakref.ref(built))
+        return built
+
+    monkeypatch.setattr(cli, "_curve", curve)
+    monkeypatch.setattr(sweeps, "_chunk_bytes", lambda blocks: alive.append(held[0]() is not None) or write(blocks))
+    assert main(["sweep", "--config", str(path), "--out", os.devnull]) == 0
+    assert len(held) == 1 and alive == [False] * -(-10001 // sweeps.CSV_CHUNK_ROWS)
 
 
 #: The benchmark's model and curve at its seed 909, with a sweep.
