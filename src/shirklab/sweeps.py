@@ -47,9 +47,6 @@ class Labels:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, rows: slice) -> "Labels":
-        return Labels(self.codes[rows], self.texts)
-
     def tolist(self) -> list[str]:
         return np.array(self.texts, dtype=object)[self.codes].tolist()
 
@@ -226,8 +223,9 @@ def sweep_param(parameter: str, params: ModelParams, curve: ReplacementCostCurve
     )
 
 
-#: Grid points swept, and rows formatted and written, at a time, which bounds
-#: the bytes a sweep holds besides its curve and grid.  Peak RSS of a
+#: Grid points in a block of ``sweep_blocks``, which alone bounds the rows a
+#: sweep holds, formats and writes at a time besides its curve and grid:
+#: ``emit_csv`` writes each table it is given at once.  Peak RSS of a
 #: 10^5-row h sweep through the CLI (fresh process, 2-CPU Xeon, Python 3.11,
 #: numpy 2.4, medians of 10) is 33.29 MB at 1024 rows, 33.27 MB at 2048,
 #: 33.33 MB at 4096 and 34.27 MB at 8192, with ``cli.main`` taking 37.2,
@@ -267,18 +265,21 @@ def _cell_text(text: str) -> str:
 def emit_csv(tables: Iterable[Table], path: str) -> int:
     """Write tables that share their columns to ``path`` under one header row, and return the rows written.
 
-    Numbers get 12 significant digits.  Each table's rows are written
-    ``CSV_CHUNK_ROWS`` at a time, each chunk as one byte string joined
-    from a text block per column, a row per cell padded with a byte that
-    no UTF-8 text holds.  Bool and ``Labels`` codes index a block of the
-    column's texts, built once and kept while the next tables repeat them;
-    ``_format_floats`` prints the floats, a ``Held`` column's between its
-    empty cells.  A chunk of one code, or of one float bit pattern, is its
-    one text repeated, and a float chunk with the bytes of an earlier
-    column's chunk in the same rows reuses that column's text.  Only the
-    table being written is held.  The first table is made before the
-    file is opened, so an error in making it, or an empty first table, is
-    raised with no file written.
+    Numbers get 12 significant digits.  Each table is written at once, as
+    one byte string joined from a text block per column, a row per cell
+    padded with a byte that no UTF-8 text holds, so the tables passed bound
+    the text held: pass ``sweep_blocks`` for bounded memory.  Writing a
+    10^5-row h sweep table passed whole traces 18.3 MiB; sweeping and
+    writing it through ``sweep_blocks`` traces 0.89 MiB.
+
+    Bool and ``Labels`` codes index a block of the column's texts, built
+    once and kept while the next tables repeat them; ``_format_floats``
+    prints the floats, a ``Held`` column's between its empty cells.  A
+    column of one code, or of one float bit pattern, is its one text
+    repeated, and a float column with the bytes of an earlier one in the
+    table reuses its text.  Only the table being written is held.  The
+    first table is made before the file is opened, so an error in making
+    it, or an empty first table, is raised with no file written.
     """
     tables = iter(tables)
     table = next(tables, None)
@@ -290,65 +291,54 @@ def emit_csv(tables: Iterable[Table], path: str) -> int:
     # the blocks of the last table's text sets, at most one a column, as the next table mostly repeats them
     text_block = functools.lru_cache(len(columns))(lambda texts: _text_block([_cell_text(text) or empty for text in texts]))
     header = ",".join(_cell_text(name) or empty for name in columns) + "\n"
-    # the bytes and the text of the chunk's float columns printed so far
-    formatted = []
     written = 0
     with open(path, "wb") as handle:
         handle.write(header.encode("utf-8"))
         while table is not None:
             if table.columns != columns:
                 raise ValueError(f"columns {table.columns} differ from the first table's {columns}")
-            encoders = [_encoder(values, empty, text_block, formatted) for values in table.data]
-            for start in range(0, len(table), CSV_CHUNK_ROWS):
-                rows = slice(start, min(start + CSV_CHUNK_ROWS, len(table)))
-                blocks = [encode(rows) for encode in encoders]
-                formatted.clear()
+            if len(table):
+                # the bytes and the text of the table's float columns printed so far, dropped before the join
+                formatted = []
+                blocks = [_column_text(values, empty, text_block, formatted) for values in table.data]
+                del formatted
                 handle.write(_chunk_bytes(blocks))
             written += len(table)
-            del table, encoders
+            del table
             table = next(tables, None)
     return written
 
 
-def _encoder(values, empty: str, text_block, formatted: list):
-    """The function that prints a slice of the column's rows as a block of text bytes, a row per cell.
+def _column_text(values, empty: str, text_block, formatted: list) -> np.ndarray:
+    """The column's cells as a block of text bytes, a row per cell.
 
     ``text_block`` maps a code column's texts to their block, and
-    ``formatted`` holds the bytes and the text of each float chunk printed in the chunk's rows so far.
+    ``formatted`` holds the bytes and the text of each float column printed in the table so far.
     """
     if isinstance(values, Held):
-        return functools.partial(_held_floats, values, empty=empty)
-    if isinstance(values, np.ndarray) and values.dtype == float:
-        literal = lambda cell: np.frombuffer(_fmt(float(cell)).encode("ascii"), np.uint8)
-
-        def block(chunk: np.ndarray, cells: bytes) -> np.ndarray:
-            text = next((text for earlier, text in formatted if earlier == cells), None)
-            if text is None:
-                text = _format_floats(chunk)
-                formatted.append((cells, text))
-            return text
-
-    else:
+        return _held_floats(values, empty)
+    floats = isinstance(values, np.ndarray) and values.dtype == float
+    if not floats:
         labels = values if isinstance(values, Labels) else Labels(values.view(np.uint8), ("false", "true"))
-        texts = text_block(labels.texts)
-        values, literal, block = labels.codes, texts.__getitem__, lambda chunk, cells: texts.take(chunk, axis=0)
+        texts, values = text_block(labels.texts), labels.codes
+    cells = values.tobytes()
+    # cells that all have the first one's bytes, so -0.0 and 0.0 differ and a NaN run is one value, are one text
+    if cells == cells[: values.itemsize] * len(values):
+        text = np.frombuffer(_fmt(float(values[0])).encode("ascii"), np.uint8) if floats else texts[values[0]]
+        return np.broadcast_to(text, (len(values), len(text)))
+    if not floats:
+        return texts.take(values, axis=0)
+    text = next((text for earlier, text in formatted if earlier == cells), None)
+    if text is None:
+        text = _format_floats(values)
+        formatted.append((cells, text))
+    return text
 
-    def encode(rows: slice) -> np.ndarray:
-        chunk = values[rows]
-        cells = chunk.tobytes()
-        # cells that all have the first one's bytes, so -0.0 and 0.0 differ and a NaN run is one value, are one text
-        if cells == cells[: chunk.itemsize] * len(chunk):
-            text = literal(chunk[0])
-            return np.broadcast_to(text, (len(chunk), len(text)))
-        return block(chunk, cells)
 
-    return encode
-
-
-def _held_floats(column: Held, rows: slice, empty: str) -> np.ndarray:
-    """The texts of a ``Held`` column's rows: its held floats printed in one call, ``empty`` at the other cells."""
-    held = column.held[rows]
-    numbers = _format_floats(column.values[rows][held])
+def _held_floats(column: Held, empty: str) -> np.ndarray:
+    """The texts of a ``Held`` column: its held floats printed in one call, ``empty`` at the other cells."""
+    held = column.held
+    numbers = _format_floats(column.values[held])
     block = np.full((len(held), max(numbers.shape[1], len(empty))), _PAD, np.uint8)
     block[~held, : len(empty)] = np.frombuffer(empty.encode("ascii"), np.uint8)
     block[held, : numbers.shape[1]] = numbers
@@ -356,7 +346,7 @@ def _held_floats(column: Held, rows: slice, empty: str) -> np.ndarray:
 
 
 def _chunk_bytes(blocks: list[np.ndarray]) -> bytearray:
-    """The CSV rows of one chunk, from a block of text bytes per column that it drops once joined, with the padding deleted."""
+    """The CSV rows of one table, from a block of text bytes per column that it drops once joined, with the padding deleted."""
     comma, newline = (np.full((len(blocks[0]), 1), ord(byte), np.uint8) for byte in ",\n")
     rows = np.concatenate([part for block in blocks for part in (comma, block)][1:] + [newline], axis=1)
     blocks.clear()

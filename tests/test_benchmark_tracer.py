@@ -47,7 +47,7 @@ print(json.dumps({{
 def test_every_subcommand_runs_under_the_benchmark_tracer(tmp_path):
     config, blocks = tmp_path / "run.ini", tmp_path / "blocks.ini"
     config.write_text(CONFIG)
-    # a pi sweep of 4901 points, written in three blocks, each its own traced sweep_param call
+    # a pi sweep of 4901 points, written in two blocks, each its own traced sweep_param call
     blocks.write_text(CONFIG.replace("parameter = h\ngrid = 0.0:1.0:0.25", "parameter = pi\ngrid = 0.5:0.99:0.0001"))
     commands = [[name, "--config", str(config)] for name in ("solve", "simulate", "experiment")] + [
         ["sweep", "--config", str(path), "--out", str(tmp_path / "sweep.csv")] for path in (config, blocks)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from shirklab import sweeps
 from shirklab.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -39,3 +40,15 @@ def test_golden_output(name, tmp_path, capsys):
     else:
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [2048, 1000])
+@pytest.mark.parametrize("name", ["sweep_h_blocks", "sweep_pi_blocks"])
+def test_block_goldens_span_block_boundaries(name, rows, tmp_path, monkeypatch):
+    # swept and written in blocks of fewer rows than the golden holds, the CSV keeps its bytes
+    monkeypatch.setattr(sweeps, "CSV_CHUNK_ROWS", rows)
+    destination = tmp_path / f"{name}.csv"
+    assert main(["sweep", "--config", str(GOLDEN / f"{name}.ini"), "--out", str(destination)]) == 0
+    expected = (GOLDEN / f"{name}.csv").read_bytes()
+    assert expected.count(b"\n") - 1 > rows
+    assert destination.read_bytes() == expected

@@ -277,6 +277,27 @@ class TestEmitCsv:
         # the six names, then the regime's two texts and the boundary's two, each once for all the blocks
         assert texts.call_count == 6 + 2 + 2
 
+    @pytest.mark.parametrize("parameter, grid", [("h", (0.0, 1.0, 1e-4)), ("pi", (0.5, 1.02, 1e-4))])
+    def test_a_table_passed_whole_is_written_at_once_with_the_bytes_of_its_blocks(self, p0, linear_curve, parameter, grid, tmp_path):
+        # sweep_blocks alone cuts a sweep: a table of 10001 or 5201 rows passed whole is one join of its column texts
+        points = make_grid(*grid)
+        blocks = list(sweep_blocks(parameter, p0, linear_curve, points))
+        with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", len(points)):
+            (table,) = sweep_blocks(parameter, p0, linear_curve, points)
+        assert len(table) > sweeps.CSV_CHUNK_ROWS and len(blocks) > 1
+        whole, cut_path = tmp_path / "whole.csv", tmp_path / "blocks.csv"
+        with mock.patch.object(sweeps, "_chunk_bytes", wraps=sweeps._chunk_bytes) as joined:
+            assert emit_csv([table], str(whole)) == len(table)
+        assert joined.call_count == 1
+        assert emit_csv(blocks, str(cut_path)) == len(table)
+        assert whole.read_bytes() == cut_path.read_bytes()
+
+    def test_an_empty_table_after_the_first_writes_no_rows(self, h_table, p0, linear_curve, tmp_path):
+        path = tmp_path / "sweep.csv"
+        empty = sweep_h(p0, solve_threshold(p0, linear_curve), ())
+        assert emit_csv([h_table, empty, h_table], str(path)) == 2 * len(h_table)
+        assert path.read_bytes() == _reference_csv(h_table.columns, h_table.rows * 2)
+
     def test_unwritable_destination_raises_io_error(self, h_table, tmp_path):
         table = h_table
         with pytest.raises(OSError):
@@ -395,13 +416,26 @@ def twin_floats(draw):
     return first, second
 
 
+def cut(table: Table, rows: int) -> list[Table]:
+    """``table`` as tables of ``rows`` rows, the last one shorter, as ``sweep_blocks`` cuts a sweep."""
+
+    def part(values, start: int):
+        picked = slice(start, start + rows)
+        if isinstance(values, Held):
+            return Held(values.values[picked], values.held[picked])
+        if isinstance(values, Labels):
+            return Labels(values.codes[picked], values.texts)
+        return values[picked]
+
+    return [Table(table.columns, tuple(part(values, start) for values in table.data)) for start in range(0, len(table), rows)]
+
+
 class TestEmitCsvMatchesCsvWriter:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(table=tables(), chunk=st.integers(1, 9))
     def test_random_tables_are_byte_identical(self, table, chunk, tmp_path):
         path = tmp_path / "t.csv"
-        with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
-            emit_csv([table], str(path))
+        emit_csv(cut(table, chunk), str(path))
         assert path.read_bytes() == _reference_csv(table.columns, table.rows)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -410,9 +444,8 @@ class TestEmitCsvMatchesCsvWriter:
         first, second = twins
         table = Table(("a", "b", "a again"), (first, second, first.copy()))
         path = tmp_path / "t.csv"
-        with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
-            with mock.patch.object(sweeps, "_format_floats", wraps=sweeps._format_floats) as printed:
-                emit_csv([table], str(path))
+        with mock.patch.object(sweeps, "_format_floats", wraps=sweeps._format_floats) as printed:
+            emit_csv(cut(table, chunk), str(path))
         assert path.read_bytes() == _reference_csv(table.columns, table.rows)
         # each chunk prints each of its distinct byte strings once, but for those of one repeated cell
         chunks = [[values[start : start + chunk].tobytes() for values in table.data] for start in range(0, len(first), chunk)]
@@ -439,14 +472,13 @@ class TestEmitCsvMatchesCsvWriter:
         floats = np.array([math.inf if cell is None else cell for cell in cells])
         table = Table(("floats", "held"), (floats, held(cells)))
         path = tmp_path / "t.csv"
-        with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
-            emit_csv([table], str(path))
-            assert path.read_bytes() == _reference_csv(table.columns, table.rows)
-            assert path.read_text().splitlines()[1:7] == ["0,0", "-0,-0", "nan,nan", "-0,-0", "0,0", "inf,"]
-            for values in table.data:
-                lone = Table(("only",), (values,))
-                emit_csv([lone], str(path))
-                assert path.read_bytes() == _reference_csv(lone.columns, lone.rows)
+        emit_csv(cut(table, chunk), str(path))
+        assert path.read_bytes() == _reference_csv(table.columns, table.rows)
+        assert path.read_text().splitlines()[1:7] == ["0,0", "-0,-0", "nan,nan", "-0,-0", "0,0", "inf,"]
+        for values in table.data:
+            lone = Table(("only",), (values,))
+            emit_csv(cut(lone, chunk), str(path))
+            assert path.read_bytes() == _reference_csv(lone.columns, lone.rows)
 
 
     @pytest.mark.parametrize(
@@ -465,17 +497,15 @@ class TestEmitCsvMatchesCsvWriter:
         table = Table(("run", "x"), (cells, np.arange(len(cells)) / 3.0))
         lone = Table(("run",), (cells,))
         path = tmp_path / "t.csv"
-        with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
-            for written in (table, lone):
-                emit_csv([written], str(path))
-                assert path.read_bytes() == _reference_csv(written.columns, written.rows)
+        for written in (table, lone):
+            emit_csv(cut(written, chunk), str(path))
+            assert path.read_bytes() == _reference_csv(written.columns, written.rows)
 
     @pytest.mark.parametrize("chunk", [1, 2, 4096])
     def test_a_lone_column_of_empty_texts_is_quoted_on_every_row(self, chunk, tmp_path):
         table = Table(("only",), (Labels(np.zeros(5, np.uint8), ("",)),))
         path = tmp_path / "t.csv"
-        with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
-            emit_csv([table], str(path))
+        emit_csv(cut(table, chunk), str(path))
         assert path.read_bytes() == _reference_csv(table.columns, table.rows) == b'only\n' + b'""\n' * 5
 
 
@@ -563,9 +593,8 @@ class TestFormatFloats:
             return
         table = Table(("x", "reversed"), (values, values[::-1].copy()))
         path = tmp_path / "t.csv"
-        with mock.patch.object(sweeps, "CSV_CHUNK_ROWS", chunk):
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                emit_csv([table], str(path))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            emit_csv(cut(table, chunk), str(path))
         assert path.read_bytes() == _reference_csv(table.columns, table.rows)
 
     def test_every_edge_float_prints_as_format_gives_it(self):
@@ -657,14 +686,10 @@ class TestTable:
         with pytest.raises(ValueError, match="column 'x' is not"):
             Table(("ok", "x"), (np.array([0.5, 1.5]), values))
 
-    def test_labels_slice_and_give_python_cells_like_the_other_columns(self):
+    def test_labels_give_python_cells_like_the_other_columns(self):
         labels = Labels(np.array([2, 0, 0, 1, 2], np.uint8), ("a", "", 'b,"'))
         assert len(labels) == 5
         assert labels.tolist() == ['b,"', "a", "a", "", 'b,"']
-        for rows in (slice(1, 4), slice(None, None, 2), slice(3, None), slice(0, 0)):
-            piece = labels[rows]
-            assert isinstance(piece, Labels) and piece.texts is labels.texts
-            assert piece.tolist() == labels.tolist()[rows]
         assert Table(("name",), (labels,)).rows == tuple((text,) for text in labels.tolist())
 
 
